@@ -36,7 +36,6 @@ from .plan import (
     FaultRule,
     Partition,
     named_plan,
-    plan_from_loss_filter,
     NAMED_PLANS,
 )
 from .recovery import RecoveryConfig, RecoveryManager
@@ -59,6 +58,5 @@ __all__ = [
     "ResilientSimCluster",
     "ResilientThreadedCluster",
     "named_plan",
-    "plan_from_loss_filter",
     "run_chaos",
 ]

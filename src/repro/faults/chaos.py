@@ -34,12 +34,7 @@ from typing import Dict, List, Optional, Union
 from ..core.modes import LockMode
 from ..errors import InvariantViolation, SimulationError
 from ..obs.collect import RunObserver
-from ..obs.live import (  # noqa: F401  (constants re-exported for compat)
-    BLANK_REJOIN_GAP,
-    BLANK_REJOIN_RULES,
-    audit_view,
-    classify_crash_findings,
-)
+from ..obs.live import audit_view, classify_crash_findings
 from ..obs.sink import ObsSink
 from ..sim.engine import Process, Timeout
 from ..sim.rng import derive_rng
@@ -107,7 +102,7 @@ def run_chaos(
     in-memory one) and restarted nodes replay snapshot + WAL instead of
     rejoining blank.  Durability removes the blank-rejoin excuse: crash
     findings that a volatile run classifies as the expected
-    :data:`BLANK_REJOIN_GAP` become hard failures.
+    :data:`~repro.obs.live.BLANK_REJOIN_GAP` become hard failures.
 
     With ``reclaim=True`` (durable runs only) a restarted node's
     surviving application sessions re-assert their restored holds under

@@ -25,9 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.messages import MESSAGE_TYPE_LABELS, NodeId
 
-#: Legacy predicate signature of ``Network(loss_filter=...)``.
-LossFilter = Callable[[NodeId, NodeId, object], bool]
-
 #: Actions a rule can take on a matched message.
 DROP, DUPLICATE, DELAY, REORDER = "drop", "duplicate", "delay", "reorder"
 
@@ -76,8 +73,9 @@ class FaultRule:
     max_count: Optional[int] = None
     #: Extra latency in seconds (``delay`` action only).
     delay: float = 0.25
-    #: Escape hatch for the deprecated ``loss_filter`` shim.
-    predicate: Optional[LossFilter] = None
+    #: Arbitrary extra condition, ``predicate(sender, dest, message)``:
+    #: the rule matches only where it returns true.
+    predicate: Optional[Callable[[NodeId, NodeId, object], bool]] = None
 
     def __post_init__(self) -> None:
         if self.action not in _ACTIONS:
@@ -297,20 +295,6 @@ class FaultInjector:
             "reordered": self.reordered,
             "partitioned": self.partitioned,
         }
-
-
-def plan_from_loss_filter(loss_filter: LossFilter) -> FaultPlan:
-    """Wrap a legacy ``Network(loss_filter=...)`` predicate in a plan.
-
-    The shim behind the deprecated constructor argument: the predicate
-    becomes a single unconditional drop rule, so old call sites keep
-    working on top of the fault layer.
-    """
-
-    return FaultPlan(
-        rules=(FaultRule(action=DROP, predicate=loss_filter),),
-        name="loss-filter-shim",
-    )
 
 
 #: Protocol (non-recovery) message labels, for rules that must not touch

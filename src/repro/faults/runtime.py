@@ -6,14 +6,18 @@
 :class:`~repro.runtime.tcp.TcpTransport`) and applies a
 :class:`~repro.faults.plan.FaultPlan` to every crossing message, plus
 crash/restart gating: a crashed node neither sends nor receives, and a
-restarted node's handler can be swapped in without re-registering (which
-the underlying transports forbid after start).
+restarted node's handler goes in with ``restart(node, handler)`` without
+re-registering (which the underlying transports forbid after start) —
+the same four-call fabric vocabulary the simulator's
+:class:`~repro.sim.network.Network` speaks.
 
-:class:`ResilientThreadedCluster` is the real-thread sibling of
-:class:`~repro.faults.simcluster.ResilientSimCluster`: every node runs
-its lock space in recovery mode behind a
-:class:`~repro.faults.recovery.RecoveryManager` ticking on a
-:class:`~repro.faults.scheduler.WallScheduler`, with blocking clients.
+:class:`ResilientThreadedCluster` is the real-thread binding of
+:class:`~repro.faults.host.ResilientHost` (its simulator sibling is
+:class:`~repro.faults.simcluster.ResilientSimCluster`): the host's node
+stack over a :class:`FaultyTransport`, ticking on a
+:class:`~repro.faults.scheduler.WallScheduler`, with blocking clients
+and blocking membership changes.
+
 Wall-clock runs are not bit-reproducible — thread interleaving is real —
 but the *injected fault stream* still follows the plan's private RNG, so
 a plan that drops the third grant drops the third grant every run.
@@ -22,19 +26,22 @@ a plan that drops the third grant drops the third grant every run.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Dict, List, Optional, Set
 
-from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
-from ..core.messages import Envelope, LockId, Message, NodeId
+from ..core.lockspace import TokenHomeFn, default_token_home
+from ..core.messages import Envelope, LockId, NodeId
 from ..core.modes import LockMode
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..obs.sink import ObsSink
+from ..runtime.cluster import _Waiter
 from ..runtime.transport import MessageHandler, ThreadedTransport
+from ..sim.cluster import _NodeClient
 from ..verification.invariants import Monitor
+from .host import ResilientHost
 from .plan import FaultInjector, FaultPlan
-from .recovery import RecoveryConfig, RecoveryManager
+from .recovery import RecoveryConfig
 from .scheduler import WallScheduler
-from .simcluster import RESILIENT_OPTIONS
 
 #: Recovery timings an order of magnitude tighter than the simulator
 #: defaults — loopback queues deliver in microseconds, so tests converge
@@ -63,10 +70,7 @@ class FaultyTransport:
     """Plan-driven fault injection around a threaded/TCP transport."""
 
     def __init__(self, inner, plan: Optional[FaultPlan] = None) -> None:
-        import time
-
         self.inner = inner
-        self._time = time
         self._epoch = time.monotonic()
         self._injector: Optional[FaultInjector] = (
             FaultInjector(plan) if plan is not None and not plan.is_empty()
@@ -90,13 +94,13 @@ class FaultyTransport:
         return self._injector
 
     def _now(self) -> float:
-        return self._time.monotonic() - self._epoch
+        return time.monotonic() - self._epoch
 
     # -- transport surface -------------------------------------------------
 
     def register(self, node_id: NodeId, handler: MessageHandler) -> None:
-        """Register *node_id* on the inner transport, via a swap-able,
-        crash-gated handler indirection."""
+        """Register *node_id* on the inner transport, via a crash-gated
+        handler indirection that :meth:`restart` can re-point."""
 
         with self._state_lock:
             self._handlers[node_id] = handler
@@ -110,14 +114,6 @@ class FaultyTransport:
             return current(message)
 
         self.inner.register(node_id, gated)
-
-    def swap_handler(self, node_id: NodeId, handler: MessageHandler) -> None:
-        """Replace the delivery target of *node_id* (node restart)."""
-
-        with self._state_lock:
-            if node_id not in self._handlers:
-                raise SimulationError(f"node {node_id} was never registered")
-            self._handlers[node_id] = handler
 
     def start(self) -> None:
         """Start the inner transport."""
@@ -254,10 +250,19 @@ class FaultyTransport:
             for key in [k for k in self._held if node_id in k]:
                 self.messages_dropped += len(self._held.pop(key))
 
-    def restart(self, node_id: NodeId) -> None:
-        """Reconnect *node_id* to the fabric."""
+    def restart(
+        self, node_id: NodeId, handler: Optional[MessageHandler] = None
+    ) -> None:
+        """Reconnect *node_id* to the fabric, optionally delivering to a
+        fresh *handler* (the restarted node's new protocol state)."""
 
         with self._state_lock:
+            if handler is not None:
+                if node_id not in self._handlers:
+                    raise SimulationError(
+                        f"node {node_id} was never registered"
+                    )
+                self._handlers[node_id] = handler
             self._crashed.discard(node_id)
 
     def is_crashed(self, node_id: NodeId) -> bool:
@@ -272,30 +277,8 @@ class FaultyTransport:
         return getattr(self.inner, name)
 
 
-class _Waiter:
-    """Grant context used by the blocking resilient client."""
-
-    __slots__ = ("event", "mode")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.mode: Optional[LockMode] = None
-
-
-class ResilientBlockingClient:
+class ResilientBlockingClient(_NodeClient):
     """Blocking per-node client routed through the recovery manager."""
-
-    def __init__(
-        self, cluster: "ResilientThreadedCluster", node_id: NodeId
-    ) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> NodeId:
-        """This client's node."""
-
-        return self._node_id
 
     def acquire(
         self, lock_id: LockId, mode: LockMode, timeout: Optional[float] = None
@@ -337,8 +320,10 @@ class ResilientBlockingClient:
         cluster.managers[self._node_id].release(lock_id, mode)
 
 
-class ResilientThreadedCluster:
+class ResilientThreadedCluster(ResilientHost):
     """N real-thread nodes with recovery managers under a fault plan."""
+
+    CLIENT = ResilientBlockingClient
 
     def __init__(
         self,
@@ -353,134 +338,27 @@ class ResilientThreadedCluster:
         persistence=None,
         flight=None,
     ) -> None:
-        if num_nodes < 2:
-            raise ConfigurationError(
-                "a resilient cluster needs at least two nodes (someone "
-                "must survive to regenerate the token)"
-            )
-        self.num_nodes = num_nodes
-        self.plan = plan
-        self.config = config
-        self.monitor = monitor
-        self._monitor_lock = threading.Lock()
-        self.obs = obs
-        self._token_home = token_home
         inner = transport if transport is not None else ThreadedTransport(
             seed=seed, obs=obs
         )
         self.transport = FaultyTransport(inner, plan)
-        self.scheduler = WallScheduler()
-        self.lockspaces: Dict[NodeId, LockSpace] = {}
-        self.managers: Dict[NodeId, RecoveryManager] = {}
-        #: Per-node durability backend (see :mod:`repro.persist`);
-        #: ``None`` keeps the cluster volatile.
-        self.persistence = persistence
-        self.journals: Dict[NodeId, object] = {}
-        #: One rejoin report per durable restart, in restart order.
-        self.durability_log: List[Dict[str, object]] = []
-        self._crashed: Set[NodeId] = set()
-        self.crash_log: List[Dict[str, object]] = []
-        #: Current member node ids (mirrors the installed view; see
-        #: :mod:`repro.membership`).
-        self.members: List[NodeId] = list(range(num_nodes))
-        #: Nodes that have left for good (drained or decommissioned).
-        self._departed_nodes: Set[NodeId] = set()
-        #: One entry per membership event (join / drain / decommission).
-        self.membership_log: List[Dict[str, object]] = []
-        #: Per-node flight recorders (see :mod:`repro.obs.flightrec`);
-        #: ``None`` disables black-box recording.
-        self.flight = None
-        if flight is not None:
-            from ..obs.flightrec import FlightRecorder
-
-            self.flight = flight if isinstance(flight, dict) else {}
-            for node_id in range(num_nodes):
-                self.flight.setdefault(
-                    node_id,
-                    FlightRecorder(
-                        node_id,
-                        protocol="hierarchical",
-                        clock=self.scheduler.now,
-                    ),
-                )
-        for node_id in range(num_nodes):
-            self._boot_node(node_id, boot=0, fresh=True)
-        self.clients = [
-            ResilientBlockingClient(self, n) for n in range(num_nodes)
-        ]
+        super().__init__(
+            num_nodes,
+            fabric=self.transport,
+            scheduler=WallScheduler(),
+            plan=plan,
+            config=config,
+            token_home=token_home,
+            monitor=monitor,
+            obs=obs,
+            persistence=persistence,
+            flight=flight,
+        )
         self.transport.start()
         # Only now: heartbeats need every peer registered before the
         # first one goes out.
         for manager in self.managers.values():
             manager.start()
-
-    # -- node lifecycle ----------------------------------------------------
-
-    def _boot_node(
-        self,
-        node_id: NodeId,
-        boot: int,
-        fresh: bool,
-        membership: Optional[List[NodeId]] = None,
-    ) -> None:
-        lockspace = LockSpace(
-            node_id=node_id,
-            token_home=self._token_home,
-            listener=self._make_listener(node_id),
-            options=RESILIENT_OPTIONS,
-        )
-        lockspace.obs = self.obs
-        if self.flight is not None:
-            from ..obs.flightrec import FlightRecorder
-
-            recorder = self.flight.setdefault(
-                node_id,
-                FlightRecorder(
-                    node_id,
-                    protocol="hierarchical",
-                    clock=self.scheduler.now,
-                ),
-            )
-            if not fresh:
-                recorder.record_restart()
-            recorder.attach(lockspace)
-        manager = RecoveryManager(
-            node_id=node_id,
-            lockspace=lockspace,
-            membership=(
-                membership if membership is not None else list(self.members)
-            ),
-            scheduler=self.scheduler,
-            transport_send=self._make_sender(node_id),
-            config=self.config,
-            obs=self.obs,
-            boot=boot,
-        )
-        self.lockspaces[node_id] = lockspace
-        self.managers[node_id] = manager
-        if self.persistence is not None:
-            from ..persist import NodeJournal
-
-            journal = NodeJournal(
-                self.persistence.store_for(node_id),
-                node_id,
-                boot=boot,
-                obs=self.obs,
-            )
-            journal.attach(lockspace)
-            journal.view_source = manager.view_journal_payload
-            self.journals[node_id] = journal
-            manager.journal = journal
-        if fresh:
-            self.transport.register(node_id, manager.handle)
-        else:
-            self.transport.swap_handler(node_id, manager.handle)
-
-    def _make_sender(self, node_id: NodeId):
-        def send(dest: NodeId, message: Message) -> None:
-            self.transport.send(node_id, [Envelope(dest, message)])
-
-        return send
 
     def _make_listener(self, node_id: NodeId):
         def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
@@ -491,231 +369,20 @@ class ResilientThreadedCluster:
 
         return listener
 
-    def crash(self, node_id: NodeId) -> None:
-        """Kill *node_id*: volatile state gone, fabric silenced."""
+    def _wait(self, predicate, then, what: str, timeout: float = 30.0) -> None:
+        """Blocking: sleep-poll every ``heartbeat_interval`` until
+        *predicate* holds (:class:`TimeoutError` after *timeout* wall
+        seconds), then run *then*."""
 
-        if node_id in self._crashed:
-            return
-        self._crashed.add(node_id)
-        if self.flight is not None:
-            self.flight[node_id].record_crash()
-        self.crash_log.append(
-            {"at": self.scheduler.now(), "node": node_id}
-        )
-        self.transport.crash(node_id)
-        self.managers[node_id].stop()
-        journal = self.journals.pop(node_id, None)
-        if journal is not None:
-            # The store survives (it is the durable medium); only the
-            # in-process journal handle dies with the node.
-            journal.close()
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_crash(self.scheduler.now(), node_id)
-        if self.obs is not None:
-            self.obs.fault("crash", node_id)
-
-    def restart(self, node_id: NodeId) -> None:
-        """Bring *node_id* back under a bumped boot incarnation.
-
-        Without persistence the node rejoins blank; with it, the node
-        replays its snapshot + WAL and rejoins with its pre-crash locks
-        (token custody fenced until the epoch handshake settles — see
-        :meth:`~repro.faults.recovery.RecoveryManager.rejoin_from_journal`).
-        """
-
-        if node_id not in self._crashed:
-            return
-        if node_id in self._departed_nodes:
-            return  # Decommissioned while down: it no longer exists.
-        self._crashed.discard(node_id)
-        boot = self.managers[node_id].boot + 1
-        self._boot_node(node_id, boot=boot, fresh=False)
-        manager = self.managers[node_id]
-        # Fabric first: rejoin replay dispatches messages immediately.
-        self.transport.restart(node_id)
-        if self.persistence is not None:
-            from ..persist import VIEW_JOURNAL_KEY, recover_node_state
-
-            state, recover_report = recover_node_state(
-                self.persistence.store_for(node_id)
-            )
-            # The journalled view first: quorum sizes and the departed
-            # set of everything below derive from it.
-            view_payload = state.pop(VIEW_JOURNAL_KEY, None)
-            if view_payload is not None:
-                manager.adopt_view(view_payload)
-            rejoin_report = manager.rejoin_from_journal(state)
-            self.durability_log.append(
-                {
-                    "at": round(self.scheduler.now(), 6),
-                    "node": node_id,
-                    "boot": boot,
-                    "recovered": recover_report,
-                    "rejoin": rejoin_report,
-                }
-            )
-            # Re-seed the snapshot under the new boot so the next crash
-            # replays from here instead of the whole pre-crash log.
-            self.journals[node_id].compact()
-        manager.start()
-        if self.obs is not None:
-            self.obs.fault("restart", node_id)
-
-    def is_crashed(self, node_id: NodeId) -> bool:
-        """Whether *node_id* is currently down."""
-
-        return node_id in self._crashed
-
-    def client(self, node_id: NodeId) -> ResilientBlockingClient:
-        """Return the blocking client of *node_id*."""
-
-        return self.clients[node_id]
-
-    def live_nodes(self) -> List[NodeId]:
-        """Current members that are up, ascending."""
-
-        return [n for n in self.members if n not in self._crashed]
-
-    # -- dynamic membership (see repro.membership / docs/MEMBERSHIP.md) ----
-
-    def join_node(self) -> NodeId:
-        """Admit a brand-new node into the running cluster.
-
-        The transport registers the node's dispatcher on the fly; the
-        lowest live member sponsors the quorum-gated view change.
-        """
-
-        live = self.live_nodes()
-        if not live:
-            raise SimulationError("no live member can sponsor a join")
-        sponsor = min(live)
-        node_id = self.num_nodes
-        self.num_nodes += 1
-        bootstrap = sorted(
-            set(self.managers[sponsor].membership) | {node_id}
-        )
-        self.members.append(node_id)
-        self._boot_node(node_id, boot=0, fresh=True, membership=bootstrap)
-        manager = self.managers[node_id]
-        manager.start()
-        manager.request_join(sponsor)
-        self.clients.append(ResilientBlockingClient(self, node_id))
-        self.membership_log.append(
-            {
-                "at": round(self.scheduler.now(), 6),
-                "event": "join",
-                "node": node_id,
-                "sponsor": sponsor,
-            }
-        )
-        if self.obs is not None:
-            self.obs.fault("join", node_id)
-        return node_id
-
-    def drain_node(
-        self,
-        node_id: NodeId,
-        successor: Optional[NodeId] = None,
-        timeout: float = 30.0,
-    ) -> NodeId:
-        """Gracefully remove *node_id*, blocking until its removal view
-        is installed (wall-clock *timeout*).  Returns the successor."""
-
-        import time
-
-        if node_id in self._crashed:
-            raise SimulationError(
-                f"node {node_id} is crashed; decommission it instead"
-            )
-        if (
-            node_id in self._departed_nodes
-            or self.managers[node_id].departing
-        ):
-            raise SimulationError(f"node {node_id} is already leaving")
-        chosen = self.managers[node_id].begin_leave(successor)
-        self.membership_log.append(
-            {
-                "at": round(self.scheduler.now(), 6),
-                "event": "drain-begin",
-                "node": node_id,
-                "successor": chosen,
-            }
-        )
         deadline = time.monotonic() + timeout
-        while not self.managers[node_id].has_left:
+        while not predicate():
             if time.monotonic() > deadline:
                 raise TimeoutError(
-                    f"node {node_id} did not finish draining within "
-                    f"{timeout}s"
+                    f"{what} did not converge within {timeout}s"
                 )
             time.sleep(self.config.heartbeat_interval)
-        self._finalize_departure(node_id, "drained")
-        return chosen
-
-    def decommission_node(
-        self, node_id: NodeId, timeout: float = 30.0
-    ) -> NodeId:
-        """Force-remove a crashed *node_id* from the view for good,
-        blocking until every live member has installed the removal.
-        Returns the coordinating node."""
-
-        import time
-
-        if node_id not in self._crashed:
-            raise SimulationError(
-                f"node {node_id} is alive; drain it instead"
-            )
-        if node_id in self._departed_nodes:
-            raise SimulationError(f"node {node_id} already decommissioned")
-        live = self.live_nodes()
-        if not live:
-            raise SimulationError("no live member can coordinate")
-        coordinator = min(live)
-        self.managers[coordinator].decommission(node_id)
-        self.membership_log.append(
-            {
-                "at": round(self.scheduler.now(), 6),
-                "event": "decommission-begin",
-                "node": node_id,
-                "coordinator": coordinator,
-            }
-        )
-        deadline = time.monotonic() + timeout
-        while any(
-            node_id in self.managers[n].membership
-            for n in self.live_nodes()
-        ):
-            if time.monotonic() > deadline:
-                raise TimeoutError(
-                    f"decommission of node {node_id} did not converge "
-                    f"within {timeout}s"
-                )
-            time.sleep(self.config.heartbeat_interval)
-        self._finalize_departure(node_id, "decommissioned")
-        return coordinator
-
-    def _finalize_departure(self, node_id: NodeId, event: str) -> None:
-        if node_id in self._departed_nodes:
-            return
-        self._departed_nodes.add(node_id)
-        if node_id in self.members:
-            self.members.remove(node_id)
-        if node_id not in self._crashed:
-            self.transport.crash(node_id)
-            self.managers[node_id].stop()
-            journal = self.journals.pop(node_id, None)
-            if journal is not None:
-                journal.close()
-        self.membership_log.append(
-            {
-                "at": round(self.scheduler.now(), 6),
-                "event": event,
-                "node": node_id,
-            }
-        )
-        if self.obs is not None:
-            self.obs.fault(event, node_id)
+        if then is not None:
+            then()
 
     def shutdown(self) -> None:
         """Stop timers, managers and transport threads."""
@@ -733,94 +400,3 @@ class ResilientThreadedCluster:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-    # -- monitor plumbing --------------------------------------------------
-
-    def _record_request(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_request(
-                    self.scheduler.now(), node, lock_id, mode
-                )
-
-    def _record_grant(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_grant(
-                    self.scheduler.now(), node, lock_id, mode
-                )
-
-    def _record_release(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_release(
-                    self.scheduler.now(), node, lock_id, mode
-                )
-
-    # -- aggregates --------------------------------------------------------
-
-    def cluster_view(self):
-        """Capture a :class:`repro.obs.live.ClusterView` of all nodes.
-
-        Each live node is snapshotted under its recovery manager's mutex
-        (the lock every automaton access already takes), so per-node
-        state is internally consistent; crashed nodes appear dead with
-        no lock state.
-        """
-
-        from ..obs.live import ClusterView, NodeSnapshot, snapshot_node
-
-        nodes = []
-        for node_id in sorted(self.members):
-            if node_id in self._crashed:
-                nodes.append(NodeSnapshot(node=node_id, alive=False))
-                continue
-            manager = self.managers[node_id]
-            with manager._mutex:
-                nodes.append(
-                    snapshot_node(
-                        node_id,
-                        self.lockspaces[node_id],
-                        recovery=manager.health_snapshot(),
-                    )
-                )
-        return ClusterView(
-            protocol="hierarchical",
-            captured_at=self.scheduler.now(),
-            nodes=tuple(nodes),
-        )
-
-    def recovery_stats(self) -> Dict[str, object]:
-        """Aggregate recovery counters across managers."""
-
-        suspects = sorted(
-            {
-                (round(t, 6), peer)
-                for manager in self.managers.values()
-                for (t, peer) in manager.suspect_log
-            }
-        )
-        return {
-            "suspect_events": len(suspects),
-            "suspected_nodes": sorted({peer for _, peer in suspects}),
-            "regenerations": [
-                regen
-                for manager in self.managers.values()
-                for regen in manager.regenerations
-            ],
-            "app_retransmits": sum(
-                m.app_retransmits for m in self.managers.values()
-            ),
-            "channel_retransmits": sum(
-                m.channel.retransmits for m in self.managers.values()
-            ),
-            "duplicates_dropped": sum(
-                m.channel.duplicates_dropped for m in self.managers.values()
-            ),
-        }

@@ -1,4 +1,4 @@
-"""A simulated cluster with the full recovery stack and fault injection.
+"""The simulator binding of the resilient cluster family.
 
 :class:`ResilientSimCluster` is the chaos-capable sibling of
 :class:`~repro.sim.cluster.SimHierarchicalCluster`: every node runs its
@@ -7,7 +7,12 @@
 :class:`~repro.faults.plan.FaultPlan`, and the plan's crash/restart
 schedule is enacted against real node state (a crashed node's lock space
 is discarded; a restarted node rejoins blank under a bumped boot
-incarnation).
+incarnation, or from its journal).  All of that is
+:class:`~repro.faults.host.ResilientHost`; this module only builds the
+discrete-event engine under it, says how a caller waits (it yields a
+:class:`~repro.sim.engine.SimEvent`; membership changes complete
+asynchronously, polled in virtual time) and opts every node into leases
+and sessions.
 
 This lives in :mod:`repro.faults` rather than :mod:`repro.sim` on
 purpose: the plain cluster — the one all reproduced figures run on —
@@ -17,48 +22,28 @@ runs bit-identical to the pre-fault codebase.
 
 from __future__ import annotations
 
-import dataclasses
 import random
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..core.automaton import ProtocolOptions
-from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
-from ..core.messages import Envelope, LockId, Message, NodeId
+from ..core.lockspace import TokenHomeFn, default_token_home
+from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
-from ..errors import ConfigurationError, SimulationError
+from ..errors import SimulationError
 from ..obs.sink import ObsSink
+from ..sim.cluster import _GrantCtx, _NodeClient
 from ..sim.engine import SimEvent, Simulator
 from ..sim.network import Network
 from ..sim.rng import Distribution, Exponential
 from ..verification.invariants import Monitor
+from .host import ResilientHost
 from .plan import FaultPlan
 from .recovery import RecoveryConfig, RecoveryManager
 from .scheduler import SimScheduler
 
-#: Protocol options every resilient node runs with.
-RESILIENT_OPTIONS = ProtocolOptions(recovery=True)
 
-
-@dataclasses.dataclass
-class _GrantCtx:
-    """Listener context carried through the automaton to the waiter."""
-
-    event: SimEvent
-
-
-class ResilientClient:
+class ResilientClient(_NodeClient):
     """Per-node client: like ``HierClient`` but requests through the
     recovery manager so retransmission timers are armed."""
-
-    def __init__(self, cluster: "ResilientSimCluster", node_id: NodeId) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> NodeId:
-        """This client's node."""
-
-        return self._node_id
 
     def acquire(self, lock_id: LockId, mode: LockMode) -> SimEvent:
         """Request *lock_id* in *mode*; yield the returned event to wait."""
@@ -105,8 +90,10 @@ class ResilientClient:
         cluster.managers[self._node_id].release(lock_id, mode)
 
 
-class ResilientSimCluster:
+class ResilientSimCluster(ResilientHost):
     """N simulated nodes with recovery managers under a fault plan."""
+
+    CLIENT = ResilientClient
 
     def __init__(
         self,
@@ -123,21 +110,10 @@ class ResilientSimCluster:
         reclaim: bool = False,
         flight=None,
     ) -> None:
-        if num_nodes < 2:
-            raise ConfigurationError(
-                "a resilient cluster needs at least two nodes (someone "
-                "must survive to regenerate the token)"
-            )
-        self.num_nodes = num_nodes
-        self.plan = plan
         self.sim = sim if sim is not None else Simulator()
-        self.monitor = monitor
-        self.config = config
-        self.obs = obs
         if obs is not None:
             self.sim.tick_hook = obs.engine_tick
         self._latency = latency if latency is not None else Exponential(0.150)
-        self._token_home = token_home
         observer = None
         if obs is not None:
             def observer(sender, dest, message):
@@ -150,52 +126,24 @@ class ResilientSimCluster:
             faults=plan,
             tracer=getattr(obs, "tracer", None) if obs is not None else None,
         )
-        self._scheduler = SimScheduler(self.sim)
-        self.lockspaces: Dict[NodeId, LockSpace] = {}
-        self.managers: Dict[NodeId, RecoveryManager] = {}
-        #: Per-node durability backend (see :mod:`repro.persist`);
-        #: ``None`` keeps the cluster volatile and the code path
-        #: byte-identical to the pre-durability behaviour.
-        self.persistence = persistence
-        #: Whether a durable restart re-asserts the surviving sessions'
-        #: holds (lease reclaim) instead of disowning them.
-        self.reclaim = reclaim
-        self.journals: Dict[NodeId, object] = {}
-        #: Per-node flight recorders (see :mod:`repro.obs.flightrec`):
-        #: pass a dict to share recorders with the harness, ``True`` to
-        #: create one per node, ``None`` (default) to record nothing.
-        self.flight = None
-        if flight is not None:
-            from ..obs.flightrec import FlightRecorder
-
-            self.flight = flight if isinstance(flight, dict) else {}
-            for node_id in range(num_nodes):
-                self.flight.setdefault(
-                    node_id,
-                    FlightRecorder(
-                        node_id,
-                        protocol="hierarchical",
-                        clock=lambda: self.sim.now,
-                    ),
-                )
-        #: One rejoin report per durable restart, in restart order.
-        self.durability_log: List[Dict[str, object]] = []
-        self._crashed: set = set()
-        self.crash_log: List[Dict[str, object]] = []
-        #: Current member node ids (the god-view mirror of the installed
-        #: membership view): grows on :meth:`join_node`, shrinks when a
-        #: drain or decommission completes.
-        self.members: List[NodeId] = list(range(num_nodes))
-        #: Nodes that have left for good (drained or decommissioned).
-        self._departed_nodes: set = set()
-        #: One entry per membership event (join / drain / decommission).
-        self.membership_log: List[Dict[str, object]] = []
-        for node_id in range(num_nodes):
-            self._boot_node(node_id, boot=0, fresh=True)
+        super().__init__(
+            num_nodes,
+            fabric=self.network,
+            scheduler=SimScheduler(self.sim),
+            plan=plan,
+            config=config,
+            token_home=token_home,
+            monitor=monitor,
+            obs=obs,
+            persistence=persistence,
+            flight=flight,
+            reclaim=reclaim,
+        )
         # Only now: the first heartbeat needs every peer registered.
         for manager in self.managers.values():
             manager.start()
-        self.clients = [ResilientClient(self, n) for n in range(num_nodes)]
+        # Plan-scheduled crashes are a simulator-only convenience: wall
+        # clock runs crash nodes from the test body instead.
         if plan is not None:
             for crash in plan.crashes:
                 self.sim.schedule(
@@ -208,74 +156,6 @@ class ResilientSimCluster:
                         lambda node=crash.node: self.restart(node),
                     )
 
-    # -- node lifecycle ----------------------------------------------------
-
-    def _boot_node(
-        self,
-        node_id: NodeId,
-        boot: int,
-        fresh: bool,
-        membership: Optional[List[NodeId]] = None,
-    ) -> None:
-        lockspace = LockSpace(
-            node_id=node_id,
-            token_home=self._token_home,
-            listener=self._make_listener(node_id),
-            options=RESILIENT_OPTIONS,
-        )
-        lockspace.obs = self.obs
-        if self.flight is not None:
-            from ..obs.flightrec import FlightRecorder
-
-            recorder = self.flight.setdefault(
-                node_id,
-                FlightRecorder(
-                    node_id,
-                    protocol="hierarchical",
-                    clock=lambda: self.sim.now,
-                ),
-            )
-            if not fresh:
-                recorder.record_restart()
-            recorder.attach(lockspace)
-        manager = RecoveryManager(
-            node_id=node_id,
-            lockspace=lockspace,
-            membership=(
-                membership if membership is not None else list(self.members)
-            ),
-            scheduler=self._scheduler,
-            transport_send=self._make_sender(node_id),
-            config=self.config,
-            obs=self.obs,
-            boot=boot,
-        )
-        manager.forced_release_hook = self._forced_release
-        self.lockspaces[node_id] = lockspace
-        self.managers[node_id] = manager
-        if self.persistence is not None:
-            from ..persist import NodeJournal
-
-            journal = NodeJournal(
-                self.persistence.store_for(node_id),
-                node_id,
-                boot=boot,
-                obs=self.obs,
-            )
-            journal.attach(lockspace)
-            journal.session_source = manager.sessions.export
-            journal.view_source = manager.view_journal_payload
-            self.journals[node_id] = journal
-            manager.journal = journal
-        if fresh:
-            self.network.register(node_id, manager.handle)
-
-    def _make_sender(self, node_id: NodeId):
-        def send(dest: NodeId, message: Message) -> None:
-            self.network.send(node_id, [Envelope(dest, message)])
-
-        return send
-
     def _make_listener(self, node_id: NodeId):
         def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
             self._record_grant(node_id, lock_id, mode)
@@ -287,373 +167,28 @@ class ResilientSimCluster:
 
         return listener
 
+    def _wait(self, predicate, then, what: str) -> None:
+        """Asynchronous: poll every ``heartbeat_interval`` of virtual
+        time, then run *then*.  With nothing to run afterwards there is
+        nothing to schedule — whoever cares yields on simulator events."""
+
+        if then is None:
+            return
+        if predicate():
+            then()
+        else:
+            self.sim.schedule(
+                self.config.heartbeat_interval,
+                lambda: self._wait(predicate, then, what),
+            )
+
+    def _wire_leases(self, manager: RecoveryManager, journal) -> None:
+        manager.forced_release_hook = self._forced_release
+        if journal is not None:
+            journal.session_source = manager.sessions.export
+
     def _forced_release(self, holder: NodeId, lock_id: LockId) -> None:
         """Lease layer revoked *holder*'s holds on *lock_id*."""
 
         if self.monitor is not None:
             self.monitor.on_forced_release(self.sim.now, holder, lock_id)
-
-    def crash(self, node_id: NodeId) -> None:
-        """Kill *node_id*: volatile state gone, fabric silenced."""
-
-        if node_id in self._crashed:
-            return
-        self._crashed.add(node_id)
-        if self.flight is not None:
-            self.flight[node_id].record_crash()
-        self.crash_log.append({"at": self.sim.now, "node": node_id})
-        self.network.crash(node_id)
-        self.managers[node_id].stop()
-        journal = self.journals.pop(node_id, None)
-        if journal is not None:
-            # The store survives (it is the durable medium); only the
-            # in-process journal handle dies with the node.
-            journal.close()
-        if self.monitor is not None:
-            self.monitor.on_crash(self.sim.now, node_id)
-        if self.obs is not None:
-            self.obs.fault("crash", node_id)
-
-    def restart(self, node_id: NodeId) -> None:
-        """Bring *node_id* back under a bumped boot incarnation.
-
-        Without persistence the node rejoins blank; with it, the node
-        replays its snapshot + WAL and rejoins with its pre-crash locks
-        (token custody fenced until the epoch handshake settles — see
-        :meth:`~repro.faults.recovery.RecoveryManager.rejoin_from_journal`).
-        """
-
-        if node_id not in self._crashed:
-            return
-        if node_id in self._departed_nodes:
-            return  # Decommissioned while down: it no longer exists.
-        self._crashed.discard(node_id)
-        boot = self.managers[node_id].boot + 1
-        self._boot_node(node_id, boot=boot, fresh=False)
-        manager = self.managers[node_id]
-        # Fabric first: rejoin replay dispatches messages immediately.
-        self.network.restart(node_id, manager.handle)
-        if self.persistence is not None:
-            from ..persist import VIEW_JOURNAL_KEY, recover_node_state
-            from ..services.sessions import SESSIONS_JOURNAL_KEY
-
-            state, recover_report = recover_node_state(
-                self.persistence.store_for(node_id)
-            )
-            # The journalled view first: quorum sizes and the departed
-            # set of everything below derive from it.
-            view_payload = state.pop(VIEW_JOURNAL_KEY, None)
-            if view_payload is not None:
-                manager.adopt_view(view_payload)
-            # Sessions ride the same WAL under a reserved key; they are
-            # not a lock and must never reach the per-lock rejoin.
-            sessions_payload = state.pop(SESSIONS_JOURNAL_KEY, None)
-            if sessions_payload is not None:
-                manager.sessions.restore(sessions_payload)
-            reclaim_cb = None
-            reclaimed: List = []
-            if self.reclaim and sessions_payload is not None:
-                base, survivors = manager.sessions.reclaimer(
-                    self.sim.now, manager.lease_config.session_ttl
-                )
-
-                def reclaim_cb(lock_id, mode):
-                    if not base(lock_id, str(mode)):
-                        return False
-                    # Fresh lease under the restored epoch; the session
-                    # already carries the hold count, so no note_grant.
-                    manager.mint_lease(lock_id, mode)
-                    self._record_grant(node_id, lock_id, mode)
-                    reclaimed.append((lock_id, mode))
-                    return True
-
-            rejoin_report = manager.rejoin_from_journal(
-                state, reclaim=reclaim_cb
-            )
-            self.durability_log.append(
-                {
-                    "at": round(self.sim.now, 6),
-                    "node": node_id,
-                    "boot": boot,
-                    "recovered": recover_report,
-                    "rejoin": rejoin_report,
-                }
-            )
-            # Re-seed the snapshot under the new boot so the next crash
-            # replays from here instead of the whole pre-crash log.
-            self.journals[node_id].compact()
-        manager.start()
-        if self.persistence is not None and reclaimed:
-            # The restarted workload won't re-release holds it never
-            # knowingly re-acquired: hand each reclaimed hold back after
-            # a short grace so waiters eventually progress.
-            for i, (lock_id, mode) in enumerate(reclaimed):
-                self.sim.schedule(
-                    0.5 + 0.25 * i,
-                    lambda n=node_id, l=lock_id, m=mode: (
-                        self._release_reclaimed(n, l, m)
-                    ),
-                )
-        if self.obs is not None:
-            self.obs.fault("restart", node_id)
-
-    def _release_reclaimed(
-        self, node_id: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if node_id in self._crashed or self.managers[node_id].fenced:
-            return
-        self._record_release(node_id, lock_id, mode)
-        self.managers[node_id].release(lock_id, mode)
-
-    def is_crashed(self, node_id: NodeId) -> bool:
-        """Whether *node_id* is currently down."""
-
-        return node_id in self._crashed
-
-    def client(self, node_id: NodeId) -> ResilientClient:
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
-    def live_nodes(self) -> List[NodeId]:
-        """Current members that are up, ascending."""
-
-        return [n for n in self.members if n not in self._crashed]
-
-    # -- dynamic membership (see repro.membership / docs/MEMBERSHIP.md) ----
-
-    def join_node(self) -> NodeId:
-        """Admit a brand-new node into the running cluster.
-
-        Allocates the next node id, boots it with the full recovery
-        stack, and has it ask the lowest live member for admission; the
-        sponsor drives the quorum-gated view change and sends the state
-        transfer.  The returned id's client is usable immediately (its
-        first requests simply route while the view converges).
-        """
-
-        live = self.live_nodes()
-        if not live:
-            raise SimulationError("no live member can sponsor a join")
-        sponsor = min(live)
-        node_id = self.num_nodes
-        self.num_nodes += 1
-        # The joiner boots believing the view is (sponsor's view | self):
-        # an over-approximation, so every quorum it counts before the
-        # real install arrives is at least as large as the true one.
-        bootstrap = sorted(
-            set(self.managers[sponsor].membership) | {node_id}
-        )
-        self.members.append(node_id)
-        self._boot_node(node_id, boot=0, fresh=True, membership=bootstrap)
-        manager = self.managers[node_id]
-        manager.start()
-        manager.request_join(sponsor)
-        self.clients.append(ResilientClient(self, node_id))
-        self.membership_log.append(
-            {
-                "at": round(self.sim.now, 6),
-                "event": "join",
-                "node": node_id,
-                "sponsor": sponsor,
-            }
-        )
-        if self.obs is not None:
-            self.obs.fault("join", node_id)
-        return node_id
-
-    def drain_node(
-        self, node_id: NodeId, successor: Optional[NodeId] = None
-    ) -> NodeId:
-        """Gracefully remove *node_id*: drain its holds, hand off any
-        token custody to *successor* (lowest live member by default),
-        migrate its copyset children, then install a view without it.
-
-        Returns the successor.  Finalization is asynchronous: the
-        cluster polls the manager and silences the node's fabric once
-        its removal view is installed (see :attr:`membership_log`).
-        """
-
-        if node_id in self._crashed:
-            raise SimulationError(
-                f"node {node_id} is crashed; decommission it instead"
-            )
-        if (
-            node_id in self._departed_nodes
-            or self.managers[node_id].departing
-        ):
-            raise SimulationError(f"node {node_id} is already leaving")
-        chosen = self.managers[node_id].begin_leave(successor)
-        self.membership_log.append(
-            {
-                "at": round(self.sim.now, 6),
-                "event": "drain-begin",
-                "node": node_id,
-                "successor": chosen,
-            }
-        )
-        self._drain_poll(node_id)
-        return chosen
-
-    def _drain_poll(self, node_id: NodeId) -> None:
-        if node_id in self._crashed or node_id in self._departed_nodes:
-            return  # Crashed mid-drain (decommission it) or done.
-        if not self.managers[node_id].has_left:
-            self.sim.schedule(
-                self.config.heartbeat_interval,
-                lambda: self._drain_poll(node_id),
-            )
-            return
-        self._finalize_departure(node_id, "drained")
-
-    def decommission_node(self, node_id: NodeId) -> NodeId:
-        """Force-remove a crashed *node_id* from the view for good.
-
-        The lowest live member coordinates the view change; the install
-        fences the dead node's leases and evicts its copyset entries
-        everywhere.  Returns the coordinator.  A decommissioned node can
-        never :meth:`restart`.
-        """
-
-        if node_id not in self._crashed:
-            raise SimulationError(
-                f"node {node_id} is alive; drain it instead"
-            )
-        if node_id in self._departed_nodes:
-            raise SimulationError(f"node {node_id} already decommissioned")
-        live = self.live_nodes()
-        if not live:
-            raise SimulationError("no live member can coordinate")
-        coordinator = min(live)
-        self.managers[coordinator].decommission(node_id)
-        self.membership_log.append(
-            {
-                "at": round(self.sim.now, 6),
-                "event": "decommission-begin",
-                "node": node_id,
-                "coordinator": coordinator,
-            }
-        )
-        self._decommission_poll(node_id)
-        return coordinator
-
-    def _decommission_poll(self, node_id: NodeId) -> None:
-        if node_id in self._departed_nodes:
-            return
-        if any(
-            node_id in self.managers[n].membership
-            for n in self.live_nodes()
-        ):
-            self.sim.schedule(
-                self.config.heartbeat_interval,
-                lambda: self._decommission_poll(node_id),
-            )
-            return
-        self._finalize_departure(node_id, "decommissioned")
-
-    def _finalize_departure(self, node_id: NodeId, event: str) -> None:
-        if node_id in self._departed_nodes:
-            return
-        self._departed_nodes.add(node_id)
-        if node_id in self.members:
-            self.members.remove(node_id)
-        if node_id not in self._crashed:
-            # A drained node: silence its fabric and stop its timers now
-            # that its removal view is installed cluster-wide enough for
-            # anti-entropy to finish the spread without it.
-            self.network.crash(node_id)
-            self.managers[node_id].stop()
-            journal = self.journals.pop(node_id, None)
-            if journal is not None:
-                journal.close()
-        self.membership_log.append(
-            {"at": round(self.sim.now, 6), "event": event, "node": node_id}
-        )
-        if self.obs is not None:
-            self.obs.fault(event, node_id)
-
-    # -- monitor plumbing --------------------------------------------------
-
-    def _record_request(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            self.monitor.on_request(self.sim.now, node, lock_id, mode)
-
-    def _record_grant(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            self.monitor.on_grant(self.sim.now, node, lock_id, mode)
-
-    def _record_release(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            self.monitor.on_release(self.sim.now, node, lock_id, mode)
-
-    # -- aggregates --------------------------------------------------------
-
-    def cluster_view(self):
-        """Capture a :class:`repro.obs.live.ClusterView` of all nodes.
-
-        Crashed nodes appear as dead snapshots with no lock state (their
-        volatile state is genuinely gone); live nodes carry their
-        recovery manager's :class:`~repro.obs.live.RecoveryHealth`.
-        """
-
-        from ..obs.live import ClusterView, NodeSnapshot, snapshot_node
-
-        nodes = []
-        for node_id in sorted(self.members):
-            if node_id in self._crashed:
-                nodes.append(NodeSnapshot(node=node_id, alive=False))
-                continue
-            nodes.append(
-                snapshot_node(
-                    node_id,
-                    self.lockspaces[node_id],
-                    recovery=self.managers[node_id].health_snapshot(),
-                )
-            )
-        return ClusterView(
-            protocol="hierarchical",
-            captured_at=self.sim.now,
-            nodes=tuple(nodes),
-        )
-
-    def recovery_stats(self) -> Dict[str, object]:
-        """Aggregate recovery counters across live managers."""
-
-        suspects = sorted(
-            {
-                (round(t, 6), peer)
-                for manager in self.managers.values()
-                for (t, peer) in manager.suspect_log
-            }
-        )
-        regenerations = [
-            regen
-            for manager in self.managers.values()
-            for regen in manager.regenerations
-        ]
-        return {
-            "suspect_events": len(suspects),
-            "suspected_nodes": sorted({peer for _, peer in suspects}),
-            "regenerations": regenerations,
-            "app_retransmits": sum(
-                m.app_retransmits for m in self.managers.values()
-            ),
-            "channel_retransmits": sum(
-                m.channel.retransmits for m in self.managers.values()
-            ),
-            "duplicates_dropped": sum(
-                m.channel.duplicates_dropped for m in self.managers.values()
-            ),
-            "leases_revoked": sum(
-                m.leases_revoked for m in self.managers.values()
-            ),
-            "fenced_nodes": sorted(
-                n for n, m in self.managers.items() if m.fenced
-            ),
-        }

@@ -22,6 +22,7 @@ from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..errors import ConfigurationError, LockUsageError
+from ..sim.cluster import _NodeClient
 from ..sim.rng import Distribution
 from ..verification.invariants import Monitor
 from .transport import ThreadedTransport
@@ -38,18 +39,8 @@ class _Waiter:
         self.is_upgrade = is_upgrade
 
 
-class BlockingLockClient:
+class BlockingLockClient(_NodeClient):
     """Blocking per-node client of the hierarchical protocol."""
-
-    def __init__(self, cluster: "ThreadedHierarchicalCluster", node_id: NodeId) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> NodeId:
-        """This client's node."""
-
-        return self._node_id
 
     def acquire(
         self, lock_id: LockId, mode: LockMode, timeout: Optional[float] = None

@@ -1,11 +1,20 @@
 """Simulated clusters: N nodes, a network, and per-node lock clients.
 
-Two cluster flavours share the same shape:
+The bare family: one implementation (:class:`_BaseCluster`), three
+protocols that each add only what is theirs — a lockspace factory, a
+message label, a grant listener, a ``remove_node`` splice and the
+quiescent invariants:
 
 * :class:`SimHierarchicalCluster` — every node runs a
   :class:`~repro.core.lockspace.LockSpace` (the paper's protocol),
 * :class:`SimNaimiCluster` — every node runs a
-  :class:`~repro.naimi.lockspace.NaimiLockSpace` (the baseline).
+  :class:`~repro.naimi.lockspace.NaimiLockSpace` (the baseline),
+* :class:`SimRaymondCluster` — every node runs a
+  :class:`~repro.raymond.lockspace.RaymondLockSpace` (static tree).
+
+No recovery manager sits under these nodes, which is why they are not
+folded into :class:`~repro.faults.host.ResilientHost`: that host would
+have to branch on its caller.
 
 Clients expose coroutine-friendly ``acquire`` (returns a
 :class:`~repro.sim.engine.SimEvent` to ``yield`` on), plus synchronous
@@ -48,10 +57,18 @@ class _GrantCtx:
 
 
 class _BaseCluster:
-    """State shared by both cluster flavours."""
+    """Everything the three bare simulated clusters share.
+
+    A subclass supplies only what is per-protocol: ``PROTOCOL`` and
+    ``CLIENT``, a lockspace factory (:meth:`_new_lockspace`), a message
+    label (:meth:`_label`), a grant listener (:meth:`_make_listener`),
+    its ``remove_node`` splice and its quiescent invariants.
+    """
 
     #: Protocol tag stamped into cluster views (set per subclass).
     PROTOCOL = "?"
+    #: Per-node client class (``CLIENT(cluster, node_id)``).
+    CLIENT: type
 
     def __init__(
         self,
@@ -62,6 +79,7 @@ class _BaseCluster:
         monitor: Optional[Monitor] = None,
         metrics: Optional[MetricsCollector] = None,
         obs: Optional[ObsSink] = None,
+        token_home: TokenHomeFn = default_token_home,
     ) -> None:
         if num_nodes < 1:
             raise ConfigurationError("a cluster needs at least one node")
@@ -92,6 +110,73 @@ class _BaseCluster:
             observer=self._observe_message,
             tracer=getattr(obs, "tracer", None) if obs is not None else None,
         )
+        self._base_token_home = token_home
+        # Membership splices re-route token homes: per-lock pins for
+        # locks instantiated before a removal, per-node redirects for
+        # locks whose home node left before anyone touched them.
+        self._home_override: Dict[LockId, NodeId] = {}
+        self._node_redirect: Dict[NodeId, NodeId] = {}
+        self.lockspaces: Dict[NodeId, object] = {}
+        for node_id in range(num_nodes):
+            self._add_lockspace(node_id)
+        self.clients = [self.CLIENT(self, n) for n in range(num_nodes)]
+
+    def _resolve_home(self, lock_id: LockId) -> NodeId:
+        """Token-home fn handed to every lockspace, splice-aware."""
+
+        override = self._home_override.get(lock_id)
+        if override is not None:
+            return override
+        home = self._base_token_home(lock_id)
+        seen = set()
+        while home in self._node_redirect and home not in seen:
+            seen.add(home)
+            home = self._node_redirect[home]
+        return home
+
+    def _existing(self, member: NodeId, lock_id: LockId):
+        """*member*'s automaton for *lock_id*, or ``None`` if it never
+        touched the lock (a splice must not instantiate it)."""
+
+        for automaton in self.lockspaces[member].automata():
+            if automaton.lock_id == lock_id:
+                return automaton
+        return None
+
+    def _pin_home(
+        self, lock_id: LockId, leaver: NodeId, replacement: NodeId
+    ) -> None:
+        """Re-home fresh automata before *leaver* retires: a lock whose
+        home still resolves to it pins to its current token node (a
+        later fresh automaton there returns the existing, token-holding
+        instance — never a duplicate), else to *replacement*."""
+
+        if self._resolve_home(lock_id) != leaver:
+            return
+        home = replacement
+        for member in self.members:
+            if member == leaver:
+                continue
+            automaton = self._existing(member, lock_id)
+            if automaton is not None and automaton.has_token:
+                home = member
+                break
+        self._home_override[lock_id] = home
+
+    def _new_lockspace(self, node_id: NodeId, listener):  # per protocol
+        raise NotImplementedError
+
+    def _add_lockspace(self, node_id: NodeId):
+        lockspace = self._new_lockspace(node_id, self._make_listener(node_id))
+        lockspace.obs = self.obs
+        self.lockspaces[node_id] = lockspace
+        self.network.register(node_id, lockspace.handle)
+        return lockspace
+
+    def client(self, node_id: NodeId):
+        """Return the client object of *node_id*."""
+
+        return self.clients[node_id]
 
     @property
     def mean_latency(self) -> float:
@@ -143,7 +228,32 @@ class _BaseCluster:
             ),
         )
 
-    # -- membership plumbing shared by the per-protocol splices ----------
+    # -- membership (splices are valid at quiescence only) ----------------
+
+    def add_node(self, **placement) -> NodeId:
+        """Join a fresh node; returns its id.
+
+        Nothing to transplant: the joiner's automata are created lazily,
+        pointed at the (splice-aware) token home — the paper's normal
+        lazy-attach path.  *placement* is whatever the protocol's
+        :meth:`_place` accepts (``attach_to=`` on Raymond's static tree,
+        nothing elsewhere).
+        """
+
+        node_id = self._next_node_id
+        placed = self._place(node_id, **placement)
+        self._next_node_id += 1
+        self._add_lockspace(node_id)
+        self.members.append(node_id)
+        self.clients.append(self.CLIENT(self, node_id))
+        self._log_membership("join", node_id, **placed)
+        return node_id
+
+    def _place(self, node_id: NodeId) -> Dict[str, object]:
+        """Fit *node_id* into the protocol's static structure, if it has
+        one; returns extra fields for the membership log entry."""
+
+        return {}
 
     def _check_departed(self, node_id: NodeId) -> None:
         if node_id in self._departed:
@@ -183,10 +293,10 @@ class _BaseCluster:
         self._ghosts[node_id] = self.lockspaces.pop(node_id)
 
 
-class HierClient:
-    """Per-node client of the hierarchical protocol (coroutine style)."""
+class _NodeClient:
+    """What every per-node client is: a (cluster, node id) pair."""
 
-    def __init__(self, cluster: "SimHierarchicalCluster", node_id: NodeId) -> None:
+    def __init__(self, cluster, node_id: NodeId) -> None:
         self._cluster = cluster
         self._node_id = node_id
 
@@ -195,6 +305,10 @@ class HierClient:
         """This client's node."""
 
         return self._node_id
+
+
+class HierClient(_NodeClient):
+    """Per-node client of the hierarchical protocol (coroutine style)."""
 
     def acquire(
         self, lock_id: LockId, mode: LockMode, priority: int = 0
@@ -241,6 +355,7 @@ class SimHierarchicalCluster(_BaseCluster):
     """A simulated cluster running the paper's hierarchical protocol."""
 
     PROTOCOL = "hierarchical"
+    CLIENT = HierClient
 
     def __init__(
         self,
@@ -254,46 +369,19 @@ class SimHierarchicalCluster(_BaseCluster):
         options: ProtocolOptions = FULL_PROTOCOL,
         obs: Optional[ObsSink] = None,
     ) -> None:
+        self._options = options
         super().__init__(
             num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs,
+            monitor=monitor, metrics=metrics, obs=obs, token_home=token_home,
         )
-        self._options = options
-        self._base_token_home = token_home
-        # Membership splices re-route token homes: per-lock pins for
-        # locks instantiated before a removal, per-node redirects for
-        # locks whose home node left before anyone touched them.
-        self._home_override: Dict[LockId, NodeId] = {}
-        self._node_redirect: Dict[NodeId, NodeId] = {}
-        self.lockspaces: Dict[NodeId, LockSpace] = {}
-        for node_id in range(num_nodes):
-            self._add_lockspace(node_id)
-        self.clients = [HierClient(self, n) for n in range(num_nodes)]
 
-    def _resolve_home(self, lock_id: LockId) -> NodeId:
-        """Token-home fn handed to every lockspace, splice-aware."""
-
-        override = self._home_override.get(lock_id)
-        if override is not None:
-            return override
-        home = self._base_token_home(lock_id)
-        seen = set()
-        while home in self._node_redirect and home not in seen:
-            seen.add(home)
-            home = self._node_redirect[home]
-        return home
-
-    def _add_lockspace(self, node_id: NodeId) -> LockSpace:
-        lockspace = LockSpace(
+    def _new_lockspace(self, node_id: NodeId, listener) -> LockSpace:
+        return LockSpace(
             node_id=node_id,
             token_home=self._resolve_home,
-            listener=self._make_listener(node_id),
+            listener=listener,
             options=self._options,
         )
-        lockspace.obs = self.obs
-        self.lockspaces[node_id] = lockspace
-        self.network.register(node_id, lockspace.handle)
-        return lockspace
 
     def _label(self, message) -> str:
         return message_type_label(message)
@@ -309,29 +397,6 @@ class SimHierarchicalCluster(_BaseCluster):
                 self._record_grant(node_id, lock_id, mode)
 
         return listener
-
-    def client(self, node_id: NodeId) -> HierClient:
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
-    # -- membership splices (valid at quiescence only) -------------------
-
-    def add_node(self) -> NodeId:
-        """Join a fresh node; returns its id.
-
-        Nothing to transplant: the joiner's automata are created lazily
-        with their parent pointing at the (splice-aware) token home, the
-        paper's normal lazy-attach path.
-        """
-
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self._add_lockspace(node_id)
-        self.members.append(node_id)
-        self.clients.append(HierClient(self, node_id))
-        self._log_membership("join", node_id)
-        return node_id
 
     def remove_node(
         self, node_id: NodeId, successor: Optional[NodeId] = None
@@ -368,11 +433,8 @@ class SimHierarchicalCluster(_BaseCluster):
                 for lock_id in self.lockspaces[member].lock_ids
             }
         )
-        leaver_locks = set(space.lock_ids)
         for lock_id in lock_ids:
-            leaver = (
-                space.automaton(lock_id) if lock_id in leaver_locks else None
-            )
+            leaver = self._existing(node_id, lock_id)
             if leaver is not None and leaver.has_token:
                 kids = {
                     child: mode
@@ -402,29 +464,12 @@ class SimHierarchicalCluster(_BaseCluster):
                 replacement = parent
             else:
                 replacement = fallback
-            # Re-home fresh automata before retiring: any lock whose
-            # home still resolves to the leaver pins to its current
-            # token node (a later fresh automaton there returns the
-            # existing, token-holding instance — never a duplicate).
-            if self._resolve_home(lock_id) == node_id:
-                holders = [
-                    member
-                    for member in self.members
-                    if member != node_id
-                    and lock_id in set(self.lockspaces[member].lock_ids)
-                    and self.lockspaces[member].automaton(lock_id).has_token
-                ]
-                self._home_override[lock_id] = (
-                    holders[0] if holders else replacement
-                )
+            self._pin_home(lock_id, node_id, replacement)
             for member in self.members:
                 if member == node_id:
                     continue
-                member_space = self.lockspaces[member]
-                if lock_id not in set(member_space.lock_ids):
-                    continue
-                automaton = member_space.automaton(lock_id)
-                if automaton.parent == node_id:
+                automaton = self._existing(member, lock_id)
+                if automaton is not None and automaton.parent == node_id:
                     automaton.splice_parent(replacement)
             if leaver is not None:
                 leaver.splice_retire(replacement)
@@ -483,245 +528,12 @@ class SimHierarchicalCluster(_BaseCluster):
                         )
 
 
-class NaimiClient:
-    """Per-node client of the Naimi baseline (coroutine style)."""
-
-    def __init__(self, cluster: "SimNaimiCluster", node_id: NodeId) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> NodeId:
-        """This client's node."""
-
-        return self._node_id
+class ExclusiveClient(_NodeClient):
+    """Per-node client of an exclusive-lock baseline — Naimi-Tréhel or
+    Raymond — in coroutine style."""
 
     def acquire(self, lock_id: LockId) -> SimEvent:
         """Request the (exclusive) lock; yield the event to wait."""
-
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        event = SimEvent(cluster.sim)
-        out = cluster.lockspaces[self._node_id].request(lock_id, event)
-        cluster.network.send(self._node_id, out)
-        return event
-
-    def release(self, lock_id: LockId) -> None:
-        """Leave the critical section of *lock_id*."""
-
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        cluster._record_release(self._node_id, lock_id, LockMode.W)
-        out = cluster.lockspaces[self._node_id].release(lock_id)
-        cluster.network.send(self._node_id, out)
-
-
-class SimNaimiCluster(_BaseCluster):
-    """A simulated cluster running the Naimi-Tréhel baseline."""
-
-    PROTOCOL = "naimi"
-
-    def __init__(
-        self,
-        num_nodes: int,
-        sim: Optional[Simulator] = None,
-        latency: Optional[Distribution] = None,
-        seed: int = 0,
-        token_home: TokenHomeFn = default_token_home,
-        monitor: Optional[Monitor] = None,
-        metrics: Optional[MetricsCollector] = None,
-        obs: Optional[ObsSink] = None,
-    ) -> None:
-        super().__init__(
-            num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs,
-        )
-        self._base_token_home = token_home
-        self._home_override: Dict[LockId, NodeId] = {}
-        self._node_redirect: Dict[NodeId, NodeId] = {}
-        self.lockspaces: Dict[NodeId, NaimiLockSpace] = {}
-        for node_id in range(num_nodes):
-            self._add_lockspace(node_id)
-        self.clients = [NaimiClient(self, n) for n in range(num_nodes)]
-
-    def _resolve_home(self, lock_id: LockId) -> NodeId:
-        """Token-home fn handed to every lockspace, splice-aware."""
-
-        override = self._home_override.get(lock_id)
-        if override is not None:
-            return override
-        home = self._base_token_home(lock_id)
-        seen = set()
-        while home in self._node_redirect and home not in seen:
-            seen.add(home)
-            home = self._node_redirect[home]
-        return home
-
-    def _add_lockspace(self, node_id: NodeId) -> NaimiLockSpace:
-        lockspace = NaimiLockSpace(
-            node_id=node_id,
-            token_home=self._resolve_home,
-            listener=self._make_listener(node_id),
-        )
-        lockspace.obs = self.obs
-        self.lockspaces[node_id] = lockspace
-        self.network.register(node_id, lockspace.handle)
-        return lockspace
-
-    def _label(self, message) -> str:
-        return naimi_message_type_label(message)
-
-    def _make_listener(self, node_id: NodeId):
-        def listener(lock_id: LockId, ctx: object) -> None:
-            # Naimi grants are exclusive; record them as W for monitors.
-            self._record_grant(node_id, lock_id, LockMode.W)
-            if isinstance(ctx, SimEvent):
-                ctx.trigger(None)
-
-        return listener
-
-    def client(self, node_id: NodeId) -> NaimiClient:
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
-    # -- membership splices (valid at quiescence only) -------------------
-
-    def add_node(self) -> NodeId:
-        """Join a fresh node; returns its id.
-
-        Nothing to transplant: the joiner's automata are created lazily
-        with ``last`` pointing at the (splice-aware) token home.
-        """
-
-        node_id = self._next_node_id
-        self._next_node_id += 1
-        self._add_lockspace(node_id)
-        self.members.append(node_id)
-        self.clients.append(NaimiClient(self, node_id))
-        self._log_membership("join", node_id)
-        return node_id
-
-    def remove_node(
-        self, node_id: NodeId, successor: Optional[NodeId] = None
-    ) -> NodeId:
-        """Splice *node_id* out of every last-pointer forest at quiescence.
-
-        The node must be idle on every lock.  A token resting there
-        transplants to the successor; ``last`` hints pointing at the
-        leaver re-route to the leaver's own hint (or the successor),
-        and future automaton creation is re-homed away from the leaver.
-        Returns the fallback successor used.
-        """
-
-        self._require_removable(node_id)
-        space = self.lockspaces[node_id]
-        for automaton in space.automata():
-            if not automaton.is_idle():
-                raise ConfigurationError(
-                    f"node {node_id} is still active on "
-                    f"{automaton.lock_id!r}; drain before removal"
-                )
-        fallback = self._pick_successor(node_id, successor)
-        lock_ids = sorted(
-            {
-                automaton.lock_id
-                for member in self.members
-                for automaton in self.lockspaces[member].automata()
-            },
-            key=str,
-        )
-        leaver_locks = {a.lock_id for a in space.automata()}
-        for lock_id in lock_ids:
-            leaver = (
-                space.automaton(lock_id) if lock_id in leaver_locks else None
-            )
-            if leaver is not None and leaver.has_token:
-                self.lockspaces[fallback].automaton(lock_id).splice_take_token()
-                replacement = fallback
-            elif leaver is not None:
-                replacement = leaver.last
-                if replacement not in self.members:
-                    replacement = fallback
-            else:
-                replacement = fallback
-            if self._resolve_home(lock_id) == node_id:
-                holders = [
-                    member
-                    for member in self.members
-                    if member != node_id
-                    and lock_id in {
-                        a.lock_id for a in self.lockspaces[member].automata()
-                    }
-                    and self.lockspaces[member].automaton(lock_id).has_token
-                ]
-                self._home_override[lock_id] = (
-                    holders[0] if holders else replacement
-                )
-            for member in self.members:
-                if member == node_id:
-                    continue
-                member_space = self.lockspaces[member]
-                if lock_id not in {
-                    a.lock_id for a in member_space.automata()
-                }:
-                    continue
-                automaton = member_space.automaton(lock_id)
-                if automaton.last == node_id:
-                    target = replacement if replacement != member else fallback
-                    if target == member:
-                        raise ConfigurationError(
-                            f"lock {lock_id!r}: no valid re-route for the "
-                            f"probable-owner hint of node {member}"
-                        )
-                    automaton.splice_last(target)
-            if leaver is not None:
-                leaver.splice_retire(
-                    replacement if replacement != node_id else fallback
-                )
-        self._node_redirect[node_id] = fallback
-        self._retire_member(node_id)
-        self._log_membership("removed", node_id, successor=fallback)
-        return fallback
-
-    def assert_quiescent_invariants(self) -> None:
-        """Verify single-token / idle structure after the network drains."""
-
-        lock_ids = set()
-        for lockspace in self.lockspaces.values():
-            lock_ids.update(a.lock_id for a in lockspace.automata())
-        for lock_id in sorted(lock_ids):
-            automata = {
-                node_id: space.automaton(lock_id)
-                for node_id, space in self.lockspaces.items()
-            }
-            tokens = [n for n, a in automata.items() if a.has_token]
-            if len(tokens) != 1:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: {len(tokens)} token holders ({tokens})"
-                )
-            stuck = [n for n, a in automata.items() if not a.is_idle()]
-            if stuck:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: nodes {stuck} not idle at quiescence"
-                )
-
-
-class RaymondClient:
-    """Per-node client of the Raymond baseline (coroutine style)."""
-
-    def __init__(self, cluster: "SimRaymondCluster", node_id: NodeId) -> None:
-        self._cluster = cluster
-        self._node_id = node_id
-
-    @property
-    def node_id(self) -> NodeId:
-        """This client's node."""
-
-        return self._node_id
-
-    def acquire(self, lock_id: LockId) -> SimEvent:
-        """Request the (exclusive) privilege; yield the event to wait."""
 
         cluster = self._cluster
         cluster._check_departed(self._node_id)
@@ -741,10 +553,155 @@ class RaymondClient:
         cluster.network.send(self._node_id, out)
 
 
-class SimRaymondCluster(_BaseCluster):
+#: The names the two baselines' clients are imported under.
+NaimiClient = RaymondClient = ExclusiveClient
+
+
+class _ExclusiveCluster(_BaseCluster):
+    """What the two exclusive-lock baselines share beyond the base."""
+
+    CLIENT = ExclusiveClient
+    #: What the protocol calls its token (``has_<_TOKEN>`` on automata).
+    _TOKEN = "token"
+
+    def _make_listener(self, node_id: NodeId):
+        def listener(lock_id: LockId, ctx: object) -> None:
+            # Exclusive grants are recorded as W for monitors.
+            self._record_grant(node_id, lock_id, LockMode.W)
+            if isinstance(ctx, SimEvent):
+                ctx.trigger(None)
+
+        return listener
+
+    def _begin_removal(self, node_id: NodeId):
+        """Splice preamble: check the leaver is a member and idle;
+        return every lock id any member has touched, in splice order."""
+
+        self._require_removable(node_id)
+        for automaton in self.lockspaces[node_id].automata():
+            if not automaton.is_idle():
+                raise ConfigurationError(
+                    f"node {node_id} is still active on "
+                    f"{automaton.lock_id!r}; drain before removal"
+                )
+        return sorted(
+            {
+                automaton.lock_id
+                for member in self.members
+                for automaton in self.lockspaces[member].automata()
+            },
+            key=str,
+        )
+
+    def assert_quiescent_invariants(self) -> None:
+        """Verify single-token / idle structure after the network drains."""
+
+        lock_ids = set()
+        for lockspace in self.lockspaces.values():
+            lock_ids.update(a.lock_id for a in lockspace.automata())
+        for lock_id in sorted(lock_ids):
+            automata = {
+                node_id: space.automaton(lock_id)
+                for node_id, space in self.lockspaces.items()
+            }
+            holders = [
+                n for n, a in automata.items()
+                if getattr(a, f"has_{self._TOKEN}")
+            ]
+            if len(holders) != 1:
+                raise InvariantViolation(
+                    f"lock {lock_id!r}: {len(holders)} {self._TOKEN} "
+                    f"holders ({holders})"
+                )
+            stuck = [n for n, a in automata.items() if not a.is_idle()]
+            if stuck:
+                raise InvariantViolation(
+                    f"lock {lock_id!r}: nodes {stuck} not idle at quiescence"
+                )
+
+
+class SimNaimiCluster(_ExclusiveCluster):
+    """A simulated cluster running the Naimi-Tréhel baseline."""
+
+    PROTOCOL = "naimi"
+
+    def __init__(
+        self,
+        num_nodes: int,
+        sim: Optional[Simulator] = None,
+        latency: Optional[Distribution] = None,
+        seed: int = 0,
+        token_home: TokenHomeFn = default_token_home,
+        monitor: Optional[Monitor] = None,
+        metrics: Optional[MetricsCollector] = None,
+        obs: Optional[ObsSink] = None,
+    ) -> None:
+        super().__init__(
+            num_nodes, sim=sim, latency=latency, seed=seed,
+            monitor=monitor, metrics=metrics, obs=obs, token_home=token_home,
+        )
+
+    def _new_lockspace(self, node_id: NodeId, listener) -> NaimiLockSpace:
+        return NaimiLockSpace(
+            node_id=node_id, token_home=self._resolve_home, listener=listener
+        )
+
+    def _label(self, message) -> str:
+        return naimi_message_type_label(message)
+
+    def remove_node(
+        self, node_id: NodeId, successor: Optional[NodeId] = None
+    ) -> NodeId:
+        """Splice *node_id* out of every last-pointer forest at quiescence.
+
+        The node must be idle on every lock.  A token resting there
+        transplants to the successor; ``last`` hints pointing at the
+        leaver re-route to the leaver's own hint (or the successor),
+        and future automaton creation is re-homed away from the leaver.
+        Returns the fallback successor used.
+        """
+
+        lock_ids = self._begin_removal(node_id)
+        fallback = self._pick_successor(node_id, successor)
+        for lock_id in lock_ids:
+            leaver = self._existing(node_id, lock_id)
+            if leaver is not None and leaver.has_token:
+                self.lockspaces[fallback].automaton(lock_id).splice_take_token()
+                replacement = fallback
+            elif leaver is not None:
+                replacement = leaver.last
+                if replacement not in self.members:
+                    replacement = fallback
+            else:
+                replacement = fallback
+            self._pin_home(lock_id, node_id, replacement)
+            for member in self.members:
+                if member == node_id:
+                    continue
+                automaton = self._existing(member, lock_id)
+                if automaton is not None and automaton.last == node_id:
+                    target = replacement if replacement != member else fallback
+                    if target == member:
+                        raise ConfigurationError(
+                            f"lock {lock_id!r}: no valid re-route for the "
+                            f"probable-owner hint of node {member}"
+                        )
+                    automaton.splice_last(target)
+            if leaver is not None:
+                leaver.splice_retire(
+                    replacement if replacement != node_id else fallback
+                )
+        self._node_redirect[node_id] = fallback
+        self._retire_member(node_id)
+        self._log_membership("removed", node_id, successor=fallback)
+        return fallback
+
+
+class SimRaymondCluster(_ExclusiveCluster):
     """A simulated cluster running Raymond's static-tree baseline."""
 
     PROTOCOL = "raymond"
+    _TOKEN = "privilege"
 
     def __init__(
         self,
@@ -757,46 +714,28 @@ class SimRaymondCluster(_BaseCluster):
         metrics: Optional[MetricsCollector] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
-        super().__init__(
-            num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs,
-        )
         self.topology = (
             topology if topology is not None else balanced_binary_tree(num_nodes)
         )
         validate(self.topology)
-        self.lockspaces: Dict[NodeId, RaymondLockSpace] = {}
-        for node_id in range(num_nodes):
-            lockspace = RaymondLockSpace(
-                node_id=node_id,
-                topology=self.topology,
-                listener=self._make_listener(node_id),
-            )
-            lockspace.obs = obs
-            self.lockspaces[node_id] = lockspace
-            self.network.register(node_id, lockspace.handle)
-        self.clients = [RaymondClient(self, n) for n in range(num_nodes)]
+        super().__init__(
+            num_nodes, sim=sim, latency=latency, seed=seed,
+            monitor=monitor, metrics=metrics, obs=obs,
+        )
+
+    def _new_lockspace(self, node_id: NodeId, listener) -> RaymondLockSpace:
+        return RaymondLockSpace(
+            node_id=node_id, topology=self.topology, listener=listener
+        )
 
     def _label(self, message) -> str:
         return raymond_message_type_label(message)
 
-    def _make_listener(self, node_id: NodeId):
-        def listener(lock_id: LockId, ctx: object) -> None:
-            self._record_grant(node_id, lock_id, LockMode.W)
-            if isinstance(ctx, SimEvent):
-                ctx.trigger(None)
-
-        return listener
-
-    def client(self, node_id: NodeId) -> RaymondClient:
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
-    # -- membership splices (valid at quiescence only) -------------------
-
-    def add_node(self, attach_to: Optional[NodeId] = None) -> NodeId:
-        """Join a fresh node as a new leaf under *attach_to*.
+    def _place(
+        self, node_id: NodeId, attach_to: Optional[NodeId] = None
+    ) -> Dict[str, object]:
+        """Hang the joiner as a new leaf under *attach_to* (lowest
+        member by default).
 
         The shared topology dict is spliced in place, so every
         lockspace sees the new edge at once.  Fresh automata on the
@@ -811,22 +750,9 @@ class SimRaymondCluster(_BaseCluster):
             raise ConfigurationError(
                 f"attachment point {attach_to} is not a member"
             )
-        node_id = self._next_node_id
-        self._next_node_id += 1
         self.topology[node_id] = attach_to
         validate(self.topology)
-        lockspace = RaymondLockSpace(
-            node_id=node_id,
-            topology=self.topology,
-            listener=self._make_listener(node_id),
-        )
-        lockspace.obs = self.obs
-        self.lockspaces[node_id] = lockspace
-        self.network.register(node_id, lockspace.handle)
-        self.members.append(node_id)
-        self.clients.append(RaymondClient(self, node_id))
-        self._log_membership("join", node_id, attached_to=attach_to)
-        return node_id
+        return {"attached_to": attach_to}
 
     def remove_node(
         self, node_id: NodeId, successor: Optional[NodeId] = None
@@ -841,14 +767,7 @@ class SimRaymondCluster(_BaseCluster):
         position.  Returns the topology replacement.
         """
 
-        self._require_removable(node_id)
-        space = self.lockspaces[node_id]
-        for automaton in space.automata():
-            if not automaton.is_idle():
-                raise ConfigurationError(
-                    f"node {node_id} is still active on "
-                    f"{automaton.lock_id!r}; drain before removal"
-                )
+        lock_ids = self._begin_removal(node_id)
         self._pick_successor(node_id, successor)  # membership sanity
         parent = self.topology[node_id]
         children = sorted(
@@ -869,19 +788,8 @@ class SimRaymondCluster(_BaseCluster):
                     self.topology[child] = replacement
         del self.topology[node_id]
         validate(self.topology)
-        lock_ids = sorted(
-            {
-                automaton.lock_id
-                for member in self.members
-                for automaton in self.lockspaces[member].automata()
-            },
-            key=str,
-        )
-        leaver_locks = {a.lock_id for a in space.automata()}
         for lock_id in lock_ids:
-            leaver = (
-                space.automaton(lock_id) if lock_id in leaver_locks else None
-            )
+            leaver = self._existing(node_id, lock_id)
             direction: Optional[NodeId] = None
             if leaver is not None and leaver.has_privilege:
                 # Privilege out first: the replacement takes it.  Its
@@ -896,10 +804,7 @@ class SimRaymondCluster(_BaseCluster):
                 if (
                     self.topology.get(replacement) is None
                     and direction != replacement
-                    and lock_id not in {
-                        a.lock_id
-                        for a in self.lockspaces[replacement].automata()
-                    }
+                    and self._existing(replacement, lock_id) is None
                 ):
                     # Promoted root with no automaton yet, privilege in
                     # another ex-child's subtree: pre-create it pointed
@@ -910,13 +815,8 @@ class SimRaymondCluster(_BaseCluster):
             for member in self.members:
                 if member == node_id:
                     continue
-                member_space = self.lockspaces[member]
-                if lock_id not in {
-                    a.lock_id for a in member_space.automata()
-                }:
-                    continue
-                automaton = member_space.automaton(lock_id)
-                if automaton.holder != node_id:
+                automaton = self._existing(member, lock_id)
+                if automaton is None or automaton.holder != node_id:
                     continue
                 if direction is not None and member == replacement:
                     automaton.splice_holder(direction)
@@ -927,26 +827,3 @@ class SimRaymondCluster(_BaseCluster):
         self._retire_member(node_id)
         self._log_membership("removed", node_id, successor=replacement)
         return replacement
-
-    def assert_quiescent_invariants(self) -> None:
-        """Verify single-privilege / idle structure after draining."""
-
-        lock_ids = set()
-        for lockspace in self.lockspaces.values():
-            lock_ids.update(a.lock_id for a in lockspace.automata())
-        for lock_id in sorted(lock_ids):
-            automata = {
-                node_id: space.automaton(lock_id)
-                for node_id, space in self.lockspaces.items()
-            }
-            privileged = [n for n, a in automata.items() if a.has_privilege]
-            if len(privileged) != 1:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: {len(privileged)} privilege "
-                    f"holders ({privileged})"
-                )
-            stuck = [n for n, a in automata.items() if not a.is_idle()]
-            if stuck:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: nodes {stuck} not idle at quiescence"
-                )

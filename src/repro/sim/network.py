@@ -22,7 +22,6 @@ the pre-fault network — the latency RNG never sees a fault-layer draw.
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.messages import Envelope, NodeId
@@ -47,7 +46,6 @@ class Network:
         rng: Optional[random.Random] = None,
         observer: Optional[MessageObserver] = None,
         local_delivery_instant: bool = True,
-        loss_filter: Optional[Callable[[NodeId, NodeId, object], bool]] = None,
         faults: Optional["FaultPlan"] = None,
         tracer: Optional["MessageTracer"] = None,
     ) -> None:
@@ -61,25 +59,6 @@ class Network:
         #: traced runs stay bit-identical to untraced ones.
         self.tracer = tracer
         self._local_instant = local_delivery_instant
-        if loss_filter is not None:
-            # Deprecated predecessor of the fault layer: an ad-hoc drop
-            # predicate.  It now rides the same injector as every other
-            # fault, as a single unconditional drop rule.
-            warnings.warn(
-                "Network(loss_filter=...) is deprecated; pass "
-                "faults=FaultPlan(...) (see repro.faults.plan, e.g. "
-                "plan_from_loss_filter) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if faults is not None:
-                raise SimulationError(
-                    "pass either faults= or the deprecated loss_filter=, "
-                    "not both"
-                )
-            from ..faults.plan import plan_from_loss_filter
-
-            faults = plan_from_loss_filter(loss_filter)
         self._injector = None
         if faults is not None and not faults.is_empty():
             from ..faults.plan import FaultInjector

@@ -7,11 +7,8 @@ findings under a named gap, never as unexplained regressions.
 
 from __future__ import annotations
 
-from repro.faults.chaos import (
-    BLANK_REJOIN_GAP,
-    BLANK_REJOIN_RULES,
-    run_chaos,
-)
+from repro.faults.chaos import run_chaos
+from repro.obs.live import BLANK_REJOIN_GAP, BLANK_REJOIN_RULES
 
 
 def _audit(verdict):

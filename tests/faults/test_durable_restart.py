@@ -10,9 +10,10 @@ with durability off must stay bit-identical run to run.
 from __future__ import annotations
 
 from repro.core.modes import LockMode
-from repro.faults.chaos import BLANK_REJOIN_GAP, run_chaos
+from repro.faults.chaos import run_chaos
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
+from repro.obs.live import BLANK_REJOIN_GAP
 from repro.persist import MemoryPersistence
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor

@@ -66,6 +66,21 @@ class TestThreadedJoinAndDrain:
             cluster.client(2).release("db", LockMode.W)
             assert monitor.grants == 3  # every grant was Rule-1 audited
 
+    def test_join_then_drain_back_to_back_leaves_views_agreed(self):
+        """``join_node`` and ``drain_node`` return only once every live
+        member has installed the change, so views agree at return with
+        no settling sleep — and the caller cannot put two proposals over
+        one base view in flight (docs/MEMBERSHIP.md §8, known gap)."""
+
+        for _ in range(20):
+            with ResilientThreadedCluster(3, plan=FaultPlan()) as cluster:
+                joiner = cluster.join_node(timeout=30.0)
+                _epoch, members = _assert_view_agreement(cluster)
+                assert joiner in members
+                cluster.drain_node(1, timeout=30.0)
+                _epoch, members = _assert_view_agreement(cluster)
+                assert members == (0, 2, joiner)
+
     def test_drain_races_concurrent_traffic(self):
         """Drain a node while the other members hammer the same lock;
         nobody may wedge and Rule 1 must hold throughout."""

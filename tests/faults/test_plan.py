@@ -23,7 +23,6 @@ from repro.faults.plan import (
     Partition,
     fault_label,
     named_plan,
-    plan_from_loss_filter,
 )
 
 
@@ -176,9 +175,11 @@ class TestNamedPlans:
             named_plan("nope")
 
 
-class TestLossFilterShim:
-    def test_predicate_becomes_a_drop_rule(self):
-        plan = plan_from_loss_filter(lambda s, d, m: d == 1)
+class TestPredicateRule:
+    def test_predicate_narrows_a_drop_rule(self):
+        plan = FaultPlan(
+            rules=(FaultRule(action=DROP, predicate=lambda s, d, m: d == 1),)
+        )
         injector = FaultInjector(plan)
         assert injector.decide(0.0, 0, 1, _request()).drop
         assert not injector.decide(0.0, 0, 2, _request()).drop

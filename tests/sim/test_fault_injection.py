@@ -16,7 +16,7 @@ import pytest
 from repro.core.messages import GrantMessage, TokenMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
-from repro.faults.plan import FaultPlan, plan_from_loss_filter
+from repro.faults.plan import DROP, FaultPlan, FaultRule
 from repro.sim.cluster import SimHierarchicalCluster
 from repro.sim.engine import Process, Simulator, Timeout, run_processes
 from repro.sim.network import Network
@@ -28,7 +28,11 @@ def _cluster_with_loss(num_nodes: int, loss_filter) -> SimHierarchicalCluster:
     cluster = SimHierarchicalCluster(num_nodes, sim=sim, latency=Fixed(0.01))
     # Swap in a lossy network wired to the same handlers.
     lossy = Network(
-        sim, latency=Fixed(0.01), faults=plan_from_loss_filter(loss_filter)
+        sim,
+        latency=Fixed(0.01),
+        faults=FaultPlan(
+            rules=(FaultRule(action=DROP, predicate=loss_filter),)
+        ),
     )
     for node_id, lockspace in cluster.lockspaces.items():
         lossy.register(node_id, lockspace.handle)
@@ -113,30 +117,3 @@ class TestMessageLoss:
         run_processes(cluster.sim, [writer()])
         assert cluster.network.messages_dropped == 0
 
-
-class TestLossFilterDeprecation:
-    def test_constructor_argument_warns_but_still_works(self):
-        sim = Simulator()
-        with pytest.deprecated_call(match="loss_filter"):
-            lossy = Network(
-                sim,
-                latency=Fixed(0.01),
-                loss_filter=lambda s, d, m: isinstance(m, TokenMessage),
-            )
-        # The shim rides the fault injector: same drop behavior as before.
-        cluster = SimHierarchicalCluster(2, sim=sim, latency=Fixed(0.01))
-        for node_id, lockspace in cluster.lockspaces.items():
-            lossy.register(node_id, lockspace.handle)
-        cluster.network = lossy
-
-        def writer():
-            yield cluster.client(1).acquire("t", LockMode.W)
-
-        with pytest.raises(SimulationError, match="blocked"):
-            run_processes(sim, [writer()])
-        assert cluster.network.messages_dropped == 1
-
-    def test_faults_plan_is_the_replacement(self):
-        sim = Simulator()
-        # No warning with the first-class API.
-        Network(sim, latency=Fixed(0.01), faults=FaultPlan())
