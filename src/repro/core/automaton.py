@@ -46,21 +46,38 @@ from ..obs.sink import (
     ISSUED,
     RELEASED,
     RETRANSMITTED,
-    ObsSink,
 )
 from .clock import LamportClock
+from .contract import (
+    BOOL,
+    INT,
+    MESSAGE,
+    MODE,
+    MODES,
+    NODE_SET,
+    OPT_NODE,
+    Codec,
+    LockAutomaton,
+    field,
+    handles,
+    listing,
+    mapping,
+    noop_listener,
+    optional,
+    recorded,
+    register_message,
+)
 from .messages import (
     Envelope,
     FreezeMessage,
     GrantMessage,
     LockId,
-    Message,
     NodeId,
     ReleaseMessage,
     RequestId,
     RequestMessage,
     TokenMessage,
-    fresh_attachment_seq,
+    advance_serial_past,
 )
 from .modes import (
     LockMode,
@@ -77,10 +94,6 @@ from .modes import (
 
 #: Signature of the grant listener: ``(lock_id, granted_mode, ctx)``.
 GrantListener = Callable[[LockId, LockMode, object], None]
-
-
-def _noop_listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
-    """Default listener used when the caller does not need callbacks."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,7 +144,65 @@ FULL_PROTOCOL = ProtocolOptions()
 RECENT_GRANT_MEMORY = 128
 
 
-class HierarchicalLockAutomaton:
+# The protocol's codecs (see repro.core.contract): wire messages first,
+# then the two state shapes no other protocol shares.
+REQUEST_ID = Codec(
+    lambda rid: [rid.timestamp, rid.origin, rid.serial],
+    lambda triple: RequestId(*(int(part) for part in triple)),
+)
+register_message(
+    RequestMessage,
+    field("origin", INT),
+    field("mode", MODE),
+    field("id", REQUEST_ID, "request_id"),
+    field("upgrade", BOOL),
+    field("priority", INT),
+    field("fencing_token", INT),
+)
+register_message(
+    GrantMessage,
+    field("mode", MODE),
+    field("id", REQUEST_ID, "request_id"),
+    field("frozen", MODES),
+    field("attachment_seq", INT),
+)
+register_message(
+    TokenMessage,
+    field("granted_mode", MODE),
+    field("id", REQUEST_ID, "request_id"),
+    field("prev_owner_mode", MODE),
+    field("queue", listing(MESSAGE, tuple)),
+    field("frozen", MODES),
+    field("prev_owner_seq", INT),
+    field("epoch", INT),
+)
+register_message(
+    ReleaseMessage, field("new_mode", MODE), field("attachment_seq", INT)
+)
+register_message(FreezeMessage, field("frozen", MODES))
+
+_MODE_COUNTS = mapping(MODE, INT)
+#: The held multiset; released-to-zero entries are not state.
+HELD = Codec(
+    lambda held: _MODE_COUNTS.encode(
+        {mode: count for mode, count in held.items() if count > 0}
+    ),
+    _MODE_COUNTS.decode,
+)
+#: The bounded grant memory, oldest first (its eviction order is state).
+RECENT_GRANTS = Codec(
+    lambda grants: [
+        [REQUEST_ID.encode(rid), str(mode), int(seq)]
+        for rid, (mode, seq) in grants.items()
+    ],
+    lambda rows: OrderedDict(
+        (REQUEST_ID.decode(rid), (LockMode(str(mode)), int(seq)))
+        for rid, mode, seq in rows
+    ),
+)
+
+
+class HierarchicalLockAutomaton(LockAutomaton):
     """Per-(node, lock) state machine of the hierarchical locking protocol.
 
     Parameters
@@ -155,6 +226,36 @@ class HierarchicalLockAutomaton:
         granted.  May be invoked synchronously from within ``request``.
     """
 
+    PROTOCOL = "hierarchical"
+    BLANK = {"parent": None, "token": True}
+    REJOIN_RESETS = ("custody_pending",)
+    STATE = (
+        field("token", BOOL, "_has_token"),
+        field("parent", OPT_NODE, "_parent"),
+        field("held", HELD, "_held"),
+        field("children", mapping(INT, MODE), "_children"),
+        field("queue", listing(MESSAGE), "_queue"),
+        field("frozen", MODES, "_frozen"),
+        field("pending", optional(MESSAGE), "_pending"),
+        field("attach_seq", INT, "_attach_seq"),
+        field("child_seqs", mapping(INT, INT), "_child_seqs"),
+        field("token_epoch", INT, "_token_epoch"),
+        field("custody_pending", BOOL, "_custody_pending"),
+        field("fence_floor", INT, "_fence_floor"),
+        field("lease_fenced", BOOL, "_lease_fenced"),
+        # Replay-only: a restart voids them (see ``_rejoin_policy``), so
+        # the write-ahead log never carries them.
+        field("recent_grants", RECENT_GRANTS, "_recent_grants", durable=False),
+        field(
+            "provisional_children",
+            NODE_SET,
+            "_provisional_children",
+            durable=False,
+        ),
+        field("local_serial", INT, "_local_serial", durable=False),
+        field("departing", BOOL, "_departing", durable=False),
+    )
+
     def __init__(
         self,
         node_id: NodeId,
@@ -162,26 +263,23 @@ class HierarchicalLockAutomaton:
         clock: LamportClock,
         parent: Optional[NodeId],
         has_token: bool,
-        listener: GrantListener = _noop_listener,
+        listener: GrantListener = noop_listener,
         options: ProtocolOptions = FULL_PROTOCOL,
     ) -> None:
         if has_token and parent is not None:
             raise ProtocolError("the token node must not have a parent")
         if not has_token and parent is None:
             raise ProtocolError("non-token nodes need an initial parent")
-        self._node_id = node_id
-        self._lock_id = lock_id
+        LockAutomaton.__init__(self, node_id, lock_id, listener)
         self._clock = clock
         self._parent = parent
         self._has_token = has_token
-        self._listener = listener
         self._options = options
         self._held: Dict[LockMode, int] = {}
         self._children: Dict[NodeId, LockMode] = {}
         self._queue: List[RequestMessage] = []
         self._frozen: FrozenSet[LockMode] = frozenset()
         self._pending: Optional[RequestMessage] = None
-        self._pending_ctx: object = None
         # Attachment epochs: ``_attach_seq`` is the epoch of this node's
         # current attachment at its parent; ``_child_seqs`` records, per
         # child, the epoch of the newest attachment this node issued.
@@ -202,18 +300,6 @@ class HierarchicalLockAutomaton:
         #: Optional trace callback ``(node_id, event, detail)`` for the
         #: verification tooling; None in production paths.
         self.trace_hook: Optional[Callable[[NodeId, str, str], None]] = None
-        #: Optional observability sink (see :mod:`repro.obs`); ``None``
-        #: keeps every hook site a single attribute test.
-        self.obs: Optional[ObsSink] = None
-        #: Optional durability journal (see :mod:`repro.persist`); same
-        #: ``None``-gated pattern as ``obs`` so runs without durability
-        #: stay bit-identical.
-        self.persist = None
-        #: Optional flight recorder (see :mod:`repro.obs.flightrec`);
-        #: same ``None``-gated pattern.  During replay this holds the
-        #: replay feed, which supplies recorded serials to
-        #: :meth:`_mint_serial`.
-        self.flightrec = None
         # Durable-rejoin state (only meaningful under ``options.recovery``
         # with a journal attached): while ``_custody_pending`` a restored
         # token holder answers probes but grants nothing — its token
@@ -225,14 +311,10 @@ class HierarchicalLockAutomaton:
         self._custody_pending = False
         self._provisional_children: set = set()
         self._local_serial = 0
-        # Lease fencing (recovery extension, see repro.leases): the fence
-        # floor is the highest revoked fencing token observed for this
-        # lock — messages presenting a positive token at or below it come
-        # from a holder whose lease expired and are dropped.  While
+        # Lease fencing (recovery extension, see repro.leases): while
         # ``_lease_fenced`` (this node lost quorum contact past its lease
         # duration and force-released its holds) the automaton grants
         # nothing, like custody fencing.
-        self._fence_floor = 0
         self._lease_fenced = False
         # Graceful-departure state (see repro.membership): a departing
         # node grants nothing and refuses new local requests — it only
@@ -260,50 +342,9 @@ class HierarchicalLockAutomaton:
         if self.obs is not None:
             self.obs.freeze_size(self._node_id, self._lock_id, len(self._frozen))
 
-    def _persist(self, kind: str) -> None:
-        """Journal the automaton's full state after a *kind* transition.
-
-        Records are written before the triggering messages leave the node
-        (the caller dispatches envelopes only after the handler returns),
-        which is what makes the log write-ahead.
-        """
-
-        if self.persist is not None:
-            self.persist.record(self, kind)
-
-    # -- flight recording (no-ops while ``self.flightrec`` is None) ----
-
-    def _mint_serial(self) -> int:
-        """Draw a request serial / attachment epoch.
-
-        Routed through the flight recorder when one is attached: the
-        global counter's values depend on cross-node interleaving, so the
-        recorder logs each drawn value (and replay feeds them back).
-        """
-
-        if self.flightrec is not None:
-            return self.flightrec.mint_serial()
-        return fresh_attachment_seq()
-
-    def _flight_op(self, op: str, **args) -> None:
-        if self.flightrec is not None:
-            self.flightrec.record_op(self._lock_id, op, args)
-
     # ------------------------------------------------------------------
     # Introspection (read-only views used by tests, monitors, metrics).
     # ------------------------------------------------------------------
-
-    @property
-    def node_id(self) -> NodeId:
-        """Identity of the hosting node."""
-
-        return self._node_id
-
-    @property
-    def lock_id(self) -> LockId:
-        """Name of the lock managed by this automaton."""
-
-        return self._lock_id
 
     @property
     def has_token(self) -> bool:
@@ -328,12 +369,6 @@ class HierarchicalLockAutomaton:
         """Request ids of remembered grants (for explorer signatures)."""
 
         return tuple(self._recent_grants)
-
-    @property
-    def fence_floor(self) -> int:
-        """Highest revoked fencing token observed (lease extension)."""
-
-        return self._fence_floor
 
     @property
     def lease_fenced(self) -> bool:
@@ -472,6 +507,7 @@ class HierarchicalLockAutomaton:
 
         return self._custody_pending or self._lease_fenced or self._departing
 
+    @recorded(mode=MODE, priority=INT)
     def request(
         self, mode: LockMode, ctx: object = None, priority: int = 0
     ) -> List[Envelope]:
@@ -486,7 +522,7 @@ class HierarchicalLockAutomaton:
         *priority* only matters under ``ProtocolOptions.priority_scheduling``.
         """
 
-        self._flight_op("request", mode=str(mode), priority=priority)
+        self._flight_op("request", mode=mode, priority=priority)
         if mode is LockMode.NONE:
             raise LockUsageError("cannot request the empty mode")
         if self._departing:
@@ -523,6 +559,7 @@ class HierarchicalLockAutomaton:
         request = self._make_own_request(mode, ctx, priority)
         return [self._forward(request)]
 
+    @recorded(mode=MODE)
     def release(self, mode: LockMode) -> List[Envelope]:
         """Release one hold of *mode* (Rule 5).
 
@@ -531,7 +568,7 @@ class HierarchicalLockAutomaton:
         weakened (Rule 5.2).
         """
 
-        self._flight_op("release", mode=str(mode))
+        self._flight_op("release", mode=mode)
         if self._held.get(mode, 0) <= 0:
             raise LockUsageError(
                 f"node {self._node_id} does not hold {mode} on {self._lock_id}"
@@ -549,6 +586,7 @@ class HierarchicalLockAutomaton:
         self._persist("hold-released")
         return self._after_owned_maybe_changed(owned_before)
 
+    @recorded()
     def upgrade(self, ctx: object = None) -> List[Envelope]:
         """Upgrade a held ``U`` lock to ``W`` atomically (Rule 7).
 
@@ -593,7 +631,7 @@ class HierarchicalLockAutomaton:
             upgrade=True,
         )
         self._pending = request
-        self._pending_ctx = ctx
+        self._ctx = ctx
         # Upgrades take precedence over queued requests (§3.4): every
         # queued conflicting request is blocked on this node's U anyway.
         self._queue.insert(0, request)
@@ -607,6 +645,7 @@ class HierarchicalLockAutomaton:
         self._persist("upgrade-queued")
         return self._refresh_frozen()
 
+    @recorded(held=MODE, to=MODE)
     def downgrade(self, held: LockMode, to: LockMode) -> List[Envelope]:
         """Atomically weaken a hold of *held* to *to* (extension).
 
@@ -619,7 +658,7 @@ class HierarchicalLockAutomaton:
         with a concurrent IW holder) raise :class:`LockUsageError`.
         """
 
-        self._flight_op("downgrade", held=str(held), to=str(to))
+        self._flight_op("downgrade", held=held, to=to)
         if self._held.get(held, 0) <= 0:
             raise LockUsageError(
                 f"node {self._node_id} does not hold {held} on {self._lock_id}"
@@ -651,49 +690,10 @@ class HierarchicalLockAutomaton:
         return self._after_owned_maybe_changed(owned_before)
 
     # ------------------------------------------------------------------
-    # Transport API.
+    # Message handlers (``handle()`` itself is the contract's).
     # ------------------------------------------------------------------
 
-    def handle(self, message: Message) -> List[Envelope]:
-        """Process one incoming protocol message, returning replies."""
-
-        if message.lock_id != self._lock_id:
-            raise ProtocolError(
-                f"message for lock {message.lock_id!r} delivered to "
-                f"automaton of {self._lock_id!r}"
-            )
-        if self.flightrec is not None:
-            self.flightrec.record_msg(self._lock_id, message)
-        if self._options.recovery and self._stale_fencing_token(message):
-            return []
-        if isinstance(message, RequestMessage):
-            return self._handle_request(message)
-        if isinstance(message, GrantMessage):
-            return self._handle_grant(message)
-        if isinstance(message, TokenMessage):
-            return self._handle_token(message)
-        if isinstance(message, ReleaseMessage):
-            return self._handle_release(message)
-        if isinstance(message, FreezeMessage):
-            return self._handle_freeze(message)
-        raise ProtocolError(f"unknown message type {type(message).__name__}")
-
-    def _stale_fencing_token(self, message: Message) -> bool:
-        """True iff *message* presents a fencing token at/below the floor.
-
-        ``0`` (the default) means the sender is not fenced at all; only a
-        positive token can be stale.  A stale token identifies traffic
-        from a holder whose lease was revoked — acting on it could
-        resurrect a hold the revocation already released (Rule 1).
-        """
-
-        token = getattr(message, "fencing_token", 0)
-        return 0 < token <= self._fence_floor
-
-    # ------------------------------------------------------------------
-    # Message handlers.
-    # ------------------------------------------------------------------
-
+    @handles(RequestMessage)
     def _handle_request(self, msg: RequestMessage) -> List[Envelope]:
         """Rule 3 (grant), Rule 4 (queue/forward) for an incoming request."""
 
@@ -742,6 +742,7 @@ class HierarchicalLockAutomaton:
             return []
         return [self._forward(msg)]
 
+    @handles(GrantMessage)
     def _handle_grant(self, msg: GrantMessage) -> List[Envelope]:
         """A granted copy arrives: attach below the granter, serve queue."""
 
@@ -791,9 +792,9 @@ class HierarchicalLockAutomaton:
         self._parent = msg.sender
         self._frozen = msg.frozen
         self._attach_seq = msg.attachment_seq
-        pending, ctx = self._pending, self._pending_ctx
+        pending, ctx = self._pending, self._ctx
         self._pending = None
-        self._pending_ctx = None
+        self._ctx = None
         if old_parent is not None and old_parent != msg.sender:
             if owned_before is not LockMode.NONE:
                 # Detach from the former parent: our whole subtree is now
@@ -819,8 +820,18 @@ class HierarchicalLockAutomaton:
         out.extend(self._drain_queue_nontoken())
         return out
 
+    @handles(TokenMessage)
     def _handle_token(self, msg: TokenMessage) -> List[Envelope]:
-        """The token arrives: become the root, merge queues, serve them."""
+        """The token arrives: become the root, merge queues, serve them.
+
+        Normally the token answers this node's pending request, which is
+        granted on the spot.  Under recovery the sender may instead have
+        answered a stale queued duplicate of a request that was settled
+        another way.  The token is nonetheless genuine — discarding it
+        would wedge the lock space forever — so the node takes custody
+        without granting: its own outstanding request (if any) joins the
+        merged queue and is served from there.
+        """
 
         if self._options.recovery and msg.epoch < self._token_epoch:
             # A stale token from before a regeneration; discard it so the
@@ -832,13 +843,11 @@ class HierarchicalLockAutomaton:
             raise ProtocolError(
                 f"node {self._node_id} received a token it already holds"
             )
-        if self._pending is None or self._pending.request_id != msg.request_id:
-            if self._options.recovery:
-                # The sender answered a stale queued duplicate of a
-                # request that was settled another way.  The token is
-                # nonetheless genuine — discarding it would wedge the
-                # lock space forever — so take custody without granting.
-                return self._adopt_token(msg)
+        answered = (
+            self._pending is not None
+            and self._pending.request_id == msg.request_id
+        )
+        if not answered and not self._options.recovery:
             raise ProtocolError(
                 f"node {self._node_id} received an unexpected token "
                 f"for {self._lock_id}"
@@ -858,13 +867,21 @@ class HierarchicalLockAutomaton:
         self._child_seqs[msg.sender] = msg.prev_owner_seq
         if msg.prev_owner_mode is not LockMode.NONE:
             self._children[msg.sender] = msg.prev_owner_mode
-        pending, ctx = self._pending, self._pending_ctx
-        self._pending = None
-        self._pending_ctx = None
-        self._held[pending.mode] = self._held.get(pending.mode, 0) + 1
-        merged = list(self._queue) + [
-            q for q in msg.queue if q.request_id != pending.request_id
-        ]
+        merged = list(self._queue)
+        if answered:
+            pending, ctx = self._pending, self._ctx
+            self._pending = None
+            self._ctx = None
+            self._held[pending.mode] = self._held.get(pending.mode, 0) + 1
+            merged += [
+                q for q in msg.queue if q.request_id != pending.request_id
+            ]
+        else:
+            merged += msg.queue
+            if self._pending is not None and self._pending.request_id not in {
+                q.request_id for q in merged
+            }:
+                merged.append(self._pending)
         merged.sort(key=self._queue_sort_key)
         if self._options.recovery:
             # A duplicated request may have been queued at two different
@@ -877,70 +894,27 @@ class HierarchicalLockAutomaton:
             merged = unique
         self._queue = merged
         self._provisional_children.discard(msg.sender)
-        self._persist("token-acquired")
+        self._persist("token-acquired" if answered else "token-adopted")
         if self.obs is not None:
-            self.obs.phase(
-                self._node_id,
-                self._lock_id,
-                pending.request_id,
-                GRANTED,
-                pending.mode,
-            )
+            if answered:
+                self.obs.phase(
+                    self._node_id,
+                    self._lock_id,
+                    pending.request_id,
+                    GRANTED,
+                    pending.mode,
+                )
+            else:
+                self.obs.fault("adopt-token", self._node_id)
             self._obs_queue()
             self._obs_copyset()
             self._obs_frozen()
-        self._listener(self._lock_id, pending.mode, ctx)
+        if answered:
+            self._listener(self._lock_id, pending.mode, ctx)
         out.extend(self._check_queue())
         return out
 
-    def _adopt_token(self, msg: TokenMessage) -> List[Envelope]:
-        """Take custody of a token that answers no pending request of ours.
-
-        Recovery-only sibling of the tail of :meth:`_handle_token`: become
-        the root, absorb the travelling queue and the previous owner's
-        copyset record, enqueue our own outstanding request (if any) so it
-        is served locally, and run the queue.  No grant is delivered —
-        the request the sender thought it was answering was settled
-        through another path.
-        """
-
-        out: List[Envelope] = []
-        owned_before = self.owned_mode()
-        old_parent = self._parent
-        old_seq = self._attach_seq
-        self._has_token = True
-        self._parent = None
-        self._frozen = msg.frozen
-        self._token_epoch = msg.epoch
-        self._attach_seq = self._mint_serial()
-        if old_parent is not None and old_parent != msg.sender:
-            if owned_before is not LockMode.NONE:
-                out.append(self._release_to(old_parent, LockMode.NONE, old_seq))
-        self._child_seqs[msg.sender] = msg.prev_owner_seq
-        if msg.prev_owner_mode is not LockMode.NONE:
-            self._children[msg.sender] = msg.prev_owner_mode
-        merged = list(self._queue) + list(msg.queue)
-        if self._pending is not None and not any(
-            q.request_id == self._pending.request_id for q in merged
-        ):
-            merged.append(self._pending)
-        merged.sort(key=self._queue_sort_key)
-        seen, unique = set(), []
-        for entry in merged:
-            if entry.request_id not in seen:
-                seen.add(entry.request_id)
-                unique.append(entry)
-        self._queue = unique
-        self._provisional_children.discard(msg.sender)
-        self._persist("token-adopted")
-        if self.obs is not None:
-            self.obs.fault("adopt-token", self._node_id)
-            self._obs_queue()
-            self._obs_copyset()
-            self._obs_frozen()
-        out.extend(self._check_queue())
-        return out
-
+    @handles(ReleaseMessage)
     def _handle_release(self, msg: ReleaseMessage) -> List[Envelope]:
         """A child's owned mode changed (Rule 5): update the copyset."""
 
@@ -973,6 +947,7 @@ class HierarchicalLockAutomaton:
         self._persist("copyset-change")
         return self._after_owned_maybe_changed(owned_before)
 
+    @handles(FreezeMessage)
     def _handle_freeze(self, msg: FreezeMessage) -> List[Envelope]:
         """Adopt the token's frozen set and propagate it (Rule 6)."""
 
@@ -995,13 +970,13 @@ class HierarchicalLockAutomaton:
         owned = self.owned_mode()
         if msg.origin == self._node_id:
             # The token node's own queued request becomes servable.
-            pending, ctx = self._pending, self._pending_ctx
+            pending, ctx = self._pending, self._ctx
             if pending is None or pending.request_id != msg.request_id:
                 if self._options.recovery:
                     return []  # A duplicate of an already-served request.
                 raise ProtocolError("token node lost track of its own request")
             self._pending = None
-            self._pending_ctx = None
+            self._ctx = None
             self._acquire_locally(msg.mode, ctx, key=msg.request_id)
             return []
         if token_transfer_required(owned, msg.mode):
@@ -1161,13 +1136,13 @@ class HierarchicalLockAutomaton:
                 if not self._upgrade_possible_now():
                     break
                 self._queue.pop(0)
-                pending, ctx = self._pending, self._pending_ctx
+                pending, ctx = self._pending, self._ctx
                 if pending is None or pending.request_id != head.request_id:
                     if self._options.recovery:
                         continue  # Stale duplicate in the queue.
                     raise ProtocolError("upgrade request lost its context")
                 self._pending = None
-                self._pending_ctx = None
+                self._ctx = None
                 self._held[LockMode.U] -= 1
                 if self.obs is not None:
                     self.obs.phase(
@@ -1183,13 +1158,13 @@ class HierarchicalLockAutomaton:
                 break
             self._queue.pop(0)
             if head.origin == self._node_id:
-                pending, ctx = self._pending, self._pending_ctx
+                pending, ctx = self._pending, self._ctx
                 if pending is None or pending.request_id != head.request_id:
                     if self._options.recovery:
                         continue  # Stale duplicate in the queue.
                     raise ProtocolError("token node lost track of its request")
                 self._pending = None
-                self._pending_ctx = None
+                self._ctx = None
                 self._acquire_locally(head.mode, ctx, key=head.request_id)
                 continue
             if token_transfer_required(owned, head.mode):
@@ -1324,7 +1299,7 @@ class HierarchicalLockAutomaton:
             priority=priority,
         )
         self._pending = request
-        self._pending_ctx = ctx
+        self._ctx = ctx
         if self.obs is not None:
             self.obs.phase(
                 self._node_id, self._lock_id, request.request_id, ISSUED, mode
@@ -1353,6 +1328,7 @@ class HierarchicalLockAutomaton:
                 "recovery hooks need ProtocolOptions(recovery=True)"
             )
 
+    @recorded(node=INT)
     def evict_child(self, node: NodeId) -> List[Envelope]:
         """Forget a crashed child: drop its copyset entry and its requests.
 
@@ -1364,6 +1340,9 @@ class HierarchicalLockAutomaton:
 
         self._require_recovery()
         self._flight_op("evict_child", node=node)
+        return self._drop_child(node, "child-evicted")
+
+    def _drop_child(self, node: NodeId, kind: str) -> List[Envelope]:
         owned_before = self.owned_mode()
         self._children.pop(node, None)
         self._child_seqs.pop(node, None)
@@ -1373,7 +1352,7 @@ class HierarchicalLockAutomaton:
         if len(self._queue) != before:
             self._obs_queue()
         self._obs_copyset()
-        self._persist("child-evicted")
+        self._persist(kind)
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
@@ -1396,6 +1375,7 @@ class HierarchicalLockAutomaton:
         if evicted is not None:
             self._obs_copyset()
 
+    @recorded(new_parent=INT, detach=BOOL)
     def reattach(self, new_parent: NodeId, detach: bool = False) -> List[Envelope]:
         """Re-home an orphan under *new_parent* after its parent died.
 
@@ -1417,7 +1397,7 @@ class HierarchicalLockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("reattach", parent=new_parent, detach=detach)
+        self._flight_op("reattach", new_parent=new_parent, detach=detach)
         if self._has_token or new_parent == self._node_id:
             return []
         old_parent, old_seq = self._parent, self._attach_seq
@@ -1440,6 +1420,7 @@ class HierarchicalLockAutomaton:
         self._persist("reattached")
         return out
 
+    @recorded(epoch=INT)
     def regenerate_token(self, epoch: int) -> List[Envelope]:
         """Become the token node under a fresh incarnation *epoch*.
 
@@ -1454,6 +1435,7 @@ class HierarchicalLockAutomaton:
         self._flight_op("regenerate_token", epoch=epoch)
         return self._regenerate(epoch)
 
+    @recorded(epoch=INT)
     def accept_handoff(self, epoch: int) -> List[Envelope]:
         """Take token custody offered by a departing holder, fenced.
 
@@ -1509,20 +1491,7 @@ class HierarchicalLockAutomaton:
         out.extend(self._check_queue())
         return out
 
-    def raise_fence_floor(self, token: int) -> None:
-        """Reject future messages fenced at or below *token*.
-
-        Called when a holder's lease on this lock is revoked: any later
-        operation presenting the revoked (or an older) fencing token is
-        dropped by :meth:`handle`.
-        """
-
-        self._require_recovery()
-        self._flight_op("raise_fence_floor", token=int(token))
-        if token > self._fence_floor:
-            self._fence_floor = int(token)
-            self._persist("fence-raised")
-
+    @recorded()
     def fence_holds(self) -> Tuple[List[Envelope], List[Tuple[LockMode, int]]]:
         """Self-fence: force-release every local hold, stop granting.
 
@@ -1557,7 +1526,7 @@ class HierarchicalLockAutomaton:
                         self._node_id, self._lock_id, None, RELEASED, mode
                     )
         self._pending = None
-        self._pending_ctx = None
+        self._ctx = None
         if self._queue:
             self._queue = []
             self._obs_queue()
@@ -1578,6 +1547,7 @@ class HierarchicalLockAutomaton:
             out.append(self._release_to(self._parent, owned_now))
         return out, released
 
+    @recorded()
     def retransmit_pending(self) -> List[Envelope]:
         """Re-send the node's own in-flight request, if any.
 
@@ -1600,6 +1570,7 @@ class HierarchicalLockAutomaton:
             )
         return [self._forward(self._pending)]
 
+    @recorded(epoch=INT, token_holder=OPT_NODE)
     def observe_epoch(
         self, epoch: int, token_holder: Optional[NodeId] = None
     ) -> List[Envelope]:
@@ -1613,7 +1584,7 @@ class HierarchicalLockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("observe_epoch", epoch=epoch, holder=token_holder)
+        self._flight_op("observe_epoch", epoch=epoch, token_holder=token_holder)
         if epoch <= self._token_epoch:
             return []
         demote = (
@@ -1657,194 +1628,36 @@ class HierarchicalLockAutomaton:
 
         return self._custody_pending
 
-    def persisted_state(self) -> Dict[str, object]:
-        """Full JSON-safe state for the durability journal.
+    def birth(self) -> Dict[str, object]:
+        return {"parent": self._parent, "token": self._has_token}
 
-        A strict superset of :meth:`snapshot`: the monitoring view plus
-        the fields recovery needs verbatim — attachment epochs and the
-        full queued/pending request messages (the snapshot reduces those
-        to origin/mode pairs).  Keeping the snapshot embedded unreduced
-        is what lets recovery cross-check the two layers.
+    @classmethod
+    def from_birth(cls, node_id, lock_id, init, listener, clock, options=None):
+        known = {f.name for f in dataclasses.fields(ProtocolOptions)}
+        switches = {k: v for k, v in (options or {}).items() if k in known}
+        return cls(
+            node_id,
+            lock_id,
+            clock,
+            parent=OPT_NODE.decode(init["parent"]),
+            has_token=bool(init["token"]),
+            listener=listener,
+            options=ProtocolOptions(**switches),
+        )
+
+    def _rejoin_policy(self) -> None:
+        """What :meth:`adopt_persisted` distrusts in a restored state.
+
+        Restored children become *provisional* (see ``__init__``), the
+        grant memory is void, token custody is unconfirmed — a restored
+        token holder must go through :meth:`begin_custody_fence` before
+        it may grant again — and the serial counter is advanced past
+        every restored epoch.  The pending-request context is gone with
+        the old process, so the caller must follow up with
+        :meth:`abandon_pending`.
         """
 
-        from ..persist.codec import request_to_payload
-
-        return {
-            "snapshot": self.snapshot().to_payload(),
-            "attach_seq": self._attach_seq,
-            "child_seqs": sorted(
-                [int(node), int(seq)]
-                for node, seq in self._child_seqs.items()
-            ),
-            "queue": [request_to_payload(msg) for msg in self._queue],
-            "pending": (
-                request_to_payload(self._pending)
-                if self._pending is not None
-                else None
-            ),
-            "custody_pending": self._custody_pending,
-            "fence_floor": self._fence_floor,
-            "lease_fenced": self._lease_fenced,
-        }
-
-    def flight_state(self) -> Dict[str, object]:
-        """Exact JSON-safe state for flight-recorder checkpoints.
-
-        Unlike :meth:`persisted_state` (rejoin semantics: children turn
-        provisional, the serial counter advances, recent grants drop)
-        this captures and :meth:`restore_flight_state` restores the
-        automaton *verbatim*, which is what lets a replayed checkpoint
-        reproduce the next recorded one bit-for-bit.  Pure read.
-        """
-
-        from ..obs.flightrec import (
-            _request_id_to_payload,
-            message_to_payload,
-        )
-
-        return {
-            "token": self._has_token,
-            "parent": self._parent,
-            "held": sorted(
-                [str(mode), count]
-                for mode, count in self._held.items()
-                if count > 0
-            ),
-            "children": sorted(
-                [int(node), str(mode)]
-                for node, mode in self._children.items()
-            ),
-            "queue": [message_to_payload(msg) for msg in self._queue],
-            "frozen": sorted(str(mode) for mode in self._frozen),
-            "pending": (
-                message_to_payload(self._pending)
-                if self._pending is not None
-                else None
-            ),
-            "attach_seq": self._attach_seq,
-            "child_seqs": sorted(
-                [int(node), int(seq)]
-                for node, seq in self._child_seqs.items()
-            ),
-            "token_epoch": self._token_epoch,
-            "recent_grants": [
-                [_request_id_to_payload(rid), str(mode), int(seq)]
-                for rid, (mode, seq) in self._recent_grants.items()
-            ],
-            "custody_pending": self._custody_pending,
-            "provisional_children": sorted(self._provisional_children),
-            "local_serial": self._local_serial,
-            "fence_floor": self._fence_floor,
-            "lease_fenced": self._lease_fenced,
-            "departing": self._departing,
-        }
-
-    def restore_flight_state(self, state: Dict[str, object]) -> None:
-        """Exact inverse of :meth:`flight_state` (replay only).
-
-        No rejoin-side effects: no recovery guard, no provisional
-        demotion, no global serial advancement, no journal writes.  The
-        pending-request context is not part of protocol state and
-        restores as ``None``.
-        """
-
-        from ..obs.flightrec import (
-            _request_id_from_payload,
-            message_from_payload,
-        )
-
-        self._has_token = bool(state.get("token", False))
-        parent = state.get("parent")
-        self._parent = None if parent is None else int(parent)
-        self._held = {
-            LockMode(str(mode)): int(count)
-            for mode, count in state.get("held", ())
-        }
-        self._children = {
-            int(node): LockMode(str(mode))
-            for node, mode in state.get("children", ())
-        }
-        self._queue = [
-            message_from_payload(payload)
-            for payload in state.get("queue", ())
-        ]
-        self._frozen = frozenset(
-            LockMode(str(mode)) for mode in state.get("frozen", ())
-        )
-        pending = state.get("pending")
-        self._pending = (
-            message_from_payload(pending) if pending is not None else None
-        )
-        self._pending_ctx = None
-        self._attach_seq = int(state.get("attach_seq", 0))
-        self._child_seqs = {
-            int(node): int(seq) for node, seq in state.get("child_seqs", ())
-        }
-        self._token_epoch = int(state.get("token_epoch", 0))
-        self._recent_grants = OrderedDict(
-            (
-                _request_id_from_payload(rid),
-                (LockMode(str(mode)), int(seq)),
-            )
-            for rid, mode, seq in state.get("recent_grants", ())
-        )
-        self._custody_pending = bool(state.get("custody_pending", False))
-        self._provisional_children = {
-            int(node) for node in state.get("provisional_children", ())
-        }
-        self._local_serial = int(state.get("local_serial", 0))
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._lease_fenced = bool(state.get("lease_fenced", False))
-        self._departing = bool(state.get("departing", False))
-
-    def adopt_persisted(self, state: Dict[str, object]) -> None:
-        """Replace this automaton's state with a persisted *state* payload.
-
-        Called on a freshly booted automaton before any message flows.
-        Restored children become *provisional* (see ``__init__``); the
-        pending-request context is gone with the old process, so the
-        caller must follow up with :meth:`abandon_pending`, and a restored
-        token holder must go through :meth:`begin_custody_fence` before it
-        may grant again.
-        """
-
-        self._require_recovery()
-        self._flight_op("adopt_persisted", state=state)
-        from ..persist.codec import request_from_payload
-        from .messages import advance_serial_past
-
-        snap = state["snapshot"]
-        self._has_token = bool(snap["token"])
-        parent = snap.get("parent")
-        self._parent = None if parent is None else int(parent)
-        self._held = {
-            LockMode(str(mode)): int(count)
-            for mode, count in snap.get("held", ())
-            if int(count) > 0
-        }
-        self._children = {
-            int(child): LockMode(str(mode))
-            for child, mode in snap.get("children", ())
-        }
-        self._frozen = frozenset(
-            LockMode(str(mode)) for mode in snap.get("frozen", ())
-        )
-        self._token_epoch = int(snap.get("token_epoch", 0))
-        self._attach_seq = int(state.get("attach_seq", 0))
-        self._child_seqs = {
-            int(node): int(seq) for node, seq in state.get("child_seqs", ())
-        }
-        self._queue = [
-            request_from_payload(payload) for payload in state.get("queue", ())
-        ]
-        pending = state.get("pending")
-        self._pending = (
-            request_from_payload(pending) if pending is not None else None
-        )
-        self._pending_ctx = None
         self._custody_pending = False
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._lease_fenced = bool(state.get("lease_fenced", False))
         self._recent_grants.clear()
         self._provisional_children = set(self._children)
         floor = max(
@@ -1859,6 +1672,7 @@ class HierarchicalLockAutomaton:
         self._obs_copyset()
         self._obs_frozen()
 
+    @recorded()
     def begin_custody_fence(self) -> None:
         """Suspend granting until restored token custody is confirmed.
 
@@ -1878,6 +1692,7 @@ class HierarchicalLockAutomaton:
         self._custody_pending = True
         self._persist("custody-pending")
 
+    @recorded()
     def confirm_custody(self) -> List[Envelope]:
         """Custody settled in our favour: resume granting."""
 
@@ -1892,6 +1707,7 @@ class HierarchicalLockAutomaton:
         self._persist("custody-confirmed")
         return out
 
+    @recorded(epoch=INT, holder=INT)
     def fence_custody(self, epoch: int, holder: NodeId) -> List[Envelope]:
         """Custody lost: a token of *epoch* lives at *holder*; demote.
 
@@ -1903,7 +1719,7 @@ class HierarchicalLockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("fence_custody", epoch=int(epoch), holder=holder)
+        self._flight_op("fence_custody", epoch=epoch, holder=holder)
         if not self._custody_pending:
             return []
         self._custody_pending = False
@@ -1930,6 +1746,7 @@ class HierarchicalLockAutomaton:
         self._persist("custody-fenced")
         return out
 
+    @recorded()
     def abandon_pending(self) -> List[Envelope]:
         """Disown the restored in-flight request (its waiter is gone).
 
@@ -1944,7 +1761,7 @@ class HierarchicalLockAutomaton:
         self._flight_op("abandon_pending")
         had_pending = self._pending is not None
         self._pending = None
-        self._pending_ctx = None
+        self._ctx = None
         before = len(self._queue)
         self._queue = [q for q in self._queue if q.origin != self._node_id]
         dropped = before - len(self._queue)
@@ -1961,6 +1778,7 @@ class HierarchicalLockAutomaton:
         self._persist("pending-abandoned")
         return out
 
+    @recorded()
     def reassert_owned(self) -> List[Envelope]:
         """Announce the current owned mode to the parent.
 
@@ -1976,6 +1794,7 @@ class HierarchicalLockAutomaton:
             return []
         return [self._release_to(self._parent, self.owned_mode())]
 
+    @recorded()
     def expire_provisional_children(self) -> List[Envelope]:
         """Drop restored copyset entries never re-confirmed by the child.
 
@@ -1990,6 +1809,7 @@ class HierarchicalLockAutomaton:
         self._flight_op("expire_provisional_children")
         return self._expire_provisional()
 
+    @recorded()
     def begin_departure(self) -> List[Envelope]:
         """Enter graceful-departure mode (see :mod:`repro.membership`).
 
@@ -2005,6 +1825,7 @@ class HierarchicalLockAutomaton:
         self._departing = True
         return []
 
+    @recorded(node=INT, mode=MODE, seq=INT)
     def adopt_child(
         self, node: NodeId, mode: LockMode, seq: int = 0
     ) -> List[Envelope]:
@@ -2022,7 +1843,7 @@ class HierarchicalLockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("adopt_child", node=node, mode=str(mode), seq=seq)
+        self._flight_op("adopt_child", node=node, mode=mode, seq=seq)
         if (
             node == self._node_id
             or node == self._parent
@@ -2052,10 +1873,11 @@ class HierarchicalLockAutomaton:
     # Rule-5.2 release a weakened parent owes upward — never touch the
     # wire.  Callers must guarantee quiescence; none of these check it.
 
+    @recorded(node=INT, mode=MODE, seq=INT)
     def splice_adopt_child(self, node: NodeId, mode: LockMode, seq: int) -> None:
         """Record a migrated child directly (strengthen-only merge)."""
 
-        self._flight_op("splice_adopt_child", node=node, mode=str(mode), seq=seq)
+        self._flight_op("splice_adopt_child", node=node, mode=mode, seq=seq)
         if node == self._node_id or mode is LockMode.NONE:
             return
         recorded = self._children.get(node, LockMode.NONE)
@@ -2065,25 +1887,18 @@ class HierarchicalLockAutomaton:
         self._obs_copyset()
         self._persist("splice")
 
+    @recorded(node=INT)
     def splice_drop_child(self, node: NodeId) -> List[Envelope]:
         """Forget a departed child; may owe a weakened release upward."""
 
         self._flight_op("splice_drop_child", node=node)
-        owned_before = self.owned_mode()
-        self._children.pop(node, None)
-        self._child_seqs.pop(node, None)
-        self._provisional_children.discard(node)
-        self._queue = [q for q in self._queue if q.origin != node]
-        self._obs_copyset()
-        self._persist("splice")
-        out = self._after_owned_maybe_changed(owned_before)
-        out.extend(self._refresh_frozen())
-        return out
+        return self._drop_child(node, "splice")
 
+    @recorded(new_parent=INT)
     def splice_parent(self, new_parent: NodeId) -> None:
         """Re-point the parent edge after the old parent was spliced out."""
 
-        self._flight_op("splice_parent", parent=new_parent)
+        self._flight_op("splice_parent", new_parent=new_parent)
         if self._has_token or new_parent == self._node_id:
             return
         self._parent = new_parent
@@ -2091,10 +1906,11 @@ class HierarchicalLockAutomaton:
         self._evict_new_parent(new_parent)
         self._persist("splice")
 
+    @recorded(frozen=optional(MODES))
     def splice_token(self, frozen: Optional[FrozenSet[LockMode]] = None) -> None:
         """Become the token root, inheriting the leaver's frozen set."""
 
-        self._flight_op("splice_token")
+        self._flight_op("splice_token", frozen=frozen)
         self._has_token = True
         self._parent = None
         self._attach_seq = self._mint_serial()
@@ -2103,6 +1919,7 @@ class HierarchicalLockAutomaton:
             self._frozen = frozenset(frozen)
         self._persist("splice")
 
+    @recorded(forwarder=INT)
     def splice_retire(self, forwarder: NodeId) -> None:
         """Terminal state of a spliced-out node: empty, pointing away.
 
@@ -2118,7 +1935,7 @@ class HierarchicalLockAutomaton:
         self._provisional_children.clear()
         self._queue = []
         self._pending = None
-        self._pending_ctx = None
+        self._ctx = None
         if forwarder != self._node_id:
             self._parent = forwarder
             self._attach_seq = self._mint_serial()

@@ -15,7 +15,7 @@ placement is configurable so experiments can co-locate or spread locks.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List
+from typing import Callable, List
 
 from ..errors import ConfigurationError
 from .automaton import (
@@ -23,10 +23,9 @@ from .automaton import (
     GrantListener,
     HierarchicalLockAutomaton,
     ProtocolOptions,
-    _noop_listener,
 )
-from .clock import LamportClock
-from .messages import Envelope, LockId, Message, NodeId
+from .contract import AutomatonSpace, noop_listener
+from .messages import Envelope, LockId, NodeId
 from .modes import LockMode
 
 #: Maps a lock id to the node that initially holds its token.
@@ -58,7 +57,7 @@ def hashed_token_home(num_nodes: int) -> TokenHomeFn:
     return _home
 
 
-class LockSpace:
+class LockSpace(AutomatonSpace):
     """All hierarchical-lock automata hosted by one node.
 
     Parameters
@@ -76,51 +75,16 @@ class LockSpace:
         self,
         node_id: NodeId,
         token_home: TokenHomeFn = default_token_home,
-        listener: GrantListener = _noop_listener,
+        listener: GrantListener = noop_listener,
         options: ProtocolOptions = FULL_PROTOCOL,
     ) -> None:
-        self._node_id = node_id
+        super().__init__(node_id, listener)
         self._token_home = token_home
-        self._listener = listener
         self._options = options
-        self._clock = LamportClock()
-        self._automata: Dict[LockId, HierarchicalLockAutomaton] = {}
-        #: Optional observability sink propagated to every automaton this
-        #: space creates (set before first use; None = zero-cost no-op).
-        self.obs = None
-        #: Optional durability journal, propagated the same way (see
-        #: :class:`repro.persist.NodeJournal`).
-        self.persist = None
-        #: Optional flight recorder, propagated the same way (see
-        #: :class:`repro.obs.flightrec.FlightRecorder`).
-        self.flightrec = None
 
-    @property
-    def node_id(self) -> NodeId:
-        """This node's identity."""
-
-        return self._node_id
-
-    @property
-    def clock(self) -> LamportClock:
-        """The node's shared Lamport clock."""
-
-        return self._clock
-
-    @property
-    def lock_ids(self) -> List[LockId]:
-        """Ids of every lock this node has touched so far."""
-
-        return list(self._automata)
-
-    def automaton(self, lock_id: LockId) -> HierarchicalLockAutomaton:
-        """Return (creating on first use) the automaton for *lock_id*."""
-
-        existing = self._automata.get(lock_id)
-        if existing is not None:
-            return existing
+    def _new_automaton(self, lock_id: LockId) -> HierarchicalLockAutomaton:
         home = self._token_home(lock_id)
-        automaton = HierarchicalLockAutomaton(
+        return HierarchicalLockAutomaton(
             node_id=self._node_id,
             lock_id=lock_id,
             clock=self._clock,
@@ -129,21 +93,6 @@ class LockSpace:
             listener=self._listener,
             options=self._options,
         )
-        automaton.obs = self.obs
-        automaton.persist = self.persist
-        automaton.flightrec = self.flightrec
-        if self.flightrec is not None:
-            # Birth precedes insertion: a checkpoint due on the next
-            # event must not include the not-yet-born lock.
-            self.flightrec.record_birth(
-                lock_id,
-                {
-                    "parent": automaton.parent,
-                    "token": automaton.has_token,
-                },
-            )
-        self._automata[lock_id] = automaton
-        return automaton
 
     # ------------------------------------------------------------------
     # Application API (thin pass-throughs keyed by lock id).
@@ -169,27 +118,3 @@ class LockSpace:
         """Upgrade a held ``U`` lock on *lock_id* to ``W``."""
 
         return self.automaton(lock_id).upgrade(ctx)
-
-    def handle(self, message: Message) -> List[Envelope]:
-        """Route an incoming message to the automaton it concerns."""
-
-        return self.automaton(message.lock_id).handle(message)
-
-    def flight_state(self):
-        """Whole-node state for flight-recorder checkpoints (pure read)."""
-
-        return {
-            "clock": self._clock.time,
-            "locks": [
-                [lock_id, self._automata[lock_id].flight_state()]
-                for lock_id in sorted(self._automata, key=str)
-            ],
-        }
-
-    def automata(self) -> Iterable[HierarchicalLockAutomaton]:
-        """Iterate over every instantiated automaton (for monitors)."""
-
-        return self._automata.values()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<LockSpace node={self._node_id} locks={len(self._automata)}>"

@@ -785,9 +785,11 @@ class RecoveryManager:
         :func:`repro.persist.journal.recover_node_state`: one persisted
         payload per lock, recovered from snapshot + WAL replay.  Per lock:
 
-        * the automaton adopts the payload verbatim under this boot;
-        * the embedded monitoring snapshot is cross-checked against the
-          live ``snapshot()`` (WAL and snapshot layers audit each other);
+        * the automaton adopts the payload under this boot, and
+          re-encoding it must reproduce the payload (fields the rejoin
+          policy resets excepted); a record that does not round-trip or
+          cannot be decoded counts as a ``snapshot_mismatches`` entry,
+          and an undecodable one leaves its lock to rejoin blank;
         * a restored **token holder** begins custody fencing: it queues
           instead of granting until probes and replayed placement hints
           settle whether its epoch is still current (confirmed after
@@ -804,8 +806,6 @@ class RecoveryManager:
         Returns a JSON-safe report of what was restored.
         """
 
-        import json
-
         report: Dict[str, object] = {
             "locks_restored": 0,
             "holds_released": 0,
@@ -819,27 +819,31 @@ class RecoveryManager:
             for lock_id in sorted(state):
                 payload = state[lock_id]
                 automaton = self.lockspace.automaton(lock_id)
-                automaton.adopt_persisted(payload)
-                report["locks_restored"] += 1
-                live_view = json.dumps(
-                    automaton.snapshot().to_payload(), sort_keys=True
-                )
-                saved_view = json.dumps(
-                    payload.get("snapshot"), sort_keys=True
-                )
-                if live_view != saved_view:
+                try:
+                    automaton.adopt_persisted(payload)
+                    adopted = True
+                except ValueError:
+                    adopted = False  # Undecodable: this lock rejoins blank.
+                if not adopted or any(
+                    value != payload.get(key)
+                    for key, value in automaton.persisted_state().items()
+                    if key not in automaton.REJOIN_RESETS
+                ):
                     report["snapshot_mismatches"] += 1
                     if self.obs is not None:
                         self.obs.fault("persist-mismatch", self.node_id)
+                if not adopted:
+                    continue
+                report["locks_restored"] += 1
                 if automaton.has_token:
                     automaton.begin_custody_fence()
                     report["custody"].append(lock_id)
                     self._begin_rejoin(lock_id, automaton.token_epoch)
                 self._dispatch_replay(automaton.abandon_pending())
-                held = automaton.snapshot().to_payload().get("held", ())
-                for mode_name, count in list(held):
-                    mode = LockMode(str(mode_name))
-                    for _ in range(int(count)):
+                for mode, count in sorted(
+                    automaton.held_modes.items(), key=lambda hold: str(hold[0])
+                ):
+                    for _ in range(count):
                         if reclaim is not None and reclaim(lock_id, mode):
                             report["holds_reclaimed"] += 1
                             self._check_reclaim_fanout(lock_id, report)

@@ -19,20 +19,32 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from ..core.contract import (
+    BOOL,
+    INT,
+    OPT_NODE,
+    LockAutomaton,
+    field,
+    handles,
+    noop_listener,
+    recorded,
+    register_message,
+)
 from ..core.messages import Envelope, LockId, NodeId
 from ..errors import LockUsageError, ProtocolError
-from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED, ObsSink
-from .messages import NaimiMessage, NaimiRequestMessage, NaimiTokenMessage
+from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED
+from .messages import NaimiRequestMessage, NaimiTokenMessage
+
+register_message(
+    NaimiRequestMessage, field("origin", INT), field("fencing_token", INT)
+)
+register_message(NaimiTokenMessage)
 
 #: Signature of the grant listener: ``(lock_id, ctx)``.
 NaimiGrantListener = Callable[[LockId, object], None]
 
 
-def _noop_listener(lock_id: LockId, ctx: object) -> None:
-    """Default listener used when the caller does not need callbacks."""
-
-
-class NaimiAutomaton:
+class NaimiAutomaton(LockAutomaton):
     """Per-(node, lock) state of the Naimi-Tréhel protocol.
 
     Parameters
@@ -46,76 +58,47 @@ class NaimiAutomaton:
         the tree root (and token holder).
     listener:
         Called as ``listener(lock_id, ctx)`` when a request is granted.
+
+    The ``obs`` span key is ``(lock_id, origin)`` — one outstanding
+    request per node.
     """
+
+    PROTOCOL = "naimi"
+    BLANK = {"last": None}
+    STATE = (
+        field("last", OPT_NODE, "_last"),
+        field("next", OPT_NODE, "_next"),
+        field("has_token", BOOL, "_has_token"),
+        field("in_cs", BOOL, "_in_cs"),
+        field("requesting", BOOL, "_requesting"),
+        field("fence_floor", INT, "_fence_floor"),
+    )
 
     def __init__(
         self,
         node_id: NodeId,
         lock_id: LockId,
         last: Optional[NodeId],
-        listener: NaimiGrantListener = _noop_listener,
+        listener: NaimiGrantListener = noop_listener,
     ) -> None:
-        self._node_id = node_id
-        self._lock_id = lock_id
+        LockAutomaton.__init__(self, node_id, lock_id, listener)
         # ``last is None`` encodes the paper's ``last == self`` root test.
         self._last = last
         self._next: Optional[NodeId] = None
         self._has_token = last is None
         self._in_cs = False
         self._requesting = False
-        self._ctx: object = None
-        self._listener = listener
-        #: Optional observability sink (see :mod:`repro.obs`).  Span key
-        #: is ``(lock_id, origin)`` — one outstanding request per node.
-        self.obs: Optional[ObsSink] = None
-        #: Optional durability journal (see :mod:`repro.persist`); same
-        #: ``None``-gated pattern as ``obs``.
-        self.persist = None
-        #: Optional flight recorder (see :mod:`repro.obs.flightrec`);
-        #: same ``None``-gated pattern.
-        self.flightrec = None
-        # Lease fencing (see repro.leases): highest revoked fencing token
-        # observed for this lock.  Messages presenting a positive token at
-        # or below the floor are dropped by :meth:`handle`.
-        self._fence_floor = 0
 
-    @property
-    def fence_floor(self) -> int:
-        """Highest revoked fencing token observed (lease extension)."""
+    def birth(self) -> dict:
+        return {"last": self._last}
 
-        return self._fence_floor
-
-    def raise_fence_floor(self, token: int) -> None:
-        """Reject future messages fenced at or below *token*."""
-
-        self._flight_op("raise_fence_floor", token=int(token))
-        if token > self._fence_floor:
-            self._fence_floor = int(token)
-            self._persist("fence-raised")
-
-    def _persist(self, kind: str) -> None:
-        if self.persist is not None:
-            self.persist.record(self, kind)
-
-    def _flight_op(self, op: str, **args) -> None:
-        if self.flightrec is not None:
-            self.flightrec.record_op(self._lock_id, op, args)
+    @classmethod
+    def from_birth(cls, node_id, lock_id, init, listener, clock, options=None):
+        return cls(node_id, lock_id, OPT_NODE.decode(init["last"]), listener)
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-
-    @property
-    def node_id(self) -> NodeId:
-        """This node's identity."""
-
-        return self._node_id
-
-    @property
-    def lock_id(self) -> LockId:
-        """The managed lock's id."""
-
-        return self._lock_id
 
     @property
     def has_token(self) -> bool:
@@ -155,37 +138,26 @@ class NaimiAutomaton:
     def snapshot(self):
         """Read-only :class:`repro.obs.live.LockSnapshot` of this node.
 
-        Naimi state maps onto the shared snapshot shape: ``last`` is the
-        parent edge toward the believed token, the critical section is an
-        exclusive ``W`` hold, and the ``next`` successor is the one queue
-        entry this node knows about.
+        ``last`` is the parent edge toward the believed token and the
+        ``next`` successor the one queue entry this node knows about.
         """
 
-        from ..obs.live import LockSnapshot, QueueEntry
+        from ..obs.live import LockSnapshot
 
-        return LockSnapshot(
-            lock=self._lock_id,
-            believes_token=self._has_token,
-            parent=self._last,
-            held=(("W", 1),) if self._in_cs else (),
-            pending="W" if self._requesting else None,
-            queue=(
-                (
-                    QueueEntry(
-                        origin=self._next,
-                        mode="W",
-                        key=f"{self._lock_id}:{self._next}",
-                    ),
-                )
-                if self._next is not None
-                else ()
-            ),
+        return LockSnapshot.exclusive(
+            self._lock_id,
+            self._has_token,
+            self._last,
+            self._in_cs,
+            self._requesting,
+            () if self._next is None else (self._next,),
         )
 
     # ------------------------------------------------------------------
     # Application API.
     # ------------------------------------------------------------------
 
+    @recorded()
     def request(self, ctx: object = None) -> List[Envelope]:
         """Request the critical section; grant arrives via the listener."""
 
@@ -221,6 +193,7 @@ class NaimiAutomaton:
             )
         ]
 
+    @recorded()
     def release(self) -> List[Envelope]:
         """Leave the critical section; pass the token to any successor."""
 
@@ -247,28 +220,10 @@ class NaimiAutomaton:
         ]
 
     # ------------------------------------------------------------------
-    # Transport API.
+    # Message handlers (``handle()`` itself is the contract's).
     # ------------------------------------------------------------------
 
-    def handle(self, message: NaimiMessage) -> List[Envelope]:
-        """Process one incoming protocol message, returning replies."""
-
-        if message.lock_id != self._lock_id:
-            raise ProtocolError(
-                f"message for lock {message.lock_id!r} delivered to "
-                f"automaton of {self._lock_id!r}"
-            )
-        if self.flightrec is not None:
-            self.flightrec.record_msg(self._lock_id, message)
-        token = getattr(message, "fencing_token", 0)
-        if 0 < token <= self._fence_floor:
-            return []  # Stale fencing token: a revoked holder's traffic.
-        if isinstance(message, NaimiRequestMessage):
-            return self._handle_request(message)
-        if isinstance(message, NaimiTokenMessage):
-            return self._handle_token(message)
-        raise ProtocolError(f"unknown message type {type(message).__name__}")
-
+    @handles(NaimiRequestMessage)
     def _handle_request(self, msg: NaimiRequestMessage) -> List[Envelope]:
         """Forward along ``last``, or serve/enqueue if this node is root."""
 
@@ -319,6 +274,7 @@ class NaimiAutomaton:
         self._persist("handle")
         return out
 
+    @handles(NaimiTokenMessage)
     def _handle_token(self, msg: NaimiTokenMessage) -> List[Envelope]:
         """The token arrives: enter the critical section."""
 
@@ -348,6 +304,7 @@ class NaimiAutomaton:
     # God-view membership splices (see repro.sim.cluster).
     # ------------------------------------------------------------------
 
+    @recorded(new_last=INT)
     def splice_last(self, new_last: NodeId) -> None:
         """Re-point the probable-owner hint off a spliced-out node.
 
@@ -356,12 +313,13 @@ class NaimiAutomaton:
         on the path toward the token.
         """
 
-        self._flight_op("splice_last", last=new_last)
+        self._flight_op("splice_last", new_last=new_last)
         if new_last == self._node_id:
             raise ProtocolError("a node cannot be its own probable owner")
         self._last = new_last
         self._persist("splice")
 
+    @recorded()
     def splice_take_token(self) -> None:
         """Become the token root (transplant from a spliced-out holder)."""
 
@@ -370,6 +328,7 @@ class NaimiAutomaton:
         self._last = None
         self._persist("splice")
 
+    @recorded(successor=INT)
     def splice_retire(self, successor: NodeId) -> None:
         """Terminal state of a spliced-out node: idle, pointing away."""
 
@@ -379,66 +338,6 @@ class NaimiAutomaton:
         if successor != self._node_id:
             self._last = successor
         self._persist("splice")
-
-    # ------------------------------------------------------------------
-    # Durability (see repro.persist).
-    # ------------------------------------------------------------------
-
-    def persisted_state(self) -> dict:
-        """Full JSON-safe state for the durability journal."""
-
-        return {
-            "snapshot": self.snapshot().to_payload(),
-            "last": self._last,
-            "next": self._next,
-            "has_token": self._has_token,
-            "in_cs": self._in_cs,
-            "requesting": self._requesting,
-            "fence_floor": self._fence_floor,
-        }
-
-    def adopt_persisted(self, state: dict) -> None:
-        """Replace this automaton's state with a persisted payload.
-
-        The request context is not recoverable — a restored requesting
-        node's grant fires the listener with ``ctx=None``.
-        """
-
-        self._flight_op("adopt_persisted", state=state)
-        last = state.get("last")
-        self._last = None if last is None else int(last)
-        nxt = state.get("next")
-        self._next = None if nxt is None else int(nxt)
-        self._has_token = bool(state.get("has_token", False))
-        self._in_cs = bool(state.get("in_cs", False))
-        self._requesting = bool(state.get("requesting", False))
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._ctx = None
-
-    def flight_state(self) -> dict:
-        """Exact JSON-safe state for flight-recorder checkpoints."""
-
-        return {
-            "last": self._last,
-            "next": self._next,
-            "has_token": self._has_token,
-            "in_cs": self._in_cs,
-            "requesting": self._requesting,
-            "fence_floor": self._fence_floor,
-        }
-
-    def restore_flight_state(self, state: dict) -> None:
-        """Exact inverse of :meth:`flight_state` (replay only)."""
-
-        last = state.get("last")
-        self._last = None if last is None else int(last)
-        nxt = state.get("next")
-        self._next = None if nxt is None else int(nxt)
-        self._has_token = bool(state.get("has_token", False))
-        self._in_cs = bool(state.get("in_cs", False))
-        self._requesting = bool(state.get("requesting", False))
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._ctx = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -8,90 +8,29 @@ the protocol.  ``NaimiLockSpace`` mirrors
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
-
+from ..core.contract import AutomatonSpace, noop_listener
 from ..core.lockspace import TokenHomeFn, default_token_home
-from ..core.messages import Envelope, LockId, NodeId
-from .automaton import NaimiAutomaton, NaimiGrantListener, _noop_listener
-from .messages import NaimiMessage
+from ..core.messages import LockId, NodeId
+from .automaton import NaimiAutomaton, NaimiGrantListener
 
 
-class NaimiLockSpace:
+class NaimiLockSpace(AutomatonSpace):
     """All Naimi automata hosted by one node, keyed by lock id."""
 
     def __init__(
         self,
         node_id: NodeId,
         token_home: TokenHomeFn = default_token_home,
-        listener: NaimiGrantListener = _noop_listener,
+        listener: NaimiGrantListener = noop_listener,
     ) -> None:
-        self._node_id = node_id
+        super().__init__(node_id, listener)
         self._token_home = token_home
-        self._listener = listener
-        self._automata: Dict[LockId, NaimiAutomaton] = {}
-        #: Optional observability sink propagated to every automaton this
-        #: space creates (set before first use; None = zero-cost no-op).
-        self.obs = None
-        #: Optional flight recorder, propagated the same way (see
-        #: :class:`repro.obs.flightrec.FlightRecorder`).
-        self.flightrec = None
 
-    @property
-    def node_id(self) -> NodeId:
-        """This node's identity."""
-
-        return self._node_id
-
-    def automaton(self, lock_id: LockId) -> NaimiAutomaton:
-        """Return (creating on first use) the automaton for *lock_id*."""
-
-        existing = self._automata.get(lock_id)
-        if existing is not None:
-            return existing
+    def _new_automaton(self, lock_id: LockId) -> NaimiAutomaton:
         home = self._token_home(lock_id)
-        automaton = NaimiAutomaton(
+        return NaimiAutomaton(
             node_id=self._node_id,
             lock_id=lock_id,
             last=None if home == self._node_id else home,
             listener=self._listener,
         )
-        automaton.obs = self.obs
-        automaton.flightrec = self.flightrec
-        if self.flightrec is not None:
-            self.flightrec.record_birth(lock_id, {"last": automaton.last})
-        self._automata[lock_id] = automaton
-        return automaton
-
-    def request(self, lock_id: LockId, ctx: object = None) -> List[Envelope]:
-        """Request *lock_id*; the grant arrives via the listener."""
-
-        return self.automaton(lock_id).request(ctx)
-
-    def release(self, lock_id: LockId) -> List[Envelope]:
-        """Release *lock_id* (must be inside its critical section)."""
-
-        return self.automaton(lock_id).release()
-
-    def handle(self, message: NaimiMessage) -> List[Envelope]:
-        """Route an incoming message to the automaton it concerns."""
-
-        return self.automaton(message.lock_id).handle(message)
-
-    def flight_state(self):
-        """Whole-node state for flight-recorder checkpoints (pure read)."""
-
-        return {
-            "clock": 0,
-            "locks": [
-                [lock_id, self._automata[lock_id].flight_state()]
-                for lock_id in sorted(self._automata, key=str)
-            ],
-        }
-
-    def automata(self) -> Iterable[NaimiAutomaton]:
-        """Iterate over every instantiated automaton (for monitors)."""
-
-        return self._automata.values()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<NaimiLockSpace node={self._node_id} locks={len(self._automata)}>"

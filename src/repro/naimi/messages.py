@@ -7,21 +7,13 @@ Two message types only: a request travelling along the probable-owner
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from ..core.messages import LockId, NodeId, TraceContext
+from ..core.messages import Message, NodeId
 
 
 @dataclasses.dataclass(frozen=True)
-class NaimiMessage:
+class NaimiMessage(Message):
     """Base class for Naimi protocol messages."""
-
-    lock_id: LockId
-    sender: NodeId
-    #: Optional causal-tracing context (see repro.core.messages).
-    trace: Optional[TraceContext] = dataclasses.field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -62,32 +62,29 @@ from typing import (
 )
 
 from ..core.clock import LamportClock
-from ..core.messages import (
-    Envelope,
-    FreezeMessage,
-    GrantMessage,
-    LockId,
-    Message,
-    NodeId,
-    ReleaseMessage,
-    RequestId,
-    RequestMessage,
-    TokenMessage,
-    fresh_attachment_seq,
+from ..core.contract import (
+    AutomatonSpace,
+    automaton_class,
+    message_from_payload,
+    message_to_payload,
 )
+from ..core.messages import LockId, Message, NodeId, fresh_attachment_seq
 from ..core.modes import LockMode
 from ..errors import LockUsageError, ProtocolError
-from ..naimi.messages import NaimiRequestMessage, NaimiTokenMessage
 from ..persist.wal import encode_frame, scan_frames
-from ..raymond.messages import (
-    RaymondPrivilegeMessage,
-    RaymondRequestMessage,
+from .live import (
+    AuditFinding,
+    ClusterView,
+    NodeSnapshot,
+    audit_view,
+    snapshot_node,
 )
-from .live import AuditFinding, ClusterView, NodeSnapshot, audit_view
 
-#: Dump format identity (first record of every dump file).
+#: Dump format identity (first record of every dump file).  Version 2:
+#: ``op`` events carry their arguments under the methods' own parameter
+#: names, as the recorded-operation tables decode them.
 DUMP_FORMAT = "flightrec"
-DUMP_VERSION = 1
+DUMP_VERSION = 2
 
 #: Default ring capacity (events retained per node).
 DEFAULT_CAPACITY = 4096
@@ -106,170 +103,6 @@ def _canonical(payload: object) -> str:
     """Canonical JSON used for bit-for-bit state comparison."""
 
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-# ---------------------------------------------------------------------------
-# Message codec.
-#
-# The persist codec only round-trips request messages (all the journal
-# needs); flight recording must round-trip every wire message of all
-# three protocols, exactly.  Trace contexts are deliberately dropped:
-# they are excluded from message equality and never feed back into
-# protocol state, so replayed state cannot depend on them.
-# ---------------------------------------------------------------------------
-
-
-def _request_id_to_payload(request_id: RequestId) -> List[int]:
-    return [request_id.timestamp, request_id.origin, request_id.serial]
-
-
-def _request_id_from_payload(payload) -> RequestId:
-    timestamp, origin, serial = payload
-    return RequestId(
-        timestamp=int(timestamp), origin=int(origin), serial=int(serial)
-    )
-
-
-def _modes_to_payload(modes: Iterable[LockMode]) -> List[str]:
-    return sorted(str(mode) for mode in modes)
-
-
-def message_to_payload(message: Message) -> Dict[str, object]:
-    """Encode one protocol message (any of the three protocols)."""
-
-    payload: Dict[str, object] = {
-        "type": type(message).__name__,
-        "lock": message.lock_id,
-        "sender": message.sender,
-    }
-    if isinstance(message, RequestMessage):
-        payload.update(
-            origin=message.origin,
-            mode=str(message.mode),
-            id=_request_id_to_payload(message.request_id),
-            upgrade=message.upgrade,
-            priority=message.priority,
-            fencing_token=message.fencing_token,
-        )
-    elif isinstance(message, GrantMessage):
-        payload.update(
-            mode=str(message.mode),
-            id=_request_id_to_payload(message.request_id),
-            frozen=_modes_to_payload(message.frozen),
-            attachment_seq=message.attachment_seq,
-        )
-    elif isinstance(message, TokenMessage):
-        payload.update(
-            granted_mode=str(message.granted_mode),
-            id=_request_id_to_payload(message.request_id),
-            prev_owner_mode=str(message.prev_owner_mode),
-            queue=[message_to_payload(entry) for entry in message.queue],
-            frozen=_modes_to_payload(message.frozen),
-            prev_owner_seq=message.prev_owner_seq,
-            epoch=message.epoch,
-        )
-    elif isinstance(message, ReleaseMessage):
-        payload.update(
-            new_mode=str(message.new_mode),
-            attachment_seq=message.attachment_seq,
-        )
-    elif isinstance(message, FreezeMessage):
-        payload.update(frozen=_modes_to_payload(message.frozen))
-    elif isinstance(message, NaimiRequestMessage):
-        payload.update(
-            origin=message.origin, fencing_token=message.fencing_token
-        )
-    elif isinstance(message, NaimiTokenMessage):
-        pass
-    elif isinstance(message, RaymondRequestMessage):
-        payload.update(fencing_token=message.fencing_token)
-    elif isinstance(message, RaymondPrivilegeMessage):
-        pass
-    else:
-        raise ValueError(
-            f"cannot encode message type {type(message).__name__}"
-        )
-    return payload
-
-
-def message_from_payload(payload: Mapping[str, object]) -> Message:
-    """Decode one :func:`message_to_payload` payload."""
-
-    kind = str(payload["type"])
-    lock_id = payload["lock"]
-    sender = int(payload["sender"])
-    if kind == "RequestMessage":
-        return RequestMessage(
-            lock_id=lock_id,
-            sender=sender,
-            origin=int(payload["origin"]),
-            mode=LockMode(str(payload["mode"])),
-            request_id=_request_id_from_payload(payload["id"]),
-            upgrade=bool(payload.get("upgrade", False)),
-            priority=int(payload.get("priority", 0)),
-            fencing_token=int(payload.get("fencing_token", 0)),
-        )
-    if kind == "GrantMessage":
-        return GrantMessage(
-            lock_id=lock_id,
-            sender=sender,
-            mode=LockMode(str(payload["mode"])),
-            request_id=_request_id_from_payload(payload["id"]),
-            frozen=frozenset(
-                LockMode(str(m)) for m in payload.get("frozen", ())
-            ),
-            attachment_seq=int(payload.get("attachment_seq", 0)),
-        )
-    if kind == "TokenMessage":
-        return TokenMessage(
-            lock_id=lock_id,
-            sender=sender,
-            granted_mode=LockMode(str(payload["granted_mode"])),
-            request_id=_request_id_from_payload(payload["id"]),
-            prev_owner_mode=LockMode(str(payload["prev_owner_mode"])),
-            queue=tuple(
-                message_from_payload(entry)
-                for entry in payload.get("queue", ())
-            ),
-            frozen=frozenset(
-                LockMode(str(m)) for m in payload.get("frozen", ())
-            ),
-            prev_owner_seq=int(payload.get("prev_owner_seq", 0)),
-            epoch=int(payload.get("epoch", 0)),
-        )
-    if kind == "ReleaseMessage":
-        return ReleaseMessage(
-            lock_id=lock_id,
-            sender=sender,
-            new_mode=LockMode(str(payload["new_mode"])),
-            attachment_seq=int(payload.get("attachment_seq", 0)),
-        )
-    if kind == "FreezeMessage":
-        return FreezeMessage(
-            lock_id=lock_id,
-            sender=sender,
-            frozen=frozenset(
-                LockMode(str(m)) for m in payload.get("frozen", ())
-            ),
-        )
-    if kind == "NaimiRequestMessage":
-        return NaimiRequestMessage(
-            lock_id=lock_id,
-            sender=sender,
-            origin=int(payload["origin"]),
-            fencing_token=int(payload.get("fencing_token", 0)),
-        )
-    if kind == "NaimiTokenMessage":
-        return NaimiTokenMessage(lock_id=lock_id, sender=sender)
-    if kind == "RaymondRequestMessage":
-        return RaymondRequestMessage(
-            lock_id=lock_id,
-            sender=sender,
-            fencing_token=int(payload.get("fencing_token", 0)),
-        )
-    if kind == "RaymondPrivilegeMessage":
-        return RaymondPrivilegeMessage(lock_id=lock_id, sender=sender)
-    raise ValueError(f"cannot decode message type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -594,8 +427,14 @@ def load_dump(path: str) -> FlightDump:
     head = records[0]
     if head.get("format") != DUMP_FORMAT:
         raise ValueError(f"{path}: unknown dump format {head.get('format')!r}")
+    if head.get("version") != DUMP_VERSION:
+        raise ValueError(
+            f"{path}: dump version {head.get('version')!r} is not the "
+            f"version {DUMP_VERSION} this replayer reads"
+        )
+    automaton_class(str(head.get("protocol")))  # unknown protocol: ValueError
     dump = FlightDump(
-        protocol=str(head.get("protocol", "hierarchical")),
+        protocol=str(head["protocol"]),
         meta=dict(head.get("meta", {})),
         node_meta={},
         events={int(n): [] for n in head.get("nodes", ())},
@@ -673,8 +512,14 @@ class _ReplayFeed:
         pass
 
 
-class ReplaySession:
-    """One node's reconstructed state, advanced event by event."""
+class ReplaySession(AutomatonSpace):
+    """One node's reconstructed lockspace, advanced event by event.
+
+    Its automata are born from recorded ``birth`` events or restored from
+    checkpoints, never placed: first touch of an unborn lock (a ring head
+    clipped mid-segment; should not happen with segment eviction) yields
+    the protocol's blank automaton.
+    """
 
     def __init__(
         self,
@@ -682,121 +527,75 @@ class ReplaySession:
         protocol: str,
         node_meta: Optional[Mapping[str, object]] = None,
     ) -> None:
-        self.node_id = node_id
+        super().__init__(node_id, self._record_grant)
         self.protocol = protocol
         self.node_meta = dict(node_meta or {})
-        self.clock = LamportClock()
-        self.feed = _ReplayFeed()
-        self.automata: Dict[LockId, object] = {}
+        self._automaton_cls = automaton_class(protocol)
+        self.flightrec = self.feed = _ReplayFeed()
         self.alive = True
         self.seq = 0
         #: Grants delivered to the (absent) application during replay.
         self.grants: List[Tuple[LockId, object]] = []
         #: Deterministic errors re-raised during apply (also raised live).
         self.errors: List[Dict[str, object]] = []
+        #: ``replay-error`` findings: events the protocol's tables could
+        #: not decode (never raised live).
+        self.undecodable: List[Dict[str, object]] = []
 
-    # -- automaton construction ----------------------------------------
-
-    def _listener(self, lock_id, *grant_args) -> None:
+    def _record_grant(self, lock_id, *grant_args) -> None:
         self.grants.append((lock_id, grant_args))
 
-    def _options(self):
-        from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
-
-        payload = self.node_meta.get("options")
-        if not isinstance(payload, Mapping):
-            return FULL_PROTOCOL
-        known = {
-            field.name for field in dataclasses.fields(ProtocolOptions)
-        }
-        return ProtocolOptions(
-            **{k: v for k, v in payload.items() if k in known}
+    def _new_automaton(self, lock_id: LockId, init=None):
+        automaton = self._automaton_cls.from_birth(
+            self._node_id,
+            lock_id,
+            self._automaton_cls.BLANK if init is None else init,
+            self._listener,
+            self._clock,
+            self.node_meta.get("options"),
         )
-
-    def _new_automaton(self, lock_id: LockId, init: Mapping[str, object]):
-        if self.protocol == "naimi":
-            from ..naimi.automaton import NaimiAutomaton
-
-            last = init.get("last")
-            automaton = NaimiAutomaton(
-                node_id=self.node_id,
-                lock_id=lock_id,
-                last=None if last is None else int(last),
-                listener=self._listener,
-            )
-        elif self.protocol == "raymond":
-            from ..raymond.automaton import RaymondAutomaton
-
-            holder = init.get("holder")
-            automaton = RaymondAutomaton(
-                node_id=self.node_id,
-                lock_id=lock_id,
-                holder=None if holder is None else int(holder),
-                listener=self._listener,
-            )
-        else:
-            from ..core.automaton import HierarchicalLockAutomaton
-
-            parent = init.get("parent")
-            automaton = HierarchicalLockAutomaton(
-                node_id=self.node_id,
-                lock_id=lock_id,
-                clock=self.clock,
-                parent=None if parent is None else int(parent),
-                has_token=bool(init.get("token", parent is None)),
-                listener=self._listener,
-                options=self._options(),
-            )
         automaton.flightrec = self.feed
-        self.automata[lock_id] = automaton
         return automaton
-
-    def _restored_automaton(self, lock_id: LockId):
-        """A blank automaton about to receive ``restore_flight_state``."""
-
-        if self.protocol in ("naimi", "raymond"):
-            return self._new_automaton(lock_id, {"last": None, "holder": None})
-        # Construct as token-at-home (always legal), then restore.
-        return self._new_automaton(lock_id, {"parent": None, "token": True})
 
     # -- state ----------------------------------------------------------
 
-    def state(self) -> Dict[str, object]:
-        """This session's full state, shaped like ``flight_state()``."""
-
-        state: Dict[str, object] = {
-            "clock": self.clock.time if self.protocol == "hierarchical" else 0,
-            "locks": [
-                [lock_id, self.automata[lock_id].flight_state()]
-                for lock_id in sorted(self.automata, key=str)
-            ],
-        }
-        return state
+    def _reset(self, clock: int = 0) -> None:
+        self._automata = {}
+        self._clock = LamportClock(clock)
 
     def restore(self, state: Mapping[str, object]) -> None:
         """Reset this session to a recorded checkpoint *state*."""
 
-        self.automata = {}
-        self.clock = LamportClock(int(state.get("clock", 0)))
+        self._reset(int(state.get("clock", 0)))
         for lock_id, lock_state in state.get("locks", ()):
-            automaton = self._restored_automaton(lock_id)
-            automaton._clock = self.clock  # hierarchical only; harmless else
-            automaton.restore_flight_state(lock_state)
+            self.automaton(lock_id).restore_flight_state(lock_state)
 
     def node_snapshot(self) -> NodeSnapshot:
         """A :class:`NodeSnapshot` of this session (for the audit)."""
 
         if not self.alive:
             return NodeSnapshot(node=self.node_id, alive=False)
-        locks = tuple(
-            sorted(
-                (a.snapshot() for a in self.automata.values()),
-                key=lambda snap: str(snap.lock),
-            )
-        )
-        return NodeSnapshot(node=self.node_id, alive=True, locks=locks)
+        return snapshot_node(self.node_id, self)
 
     # -- applying events ------------------------------------------------
+
+    def _decode(self, automaton, event: Mapping[str, object]) -> Callable:
+        """The call *event* recorded, through the protocol's own tables."""
+
+        if event.get("kind") == "msg":
+            message = message_from_payload(event["msg"])
+            return lambda: automaton.handle(message)
+        if event.get("kind") != "op":
+            raise ValueError(f"unknown event kind {event.get('kind')!r}")
+        op = str(event.get("op"))
+        codecs = automaton.OPS.get(op)
+        if codecs is None:
+            raise ValueError(f"unknown {self.protocol} op {op!r}")
+        args = event.get("args", {})
+        kwargs = {
+            name: codec.decode(args[name]) for name, codec in codecs.items()
+        }
+        return lambda: getattr(automaton, op)(**kwargs)
 
     def apply(self, event: Mapping[str, object]) -> None:
         """Apply one recorded *event* to the session."""
@@ -813,28 +612,29 @@ class ReplaySession:
             # and the Lamport clock are gone; recorded rejoin operations
             # (adopt_persisted, reassert_owned, ...) rebuild from here.
             self.alive = True
-            self.automata = {}
-            self.clock = LamportClock()
+            self._reset()
             return
         self.feed.load(event)
-        if kind == "birth":
-            self._new_automaton(event["lock"], event.get("init", {}))
-            return
-        automaton = self.automata.get(event["lock"])
-        if automaton is None:
-            # Defensive: a ring head clipped mid-segment (should not
-            # happen with segment eviction) — synthesize the automaton.
-            automaton = self._restored_automaton(event["lock"])
         try:
-            if kind == "msg":
-                automaton.handle(message_from_payload(event["msg"]))
-            elif kind == "op":
-                self._apply_op(
-                    automaton, str(event["op"]), event.get("args", {})
+            if kind == "birth":
+                self._automata[event["lock"]] = self._new_automaton(
+                    event["lock"], event["init"]
                 )
-            else:
-                raise ValueError(f"unknown event kind {kind!r}")
-        except (ProtocolError, LockUsageError) as exc:
+                return
+            call = self._decode(self.automaton(event["lock"]), event)
+        except (KeyError, TypeError, ValueError) as exc:
+            self.undecodable.append(
+                {
+                    "node": self.node_id,
+                    "seq": self.seq,
+                    "kind": "replay-error",
+                    "detail": f"{type(exc).__name__}: {exc}",
+                }
+            )
+            return
+        try:
+            call()
+        except (ProtocolError, LockUsageError, ValueError) as exc:
             # The live run raised (and partially mutated) identically;
             # deterministic errors are part of the recorded history.
             self.errors.append(
@@ -844,78 +644,6 @@ class ReplaySession:
                     "detail": str(exc),
                 }
             )
-
-    def _apply_op(self, automaton, op: str, args: Mapping[str, object]):
-        if self.protocol in ("naimi", "raymond"):
-            if op == "request":
-                return automaton.request(None)
-            if op == "release":
-                return automaton.release()
-            if op == "raise_fence_floor":
-                return automaton.raise_fence_floor(int(args["token"]))
-            if op == "adopt_persisted":
-                return automaton.adopt_persisted(dict(args["state"]))
-            raise ValueError(f"unknown {self.protocol} op {op!r}")
-        if op == "request":
-            return automaton.request(
-                LockMode(str(args["mode"])), None, int(args.get("priority", 0))
-            )
-        if op == "release":
-            return automaton.release(LockMode(str(args["mode"])))
-        if op == "upgrade":
-            return automaton.upgrade(None)
-        if op == "downgrade":
-            return automaton.downgrade(
-                LockMode(str(args["held"])), LockMode(str(args["to"]))
-            )
-        if op == "handle":  # pragma: no cover - msgs use kind="msg"
-            return automaton.handle(message_from_payload(args["msg"]))
-        if op == "evict_child":
-            return automaton.evict_child(int(args["node"]))
-        if op == "reattach":
-            return automaton.reattach(
-                int(args["parent"]), bool(args.get("detach", False))
-            )
-        if op == "regenerate_token":
-            return automaton.regenerate_token(int(args["epoch"]))
-        if op == "accept_handoff":
-            return automaton.accept_handoff(int(args["epoch"]))
-        if op == "raise_fence_floor":
-            return automaton.raise_fence_floor(int(args["token"]))
-        if op == "fence_holds":
-            return automaton.fence_holds()
-        if op == "retransmit_pending":
-            return automaton.retransmit_pending()
-        if op == "observe_epoch":
-            holder = args.get("holder")
-            return automaton.observe_epoch(
-                int(args["epoch"]), None if holder is None else int(holder)
-            )
-        if op == "adopt_persisted":
-            return automaton.adopt_persisted(dict(args["state"]))
-        if op == "begin_custody_fence":
-            return automaton.begin_custody_fence()
-        if op == "confirm_custody":
-            return automaton.confirm_custody()
-        if op == "fence_custody":
-            return automaton.fence_custody(
-                int(args["epoch"]), int(args["holder"])
-            )
-        if op == "abandon_pending":
-            return automaton.abandon_pending()
-        if op == "reassert_owned":
-            return automaton.reassert_owned()
-        if op == "expire_provisional_children":
-            return automaton.expire_provisional_children()
-        if op == "begin_departure":
-            return automaton.begin_departure()
-        if op == "adopt_child":
-            return automaton.adopt_child(
-                int(args["node"]),
-                LockMode(str(args["mode"])),
-                int(args.get("seq", 0)),
-            )
-        raise ValueError(f"unknown hierarchical op {op!r}")
 
 
 class NodeReplayer:
@@ -981,7 +709,7 @@ class NodeReplayer:
     def state_at(self, seq: int) -> Dict[str, object]:
         """Full node state after event *seq* (``flight_state`` shape)."""
 
-        return self.session_at(seq).state()
+        return self.session_at(seq).flight_state()
 
     def diff(self, seq_a: int, seq_b: int) -> Dict[str, object]:
         """Per-lock state delta between two seqs (canonical comparison)."""
@@ -1027,7 +755,7 @@ class NodeReplayer:
                     session.restore(event["state"])
                     seeded = True
                     continue
-                replayed = _canonical(session.state())
+                replayed = _canonical(session.flight_state())
                 if replayed != recorded:
                     findings.append(
                         {
@@ -1037,12 +765,13 @@ class NodeReplayer:
                             "detail": "replayed state diverges from the "
                             "recorded checkpoint",
                             "recorded": event["state"],
-                            "replayed": session.state(),
+                            "replayed": session.flight_state(),
                         }
                     )
                     session.restore(event["state"])
                 continue
             session.apply(event)
+        findings.extend(session.undecodable)
         drift = session.feed.underflows + session.feed.leftovers
         if drift:
             findings.append(
@@ -1079,17 +808,8 @@ def _event_matches(
     event: Mapping[str, object], criteria: Mapping[str, str]
 ) -> bool:
     for key, wanted in criteria.items():
-        if key == "kind":
-            if str(event.get("kind")) != wanted:
-                return False
-        elif key == "lock":
-            if str(event.get("lock")) != wanted:
-                return False
-        elif key == "op":
-            if str(event.get("op")) != wanted:
-                return False
-        elif key == "seq":
-            if str(event.get("seq")) != wanted:
+        if key in ("kind", "lock", "op", "seq"):
+            if str(event.get(key)) != wanted:
                 return False
         elif key == "type":
             msg = event.get("msg")

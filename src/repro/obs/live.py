@@ -40,6 +40,7 @@ import threading
 from typing import (
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -208,6 +209,35 @@ class LockSnapshot:
     #: beliefs — including a stale token claim on a partitioned minority
     #: — no longer count toward token-split or Rule-1 reconciliation.
     fenced: bool = False
+
+    @classmethod
+    def exclusive(
+        cls,
+        lock: LockId,
+        believes_token: bool,
+        parent: Optional[NodeId],
+        in_cs: bool,
+        requesting: bool,
+        waiters: Iterable[NodeId],
+    ) -> "LockSnapshot":
+        """The view of a mutual-exclusion protocol's automaton.
+
+        The critical section is an exclusive ``W`` hold, an unserved
+        request a pending ``W``, and *waiters* the nodes this automaton
+        knows to be queued, in service order.
+        """
+
+        return cls(
+            lock=lock,
+            believes_token=believes_token,
+            parent=parent,
+            held=(("W", 1),) if in_cs else (),
+            pending="W" if requesting else None,
+            queue=tuple(
+                QueueEntry(origin=node, mode="W", key=f"{lock}:{node}")
+                for node in waiters
+            ),
+        )
 
     def held_modes(self) -> List[LockMode]:
         """The held multiset as :class:`LockMode` values (with repeats)."""

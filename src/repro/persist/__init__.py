@@ -6,7 +6,6 @@ blank.  See ``docs/PERSISTENCE.md`` for the on-disk format, fsync
 policies, and how recovery reconciles with epoch fencing.
 """
 
-from .codec import request_from_payload, request_to_payload
 from .journal import (
     DEFAULT_COMPACT_EVERY,
     VIEW_JOURNAL_KEY,
@@ -39,7 +38,5 @@ __all__ = [
     "VIEW_JOURNAL_KEY",
     "encode_frame",
     "recover_node_state",
-    "request_from_payload",
-    "request_to_payload",
     "scan_frames",
 ]

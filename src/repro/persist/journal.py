@@ -3,12 +3,12 @@
 A :class:`NodeJournal` is the object a
 :class:`~repro.core.lockspace.LockSpace` exposes to its automata as the
 ``persist`` hook.  Every state-changing protocol event calls
-``journal.record(automaton, kind)``; the journal serializes the
-automaton's **full** current per-lock state (``persisted_state()``, a
-superset of the monitoring ``snapshot()``) into one WAL record.  Replay
-is therefore last-record-wins per lock — no event-by-event state machine
-to keep in sync with the protocol, and the snapshot layer and the WAL
-layer can cross-check each other on recovery.
+``journal.record(automaton, kind)``; the journal writes the automaton's
+whole durable state (``persisted_state()``, the durable subset of the
+one state encoding flight-recorder checkpoints also use) into one WAL
+record.  Replay is therefore last-record-wins per lock — no
+event-by-event state machine to keep in sync with the protocol — and
+the journal knows nothing about any protocol's fields.
 
 Every ``compact_every`` appends the journal folds the whole lockspace
 into one snapshot and truncates the log, bounding both replay time and
@@ -88,22 +88,9 @@ class NodeJournal:
     # -- the hook the automata call ------------------------------------
 
     def record(self, automaton, kind: str) -> None:
-        """Append *automaton*'s current full state under event *kind*."""
+        """Append *automaton*'s current durable state under event *kind*."""
 
-        self.store.append(
-            {
-                "v": 1,
-                "lock": automaton.lock_id,
-                "kind": kind,
-                "state": automaton.persisted_state(),
-            }
-        )
-        self.appends += 1
-        self._since_compact += 1
-        if self.obs is not None:
-            self.obs.persist_event(self.node_id, kind)
-        if self._since_compact >= self.compact_every:
-            self.compact()
+        self._append(automaton.lock_id, kind, automaton.persisted_state())
 
     def record_sessions(self, payload: Dict[str, object]) -> None:
         """Append the node's session table under the reserved key.
@@ -114,20 +101,7 @@ class NodeJournal:
         key out of the replayed state before per-lock rejoin.
         """
 
-        self.store.append(
-            {
-                "v": 1,
-                "lock": SESSIONS_JOURNAL_KEY,
-                "kind": "sessions",
-                "state": payload,
-            }
-        )
-        self.appends += 1
-        self._since_compact += 1
-        if self.obs is not None:
-            self.obs.persist_event(self.node_id, "sessions")
-        if self._since_compact >= self.compact_every:
-            self.compact()
+        self._append(SESSIONS_JOURNAL_KEY, "sessions", payload)
 
     def record_view(self, payload: Dict[str, object]) -> None:
         """Append the installed membership view under the reserved key.
@@ -137,18 +111,14 @@ class NodeJournal:
         it.  One record per install, last wins on replay.
         """
 
-        self.store.append(
-            {
-                "v": 1,
-                "lock": VIEW_JOURNAL_KEY,
-                "kind": "view",
-                "state": payload,
-            }
-        )
+        self._append(VIEW_JOURNAL_KEY, "view", payload)
+
+    def _append(self, key: str, kind: str, state: Dict[str, object]) -> None:
+        self.store.append({"v": 1, "lock": key, "kind": kind, "state": state})
         self.appends += 1
         self._since_compact += 1
         if self.obs is not None:
-            self.obs.persist_event(self.node_id, "view")
+            self.obs.persist_event(self.node_id, kind)
         if self._since_compact >= self.compact_every:
             self.compact()
 

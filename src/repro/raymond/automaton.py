@@ -19,27 +19,44 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple, Union
 
+from ..core.contract import (
+    BOOL,
+    INT,
+    OPT_NODE,
+    Codec,
+    LockAutomaton,
+    field,
+    handles,
+    noop_listener,
+    recorded,
+    register_message,
+)
 from ..core.messages import Envelope, LockId, NodeId, TraceContext
 from ..errors import LockUsageError, ProtocolError
-from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED, ObsSink
-from .messages import (
-    RaymondMessage,
-    RaymondPrivilegeMessage,
-    RaymondRequestMessage,
-)
+from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED
+from .messages import RaymondPrivilegeMessage, RaymondRequestMessage
 
 #: Sentinel queued when this node itself wants the critical section.
 SELF = "self"
+
+register_message(RaymondRequestMessage, field("fencing_token", INT))
+register_message(RaymondPrivilegeMessage)
+
+#: The request queue as SELF-or-neighbour entries.  Trace contexts never
+#: feed back into protocol state (and a restored process has a fresh
+#: tracer), so they are not encoded and restore as ``None``.
+REQUEST_Q = Codec(
+    lambda queue: [entry for entry, _trace in queue],
+    lambda entries: deque(
+        (SELF if entry == SELF else int(entry), None) for entry in entries
+    ),
+)
 
 #: Signature of the grant listener: ``(lock_id, ctx)``.
 RaymondGrantListener = Callable[[LockId, object], None]
 
 
-def _noop_listener(lock_id: LockId, ctx: object) -> None:
-    """Default listener used when the caller does not need callbacks."""
-
-
-class RaymondAutomaton:
+class RaymondAutomaton(LockAutomaton):
     """Per-(node, lock) state of Raymond's algorithm.
 
     Parameters
@@ -54,17 +71,29 @@ class RaymondAutomaton:
         toward the initial holder.
     listener:
         Called as ``listener(lock_id, ctx)`` when a request is granted.
+
+    The ``obs`` span key is ``(lock_id, node)`` — one outstanding request
+    per node.
     """
+
+    PROTOCOL = "raymond"
+    BLANK = {"holder": None}
+    STATE = (
+        field("holder", OPT_NODE, "_holder"),
+        field("asked", BOOL, "_asked"),
+        field("using", BOOL, "_using"),
+        field("queue", REQUEST_Q, "_request_q"),
+        field("fence_floor", INT, "_fence_floor"),
+    )
 
     def __init__(
         self,
         node_id: NodeId,
         lock_id: LockId,
         holder: Optional[NodeId],
-        listener: RaymondGrantListener = _noop_listener,
+        listener: RaymondGrantListener = noop_listener,
     ) -> None:
-        self._node_id = node_id
-        self._lock_id = lock_id
+        LockAutomaton.__init__(self, node_id, lock_id, listener)
         self._holder: Optional[NodeId] = holder  # None = privilege here
         #: FIFO of (requester, trace context of its request).  The trace
         #: context travels with the queue entry so the privilege (and any
@@ -76,59 +105,17 @@ class RaymondAutomaton:
         ] = deque()
         self._asked = False
         self._using = False
-        self._ctx: object = None
-        self._listener = listener
-        #: Optional observability sink (see :mod:`repro.obs`).  Span key
-        #: is ``(lock_id, node)`` — one outstanding request per node.
-        self.obs: Optional[ObsSink] = None
-        #: Optional durability journal (see :mod:`repro.persist`); same
-        #: ``None``-gated pattern as ``obs``.
-        self.persist = None
-        #: Optional flight recorder (see :mod:`repro.obs.flightrec`);
-        #: same ``None``-gated pattern.
-        self.flightrec = None
-        # Lease fencing (see repro.leases): highest revoked fencing token
-        # observed for this lock.  Messages presenting a positive token at
-        # or below the floor are dropped by :meth:`handle`.
-        self._fence_floor = 0
 
-    @property
-    def fence_floor(self) -> int:
-        """Highest revoked fencing token observed (lease extension)."""
+    def birth(self) -> dict:
+        return {"holder": self._holder}
 
-        return self._fence_floor
-
-    def raise_fence_floor(self, token: int) -> None:
-        """Reject future messages fenced at or below *token*."""
-
-        self._flight_op("raise_fence_floor", token=int(token))
-        if token > self._fence_floor:
-            self._fence_floor = int(token)
-            self._persist("fence-raised")
-
-    def _persist(self, kind: str) -> None:
-        if self.persist is not None:
-            self.persist.record(self, kind)
-
-    def _flight_op(self, op: str, **args) -> None:
-        if self.flightrec is not None:
-            self.flightrec.record_op(self._lock_id, op, args)
+    @classmethod
+    def from_birth(cls, node_id, lock_id, init, listener, clock, options=None):
+        return cls(node_id, lock_id, OPT_NODE.decode(init["holder"]), listener)
 
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-
-    @property
-    def node_id(self) -> NodeId:
-        """This node's identity."""
-
-        return self._node_id
-
-    @property
-    def lock_id(self) -> LockId:
-        """The managed lock's id."""
-
-        return self._lock_id
 
     @property
     def has_privilege(self) -> bool:
@@ -162,40 +149,27 @@ class RaymondAutomaton:
     def snapshot(self):
         """Read-only :class:`repro.obs.live.LockSnapshot` of this node.
 
-        Raymond state maps onto the shared snapshot shape: ``holder`` is
-        the parent edge toward the privilege, the critical section is an
-        exclusive ``W`` hold, and ``request_q`` entries are queue entries
-        (a ``SELF`` entry doubles as this node's pending request).
+        ``holder`` is the parent edge toward the privilege; a ``SELF``
+        entry of ``request_q`` doubles as this node's pending request.
         """
 
-        from ..obs.live import LockSnapshot, QueueEntry
+        from ..obs.live import LockSnapshot
 
-        entries = []
-        wants_self = False
-        for entry, _trace in self._request_q:
-            origin = self._node_id if entry == SELF else entry
-            if entry == SELF:
-                wants_self = True
-            entries.append(
-                QueueEntry(
-                    origin=origin,
-                    mode="W",
-                    key=f"{self._lock_id}:{origin}",
-                )
-            )
-        return LockSnapshot(
-            lock=self._lock_id,
-            believes_token=self._holder is None,
-            parent=self._holder,
-            held=(("W", 1),) if self._using else (),
-            pending="W" if wants_self else None,
-            queue=tuple(entries),
+        entries = [entry for entry, _trace in self._request_q]
+        return LockSnapshot.exclusive(
+            self._lock_id,
+            self._holder is None,
+            self._holder,
+            self._using,
+            SELF in entries,
+            (self._node_id if entry == SELF else entry for entry in entries),
         )
 
     # ------------------------------------------------------------------
     # Application API.
     # ------------------------------------------------------------------
 
+    @recorded()
     def request(self, ctx: object = None) -> List[Envelope]:
         """Request the critical section; grant arrives via the listener."""
 
@@ -213,12 +187,9 @@ class RaymondAutomaton:
             self.obs.queue_depth(
                 self._node_id, self._lock_id, len(self._request_q)
             )
-        out: List[Envelope] = []
-        out.extend(self._assign_privilege())
-        out.extend(self._make_request())
-        self._persist("request")
-        return out
+        return self._serve("request")
 
+    @recorded()
     def release(self) -> List[Envelope]:
         """Leave the critical section; pass the privilege onward if asked."""
 
@@ -230,106 +201,90 @@ class RaymondAutomaton:
         self._using = False
         if self.obs is not None:
             self.obs.phase(self._node_id, self._lock_id, None, RELEASED)
-        out: List[Envelope] = []
-        out.extend(self._assign_privilege())
-        out.extend(self._make_request())
-        self._persist("release")
-        return out
+        return self._serve("release")
 
     # ------------------------------------------------------------------
-    # Transport API.
+    # Message handlers (``handle()`` itself is the contract's).
     # ------------------------------------------------------------------
 
-    def handle(self, message: RaymondMessage) -> List[Envelope]:
-        """Process one incoming protocol message, returning replies."""
-
-        if message.lock_id != self._lock_id:
-            raise ProtocolError(
-                f"message for lock {message.lock_id!r} delivered to "
-                f"automaton of {self._lock_id!r}"
-            )
-        if self.flightrec is not None:
-            self.flightrec.record_msg(self._lock_id, message)
-        token = getattr(message, "fencing_token", 0)
-        if 0 < token <= self._fence_floor:
-            return []  # Stale fencing token: a revoked holder's traffic.
-        out: List[Envelope] = []
-        if isinstance(message, RaymondRequestMessage):
-            self._request_q.append((message.sender, message.trace))
-            if self.obs is not None:
-                self.obs.queue_depth(
-                    self._node_id, self._lock_id, len(self._request_q)
-                )
-        elif isinstance(message, RaymondPrivilegeMessage):
-            if self._holder is None:
-                raise ProtocolError(
-                    f"node {self._node_id} received a privilege it holds"
-                )
-            self._holder = None
-            self._asked = False  # 'asked' is only meaningful toward a holder
-        else:
-            raise ProtocolError(f"unknown message {type(message).__name__}")
-        out.extend(self._assign_privilege())
-        out.extend(self._make_request())
-        self._persist("handle")
-        return out
-
-    # ------------------------------------------------------------------
-    # The two classic procedures.
-    # ------------------------------------------------------------------
-
-    def _assign_privilege(self) -> List[Envelope]:
-        if self._holder is not None or self._using or not self._request_q:
-            return []
-        head, head_trace = self._request_q.popleft()
+    @handles(RaymondRequestMessage)
+    def _handle_request(self, msg: RaymondRequestMessage) -> List[Envelope]:
+        self._request_q.append((msg.sender, msg.trace))
         if self.obs is not None:
             self.obs.queue_depth(
                 self._node_id, self._lock_id, len(self._request_q)
             )
-        if head == SELF:
-            self._using = True
-            if self.obs is not None:
-                self.obs.phase(
-                    self._node_id,
-                    self._lock_id,
-                    (self._lock_id, self._node_id),
-                    GRANTED,
-                )
-            ctx, self._ctx = self._ctx, None
-            self._listener(self._lock_id, ctx)
-            return []
-        self._holder = head
-        self._asked = False
-        return [
-            Envelope(
-                head,
-                RaymondPrivilegeMessage(
-                    lock_id=self._lock_id,
-                    sender=self._node_id,
-                    trace=head_trace,
-                ),
-            )
-        ]
+        return self._serve("handle")
 
-    def _make_request(self) -> List[Envelope]:
-        if self._holder is None or self._asked or not self._request_q:
-            return []
-        self._asked = True
-        return [
-            Envelope(
-                self._holder,
-                RaymondRequestMessage(
-                    lock_id=self._lock_id,
-                    sender=self._node_id,
-                    trace=self._request_q[0][1],
-                ),
+    @handles(RaymondPrivilegeMessage)
+    def _handle_privilege(self, msg: RaymondPrivilegeMessage) -> List[Envelope]:
+        if self._holder is None:
+            raise ProtocolError(
+                f"node {self._node_id} received a privilege it holds"
             )
-        ]
+        self._holder = None
+        self._asked = False  # 'asked' is only meaningful toward a holder
+        return self._serve("handle")
+
+    def _serve(self, kind: str) -> List[Envelope]:
+        """The two classic procedures, which every event runs back to back.
+
+        ASSIGN_PRIVILEGE hands an idle privilege to the queue head (this
+        node's application, or a neighbour); MAKE_REQUEST then asks the
+        holder for it once if anyone is still waiting here.
+        """
+
+        out: List[Envelope] = []
+        if self._holder is None and not self._using and self._request_q:
+            head, head_trace = self._request_q.popleft()
+            if self.obs is not None:
+                self.obs.queue_depth(
+                    self._node_id, self._lock_id, len(self._request_q)
+                )
+            if head == SELF:
+                self._using = True
+                if self.obs is not None:
+                    self.obs.phase(
+                        self._node_id,
+                        self._lock_id,
+                        (self._lock_id, self._node_id),
+                        GRANTED,
+                    )
+                ctx, self._ctx = self._ctx, None
+                self._listener(self._lock_id, ctx)
+            else:
+                self._holder = head
+                self._asked = False
+                out.append(
+                    Envelope(
+                        head,
+                        RaymondPrivilegeMessage(
+                            lock_id=self._lock_id,
+                            sender=self._node_id,
+                            trace=head_trace,
+                        ),
+                    )
+                )
+        if self._holder is not None and not self._asked and self._request_q:
+            self._asked = True
+            out.append(
+                Envelope(
+                    self._holder,
+                    RaymondRequestMessage(
+                        lock_id=self._lock_id,
+                        sender=self._node_id,
+                        trace=self._request_q[0][1],
+                    ),
+                )
+            )
+        self._persist(kind)
+        return out
 
     # ------------------------------------------------------------------
     # God-view membership splices (see repro.sim.cluster).
     # ------------------------------------------------------------------
 
+    @recorded(holder=OPT_NODE)
     def splice_holder(self, holder: Optional[NodeId]) -> None:
         """Re-point the privilege direction after a topology splice.
 
@@ -346,72 +301,6 @@ class RaymondAutomaton:
         self._holder = holder
         self._asked = False
         self._persist("splice")
-
-    # ------------------------------------------------------------------
-    # Durability (see repro.persist).
-    # ------------------------------------------------------------------
-
-    def persisted_state(self) -> dict:
-        """Full JSON-safe state for the durability journal.
-
-        Queue entries are the SELF sentinel or a neighbour id; trace
-        contexts are not persisted (a restored process has a fresh
-        tracer) and restore as ``None``.
-        """
-
-        return {
-            "snapshot": self.snapshot().to_payload(),
-            "holder": self._holder,
-            "asked": self._asked,
-            "using": self._using,
-            "queue": [entry for entry, _trace in self._request_q],
-            "fence_floor": self._fence_floor,
-        }
-
-    def adopt_persisted(self, state: dict) -> None:
-        """Replace this automaton's state with a persisted payload."""
-
-        self._flight_op("adopt_persisted", state=state)
-        holder = state.get("holder")
-        self._holder = None if holder is None else int(holder)
-        self._asked = bool(state.get("asked", False))
-        self._using = bool(state.get("using", False))
-        self._request_q = deque(
-            (SELF if entry == SELF else int(entry), None)
-            for entry in state.get("queue", ())
-        )
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._ctx = None
-
-    def flight_state(self) -> dict:
-        """Exact JSON-safe state for flight-recorder checkpoints.
-
-        Queue entries reduce to the SELF sentinel or the neighbour id;
-        trace contexts never feed back into protocol state and restore
-        as ``None``.
-        """
-
-        return {
-            "holder": self._holder,
-            "asked": self._asked,
-            "using": self._using,
-            "queue": [entry for entry, _trace in self._request_q],
-            "fence_floor": self._fence_floor,
-        }
-
-    def restore_flight_state(self, state: dict) -> None:
-        """Exact inverse of :meth:`flight_state` (replay only)."""
-
-        holder = state.get("holder")
-        self._holder = None if holder is None else int(holder)
-        self._asked = bool(state.get("asked", False))
-        self._using = bool(state.get("using", False))
-        self._request_q = deque(
-            (SELF if entry == SELF else int(entry), None)
-            for entry in state.get("queue", ())
-        )
-        self._fence_floor = int(state.get("fence_floor", 0))
-        self._ctx = None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,91 +2,31 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
-
-from ..core.messages import Envelope, LockId, NodeId
+from ..core.contract import AutomatonSpace, noop_listener
+from ..core.messages import LockId, NodeId
 from ..errors import ConfigurationError
-from .automaton import RaymondAutomaton, RaymondGrantListener, _noop_listener
-from .messages import RaymondMessage
+from .automaton import RaymondAutomaton, RaymondGrantListener
 from .topology import Topology
 
 
-class RaymondLockSpace:
+class RaymondLockSpace(AutomatonSpace):
     """All Raymond automata hosted by one node (one shared topology)."""
 
     def __init__(
         self,
         node_id: NodeId,
         topology: Topology,
-        listener: RaymondGrantListener = _noop_listener,
+        listener: RaymondGrantListener = noop_listener,
     ) -> None:
         if node_id not in topology:
             raise ConfigurationError(f"node {node_id} missing from topology")
-        self._node_id = node_id
+        super().__init__(node_id, listener)
         self._topology = topology
-        self._listener = listener
-        self._automata: Dict[LockId, RaymondAutomaton] = {}
-        #: Optional observability sink propagated to every automaton this
-        #: space creates (set before first use; None = zero-cost no-op).
-        self.obs = None
-        #: Optional flight recorder, propagated the same way (see
-        #: :class:`repro.obs.flightrec.FlightRecorder`).
-        self.flightrec = None
 
-    @property
-    def node_id(self) -> NodeId:
-        """This node's identity."""
-
-        return self._node_id
-
-    def automaton(self, lock_id: LockId) -> RaymondAutomaton:
-        """Return (creating on first use) the automaton for *lock_id*."""
-
-        existing = self._automata.get(lock_id)
-        if existing is not None:
-            return existing
-        automaton = RaymondAutomaton(
+    def _new_automaton(self, lock_id: LockId) -> RaymondAutomaton:
+        return RaymondAutomaton(
             node_id=self._node_id,
             lock_id=lock_id,
             holder=self._topology[self._node_id],
             listener=self._listener,
         )
-        automaton.obs = self.obs
-        automaton.flightrec = self.flightrec
-        if self.flightrec is not None:
-            self.flightrec.record_birth(
-                lock_id, {"holder": automaton.holder}
-            )
-        self._automata[lock_id] = automaton
-        return automaton
-
-    def request(self, lock_id: LockId, ctx: object = None) -> List[Envelope]:
-        """Request *lock_id*; the grant arrives via the listener."""
-
-        return self.automaton(lock_id).request(ctx)
-
-    def release(self, lock_id: LockId) -> List[Envelope]:
-        """Release *lock_id* (must be inside its critical section)."""
-
-        return self.automaton(lock_id).release()
-
-    def handle(self, message: RaymondMessage) -> List[Envelope]:
-        """Route an incoming message to the automaton it concerns."""
-
-        return self.automaton(message.lock_id).handle(message)
-
-    def flight_state(self):
-        """Whole-node state for flight-recorder checkpoints (pure read)."""
-
-        return {
-            "clock": 0,
-            "locks": [
-                [lock_id, self._automata[lock_id].flight_state()]
-                for lock_id in sorted(self._automata, key=str)
-            ],
-        }
-
-    def automata(self) -> Iterable[RaymondAutomaton]:
-        """Iterate over every instantiated automaton (for monitors)."""
-
-        return self._automata.values()

@@ -7,21 +7,13 @@ privilege holder along static tree edges, and the privilege (token).
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
 
-from ..core.messages import LockId, NodeId, TraceContext
+from ..core.messages import Message
 
 
 @dataclasses.dataclass(frozen=True)
-class RaymondMessage:
+class RaymondMessage(Message):
     """Base class for Raymond protocol messages."""
-
-    lock_id: LockId
-    sender: NodeId
-    #: Optional causal-tracing context (see repro.core.messages).
-    trace: Optional[TraceContext] = dataclasses.field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
@@ -142,6 +142,13 @@ class _BaseCluster:
             if automaton.lock_id == lock_id:
                 return automaton
         return None
+
+    def _touched_locks(self, nodes) -> List[LockId]:
+        """Every lock id any of *nodes* has touched, in splice order."""
+
+        return sorted(
+            {lock for node in nodes for lock in self.lockspaces[node].lock_ids}
+        )
 
     def _pin_home(
         self, lock_id: LockId, leaver: NodeId, replacement: NodeId
@@ -426,14 +433,7 @@ class SimHierarchicalCluster(_BaseCluster):
                     f"{automaton.lock_id!r}; drain before removal"
                 )
         fallback = self._pick_successor(node_id, successor)
-        lock_ids = sorted(
-            {
-                lock_id
-                for member in self.members
-                for lock_id in self.lockspaces[member].lock_ids
-            }
-        )
-        for lock_id in lock_ids:
+        for lock_id in self._touched_locks(self.members):
             leaver = self._existing(node_id, lock_id)
             if leaver is not None and leaver.has_token:
                 kids = {
@@ -490,10 +490,7 @@ class SimHierarchicalCluster(_BaseCluster):
         actual owned mode.
         """
 
-        lock_ids = set()
-        for lockspace in self.lockspaces.values():
-            lock_ids.update(lockspace.lock_ids)
-        for lock_id in sorted(lock_ids):
+        for lock_id in self._touched_locks(self.lockspaces):
             automata = {
                 node_id: space.automaton(lock_id)
                 for node_id, space in self.lockspaces.items()
@@ -584,22 +581,12 @@ class _ExclusiveCluster(_BaseCluster):
                     f"node {node_id} is still active on "
                     f"{automaton.lock_id!r}; drain before removal"
                 )
-        return sorted(
-            {
-                automaton.lock_id
-                for member in self.members
-                for automaton in self.lockspaces[member].automata()
-            },
-            key=str,
-        )
+        return self._touched_locks(self.members)
 
     def assert_quiescent_invariants(self) -> None:
         """Verify single-token / idle structure after the network drains."""
 
-        lock_ids = set()
-        for lockspace in self.lockspaces.values():
-            lock_ids.update(a.lock_id for a in lockspace.automata())
-        for lock_id in sorted(lock_ids):
+        for lock_id in self._touched_locks(self.lockspaces):
             automata = {
                 node_id: space.automaton(lock_id)
                 for node_id, space in self.lockspaces.items()

@@ -163,6 +163,41 @@ class TestCustodyHandshake:
         assert believers[0] != 0
 
 
+    def test_undecodable_record_is_counted_not_fatal(self):
+        """A WAL record lacking a mandatory state key (here: the record
+        shape of before the single state codec) must not be defaulted
+        into a tokenless idle automaton, nor crash the restart: its lock
+        is counted in the rejoin report and rejoins blank."""
+
+        cluster = self._cluster()
+        sim = cluster.sim
+
+        def body():
+            yield cluster.client(0).acquire("lock-a", LockMode.W)
+            yield cluster.client(0).acquire("lock-b", LockMode.W)
+            yield Timeout(sim, 1.0)
+
+        Process(sim, body())
+        sim.run(until=2.0)
+        cluster.crash(0)
+        cluster.persistence.store_for(0).append(
+            {
+                "v": 1,
+                "lock": "lock-b",
+                "kind": "hold-granted",
+                "state": {"snapshot": {"token": True}, "attach_seq": 0},
+            }
+        )
+        sim.run(until=2.4)
+        cluster.restart(0)
+        report = cluster.managers[0].rejoin_report
+        assert report["snapshot_mismatches"] == 1
+        assert report["locks_restored"] == 1
+        assert report["custody"] == ["lock-a"]
+        sim.run(until=8.0)
+        assert cluster.lockspaces[0].automaton("lock-a").has_token
+
+
 class TestDurabilityOffIdentity:
     def test_fault_free_runs_are_bit_identical(self):
         """With durability off nothing on the hot path may drift: two

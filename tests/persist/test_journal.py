@@ -1,13 +1,15 @@
 """Journal recovery semantics on live protocol state.
 
-Cross-checks the two durability layers against each other and against
-the observability layer: what ``recover_node_state`` reconstructs must
-match what a live automaton reports via ``snapshot()``, through
-compaction, file damage and repeated crashes.
+What ``recover_node_state`` reconstructs must be the live automaton's
+own state encoding — and decode back into an automaton reporting the
+same ``snapshot()`` — through compaction, file damage and repeated
+crashes.
 """
 
 from __future__ import annotations
 
+from repro.core.automaton import HierarchicalLockAutomaton
+from repro.core.clock import LamportClock
 from repro.core.modes import LockMode
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
@@ -32,6 +34,16 @@ FAST_SIM = RecoveryConfig(
     orphan_interval=0.25,
     regen_settle=0.6,
 )
+
+
+def _audit_view(lock_id, payload):
+    """The seq-free ``snapshot()`` a recovered *payload* decodes to."""
+
+    automaton = HierarchicalLockAutomaton.from_birth(
+        0, lock_id, HierarchicalLockAutomaton.BLANK, None, LamportClock()
+    )
+    automaton.restore_flight_state(payload)
+    return automaton.snapshot().to_payload()
 
 
 def _run_workload(persistence, until: float = 10.0):
@@ -66,8 +78,8 @@ def _run_workload(persistence, until: float = 10.0):
 
 class TestReplayEquivalence:
     def test_recovered_state_matches_live_snapshot(self):
-        """Snapshot + WAL replay reconstructs exactly what the live
-        automaton's ``snapshot()`` reports (the layers cross-check)."""
+        """Snapshot + WAL replay reconstructs exactly the live
+        automaton's state encoding, and decodes to its ``snapshot()``."""
 
         persistence = MemoryPersistence()
         cluster = _run_workload(persistence)
@@ -82,9 +94,12 @@ class TestReplayEquivalence:
             # Every journaled lock the node still knows must agree.
             for lock_id, payload in state.items():
                 assert lock_id in live
-                assert payload["snapshot"] == (
+                assert payload == live[lock_id].persisted_state(), (
+                    f"node {node} lock {lock_id} diverged"
+                )
+                assert _audit_view(lock_id, payload) == (
                     live[lock_id].snapshot().to_payload()
-                ), f"node {node} lock {lock_id} diverged"
+                )
             assert report["records_malformed"] == 0
             assert report["corrupt_skipped"] == 0
             assert report["torn_bytes"] == 0
@@ -120,10 +135,10 @@ class TestReplayEquivalence:
                 disk_state.pop(SESSIONS_JOURNAL_KEY, None)
             )
             assert {
-                lock: payload["snapshot"]
+                lock: _audit_view(lock, payload)
                 for lock, payload in mem_state.items()
             } == {
-                lock: payload["snapshot"]
+                lock: _audit_view(lock, payload)
                 for lock, payload in disk_state.items()
             }
 
@@ -196,4 +211,4 @@ class TestDoubleCrash:
         # snapshot carries lock state only.
         before.pop(SESSIONS_JOURNAL_KEY, None)
         for lock_id, payload in before.items():
-            assert after[lock_id]["snapshot"] == payload["snapshot"]
+            assert after[lock_id] == payload
