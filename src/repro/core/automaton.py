@@ -426,24 +426,28 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def held_mode(self) -> LockMode:
         """Strongest mode currently held locally (``M_H``)."""
 
-        return max_mode(mode for mode, count in self._held.items() if count > 0)
+        best = LockMode.NONE
+        for mode, count in self._held.items():
+            if count > 0 and mode.strength > best.strength:
+                best = mode
+        return best
 
     def owned_mode(self) -> LockMode:
         """Owned mode ``M_O`` (Definition 3): strongest held in the subtree.
 
-        Computed from local knowledge only — the node's own holds plus the
-        recorded owned modes of its copyset children.
+        Computed from local knowledge only — the node's own holds, then
+        the recorded owned modes of its copyset children.  Where ``U``
+        and ``IW`` tie the first met wins (:func:`max_mode`'s order: it
+        decides which release is sent upward).
         """
 
-        candidates = [m for m, count in self._held.items() if count > 0]
-        candidates.extend(self._children.values())
-        return max_mode(candidates)
+        return max_mode(self._children.values(), self.held_mode())
 
     def is_idle(self) -> bool:
         """True iff this automaton holds nothing and has no activity."""
 
         return (
-            not self.held_modes
+            not any(self._held.values())
             and not self._children
             and not self._queue
             and self._pending is None
@@ -873,8 +877,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._pending = None
             self._ctx = None
             self._held[pending.mode] = self._held.get(pending.mode, 0) + 1
+            # Origins first: they differ for every entry but a duplicate of
+            # our own request, and ``RequestId.__eq__`` is a Python frame.
+            answered_id = pending.request_id
             merged += [
-                q for q in msg.queue if q.request_id != pending.request_id
+                q
+                for q in msg.queue
+                if q.request_id.origin != answered_id.origin
+                or q.request_id != answered_id
             ]
         else:
             merged += msg.queue
@@ -1092,12 +1102,16 @@ class HierarchicalLockAutomaton(LockAutomaton):
     # ------------------------------------------------------------------
 
     def _queue_sort_key(self, msg: RequestMessage):
-        """Service order: upgrades first; then priority; then FIFO."""
+        """Service order: upgrades first; then priority; then FIFO
+        (``RequestId.sort_key()``, flattened: one frame per entry)."""
 
+        request_id = msg.request_id
         return (
             0 if msg.upgrade else 1,
             -msg.priority if self._options.priority_scheduling else 0,
-            msg.request_id.sort_key(),
+            request_id.timestamp,
+            request_id.origin,
+            request_id.serial,
         )
 
     def _enqueue(self, msg: RequestMessage) -> None:
@@ -1239,12 +1253,15 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         if not self._has_token or self._grants_blocked():
             return []
-        frozen: set = set()
-        if self._options.freezing:
+        new: FrozenSet[LockMode] = frozenset()
+        if self._options.freezing and self._queue:
+            # Table 2(b) depends on each request's mode only, so a census
+            # of the distinct queued modes (at most five) stands for the
+            # whole queue.
             owned = self.owned_mode()
-            for msg in self._queue:
-                frozen.update(freeze_set(owned, msg.mode))
-        new = frozenset(frozen)
+            new = new.union(
+                *[freeze_set(owned, mode) for mode in {q.mode for q in self._queue}]
+            )
         if new == self._frozen:
             return []
         old = self._frozen

@@ -13,16 +13,16 @@ Section 3.1, together with all four rule tables:
   incompatible request (Rule 6 / Section 3.3).
 
 The tables are *derived* from the compatibility matrix and the strength
-order rather than hard-coded, mirroring how the paper presents them as
-consequences of Rules 1-6.  ``tests/core/test_modes.py`` pins the derived
-values against every legible cell and worked example in the paper, so a
-regression in the derivation is caught immediately.
+order, mirroring how the paper presents them as consequences of
+Rules 1-6 — derived once at import, pinned cell by cell in
+``tests/core/test_modes.py``.  Every public predicate below is one
+indexed lookup, ``table[left.code][right.code]``.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Iterable, List, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Tuple
 
 
 class LockMode(enum.Enum):
@@ -32,14 +32,36 @@ class LockMode(enum.Enum):
     nor owns the lock.  The remaining modes follow the OMG Concurrency
     Service specification: intention read, read, upgrade, intention write
     and write.
+
+    Beside its ``value`` (the spelling on the wire, in the WAL and in
+    flight dumps) each member carries ``code``, its row and column in
+    every rule table of this module, and ``strength`` per Eq. (1):
+    ``∅ < IR < R < U = IW < W`` — a higher strength constrains
+    concurrency more, and ``U`` and ``IW`` share a level.
     """
 
-    NONE = "NL"
-    IR = "IR"
-    R = "R"
-    U = "U"
-    IW = "IW"
-    W = "W"
+    NONE = "NL", 0
+    IR = "IR", 1
+    R = "R", 2
+    U = "U", 3
+    IW = "IW", 3
+    W = "W", 4
+
+    code: int
+    strength: int
+
+    def __new__(cls, value: str, strength: int) -> "LockMode":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.code = len(cls.__members__)
+        member.strength = strength
+        return member
+
+    # Members are singletons, so the C-level identity hash is exact, and
+    # it keeps a Python frame (``Enum.__hash__``) out of every set and
+    # dict operation on modes.  Set order is address-dependent: sort
+    # before iterating where order can be observed.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"LockMode.{self.name}"
@@ -57,58 +79,58 @@ REAL_MODES: Tuple[LockMode, ...] = (
     LockMode.W,
 )
 
-#: All modes including the empty mode, in strength order (ties broken by
-#: table order for U/IW which share a strength level).
+#: All modes including the empty mode, in ``code`` order: strength order,
+#: ties broken by table order for U/IW which share a strength level.
 ALL_MODES: Tuple[LockMode, ...] = (LockMode.NONE,) + REAL_MODES
+
+
+def _table(cell: Callable[[LockMode, LockMode], object]) -> Tuple[tuple, ...]:
+    """Evaluate *cell* on every ordered mode pair — once, at import.
+
+    The result is indexed ``[left.code][right.code]``.
+    """
+
+    return tuple(
+        tuple(cell(left, right) for right in ALL_MODES) for left in ALL_MODES
+    )
 
 
 # ---------------------------------------------------------------------------
 # Strength order (Eq. 1):   ∅ < IR < R < U = IW < W
 # ---------------------------------------------------------------------------
 
-_STRENGTH: Dict[LockMode, int] = {
-    LockMode.NONE: 0,
-    LockMode.IR: 1,
-    LockMode.R: 2,
-    LockMode.U: 3,
-    LockMode.IW: 3,
-    LockMode.W: 4,
-}
-
 
 def strength(mode: LockMode) -> int:
-    """Return the numeric strength of *mode* per the paper's Eq. (1).
+    """Return the numeric strength of *mode* per the paper's Eq. (1)."""
 
-    A higher strength constrains concurrency more.  ``U`` and ``IW`` share
-    a strength level (``U = IW`` in the paper).
-    """
+    return mode.strength
 
-    return _STRENGTH[mode]
+
+_STRONGER_OR_EQUAL = _table(lambda left, right: left.strength >= right.strength)
 
 
 def stronger_or_equal(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff ``left >= right`` in the strength order."""
 
-    return _STRENGTH[left] >= _STRENGTH[right]
+    return _STRONGER_OR_EQUAL[left.code][right.code]
 
 
 def strictly_weaker(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff ``left < right`` in the strength order."""
 
-    return _STRENGTH[left] < _STRENGTH[right]
+    return not _STRONGER_OR_EQUAL[left.code][right.code]
 
 
-def max_mode(modes: Iterable[LockMode]) -> LockMode:
-    """Return the strongest mode in *modes* (``NONE`` if empty).
+def max_mode(modes: Iterable[LockMode], best: LockMode = LockMode.NONE) -> LockMode:
+    """Return the strongest of *best* and the modes in *modes*.
 
     Where ``U`` and ``IW`` tie, the one encountered first wins; the
     protocol never produces a tree containing both simultaneously because
     they conflict (Table 1a), so the tie-break is unobservable in practice.
     """
 
-    best = LockMode.NONE
     for mode in modes:
-        if _STRENGTH[mode] > _STRENGTH[best]:
+        if mode.strength > best.strength:
             best = mode
     return best
 
@@ -131,34 +153,42 @@ _CONFLICTS: Dict[LockMode, FrozenSet[LockMode]] = {
     ),
 }
 
+_COMPATIBLE = _table(lambda left, right: right not in _CONFLICTS[left])
+
 
 def compatible(left: LockMode, right: LockMode) -> bool:
     """Rule 1: modes are compatible iff they do not conflict (Table 1a)."""
 
-    return right not in _CONFLICTS[left]
+    return _COMPATIBLE[left.code][right.code]
 
 
 def conflicts(left: LockMode, right: LockMode) -> bool:
     """Return ``True`` iff the two modes conflict per Table 1(a)."""
 
-    return right in _CONFLICTS[left]
+    return not _COMPATIBLE[left.code][right.code]
 
 
 def compatible_modes(mode: LockMode) -> FrozenSet[LockMode]:
     """Return the set of real modes compatible with *mode*."""
 
-    return frozenset(m for m in REAL_MODES if compatible(mode, m))
+    return frozenset(REAL_MODES) - _CONFLICTS[mode]
 
 
 def conflicting_modes(mode: LockMode) -> FrozenSet[LockMode]:
     """Return the set of real modes conflicting with *mode*."""
 
-    return _CONFLICTS[mode] & frozenset(REAL_MODES)
+    return _CONFLICTS[mode]
 
 
 # ---------------------------------------------------------------------------
 # Table 1(b) — grants by non-token nodes (Rule 3.1).
 # ---------------------------------------------------------------------------
+
+_CHILD_CAN_GRANT = _table(
+    lambda owned, requested: LockMode.NONE not in (owned, requested)
+    and compatible(owned, requested)
+    and stronger_or_equal(owned, requested)
+)
 
 
 def child_can_grant(owned: LockMode, requested: LockMode) -> bool:
@@ -171,17 +201,25 @@ def child_can_grant(owned: LockMode, requested: LockMode) -> bool:
     with a stronger mode is compatible with all weaker ones below it.
     """
 
-    if owned is LockMode.NONE or requested is LockMode.NONE:
-        return False
-    return compatible(owned, requested) and stronger_or_equal(owned, requested)
+    return _CHILD_CAN_GRANT[owned.code][requested.code]
+
+
+_TOKEN_CAN_GRANT = _table(
+    lambda owned, requested: requested is not LockMode.NONE
+    and compatible(owned, requested)
+)
 
 
 def token_can_grant(owned: LockMode, requested: LockMode) -> bool:
     """Rule 3.2: the token node grants iff the modes are compatible."""
 
-    if requested is LockMode.NONE:
-        return False
-    return compatible(owned, requested)
+    return _TOKEN_CAN_GRANT[owned.code][requested.code]
+
+
+_TOKEN_TRANSFER_REQUIRED = _table(
+    lambda owned, requested: token_can_grant(owned, requested)
+    and strictly_weaker(owned, requested)
+)
 
 
 def token_transfer_required(owned: LockMode, requested: LockMode) -> bool:
@@ -192,7 +230,7 @@ def token_transfer_required(owned: LockMode, requested: LockMode) -> bool:
     granted copy and becomes a child.
     """
 
-    return token_can_grant(owned, requested) and strictly_weaker(owned, requested)
+    return _TOKEN_TRANSFER_REQUIRED[owned.code][requested.code]
 
 
 def always_transfers_token(requested: LockMode) -> bool:
@@ -204,15 +242,18 @@ def always_transfers_token(requested: LockMode) -> bool:
     all-queue rows of Table 2(a).
     """
 
-    if requested in (LockMode.U, LockMode.W):
-        return True
-    return False
+    return requested in (LockMode.U, LockMode.W)
 
 
 # ---------------------------------------------------------------------------
 # Table 2(a) — queue vs forward at a non-token node with a pending request
 # (Rule 4.1).
 # ---------------------------------------------------------------------------
+
+_SHOULD_QUEUE = _table(
+    lambda pending, requested: pending is not LockMode.NONE
+    and (always_transfers_token(pending) or child_can_grant(pending, requested))
+)
 
 
 def should_queue(pending: LockMode, requested: LockMode) -> bool:
@@ -233,16 +274,20 @@ def should_queue(pending: LockMode, requested: LockMode) -> bool:
     forwarded toward the token instead.
     """
 
-    if pending is LockMode.NONE:
-        return False
-    if always_transfers_token(pending):
-        return True
-    return child_can_grant(pending, requested)
+    return _SHOULD_QUEUE[pending.code][requested.code]
 
 
 # ---------------------------------------------------------------------------
 # Table 2(b) — frozen modes at the token node (Section 3.3).
 # ---------------------------------------------------------------------------
+
+_FREEZE_SET = _table(
+    lambda owned, requested: frozenset(
+        m
+        for m in REAL_MODES
+        if conflicts(m, requested) and compatible(m, owned)
+    )
+)
 
 
 def freeze_set(owned: LockMode, requested: LockMode) -> FrozenSet[LockMode]:
@@ -259,11 +304,7 @@ def freeze_set(owned: LockMode, requested: LockMode) -> FrozenSet[LockMode]:
     the frozen set is ``{IW}``.
     """
 
-    return frozenset(
-        m
-        for m in REAL_MODES
-        if conflicts(m, requested) and compatible(m, owned)
-    )
+    return _FREEZE_SET[owned.code][requested.code]
 
 
 def intention_mode(mode: LockMode) -> LockMode:
@@ -342,8 +383,7 @@ def render_table_2b() -> str:
         frozen = freeze_set(m1, m2)
         if not frozen:
             return "(none)"
-        ordered = [m for m in REAL_MODES if m in frozen]
-        return ",".join(str(m) for m in ordered)
+        return ",".join(str(m) for m in sorted(frozen, key=lambda m: m.code))
 
     width = 14
     lines = ["Table 2(b) - Frozen modes at token (owned x requested)"]

@@ -1,12 +1,16 @@
 """Tests for the mode algebra and the paper's rule tables.
 
-Every legible cell and worked example in the paper text is pinned here;
-the rest of the tables follow from the derivations argued in DESIGN.md §3.
+Every legible cell and worked example in the paper text is pinned here,
+and :class:`TestTableKernel` checks all 36 cells of every table the
+module fills at import against an oracle spelled out in this file.
 """
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -36,9 +40,114 @@ from repro.core.modes import (
     token_transfer_required,
     always_transfers_token,
 )
+from repro.experiments.tables import render_all
 
 MODES = st.sampled_from(REAL_MODES)
 ALL = st.sampled_from(ALL_MODES)
+
+
+class TestTableKernel:
+    """All 36 cells of each import-time table, against a written-out oracle.
+
+    The oracle is the OMG Concurrency Service conflict matrix and the
+    Eq. (1) strengths as literals, plus Rules 3-6 applied to them cell by
+    cell — the derivations ``repro.core.modes`` now runs only once.
+    """
+
+    NL, IR, R, U, IW, W = ALL_MODES
+    CONFLICT = {  # row conflicts with every listed column
+        NL: (),
+        IR: (W,),
+        R: (IW, W),
+        U: (U, IW, W),
+        IW: (R, U, W),
+        W: (IR, R, U, IW, W),
+    }
+    STRENGTH = {NL: 0, IR: 1, R: 2, U: 3, IW: 3, W: 4}
+
+    @classmethod
+    def oracle(cls, name, left, right):
+        compat = right not in cls.CONFLICT[left]
+        at_least = cls.STRENGTH[left] >= cls.STRENGTH[right]
+        child = (
+            left is not cls.NL and right is not cls.NL and compat and at_least
+        )
+        return {
+            "compatible": compat,
+            "conflicts": not compat,
+            "stronger_or_equal": at_least,
+            "strictly_weaker": not at_least,
+            "child_can_grant": child,
+            "token_can_grant": right is not cls.NL and compat,
+            "token_transfer_required": (
+                right is not cls.NL and compat and not at_least
+            ),
+            "should_queue": left in (cls.U, cls.W)
+            or (left is not cls.NL and child),
+            "freeze_set": frozenset(
+                m
+                for m in REAL_MODES
+                if right in cls.CONFLICT[m] and left not in cls.CONFLICT[m]
+            ),
+        }[name]
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            compatible,
+            conflicts,
+            stronger_or_equal,
+            strictly_weaker,
+            child_can_grant,
+            token_can_grant,
+            token_transfer_required,
+            should_queue,
+            freeze_set,
+        ],
+        ids=lambda table: table.__name__,
+    )
+    def test_every_cell(self, table):
+        for left, right in itertools.product(ALL_MODES, repeat=2):
+            expected = self.oracle(table.__name__, left, right)
+            got = table(left, right)
+            assert got == expected and type(got) is type(expected), (
+                f"{table.__name__}({left}, {right}) = {got!r}, "
+                f"oracle says {expected!r}"
+            )
+
+    def test_strength_and_codes(self):
+        assert [mode.code for mode in ALL_MODES] == [0, 1, 2, 3, 4, 5]
+        for mode in ALL_MODES:
+            assert strength(mode) == mode.strength == self.STRENGTH[mode]
+
+    def test_freeze_set_allocates_nothing(self):
+        for owned, requested in itertools.product(ALL_MODES, repeat=2):
+            assert freeze_set(owned, requested) is freeze_set(owned, requested)
+
+    def test_members_stay_value_addressed_singletons(self):
+        assert [mode.value for mode in ALL_MODES] == [
+            "NL", "IR", "R", "U", "IW", "W",
+        ]
+        for mode in ALL_MODES:
+            assert LockMode(mode.value) is mode
+            assert str(mode) == mode.value
+            for clone in (
+                pickle.loads(pickle.dumps(mode)),
+                copy.copy(mode),
+                copy.deepcopy(mode),
+                copy.deepcopy({mode: [mode]}).popitem()[1][0],
+            ):
+                assert clone is mode and hash(clone) == hash(mode)
+        assert len({*ALL_MODES}) == 6
+
+    def test_rendered_tables_unchanged(self):
+        """``python -m repro tables`` prints these, byte for byte."""
+
+        digest = hashlib.sha256(render_all().encode()).hexdigest()
+        assert digest == (
+            "3f596cfffc0eb985019906cb8660a50b"
+            "8b15c6ba1d0c4faf0f4ce74f55960607"
+        )
 
 
 class TestStrengthOrder:
