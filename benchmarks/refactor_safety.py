@@ -1,0 +1,170 @@
+"""Prove a change under ``src/`` behaviour-preserving against another tree.
+
+Seeded runs are bit-identical and chaos verdicts deterministic, so two
+trees that behave alike print the same bytes.  This runs, in each tree,
+the 48 nightly chaos verdicts (``.github/workflows/nightly-chaos.yml``)
+and the two ``token-crash --flight-dir`` dumps, then byte-compares them.
+On a difference it names every differing output, prints a unified diff
+of the first, and exits 1.
+
+Usage, from the root of the tree under test (≈ 30 s for both trees)::
+
+    git clone -q . /root/scratch/parent          # or any other checkout
+    python benchmarks/refactor_safety.py /root/scratch/parent
+
+Each tree gets one subprocess, which imports *that* tree's ``repro`` and
+forks once per verdict: the global serial counter and every other piece
+of process state start equal for every run, so a verdict that a change
+legitimately moves cannot shift the ones after it.  Verdict JSON holds
+no wall-clock or temp-path field; the process exit code is part of the
+comparison (token-crash seeds exit 1).  ``--emit DIR`` is that per-tree
+half on its own (``PYTHONPATH=<tree>/src``), for keeping the outputs of
+a change that *does* move verdicts and quoting them old → new.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import difflib
+import filecmp
+import io
+import os
+import subprocess
+import sys
+import tempfile
+from typing import List, Tuple
+
+PLANS = (
+    "none", "smoke", "drop1", "dup1", "jitter", "partition", "token-crash",
+    "minority-partition", "rolling-join", "graceful-drain", "kill-and-replace",
+)
+CHURN_PLANS = ("rolling-join", "graceful-drain", "kill-and-replace")
+SEEDS = (0, 1, 2)
+
+
+def verdict_runs() -> List[Tuple[str, List[str]]]:
+    """``(name, chaos argv)`` of the 48 nightly verdicts, then the two
+    flight-dump runs (only their dumps are kept: the verdict names the
+    dump's path, and is otherwise one of the 48)."""
+
+    runs = []
+    for seed in SEEDS:
+        for plan in PLANS:
+            runs.append((f"{plan}-seed{seed}", ["--plan", plan]))
+        for plan in CHURN_PLANS:
+            runs.append(
+                (f"{plan}-durable-seed{seed}", ["--plan", plan, "--durable"])
+            )
+        runs.append(
+            (f"token-crash-durable-seed{seed}",
+             ["--plan", "token-crash", "--durable"])
+        )
+        runs.append(
+            (f"token-crash-reclaim-seed{seed}",
+             ["--plan", "token-crash", "--durable", "--reclaim"])
+        )
+    runs = [
+        (name, argv + ["--seed", name.rsplit("seed", 1)[1]])
+        for name, argv in runs
+    ]
+    for seed in (0, 1):
+        runs.append(
+            (f"flight-token-crash-seed{seed}",
+             ["--plan", "token-crash", "--seed", str(seed),
+              "--flight-dir", "{out}"])
+        )
+    return runs
+
+
+def emit(out: str) -> None:
+    """Write every verdict of the ``repro`` on ``sys.path`` into *out*."""
+
+    from repro.__main__ import main
+
+    os.makedirs(out, exist_ok=True)
+    for name, argv in verdict_runs():
+        argv = ["chaos", "--json"] + [a.format(out=out) for a in argv]
+        pid = os.fork()
+        if pid == 0:
+            stream = io.StringIO()
+            with contextlib.redirect_stdout(stream):
+                code = main(argv)
+            if "--flight-dir" not in argv:
+                with open(os.path.join(out, name + ".json"), "w") as handle:
+                    handle.write(stream.getvalue())
+                    handle.write(f"exit {code}\n")
+            os._exit(0)
+        _pid, status = os.waitpid(pid, 0)
+        if status != 0:
+            sys.exit(f"{name}: the verdict process died (status {status})")
+
+
+def compare(here: str, other: str) -> int:
+    """Emit both trees side by side, then byte-compare; 0 iff identical."""
+
+    with tempfile.TemporaryDirectory(prefix="refactor-safety-") as scratch:
+        procs = []
+        for label, tree in (("here", here), ("other", other)):
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, os.path.abspath(__file__), "--emit",
+                     os.path.join(scratch, label)],
+                    env=env,
+                    cwd=tree,
+                )
+            )
+        if any(proc.wait() != 0 for proc in procs):
+            print("a tree failed to produce its verdicts")
+            return 2
+        a, b = (os.path.join(scratch, label) for label in ("other", "here"))
+        names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
+        differing = [
+            name
+            for name in names
+            if not (
+                os.path.exists(os.path.join(a, name))
+                and os.path.exists(os.path.join(b, name))
+                and filecmp.cmp(
+                    os.path.join(a, name), os.path.join(b, name),
+                    shallow=False,
+                )
+            )
+        ]
+        if not differing:
+            print(f"{len(names)} outputs byte-identical")
+            return 0
+        print(f"{len(differing)} of {len(names)} outputs differ:")
+        for name in differing:
+            print(f"  {name}")
+        first = differing[0]
+        if first.endswith(".json"):
+            sides = []
+            for root in (a, b):
+                path = os.path.join(root, first)
+                sides.append(
+                    open(path).read().splitlines(keepends=True)
+                    if os.path.exists(path) else []
+                )
+            sys.stdout.writelines(
+                difflib.unified_diff(
+                    *sides, fromfile=f"{other}:{first}",
+                    tofile=f"{here}:{first}",
+                )
+            )
+        return 1
+
+
+def main(argv: List[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--emit":
+        emit(argv[1])
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
+        print(__doc__)
+        return 2
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return compare(here, os.path.abspath(argv[0]))
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Optional
 
 from ..core.messages import Message, NodeId
 from .messages import SessionAck, SessionMessage
+from .scheduler import Timers
 
 #: ``send(dest, message)`` — put one raw message on the fabric.
 SendFn = Callable[[NodeId, Message], None]
@@ -39,13 +40,12 @@ DeliverFn = Callable[[NodeId, Message], None]
 class _OutStream:
     """Sender-side state of one ordered pair."""
 
-    __slots__ = ("next_seq", "unacked", "interval", "timer_gen")
+    __slots__ = ("next_seq", "unacked", "interval")
 
     def __init__(self, base_interval: float) -> None:
         self.next_seq = 0
         self.unacked: "OrderedDict[int, SessionMessage]" = OrderedDict()
         self.interval = base_interval
-        self.timer_gen = 0
 
 
 class _InStream:
@@ -99,13 +99,16 @@ class ReliableChannel:
         mutex: Optional["threading.RLock"] = None,
     ) -> None:
         self._node_id = node_id
-        self._scheduler = scheduler
         self._send = send
         self._deliver = deliver
         self._retry_base = retry_base
         self._retry_cap = retry_cap
         self.boot = boot
         self._mutex = mutex if mutex is not None else threading.RLock()
+        #: One retransmit timer per peer with unacknowledged frames,
+        #: keyed by the peer.  The channel's own facility, never stopped:
+        #: streams end with :meth:`stop_peer`, not with the node.
+        self._timers = Timers(scheduler, self._mutex)
         self._out: Dict[NodeId, _OutStream] = {}
         self._in: Dict[NodeId, _InStream] = {}
         #: Frames re-sent by the backoff timer (verdict/test counter).
@@ -148,25 +151,13 @@ class ReliableChannel:
         self._send(dest, frame)
 
     def _arm_timer(self, dest: NodeId, stream: _OutStream) -> None:
-        stream.timer_gen += 1
-        generation = stream.timer_gen
-        self._scheduler.call_later(
-            stream.interval, lambda: self._on_timer(dest, generation)
-        )
+        self._timers.arm(dest, stream.interval, self._on_timer, dest, stream)
 
-    def _on_timer(self, dest: NodeId, generation: int) -> None:
-        with self._mutex:
-            stream = self._out.get(dest)
-            if (
-                stream is None
-                or stream.timer_gen != generation
-                or not stream.unacked
-            ):
-                return
-            frames = list(stream.unacked.values())
-            self.retransmits += len(frames)
-            stream.interval = min(stream.interval * 2, self._retry_cap)
-            self._arm_timer(dest, stream)
+    def _on_timer(self, dest: NodeId, stream: _OutStream) -> None:
+        frames = list(stream.unacked.values())
+        self.retransmits += len(frames)
+        stream.interval = min(stream.interval * 2, self._retry_cap)
+        self._arm_timer(dest, stream)
         if self.obs is not None:
             for _ in frames:
                 self.obs.fault("channel-retransmit", self._node_id)
@@ -244,7 +235,7 @@ class ReliableChannel:
                 if stream.unacked:
                     self._arm_timer(dest=ack.sender, stream=stream)
                 else:
-                    stream.timer_gen += 1  # Cancel: nothing left to retry.
+                    self._timers.cancel(ack.sender)  # Nothing left to retry.
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -258,9 +249,8 @@ class ReliableChannel:
         """
 
         with self._mutex:
-            stream = self._out.pop(peer, None)
-            if stream is not None:
-                stream.timer_gen += 1
+            self._out.pop(peer, None)
+            self._timers.cancel(peer)
             self._in.pop(peer, None)
 
     def idle(self) -> bool:

@@ -61,6 +61,7 @@ from .messages import (
     TokenAck,
     TokenProbe,
 )
+from .scheduler import Timers
 
 #: Raw fabric send: ``(dest, message)``.
 TransportSend = Callable[[NodeId, Message], None]
@@ -142,7 +143,9 @@ class RecoveryManager:
         self._scheduler = scheduler
         self._transport_send = transport_send
         self._mutex = threading.RLock()
-        self._running = False
+        #: Every timer of this node but the channel's; running from
+        #: :meth:`start` to :meth:`stop`.
+        self.timers = Timers(scheduler, self._mutex, running=False)
         peers = [n for n in self.membership if n != node_id]
         self.detector = HeartbeatDetector(
             peers, config.suspect_timeout, now=scheduler.now()
@@ -162,14 +165,11 @@ class RecoveryManager:
         self.tracer = getattr(obs, "tracer", None) if obs is not None else None
         self.channel.tracer = self.tracer
         self.channel.obs = obs
-        #: Per-lock retry timers for this node's own pending request:
-        #: lock_id -> [generation, interval].
-        self._retries: Dict[LockId, List[float]] = {}
         #: Locks whose parent is suspected and that await a reparent:
-        #: lock_id -> [suspect, generation].
-        self._orphans: Dict[LockId, List[object]] = {}
+        #: lock_id -> suspect.
+        self._orphans: Dict[LockId, NodeId] = {}
         #: Coordinator state per lock being probed:
-        #: lock_id -> {"epoch", "reporters", "generation"}.
+        #: lock_id -> {"epoch", "reporters"}.
         self._probes: Dict[LockId, Dict[str, object]] = {}
         #: Last announced token placement: lock_id -> (holder, epoch).
         #: Replayed to restarted peers so a resurrected stale token home
@@ -177,9 +177,9 @@ class RecoveryManager:
         self._token_hints: Dict[LockId, Tuple[NodeId, int]] = {}
         #: Latest boot incarnation seen per peer (restart detection).
         self._peer_boots: Dict[NodeId, int] = {}
-        #: Custody state per lock whose token was durably restored and
-        #: awaits reconciliation: lock_id -> {"epoch", "generation"}.
-        self._rejoin: Dict[LockId, Dict[str, int]] = {}
+        #: Restored epoch per lock whose token was durably restored (or
+        #: handed off) and awaits reconciliation.
+        self._rejoin: Dict[LockId, int] = {}
         #: Durability journal of this node, attached by the cluster
         #: wiring when persistence is enabled (see repro.persist).
         self.journal = None
@@ -248,8 +248,8 @@ class RecoveryManager:
         #: Graceful-departure driver state (this node is leaving).
         self._departure: Optional[Dict[str, object]] = None
         self._departing = False
-        #: Joiner-side admission loop state (this node wants in).
-        self._join_state: Optional[Dict[str, object]] = None
+        #: Joiner side: the sponsor asked for admission, until admitted.
+        self._sponsor: Optional[NodeId] = None
         #: Log of installed views (verdicts / tests): one dict per install.
         self.view_installs: List[Dict[str, object]] = []
         self.views_proposed = 0
@@ -264,28 +264,22 @@ class RecoveryManager:
         """Begin heartbeating and failure checking."""
 
         with self._mutex:
-            if self._running:
+            if self.timers.running:
                 return
-            self._running = True
-        self._heartbeat_tick()
-        self._scheduler.call_later(
-            self.config.heartbeat_interval, self._failure_tick
-        )
+            self.timers.running = True
+            self._heartbeat_tick()
+            self.timers.arm(
+                "failure-tick",
+                self.config.heartbeat_interval,
+                self._failure_tick,
+            )
 
     def stop(self) -> None:
         """Stop all periodic activity (crash simulation / shutdown)."""
 
         with self._mutex:
-            self._running = False
-            # Invalidate every outstanding one-shot timer.
-            for entry in self._retries.values():
-                entry[0] += 1
-            for entry in self._orphans.values():
-                entry[1] += 1
-            for probe in self._probes.values():
-                probe["generation"] = -1
-            for rejoin in self._rejoin.values():
-                rejoin["generation"] = -1
+            self.timers.running = False
+            self.timers.clear()
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -639,7 +633,7 @@ class RecoveryManager:
         """
 
         with self._mutex:
-            if not self._running:
+            if not self.timers.running:
                 return []
             if message.sender in self._departed:
                 # Stale traffic from an excised node: its token (if any)
@@ -856,11 +850,11 @@ class RecoveryManager:
                     out = automaton.reassert_owned()
                     report["reasserted"] += len(out)
                     self._dispatch_replay(out)
-                    self._scheduler.call_later(
+                    self.timers.arm(
+                        ("provisional", lock_id),
                         self.config.rejoin_settle,
-                        lambda lock_id=lock_id: self._provisional_expiry_fire(
-                            lock_id
-                        ),
+                        self._provisional_expiry_fire,
+                        lock_id,
                     )
             self.rejoin_report = report
             self.holds_reclaimed = int(report["holds_reclaimed"])
@@ -896,20 +890,13 @@ class RecoveryManager:
                 self.obs.fault("reclaim-partial-fanout", self.node_id)
 
     def _begin_rejoin(self, lock_id: LockId, epoch: int) -> None:
-        entry = self._rejoin.get(lock_id)
-        if entry is None:
-            entry = self._rejoin[lock_id] = {"epoch": 0, "generation": 0}
-        entry["epoch"] = int(epoch)
-        entry["generation"] += 1
-        generation = entry["generation"]
-        self._probe_rejoin(lock_id)
-        self._scheduler.call_later(
-            self.config.orphan_interval,
-            lambda: self._rejoin_probe_fire(lock_id, generation),
-        )
-        self._scheduler.call_later(
+        self._rejoin[lock_id] = int(epoch)
+        self._rejoin_probe_fire(lock_id)
+        self.timers.arm(
+            ("rejoin-deadline", lock_id),
             self.config.rejoin_settle,
-            lambda: self._rejoin_deadline(lock_id, generation),
+            self._rejoin_deadline,
+            lock_id,
         )
 
     def _probe_rejoin(self, lock_id: LockId) -> None:
@@ -920,60 +907,43 @@ class RecoveryManager:
             if peer != self.node_id and not self.detector.is_suspected(peer):
                 self._raw_send(peer, message)
 
-    def _rejoin_probe_fire(self, lock_id: LockId, generation: int) -> None:
-        with self._mutex:
-            entry = self._rejoin.get(lock_id)
-            if (
-                not self._running
-                or entry is None
-                or entry["generation"] != generation
-            ):
-                return
-            # Probes ride the raw fabric and may be lost; keep re-asking
-            # until the settle deadline resolves custody either way.
-            self._probe_rejoin(lock_id)
-            self._scheduler.call_later(
-                self.config.orphan_interval,
-                lambda: self._rejoin_probe_fire(lock_id, generation),
-            )
+    def _rejoin_probe_fire(self, lock_id: LockId) -> None:
+        # Probes ride the raw fabric and may be lost; keep re-asking
+        # until custody is resolved either way.
+        self._probe_rejoin(lock_id)
+        self.timers.arm(
+            ("rejoin-probe", lock_id),
+            self.config.orphan_interval,
+            self._rejoin_probe_fire,
+            lock_id,
+        )
 
-    def _rejoin_deadline(self, lock_id: LockId, generation: int) -> None:
-        with self._mutex:
-            entry = self._rejoin.get(lock_id)
-            if (
-                not self._running
-                or entry is None
-                or entry["generation"] != generation
-            ):
-                return
-            live = [
-                n
-                for n in self.membership
-                if n == self.node_id or not self.detector.is_suspected(n)
-            ]
-            if len(live) * 2 <= len(self.membership):
-                # No quorum: a regenerated token may be serving across
-                # the cut.  Confirming custody here could fork the lock
-                # space, so keep the fence up and probe again.
-                entry["generation"] = generation + 1
-                self._probe_rejoin(lock_id)
-                self._scheduler.call_later(
-                    self.config.rejoin_settle,
-                    lambda: self._rejoin_deadline(lock_id, generation + 1),
-                )
-                return
-            # Settle window elapsed with quorum visibility and no
-            # contrary evidence: the restored epoch stands.
-            self._resolve_rejoin(lock_id, confirmed=True)
+    def _rejoin_deadline(self, lock_id: LockId) -> None:
+        live = [
+            n
+            for n in self.membership
+            if n == self.node_id or not self.detector.is_suspected(n)
+        ]
+        if len(live) * 2 <= len(self.membership):
+            # No quorum: a regenerated token may be serving across
+            # the cut.  Confirming custody here could fork the lock
+            # space, so keep the fence up (and the probes going).
+            self.timers.arm(
+                ("rejoin-deadline", lock_id),
+                self.config.rejoin_settle,
+                self._rejoin_deadline,
+                lock_id,
+            )
+            return
+        # Settle window elapsed with quorum visibility and no
+        # contrary evidence: the restored epoch stands.
+        self._resolve_rejoin(lock_id, confirmed=True)
 
     def _provisional_expiry_fire(self, lock_id: LockId) -> None:
-        with self._mutex:
-            if not self._running:
-                return
-            automaton = self.lockspace.automaton(lock_id)
-            if automaton.custody_pending:
-                return  # Custody resolution owns the expiry for this lock.
-            self._dispatch_replay(automaton.expire_provisional_children())
+        automaton = self.lockspace.automaton(lock_id)
+        if automaton.custody_pending:
+            return  # Custody resolution owns the expiry for this lock.
+        self._dispatch_replay(automaton.expire_provisional_children())
 
     def _resolve_rejoin(
         self,
@@ -982,10 +952,10 @@ class RecoveryManager:
         epoch: int = 0,
         holder: Optional[NodeId] = None,
     ) -> None:
-        entry = self._rejoin.pop(lock_id, None)
-        if entry is None:
+        if self._rejoin.pop(lock_id, None) is None:
             return
-        entry["generation"] += 1  # Disarm outstanding timers.
+        self.timers.cancel(("rejoin-probe", lock_id))
+        self.timers.cancel(("rejoin-deadline", lock_id))
         automaton = self.lockspace.automaton(lock_id)
         if confirmed:
             self.custody_confirmed += 1
@@ -1014,43 +984,42 @@ class RecoveryManager:
     # ------------------------------------------------------------------
 
     def _heartbeat_tick(self) -> None:
-        with self._mutex:
-            if not self._running:
-                return
-            # The heartbeat IS the lease renewal: every own lease is
-            # renewed locally and the full set is advertised so peers'
-            # mirrors extend in lockstep.  No extra messages per lease.
-            now = self._scheduler.now()
-            self._sweep_departed_traces()
-            if not self._fenced:
-                for row in self.own_leases.export():
-                    self.own_leases.renew(str(row[0]), self.node_id, now)
-            leases = self.own_leases.export()
-            self.lease_renewals_sent += len(leases)
-            # Advertisement makes a hold reclaimable after a durable
-            # restart (peers pin advertised leases until expiry), so the
-            # journaled session payload must record it before the beat
-            # leaves — a crash between grant and first advertisement
-            # leaves the hold correctly un-reclaimable.
-            peers = [n for n in self.membership if n != self.node_id]
-            fanout = len(
-                [p for p in peers if not self.detector.is_suspected(p)]
-            )
-            if leases and self.sessions.note_advertised(
-                [row[0] for row in leases], fanout=fanout
-            ):
-                self._journal_sessions()
-            beat = HeartbeatMessage(
-                lock_id="",
-                sender=self.node_id,
-                boot=self.boot,
-                leases=leases,
-                restored=self._restored,
-                view_epoch=self.view_epoch,
-            )
-            self._scheduler.call_later(
-                self.config.heartbeat_interval, self._heartbeat_tick
-            )
+        # The heartbeat IS the lease renewal: every own lease is
+        # renewed locally and the full set is advertised so peers'
+        # mirrors extend in lockstep.  No extra messages per lease.
+        now = self._scheduler.now()
+        self._sweep_departed_traces()
+        if not self._fenced:
+            for row in self.own_leases.export():
+                self.own_leases.renew(str(row[0]), self.node_id, now)
+        leases = self.own_leases.export()
+        self.lease_renewals_sent += len(leases)
+        # Advertisement makes a hold reclaimable after a durable
+        # restart (peers pin advertised leases until expiry), so the
+        # journaled session payload must record it before the beat
+        # leaves — a crash between grant and first advertisement
+        # leaves the hold correctly un-reclaimable.
+        peers = [n for n in self.membership if n != self.node_id]
+        fanout = len(
+            [p for p in peers if not self.detector.is_suspected(p)]
+        )
+        if leases and self.sessions.note_advertised(
+            [row[0] for row in leases], fanout=fanout
+        ):
+            self._journal_sessions()
+        beat = HeartbeatMessage(
+            lock_id="",
+            sender=self.node_id,
+            boot=self.boot,
+            leases=leases,
+            restored=self._restored,
+            view_epoch=self.view_epoch,
+        )
+        self.timers.arm(
+            "heartbeat-tick",
+            self.config.heartbeat_interval,
+            self._heartbeat_tick,
+        )
         for peer in peers:
             self._raw_send(peer, beat)
 
@@ -1104,78 +1073,64 @@ class RecoveryManager:
                 self._start_orphan(automaton.lock_id, automaton.parent)
 
     def _failure_tick(self) -> None:
-        with self._mutex:
-            if not self._running:
-                return
-            now = self._scheduler.now()
-            fresh = self.detector.check(now)
-            self._scheduler.call_later(
-                self.config.heartbeat_interval, self._failure_tick
-            )
-            for peer in fresh:
-                self._on_suspect(peer)
-            self._lease_tick(now)
+        now = self._scheduler.now()
+        fresh = self.detector.check(now)
+        self.timers.arm(
+            "failure-tick", self.config.heartbeat_interval, self._failure_tick
+        )
+        for peer in fresh:
+            self._on_suspect(peer)
+        self._lease_tick(now)
 
     # -- request retransmission -----------------------------------------
 
-    def _arm_retry(self, lock_id: LockId) -> None:
-        entry = self._retries.get(lock_id)
-        if entry is None:
-            entry = self._retries[lock_id] = [0, self.config.retry_base]
-        entry[0] += 1
-        entry[1] = self.config.retry_base
-        generation = entry[0]
-        self._scheduler.call_later(
-            entry[1], lambda: self._retry_fire(lock_id, generation)
+    def _arm_retry(
+        self, lock_id: LockId, interval: Optional[float] = None
+    ) -> None:
+        """(Re)start *lock_id*'s retry chain; its backoff interval rides
+        in the timer."""
+
+        if interval is None:
+            interval = self.config.retry_base
+        self.timers.arm(
+            ("retry", lock_id), interval, self._retry_fire, lock_id, interval
         )
 
-    def _retry_fire(self, lock_id: LockId, generation: int) -> None:
-        with self._mutex:
-            entry = self._retries.get(lock_id)
-            if (
-                not self._running
-                or entry is None
-                or entry[0] != generation
-            ):
-                return
-            automaton = self.lockspace.automaton(lock_id)
-            if automaton.pending_mode is LockMode.NONE:
-                del self._retries[lock_id]
-                return  # Granted in the meantime; retries lazily cancel.
-            out: List[Envelope] = []
-            hint = self._token_hints.get(lock_id)
-            if (
-                entry[1] >= self.config.retry_cap
-                and hint is not None
-                and hint[0] != self.node_id
-                and hint[0] != automaton.parent
-                and not automaton.has_token
-            ):
-                # Backoff is capped: plain retransmission has failed
-                # repeatedly, so the request may be circling a stale
-                # subtree (fault-era reattachments can momentarily cross
-                # into a parent cycle that no longer reaches the token).
-                # Escape by re-homing under the last announced token
-                # lineage — the hint need not name the current holder,
-                # only a node whose parent chain reaches it, which every
-                # past token node's does.
-                out = automaton.reattach(hint[0], detach=True)
-            if not out:
-                out = automaton.retransmit_pending()
-            self.app_retransmits += len(out)
-            if self.obs is not None:
-                for _ in out:
-                    self.obs.fault("app-retransmit", self.node_id)
-            if self.tracer is not None and out:
-                # Re-sent requests join their chain as annotated hops.
-                with self.tracer.annotated(self.node_id, "retransmit"):
-                    self._dispatch(out)
-            else:
+    def _retry_fire(self, lock_id: LockId, interval: float) -> None:
+        automaton = self.lockspace.automaton(lock_id)
+        if automaton.pending_mode is LockMode.NONE:
+            return  # Granted in the meantime; retries lazily cancel.
+        out: List[Envelope] = []
+        hint = self._token_hints.get(lock_id)
+        if (
+            interval >= self.config.retry_cap
+            and hint is not None
+            and hint[0] != self.node_id
+            and hint[0] != automaton.parent
+            and not automaton.has_token
+        ):
+            # Backoff is capped: plain retransmission has failed
+            # repeatedly, so the request may be circling a stale
+            # subtree (fault-era reattachments can momentarily cross
+            # into a parent cycle that no longer reaches the token).
+            # Escape by re-homing under the last announced token
+            # lineage — the hint need not name the current holder,
+            # only a node whose parent chain reaches it, which every
+            # past token node's does.
+            out = automaton.reattach(hint[0], detach=True)
+        if not out:
+            out = automaton.retransmit_pending()
+        self.app_retransmits += len(out)
+        if self.obs is not None:
+            for _ in out:
+                self.obs.fault("app-retransmit", self.node_id)
+        if self.tracer is not None and out:
+            # Re-sent requests join their chain as annotated hops.
+            with self.tracer.annotated(self.node_id, "retransmit"):
                 self._dispatch(out)
-            entry[1] = min(entry[1] * 2, self.config.retry_cap)
-            self._scheduler.call_later(
-                entry[1], lambda: self._retry_fire(lock_id, generation)
-            )
+        else:
+            self._dispatch(out)
+        self._arm_retry(lock_id, min(interval * 2, self.config.retry_cap))
 
     # ------------------------------------------------------------------
     # Failure handling.
@@ -1223,36 +1178,42 @@ class RecoveryManager:
         if coordinator == self.node_id:
             self._ensure_probe(lock_id, reporter=self.node_id)
             return
-        entry = self._orphans.get(lock_id)
-        if entry is None:
-            entry = self._orphans[lock_id] = [suspect, 0]
-        entry[0] = suspect
-        entry[1] += 1
-        self._orphan_fire(lock_id, entry[1])
+        self._orphans[lock_id] = suspect
+        self._orphan_fire(lock_id)
 
-    def _orphan_fire(self, lock_id: LockId, generation: int) -> None:
-        with self._mutex:
-            entry = self._orphans.get(lock_id)
-            if not self._running or entry is None or entry[1] != generation:
-                return
-            coordinator = self._regenerator()
-            if coordinator == self.node_id:
-                # Everyone above us died; we are the coordinator now.
-                del self._orphans[lock_id]
-                self._ensure_probe(lock_id, reporter=self.node_id)
-                return
-            automaton = self.lockspace.automaton(lock_id)
-            report = OrphanReport(
-                lock_id=lock_id,
-                sender=self.node_id,
-                suspect=entry[0],
-                epoch=automaton.token_epoch,
-            )
-            self._scheduler.call_later(
-                self.config.orphan_interval,
-                lambda: self._orphan_fire(lock_id, generation),
-            )
+    def _orphan_fire(self, lock_id: LockId) -> None:
+        coordinator = self._regenerator()
+        if coordinator == self.node_id:
+            # Everyone above us died; we are the coordinator now.
+            self._close_orphan(lock_id)
+            self._ensure_probe(lock_id, reporter=self.node_id)
+            return
+        automaton = self.lockspace.automaton(lock_id)
+        report = OrphanReport(
+            lock_id=lock_id,
+            sender=self.node_id,
+            suspect=self._orphans[lock_id],
+            epoch=automaton.token_epoch,
+        )
+        self.timers.arm(
+            ("orphan", lock_id),
+            self.config.orphan_interval,
+            self._orphan_fire,
+            lock_id,
+        )
         self._raw_send(coordinator, report)
+
+    def _close_orphan(self, lock_id: LockId) -> bool:
+        """Stop reporting *lock_id* orphaned; whether it was."""
+
+        self.timers.cancel(("orphan", lock_id))
+        return self._orphans.pop(lock_id, None) is not None
+
+    def _close_probe(self, lock_id: LockId) -> Optional[Dict[str, object]]:
+        """End the probe of *lock_id*, deadline included; the probe."""
+
+        self.timers.cancel(("probe", lock_id))
+        return self._probes.pop(lock_id, None)
 
     # -- coordinator side -------------------------------------------------
 
@@ -1277,10 +1238,9 @@ class RecoveryManager:
             probe["reporters"].add(reporter)  # type: ignore[union-attr]
             probe["epoch"] = max(probe["epoch"], epoch)  # type: ignore
             return
-        probe = self._probes[lock_id] = {
+        self._probes[lock_id] = {
             "epoch": max(epoch, automaton.token_epoch),
             "reporters": {reporter},
-            "generation": 0,
         }
         message = TokenProbe(lock_id=lock_id, sender=self.node_id)
         peers = [
@@ -1290,10 +1250,11 @@ class RecoveryManager:
         ]
         for peer in peers:
             self._raw_send(peer, message)
-        generation = probe["generation"]
-        self._scheduler.call_later(
+        self.timers.arm(
+            ("probe", lock_id),
             self.config.probe_timeout,
-            lambda: self._probe_deadline(lock_id, generation),
+            self._probe_deadline,
+            lock_id,
         )
 
     def _on_orphan_report(self, msg: OrphanReport) -> None:
@@ -1314,9 +1275,7 @@ class RecoveryManager:
     def _on_token_ack(self, msg: TokenAck) -> None:
         rejoin = self._rejoin.get(msg.lock_id)
         if rejoin is not None:
-            if msg.sender != self.node_id and msg.epoch >= int(
-                rejoin["epoch"]
-            ):
+            if msg.sender != self.node_id and msg.epoch >= rejoin:
                 # A live token of at least our restored epoch answers
                 # from elsewhere: our custody is stale.  Demote under it.
                 # (``>=`` also covers a handed-off token whose transfer
@@ -1328,102 +1287,98 @@ class RecoveryManager:
                     holder=msg.sender,
                 )
             return
-        probe = self._probes.pop(msg.lock_id, None)
+        probe = self._close_probe(msg.lock_id)
         if probe is None:
             return
-        probe["generation"] = -1  # Disarm the deadline.
         self._announce(
             msg.lock_id, msg.sender, msg.epoch, probe["reporters"]
         )
 
-    def _probe_deadline(self, lock_id: LockId, generation: int) -> None:
-        with self._mutex:
-            probe = self._probes.get(lock_id)
-            if (
-                not self._running
-                or probe is None
-                or probe["generation"] != generation
-            ):
-                return
-            automaton = self.lockspace.automaton(lock_id)
-            if automaton.has_token:
-                del self._probes[lock_id]
-                self._announce(
-                    lock_id, self.node_id, automaton.token_epoch,
-                    probe["reporters"],
-                )
-                return
-            live = [
-                n
-                for n in self.membership
-                if n == self.node_id or not self.detector.is_suspected(n)
-            ]
-            if len(live) * 2 <= len(self.membership):
-                # No quorum: we may be the minority side of a partition,
-                # with a perfectly healthy token across the cut.
-                # Regenerating here would fork the lock space, so keep
-                # probing instead — liveness resumes when the fabric
-                # heals (or enough members return).
-                probe["generation"] = generation + 1
-                message = TokenProbe(lock_id=lock_id, sender=self.node_id)
-                for peer in live:
-                    if peer != self.node_id:
-                        self._raw_send(peer, message)
-                self._scheduler.call_later(
-                    self.config.probe_timeout,
-                    lambda: self._probe_deadline(lock_id, generation + 1),
-                )
-                return
+    def _probe_deadline(self, lock_id: LockId) -> None:
+        probe = self._probes[lock_id]
+        automaton = self.lockspace.automaton(lock_id)
+        if automaton.has_token:
             del self._probes[lock_id]
-            # Nobody answered and a majority is visible: the token died
-            # with the crash.  Claim the next epoch (the automaton's
-            # floor may have moved past the probe's snapshot, so climb
-            # above both) and broadcast the claim — survivors reattach
-            # under us and re-assert their owned modes.  Only after the
-            # settle window do we actually serve from the regenerated
-            # token: granting from an empty copyset before the
-            # re-assertions land could violate Rule 1.
-            epoch = max(int(probe["epoch"]), automaton.token_epoch) + 1
-            self._announce(lock_id, self.node_id, epoch, broadcast=True)
-            self._scheduler.call_later(
-                self.config.regen_settle,
-                lambda: self._regen_fire(lock_id, epoch),
+            self._announce(
+                lock_id, self.node_id, automaton.token_epoch,
+                probe["reporters"],
             )
+            return
+        live = [
+            n
+            for n in self.membership
+            if n == self.node_id or not self.detector.is_suspected(n)
+        ]
+        if len(live) * 2 <= len(self.membership):
+            # No quorum: we may be the minority side of a partition,
+            # with a perfectly healthy token across the cut.
+            # Regenerating here would fork the lock space, so keep
+            # probing instead — liveness resumes when the fabric
+            # heals (or enough members return).
+            message = TokenProbe(lock_id=lock_id, sender=self.node_id)
+            for peer in live:
+                if peer != self.node_id:
+                    self._raw_send(peer, message)
+            self.timers.arm(
+                ("probe", lock_id),
+                self.config.probe_timeout,
+                self._probe_deadline,
+                lock_id,
+            )
+            return
+        del self._probes[lock_id]
+        # Nobody answered and a majority is visible: the token died
+        # with the crash.  Claim the next epoch (the automaton's
+        # floor may have moved past the probe's snapshot, so climb
+        # above both) and broadcast the claim — survivors reattach
+        # under us and re-assert their owned modes.  Only after the
+        # settle window do we actually serve from the regenerated
+        # token: granting from an empty copyset before the
+        # re-assertions land could violate Rule 1.
+        epoch = max(int(probe["epoch"]), automaton.token_epoch) + 1
+        self._announce(lock_id, self.node_id, epoch, broadcast=True)
+        self.timers.arm(
+            ("regen", lock_id),
+            self.config.regen_settle,
+            self._regen_fire,
+            lock_id,
+            epoch,
+        )
 
     def _regen_fire(self, lock_id: LockId, epoch: int) -> None:
-        with self._mutex:
-            if not self._running:
-                return
-            if self._token_hints.get(lock_id) != (self.node_id, epoch):
-                return  # A higher claim (or a real token) won meanwhile.
-            automaton = self.lockspace.automaton(lock_id)
-            if automaton.has_token:
-                return  # The token surfaced after all (e.g. adopted).
-            horizon = self._lease_regen_horizon(lock_id)
-            if horizon is not None:
-                # A suspected holder still owns an unexpired lease on
-                # this lock: regenerating now could grant over its hold.
-                # Wait out the latest such lease (plus the revoke margin
-                # already folded into the horizon) and try again.
-                self._scheduler.call_later(
-                    horizon - self._scheduler.now() + 0.1,
-                    lambda: self._regen_fire(lock_id, epoch),
-                )
-                return
-            out = automaton.regenerate_token(epoch)
-            self.regenerations.append(
-                {"lock": lock_id, "epoch": epoch, "node": self.node_id}
+        if self._token_hints.get(lock_id) != (self.node_id, epoch):
+            return  # A higher claim (or a real token) won meanwhile.
+        automaton = self.lockspace.automaton(lock_id)
+        if automaton.has_token:
+            return  # The token surfaced after all (e.g. adopted).
+        horizon = self._lease_regen_horizon(lock_id)
+        if horizon is not None:
+            # A suspected holder still owns an unexpired lease on
+            # this lock: regenerating now could grant over its hold.
+            # Wait out the latest such lease (plus the revoke margin
+            # already folded into the horizon) and try again.
+            self.timers.arm(
+                ("regen", lock_id),
+                horizon - self._scheduler.now() + 0.1,
+                self._regen_fire,
+                lock_id,
+                epoch,
             )
-            if self.tracer is not None and out:
-                # Grants flowing from a regenerated token are annotated
-                # so traces show which hops recovery manufactured.
-                with self.tracer.annotated(self.node_id, "regen"):
-                    self._dispatch(out)
-            else:
+            return
+        out = automaton.regenerate_token(epoch)
+        self.regenerations.append(
+            {"lock": lock_id, "epoch": epoch, "node": self.node_id}
+        )
+        if self.tracer is not None and out:
+            # Grants flowing from a regenerated token are annotated
+            # so traces show which hops recovery manufactured.
+            with self.tracer.annotated(self.node_id, "regen"):
                 self._dispatch(out)
-            # Re-broadcast: anyone who missed the claim (or joined the
-            # quorum since) learns the final placement.
-            self._announce(lock_id, self.node_id, epoch, broadcast=True)
+        else:
+            self._dispatch(out)
+        # Re-broadcast: anyone who missed the claim (or joined the
+        # quorum since) learns the final placement.
+        self._announce(lock_id, self.node_id, epoch, broadcast=True)
 
     def _announce(
         self,
@@ -1472,7 +1427,7 @@ class RecoveryManager:
         probe = self._probes.get(msg.lock_id)
         if probe is not None and msg.epoch >= int(probe["epoch"]):
             # Another coordinator resolved this lock while we probed.
-            del self._probes[msg.lock_id]
+            self._close_probe(msg.lock_id)
         self._apply_reparent(
             msg.lock_id, msg.parent, msg.epoch, sender=msg.sender
         )
@@ -1486,7 +1441,7 @@ class RecoveryManager:
     ) -> None:
         rejoin = self._rejoin.get(lock_id)
         if rejoin is not None:
-            if holder != self.node_id and epoch >= int(rejoin["epoch"]):
+            if holder != self.node_id and epoch >= rejoin:
                 # A placement of at least our restored epoch names
                 # someone else: fence immediately.
                 self._resolve_rejoin(
@@ -1498,10 +1453,7 @@ class RecoveryManager:
             return
         automaton = self.lockspace.automaton(lock_id)
         self._dispatch(automaton.observe_epoch(epoch, holder))
-        orphaned = self._orphans.pop(lock_id, None)
-        if orphaned is not None:
-            orphaned[1] += 1  # Stop the report timer.
-        needs_home = orphaned is not None or (
+        needs_home = self._close_orphan(lock_id) or (
             automaton.parent is not None
             and (
                 # A departed parent is as gone as a suspected one, but
@@ -1622,7 +1574,6 @@ class RecoveryManager:
                 "forced": bool(forced),
                 "acks": {self.node_id},
                 "base": tuple(self.membership),
-                "generation": 0,
             }
             self.views_proposed += 1
             self._view_promised = max(
@@ -1633,10 +1584,7 @@ class RecoveryManager:
             self._send_proposal(pending)
             self._maybe_install_pending()
             if self._view_pending is pending:
-                self._scheduler.call_later(
-                    self.config.orphan_interval,
-                    lambda: self._view_propose_fire(epoch, 0),
-                )
+                self._arm_view_propose()
             return epoch
 
     def _send_proposal(self, pending: Dict[str, object]) -> None:
@@ -1659,21 +1607,15 @@ class RecoveryManager:
                 continue
             self._raw_send(peer, message)
 
-    def _view_propose_fire(self, epoch: int, generation: int) -> None:
-        with self._mutex:
-            pending = self._view_pending
-            if (
-                not self._running
-                or pending is None
-                or int(pending["epoch"]) != epoch
-                or int(pending["generation"]) != generation
-            ):
-                return
-            self._send_proposal(pending)
-            self._scheduler.call_later(
-                self.config.orphan_interval,
-                lambda: self._view_propose_fire(epoch, generation),
-            )
+    def _arm_view_propose(self) -> None:
+        self.timers.arm(
+            "view-propose", self.config.orphan_interval,
+            self._view_propose_fire,
+        )
+
+    def _view_propose_fire(self) -> None:
+        self._send_proposal(self._view_pending)
+        self._arm_view_propose()
 
     def _maybe_install_pending(self) -> None:
         pending = self._view_pending
@@ -1683,6 +1625,7 @@ class RecoveryManager:
         if len(pending["acks"]) < quorum:
             return
         self._view_pending = None
+        self.timers.cancel("view-propose")
         epoch = int(pending["epoch"])
         members = tuple(pending["members"])
         joined = tuple(pending["joined"])
@@ -1774,6 +1717,7 @@ class RecoveryManager:
             and int(self._view_pending["epoch"]) <= epoch
         ):
             self._view_pending = None
+            self.timers.cancel("view-propose")
         for peer in joined_eff:
             if peer == self.node_id:
                 continue
@@ -1924,31 +1868,19 @@ class RecoveryManager:
         (which will include us) is installed here."""
 
         with self._mutex:
-            if self._join_state is not None:
+            if self._sponsor is not None:
                 return
-            self._join_state = {"sponsor": sponsor, "generation": 0}
-            self._join_fire(0)
+            self._sponsor = sponsor
+            self._join_fire()
 
-    def _join_fire(self, generation: int) -> None:
-        with self._mutex:
-            state = self._join_state
-            if (
-                not self._running
-                or state is None
-                or int(state["generation"]) != generation
-            ):
-                return
-            if self._view_record is not None:
-                self._join_state = None  # Admitted (any install counts).
-                return
-            self._raw_send(
-                int(state["sponsor"]),
-                JoinRequest(lock_id="", sender=self.node_id),
-            )
-            self._scheduler.call_later(
-                self.config.orphan_interval,
-                lambda: self._join_fire(generation),
-            )
+    def _join_fire(self) -> None:
+        if self._view_record is not None:
+            self._sponsor = None  # Admitted (any install counts).
+            return
+        self._raw_send(
+            self._sponsor, JoinRequest(lock_id="", sender=self.node_id)
+        )
+        self.timers.arm("join", self.config.orphan_interval, self._join_fire)
 
     def _on_join_request(self, msg: JoinRequest) -> None:
         joiner = msg.sender
@@ -1992,11 +1924,7 @@ class RecoveryManager:
                     )
                 successor = min(candidates)
             self._departing = True
-            self._departure = {
-                "successor": successor,
-                "generation": 0,
-                "started": self._scheduler.now(),
-            }
+            self._departure = {"successor": successor}
             if self.obs is not None:
                 self.obs.fault("leave-begin", self.node_id)
             for automaton in list(self.lockspace.automata()):
@@ -2014,7 +1942,7 @@ class RecoveryManager:
             self.own_leases.clear()
             self.sessions.expire_all()
             self._journal_sessions()
-            self._leave_tick(0)
+            self._leave_tick()
             return successor
 
     def departure_complete(self) -> bool:
@@ -2034,86 +1962,75 @@ class RecoveryManager:
                     return False
             return True
 
-    def _leave_tick(self, generation: int) -> None:
-        with self._mutex:
-            dep = self._departure
-            if (
-                not self._running
-                or dep is None
-                or int(dep["generation"]) != generation
-            ):
-                return
-            if self.node_id not in self.membership:
-                # Our removal view is installed: departure complete.
-                dep["generation"] = generation + 1
-                if self.obs is not None:
-                    self.obs.fault("departed", self.node_id)
-                return
-            successor = int(dep["successor"])
-            if (
-                successor in self._departed
-                or successor not in self.membership
-                or self.detector.is_suspected(successor)
-            ):
-                candidates = [
-                    n
-                    for n in self.membership
-                    if n != self.node_id
-                    and n not in self._departed
-                    and not self.detector.is_suspected(n)
-                ]
-                if candidates:
-                    successor = min(candidates)
-                    dep["successor"] = successor
-            for automaton in list(self.lockspace.automata()):
-                lock_id = automaton.lock_id
-                if automaton.has_token:
-                    # Custody first; children migrate only after the
-                    # successor's announce demotes us under it.
-                    self._raw_send(
-                        successor,
-                        HandoffMessage(
-                            lock_id=lock_id,
-                            sender=self.node_id,
-                            epoch=automaton.token_epoch,
-                        ),
-                    )
+    def _leave_tick(self) -> None:
+        dep = self._departure
+        if self.node_id not in self.membership:
+            # Our removal view is installed: departure complete.
+            if self.obs is not None:
+                self.obs.fault("departed", self.node_id)
+            return
+        successor = int(dep["successor"])
+        if (
+            successor in self._departed
+            or successor not in self.membership
+            or self.detector.is_suspected(successor)
+        ):
+            candidates = [
+                n
+                for n in self.membership
+                if n != self.node_id
+                and n not in self._departed
+                and not self.detector.is_suspected(n)
+            ]
+            if candidates:
+                successor = min(candidates)
+                dep["successor"] = successor
+        for automaton in list(self.lockspace.automata()):
+            lock_id = automaton.lock_id
+            if automaton.has_token:
+                # Custody first; children migrate only after the
+                # successor's announce demotes us under it.
+                self._raw_send(
+                    successor,
+                    HandoffMessage(
+                        lock_id=lock_id,
+                        sender=self.node_id,
+                        epoch=automaton.token_epoch,
+                    ),
+                )
+                continue
+            parent = automaton.parent
+            if parent is None or parent in self._departed:
+                continue
+            for child, mode in sorted(automaton.children.items()):
+                if child == parent or child in self._departed:
                     continue
-                parent = automaton.parent
-                if parent is None or parent in self._departed:
-                    continue
-                for child, mode in sorted(automaton.children.items()):
-                    if child == parent or child in self._departed:
-                        continue
-                    # Adopt-then-reparent, in that order: the new parent
-                    # records the child's mode before the child is told
-                    # to detach from us, so the subtree is accounted for
-                    # somewhere under every message ordering.
-                    self._raw_send(
-                        parent,
-                        ChildMigrate(
-                            lock_id=lock_id,
-                            sender=self.node_id,
-                            child=child,
-                            mode=mode,
-                            seq=automaton.child_attachment_seq(child),
-                        ),
-                    )
-                    self._raw_send(
-                        child,
-                        ReparentMessage(
-                            lock_id=lock_id,
-                            sender=self.node_id,
-                            parent=parent,
-                            epoch=automaton.token_epoch,
-                        ),
-                    )
-            if self.departure_complete() and self._view_pending is None:
-                self.propose_view(removed=(self.node_id,))
-            self._scheduler.call_later(
-                self.config.orphan_interval,
-                lambda: self._leave_tick(generation),
-            )
+                # Adopt-then-reparent, in that order: the new parent
+                # records the child's mode before the child is told
+                # to detach from us, so the subtree is accounted for
+                # somewhere under every message ordering.
+                self._raw_send(
+                    parent,
+                    ChildMigrate(
+                        lock_id=lock_id,
+                        sender=self.node_id,
+                        child=child,
+                        mode=mode,
+                        seq=automaton.child_attachment_seq(child),
+                    ),
+                )
+                self._raw_send(
+                    child,
+                    ReparentMessage(
+                        lock_id=lock_id,
+                        sender=self.node_id,
+                        parent=parent,
+                        epoch=automaton.token_epoch,
+                    ),
+                )
+        if self.departure_complete() and self._view_pending is None:
+            self.propose_view(removed=(self.node_id,))
+        self.timers.arm("leave", self.config.orphan_interval, self._leave_tick)
 
     def _on_handoff(self, msg: HandoffMessage) -> None:
         if self._departing:

@@ -390,6 +390,9 @@ class ResilientThreadedCluster(ResilientHost):
         for manager in self.managers.values():
             manager.stop()
         self.scheduler.stop()
+        if self.obs is not None:
+            for error in self.scheduler.errors:
+                self.obs.fault("timer-error", repr(error))
         self.transport.stop()
         for journal in self.journals.values():
             journal.close()
