@@ -43,36 +43,28 @@ SEEDS = (0, 1, 2)
 
 
 def verdict_runs() -> List[Tuple[str, List[str]]]:
-    """``(name, chaos argv)`` of the 48 nightly verdicts, then the two
+    """``(name, chaos argv)`` of the 48 nightly verdicts and the two
     flight-dump runs (only their dumps are kept: the verdict names the
     dump's path, and is otherwise one of the 48)."""
 
     runs = []
     for seed in SEEDS:
-        for plan in PLANS:
-            runs.append((f"{plan}-seed{seed}", ["--plan", plan]))
-        for plan in CHURN_PLANS:
-            runs.append(
-                (f"{plan}-durable-seed{seed}", ["--plan", plan, "--durable"])
+        variants = [(plan, plan, []) for plan in PLANS]
+        variants += [
+            (f"{plan}-durable", plan, ["--durable"]) for plan in CHURN_PLANS
+        ]
+        variants += [
+            ("token-crash-durable", "token-crash", ["--durable"]),
+            ("token-crash-reclaim", "token-crash", ["--durable", "--reclaim"]),
+        ]
+        if seed in (0, 1):
+            variants.append(
+                ("flight-token-crash", "token-crash", ["--flight-dir", "{out}"])
             )
-        runs.append(
-            (f"token-crash-durable-seed{seed}",
-             ["--plan", "token-crash", "--durable"])
-        )
-        runs.append(
-            (f"token-crash-reclaim-seed{seed}",
-             ["--plan", "token-crash", "--durable", "--reclaim"])
-        )
-    runs = [
-        (name, argv + ["--seed", name.rsplit("seed", 1)[1]])
-        for name, argv in runs
-    ]
-    for seed in (0, 1):
-        runs.append(
-            (f"flight-token-crash-seed{seed}",
-             ["--plan", "token-crash", "--seed", str(seed),
-              "--flight-dir", "{out}"])
-        )
+        runs += [
+            (f"{name}-seed{seed}", ["--plan", plan, "--seed", str(seed)] + flags)
+            for name, plan, flags in variants
+        ]
     return runs
 
 

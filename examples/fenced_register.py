@@ -66,7 +66,7 @@ def main() -> None:
     def minority_holder():
         client = cluster.client(0)
         yield client.acquire("ledger", LockMode.W)
-        lease = cluster.managers[0].own_leases.get("ledger", 0)
+        lease = cluster.managers[0].leases.own.get("ledger", 0)
         register.write(lease.token, {"balance": 100}, at=sim.now)
         log.append(
             f"t={sim.now:6.2f}  node 0 wrote balance=100 "
@@ -96,7 +96,7 @@ def main() -> None:
         # with a live service node.
         floor = cluster.managers[1].lockspace.automaton("ledger").fence_floor
         register.observe_floor(floor)
-        lease = cluster.managers[1].own_leases.get("ledger", 1)
+        lease = cluster.managers[1].leases.own.get("ledger", 1)
         register.write(lease.token, {"balance": 150}, at=sim.now)
         log.append(
             f"t={sim.now:6.2f}  node 1 granted after revocation, wrote "

@@ -297,9 +297,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._recent_grants: "OrderedDict[object, Tuple[LockMode, int]]" = (
             OrderedDict()
         )
-        #: Optional trace callback ``(node_id, event, detail)`` for the
-        #: verification tooling; None in production paths.
-        self.trace_hook: Optional[Callable[[NodeId, str, str], None]] = None
         # Durable-rejoin state (only meaningful under ``options.recovery``
         # with a journal attached): while ``_custody_pending`` a restored
         # token holder answers probes but grants nothing — its token
@@ -321,10 +318,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # forwards, drains and hands off, so the copyset around it can
         # be spliced without a Rule-1 window.
         self._departing = False
-
-    def _trace(self, event: str, detail: str = "") -> None:
-        if self.trace_hook is not None:
-            self.trace_hook(self._node_id, event, detail)
 
     # -- observability gauges (no-ops while ``self.obs`` is None) ------
 

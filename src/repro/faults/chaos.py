@@ -247,9 +247,9 @@ def run_chaos(
     # requests at the fence and rejects new acquires: those waiters have
     # no liveness claim either — the majority's progress does.
     fence_times = {
-        n: m.fenced_at
+        n: m.leases.fenced_at
         for n, m in cluster.managers.items()
-        if m.fenced_at is not None
+        if m.leases.fenced_at is not None
     }
     remaining = [r for r in ungranted if not _abandoned(r)]
     abandoned_by_expiry = [
@@ -267,7 +267,7 @@ def run_chaos(
     departed_nodes.update(
         n
         for n, m in cluster.managers.items()
-        if m.departing or m.has_left
+        if m.membership.departing
     )
     abandoned_by_departure = [
         r for r in remaining if int(r["node"]) in departed_nodes
@@ -430,8 +430,7 @@ def _membership_stats(
     """
 
     live = cluster.live_nodes()
-    epochs = {n: cluster.managers[n].view_epoch for n in live}
-    views = {n: tuple(cluster.managers[n].membership) for n in live}
+    views = {n: cluster.managers[n].membership.view for n in live}
     join_settle: List[Dict[str, object]] = []
     drain_begin: Dict[int, float] = {}
     drain_latency: List[Dict[str, object]] = []
@@ -445,9 +444,9 @@ def _membership_stats(
             latency: Optional[float] = None
             manager = cluster.managers.get(node)
             if manager is not None:
-                for install in manager.view_installs:
-                    if node in install["members"]:
-                        latency = round(float(install["at"]) - at, 6)
+                for installed_at, install in manager.membership.installs:
+                    if node in install.members:
+                        latency = round(installed_at - at, 6)
                         break
             join_settle.append({"node": node, "settle_latency": latency})
         elif entry["event"] == "drain-begin":
@@ -468,14 +467,16 @@ def _membership_stats(
     info: Dict[str, object] = {
         "events": list(cluster.membership_log),
         "joined_nodes": list(joined_nodes),
-        "view_epochs": {str(n): e for n, e in sorted(epochs.items())},
-        "epoch_agreement": len(set(epochs.values())) <= 1,
-        "membership_agreement": len(set(views.values())) <= 1,
+        "view_epochs": {str(n): v.epoch for n, v in sorted(views.items())},
+        "epoch_agreement": len({v.epoch for v in views.values()}) <= 1,
+        "membership_agreement": len({v.members for v in views.values()}) <= 1,
         "join_settle": join_settle,
         "drain_latency": drain_latency,
-        "views_proposed": sum(m.views_proposed for m in managers),
-        "handoffs_accepted": sum(m.handoffs_accepted for m in managers),
-        "children_adopted": sum(m.children_adopted for m in managers),
+        "views_proposed": sum(m.events["view-propose"] for m in managers),
+        "handoffs_accepted": sum(m.events["handoff-accept"] for m in managers),
+        "children_adopted": sum(
+            m.membership.children_adopted for m in managers
+        ),
     }
     if churn_errors:
         info["churn_errors"] = list(churn_errors)
@@ -489,14 +490,14 @@ def _lease_stats(
 
     managers = cluster.managers.values()
     latencies = [
-        lat for m in managers for lat in m.revoke_latencies
+        lat for m in managers for lat in m.leases.revoke_latencies
     ]
     return {
-        "renewals_sent": sum(m.lease_renewals_sent for m in managers),
+        "renewals_sent": sum(m.leases.renewals_sent for m in managers),
         "renewals_received": sum(
-            m.lease_renewals_received for m in managers
+            m.leases.renewals_received for m in managers
         ),
-        "revoked": sum(m.leases_revoked for m in managers),
+        "revoked": sum(m.events["lease-revoke"] for m in managers),
         "revoke_latency_mean": (
             round(sum(latencies) / len(latencies), 6) if latencies else None
         ),
@@ -504,6 +505,8 @@ def _lease_stats(
         "fenced_at": {
             str(n): round(t, 6) for n, t in sorted(fence_times.items())
         },
-        "holds_reclaimed": sum(m.holds_reclaimed for m in managers),
-        "sessions_gced": sum(m.sessions_gced for m in managers),
+        "holds_reclaimed": sum(
+            m.custody.report.get("holds_reclaimed", 0) for m in managers
+        ),
+        "sessions_gced": sum(m.leases.sessions_gced for m in managers),
     }

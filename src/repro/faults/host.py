@@ -133,7 +133,7 @@ class ResilientHost:
         """Opt a freshly booted node into leases and sessions.
 
         The default does nothing: the manager runs in the leaseless
-        mode :meth:`RecoveryManager.note_grant` documents.
+        mode :mod:`repro.leases.layer` documents.
         """
 
     # -- node lifecycle ----------------------------------------------------
@@ -190,7 +190,7 @@ class ResilientHost:
                 obs=self.obs,
             )
             journal.attach(lockspace)
-            journal.view_source = manager.view_journal_payload
+            journal.view_source = manager.membership.journal_payload
             self.journals[node_id] = journal
             manager.journal = journal
         self._wire_leases(manager, journal)
@@ -235,7 +235,7 @@ class ResilientHost:
         Without persistence the node rejoins blank; with it, the node
         replays its snapshot + WAL and rejoins with its pre-crash locks
         (token custody fenced until the epoch handshake settles — see
-        :meth:`~repro.faults.recovery.RecoveryManager.rejoin_from_journal`).
+        :meth:`~repro.faults.custody.Custody.rejoin_from_journal`).
         """
 
         if node_id not in self._crashed:
@@ -260,17 +260,17 @@ class ResilientHost:
             # set of everything below derive from it.
             view_payload = state.pop(VIEW_JOURNAL_KEY, None)
             if view_payload is not None:
-                manager.adopt_view(view_payload)
+                manager.membership.adopt_view(view_payload)
             # Sessions ride the same WAL under a reserved key (leased
             # bindings only); they are not a lock and must never reach
             # the per-lock rejoin.
             sessions_payload = state.pop(SESSIONS_JOURNAL_KEY, None)
             if sessions_payload is not None:
-                manager.sessions.restore(sessions_payload)
+                manager.leases.sessions.restore(sessions_payload)
             reclaim_cb = None
             if self.reclaim and sessions_payload is not None:
-                base, survivors = manager.sessions.reclaimer(
-                    self.scheduler.now(), manager.lease_config.session_ttl
+                base, survivors = manager.leases.sessions.reclaimer(
+                    self.scheduler.now(), manager.leases.config.session_ttl
                 )
 
                 def reclaim_cb(lock_id, mode):
@@ -278,12 +278,12 @@ class ResilientHost:
                         return False
                     # Fresh lease under the restored epoch; the session
                     # already carries the hold count, so no note_grant.
-                    manager.mint_lease(lock_id, mode)
+                    manager.leases.mint(lock_id, mode)
                     self._record_grant(node_id, lock_id, mode)
                     reclaimed.append((lock_id, mode))
                     return True
 
-            rejoin_report = manager.rejoin_from_journal(
+            rejoin_report = manager.custody.rejoin_from_journal(
                 state, reclaim=reclaim_cb
             )
             self.durability_log.append(
@@ -315,7 +315,7 @@ class ResilientHost:
     def _release_reclaimed(
         self, node_id: NodeId, lock_id: LockId, mode: LockMode
     ) -> None:
-        if node_id in self._crashed or self.managers[node_id].fenced:
+        if node_id in self._crashed or self.managers[node_id].leases.fenced:
             return
         self._record_release(node_id, lock_id, mode)
         self.managers[node_id].release(lock_id, mode)
@@ -324,6 +324,28 @@ class ResilientHost:
         """Whether *node_id* is currently down."""
 
         return node_id in self._crashed
+
+    def _admit(self, node_id: NodeId, releasing: bool = False) -> bool:
+        """Whether *node_id*'s client may go ahead with a call.
+
+        A crashed node raises :class:`SimulationError`; so does a leaving
+        or lease-fenced one, unless it is *releasing*: its holds were all
+        force-released and the monitor told (``leases.forced_release``),
+        so a late release is dropped (``False``), not counted twice.
+        """
+
+        if node_id in self._crashed:
+            raise SimulationError(f"node {node_id} is crashed")
+        manager = self.managers[node_id]
+        if node_id in self._departed_nodes or manager.membership.departing:
+            state = "leaving the cluster"
+        elif manager.leases.fenced:
+            state = "lease-fenced"
+        else:
+            return True
+        if releasing:
+            return False
+        raise SimulationError(f"node {node_id} is {state}")
 
     def client(self, node_id: NodeId):
         """Return the client object of *node_id*."""
@@ -351,7 +373,7 @@ class ResilientHost:
         """Whether every live member's view has (lost) *node_id*."""
 
         return all(
-            (node_id in self.managers[n].membership) == member
+            (node_id in self.managers[n].membership.view.members) == member
             for n in self.live_nodes()
         )
 
@@ -378,20 +400,20 @@ class ResilientHost:
         # an over-approximation, so every quorum it counts before the
         # real install arrives is at least as large as the true one.
         bootstrap = sorted(
-            set(self.managers[sponsor].membership) | {node_id}
+            set(self.managers[sponsor].membership.view.members) | {node_id}
         )
         self.members.append(node_id)
         self._boot_node(node_id, boot=0, fresh=True, membership=bootstrap)
         manager = self.managers[node_id]
         manager.start()
-        manager.request_join(sponsor)
+        manager.membership.request_join(sponsor)
         self.clients.append(self.CLIENT(self, node_id))
         self._log_membership("join", node_id, sponsor=sponsor)
         if self.obs is not None:
             self.obs.fault("join", node_id)
         # The bootstrap list (epoch 0) is not an installed view.
         self._wait(
-            lambda: manager.view_epoch > 0
+            lambda: manager.membership.view.epoch > 0
             and self._view_converged(node_id, True),
             None,
             f"join of node {node_id}",
@@ -419,10 +441,10 @@ class ResilientHost:
             )
         if (
             node_id in self._departed_nodes
-            or self.managers[node_id].departing
+            or self.managers[node_id].membership.departing
         ):
             raise SimulationError(f"node {node_id} is already leaving")
-        chosen = self.managers[node_id].begin_leave(successor)
+        chosen = self.managers[node_id].membership.begin_leave(successor)
         self._log_membership("drain-begin", node_id, successor=chosen)
 
         def drained() -> None:
@@ -431,7 +453,7 @@ class ResilientHost:
 
         self._wait(
             lambda: node_id in self._crashed
-            or self.managers[node_id].has_left,
+            or node_id not in self.managers[node_id].membership.view.members,
             drained,
             f"drain of node {node_id}",
             **wait,
@@ -465,7 +487,7 @@ class ResilientHost:
         if not live:
             raise SimulationError("no live member can coordinate")
         coordinator = min(live)
-        self.managers[coordinator].decommission(node_id)
+        self.managers[coordinator].membership.decommission(node_id)
         self._log_membership(
             "decommission-begin", node_id, coordinator=coordinator
         )
@@ -542,7 +564,7 @@ class ResilientHost:
                 nodes.append(NodeSnapshot(node=node_id, alive=False))
                 continue
             manager = self.managers[node_id]
-            with manager._mutex:
+            with manager.mutex:
                 nodes.append(
                     snapshot_node(
                         node_id,
@@ -573,7 +595,7 @@ class ResilientHost:
             "regenerations": [
                 regen
                 for manager in managers.values()
-                for regen in manager.regenerations
+                for regen in manager.regeneration.regenerations
             ],
             "app_retransmits": sum(
                 m.app_retransmits for m in managers.values()
@@ -585,9 +607,9 @@ class ResilientHost:
                 m.channel.duplicates_dropped for m in managers.values()
             ),
             "leases_revoked": sum(
-                m.leases_revoked for m in managers.values()
+                m.events["lease-revoke"] for m in managers.values()
             ),
             "fenced_nodes": sorted(
-                n for n, m in managers.items() if m.fenced
+                n for n, m in managers.items() if m.leases.fenced
             ),
         }

@@ -1,8 +1,9 @@
 """Wire messages of the recovery layer.
 
 These ride the same transports as the protocol messages but are consumed
-by the :class:`~repro.faults.recovery.RecoveryManager`, never by the lock
-automata.  Two groups:
+by the :class:`~repro.faults.recovery.RecoveryManager` (its channel, its
+detector and its regeneration layer), never by the lock automata.  Two
+groups:
 
 * **Session framing** — :class:`SessionMessage` / :class:`SessionAck`
   implement per-ordered-pair reliable FIFO streams over a lossy fabric
@@ -129,18 +130,3 @@ MESSAGE_TYPE_LABELS.update(
         ReparentMessage: "reparent",
     }
 )
-
-from ..membership.messages import MEMBERSHIP_TYPES  # noqa: E402
-
-#: Message types the recovery manager consumes itself (everything else
-#: is a raw protocol message bound for the lock space).  Includes the
-#: membership (view-change) messages, which the manager also handles.
-RECOVERY_TYPES: Tuple[type, ...] = (
-    SessionMessage,
-    SessionAck,
-    HeartbeatMessage,
-    OrphanReport,
-    TokenProbe,
-    TokenAck,
-    ReparentMessage,
-) + MEMBERSHIP_TYPES

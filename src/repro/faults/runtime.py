@@ -286,15 +286,7 @@ class ResilientBlockingClient(_NodeClient):
         """Acquire *lock_id* in *mode*, blocking until granted."""
 
         cluster = self._cluster
-        if cluster.is_crashed(self._node_id):
-            raise SimulationError(f"node {self._node_id} is crashed")
-        if (
-            self._node_id in cluster._departed_nodes
-            or cluster.managers[self._node_id].departing
-        ):
-            raise SimulationError(
-                f"node {self._node_id} is leaving the cluster"
-            )
+        cluster._admit(self._node_id)
         cluster._record_request(self._node_id, lock_id, mode)
         waiter = _Waiter()
         cluster.managers[self._node_id].request(lock_id, mode, waiter)
@@ -308,13 +300,7 @@ class ResilientBlockingClient(_NodeClient):
         """Release one hold of *mode* on *lock_id*."""
 
         cluster = self._cluster
-        if cluster.is_crashed(self._node_id):
-            raise SimulationError(f"node {self._node_id} is crashed")
-        if (
-            self._node_id in cluster._departed_nodes
-            or cluster.managers[self._node_id].departing
-        ):
-            # ``begin_leave`` already force-released every residual hold.
+        if not cluster._admit(self._node_id, releasing=True):
             return
         cluster._record_release(self._node_id, lock_id, mode)
         cluster.managers[self._node_id].release(lock_id, mode)

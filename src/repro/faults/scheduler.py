@@ -19,7 +19,7 @@ import itertools
 import threading
 import time
 from functools import partial
-from typing import Callable, Deque, Dict, Hashable, List, Tuple
+from typing import Callable, Dict, Hashable, List, Tuple
 
 from ..sim.engine import Simulator
 
@@ -33,11 +33,10 @@ class Timers:
     told apart by a token from one monotonic counter, so a key that is
     cancelled and armed again can never be taken for its predecessor (a
     counter kept per entry restarts with the entry, and then it can).
-
-    Nothing is ever removed from the scheduler underneath: a superseded
-    or cancelled callback still comes due and is dropped here.  That
-    keeps both schedulers trivial, and the engine's event count and
-    ``call_later`` order independent of what was cancelled.
+    Nothing is ever removed from the scheduler underneath — a superseded
+    callback still comes due and is dropped here — which keeps both
+    schedulers trivial, and the engine's event count and ``call_later``
+    order independent of what was cancelled.
     """
 
     __slots__ = ("_scheduler", "_mutex", "_armed", "_tokens", "running")
@@ -107,9 +106,7 @@ class WallScheduler:
     MAX_ERRORS = 16
 
     def __init__(self) -> None:
-        self.errors: Deque[Exception] = collections.deque(
-            maxlen=self.MAX_ERRORS
-        )
+        self.errors = collections.deque(maxlen=self.MAX_ERRORS)
         self._start = time.monotonic()
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()

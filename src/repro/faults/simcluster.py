@@ -28,7 +28,6 @@ from typing import Optional
 from ..core.lockspace import TokenHomeFn, default_token_home
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
-from ..errors import SimulationError
 from ..obs.sink import ObsSink
 from ..sim.cluster import _GrantCtx, _NodeClient
 from ..sim.engine import SimEvent, Simulator
@@ -49,17 +48,7 @@ class ResilientClient(_NodeClient):
         """Request *lock_id* in *mode*; yield the returned event to wait."""
 
         cluster = self._cluster
-        if cluster.is_crashed(self._node_id):
-            raise SimulationError(f"node {self._node_id} is crashed")
-        if (
-            self._node_id in cluster._departed_nodes
-            or cluster.managers[self._node_id].departing
-        ):
-            raise SimulationError(
-                f"node {self._node_id} is leaving the cluster"
-            )
-        if cluster.managers[self._node_id].fenced:
-            raise SimulationError(f"node {self._node_id} is lease-fenced")
+        cluster._admit(self._node_id)
         cluster._record_request(self._node_id, lock_id, mode)
         event = SimEvent(cluster.sim)
         cluster.managers[self._node_id].request(
@@ -71,20 +60,7 @@ class ResilientClient(_NodeClient):
         """Release one hold of *mode* on *lock_id*."""
 
         cluster = self._cluster
-        if cluster.is_crashed(self._node_id):
-            raise SimulationError(f"node {self._node_id} is crashed")
-        if (
-            self._node_id in cluster._departed_nodes
-            or cluster.managers[self._node_id].departing
-        ):
-            # ``begin_leave`` already force-released every residual hold
-            # (through the forced-release hook); a late application
-            # release would double-count it, like the fenced case below.
-            return
-        if cluster.managers[self._node_id].fenced:
-            # The fence already force-released this hold and told the
-            # monitor via the forced-release hook; recording a second,
-            # application-driven release would double-count it.
+        if not cluster._admit(self._node_id, releasing=True):
             return
         cluster._record_release(self._node_id, lock_id, mode)
         cluster.managers[self._node_id].release(lock_id, mode)
@@ -161,7 +137,7 @@ class ResilientSimCluster(ResilientHost):
             self._record_grant(node_id, lock_id, mode)
             # Every grant is leased: looked up at call time so the
             # current incarnation's manager leases its own grants.
-            self.managers[node_id].note_grant(lock_id, mode)
+            self.managers[node_id].leases.note_grant(lock_id, mode)
             if isinstance(ctx, _GrantCtx):
                 ctx.event.trigger(mode)
 
@@ -183,9 +159,9 @@ class ResilientSimCluster(ResilientHost):
             )
 
     def _wire_leases(self, manager: RecoveryManager, journal) -> None:
-        manager.forced_release_hook = self._forced_release
+        manager.leases.forced_release = self._forced_release
         if journal is not None:
-            journal.session_source = manager.sessions.export
+            journal.session_source = manager.leases.sessions.export
 
     def _forced_release(self, holder: NodeId, lock_id: LockId) -> None:
         """Lease layer revoked *holder*'s holds on *lock_id*."""

@@ -2,11 +2,11 @@
 
 The paper assumes a fixed server group; this package removes that
 assumption.  It defines the epoch-numbered :class:`MembershipView`, the
-view-change wire messages, and (together with the drivers inside
-:class:`repro.faults.recovery.RecoveryManager` and the cluster
-harnesses) lets nodes be added and retired at runtime on all three
-protocols without violating Rule 1 or losing token custody.  See
-docs/MEMBERSHIP.md for the protocol description.
+view-change wire messages, and (in :mod:`repro.membership.layer`) the
+layer a :class:`repro.faults.recovery.RecoveryManager` composes; with
+the cluster harnesses it lets nodes be added and retired at runtime on
+all three protocols without violating Rule 1 or losing token custody.
+See docs/MEMBERSHIP.md for the protocol description.
 """
 
 from .messages import (

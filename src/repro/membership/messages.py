@@ -129,7 +129,8 @@ MESSAGE_TYPE_LABELS.update(
     }
 )
 
-#: Message types consumed by the membership layer inside RecoveryManager.
+#: The message types of this module (``HandoffMessage`` is consumed by
+#: the custody layer, the rest by the membership layer).
 MEMBERSHIP_TYPES = (
     JoinRequest,
     StateTransfer,

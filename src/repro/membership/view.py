@@ -18,7 +18,7 @@ membership layer operates at (see docs/MEMBERSHIP.md).
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from ..core.messages import NodeId
 
@@ -40,25 +40,6 @@ class MembershipView:
 
         return len(self.members) // 2 + 1
 
-    def contains(self, node: NodeId) -> bool:
-        return node in self.members
-
-    def with_joined(self, node: NodeId) -> "MembershipView":
-        """The successor view admitting *node*."""
-
-        return MembershipView(
-            epoch=self.epoch + 1,
-            members=tuple(sorted(set(self.members) | {node})),
-        )
-
-    def with_removed(self, node: NodeId) -> "MembershipView":
-        """The successor view excising *node*."""
-
-        return MembershipView(
-            epoch=self.epoch + 1,
-            members=tuple(sorted(set(self.members) - {node})),
-        )
-
     def to_payload(self) -> Dict[str, object]:
         """JSON-safe representation (journal / wire / monitor)."""
 
@@ -70,9 +51,3 @@ class MembershipView:
             epoch=int(payload.get("epoch", 0)),
             members=tuple(int(n) for n in payload.get("members", ())),
         )
-
-    @classmethod
-    def initial(cls, members: Iterable[NodeId]) -> "MembershipView":
-        """The bootstrap view (epoch 0, static construction-time set)."""
-
-        return cls(epoch=0, members=tuple(sorted(set(members))))

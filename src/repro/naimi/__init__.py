@@ -17,7 +17,6 @@ from .messages import (
     NaimiMessage,
     NaimiRequestMessage,
     NaimiTokenMessage,
-    naimi_message_type_label,
 )
 
 __all__ = [
@@ -26,5 +25,4 @@ __all__ = [
     "NaimiMessage",
     "NaimiRequestMessage",
     "NaimiTokenMessage",
-    "naimi_message_type_label",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..core.messages import Message, NodeId
+from ..core.messages import MESSAGE_TYPE_LABELS, Message, NodeId
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,13 +33,6 @@ class NaimiTokenMessage(NaimiMessage):
     """The token: possession grants the critical section."""
 
 
-NAIMI_MESSAGE_TYPE_LABELS = {
-    NaimiRequestMessage: "request",
-    NaimiTokenMessage: "token",
-}
-
-
-def naimi_message_type_label(message: NaimiMessage) -> str:
-    """Return the metrics label for *message*."""
-
-    return NAIMI_MESSAGE_TYPE_LABELS[type(message)]
+MESSAGE_TYPE_LABELS.update(
+    {NaimiRequestMessage: "request", NaimiTokenMessage: "token"}
+)

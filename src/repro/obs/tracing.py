@@ -41,34 +41,19 @@ import dataclasses
 import threading
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..core.messages import Envelope, LockId, NodeId, TraceContext
+from ..core.messages import (
+    MESSAGE_TYPE_LABELS,
+    Envelope,
+    LockId,
+    NodeId,
+    TraceContext,
+)
 
 #: ``() -> float`` time source (shared with the owning RunObserver).
 Clock = Callable[[], float]
 
 #: Message labels that never become causal hops.
 UNTRACED_LABELS = frozenset({"heartbeat", "session-ack"})
-
-#: Class-name → report label, covering every message type in the tree
-#: (duck-typed so the tracer imports no protocol module).
-_LABELS = {
-    "RequestMessage": "request",
-    "GrantMessage": "grant",
-    "TokenMessage": "token",
-    "ReleaseMessage": "release",
-    "FreezeMessage": "freeze",
-    "NaimiRequestMessage": "request",
-    "NaimiTokenMessage": "token",
-    "RaymondRequestMessage": "request",
-    "RaymondPrivilegeMessage": "token",
-    "SessionMessage": "session",
-    "SessionAck": "session-ack",
-    "HeartbeatMessage": "heartbeat",
-    "OrphanReport": "orphan-report",
-    "TokenProbe": "token-probe",
-    "TokenAck": "token-ack",
-    "ReparentMessage": "reparent",
-}
 
 #: Labels whose aux chains count as recovery activity.
 _RECOVERY_LABELS = frozenset(
@@ -80,9 +65,11 @@ PATH_SEGMENTS = ("transit", "queue", "freeze", "recovery")
 
 
 def message_label(message: object) -> str:
-    """Report label for any protocol/session message (duck-typed)."""
+    """Report label of *message*: its class's ``MESSAGE_TYPE_LABELS``
+    entry (every message class in the tree has one), else its name."""
 
-    return _LABELS.get(type(message).__name__, type(message).__name__.lower())
+    label = MESSAGE_TYPE_LABELS.get(type(message))
+    return label if label is not None else type(message).__name__.lower()
 
 
 def canonical_span_key(key: object) -> str:

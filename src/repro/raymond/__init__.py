@@ -13,7 +13,6 @@ from .messages import (
     RaymondMessage,
     RaymondPrivilegeMessage,
     RaymondRequestMessage,
-    raymond_message_type_label,
 )
 from .topology import balanced_binary_tree, chain, star, validate
 
@@ -25,7 +24,6 @@ __all__ = [
     "RaymondRequestMessage",
     "balanced_binary_tree",
     "chain",
-    "raymond_message_type_label",
     "star",
     "validate",
 ]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..core.messages import Message
+from ..core.messages import MESSAGE_TYPE_LABELS, Message
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,13 +34,6 @@ class RaymondPrivilegeMessage(RaymondMessage):
     """The privilege (token), moving one tree edge at a time."""
 
 
-RAYMOND_MESSAGE_TYPE_LABELS = {
-    RaymondRequestMessage: "request",
-    RaymondPrivilegeMessage: "token",
-}
-
-
-def raymond_message_type_label(message: RaymondMessage) -> str:
-    """Return the metrics label for *message*."""
-
-    return RAYMOND_MESSAGE_TYPE_LABELS[type(message)]
+MESSAGE_TYPE_LABELS.update(
+    {RaymondRequestMessage: "request", RaymondPrivilegeMessage: "token"}
+)

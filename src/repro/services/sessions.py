@@ -7,10 +7,10 @@ This module supplies that identity layer for the reproduction: a
 :class:`SessionManager` per node records which session owns which holds,
 rides the durability journal across crashes (under the reserved
 ``"@sessions"`` journal key), and implements the ``reclaim`` callback of
-``RecoveryManager.rejoin_from_journal`` — a *surviving* session
+``Custody.rejoin_from_journal`` — a *surviving* session
 re-asserts its holds under a fresh lease instead of being disowned,
 while an *expired* session's holds are released and the session is
-garbage-collected by the recovery manager.
+garbage-collected by the lease layer.
 
 A session survives a restart iff the downtime stayed within the lease
 reclaim window (``LeaseConfig.session_ttl``): past that, peers may
@@ -147,7 +147,7 @@ class SessionManager:
         #: the journal: after a crash-restart it tells the rejoin path
         #: whether the pre-crash advertisement reached a quorum, or only
         #: a minority that may itself be gone (see
-        #: ``RecoveryManager.rejoin_from_journal``, PROTOCOL.md §14).
+        #: ``Custody.rejoin_from_journal``, PROTOCOL.md §14).
         self._advert_fanout: Dict[str, int] = {}
         self.gc_count = 0
         self.expired_count = 0

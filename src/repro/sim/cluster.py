@@ -38,9 +38,7 @@ from ..errors import ConfigurationError, InvariantViolation
 from ..metrics import MetricsCollector
 from ..obs.sink import ObsSink
 from ..naimi.lockspace import NaimiLockSpace
-from ..naimi.messages import naimi_message_type_label
 from ..raymond.lockspace import RaymondLockSpace
-from ..raymond.messages import raymond_message_type_label
 from ..raymond.topology import Topology, balanced_binary_tree, validate
 from ..verification.invariants import Monitor
 from .engine import SimEvent, Simulator
@@ -60,9 +58,9 @@ class _BaseCluster:
     """Everything the three bare simulated clusters share.
 
     A subclass supplies only what is per-protocol: ``PROTOCOL`` and
-    ``CLIENT``, a lockspace factory (:meth:`_new_lockspace`), a message
-    label (:meth:`_label`), a grant listener (:meth:`_make_listener`),
-    its ``remove_node`` splice and its quiescent invariants.
+    ``CLIENT``, a lockspace factory (:meth:`_new_lockspace`), a grant
+    listener (:meth:`_make_listener`), its ``remove_node`` splice and its
+    quiescent invariants.
     """
 
     #: Protocol tag stamped into cluster views (set per subclass).
@@ -193,15 +191,12 @@ class _BaseCluster:
 
     def _observe_message(self, sender: NodeId, dest: NodeId, message) -> None:
         if self.metrics is not None:
-            self.metrics.count_message(self._label(message))
+            self.metrics.count_message(message_type_label(message))
         if self.obs is not None:
             # Same observation point and same label as the metrics
             # counter, so per-type totals in traces match
             # MetricsCollector.message_overhead_by_type exactly.
-            self.obs.message(sender, dest, self._label(message))
-
-    def _label(self, message) -> str:  # overridden per protocol
-        raise NotImplementedError
+            self.obs.message(sender, dest, message_type_label(message))
 
     def _record_request(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
         if self.monitor is not None:
@@ -389,9 +384,6 @@ class SimHierarchicalCluster(_BaseCluster):
             listener=listener,
             options=self._options,
         )
-
-    def _label(self, message) -> str:
-        return message_type_label(message)
 
     def _make_listener(self, node_id: NodeId):
         def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
@@ -633,9 +625,6 @@ class SimNaimiCluster(_ExclusiveCluster):
             node_id=node_id, token_home=self._resolve_home, listener=listener
         )
 
-    def _label(self, message) -> str:
-        return naimi_message_type_label(message)
-
     def remove_node(
         self, node_id: NodeId, successor: Optional[NodeId] = None
     ) -> NodeId:
@@ -714,9 +703,6 @@ class SimRaymondCluster(_ExclusiveCluster):
         return RaymondLockSpace(
             node_id=node_id, topology=self.topology, listener=listener
         )
-
-    def _label(self, message) -> str:
-        return raymond_message_type_label(message)
 
     def _place(
         self, node_id: NodeId, attach_to: Optional[NodeId] = None

@@ -131,6 +131,41 @@ class TestMessageTypeLabels:
     def test_labels(self, message, label):
         assert message_type_label(message) == label
 
+    def test_every_message_class_in_the_tree_has_one_label(self):
+        """One table: what ``repro report`` prints for a class is what a
+        fault rule matches it by.  (The tracer used to keep its own,
+        string-keyed, and never learnt the membership messages.)"""
+
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.core.messages import MESSAGE_TYPE_LABELS, Message
+        from repro.faults.plan import fault_label
+        from repro.obs.tracing import message_label
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+
+        def leaves(cls):
+            subclasses = cls.__subclasses__()
+            if not subclasses:
+                yield cls
+            for subclass in subclasses:
+                yield from leaves(subclass)
+
+        classes = {
+            cls for cls in leaves(Message) if cls.__module__.startswith("repro.")
+        }
+        assert len(classes) >= 23
+        for cls in classes:
+            blank = cls.__new__(cls)  # Labels go by class, not by content.
+            assert (
+                MESSAGE_TYPE_LABELS[cls]
+                == message_label(blank)
+                == fault_label(blank)
+            ), cls
+
     def test_envelope_carries_destination(self):
         release = ReleaseMessage(lock_id="L", sender=1, new_mode=LockMode.IR)
         envelope = Envelope(dest=4, message=release)

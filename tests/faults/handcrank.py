@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.core.automaton import ProtocolOptions
 from repro.core.lockspace import LockSpace
 from repro.core.messages import Message, NodeId
+from repro.faults.messages import ReparentMessage
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
 
 
@@ -59,7 +60,9 @@ class Fabric:
 
         return send
 
-    def sent(self, kind: type, sender: Optional[NodeId] = None) -> List[Message]:
+    def sent(
+        self, kind: type, sender: Optional[NodeId] = None
+    ) -> List[Message]:
         """Logged messages of *kind* (from *sender*), in send order."""
 
         return [
@@ -69,18 +72,41 @@ class Fabric:
             and (sender is None or origin == sender)
         ]
 
-    def deliver(self, *kinds: type, only_to: Optional[NodeId] = None) -> int:
-        """Deliver parked messages (of *kinds*, to *only_to*) until none
-        is left, replies included; everything else stays parked."""
+    def dests(self, kind: type) -> List[NodeId]:
+        """Where every logged message of *kind* was sent, sorted."""
+
+        return sorted(d for _s, d, m in self.log if isinstance(m, kind))
+
+    def claims(self, node: NodeId) -> set:
+        """Epochs *node* has announced the token at itself under."""
+
+        return {
+            m.epoch
+            for m in self.sent(ReparentMessage, sender=node)
+            if m.parent == node
+        }
+
+    def _matching(self, kinds, only_to, only_from):
+        return [
+            entry
+            for entry in self.parked
+            if (not kinds or isinstance(entry[2], kinds))
+            and (only_to is None or entry[1] == only_to)
+            and (only_from is None or entry[0] == only_from)
+        ]
+
+    def deliver(
+        self,
+        *kinds: type,
+        only_to: Optional[NodeId] = None,
+        only_from: Optional[NodeId] = None,
+    ) -> int:
+        """Deliver the parked messages that match until none is left,
+        replies included; everything else stays parked."""
 
         delivered = 0
         while True:
-            batch = [
-                entry
-                for entry in self.parked
-                if (not kinds or isinstance(entry[2], kinds))
-                and (only_to is None or entry[1] == only_to)
-            ]
+            batch = self._matching(kinds, only_to, only_from)
             if not batch:
                 return delivered
             for entry in batch:
@@ -89,28 +115,31 @@ class Fabric:
                     self.managers[entry[1]].handle(entry[2])
                     delivered += 1
 
-    def drop(self, *kinds: type) -> None:
-        """Lose every parked message (of *kinds*)."""
+    def drop(
+        self,
+        *kinds: type,
+        only_to: Optional[NodeId] = None,
+        only_from: Optional[NodeId] = None,
+    ) -> None:
+        """Lose the parked messages that match."""
 
-        self.parked = [
-            entry
-            for entry in self.parked
-            if kinds and not isinstance(entry[2], kinds)
-        ]
+        for entry in self._matching(kinds, only_to, only_from):
+            self.parked.remove(entry)
 
 
 def build(
     nodes: int,
     config: RecoveryConfig = RecoveryConfig(),
-    members: Optional[List[NodeId]] = None,
     grants: Optional[list] = None,
+    leased: bool = False,
 ) -> Tuple[HandScheduler, Fabric]:
     """*nodes* started managers (token home: node 0) on one fabric."""
 
     scheduler, fabric = HandScheduler(), Fabric()
     for node in range(nodes):
-        add_manager(scheduler, fabric, node, members or list(range(nodes)),
-                    config, grants)
+        add_manager(
+            scheduler, fabric, node, list(range(nodes)), config, grants, leased
+        )
     return scheduler, fabric
 
 
@@ -121,11 +150,18 @@ def add_manager(
     members: List[NodeId],
     config: RecoveryConfig = RecoveryConfig(),
     grants: Optional[list] = None,
+    leased: bool = False,
     boot: int = 0,
+    start: bool = True,
 ) -> RecoveryManager:
+    """Boot *node* the way a host does; with *leased*, every grant is
+    leased (what the simulator binding's grant listener does)."""
+
     def listener(lock_id, mode, ctx) -> None:
         if grants is not None:
             grants.append((node, lock_id, mode))
+        if leased:
+            fabric.managers[node].leases.note_grant(lock_id, mode)
 
     lockspace = LockSpace(
         node_id=node,
@@ -138,5 +174,6 @@ def add_manager(
         boot=boot,
     )
     fabric.managers[node] = manager
-    manager.start()
+    if start:
+        manager.start()
     return manager

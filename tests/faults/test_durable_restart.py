@@ -104,13 +104,13 @@ class TestCustodyHandshake:
         sim.run(until=8.0)
         manager = cluster.managers[0]
         automaton = cluster.lockspaces[0].automaton("lock-a")
-        assert manager.custody_confirmed >= 1
-        assert manager.custody_fenced == 0
+        assert manager.events["custody-confirmed"] >= 1
+        assert manager.events["custody-fenced"] == 0
         assert automaton.has_token
         assert not automaton.custody_pending
         assert automaton.token_epoch == pre_epoch
         # The restored-but-disowned hold was released during rejoin.
-        assert manager.rejoin_report["holds_released"] == 1
+        assert manager.custody.report["holds_released"] == 1
         # And the lock still works for everyone.
         granted = []
 
@@ -151,7 +151,7 @@ class TestCustodyHandshake:
         sim.run(until=23.0)
         manager = cluster.managers[0]
         automaton = cluster.lockspaces[0].automaton("lock-a")
-        assert manager.custody_fenced >= 1
+        assert manager.events["custody-fenced"] >= 1
         assert not automaton.has_token
         assert not automaton.custody_pending
         believers = [
@@ -190,7 +190,7 @@ class TestCustodyHandshake:
         )
         sim.run(until=2.4)
         cluster.restart(0)
-        report = cluster.managers[0].rejoin_report
+        report = cluster.managers[0].custody.report
         assert report["snapshot_mismatches"] == 1
         assert report["locks_restored"] == 1
         assert report["custody"] == ["lock-a"]

@@ -59,12 +59,13 @@ def _assert_view_agreement(cluster, expect_members=None):
     """Every live manager runs the same epoch and member list."""
 
     views = {
-        node: (m.view_epoch, tuple(m.membership))
+        node: m.membership.view
         for node, m in cluster.managers.items()
         if node in cluster.live_nodes()
     }
     assert len(set(views.values())) == 1, f"views diverge: {views}"
-    epoch, members = next(iter(views.values()))
+    view = next(iter(views.values()))
+    epoch, members = view.epoch, view.members
     if expect_members is not None:
         assert members == tuple(sorted(expect_members)), views
     return epoch, members
@@ -158,7 +159,7 @@ class TestJoinAndDrain:
         assert len(believers) == 1, believers
         assert (
             sum(
-                cluster.managers[node].handoffs_accepted
+                cluster.managers[node].events["handoff-accept"]
                 for node in cluster.live_nodes()
             )
             >= 1
@@ -210,10 +211,10 @@ class TestDecommission:
         installs = [
             install
             for manager in cluster.managers.values()
-            for install in manager.view_installs
-            if 2 in install["removed"]
+            for _at, install in manager.membership.installs
+            if 2 in install.removed
         ]
-        assert installs and all(i["forced"] for i in installs)
+        assert installs and all(i.forced for i in installs)
         assert any(
             e["event"] == "decommissioned" for e in cluster.membership_log
         )
@@ -309,8 +310,7 @@ class TestDurableJoinerRestart:
         sim.run(until=20.0)
 
         manager = cluster.managers[joiner]
-        assert manager.rejoin_report is not None
-        assert manager.rejoin_report["locks_restored"] >= 1
+        assert manager.custody.report["locks_restored"] >= 1
         epoch, members = _assert_view_agreement(cluster)
         assert joiner in members
         # The restored-then-disowned hold must not strand later waiters.
@@ -372,14 +372,14 @@ class TestReclaimFanoutWarning:
         # Enough heartbeats to advertise the lease — but only node 1 is
         # unsuspected, so the journaled fanout stays below quorum.
         sim.run(until=3.5)
-        fanout = cluster.managers[0].sessions.advert_fanout("db")
+        fanout = cluster.managers[0].leases.sessions.advert_fanout("db")
         assert fanout is not None and (fanout + 1) * 2 <= 5, fanout
         cluster.crash(0)
         sim.run(until=4.0)
         cluster.restart(0)
         sim.run(until=5.0)
 
-        report = cluster.managers[0].rejoin_report
+        report = cluster.managers[0].custody.report
         assert report is not None
         assert report["holds_reclaimed"] >= 1, report
         assert report["reclaim_partial_fanout"] >= 1, report

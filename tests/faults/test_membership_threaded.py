@@ -24,14 +24,12 @@ from repro.verification.invariants import CompatibilityMonitor
 
 def _assert_view_agreement(cluster):
     views = {
-        node: (
-            cluster.managers[node].view_epoch,
-            tuple(cluster.managers[node].membership),
-        )
+        node: cluster.managers[node].membership.view
         for node in cluster.live_nodes()
     }
     assert len(set(views.values())) == 1, f"views diverge: {views}"
-    return next(iter(views.values()))
+    view = next(iter(views.values()))
+    return view.epoch, view.members
 
 
 class TestThreadedJoinAndDrain:
@@ -151,8 +149,7 @@ class TestThreadedDurableJoiner:
             cluster.crash(joiner)
             cluster.restart(joiner)
             manager = cluster.managers[joiner]
-            assert manager.rejoin_report is not None
-            assert manager.rejoin_report["locks_restored"] >= 1
+            assert manager.custody.report["locks_restored"] >= 1
             # The restored-then-disowned hold must not strand waiters.
             cluster.client(0).acquire("db.t1", LockMode.W, timeout=30.0)
             cluster.client(0).release("db.t1", LockMode.W)

@@ -143,15 +143,6 @@ def test_a_reopened_probe_keeps_its_own_deadline():
     coordinator = fabric.managers[4]  # The highest live id coordinates.
     timeout = coordinator.config.probe_timeout
 
-    def claims():
-        """Epochs node 4 has announced for itself (a broadcast each)."""
-
-        return {
-            m.epoch
-            for m in fabric.sent(ReparentMessage, sender=4)
-            if m.parent == 4
-        }
-
     coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
     scheduler.advance(0.4)
     coordinator.handle(
@@ -160,9 +151,9 @@ def test_a_reopened_probe_keeps_its_own_deadline():
     scheduler.advance(0.6)
     coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
     scheduler.advance(0.6 + timeout - 0.01)
-    assert claims() == set()
+    assert fabric.claims(4) == set()
     scheduler.advance(0.6 + timeout + 0.01)
-    assert claims() == {1}
+    assert fabric.claims(4) == {1}
 
 
 def test_a_reissued_request_runs_one_retry_chain():

@@ -21,7 +21,7 @@ from repro.membership import (
 
 class TestMembershipView:
     def test_initial_view_is_epoch_zero_and_sorted(self):
-        view = MembershipView.initial([3, 1, 2, 1])
+        view = MembershipView(0, (3, 1, 2, 1))
         assert view.epoch == 0
         assert view.members == (1, 2, 3)
 
@@ -33,29 +33,8 @@ class TestMembershipView:
         "size,expected", [(1, 1), (2, 2), (3, 2), (4, 3), (5, 3), (6, 4)]
     )
     def test_quorum_is_a_strict_majority(self, size, expected):
-        view = MembershipView.initial(range(size))
+        view = MembershipView(0, tuple(range(size)))
         assert view.quorum() == expected
-
-    def test_with_joined_bumps_epoch_and_admits(self):
-        view = MembershipView.initial([0, 1, 2])
-        nxt = view.with_joined(7)
-        assert nxt.epoch == 1
-        assert nxt.members == (0, 1, 2, 7)
-        assert nxt.contains(7) and not view.contains(7)
-
-    def test_with_removed_bumps_epoch_and_excises(self):
-        view = MembershipView.initial([0, 1, 2])
-        nxt = view.with_removed(1)
-        assert nxt.epoch == 1
-        assert nxt.members == (0, 2)
-        assert not nxt.contains(1)
-
-    def test_join_then_remove_round_trip(self):
-        view = MembershipView.initial([0, 1])
-        grown = view.with_joined(2).with_joined(3)
-        shrunk = grown.with_removed(0)
-        assert shrunk.epoch == 3
-        assert shrunk.members == (1, 2, 3)
 
     def test_payload_round_trip(self):
         view = MembershipView(epoch=9, members=(0, 2, 4))

@@ -134,13 +134,10 @@ class TestTracerBasics:
         assert release.message.trace.parent == granted.message.trace.hop
 
     def test_heartbeats_are_untraced(self):
+        from repro.faults.messages import HeartbeatMessage
+
         tracer = MessageTracer(clock=FakeClock())
-
-        @dataclasses.dataclass(frozen=True)
-        class HeartbeatMessage:
-            sender: int
-
-        env = Envelope(1, HeartbeatMessage(sender=0))
+        env = Envelope(1, HeartbeatMessage(lock_id="", sender=0))
         assert tracer.outbound(0, env) is env
         assert tracer.chains() == []
 
