@@ -2,10 +2,13 @@
 
 Seeded runs are bit-identical and chaos verdicts deterministic, so two
 trees that behave alike print the same bytes.  This runs, in each tree,
-the 48 nightly chaos verdicts (``.github/workflows/nightly-chaos.yml``)
-and the two ``token-crash --flight-dir`` dumps, then byte-compares them.
-On a difference it names every differing output, prints a unified diff
-of the first, and exits 1.
+the 48 nightly chaos verdicts (``.github/workflows/nightly-chaos.yml``),
+the two ``token-crash --flight-dir`` dumps and the exhaustive explorer's
+state-space census (``tests/verification/census.py`` of *this* tree:
+every interleaving of some 80 small scenarios, so a change to an
+automaton transition shows even where no seeded run reaches it), then
+byte-compares them.  On a difference it names every differing output,
+prints a unified diff of the first, and exits 1.
 
 Usage, from the root of the tree under test (≈ 30 s for both trees)::
 
@@ -13,7 +16,7 @@ Usage, from the root of the tree under test (≈ 30 s for both trees)::
     python benchmarks/refactor_safety.py /root/scratch/parent
 
 Each tree gets one subprocess, which imports *that* tree's ``repro`` and
-forks once per verdict: the global serial counter and every other piece
+forks once per output: the global serial counter and every other piece
 of process state start equal for every run, so a verdict that a change
 legitimately moves cannot shift the ones after it.  Verdict JSON holds
 no wall-clock or temp-path field; the process exit code is part of the
@@ -28,6 +31,7 @@ import contextlib
 import difflib
 import filecmp
 import io
+import json
 import os
 import subprocess
 import sys
@@ -68,27 +72,46 @@ def verdict_runs() -> List[Tuple[str, List[str]]]:
     return runs
 
 
-def emit(out: str) -> None:
-    """Write every verdict of the ``repro`` on ``sys.path`` into *out*."""
-
+def _write_verdict(out: str, name: str, argv: List[str]) -> None:
     from repro.__main__ import main
 
+    argv = ["chaos", "--json"] + [a.format(out=out) for a in argv]
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        code = main(argv)
+    if "--flight-dir" not in argv:
+        with open(os.path.join(out, name + ".json"), "w") as handle:
+            handle.write(stream.getvalue())
+            handle.write(f"exit {code}\n")
+
+
+def _write_census(out: str) -> None:
+    # The scenario tables are this tree's tests; the explorer under them
+    # is whichever ``repro`` is on ``sys.path``.
+    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from tests.verification.census import census
+
+    with open(os.path.join(out, "explorer-census.json"), "w") as handle:
+        json.dump(census(), handle, indent=1)
+        handle.write("\n")
+
+
+def emit(out: str) -> None:
+    """Write every output of the ``repro`` on ``sys.path`` into *out*."""
+
     os.makedirs(out, exist_ok=True)
-    for name, argv in verdict_runs():
-        argv = ["chaos", "--json"] + [a.format(out=out) for a in argv]
+    jobs = [
+        (name, _write_verdict, (out, name, argv)) for name, argv in verdict_runs()
+    ]
+    jobs.append(("explorer-census", _write_census, (out,)))
+    for name, job, args in jobs:
         pid = os.fork()
         if pid == 0:
-            stream = io.StringIO()
-            with contextlib.redirect_stdout(stream):
-                code = main(argv)
-            if "--flight-dir" not in argv:
-                with open(os.path.join(out, name + ".json"), "w") as handle:
-                    handle.write(stream.getvalue())
-                    handle.write(f"exit {code}\n")
+            job(*args)
             os._exit(0)
         _pid, status = os.waitpid(pid, 0)
         if status != 0:
-            sys.exit(f"{name}: the verdict process died (status {status})")
+            sys.exit(f"{name}: the process writing it died (status {status})")
 
 
 def compare(here: str, other: str) -> int:

@@ -565,6 +565,18 @@ class AutomatonSpace:
             ],
         }
 
+    def _reset(self, clock: int = 0) -> None:
+        self._automata = {}
+        self._clock = LamportClock(clock)
+
+    def restore(self, state: Mapping[str, object]) -> None:
+        """Exact inverse of :meth:`flight_state`: forget every automaton,
+        then rebuild each recorded one from its birth and restore it."""
+
+        self._reset(int(state.get("clock", 0)))
+        for lock_id, lock_state in state.get("locks", ()):
+            self.automaton(lock_id).restore_flight_state(lock_state)
+
     def automata(self) -> Iterable[LockAutomaton]:
         """Iterate over every instantiated automaton (for monitors)."""
 

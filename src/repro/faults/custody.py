@@ -10,8 +10,7 @@ surfacing elsewhere fences for good (the node demotes itself under it);
 ``rejoin_settle`` of silence with a quorum visible confirms, and the
 settled placement is broadcast.
 
-The layer owns the per-lock settle state, the rejoin report and the
-``restored`` flag heartbeats carry.
+The layer owns the per-lock settle state and the rejoin report.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ class Custody:
         self._kernel = kernel
         #: Restored epoch per lock whose custody awaits reconciliation.
         self._pending: Dict[LockId, int] = {}
-        #: Whether this incarnation restored holds from its journal
-        #: (advertised in heartbeats: a restored peer's deferred
-        #: evictions must wait for its re-advertised leases).
-        self.restored = False
         #: Report of the last :meth:`rejoin_from_journal` (``{}``: none).
         self.report: Dict[str, object] = {}
 
@@ -136,7 +131,6 @@ class Custody:
                     )
             self.report = report
             if report["locks_restored"]:
-                self.restored = True
                 kernel.event("rejoin", kernel.node_id)
         return report
 

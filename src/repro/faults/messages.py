@@ -63,17 +63,14 @@ class HeartbeatMessage(Message):
     the sender's active lease table — each entry is a 4-tuple
     ``(lock, mode, holder, fencing_token)`` (see :mod:`repro.leases`); a
     heartbeat therefore *is* the lease renewal, so a holder that keeps
-    beating keeps its holds.  ``restored`` marks a durable rejoin: the
-    new incarnation re-owns its journalled holds, so peers cancel any
-    lease-deferred evictions instead of firing them.  ``view_epoch`` is
-    the sender's installed membership view (see :mod:`repro.membership`);
-    a peer seeing a lower epoch than its own re-sends the current
-    ``ViewInstall``, which is the view anti-entropy path.
+    beating keeps its holds.  ``view_epoch`` is the sender's installed
+    membership view (see :mod:`repro.membership`); a peer seeing a lower
+    epoch than its own re-sends the current ``ViewInstall``, which is the
+    view anti-entropy path.
     """
 
     boot: int = 0
     leases: Tuple = ()
-    restored: bool = False
     view_epoch: int = 0
 
 

@@ -482,7 +482,6 @@ class RecoveryManager:
             HeartbeatMessage,
             boot=self.boot,
             leases=self.leases.advertise(self.now(), len(self.live_peers())),
-            restored=self.custody.restored,
             view_epoch=self.membership.view.epoch,
         )
         self.timers.arm(

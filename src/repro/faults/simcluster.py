@@ -35,7 +35,7 @@ from ..sim.network import Network
 from ..sim.rng import Distribution, Exponential
 from ..verification.invariants import Monitor
 from .host import ResilientHost
-from .plan import FaultPlan
+from .plan import FaultPlan, fault_label
 from .recovery import RecoveryConfig, RecoveryManager
 from .scheduler import SimScheduler
 
@@ -93,7 +93,9 @@ class ResilientSimCluster(ResilientHost):
         observer = None
         if obs is not None:
             def observer(sender, dest, message):
-                obs.message(sender, dest, type(message).__name__)
+                # The label the bare clusters, the tracer and FaultRule
+                # use: what a session frame carries, not the frame.
+                obs.message(sender, dest, fault_label(message))
         self.network = Network(
             self.sim,
             latency=self._latency,

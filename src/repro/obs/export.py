@@ -1,8 +1,7 @@
 """JSONL export and reload for observed runs.
 
-The on-disk format extends :mod:`repro.verification.trace`'s JSON-lines
-convention — every line is one JSON object with a ``cat`` discriminator —
-with three new categories:
+The on-disk format is JSON lines — every line is one JSON object with a
+``cat`` discriminator:
 
 ``{"cat": "run", "meta": {...}}``
     Starts a run section.  ``meta`` carries run identity (protocol,
@@ -20,9 +19,10 @@ with three new categories:
     One causal chain of hop records
     (:meth:`repro.obs.tracing.TraceChain.to_payload`).
 
-Classic trace events (``cat`` of request/grant/release/message) may be
-interleaved in the same file; the loader keeps them as raw dicts on the
-owning :class:`RunTrace`.  A file may contain several run sections —
+Lines of any other ``cat`` (the request/grant/release/message events
+of the retired ``TraceRecorder`` format) may be interleaved in the same
+file; the loader keeps them as raw dicts on the owning
+:class:`RunTrace`.  A file may contain several run sections —
 ``fig5 --trace-out run.jsonl`` writes one per protocol — and
 :func:`load_runs` returns them in order.
 """
@@ -38,7 +38,7 @@ from .series import GaugeSeries, Histogram, WindowedCounter, series_from_payload
 from .spans import RequestSpan
 from .tracing import TraceChain
 
-#: New line categories introduced by this module.
+#: The line categories this module writes.
 RUN, SPAN, SERIES, CHAIN = "run", "span", "series", "chain"
 
 
@@ -53,7 +53,7 @@ class RunTrace:
     histograms: Dict[str, Histogram] = dataclasses.field(default_factory=dict)
     #: Causal chains recorded by the message tracer, in mint order.
     chains: List[TraceChain] = dataclasses.field(default_factory=list)
-    #: Raw classic trace events (cat request/grant/release/message), if any.
+    #: Raw lines of any other category (old TraceRecorder events), if any.
     events: List[Dict[str, object]] = dataclasses.field(default_factory=list)
 
     @property
@@ -150,7 +150,7 @@ def load_runs(stream: IO[str]) -> List[RunTrace]:
             else:
                 run.histograms[name] = series
         else:
-            # Classic verification/trace.py event — keep it raw.
+            # Not ours (an old TraceRecorder event): keep it raw.
             current().events.append(raw)
     return runs
 

@@ -61,7 +61,6 @@ from typing import (
     Tuple,
 )
 
-from ..core.clock import LamportClock
 from ..core.contract import (
     AutomatonSpace,
     automaton_class,
@@ -558,17 +557,6 @@ class ReplaySession(AutomatonSpace):
         return automaton
 
     # -- state ----------------------------------------------------------
-
-    def _reset(self, clock: int = 0) -> None:
-        self._automata = {}
-        self._clock = LamportClock(clock)
-
-    def restore(self, state: Mapping[str, object]) -> None:
-        """Reset this session to a recorded checkpoint *state*."""
-
-        self._reset(int(state.get("clock", 0)))
-        for lock_id, lock_state in state.get("locks", ()):
-            self.automaton(lock_id).restore_flight_state(lock_state)
 
     def node_snapshot(self) -> NodeSnapshot:
         """A :class:`NodeSnapshot` of this session (for the audit)."""

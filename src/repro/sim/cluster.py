@@ -2,8 +2,8 @@
 
 The bare family: one implementation (:class:`_BaseCluster`), three
 protocols that each add only what is theirs — a lockspace factory, a
-message label, a grant listener, a ``remove_node`` splice and the
-quiescent invariants:
+grant listener, a ``remove_node`` splice and which family's quiescent
+invariants apply:
 
 * :class:`SimHierarchicalCluster` — every node runs a
   :class:`~repro.core.lockspace.LockSpace` (the paper's protocol),
@@ -28,19 +28,24 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional
 
 from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
 from ..core.messages import LockId, NodeId, message_type_label
 from ..core.modes import LockMode
-from ..errors import ConfigurationError, InvariantViolation
+from ..errors import ConfigurationError
 from ..metrics import MetricsCollector
 from ..obs.sink import ObsSink
 from ..naimi.lockspace import NaimiLockSpace
 from ..raymond.lockspace import RaymondLockSpace
 from ..raymond.topology import Topology, balanced_binary_tree, validate
-from ..verification.invariants import Monitor
+from ..verification.invariants import (
+    Monitor,
+    quiescent_exclusive,
+    quiescent_hierarchical,
+)
 from .engine import SimEvent, Simulator
 from .network import Network
 from .rng import Distribution, Exponential
@@ -60,13 +65,15 @@ class _BaseCluster:
     A subclass supplies only what is per-protocol: ``PROTOCOL`` and
     ``CLIENT``, a lockspace factory (:meth:`_new_lockspace`), a grant
     listener (:meth:`_make_listener`), its ``remove_node`` splice and its
-    quiescent invariants.
+    family's ``QUIESCENT`` check.
     """
 
     #: Protocol tag stamped into cluster views (set per subclass).
     PROTOCOL = "?"
     #: Per-node client class (``CLIENT(cluster, node_id)``).
     CLIENT: type
+    #: The family's per-lock quiescent check, ``(lock_id, automata)``.
+    QUIESCENT: Callable
 
     def __init__(
         self,
@@ -294,6 +301,22 @@ class _BaseCluster:
         self._departed.add(node_id)
         self._ghosts[node_id] = self.lockspaces.pop(node_id)
 
+    # -- structural checks (valid at quiescence only) --------------------
+
+    def assert_quiescent_invariants(self) -> None:
+        """Verify every touched lock's structure after the network has
+        drained: the protocol family's ``QUIESCENT`` check (see
+        :mod:`repro.verification.invariants`) over all nodes' automata."""
+
+        for lock_id in self._touched_locks(self.lockspaces):
+            self.QUIESCENT(
+                lock_id,
+                {
+                    node_id: space.automaton(lock_id)
+                    for node_id, space in self.lockspaces.items()
+                },
+            )
+
 
 class _NodeClient:
     """What every per-node client is: a (cluster, node id) pair."""
@@ -358,6 +381,7 @@ class SimHierarchicalCluster(_BaseCluster):
 
     PROTOCOL = "hierarchical"
     CLIENT = HierClient
+    QUIESCENT = staticmethod(quiescent_hierarchical)
 
     def __init__(
         self,
@@ -471,51 +495,6 @@ class SimHierarchicalCluster(_BaseCluster):
         self._log_membership("removed", node_id, successor=fallback)
         return fallback
 
-    # -- structural checks (valid at quiescence only) --------------------
-
-    def assert_quiescent_invariants(self) -> None:
-        """Verify tree/token structure after the network has drained.
-
-        Checks, per instantiated lock: exactly one token node; no pending
-        requests or queued entries anywhere; parent/child records mutually
-        consistent; each parent's recorded child mode equal to the child's
-        actual owned mode.
-        """
-
-        for lock_id in self._touched_locks(self.lockspaces):
-            automata = {
-                node_id: space.automaton(lock_id)
-                for node_id, space in self.lockspaces.items()
-            }
-            tokens = [n for n, a in automata.items() if a.has_token]
-            if len(tokens) != 1:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: {len(tokens)} token nodes ({tokens})"
-                )
-            for node_id, automaton in automata.items():
-                if automaton.pending_mode is not LockMode.NONE:
-                    raise InvariantViolation(
-                        f"lock {lock_id!r}: node {node_id} still pending "
-                        f"{automaton.pending_mode} at quiescence"
-                    )
-                if automaton.queue_length:
-                    raise InvariantViolation(
-                        f"lock {lock_id!r}: node {node_id} still queues "
-                        f"{automaton.queue_length} requests at quiescence"
-                    )
-                for child, recorded in automaton.children.items():
-                    actual = automata[child].owned_mode()
-                    if actual is not recorded:
-                        raise InvariantViolation(
-                            f"lock {lock_id!r}: node {node_id} records child "
-                            f"{child} as {recorded} but it owns {actual}"
-                        )
-                    if automata[child].parent != node_id:
-                        raise InvariantViolation(
-                            f"lock {lock_id!r}: child {child} of {node_id} "
-                            f"points at parent {automata[child].parent}"
-                        )
-
 
 class ExclusiveClient(_NodeClient):
     """Per-node client of an exclusive-lock baseline — Naimi-Tréhel or
@@ -550,8 +529,7 @@ class _ExclusiveCluster(_BaseCluster):
     """What the two exclusive-lock baselines share beyond the base."""
 
     CLIENT = ExclusiveClient
-    #: What the protocol calls its token (``has_<_TOKEN>`` on automata).
-    _TOKEN = "token"
+    QUIESCENT = staticmethod(quiescent_exclusive)
 
     def _make_listener(self, node_id: NodeId):
         def listener(lock_id: LockId, ctx: object) -> None:
@@ -574,29 +552,6 @@ class _ExclusiveCluster(_BaseCluster):
                     f"{automaton.lock_id!r}; drain before removal"
                 )
         return self._touched_locks(self.members)
-
-    def assert_quiescent_invariants(self) -> None:
-        """Verify single-token / idle structure after the network drains."""
-
-        for lock_id in self._touched_locks(self.lockspaces):
-            automata = {
-                node_id: space.automaton(lock_id)
-                for node_id, space in self.lockspaces.items()
-            }
-            holders = [
-                n for n, a in automata.items()
-                if getattr(a, f"has_{self._TOKEN}")
-            ]
-            if len(holders) != 1:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: {len(holders)} {self._TOKEN} "
-                    f"holders ({holders})"
-                )
-            stuck = [n for n, a in automata.items() if not a.is_idle()]
-            if stuck:
-                raise InvariantViolation(
-                    f"lock {lock_id!r}: nodes {stuck} not idle at quiescence"
-                )
 
 
 class SimNaimiCluster(_ExclusiveCluster):
@@ -677,7 +632,7 @@ class SimRaymondCluster(_ExclusiveCluster):
     """A simulated cluster running Raymond's static-tree baseline."""
 
     PROTOCOL = "raymond"
-    _TOKEN = "privilege"
+    QUIESCENT = staticmethod(partial(quiescent_exclusive, token="privilege"))
 
     def __init__(
         self,

@@ -1,7 +1,13 @@
-"""Correctness tooling: monitors, fairness, deadlock, traces, explorers."""
+"""Correctness tooling: monitors, fairness, deadlock, the explorer."""
 
 from .deadlock import Deadlock, DeadlockWatchdog, WaitForGraphMonitor
-from .explorer import ExplorationStats, ModelExplorer, explore_scenario
+from .explorer import (
+    ExplorationStats,
+    ProtocolWorld,
+    explore,
+    explore_hierarchical,
+    explore_scenario,
+)
 from .fairness import FairnessReport, analyze, bypass_histogram
 from .invariants import (
     CompatibilityMonitor,
@@ -11,8 +17,6 @@ from .invariants import (
     MonitorSet,
     MutualExclusionMonitor,
 )
-from .multilock import MultiLockExplorer, MultiLockStats, explore_hierarchical
-from .trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "CompatibilityMonitor",
@@ -22,17 +26,14 @@ __all__ = [
     "FairnessReport",
     "FifoObserver",
     "GrantEvent",
-    "ModelExplorer",
     "Monitor",
     "MonitorSet",
-    "MultiLockExplorer",
-    "MultiLockStats",
     "MutualExclusionMonitor",
-    "TraceEvent",
-    "TraceRecorder",
+    "ProtocolWorld",
     "WaitForGraphMonitor",
     "analyze",
     "bypass_histogram",
+    "explore",
     "explore_hierarchical",
     "explore_scenario",
 ]

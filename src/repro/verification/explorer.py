@@ -1,63 +1,71 @@
-"""Exhaustive small-configuration model exploration.
+"""Exhaustive small-configuration exploration: one search kernel, one world.
 
-The stochastic simulator samples one interleaving per seed; this explorer
-checks *every* interleaving of a small scenario: given a set of nodes and
-a script of lock requests, it explores all orders in which in-flight
-messages can be delivered (plus the release that follows each grant),
-asserting at every step that
+The stochastic simulator samples one interleaving per seed; this module
+checks *every* interleaving of a small scenario.  It has two halves:
 
-* concurrently granted modes are pairwise compatible (Rule 1),
-* the run can always make progress (no deadlock), and
-* every request is eventually granted in every terminal state.
+* :func:`explore` — the **kernel**: a depth-first search over *worlds*
+  with state-hash deduplication, a state budget and, on a violation, the
+  trace of moves that led to it.  It knows no protocol: a world supplies
+  ``moves()``, ``signature()``, ``clone()`` and ``check_terminal()``.
+* :class:`ProtocolWorld` — the **bare-protocol world**: one
+  :class:`~repro.core.contract.AutomatonSpace` per node over per-pair
+  FIFO channels (matching the transports), driven by per-node scripts of
+  *operations* — ``(lock, mode[, upgrade])`` steps acquired in order and
+  released in reverse, the way the protocol is used (§3.1); a single-lock
+  scenario is a script of one-step operations.  A :class:`Protocol`
+  adapter (:func:`hierarchical`, :data:`NAIMI`, :func:`raymond`) is all
+  it must be told about a protocol.
 
-Per-pair FIFO channel order is respected, matching the transports.  State
-deduplication keeps the search tractable; scenarios with up to ~4 nodes
-and ~6 requests explore in well under a second.
+Checked in every reachable state: a grant goes to the node that asked,
+for what it asked, and concurrent holds of one lock are pairwise
+compatible (Rule 1).  In every terminal state: every operation finished
+and released (no deadlock across locks, nobody starved) and each lock
+passes its family's quiescent invariants
+(:mod:`repro.verification.invariants`) — the function the simulated
+clusters assert after a run.
 
-This is the tool that turns "the simulator never tripped the monitor"
-into "no reachable interleaving of this scenario trips the monitor".
+**The state abstraction** — what :meth:`ProtocolWorld.signature` hashes —
+is declared here and nowhere else.  An automaton is identified by its
+whole ``flight_state()`` unless the adapter says otherwise (Naimi and
+Raymond have nothing to project away).  The hierarchical automaton is
+identified by :func:`hierarchical_state` and a message by
+:data:`MESSAGE_FIELDS`, which project away Lamport timestamps and clocks,
+request serials and priorities, the attachment epochs *inside* automata
+(``attach_seq``, ``child_seqs``) and a token message's carried queue and
+previous-owner fields.  Those values come from a process-wide counter
+and from how many events a node has seen, so they differ between two
+paths to an otherwise equal state: hashing them exactly was measured to
+multiply the search 2.6–355× on twelve scenarios (``three readers``
+746 → 18,427 states, ``reparenting race`` 773 → 274,540).  An
+*in-flight* ``attachment_seq`` stays in: whether a release crossing a
+re-grant is stale is the race class the explorer exists to cover.  The
+abstraction is not a bisimulation — the first world to reach a signature
+is the one expanded — so state counts depend on the (fixed) move order;
+``tests/verification/test_census.py`` pins them, which makes any edit of
+an automaton an every-interleaving refactor check.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from operator import methodcaller
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.automaton import (
-    FULL_PROTOCOL,
-    HierarchicalLockAutomaton,
-    ProtocolOptions,
-)
-from ..core.clock import LamportClock
-from ..core.messages import Envelope, NodeId
+from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
+from ..core.contract import AutomatonSpace, LockAutomaton
+from ..core.lockspace import LockSpace
+from ..core.messages import Envelope, LockId, NodeId
 from ..core.modes import LockMode, compatible
-from ..errors import InvariantViolation
+from ..errors import InvariantViolation, ReproError
+from ..naimi.lockspace import NaimiLockSpace
+from ..raymond.lockspace import RaymondLockSpace
+from ..raymond.topology import Topology
+from .invariants import quiescent_exclusive, quiescent_hierarchical
 
-#: A scripted action: node *node* requests *mode* (release is implicit).
-@dataclasses.dataclass(frozen=True)
-class ScriptedRequest:
-    """One scripted lock request; the grant triggers a matching release.
-
-    With ``upgrade_after`` (only meaningful for ``U`` requests) the node
-    performs a Rule 7 U→W upgrade after the grant, then releases ``W``.
-    """
-
-    node: NodeId
-    mode: LockMode
-    upgrade_after: bool = False
-
-
-def per_node_scripts(
-    script: Sequence[ScriptedRequest],
-) -> Dict[NodeId, List[ScriptedRequest]]:
-    """Group a script into per-node request sequences (issue order)."""
-
-    grouped: Dict[NodeId, List[ScriptedRequest]] = defaultdict(list)
-    for step in script:
-        grouped[step.node].append(step)
-    return dict(grouped)
+# ---------------------------------------------------------------------------
+# The kernel.
+# ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,340 +77,388 @@ class ExplorationStats:
     max_frontier: int
 
 
-class _World:
-    """One concrete global state of the scenario (mutable, copyable)."""
+def _annotated(exc: ReproError, trace: Optional[tuple]) -> ReproError:
+    """*exc* again, with the moves that led to it (oldest first)."""
 
-    __slots__ = (
-        "automata",
-        "channels",
-        "holds",
-        "granted",
-        "released",
-        "progress",
-        "upgrading",
-        "sent_count",
-        "log",
-    )
-
-    def __init__(
-        self,
-        automata: Dict[NodeId, HierarchicalLockAutomaton],
-        channels: Dict[Tuple[NodeId, NodeId], List],
-        holds: List[Tuple[NodeId, LockMode]],
-        granted: int,
-        released: int,
-        progress: Dict[NodeId, int],
-        upgrading: Dict[NodeId, bool],
-        log: Tuple[str, ...],
-        sent_count: int = 0,
-    ) -> None:
-        self.automata = automata
-        self.channels = channels
-        self.holds = holds
-        self.granted = granted
-        self.released = released
-        self.progress = progress
-        self.upgrading = upgrading
-        self.sent_count = sent_count
-        self.log = log
+    names = []
+    while trace is not None:
+        name, trace = trace
+        names.append(name)
+    return type(exc)(f"{exc}\ntrace:\n" + "\n".join(reversed(names)))
 
 
-class ModelExplorer:
-    """Explores every interleaving of a scripted single-lock scenario."""
+def explore(initial, max_states: int = 2_000_000) -> ExplorationStats:
+    """Visit every world reachable from *initial*; raise on any violation.
 
-    LOCK = "lock"
+    A world is expanded once per distinct ``signature()``: each of its
+    ``moves()`` — ``(name, apply)`` pairs — is applied to a ``clone()``.
+    A world without moves is terminal and must pass ``check_terminal()``.
+    Any :class:`~repro.errors.ReproError` a move or a terminal check
+    raises is re-raised with the trace of move names that reached it.
+    """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        script: Sequence[ScriptedRequest],
-        options: ProtocolOptions = FULL_PROTOCOL,
-        max_states: int = 2_000_000,
-        duplicate_nth: Optional[int] = None,
-    ) -> None:
-        self.num_nodes = num_nodes
-        self.script = list(script)
-        self.scripts = per_node_scripts(self.script)
-        self.options = options
-        self.max_states = max_states
-        #: With ``duplicate_nth=k`` the k-th message sent (0-based, over
-        #: the whole run) is enqueued twice on its channel — the
-        #: FIFO-consistent model of a retransmission duplicate, which a
-        #: per-pair-ordered transport delivers right behind the original.
-        #: Meant for ``recovery=True`` options: it proves the dedup layer
-        #: keeps Rule 1 over every interleaving around the duplicate.
-        self.duplicate_nth = duplicate_nth
-
-    # -- construction of the initial world --------------------------------
-
-    def _fresh_world(self) -> _World:
-        automata: Dict[NodeId, HierarchicalLockAutomaton] = {}
-        for node in range(self.num_nodes):
-            automata[node] = HierarchicalLockAutomaton(
-                node_id=node,
-                lock_id=self.LOCK,
-                clock=LamportClock(),
-                parent=None if node == 0 else 0,
-                has_token=node == 0,
-                options=self.options,
-            )
-        world = _World(
-            automata=automata,
-            channels=defaultdict(list),
-            holds=[],
-            granted=0,
-            released=0,
-            progress={node: 0 for node in self.scripts},
-            upgrading={node: False for node in self.scripts},
-            log=(),
-        )
-        # Requests are issued as explored moves: each node runs its script
-        # strictly sequentially (request → grant → release → next), and
-        # the issue points interleave freely with message deliveries.
-        for node, automaton in automata.items():
-            automaton._listener = self._listener_for(world, node)
-        return world
-
-    def _listener_for(self, world: _World, node: NodeId):
-        def listener(lock_id, mode, ctx):
-            self._on_grant(world, node, mode, ctx)
-
-        return listener
-
-    # -- grant/hold bookkeeping -------------------------------------------
-
-    def _on_grant(
-        self, world: _World, node: NodeId, mode: LockMode, ctx: object = None
-    ) -> None:
-        if ctx == "upgrade":
-            # Rule 7 completion: the U hold converts atomically to W.
-            world.holds.remove((node, LockMode.U))
-            world.upgrading[node] = False
-        for holder, held_mode in world.holds:
-            if not compatible(held_mode, mode):
-                raise InvariantViolation(
-                    f"{mode} granted to node {node} while node {holder} "
-                    f"holds {held_mode}\ntrace:\n" + "\n".join(world.log)
-                )
-        world.holds.append((node, mode))
-        if ctx != "upgrade":
-            world.granted += 1
-
-    def _enqueue(
-        self, world: _World, sender: NodeId, envelopes: List[Envelope]
-    ) -> None:
-        for envelope in envelopes:
-            channel = world.channels[(sender, envelope.dest)]
-            channel.append(envelope.message)
-            if world.sent_count == self.duplicate_nth:
-                channel.append(envelope.message)
-            world.sent_count += 1
-
-    # -- state copying / hashing ------------------------------------------
-
-    def _clone(self, world: _World) -> _World:
-        import copy
-
-        automata = {}
-        for node, automaton in world.automata.items():
-            clone = copy.deepcopy(automaton)
-            automata[node] = clone
-        new_world = _World(
-            automata=automata,
-            channels=defaultdict(
-                list, {k: list(v) for k, v in world.channels.items()}
-            ),
-            holds=list(world.holds),
-            granted=world.granted,
-            released=world.released,
-            progress=dict(world.progress),
-            upgrading=dict(world.upgrading),
-            log=world.log,
-            sent_count=world.sent_count,
-        )
-        for node, automaton in automata.items():
-            automaton._listener = self._listener_for(new_world, node)
-        return new_world
-
-    def _signature(self, world: _World) -> Tuple:
-        autos = []
-        for node in sorted(world.automata):
-            a = world.automata[node]
-            autos.append(
-                (
-                    node,
-                    a.has_token,
-                    a.parent,
-                    tuple(sorted(a.children.items(), key=lambda kv: kv[0])),
-                    tuple(sorted(a.held_modes.items(), key=lambda kv: kv[0].value)),
-                    a.pending_mode,
-                    tuple(
-                        (q.origin, q.mode, q.upgrade) for q in a.queued_requests
-                    ),
-                    tuple(sorted(m.value for m in a.frozen_modes)),
-                    # Recovery-mode state: the dedup memory and token
-                    # epoch change how future messages are handled, so
-                    # worlds differing only here must not be merged.
-                    # Constant for non-recovery options.
-                    a.recent_grant_keys,
-                    a.token_epoch,
-                )
-            )
-        channels = tuple(
-            (pair, tuple(self._msg_sig(m) for m in msgs))
-            for pair, msgs in sorted(world.channels.items())
-            if msgs
-        )
-        holds = tuple(sorted((n, m.value) for n, m in world.holds))
-        progress = tuple(sorted(world.progress.items()))
-        upgrading = tuple(sorted(world.upgrading.items()))
-        signature = (
-            tuple(autos),
-            channels,
-            holds,
-            world.granted,
-            world.released,
-            progress,
-            upgrading,
-        )
-        if self.duplicate_nth is not None:
-            # Worlds on either side of the duplication point behave
-            # differently even with identical automata; once the
-            # duplicate has fired the exact count no longer matters.
-            signature += (min(world.sent_count, self.duplicate_nth + 1),)
-        return signature
-
-    @staticmethod
-    def _msg_sig(message) -> Tuple:
-        return (
-            type(message).__name__,
-            getattr(message, "mode", None),
-            getattr(message, "origin", None),
-            getattr(message, "new_mode", None),
-            getattr(message, "granted_mode", None),
-            tuple(sorted(m.value for m in getattr(message, "frozen", ()))),
-            getattr(message, "attachment_seq", None),
-        )
-
-    # -- the search ---------------------------------------------------------
-
-    def explore(self) -> ExplorationStats:
-        """Run the exhaustive search; raises on any violated invariant."""
-
-        initial = self._fresh_world()
-        seen: Set[Tuple] = set()
-        frontier: List[_World] = [initial]
-        states = 0
-        terminals = 0
-        max_frontier = 1
-        while frontier:
-            max_frontier = max(max_frontier, len(frontier))
-            world = frontier.pop()
-            signature = self._signature(world)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            states += 1
-            if states > self.max_states:
-                raise InvariantViolation(
-                    f"state-space budget exceeded ({self.max_states})"
-                )
-            moves = self._enabled_moves(world)
+    seen = set()
+    frontier = [(initial, None)]
+    states = terminals = 0
+    max_frontier = 1
+    while frontier:
+        max_frontier = max(max_frontier, len(frontier))
+        world, trace = frontier.pop()
+        signature = world.signature()
+        if signature in seen:
+            continue
+        seen.add(signature)
+        states += 1
+        if states > max_states:
+            raise InvariantViolation(f"state-space budget exceeded ({max_states})")
+        moves = world.moves()
+        path = trace
+        try:
             if not moves:
                 terminals += 1
-                self._check_terminal(world)
-                continue
-            for move_name, apply_move in moves:
-                branch = self._clone(world)
-                apply_move(branch)
-                branch.log = branch.log + (move_name,)
-                frontier.append(branch)
-        return ExplorationStats(
-            states_explored=states,
-            terminal_states=terminals,
-            max_frontier=max_frontier,
+                world.check_terminal()
+            for name, apply in moves:
+                path = (name, trace)
+                branch = world.clone()
+                apply(branch)
+                frontier.append((branch, path))
+        except ReproError as exc:
+            raise _annotated(exc, path) from None
+    return ExplorationStats(states, terminals, max_frontier)
+
+
+# ---------------------------------------------------------------------------
+# The declared abstraction and the per-protocol adapters.
+# ---------------------------------------------------------------------------
+
+#: What identifies an in-flight message besides its type and its channel
+#: (a message type without one of these reads ``None``).
+MESSAGE_FIELDS = (
+    "lock_id", "mode", "origin", "new_mode", "granted_mode", "frozen",
+    "attachment_seq",
+)
+
+
+def message_signature(message) -> Tuple:
+    return (type(message).__name__,) + tuple(
+        getattr(message, name, None) for name in MESSAGE_FIELDS
+    )
+
+
+def hierarchical_state(automaton) -> Tuple:
+    """What identifies a hierarchical automaton (see the module docstring).
+
+    The grant memory and the token epoch are recovery-mode state —
+    constant otherwise — that change how later messages are handled.
+    """
+
+    return (
+        automaton.has_token,
+        automaton.parent,
+        frozenset(automaton.children.items()),
+        frozenset(automaton.held_modes.items()),
+        automaton.pending_mode,
+        tuple((q.origin, q.mode, q.upgrade) for q in automaton.queued_requests),
+        automaton.frozen_modes,
+        automaton.recent_grant_keys,
+        automaton.token_epoch,
+    )
+
+
+def _hashable(value):
+    """A ``flight_state()`` (JSON-safe) value as nested tuples."""
+
+    if isinstance(value, dict):
+        return tuple((key, _hashable(item)) for key, item in sorted(value.items()))
+    if isinstance(value, list):
+        return tuple(_hashable(item) for item in value)
+    return value
+
+
+def exact_state(automaton: LockAutomaton) -> Tuple:
+    """The whole encoded state: right when nothing needs projecting away."""
+
+    return _hashable(automaton.flight_state())
+
+
+@dataclasses.dataclass(frozen=True)
+class Protocol:
+    """What :class:`ProtocolWorld` must be told about a protocol."""
+
+    #: ``space(node, on_grant)``: that node's lockspace, reporting each
+    #: grant as ``on_grant(lock_id, mode)`` (``W`` for an exclusive lock).
+    space: Callable[[NodeId, Callable], AutomatonSpace]
+    #: ``request(space, lock_id, mode)`` and ``release(...)`` → envelopes.
+    request: Callable[[AutomatonSpace, LockId, LockMode], List[Envelope]]
+    release: Callable[[AutomatonSpace, LockId, LockMode], List[Envelope]]
+    #: The family's quiescent invariants, ``(lock_id, automata)``.
+    quiescent: Callable[[LockId, Mapping[NodeId, LockAutomaton]], None]
+    #: Which of an automaton's state identifies a world.
+    state: Callable[[LockAutomaton], Tuple] = exact_state
+
+
+def hierarchical(options: ProtocolOptions = FULL_PROTOCOL) -> Protocol:
+    """The paper's protocol under *options*, every token starting at node 0."""
+
+    return Protocol(
+        space=lambda node, on_grant: LockSpace(
+            node,
+            listener=lambda lock_id, mode, _ctx: on_grant(lock_id, mode),
+            options=options,
+        ),
+        request=lambda space, lock_id, mode: space.request(lock_id, mode),
+        release=lambda space, lock_id, mode: space.release(lock_id, mode),
+        quiescent=quiescent_hierarchical,
+        state=hierarchical_state,
+    )
+
+
+def _exclusive(space_class, token: str, *placement) -> Protocol:
+    return Protocol(
+        space=lambda node, on_grant: space_class(
+            node,
+            *placement,
+            listener=lambda lock_id, _ctx: on_grant(lock_id, LockMode.W),
+        ),
+        request=lambda space, lock_id, _mode: space.request(lock_id),
+        release=lambda space, lock_id, _mode: space.release(lock_id),
+        quiescent=partial(quiescent_exclusive, token=token),
+    )
+
+
+#: Naimi-Tréhel, every token starting at node 0 (script every step as ``W``).
+NAIMI = _exclusive(NaimiLockSpace, "token")
+
+
+def raymond(topology: Topology) -> Protocol:
+    """Raymond's algorithm over the static tree *topology* (steps are ``W``)."""
+
+    return _exclusive(RaymondLockSpace, "privilege", topology)
+
+
+# ---------------------------------------------------------------------------
+# The bare-protocol world.
+# ---------------------------------------------------------------------------
+
+#: One operation: its steps, each ``(lock, mode)`` or ``(lock, mode,
+#: upgrade)`` — with *upgrade* the node converts the granted ``U`` to
+#: ``W`` (Rule 7) before it goes on.
+Operation = Sequence[Tuple]
+
+
+class ProtocolWorld:
+    """One global state of a scripted bare-protocol scenario.
+
+    Each node of *scripts* runs its operations one after the other —
+    issue a step, await the grant, issue the next, and once the operation
+    is complete release its locks leaf-first — while its issue, upgrade
+    and retire points interleave freely with message deliveries.  Every
+    node's automaton of every scripted lock exists from the start, so
+    "untouched" and "back in its birth state" are one state.
+
+    With ``duplicate_nth=k`` the k-th message sent (0-based, over the
+    whole run) is enqueued twice — the FIFO-consistent model of a
+    retransmission duplicate, which a per-pair-ordered transport delivers
+    right behind the original.  Meant for ``recovery=True`` options: it
+    proves the dedup layer keeps Rule 1 around any duplicate.
+
+    A subclass adds move generators by extending :meth:`moves`; state it
+    keeps in immutable attributes survives :meth:`clone` as is, and
+    belongs in :meth:`signature`.
+    """
+
+    def __init__(
+        self,
+        protocol: Protocol,
+        num_nodes: int,
+        scripts: Mapping[NodeId, Sequence[Operation]],
+        duplicate_nth: Optional[int] = None,
+    ) -> None:
+        self.protocol = protocol
+        self.scripts = {
+            node: [
+                tuple((s[0], s[1], len(s) > 2 and bool(s[2])) for s in op)
+                for op in ops
+            ]
+            for node, ops in scripts.items()
+        }
+        self.locks = sorted(
+            {s[0] for ops in self.scripts.values() for op in ops for s in op}
+        )
+        self.duplicate_nth = duplicate_nth
+        self.spaces: Dict[NodeId, AutomatonSpace] = {}
+        for node in range(num_nodes):
+            space = self.spaces[node] = protocol.space(
+                node, partial(self.granted, node)
+            )
+            for lock_id in self.locks:
+                space.automaton(lock_id)
+        #: In-flight messages per (sender, dest), oldest first.
+        self.channels: Dict[Tuple[NodeId, NodeId], List] = {}
+        #: Live ``(node, lock, mode)`` holds, in grant order.
+        self.holds: List[Tuple[NodeId, LockId, LockMode]] = []
+        #: Per scripted node: operations finished, steps issued of the
+        #: current one, and the ``(lock, mode, is_upgrade)`` it awaits.
+        self.done = dict.fromkeys(self.scripts, 0)
+        self.step = dict.fromkeys(self.scripts, 0)
+        self.waiting: Dict[NodeId, Optional[Tuple]] = dict.fromkeys(self.scripts)
+        self.sent = 0
+
+    # -- what the kernel asks for ----------------------------------------
+
+    def clone(self) -> "ProtocolWorld":
+        """An independent copy; automata go through the contract's codec
+        (build at birth, ``restore`` the encoded state)."""
+
+        twin = object.__new__(type(self))
+        vars(twin).update(vars(self))  # scripts and counters: shared or immutable
+        twin.channels = {
+            pair: list(msgs) for pair, msgs in self.channels.items() if msgs
+        }
+        twin.holds = list(self.holds)
+        twin.done, twin.step = dict(self.done), dict(self.step)
+        twin.waiting = dict(self.waiting)
+        twin.spaces = {}
+        for node, space in self.spaces.items():
+            copy = twin.spaces[node] = self.protocol.space(
+                node, partial(twin.granted, node)
+            )
+            copy.restore(space.flight_state())
+        return twin
+
+    def signature(self) -> Tuple:
+        """The state abstraction (module docstring): equal signatures are
+        explored once."""
+
+        state = self.protocol.state
+        return (
+            tuple(
+                state(space.automaton(lock_id))
+                for space in self.spaces.values()
+                for lock_id in self.locks
+            ),
+            tuple(
+                (pair, tuple(map(message_signature, msgs)))
+                for pair, msgs in sorted(self.channels.items())
+                if msgs
+            ),
+            tuple(sorted((n, lock, m.value) for n, lock, m in self.holds)),
+            tuple(self.done.values()),
+            tuple(self.step.values()),
+            tuple(self.waiting.values()),
+            # Either side of the duplication point behaves differently
+            # with identical automata; past it the count is immaterial.
+            self.duplicate_nth is not None
+            and min(self.sent, self.duplicate_nth + 1),
         )
 
-    def _enabled_moves(self, world: _World):
-        moves = []
-        # Deliver the head message of any non-empty channel (FIFO per pair).
-        for pair in sorted(k for k, v in world.channels.items() if v):
-            sender, dest = pair
+    def moves(self) -> List[Tuple[str, Callable]]:
+        """Every enabled ``(name, apply(world))``: channel heads (FIFO per
+        pair), then each scripted node's one next step."""
 
-            def deliver(branch: _World, pair=pair) -> None:
-                message = branch.channels[pair].pop(0)
-                automaton = branch.automata[pair[1]]
-                out = automaton.handle(message)
-                self._enqueue(branch, pair[1], out)
-
-            moves.append((f"deliver {sender}->{dest}", deliver))
-        # Release any current hold (a U hold destined for upgrade must
-        # upgrade, not release; and an in-flight upgrade pins its U).
-        for index, (node, mode) in enumerate(world.holds):
-            if mode is LockMode.U and world.upgrading[node]:
+        moves = [
+            (f"deliver {pair[0]}->{pair[1]}", methodcaller("deliver", pair))
+            for pair in sorted(self.channels)
+            if self.channels[pair]
+        ]
+        for node, ops in sorted(self.scripts.items()):
+            if self.waiting[node] is not None or self.done[node] == len(ops):
                 continue
-
-            def release(branch: _World, index=index) -> None:
-                node, mode = branch.holds.pop(index)
-                automaton = branch.automata[node]
-                out = automaton.release(mode)
-                branch.released += 1
-                self._enqueue(branch, node, out)
-
-            moves.append((f"release {node}:{mode}", release))
-        # Fire a scheduled Rule 7 upgrade.
-        for node, flagged in sorted(world.upgrading.items()):
-            if not flagged:
-                continue
-            automaton = world.automata[node]
-            if automaton.pending_mode is not LockMode.NONE:
-                continue  # upgrade request already queued
-            if automaton.held_modes.get(LockMode.U, 0) < 1:
-                continue
-
-            def do_upgrade(branch: _World, node=node) -> None:
-                out = branch.automata[node].upgrade(ctx="upgrade")
-                self._enqueue(branch, node, out)
-
-            moves.append((f"upgrade {node}", do_upgrade))
-        # Issue a node's next scripted request (strictly sequential per
-        # node: the previous one must be granted and released).
-        for node, steps in sorted(self.scripts.items()):
-            position = world.progress[node]
-            if position >= len(steps):
-                continue
-            automaton = world.automata[node]
-            if automaton.pending_mode is not LockMode.NONE:
-                continue
-            if any(holder == node for holder, _mode in world.holds):
-                continue
-            if world.upgrading[node]:
-                continue
-
-            def issue(branch: _World, node=node, position=position) -> None:
-                step = self.scripts[node][position]
-                branch.progress[node] = position + 1
-                if step.upgrade_after:
-                    branch.upgrading[node] = True
-                out = branch.automata[node].request(step.mode, ctx=position)
-                self._enqueue(branch, node, out)
-
-            moves.append((f"issue {node}:{steps[position].mode}", issue))
+            op, step = ops[self.done[node]], self.step[node]
+            last_lock, _mode, upgrade = op[step - 1] if step else (None, None, False)
+            if upgrade and (node, last_lock, LockMode.U) in self.holds:
+                move = methodcaller("upgrade", node, last_lock)
+                name = f"upgrade {node}"
+            elif step < len(op):
+                lock_id, mode, _upgrade = op[step]
+                move = methodcaller("issue", node, lock_id, mode)
+                name = f"issue {node}:{lock_id}:{mode}"
+            else:
+                move, name = methodcaller("retire", node), f"retire {node}"
+            moves.append((name, move))
         return moves
 
-    def _check_terminal(self, world: _World) -> None:
-        if world.granted != len(self.script):
+    def check_terminal(self) -> None:
+        """Nothing can move: everything must be finished and settled."""
+
+        unfinished = {
+            node: f"{done}/{len(self.scripts[node])}"
+            for node, done in self.done.items()
+            if done < len(self.scripts[node])
+        }
+        if unfinished:
             raise InvariantViolation(
-                f"terminal state with {world.granted}/{len(self.script)} "
-                "grants — a request starved\ntrace:\n" + "\n".join(world.log)
+                f"deadlocked terminal state — operations finished per node: "
+                f"{unfinished}, awaiting {self.waiting}: a request starved"
             )
-        if world.holds:
-            raise InvariantViolation("terminal state with live holds")
-        tokens = [n for n, a in world.automata.items() if a.has_token]
-        if len(tokens) != 1:
+        if self.holds:
+            raise InvariantViolation(f"terminal state with holds {self.holds}")
+        for lock_id in self.locks:
+            self.protocol.quiescent(
+                lock_id,
+                {
+                    node: space.automaton(lock_id)
+                    for node, space in self.spaces.items()
+                },
+            )
+
+    # -- transitions -------------------------------------------------------
+
+    def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
+        """Put *envelopes* on their channels (the duplication point)."""
+
+        for envelope in envelopes:
+            channel = self.channels.setdefault((sender, envelope.dest), [])
+            channel.append(envelope.message)
+            if self.sent == self.duplicate_nth:
+                channel.append(envelope.message)
+            self.sent += 1
+
+    def granted(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
+        """Grant listener of *node*: Rule 1 and "granted what was asked"."""
+
+        asked = self.waiting.get(node)
+        if asked is None or asked[:2] != (lock_id, mode):
             raise InvariantViolation(
-                f"terminal state with {len(tokens)} token nodes"
+                f"{mode} on {lock_id!r} granted to node {node}, which awaits "
+                f"{asked}"
             )
+        if asked[2]:  # Rule 7 completion: the U hold converts atomically.
+            self.holds.remove((node, lock_id, LockMode.U))
+        for holder, held_lock, held_mode in self.holds:
+            if held_lock == lock_id and not compatible(held_mode, mode):
+                raise InvariantViolation(
+                    f"{mode} on {lock_id!r} granted to node {node} while "
+                    f"node {holder} holds {held_mode}"
+                )
+        self.holds.append((node, lock_id, mode))
+        self.waiting[node] = None
+
+    def deliver(self, pair: Tuple[NodeId, NodeId]) -> None:
+        message = self.channels[pair].pop(0)
+        self.send(pair[1], self.spaces[pair[1]].handle(message))
+
+    def issue(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
+        self.step[node] += 1
+        self.waiting[node] = (lock_id, mode, False)
+        self.send(node, self.protocol.request(self.spaces[node], lock_id, mode))
+
+    def upgrade(self, node: NodeId, lock_id: LockId) -> None:
+        self.waiting[node] = (lock_id, LockMode.W, True)
+        self.send(node, self.spaces[node].upgrade(lock_id))
+
+    def retire(self, node: NodeId) -> None:
+        for hold in [h for h in reversed(self.holds) if h[0] == node]:
+            self.holds.remove(hold)
+            self.send(
+                node, self.protocol.release(self.spaces[node], hold[1], hold[2])
+            )
+        self.done[node] += 1
+        self.step[node] = 0
+
+
+#: The lock of a single-lock scenario.
+LOCK = "lock"
 
 
 def explore_scenario(
@@ -412,15 +468,27 @@ def explore_scenario(
     max_states: int = 2_000_000,
     duplicate_nth: Optional[int] = None,
 ) -> ExplorationStats:
-    """Convenience wrapper: explore ``[(node, mode[, upgrade]), ...]``."""
+    """Explore single-lock requests ``[(node, mode[, upgrade]), ...]``: each
+    is a one-step operation (request → grant → [upgrade →] release)."""
 
-    script = [
-        ScriptedRequest(node=r[0], mode=r[1],
-                        upgrade_after=bool(r[2]) if len(r) > 2 else False)
-        for r in requests
-    ]
-    explorer = ModelExplorer(
-        num_nodes, script, options=options, max_states=max_states,
-        duplicate_nth=duplicate_nth,
+    scripts: Dict[NodeId, List[Operation]] = {}
+    for node, *step in requests:
+        scripts.setdefault(node, []).append(((LOCK, *step),))
+    world = ProtocolWorld(
+        hierarchical(options), num_nodes, scripts, duplicate_nth=duplicate_nth
     )
-    return explorer.explore()
+    return explore(world, max_states)
+
+
+def explore_hierarchical(
+    num_nodes: int,
+    scripts: Mapping[NodeId, Sequence[Operation]],
+    options: ProtocolOptions = FULL_PROTOCOL,
+    max_states: int = 2_000_000,
+) -> ExplorationStats:
+    """Explore multi-granularity operations, e.g. ``[(table, IW), (entry,
+    W)]``: besides per-lock safety, that the acquisition discipline
+    (ancestors first, leaf last) never deadlocks in any interleaving."""
+
+    world = ProtocolWorld(hierarchical(options), num_nodes, scripts)
+    return explore(world, max_states)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode, compatible
@@ -251,3 +251,92 @@ class MonitorSet(Monitor):
     ) -> None:
         for monitor in self.monitors:
             monitor.on_forced_release(time, node, lock_id)
+
+
+# ---------------------------------------------------------------------------
+# Quiescent invariants: what must hold of one lock once the network has
+# drained.  One body per protocol family; the simulated clusters'
+# ``assert_quiescent_invariants()`` and the exhaustive explorer's terminal
+# check both call these.
+# ---------------------------------------------------------------------------
+
+
+def quiescent_hierarchical(
+    lock_id: LockId, automata: Mapping[NodeId, object]
+) -> None:
+    """Raise unless *automata* — every node's automaton of *lock_id* —
+    form a settled copyset tree.
+
+    Exactly one token node; no pending request and no queued entry
+    anywhere; parent/child records mutually consistent, each recorded
+    child mode equal to the child's actual owned mode; no copyset entry
+    left once nothing is held anywhere; and nothing frozen at the token
+    node, whose frozen set is a function of its (empty) queue.
+
+    A frozen set elsewhere is *not* checked.  Freezes travel down the
+    copyset tree only, so a node that detached while a mode was frozen is
+    never told of the unfreeze: it keeps a stale set while it owns
+    nothing, which is harmless — it can grant nothing without a copy, and
+    its next grant or token carries the set then in force, which
+    overwrites the stale one.
+    """
+
+    tokens = [n for n, a in automata.items() if a.has_token]
+    if len(tokens) != 1:
+        raise InvariantViolation(
+            f"lock {lock_id!r}: {len(tokens)} token nodes ({tokens})"
+        )
+    frozen = automata[tokens[0]].frozen_modes
+    if frozen:
+        raise InvariantViolation(
+            f"lock {lock_id!r}: token node {tokens[0]} still freezes "
+            f"{sorted(map(str, frozen))} at quiescence"
+        )
+    held = any(a.held_modes for a in automata.values())
+    for node_id, automaton in automata.items():
+        if automaton.pending_mode is not LockMode.NONE:
+            raise InvariantViolation(
+                f"lock {lock_id!r}: node {node_id} still pending "
+                f"{automaton.pending_mode} at quiescence"
+            )
+        if automaton.queue_length:
+            raise InvariantViolation(
+                f"lock {lock_id!r}: node {node_id} still queues "
+                f"{automaton.queue_length} requests at quiescence"
+            )
+        children = automaton.children
+        if children and not held:
+            raise InvariantViolation(
+                f"lock {lock_id!r}: node {node_id} keeps copyset "
+                f"{sorted(children)} although nothing is held anywhere"
+            )
+        for child, recorded in children.items():
+            actual = automata[child].owned_mode()
+            if actual is not recorded:
+                raise InvariantViolation(
+                    f"lock {lock_id!r}: node {node_id} records child "
+                    f"{child} as {recorded} but it owns {actual}"
+                )
+            if automata[child].parent != node_id:
+                raise InvariantViolation(
+                    f"lock {lock_id!r}: child {child} of {node_id} "
+                    f"points at parent {automata[child].parent}"
+                )
+
+
+def quiescent_exclusive(
+    lock_id: LockId, automata: Mapping[NodeId, object], token: str = "token"
+) -> None:
+    """Raise unless exactly one of *automata* holds the *token* (what the
+    protocol calls it: ``has_<token>``) and every one of them is idle."""
+
+    holders = [n for n, a in automata.items() if getattr(a, f"has_{token}")]
+    if len(holders) != 1:
+        raise InvariantViolation(
+            f"lock {lock_id!r}: {len(holders)} {token} holders ({holders})"
+        )
+    stuck = [n for n, a in automata.items() if not a.is_idle()]
+    if stuck:
+        raise InvariantViolation(
+            f"lock {lock_id!r}: nodes {stuck} not idle at quiescence"
+        )

@@ -19,11 +19,14 @@ from helpers import Pump  # noqa: E402
 
 from repro.core.automaton import ProtocolOptions  # noqa: E402
 from repro.core.modes import LockMode  # noqa: E402
-from repro.verification.explorer import explore_scenario  # noqa: E402
+from repro.verification import explore_scenario  # noqa: E402
 
 A, B, C, D = 0, 1, 2, 3
 
 PRIORITY_ON = ProtocolOptions(priority_scheduling=True)
+
+#: The mixed scenario explored exhaustively with priorities enabled.
+EXPLORED = (3, [(1, LockMode.IR), (2, LockMode.R), (0, LockMode.W)])
 
 
 def _request_with_priority(pump, node, mode, priority):
@@ -95,11 +98,7 @@ class TestPrioritySafety:
         """Every interleaving of a mixed scenario stays safe with
         priorities enabled (priorities reorder, never relax, grants)."""
 
-        stats = explore_scenario(
-            3,
-            [(1, LockMode.IR), (2, LockMode.R), (0, LockMode.W)],
-            options=PRIORITY_ON,
-        )
+        stats = explore_scenario(*EXPLORED, options=PRIORITY_ON)
         assert stats.terminal_states >= 1
 
     def test_compatible_requests_still_concurrent(self):

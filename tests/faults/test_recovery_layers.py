@@ -251,6 +251,9 @@ LAYERED = (
     "faults/scheduler.py",
     "leases/layer.py",
     "membership/layer.py",
+    # The explorer clones and hashes automata through the contract only.
+    "verification/explorer.py",
+    "verification/invariants.py",
 )
 
 

@@ -22,6 +22,7 @@ from repro.faults.plan import (
 )
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
+from repro.obs.collect import RunObserver
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
 
@@ -125,6 +126,29 @@ class TestTokenCrashRegeneration:
         _, first = self._run()
         _, second = self._run()
         assert first == second
+
+
+def test_observed_messages_carry_protocol_labels():
+    """A traced stack run reports what its session frames carry — the
+    labels the bare clusters, the tracer and ``FaultRule`` use — so
+    ``/metrics`` and ``repro report`` split the stack's traffic too."""
+
+    observer = RunObserver()
+    cluster = ResilientSimCluster(3, seed=0, config=FAST_SIM, obs=observer)
+    sim = cluster.sim
+
+    def writer(node):
+        yield cluster.client(node).acquire("lock", LockMode.W)
+        yield Timeout(sim, 0.2)
+        cluster.client(node).release("lock", LockMode.W)
+
+    Process(sim, writer(1))
+    Process(sim, writer(2))
+    sim.run(until=5.0)
+    totals = observer.messages.totals()
+    assert {"request", "token", "heartbeat", "session-ack"} <= set(totals)
+    assert "session" not in totals
+    assert not any(label.endswith("Message") for label in totals)
 
 
 class TestRestart:

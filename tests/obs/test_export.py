@@ -65,7 +65,7 @@ class TestRoundTrip:
         assert run.requests == 1
 
     def test_classic_trace_events_interleave(self):
-        # Lines in verification/trace.py's format share the file: the
+        # Lines in the retired TraceRecorder's format share the file: the
         # loader must keep them without choking on the unknown cat.
         buffer = io.StringIO()
         write_run(buffer, _observed(), {"label": "mixed"})

@@ -122,8 +122,8 @@ class TestBadTraceFiles:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_classic_trace_events_still_render(self, tmp_path, capsys):
-        # Valid JSONL without run sections is the verification-trace
-        # interop format: kept as raw events, rendered, exit 0.
+        # Valid JSONL without run sections (the retired TraceRecorder's
+        # format): kept as raw events, rendered, exit 0.
         path = tmp_path / "other.jsonl"
         path.write_text('{"t": 0.1, "cat": "grant", "node": 0}\n')
         assert main(["report", str(path)]) == 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.automaton import ProtocolOptions
 from repro.core.modes import LockMode as M
-from repro.verification.explorer import explore_scenario
+from repro.verification import explore_scenario
 
 # (name, nodes, [(node, mode), ...]) — per-node requests run sequentially.
 SCENARIOS = [
@@ -54,22 +54,21 @@ ABLATIONS = [
 ]
 
 
+#: What every ablation explores, and the four-node scenario.
+ABLATED = (3, [(1, M.IR), (2, M.R), (1, M.R), (0, M.W)])
+FOUR_NODE_MIXED = (4, [(1, M.IR), (2, M.IW), (3, M.R)])
+
+
 @pytest.mark.parametrize("options", ABLATIONS, ids=lambda o: repr(o))
 def test_safety_holds_under_every_ablation(options):
     """Safety (not fairness) must survive disabling any optimization."""
 
-    stats = explore_scenario(
-        3,
-        [(1, M.IR), (2, M.R), (1, M.R), (0, M.W)],
-        options=options,
-    )
+    stats = explore_scenario(*ABLATED, options=options)
     assert stats.terminal_states >= 1
 
 
 def test_four_node_mixed_scenario():
-    stats = explore_scenario(
-        4, [(1, M.IR), (2, M.IW), (3, M.R)], max_states=500_000
-    )
+    stats = explore_scenario(*FOUR_NODE_MIXED, max_states=500_000)
     assert stats.terminal_states >= 1
 
 

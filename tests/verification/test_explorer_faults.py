@@ -21,7 +21,7 @@ import pytest
 from repro.core.automaton import FULL_PROTOCOL
 from repro.core.modes import LockMode
 from repro.errors import InvariantViolation, ProtocolError
-from repro.verification.explorer import explore_scenario
+from repro.verification import explore_scenario
 
 RECOVERY = dataclasses.replace(FULL_PROTOCOL, recovery=True)
 

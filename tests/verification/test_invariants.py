@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.messages import FreezeMessage
 from repro.core.modes import LockMode
 from repro.errors import InvariantViolation
+from repro.naimi.lockspace import NaimiLockSpace
 from repro.verification.invariants import (
     CompatibilityMonitor,
     FifoObserver,
     MonitorSet,
     MutualExclusionMonitor,
+    quiescent_exclusive,
+    quiescent_hierarchical,
 )
+from tests.helpers import Pump
 
 
 class TestCompatibilityMonitor:
@@ -129,3 +134,65 @@ class TestMonitorSet:
         monitor_set.on_grant(0.0, 0, "t", LockMode.W)
         with pytest.raises(InvariantViolation):
             monitor_set.on_grant(0.1, 1, "t", LockMode.R)
+
+
+class TestQuiescentInvariants:
+    """The per-lock check the simulated clusters and the explorer's
+    terminal states share, on hand-made residues."""
+
+    def test_a_settled_tree_passes_with_and_without_holds(self):
+        pump = Pump(3)
+        pump.request(0, LockMode.R)
+        pump.request(1, LockMode.R)
+        pump.request(2, LockMode.IR)
+        quiescent_hierarchical("L", pump.automata)
+        for node, mode in ((0, LockMode.R), (1, LockMode.R), (2, LockMode.IR)):
+            pump.release(node, mode)
+        quiescent_hierarchical("L", pump.automata)
+
+    def test_a_waiting_request_is_flagged(self):
+        pump = Pump(3)
+        pump.request(1, LockMode.W)
+        pump.request(2, LockMode.W)
+        with pytest.raises(InvariantViolation, match="still (pending|queues)"):
+            quiescent_hierarchical("L", pump.automata)
+
+    def test_a_lost_release_is_flagged(self):
+        pump = Pump(2)
+        pump.request(0, LockMode.R)
+        pump.request(1, LockMode.R)
+        pump.automata[1].release(LockMode.R)  # ... and the message is lost.
+        with pytest.raises(InvariantViolation, match="records child 1 as R"):
+            quiescent_hierarchical("L", pump.automata)
+
+    def test_a_copyset_cycle_owning_nothing_is_flagged(self):
+        # Pairwise the records agree (each "owns" R through the other);
+        # only "nothing is held anywhere" exposes the cycle.
+        pump = Pump(3, parents={1: 2, 2: 1})
+        pump.automata[1].splice_adopt_child(2, LockMode.R, 1)
+        pump.automata[2].splice_adopt_child(1, LockMode.R, 1)
+        with pytest.raises(InvariantViolation, match="nothing is held"):
+            quiescent_hierarchical("L", pump.automata)
+
+    def test_a_token_left_frozen_is_flagged_a_detached_node_is_not(self):
+        pump = Pump(2)
+        pump.automata[1].handle(
+            FreezeMessage(lock_id="L", sender=0, frozen=frozenset({LockMode.R}))
+        )
+        assert pump.automata[1].frozen_modes  # stale, and harmless
+        quiescent_hierarchical("L", pump.automata)
+        pump.automata[0].splice_token(frozen=frozenset({LockMode.R}))
+        with pytest.raises(InvariantViolation, match="still freezes"):
+            quiescent_hierarchical("L", pump.automata)
+
+    def test_exclusive_one_token_and_everyone_idle(self):
+        spaces = {node: NaimiLockSpace(node) for node in range(3)}
+        automata = {n: space.automaton("g") for n, space in spaces.items()}
+        quiescent_exclusive("g", automata)
+        automata[0].request()
+        with pytest.raises(InvariantViolation, match=r"nodes \[0\] not idle"):
+            quiescent_exclusive("g", automata)
+        automata[0].release()
+        automata[1].splice_take_token()
+        with pytest.raises(InvariantViolation, match="2 token holders"):
+            quiescent_exclusive("g", automata)
