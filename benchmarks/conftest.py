@@ -1,9 +1,9 @@
 """Shared configuration for the benchmark harness.
 
-Figure-scale benchmarks run one full deterministic sweep per session
-(cached here) and register a single pedantic timing round — re-running a
-multi-minute sweep many times would add no statistical value since the
-simulation itself is deterministic under its seed.
+Figure-scale benchmarks run one full deterministic sweep per session and
+register a single pedantic timing round — re-running a multi-minute sweep
+many times would add no statistical value since the simulation itself is
+deterministic under its seed.
 """
 
 from __future__ import annotations
@@ -12,25 +12,16 @@ import os
 
 import pytest
 
-from repro.workload.spec import WorkloadSpec
+from repro.experiments import scale as resolve_scale
 
 #: Set REPRO_BENCH_QUICK=1 to run the CI-scale sweeps instead.
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 
-#: Node counts for the paper-scale figures.
-FULL_COUNTS = (2, 5, 10, 20, 40, 60, 80, 100, 120)
-QUICK_COUNTS = (2, 4, 8, 16)
-
 
 @pytest.fixture(scope="session")
-def node_counts():
-    """Sweep points (paper scale unless REPRO_BENCH_QUICK=1)."""
+def scale():
+    """Node counts and the paper's workload parameters (Section 4), at
+    paper scale unless REPRO_BENCH_QUICK=1 — what ``python -m repro``
+    runs with and without ``--quick``."""
 
-    return QUICK_COUNTS if QUICK else FULL_COUNTS
-
-
-@pytest.fixture(scope="session")
-def paper_spec():
-    """The paper's workload parameters (Section 4)."""
-
-    return WorkloadSpec(ops_per_node=15 if QUICK else 30, seed=2003)
+    return resolve_scale(quick=QUICK)

@@ -1,9 +1,10 @@
 """Record quick-run Figure 5/6 perf baselines into BENCH_fig5/6.json.
 
-Runs the CI-scale figure sweep once per protocol (the runs are shared:
-one sweep yields both the Figure 5 message overhead and the Figure 6
-latency factor) at fixed seed and node counts, and writes the two
-checked-in baseline files.  Later PRs rerun with ``--check`` to diff the
+Runs the figure sweep once per protocol (the runs are shared: one sweep
+yields both the Figure 5 message overhead and the Figure 6 latency
+factor) at the CI scale's operations per node and seed, over node counts
+that reach the paper's 120, and writes the two checked-in baseline
+files.  Later PRs rerun with ``--check`` to diff the
 fresh numbers against the checked-in ones and fail loudly on >10 %
 drift — catching perf regressions (message blowups, latency creep) that
 the qualitative shape checks alone would hide.
@@ -28,14 +29,15 @@ import platform
 import sys
 from typing import Dict, List, Sequence
 
-from repro.experiments.common import sweep
-from repro.workload.spec import WorkloadSpec
+from repro.experiments import PROTOCOLS, scale, sweep
 
-#: Quick-run sweep shape: CI scale, a couple of seconds per protocol.
-NODE_COUNTS = (2, 4, 8, 16, 24)
-OPS_PER_NODE = 15
-SEED = 2003
-PROTOCOLS = ("hierarchical", "naimi-pure", "naimi-same-work")
+#: The recorder's own sweep points: the CI scale's small clusters, then
+#: the paper's (aim 1) — a couple of seconds per protocol in all.
+NODE_COUNTS = (2, 4, 8, 16, 24, 40, 80, 120)
+#: The workload ``python -m repro --quick`` runs.
+SPEC = scale(quick=True).spec
+OPS_PER_NODE = SPEC.ops_per_node
+SEED = SPEC.seed
 
 #: Relative drift beyond which ``--check`` fails.
 TOLERANCE = 0.10
@@ -48,11 +50,10 @@ FIG6_PATH = os.path.join(_ROOT, "BENCH_fig6.json")
 def measure() -> Dict[str, Dict[str, List[float]]]:
     """Run the shared sweep; return per-figure series keyed by protocol."""
 
-    spec = WorkloadSpec(ops_per_node=OPS_PER_NODE, seed=SEED)
     overhead: Dict[str, List[float]] = {}
     latency: Dict[str, List[float]] = {}
     for protocol in PROTOCOLS:
-        runs = sweep(protocol, NODE_COUNTS, spec, check_invariants=True)
+        runs = sweep(protocol, NODE_COUNTS, SPEC, check_invariants=True)
         overhead[protocol] = [round(r.message_overhead(), 6) for r in runs]
         latency[protocol] = [round(r.latency_factor(), 6) for r in runs]
     return {"fig5": overhead, "fig6": latency}

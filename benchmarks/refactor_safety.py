@@ -3,14 +3,18 @@
 Seeded runs are bit-identical and chaos verdicts deterministic, so two
 trees that behave alike print the same bytes.  This runs, in each tree,
 the 48 nightly chaos verdicts (``.github/workflows/nightly-chaos.yml``),
-the two ``token-crash --flight-dir`` dumps and the exhaustive explorer's
+the two ``token-crash --flight-dir`` dumps, the exhaustive explorer's
 state-space census (``tests/verification/census.py`` of *this* tree:
 every interleaving of some 80 small scenarios, so a change to an
-automaton transition shows even where no seeded run reaches it), then
-byte-compares them.  On a difference it names every differing output,
-prints a unified diff of the first, and exits 1.
+automaton transition shows even where no seeded run reaches it), the
+stdout of ``python -m repro all --quick`` and the Figure 5/6 series at
+full precision (``record_perf_baseline.measure()`` of *this* tree, over
+2…120 nodes) — the last two so that a change under ``workload/``,
+``metrics/`` or ``experiments/`` is compared like one under ``faults/``
+— then byte-compares them.  On a difference it names every differing
+output, prints a unified diff of the first, and exits 1.
 
-Usage, from the root of the tree under test (≈ 30 s for both trees)::
+Usage, from the root of the tree under test (≈ 35 s for both trees)::
 
     git clone -q . /root/scratch/parent          # or any other checkout
     python benchmarks/refactor_safety.py /root/scratch/parent
@@ -85,14 +89,39 @@ def _write_verdict(out: str, name: str, argv: List[str]) -> None:
             handle.write(f"exit {code}\n")
 
 
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def _write_census(out: str) -> None:
     # The scenario tables are this tree's tests; the explorer under them
     # is whichever ``repro`` is on ``sys.path``.
-    sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    sys.path.insert(0, _ROOT)
     from tests.verification.census import census
 
     with open(os.path.join(out, "explorer-census.json"), "w") as handle:
         json.dump(census(), handle, indent=1)
+        handle.write("\n")
+
+
+def _write_experiments(out: str) -> None:
+    from repro.__main__ import main
+
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        code = main(["all", "--quick"])
+    with open(os.path.join(out, "repro-all-quick.txt"), "w") as handle:
+        handle.write(stream.getvalue())
+        handle.write(f"exit {code}\n")
+
+
+def _write_series(out: str) -> None:
+    # The sweep's shape is this tree's recorder; the protocols, workload
+    # and metrics under it are whichever ``repro`` is on ``sys.path``.
+    sys.path.insert(0, _ROOT)
+    from benchmarks.record_perf_baseline import measure
+
+    with open(os.path.join(out, "fig5-fig6-series.json"), "w") as handle:
+        json.dump(measure(), handle, indent=1, sort_keys=True)
         handle.write("\n")
 
 
@@ -104,6 +133,8 @@ def emit(out: str) -> None:
         (name, _write_verdict, (out, name, argv)) for name, argv in verdict_runs()
     ]
     jobs.append(("explorer-census", _write_census, (out,)))
+    jobs.append(("repro-all-quick", _write_experiments, (out,)))
+    jobs.append(("fig5-fig6-series", _write_series, (out,)))
     for name, job, args in jobs:
         pid = os.fork()
         if pid == 0:
@@ -153,7 +184,7 @@ def compare(here: str, other: str) -> int:
         for name in differing:
             print(f"  {name}")
         first = differing[0]
-        if first.endswith(".json"):
+        if first.endswith((".json", ".txt")):
             sides = []
             for root in (a, b):
                 path = os.path.join(root, first)
@@ -177,8 +208,7 @@ def main(argv: List[str]) -> int:
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__)
         return 2
-    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return compare(here, os.path.abspath(argv[0]))
+    return compare(_ROOT, os.path.abspath(argv[0]))
 
 
 if __name__ == "__main__":

@@ -31,28 +31,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Sequence
+from typing import Dict, Sequence
 
-from .experiments import ablations, headline, priority, related_work, tables
-from .experiments.common import (
-    PAPER_NODE_COUNTS,
-    QUICK_NODE_COUNTS,
-    RunResult,
-    write_run_traces,
-)
-from .experiments.fig5_message_overhead import run_fig5
-from .experiments.fig6_latency import run_fig6
-from .experiments.fig7_breakdown import run_fig7
+from .experiments import EXPERIMENTS, PAPER_SEED, rendered, scale
+from .experiments.common import RunResult, write_run_traces
 from .obs.export import load_runs_from_path
 from .obs.report import render_report, report_payload
-from .workload.spec import WorkloadSpec
 
-EXPERIMENTS = (
-    "tables", "fig5", "fig6", "fig7", "headline", "ablations",
-    "priority", "related",
-)
-
-#: Experiments that can carry the observability layer (``--trace-out``).
+#: Experiments that can carry the observability layer (``--trace-out``):
+#: the readings of the sweep, whose results list their ``all_runs()``.
 OBSERVABLE = ("fig5", "fig6", "fig7", "headline")
 
 
@@ -716,7 +703,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     )
     parser.add_argument(
         "experiment",
-        choices=EXPERIMENTS + ("all", "report"),
+        choices=tuple(EXPERIMENTS) + ("all", "report"),
         help="which paper artifact to regenerate, or 'report' to render "
         "an observability trace",
     )
@@ -739,7 +726,7 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
         help="operations per node (default: 30, or 15 with --quick)",
     )
     parser.add_argument(
-        "--seed", type=int, default=2003, help="workload seed",
+        "--seed", type=int, default=PAPER_SEED, help="workload seed",
     )
     parser.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -824,45 +811,20 @@ def main(argv: Sequence[str] = ()) -> int:
         waterfalls = args.waterfall if args.waterfall is not None else 3
         print(render_report(runs, waterfalls=waterfalls))
         return 0
-    counts: List[int]
-    if args.nodes is not None:
-        counts = [args.nodes]
-    elif args.quick:
-        counts = list(QUICK_NODE_COUNTS)
-    else:
-        counts = list(PAPER_NODE_COUNTS)
-    ops = args.ops if args.ops is not None else (15 if args.quick else 30)
-    spec = WorkloadSpec(ops_per_node=ops, seed=args.seed)
-    observe = args.trace_out is not None
-    observed: List[RunResult] = []
+    at = scale(
+        quick=args.quick, nodes=args.nodes, ops=args.ops, seed=args.seed,
+        observe=args.trace_out is not None,
+    )
+    # An ordered set: the readings share the sweep's runs, and each run
+    # goes to the trace file once.
+    observed: Dict[RunResult, None] = {}
     wanted = EXPERIMENTS if args.experiment == "all" else (args.experiment,)
     for name in wanted:
-        if name == "tables":
-            print(tables.render_all())
-        elif name == "fig5":
-            result = run_fig5(counts, spec, observe=observe)
-            observed.extend(result.all_runs())
-            print(result.render())
-        elif name == "fig6":
-            result = run_fig6(counts, spec, observe=observe)
-            observed.extend(result.all_runs())
-            print(result.render())
-        elif name == "fig7":
-            result = run_fig7(counts, spec, observe=observe)
-            observed.extend(result.all_runs())
-            print(result.render())
-        elif name == "headline":
-            result = headline.run_headline(max(counts), spec, observe=observe)
-            observed.extend(result.all_runs())
-            print(result.render())
-        elif name == "ablations":
-            ablations.main()
-        elif name == "priority":
-            print(priority.run_priority_study().render())
-        elif name == "related":
-            quick_counts = (2, 4, 8, 16) if args.quick else (2, 4, 8, 16, 32, 64)
-            print(related_work.run_related_work(quick_counts).render())
+        result = EXPERIMENTS[name](at)
+        print(rendered(result))
         print()
+        if name in OBSERVABLE:
+            observed.update(dict.fromkeys(result.all_runs()))
     if args.trace_out is not None:
         if not observed:
             print(
@@ -871,7 +833,7 @@ def main(argv: Sequence[str] = ()) -> int:
                 file=sys.stderr,
             )
         else:
-            lines = write_run_traces(args.trace_out, observed)
+            lines = write_run_traces(args.trace_out, list(observed))
             print(
                 f"wrote {lines} trace lines for {len(observed)} runs "
                 f"to {args.trace_out}",

@@ -1,4 +1,4 @@
-"""Ablation studies of the protocol's design choices (DESIGN.md A1-A3).
+"""Ablation studies of the protocol's design choices (DESIGN.md A1-A4).
 
 The paper argues three mechanisms produce its numbers: mode freezing for
 fairness (§3.3), local queues to suppress messages (Rule 4), and grants by
@@ -10,20 +10,15 @@ the delta — turning the paper's qualitative arguments into measurements.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence, Tuple
+import functools
+from typing import Callable, Tuple
 
 from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
-from ..core.lockspace import hashed_token_home
 from ..core.modes import LockMode
-from ..metrics import MetricsCollector
-from ..sim.cluster import SimHierarchicalCluster
-from ..sim.engine import Process, Simulator
-from ..sim.rng import Exponential, derive_rng
 from ..verification.fairness import analyze
-from ..verification.invariants import CompatibilityMonitor
 from ..workload.airline import hierarchical_client
 from ..workload.spec import WorkloadSpec
-from .common import RunResult
+from .common import PROTOCOLS, RunResult, airline, run
 from .report import shape_checks
 
 #: Write-heavy, conflict-heavy mix used by the freezing ablation: a stream
@@ -34,57 +29,38 @@ STARVATION_MODE_MIX: Tuple[Tuple[LockMode, float], ...] = (
     (LockMode.R, 0.25),
 )
 
+#: The hierarchical protocol on the ablations' own RNG stream.
+ABLATED = dataclasses.replace(
+    PROTOCOLS["hierarchical"], clients=airline(hierarchical_client, "ablate")
+)
+
 
 def run_with_options(
     num_nodes: int,
     spec: WorkloadSpec,
     options: ProtocolOptions,
     check_invariants: bool = True,
-    event_budget: int = 30_000_000,
 ) -> RunResult:
     """Run the airline workload with custom protocol options."""
 
-    sim = Simulator()
-    metrics = MetricsCollector()
-    monitor = CompatibilityMonitor() if check_invariants else None
-    cluster = SimHierarchicalCluster(
-        num_nodes,
-        sim=sim,
-        latency=Exponential(spec.latency_mean),
-        seed=spec.seed,
-        token_home=hashed_token_home(num_nodes),
-        monitor=monitor,
-        metrics=metrics,
-        options=options,
-    )
-    entries = spec.entry_count(num_nodes)
-    bodies = [
-        hierarchical_client(
-            sim,
-            cluster.client(node),
-            spec,
-            entries,
-            derive_rng(spec.seed, "ablate", num_nodes, node),
-            metrics=metrics,
-        )
-        for node in range(num_nodes)
-    ]
-    processes = [Process(sim, body) for body in bodies]
-    sim.run(max_events=event_budget)
-    for process in processes:
-        if not process.done.triggered:
-            raise RuntimeError("ablation run deadlocked")
-    if check_invariants and monitor is not None:
-        monitor.assert_all_released()
-    return RunResult(
-        protocol="hierarchical(ablated)" if options != FULL_PROTOCOL
-        else "hierarchical",
-        num_nodes=num_nodes,
-        spec=spec,
-        metrics=metrics,
-        sim_time=sim.now,
-        events=sim.events_processed,
-    )
+    return run(ABLATED, num_nodes, spec, check_invariants, options=options)
+
+
+@dataclasses.dataclass(frozen=True)
+class Ablation:
+    """One mechanism switched off, the workload that shows its loss and
+    the metric the loss is read from."""
+
+    name: str
+    claim: str
+    options: ProtocolOptions
+    seed: int
+    num_nodes: int = 16
+    ops_per_node: int = 30
+    #: Workload parameters other than ``ops_per_node`` and ``seed``.
+    workload: WorkloadSpec = WorkloadSpec()
+    metric_name: str = "messages per lock request"
+    metric: Callable[[RunResult], float] = RunResult.message_overhead
 
 
 @dataclasses.dataclass
@@ -121,138 +97,90 @@ class AblationResult:
         )
 
 
-def _worst_latency(run: RunResult, kinds: Sequence[str]) -> float:
-    """Maximum latency over the given request kinds."""
-
-    values = [
-        record.latency
-        for record in run.metrics.requests
-        if record.kind in kinds
-    ]
-    return max(values) if values else 0.0
+def _bypasses(run_result: RunResult) -> float:
+    return float(analyze(run_result.metrics.requests).bypasses)
 
 
-def ablate_freezing(
-    num_nodes: int = 12, ops_per_node: int = 40, seed: int = 11
-) -> AblationResult:
-    """A1 — disable Rule 6 freezing; readers get overtaken by writers.
-
-    Uses the conflict-heavy mix: table-level ``R`` requests queue at the
-    token behind a stream of entry ``IW`` grants.  With freezing, ``IW``
-    is frozen the moment the ``R`` queues and the reader proceeds after
-    one drain; without it, every new ``IW`` overtakes — the §3.3
-    starvation scenario, visible as a blow-up of the worst reader latency.
-    """
-
-    spec = WorkloadSpec(
-        ops_per_node=ops_per_node,
-        mode_mix=STARVATION_MODE_MIX,
-        seed=seed,
-        locality=0.2,
-    )
-    full = run_with_options(num_nodes, spec, FULL_PROTOCOL)
-    ablated = run_with_options(
-        num_nodes, spec, ProtocolOptions(freezing=False)
-    )
-    return AblationResult(
-        name="no freezing (Rule 6 off)",
-        metric_name="conflicting-mode bypasses (overtakes)",
-        full_value=float(analyze(full.metrics.requests).bypasses),
-        ablated_value=float(analyze(ablated.metrics.requests).bypasses),
-        full_run=full,
-        ablated_run=ablated,
-        claim="freezing stops newcomers from overtaking queued "
-        "incompatible requests (§3.3)",
-    )
-
-
-def ablate_local_queues(
-    num_nodes: int = 16, ops_per_node: int = 30, seed: int = 12
-) -> AblationResult:
-    """A2 — disable Rule 4.1 queueing; requests always chase the token."""
-
-    spec = WorkloadSpec(ops_per_node=ops_per_node, seed=seed)
-    full = run_with_options(num_nodes, spec, FULL_PROTOCOL)
-    ablated = run_with_options(
-        num_nodes, spec, ProtocolOptions(local_queues=False)
-    )
-    return AblationResult(
-        name="no local queues (Rule 4.1 off)",
-        metric_name="messages per lock request",
-        full_value=full.message_overhead(),
-        ablated_value=ablated.message_overhead(),
-        full_run=full,
-        ablated_run=ablated,
-        claim="local queues suppress forwarding traffic (Rule 4)",
-    )
-
-
-def ablate_child_grants(
-    num_nodes: int = 16, ops_per_node: int = 30, seed: int = 13
-) -> AblationResult:
-    """A3 — disable Rule 3.1; only the token node may grant."""
-
-    spec = WorkloadSpec(ops_per_node=ops_per_node, seed=seed)
-    full = run_with_options(num_nodes, spec, FULL_PROTOCOL)
-    ablated = run_with_options(
-        num_nodes, spec, ProtocolOptions(child_grants=False)
-    )
-    return AblationResult(
-        name="no child grants (Rule 3.1 off)",
-        metric_name="messages per lock request",
-        full_value=full.message_overhead(),
-        ablated_value=ablated.message_overhead(),
-        full_run=full,
-        ablated_run=ablated,
-        claim="grants by children cut message overhead and latency (§4)",
-    )
-
-
-def ablate_local_reentry(
-    num_nodes: int = 16, ops_per_node: int = 30, seed: int = 14
-) -> AblationResult:
-    """A4 — disable Rule 2's zero-message path; always send requests."""
-
-    spec = WorkloadSpec(ops_per_node=ops_per_node, seed=seed)
-    full = run_with_options(num_nodes, spec, FULL_PROTOCOL)
-    ablated = run_with_options(
-        num_nodes, spec, ProtocolOptions(local_reentry=False)
-    )
-    return AblationResult(
-        name="no local re-entry (Rule 2 local path off)",
-        metric_name="messages per lock request",
-        full_value=full.message_overhead(),
-        ablated_value=ablated.message_overhead(),
-        full_run=full,
-        ablated_run=ablated,
-        claim="local acquisitions without messages drive the low constant "
-        "factor (Rule 2, §4)",
-    )
-
-
-ALL_ABLATIONS = (
-    ablate_freezing,
-    ablate_local_queues,
-    ablate_child_grants,
-    ablate_local_reentry,
+# A1 uses the conflict-heavy mix: table-level ``R`` requests queue at the
+# token behind a stream of entry ``IW`` grants.  With freezing, ``IW`` is
+# frozen the moment the ``R`` queues and the reader proceeds after one
+# drain; without it, every new ``IW`` overtakes — the §3.3 starvation
+# scenario, visible as a blow-up of the overtake count.
+FREEZING = Ablation(
+    name="no freezing (Rule 6 off)",
+    claim="freezing stops newcomers from overtaking queued "
+    "incompatible requests (§3.3)",
+    options=ProtocolOptions(freezing=False),
+    seed=11,
+    num_nodes=12,
+    ops_per_node=40,
+    workload=WorkloadSpec(mode_mix=STARVATION_MODE_MIX, locality=0.2),
+    metric_name="conflicting-mode bypasses (overtakes)",
+    metric=_bypasses,
+)
+# A2: without Rule 4.1 queueing, requests always chase the token.
+LOCAL_QUEUES = Ablation(
+    name="no local queues (Rule 4.1 off)",
+    claim="local queues suppress forwarding traffic (Rule 4)",
+    options=ProtocolOptions(local_queues=False),
+    seed=12,
+)
+# A3: without Rule 3.1, only the token node may grant.
+CHILD_GRANTS = Ablation(
+    name="no child grants (Rule 3.1 off)",
+    claim="grants by children cut message overhead and latency (§4)",
+    options=ProtocolOptions(child_grants=False),
+    seed=13,
+)
+# A4: without Rule 2's zero-message path, every acquisition sends.
+LOCAL_REENTRY = Ablation(
+    name="no local re-entry (Rule 2 local path off)",
+    claim="local acquisitions without messages drive the low constant "
+    "factor (Rule 2, §4)",
+    options=ProtocolOptions(local_reentry=False),
+    seed=14,
 )
 
+ABLATIONS = (FREEZING, LOCAL_QUEUES, CHILD_GRANTS, LOCAL_REENTRY)
 
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point: run and print every ablation."""
 
-    results = [ablation() for ablation in ALL_ABLATIONS]
-    for result in results:
-        print(result.render())
-        print()
-    print(
-        shape_checks(
-            [(r.name + " regresses when removed", r.regression > 1.0) for r in results]
-        )
+def ablate(ablation: Ablation, **size: int) -> AblationResult:
+    """Run *ablation*'s workload under the full protocol and with its
+    mechanism off; *size* overrides ``num_nodes`` / ``ops_per_node`` /
+    ``seed``."""
+
+    row = dataclasses.replace(ablation, **size)
+    spec = dataclasses.replace(
+        row.workload, ops_per_node=row.ops_per_node, seed=row.seed
+    )
+    full = run_with_options(row.num_nodes, spec, FULL_PROTOCOL)
+    ablated = run_with_options(row.num_nodes, spec, row.options)
+    return AblationResult(
+        name=row.name,
+        metric_name=row.metric_name,
+        full_value=row.metric(full),
+        ablated_value=row.metric(ablated),
+        full_run=full,
+        ablated_run=ablated,
+        claim=row.claim,
     )
 
 
-if __name__ == "__main__":  # pragma: no cover - CLI
-    import sys
+ablate_freezing = functools.partial(ablate, FREEZING)
+ablate_local_queues = functools.partial(ablate, LOCAL_QUEUES)
+ablate_child_grants = functools.partial(ablate, CHILD_GRANTS)
+ablate_local_reentry = functools.partial(ablate, LOCAL_REENTRY)
 
-    main(sys.argv[1:])
+
+def render_ablations() -> str:
+    """Every ablation at its default size, and whether each mechanism's
+    removal regresses its metric."""
+
+    results = [ablate(ablation) for ablation in ABLATIONS]
+    checks = [
+        (result.name + " regresses when removed", result.regression > 1.0)
+        for result in results
+    ]
+    return "\n\n".join(
+        [result.render() for result in results] + [shape_checks(checks)]
+    )

@@ -1,15 +1,20 @@
 """Shared experiment machinery: run one configuration, collect metrics.
 
-Every figure reproduction boils down to: build a cluster of ``n`` nodes,
-spawn one airline client per node, run to completion with safety monitors
-attached, and return the :class:`~repro.metrics.MetricsCollector`.  The
-three entry points below correspond to the paper's three curves.
+Every experiment boils down to: build a cluster of ``n`` nodes, spawn
+its client processes, run to completion with a safety monitor attached,
+check quiescence, and return the :class:`~repro.metrics.MetricsCollector`.
+:func:`run` is that body, written once; what differs between the paper's
+three curves, the ablations and the related-work studies is a
+:class:`Protocol` row.  :func:`sweep` is the paper's evaluation itself —
+every protocol at every node count — simulated once per process however
+many figures read it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, IO, List, Optional, Sequence
+import functools
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..core.lockspace import hashed_token_home
 from ..errors import ConfigurationError
@@ -17,11 +22,10 @@ from ..metrics import MetricsCollector
 from ..obs.collect import RunObserver
 from ..obs.export import write_run
 from ..sim.cluster import SimHierarchicalCluster, SimNaimiCluster
-from ..sim.engine import Process, Simulator
+from ..sim.engine import Simulator, run_processes
 from ..sim.rng import Exponential, derive_rng
 from ..verification.invariants import (
     CompatibilityMonitor,
-    MonitorSet,
     MutualExclusionMonitor,
 )
 from ..workload.airline import (
@@ -35,7 +39,9 @@ from ..workload.spec import WorkloadSpec
 DEFAULT_EVENT_BUDGET = 30_000_000
 
 
-@dataclasses.dataclass
+# Compared and hashed by identity: a result is one simulation, and the
+# sweep hands the same object to every figure that reads it.
+@dataclasses.dataclass(eq=False)
 class RunResult:
     """Outcome of one simulated run."""
 
@@ -76,15 +82,6 @@ class RunResult:
             "messages": self.metrics.total_messages,
         }
 
-    def write_trace(self, stream: IO[str]) -> int:
-        """Append this run's observability section to a JSONL stream."""
-
-        if self.observer is None:
-            raise ConfigurationError(
-                "run was not observed; pass observe=True (or --trace-out)"
-            )
-        return write_run(stream, self.observer, self.trace_meta())
-
 
 def write_run_traces(path: str, results: Sequence[RunResult]) -> int:
     """Write every observed run in *results* to *path*; returns lines."""
@@ -93,70 +90,113 @@ def write_run_traces(path: str, results: Sequence[RunResult]) -> int:
     with open(path, "w", encoding="utf-8") as stream:
         for result in results:
             if result.observer is not None:
-                lines += result.write_trace(stream)
+                lines += write_run(
+                    stream, result.observer, result.trace_meta()
+                )
     return lines
 
 
-def _drive(
-    sim: Simulator, bodies: List, budget: int
-) -> None:
-    processes = [Process(sim, body) for body in bodies]
-    sim.run(max_events=budget)
-    for index, process in enumerate(processes):
-        if process.error is not None:
-            raise ConfigurationError(
-                f"client process {index} crashed: "
-                f"{type(process.error).__name__}: {process.error}"
-            ) from process.error
-    blocked = [i for i, p in enumerate(processes) if not p.done.triggered]
-    if blocked:
-        raise ConfigurationError(
-            f"deadlock: client processes {blocked} never finished"
-        )
+@dataclasses.dataclass(frozen=True)
+class Protocol:
+    """What differs between the kinds of run :func:`run` drives."""
+
+    #: Label of the runs (:attr:`RunResult.protocol`, the trace sections).
+    name: str
+    cluster: type
+    #: Safety monitor class attached to every grant and release.
+    monitor: type
+    #: ``(sim, cluster, spec, metrics)`` → the client bodies to drive.
+    clients: Callable
+    #: Node count → initial token placement; ``None`` leaves the
+    #: cluster's own (every token at node 0, Raymond's tree root).
+    token_home: Optional[Callable] = hashed_token_home
 
 
-def run_hierarchical(
+def airline(client: Callable, stream: str) -> Callable:
+    """One airline *client* per node, each on its own RNG stream.
+
+    *stream* labels the per-node derivation ``(seed, stream, n, node)``;
+    it is part of every draw, hence of every digit a figure prints.
+    """
+
+    def clients(sim, cluster, spec, metrics) -> List:
+        num_nodes = cluster.num_nodes
+        entries = spec.entry_count(num_nodes)
+        return [
+            client(
+                sim,
+                cluster.client(node),
+                spec,
+                entries,
+                derive_rng(spec.seed, stream, num_nodes, node),
+                metrics=metrics,
+            )
+            for node in range(num_nodes)
+        ]
+
+    return clients
+
+
+#: The paper's three curves, in the figures' legend order.
+PROTOCOLS: Dict[str, Protocol] = {
+    row.name: row
+    for row in (
+        Protocol(
+            "hierarchical", SimHierarchicalCluster, CompatibilityMonitor,
+            airline(hierarchical_client, "hier"),
+        ),
+        Protocol(
+            "naimi-pure", SimNaimiCluster, MutualExclusionMonitor,
+            airline(naimi_pure_client, "naimi-pure"),
+        ),
+        Protocol(
+            "naimi-same-work", SimNaimiCluster, MutualExclusionMonitor,
+            airline(naimi_same_work_client, "naimi-same-work"),
+        ),
+    )
+}
+
+
+def run(
+    protocol: Protocol,
     num_nodes: int,
     spec: WorkloadSpec,
     check_invariants: bool = True,
     event_budget: int = DEFAULT_EVENT_BUDGET,
     observe: bool = False,
+    **cluster_options: object,
 ) -> RunResult:
-    """Run the airline workload under the hierarchical protocol."""
+    """Run *protocol*'s clients on a fresh cluster of *num_nodes*.
+
+    *cluster_options* reach the cluster constructor (``options=`` for an
+    ablation, ``topology=`` for Raymond).  Fails naming the client that
+    crashed or never finished; with *check_invariants* the monitor must
+    end with nothing held and every lock structurally quiescent.
+    """
 
     sim = Simulator()
     metrics = MetricsCollector()
     observer = RunObserver(clock=lambda: sim.now) if observe else None
-    compat = CompatibilityMonitor()
-    monitor = MonitorSet([compat]) if check_invariants else None
-    cluster = SimHierarchicalCluster(
+    monitor = protocol.monitor() if check_invariants else None
+    if protocol.token_home is not None:
+        cluster_options["token_home"] = protocol.token_home(num_nodes)
+    cluster = protocol.cluster(
         num_nodes,
         sim=sim,
         latency=Exponential(spec.latency_mean),
         seed=spec.seed,
-        token_home=hashed_token_home(num_nodes),
         monitor=monitor,
         metrics=metrics,
         obs=observer,
+        **cluster_options,
     )
-    entries = spec.entry_count(num_nodes)
-    bodies = [
-        hierarchical_client(
-            sim,
-            cluster.client(node),
-            spec,
-            entries,
-            derive_rng(spec.seed, "hier", num_nodes, node),
-            metrics=metrics,
-        )
-        for node in range(num_nodes)
-    ]
-    _drive(sim, bodies, event_budget)
-    if check_invariants:
-        compat.assert_all_released()
+    bodies = protocol.clients(sim, cluster, spec, metrics)
+    run_processes(sim, bodies, max_events=event_budget)
+    if monitor is not None:
+        monitor.assert_all_released()
         cluster.assert_quiescent_invariants()
     return RunResult(
-        protocol="hierarchical",
+        protocol=protocol.name,
         num_nodes=num_nodes,
         spec=spec,
         metrics=metrics,
@@ -166,86 +206,9 @@ def run_hierarchical(
     )
 
 
-def _run_naimi(
-    num_nodes: int,
-    spec: WorkloadSpec,
-    client_factory: Callable,
-    protocol: str,
-    check_invariants: bool,
-    event_budget: int,
-    observe: bool = False,
-) -> RunResult:
-    sim = Simulator()
-    metrics = MetricsCollector()
-    observer = RunObserver(clock=lambda: sim.now) if observe else None
-    mutex = MutualExclusionMonitor()
-    monitor = MonitorSet([mutex]) if check_invariants else None
-    cluster = SimNaimiCluster(
-        num_nodes,
-        sim=sim,
-        latency=Exponential(spec.latency_mean),
-        seed=spec.seed,
-        token_home=hashed_token_home(num_nodes),
-        monitor=monitor,
-        metrics=metrics,
-        obs=observer,
-    )
-    entries = spec.entry_count(num_nodes)
-    bodies = [
-        client_factory(
-            sim,
-            cluster.client(node),
-            spec,
-            entries,
-            derive_rng(spec.seed, protocol, num_nodes, node),
-            metrics=metrics,
-        )
-        for node in range(num_nodes)
-    ]
-    _drive(sim, bodies, event_budget)
-    if check_invariants:
-        mutex.assert_all_released()
-        cluster.assert_quiescent_invariants()
-    return RunResult(
-        protocol=protocol,
-        num_nodes=num_nodes,
-        spec=spec,
-        metrics=metrics,
-        sim_time=sim.now,
-        events=sim.events_processed,
-        observer=observer,
-    )
-
-
-def run_naimi_same_work(
-    num_nodes: int,
-    spec: WorkloadSpec,
-    check_invariants: bool = True,
-    event_budget: int = DEFAULT_EVENT_BUDGET,
-    observe: bool = False,
-) -> RunResult:
-    """Run the airline workload under Naimi *same work*."""
-
-    return _run_naimi(
-        num_nodes, spec, naimi_same_work_client, "naimi-same-work",
-        check_invariants, event_budget, observe=observe,
-    )
-
-
-def run_naimi_pure(
-    num_nodes: int,
-    spec: WorkloadSpec,
-    check_invariants: bool = True,
-    event_budget: int = DEFAULT_EVENT_BUDGET,
-    observe: bool = False,
-) -> RunResult:
-    """Run the airline workload under Naimi *pure* (one global token)."""
-
-    return _run_naimi(
-        num_nodes, spec, naimi_pure_client, "naimi-pure",
-        check_invariants, event_budget, observe=observe,
-    )
-
+run_hierarchical = functools.partial(run, PROTOCOLS["hierarchical"])
+run_naimi_pure = functools.partial(run, PROTOCOLS["naimi-pure"])
+run_naimi_same_work = functools.partial(run, PROTOCOLS["naimi-same-work"])
 
 #: Node counts used for the full paper-scale sweeps (Figures 5-7).
 PAPER_NODE_COUNTS: Sequence[int] = (2, 5, 10, 20, 40, 60, 80, 100, 120)
@@ -253,11 +216,21 @@ PAPER_NODE_COUNTS: Sequence[int] = (2, 5, 10, 20, 40, 60, 80, 100, 120)
 #: Node counts used by the fast CI-scale sweeps.
 QUICK_NODE_COUNTS: Sequence[int] = (2, 4, 8, 16)
 
-RUNNERS: Dict[str, Callable[..., RunResult]] = {
-    "hierarchical": run_hierarchical,
-    "naimi-same-work": run_naimi_same_work,
-    "naimi-pure": run_naimi_pure,
-}
+
+# Runs are pure functions of these arguments (seeded, one fresh simulator
+# each) and read-only once returned, so the memo can change no digit.
+@functools.cache
+def _swept(
+    protocol: str,
+    num_nodes: int,
+    spec: WorkloadSpec,
+    check_invariants: bool,
+    observe: bool,
+) -> RunResult:
+    return run(
+        PROTOCOLS[protocol], num_nodes, spec,
+        check_invariants=check_invariants, observe=observe,
+    )
 
 
 def sweep(
@@ -267,12 +240,16 @@ def sweep(
     check_invariants: bool = True,
     observe: bool = False,
 ) -> List[RunResult]:
-    """Run *protocol* at every node count and return the results."""
+    """*protocol*'s runs at every node count of the paper's sweep.
 
-    runner = RUNNERS.get(protocol)
-    if runner is None:
+    Each ``(protocol, n, spec)`` point is simulated once per process:
+    Figures 5-7 and the §6 headline are readings of the same runs and
+    get the same :class:`RunResult` objects.
+    """
+
+    if protocol not in PROTOCOLS:
         raise ConfigurationError(f"unknown protocol {protocol!r}")
     return [
-        runner(n, spec, check_invariants=check_invariants, observe=observe)
+        _swept(protocol, n, spec, check_invariants, observe)
         for n in node_counts
     ]

@@ -11,15 +11,13 @@ low-priority work.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
 
-from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
+from ..core.automaton import ProtocolOptions
 from ..core.modes import LockMode
-from ..metrics import MetricsCollector
-from ..sim.cluster import SimHierarchicalCluster
-from ..sim.engine import Process, Simulator, Timeout
+from ..sim.engine import Timeout
 from ..sim.rng import Exponential, derive_rng
-from ..verification.invariants import CompatibilityMonitor
+from ..workload.spec import WorkloadSpec
+from .common import PROTOCOLS, run
 
 LOCK = "resource"
 HIGH_PRIORITY = 10
@@ -61,26 +59,17 @@ class PriorityResult:
         )
 
 
-def _run(
-    num_nodes: int,
-    ops_per_node: int,
-    seed: int,
-    options: ProtocolOptions,
-) -> MetricsCollector:
-    sim = Simulator()
-    metrics = MetricsCollector()
-    monitor = CompatibilityMonitor()
-    cluster = SimHierarchicalCluster(
-        num_nodes, sim=sim, seed=seed, monitor=monitor, options=options
-    )
+def _clients(sim, cluster, spec, metrics):
+    """One exclusive writer per node; the last node is the VIP."""
+
     cs = Exponential(0.015)
     idle = Exponential(0.050)
 
     def client(node: int, priority: int):
-        rng = derive_rng(seed, "prio", node)
+        rng = derive_rng(spec.seed, "prio", node)
         handle = cluster.client(node)
         kind = "high" if priority > 0 else "crowd"
-        for _ in range(ops_per_node):
+        for _ in range(spec.ops_per_node):
             yield Timeout(sim, idle.sample(rng))
             issued = sim.now
             yield handle.acquire(LOCK, LockMode.W, priority=priority)
@@ -88,15 +77,17 @@ def _run(
             yield Timeout(sim, cs.sample(rng))
             handle.release(LOCK, LockMode.W)
 
-    bodies = [
-        client(node, HIGH_PRIORITY if node == num_nodes - 1 else 0)
-        for node in range(num_nodes)
+    vip = cluster.num_nodes - 1
+    return [
+        client(node, HIGH_PRIORITY if node == vip else 0)
+        for node in range(cluster.num_nodes)
     ]
-    processes = [Process(sim, body) for body in bodies]
-    sim.run(max_events=10_000_000)
-    assert all(p.done.triggered for p in processes)
-    monitor.assert_all_released()
-    return metrics
+
+
+#: The hierarchical protocol on the one contended lock, homed at node 0.
+CONTENDED = dataclasses.replace(
+    PROTOCOLS["hierarchical"], clients=_clients, token_home=None
+)
 
 
 def run_priority_study(
@@ -104,11 +95,12 @@ def run_priority_study(
 ) -> PriorityResult:
     """Run the FIFO-vs-priority comparison and return the numbers."""
 
-    fifo = _run(num_nodes, ops_per_node, seed, FULL_PROTOCOL)
-    prioritized = _run(
-        num_nodes, ops_per_node, seed,
-        ProtocolOptions(priority_scheduling=True),
-    )
+    spec = WorkloadSpec(ops_per_node=ops_per_node, seed=seed)
+    fifo = run(CONTENDED, num_nodes, spec).metrics
+    prioritized = run(
+        CONTENDED, num_nodes, spec,
+        options=ProtocolOptions(priority_scheduling=True),
+    ).metrics
     return PriorityResult(
         num_nodes=num_nodes,
         fifo_high_latency=fifo.latency_summary("high").mean,
@@ -116,13 +108,3 @@ def run_priority_study(
         fifo_crowd_latency=fifo.latency_summary("crowd").mean,
         priority_crowd_latency=prioritized.latency_summary("crowd").mean,
     )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-
-    print(run_priority_study().render())
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    main()

@@ -24,56 +24,60 @@ cost, which is the quantity §5 talks about.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from ..metrics import MetricsCollector
 from ..raymond.topology import Topology, balanced_binary_tree, chain
 from ..sim.cluster import SimNaimiCluster, SimRaymondCluster
-from ..sim.engine import Process, Simulator
-from ..sim.rng import Exponential, derive_rng
+from ..sim.rng import derive_rng
 from ..verification.invariants import MutualExclusionMonitor
 from ..workload.airline import naimi_pure_client
 from ..workload.spec import WorkloadSpec
-from .common import RunResult, run_naimi_pure
-from .report import render_series_table, shape_checks
+from .common import DEFAULT_EVENT_BUDGET, Protocol, RunResult, airline, run
+from .figures import Checks, Figure, Reading, Series
 
 LOCK = "global"
 
-
-def sequential_probe(
-    cluster, num_nodes: int, rounds: int, seed: int, metrics: MetricsCollector
-):
-    """One coroutine issuing isolated requests from random nodes."""
-
-    sim = cluster.sim
-    rng = derive_rng(seed, "probe", num_nodes)
-    for _round in range(rounds):
-        node = rng.randrange(num_nodes)
-        issued = sim.now
-        yield cluster.client(node).acquire(LOCK)
-        metrics.record_request(node, "probe", issued, sim.now, lock=LOCK)
-        cluster.client(node).release(LOCK)
+#: The §5 sweep's node counts.
+RELATED_NODE_COUNTS = (2, 4, 8, 16, 32, 64)
 
 
-def _sequential_overhead(cluster, num_nodes, rounds, seed) -> float:
-    metrics = cluster.metrics
-    process = Process(cluster.sim, sequential_probe(
-        cluster, num_nodes, rounds, seed, metrics
-    ))
-    cluster.sim.run(max_events=10_000_000)
-    assert process.done.triggered
-    return metrics.message_overhead()
+def sequential_probe(sim, cluster, spec, metrics) -> List:
+    """One coroutine issuing ``spec.ops_per_node`` isolated requests,
+    each from a random node."""
+
+    num_nodes = cluster.num_nodes
+    rng = derive_rng(spec.seed, "probe", num_nodes)
+
+    def probe():
+        for _round in range(spec.ops_per_node):
+            node = rng.randrange(num_nodes)
+            issued = sim.now
+            yield cluster.client(node).acquire(LOCK)
+            metrics.record_request(node, "probe", issued, sim.now, lock=LOCK)
+            cluster.client(node).release(LOCK)
+
+    return [probe()]
+
+
+NAIMI_PROBE = Protocol(
+    "naimi", SimNaimiCluster, MutualExclusionMonitor, sequential_probe,
+    token_home=None,
+)
+RAYMOND_PROBE = Protocol(
+    "raymond", SimRaymondCluster, MutualExclusionMonitor, sequential_probe,
+    token_home=None,
+)
+#: Raymond under the single-token airline workload (Naimi *pure*'s).
+RAYMOND = dataclasses.replace(
+    RAYMOND_PROBE, clients=airline(naimi_pure_client, "raymond")
+)
 
 
 def sequential_naimi(num_nodes: int, rounds: int = 60, seed: int = 7) -> float:
     """Messages per isolated request under Naimi (dynamic tree)."""
 
-    metrics = MetricsCollector()
-    cluster = SimNaimiCluster(
-        num_nodes, latency=Exponential(0.150), seed=seed, metrics=metrics,
-        monitor=MutualExclusionMonitor(),
-    )
-    return _sequential_overhead(cluster, num_nodes, rounds, seed)
+    spec = WorkloadSpec(ops_per_node=rounds, seed=seed)
+    return run(NAIMI_PROBE, num_nodes, spec).message_overhead()
 
 
 def sequential_raymond(
@@ -81,13 +85,10 @@ def sequential_raymond(
 ) -> float:
     """Messages per isolated request under Raymond on *topology*."""
 
-    metrics = MetricsCollector()
-    cluster = SimRaymondCluster(
-        num_nodes, latency=Exponential(0.150), seed=seed,
-        topology=topology, metrics=metrics,
-        monitor=MutualExclusionMonitor(),
-    )
-    return _sequential_overhead(cluster, num_nodes, rounds, seed)
+    spec = WorkloadSpec(ops_per_node=rounds, seed=seed)
+    return run(
+        RAYMOND_PROBE, num_nodes, spec, topology=topology
+    ).message_overhead()
 
 
 def run_raymond(
@@ -95,133 +96,66 @@ def run_raymond(
     spec: WorkloadSpec,
     topology: Optional[Topology] = None,
     check_invariants: bool = True,
-    event_budget: int = 30_000_000,
+    event_budget: int = DEFAULT_EVENT_BUDGET,
 ) -> RunResult:
     """Run the single-token workload under Raymond's algorithm."""
 
-    sim = Simulator()
-    metrics = MetricsCollector()
-    monitor = MutualExclusionMonitor() if check_invariants else None
-    cluster = SimRaymondCluster(
-        num_nodes,
-        sim=sim,
-        latency=Exponential(spec.latency_mean),
-        seed=spec.seed,
+    return run(
+        RAYMOND, num_nodes, spec, check_invariants, event_budget,
         topology=topology,
-        monitor=monitor,
-        metrics=metrics,
     )
-    bodies = [
-        naimi_pure_client(
-            sim,
-            cluster.client(node),
-            spec,
-            spec.entry_count(num_nodes),
-            derive_rng(spec.seed, "raymond", num_nodes, node),
-            metrics=metrics,
-        )
-        for node in range(num_nodes)
+
+
+def _checks(node_counts: List[int], overhead: Series) -> Checks:
+    naimi = overhead["naimi (dynamic)"]
+    tree = overhead["raymond (balanced)"]
+    chain_series = overhead["raymond (chain)"]
+    n = node_counts
+    return [
+        (
+            "the static chain pays ~linear per-request overhead",
+            chain_series[-1] > 0.3 * n[-1],
+        ),
+        (
+            "dynamic path reversal beats the static chain at scale",
+            naimi[-1] < chain_series[-1],
+        ),
+        (
+            "dynamic path reversal beats the balanced static tree too",
+            naimi[-1] < tree[-1],
+        ),
+        (
+            "balanced Raymond and Naimi are both sub-linear",
+            tree[-1] < n[-1] / 2 and naimi[-1] < n[-1] / 2,
+        ),
     ]
-    processes = [Process(sim, body) for body in bodies]
-    sim.run(max_events=event_budget)
-    if not all(p.done.triggered for p in processes):
-        raise RuntimeError("raymond run never completed")
-    if check_invariants and monitor is not None:
-        monitor.assert_all_released()
-        cluster.assert_quiescent_invariants()
-    return RunResult(
-        protocol="raymond",
-        num_nodes=num_nodes,
-        spec=spec,
-        metrics=metrics,
-        sim_time=sim.now,
-        events=sim.events_processed,
-    )
 
 
-@dataclasses.dataclass
-class RelatedWorkResult:
-    """Dynamic-vs-static comparison data."""
-
-    node_counts: List[int]
-    overhead: Dict[str, List[float]]
-
-    def checks(self) -> List:
-        """The §5 claims, evaluated on this data."""
-
-        naimi = self.overhead["naimi (dynamic)"]
-        tree = self.overhead["raymond (balanced)"]
-        chain_series = self.overhead["raymond (chain)"]
-        n = self.node_counts
-        return [
-            (
-                "the static chain pays ~linear per-request overhead",
-                chain_series[-1] > 0.3 * n[-1],
-            ),
-            (
-                "dynamic path reversal beats the static chain at scale",
-                naimi[-1] < chain_series[-1],
-            ),
-            (
-                "dynamic path reversal beats the balanced static tree too",
-                naimi[-1] < tree[-1],
-            ),
-            (
-                "balanced Raymond and Naimi are both sub-linear",
-                tree[-1] < n[-1] / 2 and naimi[-1] < n[-1] / 2,
-            ),
-        ]
-
-    def render(self) -> str:
-        """Paper-style rows for the §5 comparison."""
-
-        table = render_series_table(
-            "Related work (§5) — messages per request, single token",
-            "nodes",
-            [float(n) for n in self.node_counts],
-            self.overhead,
-        )
-        return "\n\n".join([table, shape_checks(self.checks())])
+#: The §5 comparison; its series come from the probes, not the sweep.
+RELATED = Reading(
+    title="Related work (§5) — messages per request, single token",
+    attribute="overhead",
+    checks=_checks,
+)
 
 
 def run_related_work(
-    node_counts: Sequence[int] = (2, 4, 8, 16, 32, 64),
+    node_counts: Sequence[int] = RELATED_NODE_COUNTS,
     rounds: int = 60,
     seed: int = 7,
-) -> RelatedWorkResult:
+) -> Figure:
     """Sweep Naimi vs. Raymond (balanced and chain topologies)."""
 
-    overhead: Dict[str, List[float]] = {
-        "naimi (dynamic)": [],
-        "raymond (balanced)": [],
-        "raymond (chain)": [],
+    probes = {
+        "naimi (dynamic)": lambda n: sequential_naimi(n, rounds, seed),
+        "raymond (balanced)": lambda n: sequential_raymond(
+            n, balanced_binary_tree(n), rounds, seed
+        ),
+        "raymond (chain)": lambda n: sequential_raymond(
+            n, chain(n), rounds, seed
+        ),
     }
-    for n in node_counts:
-        overhead["naimi (dynamic)"].append(
-            sequential_naimi(n, rounds=rounds, seed=seed)
-        )
-        overhead["raymond (balanced)"].append(
-            sequential_raymond(
-                n, balanced_binary_tree(n), rounds=rounds, seed=seed
-            )
-        )
-        overhead["raymond (chain)"].append(
-            sequential_raymond(n, chain(n), rounds=rounds, seed=seed)
-        )
-    return RelatedWorkResult(
-        node_counts=list(node_counts), overhead=overhead
-    )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """CLI entry point."""
-
-    quick = "--quick" in argv
-    counts = (2, 4, 8, 16) if quick else (2, 4, 8, 16, 32, 64)
-    print(run_related_work(counts, rounds=30 if quick else 60).render())
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    import sys
-
-    main(sys.argv[1:])
+    overhead = {
+        name: [probe(n) for n in node_counts] for name, probe in probes.items()
+    }
+    return Figure(RELATED, list(node_counts), overhead, runs={})

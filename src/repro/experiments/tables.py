@@ -143,13 +143,3 @@ def render_all() -> str:
     )
     parts.append("Verification against the reconstruction oracle:\n" + status)
     return "\n\n".join(parts)
-
-
-def main(argv=()) -> None:
-    """CLI entry point: print the tables."""
-
-    print(render_all())
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    main()

@@ -4,7 +4,7 @@ The paper's related work (§5) singles out Raymond's algorithm as the
 other O(log n) token protocol, differing in its **non-adaptive** logical
 structure: the tree never changes, so there is no path compression.
 Implementing it alongside Naimi-Tréhel lets the benchmark suite measure
-that comparison (``benchmarks/bench_related_work.py``).
+that comparison (``python -m repro related``).
 """
 
 from .automaton import RaymondAutomaton

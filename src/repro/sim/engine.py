@@ -207,16 +207,16 @@ def run_processes(sim: Simulator, bodies: List[ProcessBody],
 
     processes = [Process(sim, body) for body in bodies]
     sim.run(max_events=max_events)
-    for process in processes:
+    for index, process in enumerate(processes):
         if process.error is not None:
             raise SimulationError(
-                f"a simulation process crashed: "
+                f"client process {index} crashed: "
                 f"{type(process.error).__name__}: {process.error}"
             ) from process.error
-    for process in processes:
-        if not process.done.triggered:
-            raise SimulationError(
-                "simulation drained but a process is still blocked "
-                "(deadlock or lost grant)"
-            )
+    blocked = [i for i, p in enumerate(processes) if not p.done.triggered]
+    if blocked:
+        raise SimulationError(
+            f"deadlock or lost grant: client processes {blocked} are "
+            "still blocked"
+        )
     return processes

@@ -21,10 +21,13 @@ from repro.experiments.common import (
     run_naimi_same_work,
     sweep,
 )
-from repro.experiments.fig5_message_overhead import run_fig5
-from repro.experiments.fig6_latency import run_fig6
-from repro.experiments.fig7_breakdown import MESSAGE_TYPES, run_fig7
-from repro.experiments.headline import run_headline
+from repro.experiments.figures import (
+    MESSAGE_TYPES,
+    run_fig5,
+    run_fig6,
+    run_fig7,
+    run_headline,
+)
 from repro.workload.spec import WorkloadSpec
 
 QUICK = WorkloadSpec(ops_per_node=12, seed=21)

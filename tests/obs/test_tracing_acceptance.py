@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import RUNNERS, run_hierarchical
+from repro.experiments.common import PROTOCOLS, run, run_hierarchical
 from repro.obs.sink import FROZEN
 from repro.obs.tracing import critical_path
 from repro.workload.spec import WorkloadSpec
@@ -89,11 +89,11 @@ class TestCriticalPathAccounting:
 
 
 class TestZeroPerturbation:
-    @pytest.mark.parametrize("protocol", sorted(RUNNERS))
+    @pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
     def test_traced_run_bit_identical(self, protocol):
         spec = WorkloadSpec(ops_per_node=10, seed=7)
-        plain = RUNNERS[protocol](NODES, spec)
-        traced = RUNNERS[protocol](NODES, spec, observe=True)
+        plain = run(PROTOCOLS[protocol], NODES, spec)
+        traced = run(PROTOCOLS[protocol], NODES, spec, observe=True)
         assert traced.metrics.total_messages == \
             plain.metrics.total_messages
         assert traced.sim_time == plain.sim_time
