@@ -11,10 +11,16 @@ stdout of ``python -m repro all --quick`` and the Figure 5/6 series at
 full precision (``record_perf_baseline.measure()`` of *this* tree, over
 2…120 nodes) — the last two so that a change under ``workload/``,
 ``metrics/`` or ``experiments/`` is compared like one under ``faults/``
-— then byte-compares them.  On a difference it names every differing
-output, prints a unified diff of the first, and exits 1.
+— and the virtual-time fingerprint of script 0 at seed 2003 of the three
+gated ledger workloads (``paper120``, ``writes120``, ``stack40``, run
+through *this* tree's ``benchmarks.ledger.workloads``: requests issued
+and granted, messages, engine events, every grant latency and table
+grant, at full precision), so the trajectories the ledger gates are
+compared like the chaos verdicts — then byte-compares them (56 outputs).
+On a difference it names every differing output, prints a unified diff
+of the first, and exits 1.
 
-Usage, from the root of the tree under test (≈ 35 s for both trees)::
+Usage, from the root of the tree under test (≈ 40 s for both trees)::
 
     git clone -q . /root/scratch/parent          # or any other checkout
     python benchmarks/refactor_safety.py /root/scratch/parent
@@ -125,6 +131,32 @@ def _write_series(out: str) -> None:
         handle.write("\n")
 
 
+LEDGER_WORKLOADS = ("paper120", "writes120", "stack40")
+LEDGER_SEED = 2003
+
+
+def _write_ledger(out: str, name: str) -> None:
+    # The script and the driver are this tree's ledger (imported, never
+    # edited); the stack under them is whichever ``repro`` is on
+    # ``sys.path``.
+    sys.path.insert(0, _ROOT)
+    from benchmarks.ledger import workloads
+
+    workload = workloads.WORKLOADS[name]
+    run = workloads.run_bare if workload.kind == "bare" else workloads.run_stack
+    unit = run(workload, LEDGER_SEED, 0)
+    fingerprint = {
+        field: getattr(unit, field)
+        for field in (
+            "digest", "issued", "granted", "failed", "window_granted",
+            "messages", "counters", "latencies_s", "table_grants", "problems",
+        )
+    }
+    with open(os.path.join(out, f"ledger-{name}.json"), "w") as handle:
+        json.dump(fingerprint, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
 def emit(out: str) -> None:
     """Write every output of the ``repro`` on ``sys.path`` into *out*."""
 
@@ -135,6 +167,10 @@ def emit(out: str) -> None:
     jobs.append(("explorer-census", _write_census, (out,)))
     jobs.append(("repro-all-quick", _write_experiments, (out,)))
     jobs.append(("fig5-fig6-series", _write_series, (out,)))
+    jobs += [
+        (f"ledger-{name}", _write_ledger, (out, name))
+        for name in LEDGER_WORKLOADS
+    ]
     for name, job, args in jobs:
         pid = os.fork()
         if pid == 0:

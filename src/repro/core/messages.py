@@ -240,6 +240,26 @@ MESSAGE_TYPE_LABELS = {
 }
 
 
+def fault_label(message: object) -> str:
+    """Protocol-level label of *message*, looking through session frames.
+
+    Falls back to the lower-cased class name (minus a ``Message`` suffix)
+    for types outside the core Figure-7 label table, so rules can target
+    recovery traffic (``"heartbeat"``, ``"session-ack"``, ...) too.
+    """
+
+    payload = getattr(message, "payload", None)
+    if payload is not None:
+        return fault_label(payload)
+    label = MESSAGE_TYPE_LABELS.get(type(message))
+    if label is not None:
+        return label
+    name = type(message).__name__
+    if name.endswith("Message"):
+        name = name[: -len("Message")]
+    return name.lower()
+
+
 def message_type_label(message: Message) -> str:
     """Return the Figure-7 label for *message* (e.g. ``"grant"``)."""
 

@@ -28,12 +28,13 @@ not a third copy of this file.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Dict, List, Optional
 
 from ..core.automaton import ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn
-from ..core.messages import Envelope, LockId, Message, NodeId
+from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..errors import ConfigurationError, SimulationError
 from ..obs.sink import ObsSink
@@ -172,7 +173,7 @@ class ResilientHost:
                 membership if membership is not None else list(self.members)
             ),
             scheduler=self.scheduler,
-            transport_send=self._make_sender(node_id),
+            transport_send=functools.partial(self._fabric.send, node_id),
             config=self.config,
             obs=self.obs,
             boot=boot,
@@ -197,12 +198,6 @@ class ResilientHost:
         if fresh:
             # A restarted node's handler goes in with ``fabric.restart``.
             self._fabric.register(node_id, manager.handle)
-
-    def _make_sender(self, node_id: NodeId):
-        def send(dest: NodeId, message: Message) -> None:
-            self._fabric.send(node_id, [Envelope(dest, message)])
-
-        return send
 
     def _silence(self, node_id: NodeId) -> None:
         self._fabric.crash(node_id)

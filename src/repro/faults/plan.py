@@ -23,32 +23,12 @@ import math
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.messages import MESSAGE_TYPE_LABELS, NodeId
+from ..core.messages import NodeId, fault_label
 
 #: Actions a rule can take on a matched message.
 DROP, DUPLICATE, DELAY, REORDER = "drop", "duplicate", "delay", "reorder"
 
 _ACTIONS = frozenset({DROP, DUPLICATE, DELAY, REORDER})
-
-
-def fault_label(message: object) -> str:
-    """Protocol-level label of *message*, looking through session frames.
-
-    Falls back to the lower-cased class name (minus a ``Message`` suffix)
-    for types outside the core Figure-7 label table, so rules can target
-    recovery traffic (``"heartbeat"``, ``"session-ack"``, ...) too.
-    """
-
-    payload = getattr(message, "payload", None)
-    if payload is not None:
-        return fault_label(payload)
-    label = MESSAGE_TYPE_LABELS.get(type(message))
-    if label is not None:
-        return label
-    name = type(message).__name__
-    if name.endswith("Message"):
-        name = name[: -len("Message")]
-    return name.lower()
 
 
 @dataclasses.dataclass(frozen=True)

@@ -19,8 +19,10 @@ the calls between them).  The kernel:
   duplicates are idempotent at protocol level); this is what survives a
   request dying in a crashed parent's volatile queue.
 * the node's mutex, its :class:`~repro.faults.scheduler.Timers`, the
-  raw fabric send, the event funnel, and the one definition of "the
-  members I do not suspect" and of "a majority of them".
+  raw fabric send (:meth:`~RecoveryManager.send` to one peer,
+  :meth:`~RecoveryManager.broadcast` to many: one fabric call each), the
+  event funnel, and the one definition of "the members I do not
+  suspect" and of "a majority of them".
 
 The layers, each owning its state: **token regeneration**
 (:mod:`repro.faults.regeneration`), **custody** of a restored or
@@ -29,8 +31,9 @@ handed-off token (:mod:`repro.faults.custody`), **leases**
 (:mod:`repro.membership.layer`).
 
 The manager is transport-agnostic: it needs only a scheduler
-(``now``/``call_later``) and a raw ``send(dest, message)``, so the same
-class runs under the simulator and the threaded/TCP runtimes.
+(``now``/``call_later``) and its fabric's ``send`` with this node bound
+as the sender, so the same class runs under the simulator and the
+threaded/TCP runtimes.
 """
 
 from __future__ import annotations
@@ -49,12 +52,14 @@ from ..obs.sink import ObsSink
 from .channel import ReliableChannel
 from .custody import Custody
 from .detector import HeartbeatDetector
-from .messages import HeartbeatMessage, SessionAck
+from .messages import HeartbeatMessage, SessionAck, SessionMessage
 from .regeneration import Regeneration
 from .scheduler import Timers
 
-#: Raw fabric send: ``(dest, message)``.
-TransportSend = Callable[[NodeId, Message], None]
+#: The fabric's ``send`` with the sender bound: takes a batch of envelopes.
+TransportSend = Callable[[List[Envelope]], None]
+#: One row of the kernel's handler table.
+_Route = Tuple[Callable[[Message], object], bool]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,10 +129,7 @@ class RecoveryManager:
         self.boot = boot
         #: The scheduler's clock.
         self.now: Callable[[], float] = scheduler.now
-        #: Raw fabric send.  Recovery coordination rides it directly: it
-        #: is idempotent, re-sent by its originators, and must keep
-        #: flowing while streams to a dead peer are torn down.
-        self.send = transport_send
+        self._transport_send = transport_send
         #: Guards the whole stack (re-entrant: a layer's public call may
         #: arrive from inside a handler or from the host).
         self.mutex = threading.RLock()
@@ -147,7 +149,7 @@ class RecoveryManager:
         self.channel = ReliableChannel(
             node_id,
             scheduler,
-            send=transport_send,
+            send=self.send,
             deliver=self._deliver,
             retry_base=config.channel_retry_base,
             retry_cap=config.channel_retry_cap,
@@ -159,16 +161,34 @@ class RecoveryManager:
         self.regeneration = Regeneration(self)
         self.custody = Custody(self)
         self.leases = LeaseLayer(self)
-        #: Message type → bound handler, from the layers' ``@handles``
-        #: methods.  (``repro.leases`` sits below this package and cannot
-        #: name the heartbeat type, so its handler is bound here.)
-        self._handlers: Dict[type, Callable[[Message], None]] = {
-            member.handled_type: getattr(layer, name)
+        #: Message type → (bound handler, whether ``message.boot`` is the
+        #: sender's incarnation), from the layers' ``@handles`` methods.
+        #: (``repro.leases`` sits below this package and cannot name the
+        #: heartbeat type, so its handler is bound here.)
+        self._handlers: Dict[type, _Route] = {
+            member.handled_type: (getattr(layer, name), False)
             for layer in (self.regeneration, self.custody, self.membership)
             for name, member in vars(type(layer)).items()
             if hasattr(member, "handled_type")
         }
-        self._handlers[HeartbeatMessage] = self.leases.on_heartbeat
+        self._handlers[HeartbeatMessage] = (self.leases.on_heartbeat, True)
+        self._handlers[SessionMessage] = (self.channel.handle, True)
+        # A SessionAck's ``boot`` echoes the acked FRAME's boot (the
+        # receiver of this ack), not the ack sender's incarnation.
+        # Reading it as the sender's would make every peer acking a
+        # restarted node's frames look freshly restarted itself, and
+        # the resulting stop_peer would wipe a live in-stream mid
+        # conversation — deadlocking the pair (the sender believes
+        # its early frames are acked and never resends; the wiped
+        # receiver waits for seq 0 forever).
+        self._handlers[SessionAck] = (self.channel.handle, False)
+        #: Any other type is a raw (unsessioned) protocol message;
+        #: tolerated so the manager can also front a plain reliable
+        #: transport.
+        self._unsessioned: _Route = (
+            lambda message: self._deliver(message.sender, message),
+            False,
+        )
         #: Latest boot incarnation seen per peer (restart detection).
         self._peer_boots: Dict[NodeId, int] = {}
         #: How often each recovery event happened here (see :meth:`event`).
@@ -223,6 +243,19 @@ class RecoveryManager:
         majority of the installed view."""
 
         return len(self.live()) >= self.membership.view.quorum()
+
+    def send(self, dest: NodeId, message: Message) -> None:
+        """Raw fabric send.  Recovery coordination rides it directly: it
+        is idempotent, re-sent by its originators, and must keep flowing
+        while streams to a dead peer are torn down."""
+
+        self._transport_send([Envelope(dest, message)])
+
+    def broadcast(self, dests: Iterable[NodeId], message: Message) -> None:
+        """:meth:`send` *message* to every one of *dests*, in order, as
+        one fabric call."""
+
+        self._transport_send([Envelope(dest, message) for dest in dests])
 
     def dispatch(
         self, envelopes: List[Envelope], note: Optional[str] = None
@@ -351,12 +384,6 @@ class RecoveryManager:
             self.dispatch(self.lockspace.release(lock_id, mode))
             self.leases.note_release(lock_id, mode)
 
-    def upgrade(self, lock_id: LockId, ctx: object = None) -> None:
-        """Upgrade a held ``U`` on *lock_id* to ``W``."""
-
-        with self.mutex:
-            self.dispatch(self.lockspace.upgrade(lock_id, ctx))
-
     def arm_retry(
         self, lock_id: LockId, interval: Optional[float] = None
     ) -> None:
@@ -412,32 +439,17 @@ class RecoveryManager:
         with self.mutex:
             if not self.timers.running:
                 return []
-            if message.sender in self.membership.departed:
+            sender = message.sender
+            if sender in self.membership.departed:
                 # Stale traffic from an excised node: its token (if any)
                 # was handed off or regenerated and its copyset entries
                 # evicted at view install; nothing it says is current.
                 return []
-            # A SessionAck's ``boot`` echoes the acked FRAME's boot (the
-            # receiver of this ack), not the ack sender's incarnation.
-            # Reading it as the sender's would make every peer acking a
-            # restarted node's frames look freshly restarted itself, and
-            # the resulting stop_peer would wipe a live in-stream mid
-            # conversation — deadlocking the pair (the sender believes
-            # its early frames are acked and never resends; the wiped
-            # receiver waits for seq 0 forever).
-            boot = getattr(message, "boot", None)
-            if isinstance(message, SessionAck):
-                boot = None
-            self._note_life(message.sender, boot)
-            if not self.channel.handle(message):
-                handler = self._handlers.get(type(message))
-                if handler is not None:
-                    handler(message)
-                else:
-                    # A raw (unsessioned) protocol message; tolerated so
-                    # the manager can also front a plain reliable
-                    # transport.
-                    self._deliver(message.sender, message)
+            handler, has_boot = self._handlers.get(
+                type(message), self._unsessioned
+            )
+            self._note_life(sender, message.boot if has_boot else None)
+            handler(message)
         return []
 
     def _deliver(self, peer: NodeId, payload: Message) -> None:
@@ -489,8 +501,7 @@ class RecoveryManager:
             self.config.heartbeat_interval,
             self._heartbeat_tick,
         )
-        for peer in self._peers():
-            self.send(peer, beat)
+        self.broadcast(self._peers(), beat)
 
     def _failure_tick(self) -> None:
         now = self.now()

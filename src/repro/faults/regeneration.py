@@ -116,9 +116,10 @@ class Regeneration:
         """Ask every live peer whether a token for *lock_id* lives there."""
 
         kernel = self._kernel
-        message = TokenProbe(lock_id=lock_id, sender=kernel.node_id)
-        for peer in kernel.live_peers():
-            kernel.send(peer, message)
+        kernel.broadcast(
+            kernel.live_peers(),
+            TokenProbe(lock_id=lock_id, sender=kernel.node_id),
+        )
 
     def _ensure_probe(
         self, lock_id: LockId, reporter: NodeId, epoch: int = 0
@@ -275,11 +276,8 @@ class Regeneration:
         message = ReparentMessage(
             lock_id=lock_id, sender=kernel.node_id, parent=holder, epoch=epoch
         )
-        for target in (
-            kernel.live_peers() if reporters is None else sorted(reporters)
-        ):
-            if target != kernel.node_id:
-                kernel.send(target, message)
+        targets = kernel.live_peers() if reporters is None else sorted(reporters)
+        kernel.broadcast([n for n in targets if n != kernel.node_id], message)
         # Apply locally too (the coordinator may itself be an orphan).
         self._apply_reparent(lock_id, holder, epoch)
 

@@ -48,15 +48,13 @@ class LeaseLayer:
         #: Evictions skipped at suspicion time because the suspect still
         #: held an active lease: suspect -> locks awaiting lease expiry.
         self._deferred: Dict[NodeId, Set[LockId]] = {}
-        #: Whether this node lease-fenced itself (quorum-silent too
-        #: long).  A fenced node has force-released every hold, stopped
-        #: granting, and rejects new acquires; the state is permanent for
-        #: the process (a partitioned minority rejoins by restarting, at
-        #: which point the journal — not the fenced incarnation — is
-        #: authoritative).
-        self.fenced = False
-        #: When it did (``None`` = never); the chaos harness uses it to
-        #: classify the fenced node's dead requests.
+        #: When this node lease-fenced itself (quorum-silent too long;
+        #: ``None`` = never).  A fenced node has force-released every
+        #: hold, stopped granting, and rejects new acquires; the state is
+        #: permanent for the process (a partitioned minority rejoins by
+        #: restarting, at which point the journal — not the fenced
+        #: incarnation — is authoritative).  The chaos harness uses the
+        #: instant to classify the fenced node's dead requests.
         self.fenced_at: Optional[float] = None
         #: Called as ``(holder, lock_id)`` whenever holds are
         #: force-released — self-fence or departure here, revocation of
@@ -70,6 +68,12 @@ class LeaseLayer:
         self.renewals_received = 0
         self.revoke_latencies: List[float] = []
         self.sessions_gced = 0
+
+    @property
+    def fenced(self) -> bool:
+        """Whether this node lease-fenced itself."""
+
+        return self.fenced_at is not None
 
     # -- this node's holds -------------------------------------------------
 
@@ -329,7 +333,6 @@ class LeaseLayer:
         """
 
         kernel = self._kernel
-        self.fenced = True
         self.fenced_at = now
         self.own.clear()
         self.sessions.expire_all()

@@ -285,9 +285,14 @@ class MembershipLayer:
 
     def _send_proposal(self) -> None:
         pending = self._pending
-        for peer in self._kernel.live_peers():
-            if peer in pending.base.members and peer not in pending.acks:
-                self._kernel.send(peer, pending.proposal)
+        self._kernel.broadcast(
+            [
+                peer
+                for peer in self._kernel.live_peers()
+                if peer in pending.base.members and peer not in pending.acks
+            ],
+            pending.proposal,
+        )
 
     def _propose_fire(self) -> None:
         self._send_proposal()
@@ -313,9 +318,8 @@ class MembershipLayer:
             forced=won.forced,
         )
         self.install(message)
-        for peer in sorted(set(pending.base.members) | set(won.members)):
-            if peer != kernel.node_id:
-                kernel.send(peer, message)
+        audience = set(pending.base.members) | set(won.members)
+        kernel.broadcast(sorted(audience - {kernel.node_id}), message)
         for peer in won.joined:
             if peer != kernel.node_id:
                 self._state_transfer(peer)

@@ -25,7 +25,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.messages import Envelope, NodeId
+from ..core.messages import Envelope, NodeId, fault_label
 from ..errors import SimulationError
 from ..obs.sink import ObsSink
 from .transport import MessageHandler, MessageObserver
@@ -229,7 +229,7 @@ class TcpTransport:
                         f"send {sender}→{dest} failed: {retry_exc}"
                     ) from retry_exc
             if self.obs is not None:
-                self.obs.message(sender, dest, type(envelope.message).__name__)
+                self.obs.message(sender, dest, fault_label(envelope.message))
                 self.obs.wire_sent(
                     sender,
                     dest,

@@ -20,7 +20,7 @@ import threading
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..core.messages import Envelope, NodeId
+from ..core.messages import Envelope, NodeId, fault_label
 from ..errors import SimulationError
 from ..obs.sink import ObsSink
 from ..sim.rng import Distribution
@@ -133,9 +133,7 @@ class ThreadedTransport:
                     self._observer(sender, envelope.dest, envelope.message)
                 if self.obs is not None:
                     self.obs.message(
-                        sender,
-                        envelope.dest,
-                        type(envelope.message).__name__,
+                        sender, envelope.dest, fault_label(envelope.message)
                     )
                 if self.tracer is not None:
                     envelope = self.tracer.outbound(sender, envelope)

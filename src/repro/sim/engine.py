@@ -53,7 +53,7 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* ``delay`` seconds from now (``delay >= 0``)."""
 
-        if delay < 0:
+        if not delay >= 0:  # also catches NaN, which would unorder the heap
             raise SimulationError(f"cannot schedule into the past ({delay})")
         heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
 

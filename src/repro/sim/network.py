@@ -22,6 +22,7 @@ the pre-fault network — the latency RNG never sees a fault-layer draw.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.messages import Envelope, NodeId
@@ -130,55 +131,60 @@ class Network:
     # -- transmission ------------------------------------------------------
 
     def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
-        """Transmit *envelopes* from *sender*, FIFO per destination pair."""
+        """Transmit *envelopes* from *sender*, FIFO per destination pair.
 
+        Producers batch (a heartbeat tick is one call): what cannot
+        change inside a call is read once, the rest per envelope.
+        """
+
+        sim = self._sim
+        now, schedule, deliver = sim.now, sim.schedule, self._deliver
+        handlers, crashed, floors = (
+            self._handlers, self._crashed, self._last_arrival
+        )
+        sender_down = sender in crashed
+        local_instant = self._local_instant
+        injector, observer, tracer = self._injector, self._observer, self.tracer
+        sample, rng = self._latency.sample, self._rng
         for envelope in envelopes:
-            self._send_one(sender, envelope)
-
-    def _send_one(self, sender: NodeId, envelope: Envelope) -> None:
-        dest = envelope.dest
-        if dest not in self._handlers:
-            raise SimulationError(f"message to unregistered node {dest}")
-        if sender in self._crashed or dest in self._crashed:
-            self._messages_dropped += 1
-            return
-        if dest == sender and self._local_instant:
-            # A node talking to itself does not cross the wire.
-            self._sim.schedule(0.0, lambda: self._deliver(sender, envelope))
-            return
-        if self._injector is not None:
-            decision = self._injector.decide(
-                self._sim.now, sender, dest, envelope.message
-            )
-            if decision.drop:
+            dest = envelope.dest
+            if dest not in handlers:
+                raise SimulationError(f"message to unregistered node {dest}")
+            if sender_down or dest in crashed:
                 self._messages_dropped += 1
-                return
-        else:
-            decision = None
-        self._messages_sent += 1
-        if self._observer is not None:
-            self._observer(sender, dest, envelope.message)
-        if self.tracer is not None:
-            envelope = self.tracer.outbound(sender, envelope)
-        copies = 1 if decision is None else decision.copies
-        extra = 0.0 if decision is None else decision.extra_delay
-        reorder = decision is not None and decision.reorder
-        key = (sender, dest)
-        for _ in range(copies):
-            delay = self._latency.sample(self._rng) + extra
-            arrival = self._sim.now + delay
-            if not reorder:
-                # FIFO per ordered pair: never deliver before an earlier
-                # message.  A reordered message deliberately skips the
-                # floor (and does not raise it for its successors).
-                floor = self._last_arrival.get(key, 0.0)
-                if arrival < floor:
-                    arrival = floor
-                self._last_arrival[key] = arrival
-            self._sim.schedule(
-                arrival - self._sim.now,
-                lambda: self._deliver(sender, envelope),
-            )
+                continue
+            if dest == sender and local_instant:
+                # A node talking to itself does not cross the wire.
+                schedule(0.0, partial(deliver, sender, envelope))
+                continue
+            copies, extra, reorder = 1, 0.0, False
+            if injector is not None:
+                decision = injector.decide(now, sender, dest, envelope.message)
+                if decision.drop:
+                    self._messages_dropped += 1
+                    continue
+                copies, extra, reorder = (
+                    decision.copies, decision.extra_delay, decision.reorder
+                )
+            self._messages_sent += 1
+            if observer is not None:
+                observer(sender, dest, envelope.message)
+            if tracer is not None:
+                envelope = tracer.outbound(sender, envelope)
+            key = (sender, dest)
+            for _ in range(copies):
+                arrival = now + (sample(rng) + extra)
+                if not reorder:
+                    # FIFO per ordered pair: never deliver before an earlier
+                    # message.  A reordered message deliberately skips the
+                    # floor (and does not raise it for its successors).
+                    floor = floors.get(key, 0.0)
+                    if arrival < floor:
+                        arrival = floor
+                    floors[key] = arrival
+                # ``arrival - now`` then ``now + delay`` in the engine: the
+                # float round trip is part of every seeded trajectory.
+                schedule(arrival - now, partial(deliver, sender, envelope))
 
     def _deliver(self, sender: NodeId, envelope: Envelope) -> None:
         if envelope.dest in self._crashed:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.automaton import ProtocolOptions
 from repro.core.lockspace import LockSpace
-from repro.core.messages import Message, NodeId
+from repro.core.messages import Envelope, Message, NodeId
 from repro.faults.messages import ReparentMessage
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
 
@@ -53,10 +53,14 @@ class Fabric:
         #: Everything ever sent, delivered or not.
         self.log: List[Tuple[NodeId, NodeId, Message]] = []
 
-    def sender(self, node: NodeId) -> Callable[[NodeId, Message], None]:
-        def send(dest: NodeId, message: Message) -> None:
-            self.parked.append((node, dest, message))
-            self.log.append((node, dest, message))
+    def sender(self, node: NodeId) -> Callable[[List[Envelope]], None]:
+        """The fabric's ``send`` with *node* bound as the sender."""
+
+        def send(envelopes: List[Envelope]) -> None:
+            for envelope in envelopes:
+                entry = (node, envelope.dest, envelope.message)
+                self.parked.append(entry)
+                self.log.append(entry)
 
         return send
 

@@ -159,6 +159,10 @@ def test_a_quorum_silent_holder_fences_itself_before_a_peer_revokes():
             revoked_at = scheduler.now()
     # Last contact at 2.0: fenced one lease duration later, on its own.
     assert holder.leases.fenced_at == 2.0 + config.lease_duration
+    # One fact, one field: ``fenced`` only reads it.
+    assert holder.leases.fenced and not peer.leases.fenced
+    with pytest.raises(AttributeError):
+        holder.leases.fenced = False
     assert holder.lockspace.automaton(LOCK).held_modes == {}
     assert revoked_at == holder.leases.fenced_at + config.lease_revoke_margin
     assert peer.leases.remote.get(LOCK, 1) is None

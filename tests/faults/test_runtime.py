@@ -20,6 +20,7 @@ from repro.faults.runtime import (
     FaultyTransport,
     ResilientThreadedCluster,
 )
+from repro.obs.collect import RunObserver
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import ThreadedTransport
 from repro.verification.invariants import CompatibilityMonitor
@@ -103,6 +104,25 @@ class TestTcpTransport:
             injector = cluster.transport.injector
             assert injector.dropped > 0 or injector.duplicated > 0
             assert monitor.grants == 3 * 6
+
+
+@pytest.mark.parametrize("make_transport", [ThreadedTransport, TcpTransport])
+def test_observed_messages_carry_protocol_labels(make_transport):
+    """Both wall-clock transports book what a session frame carries, as
+    the simulator binding does — not ``SessionMessage`` for everything."""
+
+    observer = RunObserver()
+    with ResilientThreadedCluster(
+        3, transport=make_transport(obs=observer), obs=observer
+    ) as cluster:
+        cluster.client(1).acquire("lock", LockMode.W, timeout=10.0)
+        cluster.client(1).release("lock", LockMode.W)
+        cluster.client(2).acquire("lock", LockMode.R, timeout=10.0)
+        cluster.client(2).release("lock", LockMode.R)
+    totals = observer.messages.totals()
+    assert {"request", "token", "heartbeat", "session-ack"} <= set(totals)
+    assert "session" not in totals
+    assert not any(label.endswith("Message") for label in totals)
 
 
 class TestFaultyTransport:

@@ -41,6 +41,34 @@ class TestSimulatorScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-0.1, lambda: None)
 
+    @pytest.mark.parametrize("delay", [float("nan"), -1e-9, -float("inf")])
+    def test_unorderable_or_past_delay_rejected(self, delay):
+        # ``nan < 0`` is false: a NaN used to reach the heap, where every
+        # comparison with it is false and the order silently undefined.
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        assert sim.pending_events == 0
+
+    def test_zero_and_negative_zero_delay_schedule(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(-0.0, lambda: fired.append("a"))
+        sim.schedule(0.0, lambda: fired.append("b"))
+        sim.run()
+        assert fired == ["a", "b"] and sim.now == 0.0
+
+    def test_until_stops_before_later_events_and_resumes(self):
+        sim = Simulator()
+        fired = []
+        for at in (0.5, 1.0, 1.5):
+            sim.schedule(at, lambda at=at: fired.append(at))
+        sim.run(until=1.0)
+        assert fired == [0.5, 1.0] and sim.now == 1.0
+        assert sim.pending_events == 1 and sim.events_processed == 2
+        sim.run()
+        assert fired == [0.5, 1.0, 1.5] and sim.now == 1.5
+
     def test_now_advances_to_event_times(self):
         sim = Simulator()
         seen = []
