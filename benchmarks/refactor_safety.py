@@ -16,7 +16,12 @@ gated ledger workloads (``paper120``, ``writes120``, ``stack40``, run
 through *this* tree's ``benchmarks.ledger.workloads``: requests issued
 and granted, messages, engine events, every grant latency and table
 grant, at full precision), so the trajectories the ledger gates are
-compared like the chaos verdicts — then byte-compares them (56 outputs).
+compared like the chaos verdicts — and what ``repro.obs`` writes: the
+``--trace-out`` JSONL (spans, series, causal chains) of ``chaos --plan
+smoke --seed 0`` and of ``fig5 --quick``, and the ``/cluster`` payload
+and ``/metrics`` text of one seeded ``ResilientSimCluster`` with a
+journal, polled twice mid-run and once drained — then byte-compares
+them (59 outputs).
 On a difference it names every differing output, prints a unified diff
 of the first, and exits 1.
 
@@ -157,6 +162,67 @@ def _write_ledger(out: str, name: str) -> None:
         handle.write("\n")
 
 
+TRACES = (
+    ("trace-chaos-smoke-seed0", ["chaos", "--plan", "smoke", "--seed", "0"]),
+    ("trace-fig5-quick", ["fig5", "--quick"]),
+)
+
+
+def _write_trace(out: str, name: str, argv: List[str]) -> None:
+    from repro.__main__ import main
+
+    path = os.path.join(out, name + ".jsonl")
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(argv + ["--trace-out", path])
+    with open(path, "a") as handle:
+        handle.write(f"exit {code}\n")
+
+
+def _write_live_view(out: str) -> None:
+    # Three polls of one monitor: a queue entry seen at 2.5 s has an age
+    # at 3.0 s, and after the drain the audit runs quiescent.
+    import random
+
+    from repro.core.modes import LockMode
+    from repro.faults.simcluster import ResilientSimCluster
+    from repro.obs.collect import RunObserver
+    from repro.obs.live import LiveMonitor
+    from repro.obs.monitor import render_prometheus
+    from repro.persist import MemoryPersistence
+    from repro.sim.engine import Process, Timeout
+
+    observer = RunObserver()
+    cluster = ResilientSimCluster(
+        5, seed=7, obs=observer, persistence=MemoryPersistence()
+    )
+    sim = cluster.sim
+    observer.bind_clock(lambda: sim.now)
+    modes = (LockMode.IR, LockMode.R, LockMode.U, LockMode.IW, LockMode.W)
+
+    def workload(node: int):
+        rng = random.Random(node)
+        client = cluster.client(node)
+        while sim.now < 6.0:
+            lock_id, mode = f"lock-{rng.randrange(2)}", rng.choice(modes)
+            yield client.acquire(lock_id, mode)
+            yield Timeout(sim, rng.uniform(0.05, 0.30))
+            client.release(lock_id, mode)
+            yield Timeout(sim, rng.uniform(0.05, 0.25))
+
+    processes = [Process(sim, workload(node)) for node in range(5)]
+    monitor = LiveMonitor(cluster.cluster_view, observer)
+    with open(os.path.join(out, "live-view.txt"), "w") as handle:
+        for until, quiescent in ((2.5, False), (3.0, False), (40.0, True)):
+            sim.run(until=until)
+            view, report = monitor.poll(quiescent=quiescent)
+            payload = {"view": view.to_payload(), "audit": report.to_payload()}
+            handle.write(json.dumps(payload) + "\n")  # key order included
+            handle.write(render_prometheus(view, report, observer))
+        errors = [repr(p.error) for p in processes if p.error is not None]
+        handle.write(f"process errors {errors}\n")
+
+
 def emit(out: str) -> None:
     """Write every output of the ``repro`` on ``sys.path`` into *out*."""
 
@@ -171,6 +237,10 @@ def emit(out: str) -> None:
         (f"ledger-{name}", _write_ledger, (out, name))
         for name in LEDGER_WORKLOADS
     ]
+    jobs += [
+        (name, _write_trace, (out, name, argv)) for name, argv in TRACES
+    ]
+    jobs.append(("live-view", _write_live_view, (out,)))
     for name, job, args in jobs:
         pid = os.fork()
         if pid == 0:
@@ -220,7 +290,7 @@ def compare(here: str, other: str) -> int:
         for name in differing:
             print(f"  {name}")
         first = differing[0]
-        if first.endswith((".json", ".txt")):
+        if first.endswith((".json", ".jsonl", ".txt")):
             sides = []
             for root in (a, b):
                 path = os.path.join(root, first)

@@ -8,7 +8,9 @@ one) share a single definition of it:
 * a JSON codec vocabulary (:class:`Codec`, :func:`field`) in which a
   protocol declares its wire messages (:func:`register_message`), its
   state (``STATE``) and the arguments of its recorded operations
-  (:func:`recorded`) — one table each, read by both directions;
+  (:func:`recorded`) — one table each, read by both directions — and in
+  which the observability records (:mod:`repro.obs`) declare theirs
+  (:func:`record`);
 * :class:`LockAutomaton` — hook slots, journalling, flight recording,
   lease fencing, the ``handle()`` preamble, the state encoder/decoder
   and durable adoption;
@@ -90,7 +92,24 @@ def mapping(key: Codec, value: Codec) -> Codec:
     )
 
 
+def tupled(*codecs: Codec) -> Codec:
+    """A fixed-width tuple with one codec per position, stored as a list."""
+
+    return Codec(
+        lambda values: [
+            codec.encode(value)
+            for codec, value in zip(codecs, values, strict=True)
+        ],
+        lambda values: tuple(
+            codec.decode(value)
+            for codec, value in zip(codecs, values, strict=True)
+        ),
+    )
+
+
 INT = Codec(int, int)
+FLOAT = Codec(float, float)
+STR = Codec(str, str)
 BOOL = Codec(bool, bool)
 OPT_NODE = optional(INT)
 MODE = Codec(str, lambda name: LockMode(str(name)))
@@ -102,20 +121,39 @@ NODE_SET = Codec(sorted, lambda nodes: {int(node) for node in nodes})
 
 
 #: One row of a message or state table: (JSON key, attribute, codec,
-#: durable).
-Field = Tuple[str, str, Codec, bool]
+#: durable).  A :func:`record` row whose key a payload may lack carries
+#: two more: (..., default, omitted).
+Field = Tuple
+
+#: "This row has no default": the key must be present.
+_REQUIRED = object()
 
 
 def field(
-    key: str, codec: Codec, attr: Optional[str] = None, durable: bool = True
+    key: str,
+    codec: Codec,
+    attr: Optional[str] = None,
+    durable: bool = True,
+    default: object = _REQUIRED,
+    omit: object = _REQUIRED,
 ) -> Field:
     """Declare that JSON *key* carries attribute *attr* (default: *key*).
 
     ``durable=False`` marks a state field as replay-only: checkpoints
     carry it, write-ahead-log records do not.
+
+    In a :func:`record` table only (messages and state have no optional
+    keys), ``default=value`` makes a payload without *key* decode as if
+    it carried the JSON *value*; ``omit=value`` does the same and also
+    leaves *key* out of the encoding whenever it would carry *value*.
     """
 
-    return (key, key if attr is None else attr, codec, durable)
+    row = (key, key if attr is None else attr, codec, durable)
+    if omit is not _REQUIRED:
+        return row + (omit, True)
+    if default is not _REQUIRED:
+        return row + (default, False)
+    return row
 
 
 def _encode_fields(obj: object, fields: Iterable[Field]) -> Dict[str, object]:
@@ -129,6 +167,76 @@ def _decode_fields(
         return {attr: codec.decode(payload[key]) for key, attr, codec, _ in fields}
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{what}: absent or malformed key: {exc!r}") from None
+
+
+# ---------------------------------------------------------------------------
+# Records: dataclasses that cross into JSON whole (cluster snapshots,
+# audit findings, spans, causal chains).  Unlike messages and state they
+# are read back from files and HTTP bodies other versions wrote, so a
+# row may have a default.
+# ---------------------------------------------------------------------------
+
+
+def record(*fields: Field) -> Callable[[type], type]:
+    """Class decorator: one table gives a dataclass both directions.
+
+    The class gains ``to_payload()``, the classmethod ``from_payload()``
+    and ``CODEC`` (for nesting it in another table).  Keys are emitted in
+    table order.  A row naming a property instead of a constructor field
+    is derived: encoded, never read back.  Registration fails if a
+    dataclass field is left out, so a field added to a record later
+    cannot be dropped silently by an exporter.
+    """
+
+    def register(cls: type) -> type:
+        declared = {f.name for f in dataclasses.fields(cls)}
+        named = {row[1] for row in fields}
+        derived = {attr for attr in named - declared if hasattr(cls, attr)}
+        if named - derived != declared:
+            raise TypeError(
+                f"{cls.__name__}: record fields must cover exactly "
+                f"{sorted(declared)}"
+            )
+        rows = tuple(
+            (key, attr, codec, *(extra or (_REQUIRED, False)))
+            for key, attr, codec, _durable, *extra in fields
+        )
+        cls._ENCODED = rows
+        cls._DECODED = tuple(row[:4] for row in rows if row[1] in declared)
+        cls.to_payload = to_payload
+        cls.from_payload = classmethod(from_payload)
+        cls.CODEC = Codec(cls.to_payload, cls.from_payload)
+        return cls
+
+    return register
+
+
+def to_payload(self) -> Dict[str, object]:
+    """Encode one :func:`record` instance as a JSON-safe dict."""
+
+    payload = {}
+    for key, attr, codec, default, omitted in self._ENCODED:
+        value = codec.encode(getattr(self, attr))
+        if not (omitted and value == default):
+            payload[key] = value
+    return payload
+
+
+def from_payload(cls, payload: Mapping[str, object]):
+    """Rebuild a :func:`record` instance from :func:`to_payload` output."""
+
+    decoded = {}
+    try:
+        for key, attr, codec, default in cls._DECODED:
+            raw = payload.get(key, default)
+            if raw is _REQUIRED:
+                raise KeyError(key)
+            decoded[attr] = codec.decode(raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{cls.__name__}: absent or malformed key: {exc!r}"
+        ) from None
+    return cls(**decoded)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Metrics collection and summary statistics."""
 
-from .collector import MetricsCollector, RequestRecord
+from .collector import MetricsCollector
 from .stats import Summary, mean_confidence_halfwidth, percentile, summarize
 
 __all__ = [
     "MetricsCollector",
-    "RequestRecord",
     "Summary",
     "mean_confidence_halfwidth",
     "percentile",

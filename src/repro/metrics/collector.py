@@ -11,106 +11,11 @@ figure in the paper).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..obs.sink import GRANTED, ISSUED
 from ..obs.spans import RequestSpan
 from .stats import Summary, summarize
-
-
-class RequestRecord:
-    """One completed lock request, backed by its lifecycle phases.
-
-    Historically a flat ``(issued_at, granted_at)`` pair; now a thin view
-    over a span's ``(phase, timestamp)`` transitions so richer phases
-    (enqueued, frozen, released) survive into the metrics layer.  The old
-    constructor shape — ``RequestRecord(node, kind, issued_at, granted_at,
-    lock)`` — still works and produces a two-phase record.
-    """
-
-    __slots__ = ("node", "kind", "lock", "phases")
-
-    def __init__(
-        self,
-        node: int,
-        kind: str,          # e.g. "IR", "R", "U", "IW", "W", "entry", "table"
-        issued_at: Optional[float] = None,
-        granted_at: Optional[float] = None,
-        lock: str = "",     # the lock the request was for (fairness analysis)
-        phases: Optional[Iterable[Tuple[str, float]]] = None,
-    ) -> None:
-        if phases is None:
-            if issued_at is None or granted_at is None:
-                raise ValueError(
-                    "RequestRecord needs issued_at+granted_at or phases"
-                )
-            phases = ((ISSUED, issued_at), (GRANTED, granted_at))
-        self.node = node
-        self.kind = kind
-        self.lock = lock
-        self.phases: Tuple[Tuple[str, float], ...] = tuple(
-            (name, float(time)) for name, time in phases
-        )
-
-    @classmethod
-    def from_span(
-        cls, span: RequestSpan, kind: Optional[str] = None, lock: str = ""
-    ) -> "RequestRecord":
-        """Build a record from an observability span (must be granted)."""
-
-        if span.granted_at is None:
-            raise ValueError("cannot record a span that was never granted")
-        return cls(
-            node=span.node,
-            kind=kind if kind is not None else span.kind,
-            lock=lock or span.lock,
-            phases=span.phases,
-        )
-
-    def time_of(self, phase: str) -> Optional[float]:
-        """Timestamp of the first transition into *phase*, if recorded."""
-
-        for name, time in self.phases:
-            if name == phase:
-                return time
-        return None
-
-    @property
-    def issued_at(self) -> float:
-        """When the request was issued (first phase as a fallback)."""
-
-        issued = self.time_of(ISSUED)
-        return issued if issued is not None else self.phases[0][1]
-
-    @property
-    def granted_at(self) -> float:
-        """When the request was granted (last phase as a fallback)."""
-
-        granted = self.time_of(GRANTED)
-        return granted if granted is not None else self.phases[-1][1]
-
-    @property
-    def latency(self) -> float:
-        """Seconds from issue to grant."""
-
-        return self.granted_at - self.issued_at
-
-    def _key(self) -> Tuple:
-        return (self.node, self.kind, self.lock, self.phases)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RequestRecord):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RequestRecord(node={self.node}, kind={self.kind!r}, "
-            f"lock={self.lock!r}, phases={self.phases!r})"
-        )
 
 
 class MetricsCollector:
@@ -118,7 +23,8 @@ class MetricsCollector:
 
     def __init__(self) -> None:
         self.message_counts: Counter = Counter()
-        self.requests: List[RequestRecord] = []
+        #: One granted :class:`~repro.obs.spans.RequestSpan` per request.
+        self.requests: List[RequestSpan] = []
         self.operations = 0
 
     # -- message side ---------------------------------------------------
@@ -144,24 +50,21 @@ class MetricsCollector:
         granted_at: float,
         lock: str = "",
     ) -> None:
-        """Record one completed lock request."""
+        """Record one completed lock request as a two-phase span.
+
+        *kind* is the workload's name for the request (``"IR"``, ``"R"``,
+        ``"U"``, ``"IW"``, ``"W"``, ``"entry"``, ``"table"``, ...); *lock*
+        is what the fairness analysis groups by.
+        """
 
         self.requests.append(
-            RequestRecord(
+            RequestSpan(
                 node=node,
-                kind=kind,
-                issued_at=issued_at,
-                granted_at=granted_at,
                 lock=lock,
+                kind=kind,
+                phases=[(ISSUED, issued_at), (GRANTED, granted_at)],
             )
         )
-
-    def record_span(
-        self, span: RequestSpan, kind: Optional[str] = None, lock: str = ""
-    ) -> None:
-        """Record one completed request straight from its span."""
-
-        self.requests.append(RequestRecord.from_span(span, kind=kind, lock=lock))
 
     def record_operation(self) -> None:
         """Record one completed application-level operation."""

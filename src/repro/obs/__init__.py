@@ -3,11 +3,12 @@
 Layer map::
 
     sink.py     ObsSink hook surface (base class == null sink)
-    spans.py    RequestSpan lifecycle records
+    spans.py    RequestSpan lifecycle records (also the metrics layer's
+                per-request record)
     series.py   WindowedCounter / GaugeSeries / Histogram primitives
     collect.py  RunObserver — the concrete collector
     tracing.py  causal hop tracing and critical-path attribution
-    export.py   JSONL writer/loader (extends verification/trace format)
+    export.py   JSONL writer/loader for observed runs (``--trace-out``)
     report.py   text-table rendering for `python -m repro report`
     live.py     cluster snapshots + online invariant audit
     monitor.py  Prometheus/JSON HTTP endpoint + health-table rendering

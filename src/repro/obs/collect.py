@@ -48,7 +48,6 @@ class RunObserver(ObsSink):
         self,
         clock: Optional[Clock] = None,
         window: float = DEFAULT_WINDOW,
-        tracing: bool = True,
         max_buckets: Optional[int] = None,
         max_spans: Optional[int] = None,
     ) -> None:
@@ -59,9 +58,7 @@ class RunObserver(ObsSink):
         self._clock = clock
         #: Causal message tracer, sharing this observer's clock; the
         #: transports pick it up via ``getattr(obs, "tracer", None)``.
-        self.tracer: Optional[MessageTracer] = (
-            MessageTracer(clock=lambda: self._clock()) if tracing else None
-        )
+        self.tracer = MessageTracer(clock=lambda: self._clock())
         self._mutex = threading.Lock()
         #: Every span ever opened, in issue order (complete or not).
         #: ``max_spans`` turns this into a ring buffer (oldest spans age
@@ -145,13 +142,19 @@ class RunObserver(ObsSink):
     # -- protocol gauges --------------------------------------------------
 
     def queue_depth(self, node: NodeId, lock_id: LockId, depth: int) -> None:
-        self.queue_depth_series.sample(self._clock(), depth)
+        now = self._clock()
+        with self._mutex:
+            self.queue_depth_series.sample(now, depth)
 
     def copyset_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        self.copyset_series.sample(self._clock(), size)
+        now = self._clock()
+        with self._mutex:
+            self.copyset_series.sample(now, size)
 
     def freeze_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        self.freeze_series.sample(self._clock(), size)
+        now = self._clock()
+        with self._mutex:
+            self.freeze_series.sample(now, size)
 
     # -- wire traffic -----------------------------------------------------
 

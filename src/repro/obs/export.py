@@ -104,16 +104,11 @@ def write_run(
     emit({"cat": RUN, "meta": dict(meta or {})})
     for span in observer.spans:
         emit({"cat": SPAN, "span": span.to_payload()})
-    for name, series in observer.counters().items():
-        emit({"cat": SERIES, "name": name, "series": series.to_payload()})
-    for name, series in observer.gauges().items():
-        emit({"cat": SERIES, "name": name, "series": series.to_payload()})
-    for name, series in observer.histograms().items():
-        emit({"cat": SERIES, "name": name, "series": series.to_payload()})
-    tracer = getattr(observer, "tracer", None)
-    if tracer is not None:
-        for chain in tracer.chains():
-            emit({"cat": CHAIN, "chain": chain.to_payload()})
+    for family in (observer.counters(), observer.gauges(), observer.histograms()):
+        for name, series in family.items():
+            emit({"cat": SERIES, "name": name, "series": series.to_payload()})
+    for chain in observer.tracer.chains():
+        emit({"cat": CHAIN, "chain": chain.to_payload()})
     return lines
 
 

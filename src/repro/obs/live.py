@@ -49,6 +49,19 @@ from typing import (
     Tuple,
 )
 
+from ..core.contract import (
+    BOOL,
+    FLOAT,
+    INT,
+    RAW,
+    STR,
+    Codec,
+    field,
+    listing,
+    optional,
+    record,
+    tupled,
+)
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode, compatible
 
@@ -57,9 +70,9 @@ from ..core.modes import LockMode, compatible
 VIOLATION = "violation"
 WARNING = "warning"
 
-#: Default starvation threshold: flag queue entries older than this
-#: multiple of the mean grant latency.
-DEFAULT_STARVATION_FACTOR = 10.0
+#: Starvation threshold: flag queue entries older than this multiple of
+#: the mean grant latency.
+STARVATION_FACTOR = 10.0
 
 #: Audit rules, in the order findings are reported.
 AUDIT_RULES = (
@@ -141,6 +154,12 @@ def classify_crash_findings(
 # ---------------------------------------------------------------------------
 
 
+@record(
+    field("origin", RAW),
+    field("mode", STR),
+    field("key", STR),
+    field("age", RAW, default=None),
+)
 @dataclasses.dataclass(frozen=True)
 class QueueEntry:
     """One locally queued request, as seen by the queueing node."""
@@ -158,24 +177,19 @@ class QueueEntry:
     #: :class:`LiveMonitor` has seen it on at least one earlier poll.
     age: Optional[float] = None
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "origin": self.origin,
-            "mode": self.mode,
-            "key": self.key,
-            "age": self.age,
-        }
 
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "QueueEntry":
-        return QueueEntry(
-            origin=payload["origin"],
-            mode=str(payload["mode"]),
-            key=str(payload["key"]),
-            age=payload.get("age"),
-        )
-
-
+@record(
+    field("lock", RAW),
+    field("token", BOOL, "believes_token"),
+    field("parent", RAW, default=None),
+    field("children", listing(tupled(RAW, STR), tuple), default=()),
+    field("held", listing(tupled(STR, INT), tuple), default=()),
+    field("pending", RAW, default=None),
+    field("queue", listing(QueueEntry.CODEC, tuple), default=()),
+    field("frozen", listing(STR, tuple), default=()),
+    field("token_epoch", INT, default=0),
+    field("fenced", BOOL, default=False),
+)
 @dataclasses.dataclass(frozen=True)
 class LockSnapshot:
     """One automaton's local beliefs about one lock.
@@ -247,43 +261,27 @@ class LockSnapshot:
             modes.extend([LockMode(mode)] * count)
         return modes
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "lock": self.lock,
-            "token": self.believes_token,
-            "parent": self.parent,
-            "children": [[child, mode] for child, mode in self.children],
-            "held": [[mode, count] for mode, count in self.held],
-            "pending": self.pending,
-            "queue": [entry.to_payload() for entry in self.queue],
-            "frozen": list(self.frozen),
-            "token_epoch": self.token_epoch,
-            "fenced": self.fenced,
-        }
 
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "LockSnapshot":
-        return LockSnapshot(
-            lock=payload["lock"],
-            believes_token=bool(payload["token"]),
-            parent=payload.get("parent"),
-            children=tuple(
-                (child, str(mode)) for child, mode in payload.get("children", ())
-            ),
-            held=tuple(
-                (str(mode), int(count)) for mode, count in payload.get("held", ())
-            ),
-            pending=payload.get("pending"),
-            queue=tuple(
-                QueueEntry.from_payload(entry)
-                for entry in payload.get("queue", ())
-            ),
-            frozen=tuple(str(m) for m in payload.get("frozen", ())),
-            token_epoch=int(payload.get("token_epoch", 0)),
-            fenced=bool(payload.get("fenced", False)),
-        )
-
-
+@record(
+    field("boot", INT),
+    field("suspected", listing(RAW, tuple), default=()),
+    field("live_peers", listing(RAW, tuple), default=()),
+    field("channel_backlog", INT, default=0),
+    field("channel_retransmits", INT, default=0),
+    field("app_retransmits", INT, default=0),
+    field("token_hints", listing(tupled(RAW, RAW, INT), tuple), default=()),
+    field("custody_pending", listing(RAW, tuple), default=()),
+    field("view_epoch", INT, default=0),
+    field("view_members", listing(RAW, tuple), default=()),
+    field(
+        "durability",
+        optional(
+            Codec(dict, lambda raw: {str(k): int(v) for k, v in raw.items()})
+        ),
+        omit=None,
+    ),
+    field("leases", optional(Codec(dict, dict)), omit=None),
+)
 @dataclasses.dataclass(frozen=True)
 class RecoveryHealth:
     """One recovery manager's health, captured with its snapshot."""
@@ -320,52 +318,13 @@ class RecoveryHealth:
     view_epoch: int = 0
     view_members: Tuple[NodeId, ...] = ()
 
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "boot": self.boot,
-            "suspected": list(self.suspected),
-            "live_peers": list(self.live_peers),
-            "channel_backlog": self.channel_backlog,
-            "channel_retransmits": self.channel_retransmits,
-            "app_retransmits": self.app_retransmits,
-            "token_hints": [list(hint) for hint in self.token_hints],
-            "custody_pending": list(self.custody_pending),
-            "view_epoch": self.view_epoch,
-            "view_members": list(self.view_members),
-        }
-        if self.durability is not None:
-            payload["durability"] = dict(self.durability)
-        if self.leases is not None:
-            payload["leases"] = dict(self.leases)
-        return payload
 
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "RecoveryHealth":
-        durability = payload.get("durability")
-        leases = payload.get("leases")
-        return RecoveryHealth(
-            boot=int(payload["boot"]),
-            suspected=tuple(payload.get("suspected", ())),
-            live_peers=tuple(payload.get("live_peers", ())),
-            channel_backlog=int(payload.get("channel_backlog", 0)),
-            channel_retransmits=int(payload.get("channel_retransmits", 0)),
-            app_retransmits=int(payload.get("app_retransmits", 0)),
-            token_hints=tuple(
-                (hint[0], hint[1], int(hint[2]))
-                for hint in payload.get("token_hints", ())
-            ),
-            custody_pending=tuple(payload.get("custody_pending", ())),
-            view_epoch=int(payload.get("view_epoch", 0)),
-            view_members=tuple(payload.get("view_members", ())),
-            durability=(
-                {str(k): int(v) for k, v in durability.items()}
-                if durability is not None
-                else None
-            ),
-            leases=dict(leases) if leases is not None else None,
-        )
-
-
+@record(
+    field("node", RAW),
+    field("alive", BOOL, default=True),
+    field("locks", listing(LockSnapshot.CODEC, tuple), default=()),
+    field("recovery", optional(RecoveryHealth.CODEC), omit=None),
+)
 @dataclasses.dataclass(frozen=True)
 class NodeSnapshot:
     """One node's beliefs across every lock it has touched."""
@@ -387,34 +346,12 @@ class NodeSnapshot:
                 return snapshot
         return None
 
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "node": self.node,
-            "alive": self.alive,
-            "locks": [snapshot.to_payload() for snapshot in self.locks],
-        }
-        if self.recovery is not None:
-            payload["recovery"] = self.recovery.to_payload()
-        return payload
 
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "NodeSnapshot":
-        recovery = payload.get("recovery")
-        return NodeSnapshot(
-            node=payload["node"],
-            alive=bool(payload.get("alive", True)),
-            locks=tuple(
-                LockSnapshot.from_payload(snapshot)
-                for snapshot in payload.get("locks", ())
-            ),
-            recovery=(
-                RecoveryHealth.from_payload(recovery)
-                if recovery is not None
-                else None
-            ),
-        )
-
-
+@record(
+    field("protocol", STR, default="?"),
+    field("captured_at", FLOAT, default=0.0),
+    field("nodes", listing(NodeSnapshot.CODEC, tuple), default=()),
+)
 @dataclasses.dataclass(frozen=True)
 class ClusterView:
     """Every node's snapshot at (approximately) one instant.
@@ -470,24 +407,6 @@ class ClusterView:
                 believers.append(snapshot.node)
         return believers
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "protocol": self.protocol,
-            "captured_at": self.captured_at,
-            "nodes": [snapshot.to_payload() for snapshot in self.nodes],
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "ClusterView":
-        return ClusterView(
-            protocol=str(payload.get("protocol", "?")),
-            captured_at=float(payload.get("captured_at", 0.0)),
-            nodes=tuple(
-                NodeSnapshot.from_payload(snapshot)
-                for snapshot in payload.get("nodes", ())
-            ),
-        )
-
 
 def snapshot_node(
     node_id: NodeId,
@@ -515,6 +434,13 @@ def snapshot_node(
 # ---------------------------------------------------------------------------
 
 
+@record(
+    field("rule", STR),
+    field("severity", STR),
+    field("detail", STR),
+    field("lock", RAW, default=None),
+    field("nodes", listing(RAW, tuple), default=()),
+)
 @dataclasses.dataclass(frozen=True)
 class AuditFinding:
     """One invariant the cluster view does not satisfy."""
@@ -530,26 +456,14 @@ class AuditFinding:
         who = f" nodes={list(self.nodes)}" if self.nodes else ""
         return f"[{self.severity}] {self.rule}{where}{who}: {self.detail}"
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "severity": self.severity,
-            "detail": self.detail,
-            "lock": self.lock,
-            "nodes": list(self.nodes),
-        }
 
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "AuditFinding":
-        return AuditFinding(
-            rule=str(payload["rule"]),
-            severity=str(payload["severity"]),
-            detail=str(payload["detail"]),
-            lock=payload.get("lock"),
-            nodes=tuple(payload.get("nodes", ())),
-        )
-
-
+@record(
+    field("ok", BOOL),
+    field("quiescent", BOOL, default=False),
+    field("locks_checked", INT, default=0),
+    field("nodes_checked", INT, default=0),
+    field("findings", listing(AuditFinding.CODEC, tuple), default=()),
+)
 @dataclasses.dataclass(frozen=True)
 class AuditReport:
     """Outcome of auditing one :class:`ClusterView`."""
@@ -586,27 +500,6 @@ class AuditReport:
             f"locks / {self.nodes_checked} nodes"
         )
 
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "ok": self.ok,
-            "quiescent": self.quiescent,
-            "locks_checked": self.locks_checked,
-            "nodes_checked": self.nodes_checked,
-            "findings": [finding.to_payload() for finding in self.findings],
-        }
-
-    @staticmethod
-    def from_payload(payload: Mapping[str, object]) -> "AuditReport":
-        return AuditReport(
-            findings=tuple(
-                AuditFinding.from_payload(finding)
-                for finding in payload.get("findings", ())
-            ),
-            locks_checked=int(payload.get("locks_checked", 0)),
-            nodes_checked=int(payload.get("nodes_checked", 0)),
-            quiescent=bool(payload.get("quiescent", False)),
-        )
-
 
 def _transient(quiescent: bool) -> str:
     """Severity of a finding that a message in flight could explain."""
@@ -623,20 +516,22 @@ def _audit_lock(
 ) -> None:
     """Audit one lock's per-node beliefs; append findings."""
 
+    def flag(rule: str, severity: str, nodes, detail: str) -> None:
+        findings.append(
+            AuditFinding(rule, severity, detail, lock=lock_id, nodes=tuple(nodes))
+        )
+
     believers = sorted(
         node
         for node, snap in snaps.items()
         if snap.believes_token and not snap.fenced
     )
     if len(believers) > 1:
-        findings.append(
-            AuditFinding(
-                rule="token-split",
-                severity=VIOLATION,
-                lock=lock_id,
-                nodes=tuple(believers),
-                detail=f"{len(believers)} nodes believe they hold the token",
-            )
+        flag(
+            "token-split",
+            VIOLATION,
+            believers,
+            f"{len(believers)} nodes believe they hold the token",
         )
     elif not believers:
         fenced_believers = sorted(
@@ -649,14 +544,11 @@ def _audit_lock(
             # its holder revoked itself; liveness resumes through
             # regeneration on the quorum side, and any residual holds
             # there are the expired-but-held rule's business.
-            findings.append(
-                AuditFinding(
-                    rule="token-missing",
-                    severity=_transient(quiescent),
-                    lock=lock_id,
-                    nodes=tuple(sorted(snaps)),
-                    detail="no alive node believes it holds the token",
-                )
+            flag(
+                "token-missing",
+                _transient(quiescent),
+                sorted(snaps),
+                "no alive node believes it holds the token",
             )
 
     # -- copyset/tree edges: acyclic, rooted at the token believer ------
@@ -689,16 +581,11 @@ def _audit_lock(
                 )
                 if idle:
                     detail += " (all members idle: stale routing residue)"
-                findings.append(
-                    AuditFinding(
-                        rule="copyset-cycle",
-                        severity=(
-                            WARNING if idle else _transient(quiescent)
-                        ),
-                        lock=lock_id,
-                        nodes=tuple(cycle),
-                        detail=detail,
-                    )
+                flag(
+                    "copyset-cycle",
+                    WARNING if idle else _transient(quiescent),
+                    cycle,
+                    detail,
                 )
                 break
             path.append(node)
@@ -707,29 +594,23 @@ def _audit_lock(
             if snap is None:
                 # The chain leads to an alive node with no state for this
                 # lock — the signature of a blank rejoin after a crash.
-                findings.append(
-                    AuditFinding(
-                        rule="copyset-unrooted",
-                        severity=_transient(quiescent),
-                        lock=lock_id,
-                        nodes=(path[-2] if len(path) > 1 else start, node),
-                        detail=f"edge points at node {node}, which has no "
-                        "state for this lock",
-                    )
+                flag(
+                    "copyset-unrooted",
+                    _transient(quiescent),
+                    (path[-2] if len(path) > 1 else start, node),
+                    f"edge points at node {node}, which has no "
+                    "state for this lock",
                 )
                 break
             if snap.parent is None:
                 if not snap.believes_token and not quiescent_idle(snap):
-                    findings.append(
-                        AuditFinding(
-                            rule="copyset-unrooted",
-                            severity=_transient(quiescent),
-                            lock=lock_id,
-                            nodes=(start, node),
-                            detail=f"edge chain from node {start} ends at "
-                            f"node {node}, which does not believe it "
-                            "holds the token",
-                        )
+                    flag(
+                        "copyset-unrooted",
+                        _transient(quiescent),
+                        (start, node),
+                        f"edge chain from node {start} ends at "
+                        f"node {node}, which does not believe it "
+                        "holds the token",
                     )
                 break
             node = snap.parent
@@ -739,39 +620,30 @@ def _audit_lock(
     # -- references to dead peers ---------------------------------------
     for node, snap in sorted(snaps.items()):
         if snap.parent is not None and snap.parent not in alive:
-            findings.append(
-                AuditFinding(
-                    rule="dead-reference",
-                    severity=_transient(quiescent),
-                    lock=lock_id,
-                    nodes=(node, snap.parent),
-                    detail=f"node {node} still points at dead node "
-                    f"{snap.parent}",
-                )
+            flag(
+                "dead-reference",
+                _transient(quiescent),
+                (node, snap.parent),
+                f"node {node} still points at dead node "
+                f"{snap.parent}",
             )
         for child, mode in snap.children:
             if child not in alive:
-                findings.append(
-                    AuditFinding(
-                        rule="dead-reference",
-                        severity=_transient(quiescent),
-                        lock=lock_id,
-                        nodes=(node, child),
-                        detail=f"node {node} records dead node {child} "
-                        f"as a {mode} child",
-                    )
+                flag(
+                    "dead-reference",
+                    _transient(quiescent),
+                    (node, child),
+                    f"node {node} records dead node {child} "
+                    f"as a {mode} child",
                 )
         for entry in snap.queue:
             if entry.origin not in alive:
-                findings.append(
-                    AuditFinding(
-                        rule="dead-reference",
-                        severity=_transient(quiescent),
-                        lock=lock_id,
-                        nodes=(node, entry.origin),
-                        detail=f"node {node} queues a {entry.mode} request "
-                        f"from dead node {entry.origin}",
-                    )
+                flag(
+                    "dead-reference",
+                    _transient(quiescent),
+                    (node, entry.origin),
+                    f"node {node} queues a {entry.mode} request "
+                    f"from dead node {entry.origin}",
                 )
 
     # -- Rule 1: concurrently believed holds pairwise compatible --------
@@ -783,41 +655,32 @@ def _audit_lock(
             if node_a == node_b:
                 continue  # One node may stack self-compatible holds.
             if not compatible(mode_a, mode_b):
-                findings.append(
-                    AuditFinding(
-                        rule="rule1",
-                        severity=VIOLATION,
-                        lock=lock_id,
-                        nodes=(node_a, node_b),
-                        detail=f"node {node_a} holds {mode_a} while node "
-                        f"{node_b} holds incompatible {mode_b}",
-                    )
+                flag(
+                    "rule1",
+                    VIOLATION,
+                    (node_a, node_b),
+                    f"node {node_a} holds {mode_a} while node "
+                    f"{node_b} holds incompatible {mode_b}",
                 )
 
     # -- quiescence: no request may remain pending or queued ------------
     if quiescent:
         for node, snap in sorted(snaps.items()):
             if snap.pending is not None:
-                findings.append(
-                    AuditFinding(
-                        rule="stuck-request",
-                        severity=VIOLATION,
-                        lock=lock_id,
-                        nodes=(node,),
-                        detail=f"node {node} still has a pending "
-                        f"{snap.pending} request after the drain",
-                    )
+                flag(
+                    "stuck-request",
+                    VIOLATION,
+                    (node,),
+                    f"node {node} still has a pending "
+                    f"{snap.pending} request after the drain",
                 )
             if snap.queue:
-                findings.append(
-                    AuditFinding(
-                        rule="stuck-request",
-                        severity=VIOLATION,
-                        lock=lock_id,
-                        nodes=(node,),
-                        detail=f"node {node} still queues "
-                        f"{len(snap.queue)} requests after the drain",
-                    )
+                flag(
+                    "stuck-request",
+                    VIOLATION,
+                    (node,),
+                    f"node {node} still queues "
+                    f"{len(snap.queue)} requests after the drain",
                 )
 
 
@@ -967,15 +830,14 @@ def audit_view(
     view: ClusterView,
     quiescent: bool = False,
     mean_grant_latency: Optional[float] = None,
-    starvation_factor: float = DEFAULT_STARVATION_FACTOR,
     deadlocks: int = 0,
 ) -> AuditReport:
     """Run the online invariant audit over *view*.
 
     With ``quiescent=True`` (after a drain, when no message can be in
     flight) transient findings escalate to violations.  The starvation
-    watch fires for queue entries older than ``starvation_factor`` times
-    *mean_grant_latency* (skipped when no latency baseline is known).
+    watch fires for queue entries older than :data:`STARVATION_FACTOR`
+    times *mean_grant_latency* (skipped when no latency baseline is known).
     *deadlocks* is the number of confirmed wait-for cycles reported by
     the deadlock watchdog, surfaced as a finding so application
     deadlocks appear in the same verdict as protocol invariants.
@@ -1001,7 +863,7 @@ def audit_view(
     _audit_views(view, quiescent, findings)
 
     if mean_grant_latency is not None and mean_grant_latency > 0:
-        threshold = starvation_factor * mean_grant_latency
+        threshold = STARVATION_FACTOR * mean_grant_latency
         for node in view.nodes:
             for snap in node.locks:
                 for entry in snap.queue:
@@ -1014,7 +876,7 @@ def audit_view(
                                 nodes=(node.node, entry.origin),
                                 detail=f"request {entry.key} ({entry.mode}) "
                                 f"queued at node {node.node} for "
-                                f"{entry.age:.3f}s (> {starvation_factor:g}x "
+                                f"{entry.age:.3f}s (> {STARVATION_FACTOR:g}x "
                                 f"mean grant latency "
                                 f"{mean_grant_latency:.3f}s)",
                             )
@@ -1076,14 +938,12 @@ class LiveMonitor:
         self,
         source: Callable[[], ClusterView],
         observer=None,
-        starvation_factor: float = DEFAULT_STARVATION_FACTOR,
     ) -> None:
         self._source = source
         #: Optional :class:`~repro.obs.collect.RunObserver`: supplies the
         #: mean-grant-latency baseline for the starvation watch and the
         #: deadlock fault counter.
         self._observer = observer
-        self._starvation_factor = starvation_factor
         self._mutex = threading.Lock()
         self._first_seen: Dict[Tuple[NodeId, LockId, str], float] = {}
 
@@ -1102,7 +962,6 @@ class LiveMonitor:
             view,
             quiescent=quiescent,
             mean_grant_latency=observed_mean_grant_latency(self._observer),
-            starvation_factor=self._starvation_factor,
             deadlocks=deadlocks,
         )
         return view, report

@@ -26,7 +26,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
-from .live import AuditReport, ClusterView, LiveMonitor
+from .live import AuditReport, ClusterView, LiveMonitor, NodeSnapshot
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,98 @@ def _sample(name: str, value, labels: Optional[dict] = None) -> str:
     return f"{name} {value}"
 
 
+def _recovering(view: ClusterView) -> List[NodeSnapshot]:
+    """Alive nodes running behind a recovery manager."""
+
+    return [
+        node
+        for node in view.nodes
+        if node.alive and node.recovery is not None
+    ]
+
+
+def _leased(view: ClusterView) -> List[NodeSnapshot]:
+    """Of those, the ones whose manager runs the lease layer."""
+
+    return [
+        node for node in _recovering(view) if node.recovery.leases is not None
+    ]
+
+
+def _by_node(node: NodeSnapshot, **labels: str) -> dict:
+    return {"node": str(node.node), **labels}
+
+
+#: The view- and audit-derived families, in exposition order: (name,
+#: kind, help, ``(view, report) -> [(value, labels), ...]``).  A family
+#: with no samples is left out of the scrape.
+_FAMILIES = (
+    ("repro_cluster_nodes", "gauge", "Cluster membership by liveness.",
+     lambda view, report: [
+         (len(view.alive_nodes()), {"state": "alive"}),
+         (len(view.nodes) - len(view.alive_nodes()), {"state": "crashed"}),
+     ]),
+    ("repro_token_believers", "gauge",
+     "Alive nodes believing they hold the token, per lock (1 = healthy).",
+     lambda view, report: [
+         (len(view.token_believers(lock_id)), {"lock": str(lock_id)})
+         for lock_id in view.lock_ids()
+     ]),
+    ("repro_queue_entries", "gauge", "Locally queued requests per node.",
+     lambda view, report: [
+         (sum(len(snap.queue) for snap in node.locks), _by_node(node))
+         for node in view.nodes
+         if node.alive
+     ]),
+    ("repro_channel_backlog", "gauge",
+     "Session-channel frames awaiting acknowledgement, per node.",
+     lambda view, report: [
+         (node.recovery.channel_backlog, _by_node(node))
+         for node in _recovering(view)
+     ]),
+    ("repro_leases_active", "gauge",
+     "Active leases per node: own = this node's granted holds, "
+     "remote = leases mirrored from peers' heartbeats.",
+     lambda view, report: [
+         (len(node.recovery.leases.get(table, ())),
+          _by_node(node, table=table))
+         for table in ("own", "remote")
+         for node in _leased(view)
+     ]),
+    ("repro_lease_fenced", "gauge",
+     "1 iff the node lease-fenced itself (quorum-silent past expiry).",
+     lambda view, report: [
+         (1 if node.recovery.leases.get("fenced") else 0, _by_node(node))
+         for node in _leased(view)
+     ]),
+    ("repro_view_epoch", "gauge",
+     "Installed membership view epoch per node (skew = propagating "
+     "view change; persistent skew = partitioned member).",
+     lambda view, report: [
+         (node.recovery.view_epoch, _by_node(node))
+         for node in _recovering(view)
+     ]),
+    ("repro_view_members", "gauge",
+     "Member count of the installed view per node.",
+     lambda view, report: [
+         (len(node.recovery.view_members), _by_node(node))
+         for node in _recovering(view)
+     ]),
+    ("repro_audit_ok", "gauge",
+     "1 iff the latest online invariant audit found no violations.",
+     lambda view, report: [(1 if report.ok else 0, None)]),
+    ("repro_audit_findings", "gauge",
+     "Findings of the latest online invariant audit, by severity.",
+     lambda view, report: [
+         (len(report.violations()), {"severity": "violation"}),
+         (len(report.warnings()), {"severity": "warning"}),
+     ]),
+    ("repro_snapshot_timestamp_seconds", "gauge",
+     "Capture time of the exposed cluster view (cluster timebase).",
+     lambda view, report: [(view.captured_at, None)]),
+)
+
+
 def render_prometheus(
     view: ClusterView,
     report: AuditReport,
@@ -62,17 +154,17 @@ def render_prometheus(
     Counter/gauge/histogram series come from the optional run
     *observer* (the same instruments ``--trace-out`` exports); the
     cluster-shape gauges and the audit verdict come from *view* and
-    *report*.
+    *report* (:data:`_FAMILIES`).
     """
 
     lines: List[str] = []
 
-    def emit(name: str, kind: str, help_text: str, samples: List[str]) -> None:
+    def emit(name: str, kind: str, help_text: str, samples: list) -> None:
         if not samples:
             return
         lines.append(f"# HELP {name} {help_text}")
         lines.append(f"# TYPE {name} {kind}")
-        lines.extend(samples)
+        lines.extend(_sample(name, value, labels) for value, labels in samples)
 
     if observer is not None:
         for cname, counter in observer.counters().items():
@@ -81,25 +173,22 @@ def render_prometheus(
                 "counter",
                 f"Cumulative {cname.replace('_', ' ')} observed this run.",
                 [
-                    _sample(
-                        f"repro_{cname}_total", total, {"label": label}
-                    )
+                    (total, {"label": label})
                     for label, total in counter.totals().items()
                 ],
             )
         for gname, gauge in observer.gauges().items():
-            timeline = gauge.timeline()
             emit(
                 f"repro_{gname}",
                 "gauge",
                 f"Latest windowed mean of {gname.replace('_', ' ')}.",
-                [_sample(f"repro_{gname}", timeline[-1][1])],
+                [(gauge.timeline()[-1][1], None)],
             )
             emit(
                 f"repro_{gname}_peak",
                 "gauge",
                 f"Largest {gname.replace('_', ' ')} sampled this run.",
-                [_sample(f"repro_{gname}_peak", gauge.peak())],
+                [(gauge.peak(), None)],
             )
         for hname, histogram in observer.histograms().items():
             base = f"repro_{hname}_seconds"
@@ -108,171 +197,15 @@ def render_prometheus(
                 "summary",
                 f"Distribution of {hname.replace('_', ' ')} (seconds).",
                 [
-                    _sample(base, histogram.quantile(q), {"quantile": str(q)})
+                    (histogram.quantile(q), {"quantile": str(q)})
                     for q in (0.5, 0.9, 0.99)
-                ]
-                + [
-                    _sample(f"{base}_sum", histogram.total),
-                    _sample(f"{base}_count", histogram.count),
                 ],
             )
+            lines.append(_sample(f"{base}_sum", histogram.total))
+            lines.append(_sample(f"{base}_count", histogram.count))
 
-    alive = len(view.alive_nodes())
-    emit(
-        "repro_cluster_nodes",
-        "gauge",
-        "Cluster membership by liveness.",
-        [
-            _sample("repro_cluster_nodes", alive, {"state": "alive"}),
-            _sample(
-                "repro_cluster_nodes",
-                len(view.nodes) - alive,
-                {"state": "crashed"},
-            ),
-        ],
-    )
-    emit(
-        "repro_token_believers",
-        "gauge",
-        "Alive nodes believing they hold the token, per lock (1 = healthy).",
-        [
-            _sample(
-                "repro_token_believers",
-                len(view.token_believers(lock_id)),
-                {"lock": str(lock_id)},
-            )
-            for lock_id in view.lock_ids()
-        ],
-    )
-    emit(
-        "repro_queue_entries",
-        "gauge",
-        "Locally queued requests per node.",
-        [
-            _sample(
-                "repro_queue_entries",
-                sum(len(snap.queue) for snap in node.locks),
-                {"node": str(node.node)},
-            )
-            for node in view.nodes
-            if node.alive
-        ],
-    )
-    backlog = [
-        _sample(
-            "repro_channel_backlog",
-            node.recovery.channel_backlog,
-            {"node": str(node.node)},
-        )
-        for node in view.nodes
-        if node.alive and node.recovery is not None
-    ]
-    emit(
-        "repro_channel_backlog",
-        "gauge",
-        "Session-channel frames awaiting acknowledgement, per node.",
-        backlog,
-    )
-    lease_rows = [
-        (node, node.recovery.leases)
-        for node in view.nodes
-        if node.alive
-        and node.recovery is not None
-        and node.recovery.leases is not None
-    ]
-    emit(
-        "repro_leases_active",
-        "gauge",
-        "Active leases per node: own = this node's granted holds, "
-        "remote = leases mirrored from peers' heartbeats.",
-        [
-            _sample(
-                "repro_leases_active",
-                len(info.get("own", ())),
-                {"node": str(node.node), "table": "own"},
-            )
-            for node, info in lease_rows
-        ]
-        + [
-            _sample(
-                "repro_leases_active",
-                len(info.get("remote", ())),
-                {"node": str(node.node), "table": "remote"},
-            )
-            for node, info in lease_rows
-        ],
-    )
-    emit(
-        "repro_lease_fenced",
-        "gauge",
-        "1 iff the node lease-fenced itself (quorum-silent past expiry).",
-        [
-            _sample(
-                "repro_lease_fenced",
-                1 if info.get("fenced") else 0,
-                {"node": str(node.node)},
-            )
-            for node, info in lease_rows
-        ],
-    )
-    emit(
-        "repro_view_epoch",
-        "gauge",
-        "Installed membership view epoch per node (skew = propagating "
-        "view change; persistent skew = partitioned member).",
-        [
-            _sample(
-                "repro_view_epoch",
-                node.recovery.view_epoch,
-                {"node": str(node.node)},
-            )
-            for node in view.nodes
-            if node.alive and node.recovery is not None
-        ],
-    )
-    emit(
-        "repro_view_members",
-        "gauge",
-        "Member count of the installed view per node.",
-        [
-            _sample(
-                "repro_view_members",
-                len(node.recovery.view_members),
-                {"node": str(node.node)},
-            )
-            for node in view.nodes
-            if node.alive and node.recovery is not None
-        ],
-    )
-    emit(
-        "repro_audit_ok",
-        "gauge",
-        "1 iff the latest online invariant audit found no violations.",
-        [_sample("repro_audit_ok", 1 if report.ok else 0)],
-    )
-    emit(
-        "repro_audit_findings",
-        "gauge",
-        "Findings of the latest online invariant audit, by severity.",
-        [
-            _sample(
-                "repro_audit_findings",
-                len(report.violations()),
-                {"severity": "violation"},
-            ),
-            _sample(
-                "repro_audit_findings",
-                len(report.warnings()),
-                {"severity": "warning"},
-            ),
-        ],
-    )
-    emit(
-        "repro_snapshot_timestamp_seconds",
-        "gauge",
-        "Capture time of the exposed cluster view (cluster timebase).",
-        [_sample("repro_snapshot_timestamp_seconds", view.captured_at)],
-    )
+    for name, kind, help_text, samples in _FAMILIES:
+        emit(name, kind, help_text, samples(view, report))
     return "\n".join(lines) + "\n"
 
 

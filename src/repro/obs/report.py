@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..metrics.stats import summarize
+from ..metrics.stats import percentile, summarize
 from .export import RunTrace
 from .series import GaugeSeries
 from .sink import ENQUEUED, FROZEN, GRANTED, ISSUED, RELEASED
@@ -144,15 +144,6 @@ def _frozen_lookup(run: RunTrace) -> Dict[str, float]:
     return frozen
 
 
-def _quantile(ordered: List[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending-sorted sample."""
-
-    if not ordered:
-        return 0.0
-    index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[index]
-
-
 def _chain_rows(run: RunTrace) -> List[str]:
     """The causal-chain aggregate section (histogram + percentiles +
     latency by critical-path segment)."""
@@ -200,8 +191,8 @@ def _chain_rows(run: RunTrace) -> List[str]:
     out.append("")
     out.append(
         f"-- critical paths ({len(paths)} granted chains) "
-        f"length p50 {_quantile(lengths, 0.5):.0f} "
-        f"p95 {_quantile(lengths, 0.95):.0f} "
+        f"length p50 {percentile(lengths, 0.5):.0f} "
+        f"p95 {percentile(lengths, 0.95):.0f} "
         f"max {lengths[-1]:.0f} --"
     )
     grand_total = sum(p["total"] for p in paths)
@@ -214,8 +205,8 @@ def _chain_rows(run: RunTrace) -> List[str]:
             [
                 name,
                 f"{seg_total / len(samples):.4f}",
-                f"{_quantile(samples, 0.5):.4f}",
-                f"{_quantile(samples, 0.95):.4f}",
+                f"{percentile(samples, 0.5):.4f}",
+                f"{percentile(samples, 0.95):.4f}",
                 f"{share:.1f}%",
             ]
         )

@@ -15,11 +15,19 @@ hold time is ``released - granted``.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
+from ..core.contract import RAW, field, listing, record, tupled
 from .sink import GRANTED, ISSUED, PHASE_ORDER, RELEASED
 
 
+@record(
+    field("node", RAW),
+    field("lock", RAW),
+    field("kind", RAW),
+    field("phases", listing(tupled(RAW, RAW))),
+    field("key", RAW, omit=None),
+)
 @dataclasses.dataclass
 class RequestSpan:
     """The recorded lifecycle of one lock request.
@@ -104,30 +112,3 @@ class RequestSpan:
                 return False
             last_order, last_time = order, time
         return True
-
-    # -- serialization ---------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        """JSON-serializable dict (see :mod:`repro.obs.export`)."""
-
-        payload: Dict[str, object] = {
-            "node": self.node,
-            "lock": self.lock,
-            "kind": self.kind,
-            "phases": [[name, time] for name, time in self.phases],
-        }
-        if self.key is not None:
-            payload["key"] = self.key
-        return payload
-
-    @staticmethod
-    def from_payload(payload: Dict[str, object]) -> "RequestSpan":
-        """Rebuild a span from :meth:`to_payload` output."""
-
-        return RequestSpan(
-            node=payload["node"],
-            lock=payload["lock"],
-            kind=payload["kind"],
-            phases=[(name, time) for name, time in payload["phases"]],
-            key=payload.get("key"),
-        )

@@ -41,12 +41,13 @@ import dataclasses
 import threading
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..core.contract import FLOAT, INT, RAW, STR, field, listing, record
 from ..core.messages import (
-    MESSAGE_TYPE_LABELS,
     Envelope,
     LockId,
     NodeId,
     TraceContext,
+    fault_label,
 )
 
 #: ``() -> float`` time source (shared with the owning RunObserver).
@@ -62,14 +63,6 @@ _RECOVERY_LABELS = frozenset(
 
 #: Critical-path segment names, in render order.
 PATH_SEGMENTS = ("transit", "queue", "freeze", "recovery")
-
-
-def message_label(message: object) -> str:
-    """Report label of *message*: its class's ``MESSAGE_TYPE_LABELS``
-    entry (every message class in the tree has one), else its name."""
-
-    label = MESSAGE_TYPE_LABELS.get(type(message))
-    return label if label is not None else type(message).__name__.lower()
 
 
 def canonical_span_key(key: object) -> str:
@@ -93,6 +86,17 @@ def canonical_span_key(key: object) -> str:
     return str(key)
 
 
+@record(
+    field("hop", INT),
+    field("parent", INT),
+    field("from", RAW, "sender"),
+    field("to", RAW, "dest"),
+    field("label", STR),
+    field("kind", STR, omit="send"),
+    field("sent", RAW, "sent_at", omit=None),
+    field("recv", RAW, "recv_at", omit=None),
+    field("dup", INT, "duplicates", omit=0),
+)
 @dataclasses.dataclass
 class Hop:
     """One wire message attributed to a causal chain."""
@@ -108,39 +112,17 @@ class Hop:
     #: Extra deliveries of the same stamped message (fault duplicates).
     duplicates: int = 0
 
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "hop": self.hop,
-            "parent": self.parent,
-            "from": self.sender,
-            "to": self.dest,
-            "label": self.label,
-        }
-        if self.kind != "send":
-            payload["kind"] = self.kind
-        if self.sent_at is not None:
-            payload["sent"] = self.sent_at
-        if self.recv_at is not None:
-            payload["recv"] = self.recv_at
-        if self.duplicates:
-            payload["dup"] = self.duplicates
-        return payload
 
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "Hop":
-        return cls(
-            hop=int(payload["hop"]),
-            parent=int(payload["parent"]),
-            sender=payload["from"],
-            dest=payload["to"],
-            label=str(payload["label"]),
-            kind=str(payload.get("kind", "send")),
-            sent_at=payload.get("sent"),
-            recv_at=payload.get("recv"),
-            duplicates=int(payload.get("dup", 0)),
-        )
-
-
+@record(
+    field("id", STR, "trace_id"),
+    field("origin", RAW),
+    field("lock", STR),
+    field("issued", FLOAT, "issued_at"),
+    field("kind", STR, default="request"),
+    field("hops", listing(Hop.CODEC), default=()),
+    field("granted_hop", RAW, omit=None),
+    field("granted", RAW, "granted_at", omit=None),
+)
 @dataclasses.dataclass
 class TraceChain:
     """The reconstructed causal chain of one request (or aux activity)."""
@@ -171,34 +153,6 @@ class TraceChain:
 
     def hop_index(self) -> Dict[int, Hop]:
         return {hop.hop: hop for hop in self.hops}
-
-    def to_payload(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {
-            "id": self.trace_id,
-            "origin": self.origin,
-            "lock": self.lock,
-            "issued": self.issued_at,
-            "kind": self.kind,
-            "hops": [hop.to_payload() for hop in self.hops],
-        }
-        if self.granted_hop is not None:
-            payload["granted_hop"] = self.granted_hop
-        if self.granted_at is not None:
-            payload["granted"] = self.granted_at
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, object]) -> "TraceChain":
-        return cls(
-            trace_id=str(payload["id"]),
-            origin=payload["origin"],
-            lock=str(payload["lock"]),
-            issued_at=float(payload["issued"]),
-            kind=str(payload.get("kind", "request")),
-            hops=[Hop.from_payload(raw) for raw in payload.get("hops", [])],
-            granted_hop=payload.get("granted_hop"),
-            granted_at=payload.get("granted"),
-        )
 
 
 def critical_path(
@@ -325,7 +279,7 @@ class MessageTracer:
 
         message = envelope.message
         inner = getattr(message, "payload", None) or message
-        label = message_label(inner)
+        label = fault_label(inner)
         if label in UNTRACED_LABELS:
             return envelope
         now = self._clock()
@@ -395,7 +349,7 @@ class MessageTracer:
         """
 
         payload = frame.payload
-        label = message_label(payload)
+        label = fault_label(payload)
         if label in UNTRACED_LABELS:
             return frame
         now = self._clock()
@@ -452,7 +406,7 @@ class MessageTracer:
                 chain.granted_hop is None
                 and chain.kind == "request"
                 and node == chain.origin
-                and message_label(inner) in ("grant", "token")
+                and fault_label(inner) in ("grant", "token")
             ):
                 chain.granted_hop = ctx.hop
                 chain.granted_at = hop.recv_at
@@ -574,7 +528,7 @@ class MessageTracer:
         if scope is not None:
             return scope
         # 4. A request leaving its origin: mint a root chain.
-        label = message_label(inner)
+        label = fault_label(inner)
         if label == "request":
             origin = getattr(inner, "origin", sender)
             rid = getattr(inner, "request_id", None)

@@ -6,9 +6,8 @@ threads and blocking client calls — the functional "is this actually a
 usable lock service?" deployment that examples and the services layer
 build on.
 
-Every node consists of a :class:`~repro.core.lockspace.LockSpace` (or
-:class:`~repro.naimi.lockspace.NaimiLockSpace`), a mutex serializing all
-access to it, and a transport dispatcher thread.  Clients block on
+Every node consists of a :class:`~repro.core.lockspace.LockSpace`, a
+mutex serializing all access to it, and a transport dispatcher thread.  Clients block on
 :class:`threading.Event` objects that the grant listener sets.
 """
 

@@ -46,7 +46,6 @@ class Network:
         latency: Optional[Distribution] = None,
         rng: Optional[random.Random] = None,
         observer: Optional[MessageObserver] = None,
-        local_delivery_instant: bool = True,
         faults: Optional["FaultPlan"] = None,
         tracer: Optional["MessageTracer"] = None,
     ) -> None:
@@ -59,7 +58,6 @@ class Network:
         #: observer fires; draws no randomness and sends nothing, so
         #: traced runs stay bit-identical to untraced ones.
         self.tracer = tracer
-        self._local_instant = local_delivery_instant
         self._injector = None
         if faults is not None and not faults.is_empty():
             from ..faults.plan import FaultInjector
@@ -143,7 +141,6 @@ class Network:
             self._handlers, self._crashed, self._last_arrival
         )
         sender_down = sender in crashed
-        local_instant = self._local_instant
         injector, observer, tracer = self._injector, self._observer, self.tracer
         sample, rng = self._latency.sample, self._rng
         for envelope in envelopes:
@@ -153,7 +150,7 @@ class Network:
             if sender_down or dest in crashed:
                 self._messages_dropped += 1
                 continue
-            if dest == sender and local_instant:
+            if dest == sender:
                 # A node talking to itself does not cross the wire.
                 schedule(0.0, partial(deliver, sender, envelope))
                 continue

@@ -20,7 +20,7 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from ..core.modes import LockMode, conflicts
-from ..metrics.collector import RequestRecord
+from ..obs.spans import RequestSpan
 
 #: Request kinds that map to a lock mode (the upgrade kind means W).
 _KIND_TO_MODE = {
@@ -58,7 +58,7 @@ class FairnessReport:
         )
 
 
-def analyze(records: Sequence[RequestRecord]) -> FairnessReport:
+def analyze(records: Sequence[RequestSpan]) -> FairnessReport:
     """Count conflicting-mode overtakes among *records*.
 
     O(n²) over the mode-like records of a run — fine for the run sizes
@@ -94,7 +94,7 @@ def analyze(records: Sequence[RequestRecord]) -> FairnessReport:
     )
 
 
-def bypass_histogram(records: Sequence[RequestRecord]) -> Dict[int, int]:
+def bypass_histogram(records: Sequence[RequestSpan]) -> Dict[int, int]:
     """Histogram of per-request bypass counts (0 → fair-served)."""
 
     moded = [

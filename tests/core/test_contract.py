@@ -27,6 +27,7 @@ from repro.core.contract import (
     field,
     handles,
     listing,
+    record,
     recorded,
     register_message,
 )
@@ -259,3 +260,57 @@ def test_a_message_field_cannot_be_left_out_of_the_codec():
     with pytest.raises(TypeError, match="urgency"):
         register_message(Nudge)
     register_message(Nudge, field("urgency", INT))
+
+
+# -- records: one table, both directions --------------------------------
+
+
+def _toy_record():
+    @record(
+        field("id", INT, "ident"),
+        field("tags", listing(INT, tuple), default=()),
+        field("note", INT, omit=0),
+        field("big", BOOL),
+    )
+    @dataclasses.dataclass(frozen=True)
+    class Toy:
+        ident: int
+        tags: tuple = ()
+        note: int = 0
+
+        @property
+        def big(self) -> bool:
+            return self.ident > 9
+
+    return Toy
+
+
+def test_record_rows_default_omit_and_derive():
+    toy = _toy_record()
+    # ``default`` keys are always written, ``omit`` keys only off their
+    # default, and a property row is written but never read back.
+    assert toy(12).to_payload() == {"id": 12, "tags": [], "big": True}
+    assert list(toy(3, (1, 2), 5).to_payload()) == ["id", "tags", "note", "big"]
+    assert toy.from_payload({"id": 3}) == toy(3)
+    assert toy.from_payload({"id": 3, "big": True, "note": 5}) == toy(3, (), 5)
+    assert toy.CODEC.decode(toy.CODEC.encode(toy(3, (1,), 2))) == toy(3, (1,), 2)
+    with pytest.raises(ValueError, match="Toy.*'id'"):
+        toy.from_payload({"tags": [1]})
+    with pytest.raises(ValueError, match="Toy"):
+        toy.from_payload({"id": 3, "tags": 7})
+
+
+def test_a_record_field_cannot_be_left_out_of_its_table():
+    def declare(*rows):
+        @record(field("id", INT, "ident"), *rows)
+        @dataclasses.dataclass
+        class Heavier:
+            ident: int
+            weight: int = 0
+
+    with pytest.raises(TypeError, match="weight"):
+        declare()
+    declare(field("weight", INT, default=0))
+    with pytest.raises(TypeError, match="ident"):
+        # A row that names neither a field nor a property.
+        declare(field("weight", INT), field("ghost", INT))

@@ -142,7 +142,6 @@ class TestMessageTypeLabels:
         import repro
         from repro.core.messages import MESSAGE_TYPE_LABELS, Message
         from repro.faults.plan import fault_label
-        from repro.obs.tracing import message_label
 
         for module in pkgutil.walk_packages(repro.__path__, "repro."):
             importlib.import_module(module.name)
@@ -160,11 +159,7 @@ class TestMessageTypeLabels:
         assert len(classes) >= 23
         for cls in classes:
             blank = cls.__new__(cls)  # Labels go by class, not by content.
-            assert (
-                MESSAGE_TYPE_LABELS[cls]
-                == message_label(blank)
-                == fault_label(blank)
-            ), cls
+            assert MESSAGE_TYPE_LABELS[cls] == fault_label(blank), cls
 
     def test_envelope_carries_destination(self):
         release = ReleaseMessage(lock_id="L", sender=1, new_mode=LockMode.IR)

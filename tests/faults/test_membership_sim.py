@@ -498,7 +498,7 @@ class TestLeaveConcurrentWithTokenTransfer:
     strict=True,
     reason="known gap (docs/MEMBERSHIP.md §8): a join and a leave proposed "
     "over one base view both reach quorum at the same epoch; input to the "
-    "schedule explorer of ROADMAP item 4(a)",
+    "schedule explorer of ROADMAP item 1(c)(v)",
 )
 def test_known_gap_same_epoch_split_view():
     cluster = ResilientSimCluster(3, seed=6)

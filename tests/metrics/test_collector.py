@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics import MetricsCollector
-from repro.metrics.collector import RequestRecord
 from repro.obs.sink import ENQUEUED, GRANTED, ISSUED
 from repro.obs.spans import RequestSpan
 
@@ -89,22 +88,16 @@ class TestLatency:
 
 
 class TestSpanBackedRecords:
-    def test_legacy_constructor_builds_two_phase_record(self):
-        record = RequestRecord(0, "R", issued_at=1.0, granted_at=3.0)
-        assert record.phases == ((ISSUED, 1.0), (GRANTED, 3.0))
-        assert record.latency == pytest.approx(2.0)
-
-    def test_constructor_requires_times_or_phases(self):
-        with pytest.raises(ValueError):
-            RequestRecord(0, "R")
-
-    def test_record_preserves_intermediate_phases(self):
-        record = RequestRecord(
-            2, "W", lock="db/t",
-            phases=[(ISSUED, 0.0), (ENQUEUED, 0.1), (GRANTED, 0.4)],
-        )
-        assert record.time_of(ENQUEUED) == pytest.approx(0.1)
-        assert record.latency == pytest.approx(0.4)
+    def test_record_request_appends_two_phase_span(self):
+        collector = MetricsCollector()
+        collector.record_request(0, "R", 1.0, 3.0, lock="db/t")
+        assert collector.requests == [
+            RequestSpan(
+                node=0, lock="db/t", kind="R",
+                phases=[(ISSUED, 1.0), (GRANTED, 3.0)],
+            )
+        ]
+        assert collector.requests[0].latency == pytest.approx(2.0)
 
     def test_record_span_feeds_latency_summary(self):
         span = RequestSpan(node=1, lock="db/t", kind="IW")
@@ -112,12 +105,6 @@ class TestSpanBackedRecords:
         span.mark(ENQUEUED, 0.2)
         span.mark(GRANTED, 0.6)
         collector = MetricsCollector()
-        collector.record_span(span)
+        collector.requests.append(span)
         assert collector.total_requests == 1
         assert collector.latency_summary("IW").mean == pytest.approx(0.6)
-
-    def test_record_span_rejects_ungranted_span(self):
-        span = RequestSpan(node=1, lock="db/t", kind="R")
-        span.mark(ISSUED, 0.0)
-        with pytest.raises(ValueError, match="granted"):
-            MetricsCollector().record_span(span)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import sys
+import threading
+
 from repro.obs.collect import RunObserver
 from repro.obs.sink import (
     ENQUEUED,
@@ -150,3 +154,83 @@ class TestSeriesCollection:
         observer, _clock = _observer()
         assert isinstance(observer.spans, list)
         assert observer.messages.evicted_buckets == 0
+
+
+class RecordingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self) -> None:
+        self.acquired = 0
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        self.acquired += 1
+        return self._lock.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._lock.__exit__(*exc_info)
+
+
+class TestThreadSafety:
+    #: One call per hook.  ``engine_tick`` is left out on purpose: only
+    #: the (single-threaded) simulator's event loop ever calls it.
+    CALLS = {
+        "phase": (0, "L", ("req", 1), ISSUED, "R"),
+        "queue_depth": (0, "L", 3),
+        "copyset_size": (0, "L", 2),
+        "freeze_size": (0, "L", 1),
+        "message": (0, 1, "request"),
+        "wire_sent": (0, 1, 64, 0.001),
+        "wire_received": (1, 64),
+        "fault": ("drop", 0),
+        "peer_lost": (1, "eof"),
+        "persist_event": (0, "granted"),
+    }
+
+    def test_every_hook_takes_the_mutex(self):
+        # One observer serves every node thread of a threaded cluster
+        # and the monitor's HTTP threads read it meanwhile.
+        hooks = {
+            name
+            for name, member in vars(ObsSink).items()
+            if callable(member) and not name.startswith("_")
+        }
+        assert set(self.CALLS) == hooks - {"engine_tick"}
+        observer, _clock = _observer()
+        observer._mutex = lock = RecordingLock()
+        for name, args in self.CALLS.items():
+            before = lock.acquired
+            getattr(observer, name)(*args)
+            assert lock.acquired == before + 1, name
+
+    def test_concurrent_gauge_samples_are_all_counted(self):
+        # Every sample opens a new window and evicts the oldest: without
+        # the mutex two threads pick the same victim and one of them
+        # raises inside a protocol hook.
+        ticks = itertools.count()
+        observer = RunObserver(clock=lambda: float(next(ticks)), max_buckets=2)
+        per_thread, workers = 2000, 8
+        errors = []
+
+        def hammer():
+            try:
+                for _ in range(per_thread):
+                    observer.queue_depth(0, "L", 1)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        series = observer.queue_depth_series
+        assert len(series.timeline()) == 2
+        assert series.evicted_buckets == per_thread * workers - 2

@@ -8,8 +8,10 @@ import io
 import pytest
 
 from repro.experiments.common import run_hierarchical
-from repro.obs.export import load_runs, write_run
+from repro.metrics.stats import percentile, summarize
+from repro.obs.export import RunTrace, load_runs, write_run
 from repro.obs.report import render_report, render_run
+from repro.obs.tracing import Hop, TraceChain
 from repro.workload.spec import WorkloadSpec
 
 
@@ -59,3 +61,32 @@ class TestReportRendering:
 
     def test_empty_report(self):
         assert "empty trace" in render_report([])
+
+    def test_percentiles_follow_the_metrics_layer_rule(self):
+        # Four granted chains with critical paths of 1..4 hops, each hop
+        # 0.1 s in transit.  Nearest-rank p50 of four samples is the 2nd
+        # (``metrics.stats.percentile``, what ``Summary.p50`` reports);
+        # the renderer's own rounding rule used to pick the 3rd.
+        chains = []
+        for length in (1, 2, 3, 4):
+            hops = [
+                Hop(
+                    hop=n, parent=n - 1, sender=0, dest=1, label="request",
+                    sent_at=0.1 * (n - 1), recv_at=0.1 * n,
+                )
+                for n in range(1, length + 1)
+            ]
+            chains.append(
+                TraceChain(
+                    trace_id=f"0.{length}", origin=0, lock="L", issued_at=0.0,
+                    hops=hops, granted_hop=length, granted_at=0.1 * length,
+                )
+            )
+        text = render_run(RunTrace(chains=chains))
+        assert "length p50 2 p95 4 max 4" in text
+        transit = next(
+            line.split() for line in text.splitlines()
+            if line.startswith("transit")
+        )
+        assert transit[1:4] == ["0.2500", "0.2000", "0.4000"]
+        assert percentile([1, 2, 3, 4], 0.5) == summarize([1, 2, 3, 4]).p50 == 2

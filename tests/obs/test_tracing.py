@@ -22,7 +22,6 @@ from repro.obs.tracing import (
     TraceChain,
     canonical_span_key,
     critical_path,
-    message_label,
 )
 
 
@@ -52,8 +51,9 @@ def _grant(trace, sender=1, dest=0, serial=1, lock="L"):
 
 class TestLabelsAndKeys:
     def test_message_label(self):
-        msg = _request().message
-        assert message_label(msg) == "request"
+        tracer = MessageTracer()
+        tracer.outbound(0, _request())
+        assert [hop.label for hop in tracer.chains()[0].hops] == ["request"]
 
     def test_canonical_span_key_forms(self):
         assert canonical_span_key((3, 7)) == "3.7"

@@ -54,7 +54,7 @@ class ParentNetwork(Network):
         if sender in self._crashed or dest in self._crashed:
             self._messages_dropped += 1
             return
-        if dest == sender and self._local_instant:
+        if dest == sender:
             self._sim.schedule(0.0, lambda: self._deliver(sender, envelope))
             return
         if self._injector is not None:

@@ -7,7 +7,8 @@ import pytest
 from repro.core.automaton import FULL_PROTOCOL, ProtocolOptions
 from repro.core.modes import LockMode
 from repro.experiments.ablations import STARVATION_MODE_MIX, run_with_options
-from repro.metrics.collector import RequestRecord
+from repro.obs.sink import GRANTED, ISSUED
+from repro.obs.spans import RequestSpan
 from repro.verification.fairness import (
     FairnessReport,
     analyze,
@@ -18,8 +19,9 @@ from repro.workload.spec import WorkloadSpec
 
 
 def _record(kind, issued, granted, node=0):
-    return RequestRecord(
-        node=node, kind=kind, issued_at=issued, granted_at=granted
+    return RequestSpan(
+        node=node, lock="", kind=kind,
+        phases=[(ISSUED, issued), (GRANTED, granted)],
     )
 
 
