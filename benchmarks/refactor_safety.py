@@ -38,6 +38,15 @@ no wall-clock or temp-path field; the process exit code is part of the
 comparison (token-crash seeds exit 1).  ``--emit DIR`` is that per-tree
 half on its own (``PYTHONPATH=<tree>/src``), for keeping the outputs of
 a change that *does* move verdicts and quoting them old → new.
+
+``--moved OTHER_TREE`` is the comparison for such a change: instead of
+stopping at the first difference it prints one row per chaos verdict —
+``ok``, exit code, requests granted, ``messages_sent``, mean and p95
+grant latency (what a verdict records), each old → new with the moved
+ones marked — then the outputs that are still byte-identical, which for
+a change to the fault-tolerant stack must include the explorer census,
+the Figure 5/6 series, ``repro all --quick`` and the bare ledger
+fingerprints.  Exits 0: it is a table to quote, not a gate.
 """
 
 from __future__ import annotations
@@ -251,38 +260,114 @@ def emit(out: str) -> None:
             sys.exit(f"{name}: the process writing it died (status {status})")
 
 
+def _emit_both(here: str, other: str, scratch: str):
+    """Emit both trees side by side into *scratch*; ``(other's dir,
+    here's dir, every output name, the differing ones)`` or ``None`` if
+    a tree failed."""
+
+    procs = []
+    for label, tree in (("here", here), ("other", other)):
+        env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
+        procs.append(
+            subprocess.Popen(
+                [sys.executable, os.path.abspath(__file__), "--emit",
+                 os.path.join(scratch, label)],
+                env=env,
+                cwd=tree,
+            )
+        )
+    if any(proc.wait() != 0 for proc in procs):
+        print("a tree failed to produce its verdicts")
+        return None
+    a, b = (os.path.join(scratch, label) for label in ("other", "here"))
+    names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
+    differing = [
+        name
+        for name in names
+        if not (
+            os.path.exists(os.path.join(a, name))
+            and os.path.exists(os.path.join(b, name))
+            and filecmp.cmp(
+                os.path.join(a, name), os.path.join(b, name), shallow=False
+            )
+        )
+    ]
+    return a, b, names, differing
+
+
+#: Columns of the ``--moved`` table: (header, path into the verdict).
+MOVED_COLUMNS = (
+    ("ok", ("ok",)),
+    ("exit", ("exit",)),
+    ("granted", ("requests", "granted")),
+    ("msgs_sent", ("faults", "messages_sent")),
+    ("mean_s", ("latency", "mean")),
+    ("p95_s", ("latency", "p95")),
+)
+
+
+def _verdict_cells(path: str) -> List[str]:
+    """The :data:`MOVED_COLUMNS` of one ``_write_verdict`` file."""
+
+    if not os.path.exists(path):
+        return ["-"] * len(MOVED_COLUMNS)
+    body, _sep, code = open(path).read().rpartition("exit ")
+    value = dict(json.loads(body), exit=int(code))
+    cells = []
+    for _header, keys in MOVED_COLUMNS:
+        cell = value
+        for key in keys:
+            cell = cell[key]
+        cells.append(f"{cell:.3f}" if isinstance(cell, float) else str(cell))
+    return cells
+
+
+def moved(here: str, other: str) -> int:
+    """Quote what a behaviour-changing PR moved: one row per verdict,
+    *other* → *here*, then the outputs still byte-identical."""
+
+    with tempfile.TemporaryDirectory(prefix="refactor-safety-") as scratch:
+        emitted = _emit_both(here, other, scratch)
+        if emitted is None:
+            return 2
+        a, b, names, differing = emitted
+        verdicts = [
+            name + ".json" for name, argv in verdict_runs()
+            if "--flight-dir" not in argv
+        ]
+        rows = [["verdict"] + [header for header, _keys in MOVED_COLUMNS]]
+        for name in verdicts:
+            old, new = (
+                _verdict_cells(os.path.join(root, name)) for root in (a, b)
+            )
+            rows.append([name[: -len(".json")]] + [
+                before if before == after else f"{before} → {after}"
+                for before, after in zip(old, new)
+            ])
+        widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+        for row in rows:
+            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
+        ok = [
+            sum(_verdict_cells(os.path.join(root, name))[0] == "True"
+                for name in verdicts)
+            for root in (a, b)
+        ]
+        print(f"ok verdicts: {ok[0]} → {ok[1]} of {len(verdicts)}")
+        same = [name for name in names if name not in differing]
+        print(f"{len(same)} of {len(names)} outputs byte-identical:")
+        for name in same:
+            print(f"  {name}")
+        return 0
+
+
 def compare(here: str, other: str) -> int:
     """Emit both trees side by side, then byte-compare; 0 iff identical."""
 
     with tempfile.TemporaryDirectory(prefix="refactor-safety-") as scratch:
-        procs = []
-        for label, tree in (("here", here), ("other", other)):
-            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, os.path.abspath(__file__), "--emit",
-                     os.path.join(scratch, label)],
-                    env=env,
-                    cwd=tree,
-                )
-            )
-        if any(proc.wait() != 0 for proc in procs):
-            print("a tree failed to produce its verdicts")
+        emitted = _emit_both(here, other, scratch)
+        if emitted is None:
             return 2
-        a, b = (os.path.join(scratch, label) for label in ("other", "here"))
-        names = sorted(set(os.listdir(a)) | set(os.listdir(b)))
-        differing = [
-            name
-            for name in names
-            if not (
-                os.path.exists(os.path.join(a, name))
-                and os.path.exists(os.path.join(b, name))
-                and filecmp.cmp(
-                    os.path.join(a, name), os.path.join(b, name),
-                    shallow=False,
-                )
-            )
-        ]
+        a, b, names, differing = emitted
         if not differing:
             print(f"{len(names)} outputs byte-identical")
             return 0
@@ -311,6 +396,8 @@ def main(argv: List[str]) -> int:
     if len(argv) == 2 and argv[0] == "--emit":
         emit(argv[1])
         return 0
+    if len(argv) == 2 and argv[0] == "--moved":
+        return moved(_ROOT, os.path.abspath(argv[1]))
     if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__)
         return 2

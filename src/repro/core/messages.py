@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import FrozenSet, Optional, Tuple
+import types
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from .modes import LockMode
 
@@ -230,14 +231,66 @@ def fresh_request_id(timestamp: int, origin: NodeId) -> RequestId:
     return RequestId(timestamp=timestamp, origin=origin, serial=next(_request_serial))
 
 
+#: The traffic planes: what a message is *for*.  Every labelled type
+#: belongs to exactly one (verdicts, ``/metrics`` and the ledger count
+#: messages by it).
+PLANES = ("protocol", "channel-ack", "heartbeat", "recovery", "membership")
+
+_labels: Dict[type, str] = {}
+_label_planes: Dict[str, str] = {}
+
 #: Message-type labels used by the metrics collector (Figure 7 legend).
-MESSAGE_TYPE_LABELS = {
-    RequestMessage: "request",
-    GrantMessage: "grant",
-    TokenMessage: "token",
-    ReleaseMessage: "release",
-    FreezeMessage: "freeze",
-}
+#: Read-only: a type gets its label from :func:`declare_messages`, which
+#: makes it state its plane and its delivery class in the same row.
+MESSAGE_TYPE_LABELS: Mapping[type, str] = types.MappingProxyType(_labels)
+
+#: Label → plane (a label names one plane, whichever protocol uses it).
+LABEL_PLANES: Mapping[str, str] = types.MappingProxyType(_label_planes)
+
+
+def declare_messages(
+    labels: Mapping[type, str], *, plane: str, ordered: bool
+) -> None:
+    """Give each type of *labels* its label, its plane and its delivery
+    class — the one declaration a wire message type makes about itself.
+
+    *ordered* is what the type asks of the fabric: ``True`` for the
+    per-pair FIFO stream (:mod:`repro.sim.network` never delivers it
+    before an earlier ordered message of the same pair), ``False`` for a
+    datagram, which arrives on its own latency draw and may overtake or
+    be overtaken.  Only a type whose handler is indifferent to order,
+    duplication and staleness may say ``False``.  Both land on the class
+    (``cls.ordered``, ``cls.plane``) so the fabric reads them with one
+    attribute load.  Leaving either out, or naming an unknown plane, is
+    a ``TypeError`` at import.
+    """
+
+    if plane not in PLANES or not isinstance(ordered, bool):
+        raise TypeError(
+            f"plane must be one of {PLANES} and ordered a bool, "
+            f"got {plane!r}, {ordered!r}"
+        )
+    for cls, label in labels.items():
+        if _label_planes.setdefault(label, plane) != plane:
+            raise TypeError(
+                f"{cls.__name__}: label {label!r} already names plane "
+                f"{_label_planes[label]!r}"
+            )
+        cls.plane, cls.ordered = plane, ordered
+        _labels[cls] = label
+
+
+declare_messages(
+    {
+        RequestMessage: "request",
+        GrantMessage: "grant",
+        TokenMessage: "token",
+        ReleaseMessage: "release",
+        FreezeMessage: "freeze",
+    },
+    plane="protocol",
+    ordered=True,
+)
 
 
 def fault_label(message: object) -> str:

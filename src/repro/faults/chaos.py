@@ -351,6 +351,7 @@ def run_chaos(
     )
     faults["crashes"] = list(cluster.crash_log)
     faults["messages_sent"] = cluster.network.messages_sent
+    faults["messages_by_plane"] = cluster.network.messages_by_plane
     faults["messages_dropped"] = cluster.network.messages_dropped
 
     data: Dict[str, object] = {

@@ -15,6 +15,14 @@ groups:
   they are idempotent, periodically re-sent by their originators, and
   must keep flowing while streams to a dead peer are torn down.
 
+The table at the bottom also states each type's *delivery class* (see
+:func:`repro.core.messages.declare_messages`).  Two types are datagrams,
+and they are the whole fault-free control plane: :class:`SessionAck`
+(cumulative; a stale one trims nothing) and :class:`HeartbeatMessage`
+(numbered per incarnation; a receiver applies a beat's content only if
+it is newer than the newest it applied).  Neither may delay, nor wait
+behind, a protocol frame on the fabric.
+
 Messages subclass the core :class:`~repro.core.messages.Message` so every
 transport and observer handles them uniformly; node-scoped ones (e.g.
 heartbeats) carry the empty lock id.
@@ -25,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Tuple
 
-from ..core.messages import MESSAGE_TYPE_LABELS, Message, NodeId
+from ..core.messages import Message, NodeId, declare_messages
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,11 +75,19 @@ class HeartbeatMessage(Message):
     membership view (see :mod:`repro.membership`); a peer seeing a lower
     epoch than its own re-sends the current ``ViewInstall``, which is the
     view anti-entropy path.
+
+    ``seq`` numbers the sender's beats within its incarnation.  A beat
+    is a datagram (the fabric may deliver it late, twice or after its
+    successor), and its lease set and view epoch describe the sender *at
+    send time*: a receiver applies them only from a beat whose
+    ``(boot, seq)`` is newer than the newest it applied.  Any beat, new
+    or not, is evidence of life.
     """
 
     boot: int = 0
     leases: Tuple = ()
     view_epoch: int = 0
+    seq: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -114,16 +130,28 @@ class ReparentMessage(Message):
     epoch: int = 0
 
 
-#: Labels for metrics/observability (extends the Figure-7 table; these
-#: types only ever appear when the recovery layer is in use).
-MESSAGE_TYPE_LABELS.update(
+# Labels, planes and delivery classes (extends the Figure-7 table; these
+# types only ever appear when the recovery layer is in use).  A frame is
+# its payload's plane.  Frames stay on the ordered stream although the
+# channel re-sequences them: unordered, a retransmission becomes a hedge
+# racing the original, and whether those frames should exist at all is
+# the retransmit timer's question (ROADMAP 2(c)), not the fabric's.
+declare_messages({SessionMessage: "session"}, plane="protocol", ordered=True)
+declare_messages(
+    {SessionAck: "session-ack"}, plane="channel-ack", ordered=False
+)
+declare_messages(
+    {HeartbeatMessage: "heartbeat"}, plane="heartbeat", ordered=False
+)
+# Rare and fault-time only; whether they tolerate reordering is for the
+# stack explorer to license, so they stay on the stream.
+declare_messages(
     {
-        SessionMessage: "session",
-        SessionAck: "session-ack",
-        HeartbeatMessage: "heartbeat",
         OrphanReport: "orphan-report",
         TokenProbe: "token-probe",
         TokenAck: "token-ack",
         ReparentMessage: "reparent",
-    }
+    },
+    plane="recovery",
+    ordered=True,
 )

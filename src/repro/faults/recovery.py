@@ -163,15 +163,14 @@ class RecoveryManager:
         self.leases = LeaseLayer(self)
         #: Message type → (bound handler, whether ``message.boot`` is the
         #: sender's incarnation), from the layers' ``@handles`` methods.
-        #: (``repro.leases`` sits below this package and cannot name the
-        #: heartbeat type, so its handler is bound here.)
+        #: (The heartbeat goes through the kernel's newest-beat guard.)
         self._handlers: Dict[type, _Route] = {
             member.handled_type: (getattr(layer, name), False)
             for layer in (self.regeneration, self.custody, self.membership)
             for name, member in vars(type(layer)).items()
             if hasattr(member, "handled_type")
         }
-        self._handlers[HeartbeatMessage] = (self.leases.on_heartbeat, True)
+        self._handlers[HeartbeatMessage] = (self._on_heartbeat, True)
         self._handlers[SessionMessage] = (self.channel.handle, True)
         # A SessionAck's ``boot`` echoes the acked FRAME's boot (the
         # receiver of this ack), not the ack sender's incarnation.
@@ -191,6 +190,10 @@ class RecoveryManager:
         )
         #: Latest boot incarnation seen per peer (restart detection).
         self._peer_boots: Dict[NodeId, int] = {}
+        #: Heartbeats sent by this incarnation (the next beat's ``seq``).
+        self._beats_sent = 0
+        #: Newest heartbeat ``(boot, seq)`` applied per peer.
+        self._newest_beat: Dict[NodeId, Tuple[int, int]] = {}
         #: How often each recovery event happened here (see :meth:`event`).
         self.events: "collections.Counter[str]" = collections.Counter()
         self.suspect_log: List[Tuple[float, NodeId]] = []
@@ -298,6 +301,7 @@ class RecoveryManager:
         self.detector.forget(peer)
         self.channel.stop_peer(peer)
         self._peer_boots.pop(peer, None)
+        self._newest_beat.pop(peer, None)
 
     @property
     def app_retransmits(self) -> int:
@@ -452,6 +456,23 @@ class RecoveryManager:
             handler(message)
         return []
 
+    def _on_heartbeat(self, beat: HeartbeatMessage) -> None:
+        """Apply a beat's content unless a newer one already was.
+
+        Heartbeats are datagrams: the fabric may deliver one late, twice
+        or after its successor.  Any of them proved the sender alive
+        (:meth:`handle` already noted that); but its lease rows and view
+        epoch are the sender's state *at send time*, and applying an old
+        set over a newer one re-adds a released lease to the mirror,
+        resolves a deferred eviction against holds older than the
+        suspicion, and re-sends a view the peer has since installed.
+        """
+
+        stamp = (beat.boot, beat.seq)
+        if stamp > self._newest_beat.get(beat.sender, (-1, -1)):
+            self._newest_beat[beat.sender] = stamp
+            self.leases.on_heartbeat(beat)
+
     def _deliver(self, peer: NodeId, payload: Message) -> None:
         """In-order payload from the channel: run the automaton."""
 
@@ -490,11 +511,13 @@ class RecoveryManager:
 
     def _heartbeat_tick(self) -> None:
         self.membership.sweep_departed()
+        self._beats_sent += 1
         beat = self.control(
             HeartbeatMessage,
             boot=self.boot,
             leases=self.leases.advertise(self.now(), len(self.live_peers())),
             view_epoch=self.membership.view.epoch,
+            seq=self._beats_sent,
         )
         self.timers.arm(
             "heartbeat-tick",

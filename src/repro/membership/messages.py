@@ -19,12 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Tuple
 
-from ..core.messages import (
-    MESSAGE_TYPE_LABELS,
-    LockId,
-    Message,
-    NodeId,
-)
+from ..core.messages import LockId, Message, NodeId, declare_messages
 from ..core.modes import LockMode
 
 
@@ -117,7 +112,9 @@ class ChildMigrate(Message):
     seq: int = 0
 
 
-MESSAGE_TYPE_LABELS.update(
+# Rare and fault- or churn-time only; whether they tolerate reordering
+# is for the stack explorer to license, so they stay on the stream.
+declare_messages(
     {
         JoinRequest: "join-request",
         StateTransfer: "state-transfer",
@@ -126,7 +123,9 @@ MESSAGE_TYPE_LABELS.update(
         ViewInstall: "view-install",
         HandoffMessage: "handoff",
         ChildMigrate: "child-migrate",
-    }
+    },
+    plane="membership",
+    ordered=True,
 )
 
 #: The message types of this module (``HandoffMessage`` is consumed by

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..core.messages import MESSAGE_TYPE_LABELS, Message, NodeId
+from ..core.messages import Message, NodeId, declare_messages
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,6 +33,8 @@ class NaimiTokenMessage(NaimiMessage):
     """The token: possession grants the critical section."""
 
 
-MESSAGE_TYPE_LABELS.update(
-    {NaimiRequestMessage: "request", NaimiTokenMessage: "token"}
+declare_messages(
+    {NaimiRequestMessage: "request", NaimiTokenMessage: "token"},
+    plane="protocol",
+    ordered=True,
 )

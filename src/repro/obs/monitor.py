@@ -26,6 +26,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import List, Optional, Tuple
 
+from ..core.messages import LABEL_PLANES
 from .live import AuditReport, ClusterView, LiveMonitor, NodeSnapshot
 
 
@@ -50,6 +51,13 @@ def _sample(name: str, value, labels: Optional[dict] = None) -> str:
         )
         return f"{name}{{{rendered}}} {value}"
     return f"{name} {value}"
+
+
+def _counter_labels(counter: str, label: str) -> dict:
+    if counter == "messages":
+        # By type, and every type declared its plane beside its label.
+        return {"label": label, "plane": LABEL_PLANES.get(label, "")}
+    return {"label": label}
 
 
 def _recovering(view: ClusterView) -> List[NodeSnapshot]:
@@ -173,7 +181,7 @@ def render_prometheus(
                 "counter",
                 f"Cumulative {cname.replace('_', ' ')} observed this run.",
                 [
-                    (total, {"label": label})
+                    (total, _counter_labels(cname, label))
                     for label, total in counter.totals().items()
                 ],
             )

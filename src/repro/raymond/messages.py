@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ..core.messages import MESSAGE_TYPE_LABELS, Message
+from ..core.messages import Message, declare_messages
 
 
 @dataclasses.dataclass(frozen=True)
@@ -34,6 +34,8 @@ class RaymondPrivilegeMessage(RaymondMessage):
     """The privilege (token), moving one tree edge at a time."""
 
 
-MESSAGE_TYPE_LABELS.update(
-    {RaymondRequestMessage: "request", RaymondPrivilegeMessage: "token"}
+declare_messages(
+    {RaymondRequestMessage: "request", RaymondPrivilegeMessage: "token"},
+    plane="protocol",
+    ordered=True,
 )

@@ -2,9 +2,29 @@
 
 Models the paper's testbed: a switched full-duplex LAN where disjoint
 point-to-point transfers proceed in parallel, with per-message latency
-randomized around a mean of 150 ms.  Links are FIFO per ordered node pair
-(as TCP connections are), which the hierarchical protocol's freeze
-propagation relies on.
+randomized around a mean of 150 ms.  Every message draws its own latency.
+
+The fabric offers two delivery classes, and a message type states which
+one it needs where it gets its label
+(:func:`repro.core.messages.declare_messages`, read here as
+``message.ordered``):
+
+* the **ordered stream** — FIFO per ordered node pair (as a TCP
+  connection is): a message never arrives before an earlier ordered
+  message of the same pair, so a fast draw behind a slow one waits for
+  it.  The hierarchical protocol's freeze propagation relies on this,
+  and every protocol, session-frame, recovery and membership type is on
+  it;
+* the **datagram** — arrives on its own draw, neither waiting for the
+  pair's earlier messages nor holding back its later ones.  Heartbeats
+  and session acks are datagrams: they are idempotent and carry their
+  own staleness guard (docs/FAULTS.md), they are over 90 % of a
+  fault-free stack's messages, and on the stream their slow draws were
+  what protocol frames queued behind.  It is the branch a fault plan's
+  ``reorder`` decision has always taken.
+
+A fabric that keeps every message in order (the threaded and TCP
+transports) implements both: FIFO is one legal schedule of unordered.
 
 The network is where *all* protocol messages cross, so it doubles as the
 measurement point: an optional observer is invoked for every send with the
@@ -21,6 +41,7 @@ the pre-fault network — the latency RNG never sees a fault-layer draw.
 
 from __future__ import annotations
 
+import collections
 import random
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -66,7 +87,7 @@ class Network:
         self._handlers: Dict[NodeId, MessageHandler] = {}
         self._crashed: Set[NodeId] = set()
         self._last_arrival: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._messages_sent = 0
+        self._sent_by_plane: Dict[str, int] = collections.defaultdict(int)
         self._messages_dropped = 0
 
     @property
@@ -79,7 +100,13 @@ class Network:
     def messages_sent(self) -> int:
         """Total envelopes transmitted (excluding node-local deliveries)."""
 
-        return self._messages_sent
+        return sum(self._sent_by_plane.values())
+
+    @property
+    def messages_by_plane(self) -> Dict[str, int]:
+        """:attr:`messages_sent`, by the plane each type declared."""
+
+        return dict(sorted(self._sent_by_plane.items()))
 
     @property
     def mean_latency(self) -> float:
@@ -129,7 +156,8 @@ class Network:
     # -- transmission ------------------------------------------------------
 
     def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
-        """Transmit *envelopes* from *sender*, FIFO per destination pair.
+        """Transmit *envelopes* from *sender*, each in the delivery class
+        its type declared: FIFO per destination pair, or a datagram.
 
         Producers batch (a heartbeat tick is one call): what cannot
         change inside a call is read once, the rest per envelope.
@@ -137,8 +165,9 @@ class Network:
 
         sim = self._sim
         now, schedule, deliver = sim.now, sim.schedule, self._deliver
-        handlers, crashed, floors = (
-            self._handlers, self._crashed, self._last_arrival
+        handlers, crashed, floors, by_plane = (
+            self._handlers, self._crashed, self._last_arrival,
+            self._sent_by_plane,
         )
         sender_down = sender in crashed
         injector, observer, tracer = self._injector, self._observer, self.tracer
@@ -154,27 +183,29 @@ class Network:
                 # A node talking to itself does not cross the wire.
                 schedule(0.0, partial(deliver, sender, envelope))
                 continue
+            message = envelope.message
             copies, extra, reorder = 1, 0.0, False
             if injector is not None:
-                decision = injector.decide(now, sender, dest, envelope.message)
+                decision = injector.decide(now, sender, dest, message)
                 if decision.drop:
                     self._messages_dropped += 1
                     continue
                 copies, extra, reorder = (
                     decision.copies, decision.extra_delay, decision.reorder
                 )
-            self._messages_sent += 1
+            by_plane[message.plane] += 1
             if observer is not None:
-                observer(sender, dest, envelope.message)
+                observer(sender, dest, message)
             if tracer is not None:
                 envelope = tracer.outbound(sender, envelope)
             key = (sender, dest)
             for _ in range(copies):
                 arrival = now + (sample(rng) + extra)
-                if not reorder:
+                if message.ordered and not reorder:
                     # FIFO per ordered pair: never deliver before an earlier
-                    # message.  A reordered message deliberately skips the
-                    # floor (and does not raise it for its successors).
+                    # ordered message.  A datagram — an unordered type, or a
+                    # fault-plan reorder — deliberately skips the floor (and
+                    # does not raise it for its successors).
                     floor = floors.get(key, 0.0)
                     if arrival < floor:
                         arrival = floor

@@ -7,13 +7,18 @@ import dataclasses
 import pytest
 
 from repro.core.messages import (
+    LABEL_PLANES,
+    MESSAGE_TYPE_LABELS,
+    PLANES,
     Envelope,
+    Message,
     FreezeMessage,
     GrantMessage,
     ReleaseMessage,
     RequestId,
     RequestMessage,
     TokenMessage,
+    declare_messages,
     fresh_attachment_seq,
     fresh_request_id,
     message_type_label,
@@ -166,3 +171,93 @@ class TestMessageTypeLabels:
         envelope = Envelope(dest=4, message=release)
         assert envelope.dest == 4
         assert envelope.message is release
+
+
+def _import_the_tree():
+    import importlib
+    import pkgutil
+
+    import repro
+
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(module.name)
+
+
+class TestDeclarations:
+    """A type gets its label, its plane and its delivery class together."""
+
+    def _toy(self):
+        @dataclasses.dataclass(frozen=True)
+        class Toy(Message):
+            pass
+
+        return Toy
+
+    def test_a_label_without_plane_and_delivery_class_is_a_type_error(self):
+        toy = self._toy()
+        with pytest.raises(TypeError):
+            declare_messages({toy: "toy"})
+        with pytest.raises(TypeError):
+            declare_messages({toy: "toy"}, plane="recovery")
+        with pytest.raises(TypeError):
+            declare_messages({toy: "toy"}, ordered=True)
+        with pytest.raises(TypeError, match="plane"):
+            declare_messages({toy: "toy"}, plane="gossip", ordered=True)
+        with pytest.raises(TypeError, match="ordered"):
+            declare_messages({toy: "toy"}, plane="recovery", ordered=None)
+        # The pre-declaration idiom, ``MESSAGE_TYPE_LABELS.update({...})``
+        # at the bottom of a messages module, no longer imports.
+        assert not hasattr(MESSAGE_TYPE_LABELS, "update")
+        with pytest.raises(TypeError):
+            MESSAGE_TYPE_LABELS[toy] = "toy"
+        assert toy not in MESSAGE_TYPE_LABELS
+        assert not hasattr(toy, "ordered") and not hasattr(toy, "plane")
+
+    def test_a_label_names_one_plane(self):
+        toy = self._toy()
+        with pytest.raises(TypeError, match="heartbeat"):
+            declare_messages({toy: "heartbeat"}, plane="recovery", ordered=True)
+        assert toy not in MESSAGE_TYPE_LABELS
+
+    def test_every_labelled_type_declared_both_on_itself(self):
+        _import_the_tree()
+        assert len(MESSAGE_TYPE_LABELS) >= 23
+        for cls, label in MESSAGE_TYPE_LABELS.items():
+            assert vars(cls)["plane"] in PLANES, cls
+            assert vars(cls)["ordered"] in (True, False), cls
+            assert LABEL_PLANES[label] == cls.plane, cls
+
+    def test_the_datagram_types_are_the_heartbeat_and_the_ack(self):
+        _import_the_tree()
+        from repro.faults.messages import HeartbeatMessage, SessionAck
+
+        assert {
+            cls for cls in MESSAGE_TYPE_LABELS if not cls.ordered
+        } == {HeartbeatMessage, SessionAck}
+
+    def test_the_declared_plane_is_the_ledgers_plane(self):
+        """``benchmarks/ledger/trace.py::plane_of`` (read-only here: the
+        ledger is not edited by the PRs it measures) and the declaration
+        agree on every type in the tree."""
+
+        from benchmarks.ledger.trace import PLANES as LEDGER_PLANES
+        from benchmarks.ledger.trace import plane_of
+        from repro.faults.messages import SessionMessage
+
+        _import_the_tree()
+        assert LEDGER_PLANES == PLANES
+        payloads = [
+            cls.__new__(cls)
+            for cls in MESSAGE_TYPE_LABELS
+            if cls.plane == "protocol" and cls is not SessionMessage
+        ]
+        assert len(payloads) >= 9
+        for cls in MESSAGE_TYPE_LABELS:
+            if cls is SessionMessage:
+                continue  # A frame is its payload's plane: below.
+            assert plane_of(cls.__new__(cls)) == cls.plane, cls
+        for payload in payloads:
+            frame = SessionMessage(
+                lock_id="L", sender=0, seq=0, payload=payload
+            )
+            assert plane_of(frame) == SessionMessage.plane == "protocol"

@@ -86,8 +86,10 @@ class TestPrometheusRendering:
         observer.message(0, 1, "grant")
         view, report = _synthetic()
         text = render_prometheus(view, report, observer=observer)
-        assert 'repro_messages_total{label="request"} 1' in text
-        assert 'repro_messages_total{label="grant"} 1' in text
+        assert (
+            'repro_messages_total{label="request",plane="protocol"} 1' in text
+        )
+        assert 'repro_messages_total{label="grant",plane="protocol"} 1' in text
 
     def test_health_table_mentions_every_node(self):
         view, report = _synthetic()

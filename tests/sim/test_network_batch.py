@@ -5,6 +5,9 @@ The trajectory of a seeded run is the heap (times *and* sequence
 numbers), the drop and send counters, the FIFO floors and the state of
 both RNG streams, so that is what is compared here, against a reference
 that re-reads everything per envelope (``ParentNetwork._send_one``).
+The reference follows the fabric's contract, not its history: since
+issue 24 a datagram type (the script's heartbeats) skips the FIFO floor
+exactly as a fault-plan ``reorder`` does, and sends are counted by plane.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ NODES = 4
 
 
 class ParentNetwork(Network):
-    """``send`` as it was before issue 22: one ``_send_one`` per envelope."""
+    """``send`` as it was before issue 22: one ``_send_one`` per envelope
+    (with issue 24's delivery classes)."""
 
     def send(self, sender, envelopes):
         for envelope in envelopes:
@@ -66,14 +70,16 @@ class ParentNetwork(Network):
                 return
         else:
             decision = None
-        self._messages_sent += 1
+        self._sent_by_plane[envelope.message.plane] += 1
         if self._observer is not None:
             self._observer(sender, dest, envelope.message)
         if self.tracer is not None:
             envelope = self.tracer.outbound(sender, envelope)
         copies = 1 if decision is None else decision.copies
         extra = 0.0 if decision is None else decision.extra_delay
-        reorder = decision is not None and decision.reorder
+        reorder = (
+            decision is not None and decision.reorder
+        ) or not envelope.message.ordered
         key = (sender, dest)
         for _ in range(copies):
             delay = self._latency.sample(self._rng) + extra
@@ -150,6 +156,7 @@ class _World:
         return (
             sorted((time, seq) for time, seq, _fn in self.sim._heap),
             network.messages_sent,
+            network.messages_by_plane,
             network.messages_dropped,
             dict(network._last_arrival),
             self.rng.getstate(),
