@@ -106,8 +106,9 @@ class ReliableChannel:
         self.boot = boot
         self._mutex = mutex if mutex is not None else threading.RLock()
         #: One retransmit timer per peer with unacknowledged frames,
-        #: keyed by the peer.  The channel's own facility, never stopped:
-        #: streams end with :meth:`stop_peer`, not with the node.
+        #: keyed by the peer.  The channel's own facility: running from
+        #: construction (frames sent before the node starts still retry)
+        #: until :meth:`stop`.
         self._timers = Timers(scheduler, self._mutex)
         self._out: Dict[NodeId, _OutStream] = {}
         self._in: Dict[NodeId, _InStream] = {}
@@ -238,6 +239,27 @@ class ReliableChannel:
                     self._timers.cancel(ack.sender)  # Nothing left to retry.
 
     # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> None:
+        """(Re-)enable retransmission for what is sent from now on.  (The
+        timers :meth:`stop` cleared stay cleared: a node comes back as a
+        new incarnation behind a new channel, not behind this one.)"""
+
+        with self._mutex:
+            self._timers.running = True
+
+    def stop(self) -> None:
+        """The node died or shut down: retransmit nothing further.
+
+        A dead node's unacknowledged frames die with it — whoever takes
+        its place opens fresh streams under a higher boot.  Without this
+        the stopped node kept re-sending every one of them, at the
+        backoff cap, for as long as the scheduler ran.
+        """
+
+        with self._mutex:
+            self._timers.running = False
+            self._timers.clear()
 
     def stop_peer(self, peer: NodeId) -> None:
         """Tear down both streams with *peer* (it is presumed dead).

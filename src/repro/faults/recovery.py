@@ -133,8 +133,8 @@ class RecoveryManager:
         #: Guards the whole stack (re-entrant: a layer's public call may
         #: arrive from inside a handler or from the host).
         self.mutex = threading.RLock()
-        #: Every timer of this node but the channel's; running from
-        #: :meth:`start` to :meth:`stop`.
+        #: Every timer of this node but the channel's (which stops with
+        #: it); running from :meth:`start` to :meth:`stop`.
         self.timers = Timers(scheduler, self.mutex, running=False)
         #: Durability journal of this node, attached by the cluster
         #: wiring when persistence is enabled (see repro.persist).
@@ -207,6 +207,7 @@ class RecoveryManager:
             if self.timers.running:
                 return
             self.timers.running = True
+            self.channel.start()
             self._heartbeat_tick()
             self.timers.arm(
                 "failure-tick",
@@ -220,6 +221,7 @@ class RecoveryManager:
         with self.mutex:
             self.timers.running = False
             self.timers.clear()
+            self.channel.stop()
 
     # -- what every layer shares -------------------------------------------
 

@@ -157,6 +157,26 @@ class TestIncarnations:
         assert pair.a.idle()
 
 
+    def test_a_stopped_channel_retransmits_nothing_until_started(self):
+        pair = _Pair(drop_next=100)
+        pair.a.send(1, _payload(0))
+        pair.scheduler.advance(0.11)
+        assert pair.a.retransmits == 1
+        pair.a.stop()
+        pair.scheduler.advance(5.0)
+        assert pair.a.retransmits == 1
+        # Started again, the timers armed before the stop stay cleared
+        # (not paused): a node comes back as a new incarnation with new
+        # streams, and those retry.
+        pair.a.start()
+        pair.scheduler.advance(5.0)
+        assert pair.a.retransmits == 1
+        pair.a.stop_peer(1)
+        pair.a.send(1, _payload(1))
+        pair.scheduler.advance(0.11)
+        assert pair.a.retransmits == 2
+
+
 class TestAcks:
     def test_stale_ack_does_not_trim_new_stream(self):
         pair = _Pair(drop_next=100)

@@ -75,6 +75,31 @@ def test_join_is_proposed_acked_by_a_quorum_installed_and_transferred():
     assert fabric.managers[2].membership.view == sponsor.membership.view
 
 
+# -- the kernel's lifecycle ----------------------------------------------
+
+
+def test_a_crashed_nodes_channel_stops_retransmitting_with_it():
+    """The parent stopped the manager's timers and left the channel's
+    running: a dead node re-sent every unacked frame into the void."""
+
+    scheduler, fabric = build(3, PATIENT)
+    requester = fabric.managers[1]
+    requester.request(LOCK, LockMode.W)
+    scheduler.advance(1.0)  # The frame is never delivered: it retries.
+    retransmits = requester.channel.retransmits
+    assert retransmits >= 2
+    requester.stop()  # What ``ResilientHost.crash`` does to the node.
+    sent = len(fabric.log)
+    scheduler.advance(30.0)
+    assert requester.channel.retransmits == retransmits
+    assert [s for s, _d, _m in fabric.log[sent:] if s == 1] == []
+    requester.start()
+    fabric.deliver()  # The old frame arrives after all; the stream idles.
+    requester.request("M", LockMode.W)
+    scheduler.advance(31.0)
+    assert requester.channel.retransmits > retransmits
+
+
 # -- regeneration ----------------------------------------------------------
 
 
