@@ -49,9 +49,11 @@ DURABLE_GROUP = "token-crash-durable"
 #: make progress.  Gates the renewal piggyback cost and the time from
 #: lease deadline to revocation.  Seeds are chosen so the minority node
 #: actually holds leased modes at cut time — a seed where it holds
-#: nothing exercises nothing.
+#: nothing exercises nothing.  (Picked at the commit that made heartbeats
+#: and acks datagrams, issue 24, which moved every trajectory: 1, 7, 9,
+#: 17, 19, 20 and 22 qualify of seeds 0-23; 2, 3 and 7 before.)
 LEASE_GROUP = "lease-expiry"
-LEASE_SEEDS = (2, 3, 7)
+LEASE_SEEDS = (1, 7, 9)
 
 #: The membership-churn group: the three named churn plans (a rolling
 #: join, a graceful drain with a replacement join, and a crash followed

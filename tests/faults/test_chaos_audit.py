@@ -44,10 +44,13 @@ class TestFaultFreeAudit:
 
 class TestTokenCrashGap:
     def test_blank_rejoin_surfaces_as_named_expected_finding(self):
-        # Seed 1 is pinned empirically: the crashed token home restarts
+        # Seed 18 is pinned empirically: the crashed token home restarts
         # blank mid-run and its forgotten requests stay outstanding.
+        # (Seed 1 until issue 24 made heartbeats and acks datagrams and
+        # moved every trajectory; of seeds 0-23 only 18 meets the gap
+        # in this 20 s run.)
         verdict = run_chaos(
-            plan="token-crash", seed=1, nodes=5, duration=20.0, locks=3
+            plan="token-crash", seed=18, nodes=5, duration=20.0, locks=3
         )
         audit = _audit(verdict)
         # The gap is real: requests the crashed token node forgot stay

@@ -31,6 +31,11 @@ class TestChaosCli:
         assert data["plan"] == "drop1"
         assert data["seed"] == 7
         assert data["invariants"]["rule1_violations"] == 0
+        # Every message sent is booked to the plane its type declared.
+        by_plane = data["faults"]["messages_by_plane"]
+        assert sum(by_plane.values()) == data["faults"]["messages_sent"]
+        assert set(by_plane) == {"protocol", "channel-ack", "heartbeat"}
+        assert by_plane["heartbeat"] > by_plane["protocol"] > 0
 
     def test_unknown_plan_rejected(self):
         with pytest.raises(SystemExit):

@@ -92,9 +92,13 @@ class TestChaosFlightRecording:
             ),
             name="lease-crash",
         )
+        # Seed 37 is pinned empirically: at the crash every token is on
+        # a survivor, so the first lock found below is a live one.  (Seed
+        # 9 until issue 24 moved every trajectory; 37, 40 and 60 qualify
+        # of seeds 0-63.)
         verdict = run_chaos(
             plan=plan,
-            seed=9,
+            seed=37,
             nodes=5,
             duration=6.0,
             grace=6.0,

@@ -32,7 +32,10 @@ FAST_HEARTBEATS = RecoveryConfig(heartbeat_interval=0.1)
 
 class TestMinorityPartition:
     def test_minority_holder_is_expired_and_revoked(self):
-        verdict = run_chaos(plan="minority-partition", seed=2)
+        # Seed 7: the minority node holds a lease at the cut.  (Seed 2
+        # until issue 24 moved every trajectory; 1, 7 and 9 qualify of
+        # seeds 0-15.)
+        verdict = run_chaos(plan="minority-partition", seed=7)
         data = verdict.data
         assert verdict.ok, data
         leases = data["leases"]
@@ -59,7 +62,10 @@ class TestMinorityPartition:
 
 
 class TestDurableReclaim:
-    @pytest.mark.parametrize("seed", [2, 13])
+    # Seeds where the crashed node holds an advertised lease when it
+    # dies.  (2 and 13 until issue 24 moved every trajectory; 10, 22, 24,
+    # 27, 30, 34, 37 and 38 qualify of seeds 0-39.)
+    @pytest.mark.parametrize("seed", [10, 22])
     def test_restarted_session_reowns_advertised_holds(self, seed):
         verdict = run_chaos(
             plan="token-crash",
@@ -82,7 +88,7 @@ class TestDurableReclaim:
     def test_without_reclaim_restored_holds_are_disowned(self):
         verdict = run_chaos(
             plan="token-crash",
-            seed=2,
+            seed=10,  # One of the seeds that reclaims above.
             durable=True,
             reclaim=False,
             config=FAST_HEARTBEATS,

@@ -501,7 +501,9 @@ class TestLeaveConcurrentWithTokenTransfer:
     "schedule explorer of ROADMAP item 1(c)(v)",
 )
 def test_known_gap_same_epoch_split_view():
-    cluster = ResilientSimCluster(3, seed=6)
+    # Seed 7 shows the split.  (Seed 6 until issue 24 moved every
+    # trajectory; 7, 12, 15, 23, 25, 38 and 57 show it of seeds 0-63.)
+    cluster = ResilientSimCluster(3, seed=7)
     cluster.sim.run(until=2.0)
     cluster.join_node()
     cluster.drain_node(1)

@@ -49,12 +49,12 @@ def test_two_nodes_minimum():
 class TestTokenCrashRegeneration:
     """The tentpole acceptance scenario, fully deterministic."""
 
-    def _run(self):
+    def _run(self, seed=0):
         # Token home for every lock is node 0; crash it mid-flight.
-        plan = FaultPlan(crashes=(CrashEvent(node=0, at=2.0),), seed=0)
+        plan = FaultPlan(crashes=(CrashEvent(node=0, at=2.0),), seed=seed)
         monitor = CompatibilityMonitor()
         cluster = ResilientSimCluster(
-            4, plan=plan, seed=0, monitor=monitor, config=FAST_SIM
+            4, plan=plan, seed=seed, monitor=monitor, config=FAST_SIM
         )
         sim = cluster.sim
         grants = []
@@ -98,7 +98,11 @@ class TestTokenCrashRegeneration:
         ]
 
     def test_token_regenerated_under_new_epoch(self):
-        cluster, _ = self._run()
+        # Seed 5: the token is still at node 0 when it dies.  (Seed 0
+        # until issue 24: with acks and heartbeats off the FIFO floor
+        # the first grant moves the token to node 1 before the crash at
+        # every other seed of 0-23, and nothing needs regenerating.)
+        cluster, _ = self._run(seed=5)
         stats = cluster.recovery_stats()
         assert 0 in stats["suspected_nodes"]
         regenerations = stats["regenerations"]
