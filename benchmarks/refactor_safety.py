@@ -344,26 +344,25 @@ def moved(here: str, other: str) -> int:
             return 2
         a, b, names, differing = emitted
         verdicts = [
-            name + ".json" for name, argv in verdict_runs()
+            name for name, argv in verdict_runs()
             if "--flight-dir" not in argv
         ]
         rows = [["verdict"] + [header for header, _keys in MOVED_COLUMNS]]
+        ok = [0, 0]
         for name in verdicts:
             old, new = (
-                _verdict_cells(os.path.join(root, name)) for root in (a, b)
+                _verdict_cells(os.path.join(root, name + ".json"))
+                for root in (a, b)
             )
-            rows.append([name[: -len(".json")]] + [
+            ok[0] += old[0] == "True"
+            ok[1] += new[0] == "True"
+            rows.append([name] + [
                 before if before == after else f"{before} → {after}"
                 for before, after in zip(old, new)
             ])
         widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
         for row in rows:
             print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        ok = [
-            sum(_verdict_cells(os.path.join(root, name))[0] == "True"
-                for name in verdicts)
-            for root in (a, b)
-        ]
         print(f"ok verdicts: {ok[0]} → {ok[1]} of {len(verdicts)}")
         same = [name for name in names if name not in differing]
         print(f"{len(same)} of {len(names)} outputs byte-identical:")

@@ -141,15 +141,9 @@ class TestMessageTypeLabels:
         fault rule matches it by.  (The tracer used to keep its own,
         string-keyed, and never learnt the membership messages.)"""
 
-        import importlib
-        import pkgutil
-
-        import repro
-        from repro.core.messages import MESSAGE_TYPE_LABELS, Message
         from repro.faults.plan import fault_label
 
-        for module in pkgutil.walk_packages(repro.__path__, "repro."):
-            importlib.import_module(module.name)
+        _import_the_tree()
 
         def leaves(cls):
             subclasses = cls.__subclasses__()
