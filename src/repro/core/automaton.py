@@ -504,6 +504,24 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         return self._custody_pending or self._lease_fenced or self._departing
 
+    def grantable_locally(self, mode: LockMode) -> bool:
+        """Rule 2: whether a request for *mode* is granted here at once,
+        without messages (what :meth:`request` and try-locks decide on)."""
+
+        owned = self.owned_mode()
+        if self._has_token:
+            return (
+                token_can_grant(owned, mode)
+                and mode not in self._frozen
+                and not self._grants_blocked()
+            )
+        return (
+            self._options.local_reentry
+            and child_can_grant(owned, mode)
+            and mode not in self._frozen
+            and not self._lease_fenced
+        )
+
     @recorded(mode=MODE, priority=INT)
     def request(
         self, mode: LockMode, ctx: object = None, priority: int = 0
@@ -519,7 +537,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         *priority* only matters under ``ProtocolOptions.priority_scheduling``.
         """
 
-        self._flight_op("request", mode=mode, priority=priority)
         if mode is LockMode.NONE:
             raise LockUsageError("cannot request the empty mode")
         if self._departing:
@@ -532,28 +549,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 f"node {self._node_id} already has a pending request "
                 f"for {self._lock_id}"
             )
-        owned = self.owned_mode()
-        if self._has_token:
-            if (
-                token_can_grant(owned, mode)
-                and mode not in self._frozen
-                and not self._grants_blocked()
-            ):
-                self._acquire_locally(mode, ctx)
-                return []
-            request = self._make_own_request(mode, ctx, priority)
-            self._enqueue(request)
-            return self._refresh_frozen()
-        if (
-            self._options.local_reentry
-            and child_can_grant(owned, mode)
-            and mode not in self._frozen
-            and not self._lease_fenced
-        ):
+        if self.grantable_locally(mode):
             # Rule 2, local path: no messages at all.
             self._acquire_locally(mode, ctx)
             return []
         request = self._make_own_request(mode, ctx, priority)
+        if self._has_token:
+            self._enqueue(request)
+            return self._refresh_frozen()
         return [self._forward(request)]
 
     @recorded(mode=MODE)
@@ -565,7 +568,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         weakened (Rule 5.2).
         """
 
-        self._flight_op("release", mode=mode)
         if self._held.get(mode, 0) <= 0:
             raise LockUsageError(
                 f"node {self._node_id} does not hold {mode} on {self._lock_id}"
@@ -595,7 +597,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         exactly how upgrade locks prevent the read-then-write deadlock.
         """
 
-        self._flight_op("upgrade")
         if self._held.get(LockMode.U, 0) <= 0:
             raise LockUsageError(
                 f"node {self._node_id} holds no U lock on {self._lock_id}"
@@ -607,37 +608,15 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if self._pending is not None:
             raise LockUsageError("a request is already pending on this lock")
         if self._upgrade_possible_now() and not self._grants_blocked():
-            self._held[LockMode.U] -= 1
-            if self.obs is not None:
-                self.obs.phase(
-                    self._node_id, self._lock_id, None, RELEASED, LockMode.U
-                )
-            self._acquire_locally(LockMode.W, ctx)
+            self._swap_u_for_w(ctx)
             return []
-        timestamp = self._clock.tick()
-        request = RequestMessage(
-            lock_id=self._lock_id,
-            sender=self._node_id,
-            origin=self._node_id,
-            mode=LockMode.W,
-            request_id=RequestId(
-                timestamp=timestamp,
-                origin=self._node_id,
-                serial=self._mint_serial(),
-            ),
-            upgrade=True,
-        )
-        self._pending = request
-        self._ctx = ctx
+        request = self._make_own_request(LockMode.W, ctx, upgrade=True)
         # Upgrades take precedence over queued requests (§3.4): every
         # queued conflicting request is blocked on this node's U anyway.
         self._queue.insert(0, request)
         if self.obs is not None:
             key = request.request_id
-            self.obs.phase(self._node_id, self._lock_id, key, ISSUED, LockMode.W)
-            self.obs.phase(
-                self._node_id, self._lock_id, key, ENQUEUED, LockMode.W
-            )
+            self.obs.phase(self._node_id, self._lock_id, key, ENQUEUED, LockMode.W)
             self._obs_queue()
         self._persist("upgrade-queued")
         return self._refresh_frozen()
@@ -655,7 +634,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         with a concurrent IW holder) raise :class:`LockUsageError`.
         """
 
-        self._flight_op("downgrade", held=held, to=to)
         if self._held.get(held, 0) <= 0:
             raise LockUsageError(
                 f"node {self._node_id} does not hold {held} on {self._lock_id}"
@@ -970,21 +948,37 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def _grant_from_token(self, msg: RequestMessage) -> List[Envelope]:
         """Serve a request at the token node (Rule 3.2)."""
 
-        owned = self.owned_mode()
         if msg.origin == self._node_id:
             # The token node's own queued request becomes servable.
-            pending, ctx = self._pending, self._ctx
-            if pending is None or pending.request_id != msg.request_id:
-                if self._options.recovery:
-                    return []  # A duplicate of an already-served request.
-                raise ProtocolError("token node lost track of its own request")
-            self._pending = None
-            self._ctx = None
-            self._acquire_locally(msg.mode, ctx, key=msg.request_id)
+            self._serve_own(msg)
             return []
-        if token_transfer_required(owned, msg.mode):
+        if token_transfer_required(self.owned_mode(), msg.mode):
             return self._transfer_token(msg)
         return [self._grant_copy(msg)]
+
+    def _serve_own(self, entry: RequestMessage) -> None:
+        """Grant this token node its own request *entry*: the atomic U→W
+        swap for an upgrade, a local grant otherwise."""
+
+        pending, ctx = self._pending, self._ctx
+        if pending is None or pending.request_id != entry.request_id:
+            if self._options.recovery:
+                return  # A stale duplicate of an already-served request.
+            raise ProtocolError("token node lost track of its own request")
+        self._pending = None
+        self._ctx = None
+        if entry.upgrade:
+            self._swap_u_for_w(ctx, key=entry.request_id)
+        else:
+            self._acquire_locally(entry.mode, ctx, key=entry.request_id)
+
+    def _swap_u_for_w(self, ctx: object, key: object = None) -> None:
+        """Rule 7's atomic conversion: the ``U`` hold becomes ``W``."""
+
+        self._held[LockMode.U] -= 1
+        if self.obs is not None:
+            self.obs.phase(self._node_id, self._lock_id, None, RELEASED, LockMode.U)
+        self._acquire_locally(LockMode.W, ctx, key=key)
 
     def _grant_copy(self, msg: RequestMessage) -> Envelope:
         """Grant a copy: the requester becomes a child (Rule 3, case 1)."""
@@ -1000,18 +994,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
             while len(self._recent_grants) > RECENT_GRANT_MEMORY:
                 self._recent_grants.popitem(last=False)
         self._persist("copyset-change")
-        return Envelope(
-            msg.origin,
-            GrantMessage(
-                lock_id=self._lock_id,
-                sender=self._node_id,
-                mode=msg.mode,
-                request_id=msg.request_id,
-                frozen=self._frozen,
-                attachment_seq=attachment_seq,
-                trace=msg.trace,
-            ),
-        )
+        return self._grant_envelope(msg, msg.mode, attachment_seq)
 
     def _replay_grant(self, msg: RequestMessage) -> Envelope:
         """Re-answer a duplicated request with its original grant.
@@ -1023,7 +1006,13 @@ class HierarchicalLockAutomaton(LockAutomaton):
         (recovery-mode) receiver if the original already arrived.
         """
 
-        mode, attachment_seq = self._recent_grants[msg.request_id]
+        return self._grant_envelope(msg, *self._recent_grants[msg.request_id])
+
+    def _grant_envelope(
+        self, msg: RequestMessage, mode: LockMode, attachment_seq: int
+    ) -> Envelope:
+        """The grant of *mode* answering *msg* under *attachment_seq*."""
+
         return Envelope(
             msg.origin,
             GrantMessage(
@@ -1142,37 +1131,13 @@ class HierarchicalLockAutomaton(LockAutomaton):
             if head.upgrade:
                 if not self._upgrade_possible_now():
                     break
-                self._queue.pop(0)
-                pending, ctx = self._pending, self._ctx
-                if pending is None or pending.request_id != head.request_id:
-                    if self._options.recovery:
-                        continue  # Stale duplicate in the queue.
-                    raise ProtocolError("upgrade request lost its context")
-                self._pending = None
-                self._ctx = None
-                self._held[LockMode.U] -= 1
-                if self.obs is not None:
-                    self.obs.phase(
-                        self._node_id,
-                        self._lock_id,
-                        None,
-                        RELEASED,
-                        LockMode.U,
-                    )
-                self._acquire_locally(LockMode.W, ctx, key=head.request_id)
-                continue
-            if not token_can_grant(owned, head.mode):
+            elif not token_can_grant(owned, head.mode):
                 break
             self._queue.pop(0)
-            if head.origin == self._node_id:
-                pending, ctx = self._pending, self._ctx
-                if pending is None or pending.request_id != head.request_id:
-                    if self._options.recovery:
-                        continue  # Stale duplicate in the queue.
-                    raise ProtocolError("token node lost track of its request")
-                self._pending = None
-                self._ctx = None
-                self._acquire_locally(head.mode, ctx, key=head.request_id)
+            # An upgrade entry can be foreign (``reattach`` forwards one);
+            # it then matches no pending request and is dropped as stale.
+            if head.upgrade or head.origin == self._node_id:
+                self._serve_own(head)
                 continue
             if token_transfer_required(owned, head.mode):
                 out.extend(self._transfer_token(head))
@@ -1291,9 +1256,10 @@ class HierarchicalLockAutomaton(LockAutomaton):
     # ------------------------------------------------------------------
 
     def _make_own_request(
-        self, mode: LockMode, ctx: object, priority: int = 0
+        self, mode: LockMode, ctx: object, priority: int = 0, upgrade: bool = False
     ) -> RequestMessage:
-        """Create and register this node's own request for *mode*."""
+        """Create and register this node's own request for *mode* (an
+        ``upgrade`` request is Rule 7's ``U``→``W`` conversion)."""
 
         timestamp = self._clock.tick()
         request = RequestMessage(
@@ -1306,6 +1272,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 origin=self._node_id,
                 serial=self._mint_serial(),
             ),
+            upgrade=upgrade,
             priority=priority,
         )
         self._pending = request
@@ -1326,6 +1293,44 @@ class HierarchicalLockAutomaton(LockAutomaton):
         return Envelope(
             self._parent, dataclasses.replace(msg, sender=self._node_id)
         )
+
+    def _forward_queue(
+        self, skip: Optional[Callable[[RequestMessage], bool]] = None
+    ) -> List[Envelope]:
+        """Re-forward the local queue to the parent; the entries *skip*
+        selects stay queued."""
+
+        queued, self._queue = self._queue, []
+        if queued:
+            self._obs_queue()
+        out: List[Envelope] = []
+        for msg in queued:
+            if skip is not None and skip(msg):
+                self._queue.append(msg)
+            else:
+                out.append(self._forward(msg))
+        return out
+
+    def _reparent(self, new_parent: NodeId) -> None:
+        """Attach under *new_parent* with a fresh attachment epoch.
+
+        A node cannot be both our parent and our child, so a copyset
+        entry for the new parent is dropped: such an entry is a relic of
+        a grant made before that node became the root (token
+        regeneration adopts the old tree wholesale), and keeping it pins
+        a mode nobody below us holds — the root then waits forever for a
+        release that can never come (a parent↔child cycle).  The new
+        parent's own accounting dominates; evict before ``owned_mode``
+        is recomputed so the mode we announce upward excludes the ghost.
+        """
+
+        self._parent = new_parent
+        self._attach_seq = self._mint_serial()
+        evicted = self._children.pop(new_parent, None)
+        self._child_seqs.pop(new_parent, None)
+        self._provisional_children.discard(new_parent)
+        if evicted is not None:
+            self._obs_copyset()
 
     # ------------------------------------------------------------------
     # Recovery hooks (driven by repro.faults.recovery.RecoveryManager;
@@ -1349,7 +1354,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("evict_child", node=node)
         return self._drop_child(node, "child-evicted")
 
     def _drop_child(self, node: NodeId, kind: str) -> List[Envelope]:
@@ -1366,24 +1370,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
-
-    def _evict_new_parent(self, new_parent: NodeId) -> None:
-        """Drop a copyset entry for the node we just adopted as parent.
-
-        A node cannot be both our parent and our child: such an entry is
-        a relic of a grant made before that node became the root (token
-        regeneration adopts the old tree wholesale), and keeping it pins
-        a mode nobody below us holds — the root then waits forever for a
-        release that can never come (a parent↔child cycle).  The new
-        parent's own accounting dominates; evict before ``owned_mode``
-        is recomputed so the mode we announce upward excludes the ghost.
-        """
-
-        evicted = self._children.pop(new_parent, None)
-        self._child_seqs.pop(new_parent, None)
-        self._provisional_children.discard(new_parent)
-        if evicted is not None:
-            self._obs_copyset()
 
     @recorded(new_parent=INT, detach=BOOL)
     def reattach(self, new_parent: NodeId, detach: bool = False) -> List[Envelope]:
@@ -1407,13 +1393,10 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("reattach", new_parent=new_parent, detach=detach)
         if self._has_token or new_parent == self._node_id:
             return []
         old_parent, old_seq = self._parent, self._attach_seq
-        self._parent = new_parent
-        self._attach_seq = self._mint_serial()
-        self._evict_new_parent(new_parent)
+        self._reparent(new_parent)
         out: List[Envelope] = []
         owned = self.owned_mode()
         if old_parent is not None and old_parent != new_parent:
@@ -1422,11 +1405,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
             out.append(self._release_to(new_parent, owned))
         if self._pending is not None:
             out.append(self._forward(self._pending))
-        queued, self._queue = self._queue, []
-        if queued:
-            self._obs_queue()
-        for msg in queued:
-            out.append(self._forward(msg))
+        out.extend(self._forward_queue())
         self._persist("reattached")
         return out
 
@@ -1442,7 +1421,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("regenerate_token", epoch=epoch)
         return self._regenerate(epoch)
 
     @recorded(epoch=INT)
@@ -1460,7 +1438,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("accept_handoff", epoch=epoch)
         if self._has_token:
             return []
         # Fence before the regeneration body runs its queue check.
@@ -1519,7 +1496,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("fence_holds")
         if self._lease_fenced:
             return [], []
         self._lease_fenced = True
@@ -1567,7 +1543,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("retransmit_pending")
         if self._pending is None or self._has_token or self._parent is None:
             return []
         if self.obs is not None:
@@ -1594,7 +1569,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("observe_epoch", epoch=epoch, token_holder=token_holder)
         if epoch <= self._token_epoch:
             return []
         demote = (
@@ -1607,23 +1581,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._persist("epoch-raised")
             return []
         self._has_token = False
-        self._parent = token_holder
-        self._attach_seq = self._mint_serial()
-        self._evict_new_parent(token_holder)
+        self._reparent(token_holder)
         out: List[Envelope] = []
         owned = self.owned_mode()
         if owned is not LockMode.NONE:
             out.append(self._release_to(token_holder, owned))
-        queued, self._queue = self._queue, []
-        if queued:
-            self._obs_queue()
-        for msg in queued:
-            if msg.upgrade:
-                # Upgrades never leave their origin; a demoted U holder
-                # is already a broken state the epoch floor is repairing.
-                self._queue.append(msg)
-                continue
-            out.append(self._forward(msg))
+        # Upgrades never leave their origin; a demoted U holder is
+        # already a broken state the epoch floor is repairing.
+        out.extend(self._forward_queue(lambda msg: msg.upgrade))
         self._persist("token-demoted")
         return out
 
@@ -1694,7 +1659,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("begin_custody_fence")
         if not self._has_token:
             raise ProtocolError(
                 "custody fencing applies only to a restored token holder"
@@ -1707,7 +1671,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """Custody settled in our favour: resume granting."""
 
         self._require_recovery()
-        self._flight_op("confirm_custody")
         if not self._custody_pending:
             return []
         self._custody_pending = False
@@ -1729,7 +1692,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("fence_custody", epoch=epoch, holder=holder)
         if not self._custody_pending:
             return []
         self._custody_pending = False
@@ -1746,13 +1708,12 @@ class HierarchicalLockAutomaton(LockAutomaton):
         owned = self.owned_mode()
         if owned is not LockMode.NONE:
             out.append(self._release_to(holder, owned))
-        queued, self._queue = self._queue, []
-        if queued:
-            self._obs_queue()
-        for msg in queued:
-            if msg.upgrade or msg.origin == self._node_id:
-                continue
-            out.append(self._forward(msg))
+        out.extend(
+            self._forward_queue(
+                lambda msg: msg.upgrade or msg.origin == self._node_id
+            )
+        )
+        self._queue = []  # What was not forwarded is disowned.
         self._persist("custody-fenced")
         return out
 
@@ -1768,7 +1729,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("abandon_pending")
         had_pending = self._pending is not None
         self._pending = None
         self._ctx = None
@@ -1780,11 +1740,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if dropped:
             self._obs_queue()
         out: List[Envelope] = []
-        if not self._has_token and self._parent is not None and self._queue:
-            queued, self._queue = self._queue, []
-            self._obs_queue()
-            for msg in queued:
-                out.append(self._forward(msg))
+        if not self._has_token and self._parent is not None:
+            out = self._forward_queue()
         self._persist("pending-abandoned")
         return out
 
@@ -1799,7 +1756,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("reassert_owned")
         if self._has_token or self._parent is None:
             return []
         return [self._release_to(self._parent, self.owned_mode())]
@@ -1816,7 +1772,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("expire_provisional_children")
         return self._expire_provisional()
 
     @recorded()
@@ -1831,7 +1786,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("begin_departure")
         self._departing = True
         return []
 
@@ -1853,7 +1807,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        self._flight_op("adopt_child", node=node, mode=mode, seq=seq)
         if (
             node == self._node_id
             or node == self._parent
@@ -1861,15 +1814,22 @@ class HierarchicalLockAutomaton(LockAutomaton):
         ):
             return []
         owned_before = self.owned_mode()
-        recorded = self._children.get(node, LockMode.NONE)
-        self._children[node] = max_mode((recorded, mode))
-        if seq > self._child_seqs.get(node, 0):
-            self._child_seqs[node] = seq
-        self._obs_copyset()
-        self._persist("child-adopted")
+        self._merge_child(node, mode, seq, "child-adopted")
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
+
+    def _merge_child(
+        self, node: NodeId, mode: LockMode, seq: int, kind: str
+    ) -> None:
+        """Record *node* at *mode* or stronger, under epoch *seq* or newer."""
+
+        known = self._children.get(node, LockMode.NONE)
+        self._children[node] = max_mode((known, mode))
+        if seq > self._child_seqs.get(node, 0):
+            self._child_seqs[node] = seq
+        self._obs_copyset()
+        self._persist(kind)
 
     # ------------------------------------------------------------------
     # God-view membership splices (see repro.sim.cluster).
@@ -1887,40 +1847,29 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def splice_adopt_child(self, node: NodeId, mode: LockMode, seq: int) -> None:
         """Record a migrated child directly (strengthen-only merge)."""
 
-        self._flight_op("splice_adopt_child", node=node, mode=mode, seq=seq)
         if node == self._node_id or mode is LockMode.NONE:
             return
-        recorded = self._children.get(node, LockMode.NONE)
-        self._children[node] = max_mode((recorded, mode))
-        if seq > self._child_seqs.get(node, 0):
-            self._child_seqs[node] = seq
-        self._obs_copyset()
-        self._persist("splice")
+        self._merge_child(node, mode, seq, "splice")
 
     @recorded(node=INT)
     def splice_drop_child(self, node: NodeId) -> List[Envelope]:
         """Forget a departed child; may owe a weakened release upward."""
 
-        self._flight_op("splice_drop_child", node=node)
         return self._drop_child(node, "splice")
 
     @recorded(new_parent=INT)
     def splice_parent(self, new_parent: NodeId) -> None:
         """Re-point the parent edge after the old parent was spliced out."""
 
-        self._flight_op("splice_parent", new_parent=new_parent)
         if self._has_token or new_parent == self._node_id:
             return
-        self._parent = new_parent
-        self._attach_seq = self._mint_serial()
-        self._evict_new_parent(new_parent)
+        self._reparent(new_parent)
         self._persist("splice")
 
     @recorded(frozen=optional(MODES))
     def splice_token(self, frozen: Optional[FrozenSet[LockMode]] = None) -> None:
         """Become the token root, inheriting the leaver's frozen set."""
 
-        self._flight_op("splice_token", frozen=frozen)
         self._has_token = True
         self._parent = None
         self._attach_seq = self._mint_serial()
@@ -1938,7 +1887,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         claims no token, no children and no queue.
         """
 
-        self._flight_op("splice_retire", forwarder=forwarder)
         self._has_token = False
         self._children.clear()
         self._child_seqs.clear()

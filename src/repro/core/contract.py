@@ -25,6 +25,8 @@ what a new protocol must supply.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from typing import (
     Any,
     Callable,
@@ -311,20 +313,56 @@ def automaton_class(protocol: str) -> Type["LockAutomaton"]:
         raise ValueError(f"unknown protocol {protocol!r}") from None
 
 
-def recorded(**decoders: Codec) -> Callable:
-    """Mark a method as a recorded operation with these keyword arguments.
+def recorded(**codecs: Codec) -> Callable:
+    """Make a method a recorded operation with these keyword arguments.
 
-    The method reports itself with ``self._flight_op(name, **args)``;
-    replay calls ``getattr(automaton, name)(**decoded_args)``.  Argument
-    names are the method's own parameter names (the grant context, which
-    does not survive a recording, is never one of them).
+    While a flight recorder is attached, every call records the method's
+    name and the table's arguments, encoded in table order, before the
+    body runs; replay calls ``getattr(automaton, name)(**decoded_args)``.
+    An argument is bound from its position, its keyword or its default.
+    Argument names are the method's own parameter names (the grant
+    context, which does not survive a recording, is never one of them):
+    a name that is not one raises :class:`TypeError` as the class body
+    is executed, so a recording the replayer could not re-apply cannot
+    be written.
     """
 
-    def mark(method: Callable) -> Callable:
-        method.recorded_args = decoders
-        return method
+    def wrap(method: Callable) -> Callable:
+        parameters = list(inspect.signature(method).parameters.values())[1:]
+        slots = {
+            p.name: (index, p.default)
+            for index, p in enumerate(parameters)
+            if p.kind is p.POSITIONAL_OR_KEYWORD
+        }
+        unknown = sorted(set(codecs) - set(slots))
+        if unknown:
+            raise TypeError(
+                f"{method.__qualname__}: recorded arguments {unknown} "
+                "are not parameters of the method"
+            )
+        plan = tuple((key, *slots[key], codec) for key, codec in codecs.items())
+        op = method.__name__
 
-    return mark
+        @functools.wraps(method)
+        def operation(self, *args, **kwargs):
+            if self.flightrec is not None:
+                encoded = {}
+                for key, index, default, codec in plan:
+                    if index < len(args):
+                        value = args[index]
+                    else:
+                        value = kwargs.get(key, default)
+                        if value is inspect.Parameter.empty:
+                            break  # the call itself raises TypeError
+                    encoded[key] = codec.encode(value)
+                else:
+                    self.flightrec.record_op(self._lock_id, op, encoded)
+            return method(self, *args, **kwargs)
+
+        operation.recorded_args = codecs
+        return operation
+
+    return wrap
 
 
 def handles(message_type: type) -> Callable:
@@ -441,25 +479,6 @@ class LockAutomaton:
             return self.flightrec.mint_serial()
         return fresh_attachment_seq()
 
-    def _flight_op(self, op: str, **args: object) -> None:
-        """Record that operation *op* was called with *args*.
-
-        Only operations in the class's ``OPS`` table can be recorded: an
-        input the replayer could not re-apply is refused at record time
-        instead of surfacing as an unreplayable dump.
-        """
-
-        if self.flightrec is not None:
-            codecs = self.OPS.get(op)
-            if codecs is None or codecs.keys() != args.keys():
-                raise ProtocolError(
-                    f"{type(self).__name__}.{op}({', '.join(args)}) is not "
-                    "in the recorded-operation table"
-                )
-            for name in args:  # in place: a closure here would tax every call
-                args[name] = codecs[name].encode(args[name])
-            self.flightrec.record_op(self._lock_id, op, args)
-
     def _require_recovery(self) -> None:
         """Guard of the fault-tolerance hooks (always on by default)."""
 
@@ -481,7 +500,6 @@ class LockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("raise_fence_floor", token=token)
         if token > self._fence_floor:
             self._fence_floor = int(token)
             self._persist("fence-raised")
@@ -574,7 +592,6 @@ class LockAutomaton:
         """
 
         self._require_recovery()
-        self._flight_op("adopt_persisted", state=state)
         self.restore_flight_state(state)
         self._rejoin_policy()
 

@@ -161,7 +161,6 @@ class NaimiAutomaton(LockAutomaton):
     def request(self, ctx: object = None) -> List[Envelope]:
         """Request the critical section; grant arrives via the listener."""
 
-        self._flight_op("request")
         if self._requesting or self._in_cs:
             raise LockUsageError(
                 f"node {self._node_id} already requested {self._lock_id}"
@@ -197,7 +196,6 @@ class NaimiAutomaton(LockAutomaton):
     def release(self) -> List[Envelope]:
         """Leave the critical section; pass the token to any successor."""
 
-        self._flight_op("release")
         if not self._in_cs:
             raise LockUsageError(
                 f"node {self._node_id} is not in the CS of {self._lock_id}"
@@ -313,7 +311,6 @@ class NaimiAutomaton(LockAutomaton):
         on the path toward the token.
         """
 
-        self._flight_op("splice_last", new_last=new_last)
         if new_last == self._node_id:
             raise ProtocolError("a node cannot be its own probable owner")
         self._last = new_last
@@ -323,7 +320,6 @@ class NaimiAutomaton(LockAutomaton):
     def splice_take_token(self) -> None:
         """Become the token root (transplant from a spliced-out holder)."""
 
-        self._flight_op("splice_take_token")
         self._has_token = True
         self._last = None
         self._persist("splice")
@@ -332,7 +328,6 @@ class NaimiAutomaton(LockAutomaton):
     def splice_retire(self, successor: NodeId) -> None:
         """Terminal state of a spliced-out node: idle, pointing away."""
 
-        self._flight_op("splice_retire", successor=successor)
         self._has_token = False
         self._next = None
         if successor != self._node_id:

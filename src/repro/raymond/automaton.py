@@ -173,7 +173,6 @@ class RaymondAutomaton(LockAutomaton):
     def request(self, ctx: object = None) -> List[Envelope]:
         """Request the critical section; grant arrives via the listener."""
 
-        self._flight_op("request")
         if self._using or any(entry == SELF for entry, _ in self._request_q):
             raise LockUsageError(
                 f"node {self._node_id} already requested {self._lock_id}"
@@ -193,7 +192,6 @@ class RaymondAutomaton(LockAutomaton):
     def release(self) -> List[Envelope]:
         """Leave the critical section; pass the privilege onward if asked."""
 
-        self._flight_op("release")
         if not self._using:
             raise LockUsageError(
                 f"node {self._node_id} is not in the CS of {self._lock_id}"
@@ -295,7 +293,6 @@ class RaymondAutomaton(LockAutomaton):
         clear.
         """
 
-        self._flight_op("splice_holder", holder=holder)
         if holder == self._node_id:
             raise ProtocolError("a node cannot hold the privilege toward itself")
         self._holder = holder

@@ -20,7 +20,7 @@ from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
-from ..errors import ConfigurationError, LockUsageError
+from ..errors import ConfigurationError
 from ..sim.cluster import _NodeClient
 from ..sim.rng import Distribution
 from ..verification.invariants import Monitor
@@ -70,9 +70,12 @@ class BlockingLockClient(_NodeClient):
     def attempt(self, lock_id: LockId, mode: LockMode) -> bool:
         """CORBA-style try-lock: succeed only if grantable locally, now.
 
-        Never sends a message: returns ``True`` and takes the lock iff the
-        node's owned mode already covers *mode* (Rule 2's local path);
-        otherwise returns ``False`` leaving no pending state behind.
+        Never sends a message: returns ``True`` and takes the lock iff
+        ``request`` would grant *mode* on Rule 2's local path
+        (:meth:`~repro.core.automaton.HierarchicalLockAutomaton.grantable_locally`:
+        owned mode, frozen set, fencing and the ``local_reentry`` switch
+        all decide); otherwise returns ``False`` leaving no pending state
+        behind.
         """
 
         return self._cluster._attempt_local(self._node_id, lock_id, mode)
@@ -248,22 +251,12 @@ class ThreadedHierarchicalCluster:
     def _attempt_local(
         self, node_id: NodeId, lock_id: LockId, mode: LockMode
     ) -> bool:
-        from ..core.modes import child_can_grant, token_can_grant
-
         with self._locks[node_id]:
             automaton = self.lockspaces[node_id].automaton(lock_id)
-            owned = automaton.owned_mode()
-            if automaton.has_token:
-                grantable = token_can_grant(owned, mode)
-            else:
-                grantable = child_can_grant(owned, mode)
-            if not grantable or mode in automaton.frozen_modes:
+            if not automaton.grantable_locally(mode):
                 return False
-            waiter = _Waiter()
-            out = automaton.request(mode, waiter)
-        self.transport.send(node_id, out)
-        if not waiter.event.wait(timeout=0.0):
-            raise LockUsageError("local attempt unexpectedly went remote")
+            # Rule 2's local path: granted synchronously, nothing to send.
+            automaton.request(mode, _Waiter())
         return True
 
     def _submit_release(

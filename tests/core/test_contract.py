@@ -101,14 +101,12 @@ class ToyAutomaton(LockAutomaton):
 
     @recorded()
     def request(self, ctx=None):
-        self._flight_op("request")
         self._asking, self._ctx = True, ctx
         self._persist("request")
         return [Envelope(self._server, Ask(self._lock_id, self._node_id))]
 
     @recorded()
     def release(self):
-        self._flight_op("release")
         self._holding = False
         self._persist("release")
         return [Envelope(self._server, Done(self._lock_id, self._node_id))]

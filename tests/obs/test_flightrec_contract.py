@@ -1,30 +1,29 @@
 """What the recorder records, the replayer can replay — by construction.
 
 Each automaton class carries one table of recorded operations
-(``OPS``, built from the ``@recorded`` decorators): ``_flight_op``
-refuses names outside it and replay decodes through it.  At the parent
-of this change nine ``splice_*`` operations were recorded without a
-decoder, so a dump of any plain cluster that called ``remove_node`` could
-not be replayed; these tests pin the scenario and the table itself.
+(``OPS``, built from the ``@recorded`` decorators): the decorator
+records every call through it, and replay decodes through it.  Once
+nine ``splice_*`` operations were recorded without a decoder, so a dump
+of any plain cluster that called ``remove_node`` could not be replayed;
+these tests pin that scenario, and what a call records however it is
+spelled.
 """
 
 from __future__ import annotations
 
 import inspect
+import json
 import os
-import re
 
 import pytest
 
 from repro.__main__ import main
 from repro.core.automaton import HierarchicalLockAutomaton
 from repro.core.clock import LamportClock
-from repro.core.contract import LockAutomaton
+from repro.core.contract import INT, LockAutomaton, recorded
 from repro.core.modes import LockMode
-from repro.errors import ProtocolError
 from repro.naimi.automaton import NaimiAutomaton
 from repro.obs.flightrec import (
-    FlightRecorder,
     NodeReplayer,
     attach_recorders,
     load_dump,
@@ -99,50 +98,109 @@ class TestSplicedRunsReplay:
         assert findings == {0: [], 1: [], 2: [], joiner: []}
 
 
-@pytest.mark.parametrize("cluster_cls", CLUSTERS)
-def test_every_recorded_name_is_in_the_table(cluster_cls, monkeypatch):
-    seen = set()
-    original = LockAutomaton._flight_op
+def test_a_recorded_argument_must_be_a_parameter():
+    # Refused as the class body runs: no instance, let alone a dump,
+    # can ever carry an argument the replayer could not pass back.
+    with pytest.raises(TypeError, match="poke.*'ghost'"):
 
-    def spy(self, op, **args):
-        seen.add((type(self), op))
-        return original(self, op, **args)
-
-    monkeypatch.setattr(LockAutomaton, "_flight_op", spy)
-    cluster = cluster_cls(4, seed=22)
-    attach_recorders(cluster, checkpoint_every=4)
-    _rounds(cluster, range(4))
-    cluster.remove_node(2)
-    assert {op for _cls, op in seen} >= {"request", "release"}
-    for automaton_cls, op in seen:
-        assert op in automaton_cls.OPS
+        class Broken(LockAutomaton):
+            @recorded(node=INT, ghost=INT)
+            def poke(self, node):
+                return []
 
 
-@pytest.mark.parametrize("automaton_cls", AUTOMATA)
-def test_table_matches_the_source(automaton_cls):
-    """Statically: every ``_flight_op("name", ...)`` call site in the
-    class (and the shared base) names a table entry, and vice versa."""
-
-    source = inspect.getsource(automaton_cls) + inspect.getsource(LockAutomaton)
-    called = set(re.findall(r'_flight_op\(\s*"(\w+)"', source))
-    assert called == set(automaton_cls.OPS)
-    for op, codecs in automaton_cls.OPS.items():
-        parameters = inspect.signature(getattr(automaton_cls, op)).parameters
-        assert set(codecs) <= set(parameters), op
+class _Recorded(Exception):
+    """Raised by :class:`_Spy` so that no operation body ever runs."""
 
 
-@pytest.mark.parametrize("automaton_cls", AUTOMATA)
-def test_unregistered_name_is_refused_at_record_time(automaton_cls):
+class _Spy:
+    def __init__(self):
+        self.ops = []
+
+    def record_op(self, lock_id, op, args):
+        self.ops.append((op, args))
+        raise _Recorded
+
+
+#: JSON values tried, in order, as each recorded argument's sample: the
+#: first that survives its codec's round trip is used.
+_SAMPLES = (3, "R", True, ["R"])
+
+
+def _sample(codec):
+    for raw in _SAMPLES:
+        try:
+            value = codec.decode(raw)
+        except (TypeError, ValueError):
+            continue
+        if codec.encode(value) == raw:
+            return value, raw
+    raise AssertionError(f"no sample value for {codec}")
+
+
+def _recorded_args(automaton_cls, op, *args, **kwargs):
     automaton = automaton_cls.from_birth(
         0, "L", automaton_cls.BLANK, lambda *grant: None, LamportClock()
     )
-    automaton._flight_op("not_an_operation")  # unrecorded: a no-op
-    automaton.flightrec = FlightRecorder(0, protocol=automaton_cls.PROTOCOL)
-    with pytest.raises(ProtocolError, match="recorded-operation table"):
-        automaton._flight_op("not_an_operation")
-    with pytest.raises(ProtocolError, match="recorded-operation table"):
-        automaton._flight_op("request", no_such_argument=1)
-    assert automaton.flightrec.last_seq == 0
+    automaton.flightrec = spy = _Spy()
+    with pytest.raises(_Recorded):
+        getattr(automaton, op)(*args, **kwargs)
+    assert [name for name, _args in spy.ops] == [op]
+    return spy.ops[0][1]
+
+
+@pytest.mark.parametrize(
+    "automaton_cls, op",
+    [(cls, op) for cls in AUTOMATA for op in sorted(cls.OPS)],
+)
+def test_every_call_shape_records_the_table(automaton_cls, op):
+    """Positional, keyword and defaulted calls of every recorded
+    operation record exactly the table's arguments, in table order."""
+
+    codecs = automaton_cls.OPS[op]
+    parameters = list(
+        inspect.signature(getattr(automaton_cls, op)).parameters.values()
+    )[1:]
+    samples = {key: _sample(codec) for key, codec in codecs.items()}
+    expected = {key: raw for key, (_value, raw) in samples.items()}
+    if codecs:
+        last = max(i for i, p in enumerate(parameters) if p.name in codecs)
+        positional = [
+            samples[p.name][0] if p.name in codecs else p.default
+            for p in parameters[: last + 1]
+        ]
+    else:
+        positional = []
+    keywords = {key: value for key, (value, _raw) in samples.items()}
+    for args, kwargs in ((positional, {}), ((), keywords)):
+        recorded_args = _recorded_args(automaton_cls, op, *args, **kwargs)
+        assert list(recorded_args) == list(codecs)
+        assert recorded_args == expected
+    defaults = {
+        p.name: p.default
+        for p in parameters
+        if p.name in codecs and p.default is not inspect.Parameter.empty
+    }
+    if defaults:
+        required = {k: v for k, v in keywords.items() if k not in defaults}
+        recorded_args = _recorded_args(automaton_cls, op, **required)
+        expected.update({k: codecs[k].encode(v) for k, v in defaults.items()})
+        assert list(recorded_args) == list(codecs)
+        assert recorded_args == expected
+
+
+def test_request_with_its_default_priority_records_the_golden_event():
+    cluster = SimHierarchicalCluster(2, seed=22)
+    recorders = attach_recorders(cluster)
+    cluster.lockspaces[0].request("L", LockMode.R)
+    assert json.dumps(recorders[0].export_events()) == (
+        '[{"seq": 1, "t": 0.0, "kind": "ckpt", '
+        '"state": {"clock": 0, "locks": []}}, '
+        '{"kind": "birth", "lock": "L", '
+        '"init": {"parent": null, "token": true}, "seq": 2, "t": 0.0}, '
+        '{"kind": "op", "lock": "L", "op": "request", '
+        '"args": {"mode": "R", "priority": 0}, "seq": 3, "t": 0.0}]'
+    )
 
 
 # -- formats are checked, not assumed -----------------------------------

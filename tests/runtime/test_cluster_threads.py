@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
+from repro.core.automaton import ProtocolOptions
 from repro.core.modes import LockMode
 from repro.runtime.cluster import ThreadedHierarchicalCluster
+from repro.sim.rng import Fixed
 from repro.verification.invariants import CompatibilityMonitor
 
 TIMEOUT = 20.0
@@ -131,6 +134,25 @@ class TestBlockingClient:
             assert client.attempt("t", LockMode.IR)
             client.release("t", LockMode.IR)
             client.release("t", LockMode.R)
+
+    def test_attempt_never_sends_a_request(self):
+        # With Rule 2's local path switched off nothing is grantable
+        # away from the token, so the attempt must fail without asking:
+        # a request sent anyway is granted later to no caller.
+        options = ProtocolOptions(local_reentry=False)
+        with ThreadedHierarchicalCluster(
+            3, options=options, delay=Fixed(0.05)
+        ) as cluster:
+            for node in (1, 2):
+                cluster.client(node).acquire("x", LockMode.R, timeout=TIMEOUT)
+            automaton = cluster.lockspaces[2].automaton("x")
+            assert not cluster.client(2).attempt("x", LockMode.IR)
+            assert automaton.pending_mode is LockMode.NONE
+            time.sleep(0.3)  # six hops' worth of anything that was sent
+            assert automaton.held_modes == {LockMode.R: 1}
+            assert automaton.pending_mode is LockMode.NONE
+            for node in (1, 2):
+                cluster.client(node).release("x", LockMode.R)
 
     def test_timeout_raises(self):
         with ThreadedHierarchicalCluster(2) as cluster:
