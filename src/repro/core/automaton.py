@@ -1519,19 +1519,12 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if self.obs is not None:
             self.obs.fault("lease-fence", self._node_id)
         self._persist("lease-fenced")
-        out: List[Envelope] = []
-        owned_now = self.owned_mode()
-        if (
-            not self._has_token
-            and self._parent is not None
-            and owned_now is not owned_before
-        ):
-            # Rule-1-safe release replayed up the hierarchy: the parent's
-            # copyset weakens exactly as if the holds were released
-            # cleanly.  Under a partition the message may never arrive —
-            # the majority's lease revocation covers that path.
-            out.append(self._release_to(self._parent, owned_now))
-        return out, released
+        # Rule-1-safe release replayed up the hierarchy: the parent's
+        # copyset weakens exactly as if the holds were released cleanly
+        # (a fenced token node serves nothing from its queue).  Under a
+        # partition the message may never arrive — the majority's lease
+        # revocation covers that path.
+        return self._after_owned_maybe_changed(owned_before), released
 
     @recorded()
     def retransmit_pending(self) -> List[Envelope]:
@@ -1708,11 +1701,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         owned = self.owned_mode()
         if owned is not LockMode.NONE:
             out.append(self._release_to(holder, owned))
-        out.extend(
-            self._forward_queue(
-                lambda msg: msg.upgrade or msg.origin == self._node_id
-            )
-        )
+        node = self._node_id
+        out.extend(self._forward_queue(lambda q: q.upgrade or q.origin == node))
         self._queue = []  # What was not forwarded is disowned.
         self._persist("custody-fenced")
         return out

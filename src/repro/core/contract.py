@@ -316,15 +316,14 @@ def automaton_class(protocol: str) -> Type["LockAutomaton"]:
 def recorded(**codecs: Codec) -> Callable:
     """Make a method a recorded operation with these keyword arguments.
 
-    While a flight recorder is attached, every call records the method's
-    name and the table's arguments, encoded in table order, before the
-    body runs; replay calls ``getattr(automaton, name)(**decoded_args)``.
-    An argument is bound from its position, its keyword or its default.
-    Argument names are the method's own parameter names (the grant
-    context, which does not survive a recording, is never one of them):
-    a name that is not one raises :class:`TypeError` as the class body
-    is executed, so a recording the replayer could not re-apply cannot
-    be written.
+    While a flight recorder is attached, each call records the method's
+    name and these arguments (bound from position, keyword or default;
+    encoded, in table order) before the body runs; replay calls
+    ``getattr(automaton, name)(**decoded_args)``.  Argument names are the
+    method's own parameter names (the grant context, which does not
+    survive a recording, is never one of them); any other name is a
+    :class:`TypeError` as the class is created, so no dump can hold a
+    call the replayer could not re-apply.
     """
 
     def wrap(method: Callable) -> Callable:
@@ -348,15 +347,11 @@ def recorded(**codecs: Codec) -> Callable:
             if self.flightrec is not None:
                 encoded = {}
                 for key, index, default, codec in plan:
+                    value = kwargs.get(key, default)
                     if index < len(args):
                         value = args[index]
-                    else:
-                        value = kwargs.get(key, default)
-                        if value is inspect.Parameter.empty:
-                            break  # the call itself raises TypeError
                     encoded[key] = codec.encode(value)
-                else:
-                    self.flightrec.record_op(self._lock_id, op, encoded)
+                self.flightrec.record_op(self._lock_id, op, encoded)
             return method(self, *args, **kwargs)
 
         operation.recorded_args = codecs
