@@ -333,10 +333,10 @@ def _render_grid(
     cell: "callable",
     rows: Tuple[LockMode, ...] = ALL_MODES,
     cols: Tuple[LockMode, ...] = REAL_MODES,
+    width: int = 10,
 ) -> str:
     """Render a mode × mode table as fixed-width text."""
 
-    width = 10
     lines: List[str] = [title]
     header = "M1\\M2".ljust(width) + "".join(str(c).ljust(width) for c in cols)
     lines.append(header)
@@ -385,11 +385,9 @@ def render_table_2b() -> str:
             return "(none)"
         return ",".join(str(m) for m in sorted(frozen, key=lambda m: m.code))
 
-    width = 14
-    lines = ["Table 2(b) - Frozen modes at token (owned x requested)"]
-    header = "M1\\M2".ljust(width) + "".join(str(c).ljust(width) for c in REAL_MODES)
-    lines.append(header)
-    for row in REAL_MODES:
-        cells = "".join(cell(row, col).ljust(width) for col in REAL_MODES)
-        lines.append(str(row).ljust(width) + cells)
-    return "\n".join(lines)
+    return _render_grid(
+        "Table 2(b) - Frozen modes at token (owned x requested)",
+        cell,
+        rows=REAL_MODES,
+        width=14,
+    )

@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 
 from ..core.messages import LABEL_PLANES
 from .live import AuditReport, ClusterView, LiveMonitor, NodeSnapshot
+from .report import _table
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +223,6 @@ def render_prometheus(
 # ---------------------------------------------------------------------------
 
 
-def _table(headers: List[str], rows: List[List[str]]) -> str:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for index, cell in enumerate(row):
-            widths[index] = max(widths[index], len(cell))
-    def fmt(row: List[str]) -> str:
-        return "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
-    out = [fmt(headers), fmt(["-" * w for w in widths])]
-    out.extend(fmt(row) for row in rows)
-    return "\n".join(out)
-
-
 def render_health_table(
     view: ClusterView,
     report: AuditReport,
@@ -332,7 +321,7 @@ def render_health_table(
     lines = [
         f"cluster: protocol={view.protocol} t={view.captured_at:.3f} "
         f"nodes={len(view.nodes)} locks={len(view.lock_ids())}",
-        _table(headers, rows),
+        _table(headers, rows, align=str.ljust),
         f"audit: {report.verdict()}",
     ]
     for finding in report.findings:

@@ -24,7 +24,7 @@ Everything is plain text for terminals and log files; no plotting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..metrics.stats import percentile, summarize
 from .export import RunTrace
@@ -49,8 +49,14 @@ MAX_TIMELINE_ROWS = 40
 DEFAULT_WATERFALLS = 3
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Render a padded text table (first column left-aligned)."""
+def _table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[str]],
+    align: Callable[[str, int], str] = str.rjust,
+) -> str:
+    """Render a padded text table: first column left-aligned, the others
+    by *align*.  A right-aligned table drops trailing blanks; a
+    left-aligned one (the monitor's health table) keeps its padding."""
 
     widths = [len(h) for h in headers]
     for row in rows:
@@ -58,13 +64,11 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
             widths[index] = max(widths[index], len(cell))
 
     def fmt(cells: Sequence[str]) -> str:
-        parts = []
-        for index, cell in enumerate(cells):
-            if index == 0:
-                parts.append(cell.ljust(widths[index]))
-            else:
-                parts.append(cell.rjust(widths[index]))
-        return "  ".join(parts).rstrip()
+        line = "  ".join(
+            (str.ljust if index == 0 else align)(cell, widths[index])
+            for index, cell in enumerate(cells)
+        )
+        return line.rstrip() if align is str.rjust else line
 
     lines = [fmt(headers), fmt(["-" * w for w in widths])]
     lines.extend(fmt(row) for row in rows)
