@@ -122,13 +122,13 @@ class _Spy:
         raise _Recorded
 
 
-#: JSON values tried, in order, as each recorded argument's sample: the
-#: first that survives its codec's round trip is used.
-_SAMPLES = (3, "R", True, ["R"])
+def _sample(codec, index):
+    """A sample for the *index*-th recorded argument: the first JSON value
+    that survives *codec*'s round trip (distinct per index, so a binding
+    that swapped two arguments would show)."""
 
-
-def _sample(codec):
-    for raw in _SAMPLES:
+    mode = ("W", "R", "IR")[index % 3]
+    for raw in (3 + index, mode, True, [mode]):
         try:
             value = codec.decode(raw)
         except (TypeError, ValueError):
@@ -161,16 +161,18 @@ def test_every_call_shape_records_the_table(automaton_cls, op):
     parameters = list(
         inspect.signature(getattr(automaton_cls, op)).parameters.values()
     )[1:]
-    samples = {key: _sample(codec) for key, codec in codecs.items()}
+    samples = {
+        key: _sample(codec, index)
+        for index, (key, codec) in enumerate(codecs.items())
+    }
     expected = {key: raw for key, (_value, raw) in samples.items()}
-    if codecs:
-        last = max(i for i, p in enumerate(parameters) if p.name in codecs)
-        positional = [
-            samples[p.name][0] if p.name in codecs else p.default
-            for p in parameters[: last + 1]
-        ]
-    else:
-        positional = []
+    last = max(
+        (i for i, p in enumerate(parameters) if p.name in codecs), default=-1
+    )
+    positional = [
+        samples[p.name][0] if p.name in codecs else p.default
+        for p in parameters[: last + 1]
+    ]
     keywords = {key: value for key, (value, _raw) in samples.items()}
     for args, kwargs in ((positional, {}), ((), keywords)):
         recorded_args = _recorded_args(automaton_cls, op, *args, **kwargs)
