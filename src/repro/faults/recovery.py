@@ -532,12 +532,8 @@ class RecoveryManager:
     def _heartbeat_tick(self) -> None:
         self.membership.sweep_departed()
         self._beats_sent += 1
-        suspected = self.detector.is_suspected
-        fanout = sum(
-            1
-            for n in self.membership.view.members
-            if n != self.node_id and not suspected(n)
-        )
+        peers = self._peers()
+        fanout = len(peers) - len(self.detector.suspected.intersection(peers))
         beat = self.control(
             HeartbeatMessage,
             boot=self.boot,
@@ -561,7 +557,7 @@ class RecoveryManager:
                         beat, ack=acks[peer][0], ack_boot=acks[peer][1]
                     ),
                 )
-                for peer in self._peers()
+                for peer in peers
             ]
         )
 

@@ -110,7 +110,7 @@ class LeaseLayer:
 
         kernel = self._kernel
         self.sessions.note_release(lock_id, str(mode), kernel.now())
-        if not kernel.lockspace.automaton(lock_id).snapshot().held:
+        if not kernel.lockspace.automaton(lock_id).held_modes:
             self.own.drop(lock_id, kernel.node_id)
         self._journal_sessions()
 
@@ -173,9 +173,12 @@ class LeaseLayer:
                             message.sender
                         )
                     )
-        self.renewals_received += self.remote.observe(
-            message.sender, message.leases, kernel.now()
-        )
+        # An empty beat from a holder with nothing mirrored changes
+        # nothing: all-pairs beats are mostly that.
+        if message.leases or self.remote.mirrors(message.sender):
+            self.renewals_received += self.remote.observe(
+                message.sender, message.leases, kernel.now()
+            )
         if message.view_epoch < kernel.membership.view.epoch:
             # View anti-entropy: the sender runs a stale view (lost the
             # install, or is a joiner still on its bootstrap view).
@@ -313,18 +316,20 @@ class LeaseLayer:
         on the minority side of a partition it fails one duration after
         the cut.  (The same verdict as comparing the ``quorum - 1``-th
         most recent last-seen time: ``now - seen`` is monotone in
-        ``seen``, so counting needs no sort.)
+        ``seen``, so counting needs no sort, and it stops at the
+        ``quorum - 1``-th peer heard.)
         """
 
         kernel = self._kernel
         view = kernel.membership.view
         last_seen, duration = kernel.detector.last_seen, self.config.duration
-        heard = sum(
-            1
-            for peer in view.members
-            if peer != kernel.node_id and now - last_seen(peer) < duration
-        )
-        return heard >= view.quorum() - 1
+        missing = view.quorum() - 1
+        for peer in view.members:
+            if missing <= 0:
+                break
+            if peer != kernel.node_id and now - last_seen(peer) < duration:
+                missing -= 1
+        return missing <= 0
 
     def _self_fence(self, now: float) -> None:
         """Void this node's own leases: force-release every hold.

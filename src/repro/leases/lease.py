@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 #: Fencing tokens are ``((epoch + 1) << SHIFT) | serial``: the token
 #: epoch occupies the high bits so a regeneration trumps every token of
@@ -98,6 +98,11 @@ class LeaseTable:
     def __init__(self, config: Optional[LeaseConfig] = None) -> None:
         self.config = config or LeaseConfig()
         self._leases: Dict[Tuple[str, int], Lease] = {}
+        #: Index of :attr:`_leases` by holder: the locks each holder has a
+        #: lease on, never empty.  ``_leases`` stays the one store (and so
+        #: sets every iteration order); this only spares a heartbeat's
+        #: mirror from scanning every holder's leases.
+        self._by_holder: Dict[int, Set[str]] = {}
         self.renewals = 0
         self.revoked = 0
 
@@ -108,6 +113,11 @@ class LeaseTable:
         """Return the lease *holder* has on *lock*, if any."""
 
         return self._leases.get((lock, holder))
+
+    def mirrors(self, holder: int) -> bool:
+        """Whether the table has any lease of *holder*."""
+
+        return holder in self._by_holder
 
     def grant(
         self, lock: str, mode: str, holder: int, token: int, now: float
@@ -137,6 +147,7 @@ class LeaseTable:
             grants=1,
         )
         self._leases[key] = lease
+        self._by_holder.setdefault(holder, set()).add(lock)
         return lease
 
     def renew(self, lock: str, holder: int, now: float) -> Optional[Lease]:
@@ -181,30 +192,38 @@ class LeaseTable:
                 existing.token = max(existing.token, int(token))
                 self.renew(lock, holder, now)
             applied += 1
-        stale = [
-            key
-            for key in self._leases
-            if key[1] == holder and key[0] not in seen
-        ]
-        for key in stale:
-            del self._leases[key]
+        # Every lock in *seen* now has a lease of *holder*; the rest of
+        # what the index lists for it was withdrawn.
+        for lock in self._by_holder.pop(holder, set()) - seen:
+            del self._leases[(lock, holder)]
+        if seen:
+            self._by_holder[holder] = seen
         return applied
 
     def drop(self, lock: str, holder: int) -> Optional[Lease]:
         """Remove and return the lease *holder* had on *lock*."""
 
-        return self._leases.pop((lock, holder), None)
+        lease = self._leases.pop((lock, holder), None)
+        if lease is not None:
+            locks = self._by_holder[holder]
+            locks.discard(lock)
+            if not locks:
+                del self._by_holder[holder]
+        return lease
 
     def drop_holder(self, holder: int) -> List[Lease]:
-        """Remove every lease of *holder* (restart, fence)."""
+        """Remove every lease of *holder* (restart, fence), in lock order."""
 
-        keys = [key for key in self._leases if key[1] == holder]
-        return [self._leases.pop(key) for key in keys]
+        return [
+            self._leases.pop((lock, holder))
+            for lock in sorted(self._by_holder.pop(holder, ()))
+        ]
 
     def clear(self) -> None:
         """Forget every lease (self-fence)."""
 
         self._leases.clear()
+        self._by_holder.clear()
 
     def leases(self) -> List[Lease]:
         """Every lease, expired or not, in deterministic key order."""

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 from collections import deque
 from typing import (
     Callable,
@@ -70,7 +69,7 @@ from ..core.contract import (
 from ..core.messages import LockId, Message, NodeId, fresh_attachment_seq
 from ..core.modes import LockMode
 from ..errors import LockUsageError, ProtocolError
-from ..persist.wal import encode_frame, scan_frames
+from ..persist.wal import CANONICAL_JSON, encode_frame, scan_frames
 from .live import (
     AuditFinding,
     ClusterView,
@@ -101,7 +100,7 @@ _FALLBACK_SERIAL_BASE = 1 << 40
 def _canonical(payload: object) -> str:
     """Canonical JSON used for bit-for-bit state comparison."""
 
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return CANONICAL_JSON.encode(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,18 @@ _HEADER = struct.Struct(">II")
 #: treated as framing damage (torn tail), not as a real record.
 MAX_RECORD_BYTES = 1 << 24
 
+#: Canonical compact JSON, built once: ``json.dumps`` with these
+#: arguments builds a new encoder on every call.  Records are trees, so
+#: the circular-reference check has nothing to find.
+CANONICAL_JSON = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
+
 
 def encode_frame(record: Dict[str, object]) -> bytes:
     """Serialize one JSON-safe *record* into a framed byte string."""
 
-    payload = json.dumps(
-        record, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
+    payload = CANONICAL_JSON.encode(record).encode("utf-8")
     if len(payload) > MAX_RECORD_BYTES:
         raise ValueError(
             f"WAL record of {len(payload)} bytes exceeds the "

@@ -10,6 +10,7 @@ of DESIGN.md §7, plus the static rule that keeps the layers layers.
 from __future__ import annotations
 
 import ast
+import itertools
 import pathlib
 
 import pytest
@@ -193,6 +194,70 @@ def test_a_quorum_silent_holder_fences_itself_before_a_peer_revokes():
     assert holder.lockspace.automaton(LOCK).held_modes == {}
     assert revoked_at == holder.leases.fenced_at + config.lease_revoke_margin
     assert peer.leases.remote.get(LOCK, 1) is None
+
+
+def test_an_empty_beat_reaches_the_mirror_only_if_its_sender_is_mirrored(
+    monkeypatch,
+):
+    scheduler, fabric = build(3, PATIENT)
+    manager = fabric.managers[0]
+    leases, observed, caught_up = manager.leases, [], []
+    observe = leases.remote.observe
+    monkeypatch.setattr(
+        leases.remote,
+        "observe",
+        lambda holder, rows, now: observed.append(holder)
+        or observe(holder, rows, now),
+    )
+    monkeypatch.setattr(manager.membership, "catch_up", caught_up.append)
+    # Nothing of node 1 mirrored: the mirror is skipped, the view
+    # epoch is still checked.
+    leases.on_heartbeat(HeartbeatMessage(lock_id="", sender=1, view_epoch=-1))
+    assert observed == [] and caught_up == [1]
+    assert len(leases.remote) == 0 and leases.renewals_received == 0
+    leases.on_heartbeat(
+        HeartbeatMessage(lock_id="", sender=2, leases=((LOCK, "R", 2, 7),))
+    )
+    assert leases.remote.mirrors(2) and leases.renewals_received == 1
+    leases.on_heartbeat(HeartbeatMessage(lock_id="", sender=1))
+    # Node 2 released everything: its empty beat must still drop it.
+    leases.on_heartbeat(HeartbeatMessage(lock_id="", sender=2))
+    assert observed == [2, 2]
+    assert not leases.remote.mirrors(2) and len(leases.remote) == 0
+    assert leases.renewals_received == 1
+
+
+def test_tick_fanout_and_quorum_agree_with_counting_every_member(monkeypatch):
+    """Every set of silent peers of a five-member view, plus a tracked
+    non-member that may be suspected too."""
+
+    for size in range(6):
+        for silent in itertools.combinations((1, 2, 3, 4, 9), size):
+            scheduler, fabric = build(5, RecoveryConfig(suspect_timeout=1.0))
+            manager = fabric.managers[0]
+            detector, view = manager.detector, manager.membership.view
+            detector.add_peer(9, 0.0)
+            for peer in {1, 2, 3, 4, 9} - set(silent):
+                detector.beat(peer, 10.0)
+            detector.check(10.0)
+            assert detector.suspected == set(silent)
+            fanouts = []
+            monkeypatch.setattr(
+                manager.leases,
+                "advertise",
+                lambda now, fanout: fanouts.append(fanout) or (),
+            )
+            manager._heartbeat_tick()
+            peers = [n for n in view.members if n != 0]
+            assert fanouts == [sum(1 for n in peers if n not in silent)]
+            heard = sum(
+                1
+                for n in peers
+                if 10.0 - detector.last_seen(n) < manager.config.lease_duration
+            )
+            assert manager.leases._quorum_heard(10.0) == (
+                heard >= view.quorum() - 1
+            )
 
 
 # -- custody -----------------------------------------------------------------

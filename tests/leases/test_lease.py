@@ -11,6 +11,8 @@ ordered (a later epoch dominates every earlier token).
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.leases import (
     Lease,
@@ -165,3 +167,82 @@ class TestExpiryAndRevocation:
         assert [l.to_payload() for l in mirror.leases()] == [
             l.to_payload() for l in table.leases()
         ]
+
+
+class ScanningTable(LeaseTable):
+    """The reference: every per-holder question answered by scanning
+    every lease, as the table did before it indexed them by holder."""
+
+    def mirrors(self, holder):
+        return any(key[1] == holder for key in self._leases)
+
+    def observe(self, holder, advertised, now):
+        seen = set()
+        applied = 0
+        for lock, mode, _holder, token in advertised:
+            lock = str(lock)
+            seen.add(lock)
+            existing = self._leases.get((lock, holder))
+            if existing is None:
+                self.grant(lock, str(mode), holder, int(token), now)
+            else:
+                existing.mode = str(mode)
+                existing.token = max(existing.token, int(token))
+                self.renew(lock, holder, now)
+            applied += 1
+        for key in [
+            key for key in self._leases if key[1] == holder and key[0] not in seen
+        ]:
+            del self._leases[key]
+        return applied
+
+    def drop(self, lock, holder):
+        return self._leases.pop((lock, holder), None)
+
+    def drop_holder(self, holder):
+        keys = [key for key in self._leases if key[1] == holder]
+        return [self._leases.pop(key) for key in keys]
+
+    def clear(self):
+        self._leases.clear()
+
+
+HOLDERS = (0, 1, 2)
+_lock = st.sampled_from("ABC")
+_holder = st.sampled_from(HOLDERS)
+_now = st.integers(0, 40).map(lambda tick: tick / 2)
+_mode, _token = st.sampled_from(("R", "W", "IR")), st.integers(1, 9)
+_OPS = st.one_of(
+    st.tuples(st.just("grant"), _lock, _mode, _holder, _token, _now),
+    st.tuples(
+        st.just("observe"),
+        _holder,
+        st.lists(st.tuples(_lock, _mode, _holder, _token), max_size=3),
+        _now,
+    ),
+    st.tuples(st.just("renew"), _lock, _holder, _now),
+    st.tuples(st.just("drop"), _lock, _holder),
+    st.tuples(st.just("drop_holder"), _holder),
+    st.tuples(st.just("clear")),
+)
+
+
+class TestHolderIndexModel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_OPS, max_size=30))
+    def test_indexed_table_matches_the_scanning_reference(self, ops):
+        table, reference = LeaseTable(CFG), ScanningTable(CFG)
+        for name, *args in ops:
+            got = getattr(table, name)(*args)
+            want = getattr(reference, name)(*args)
+            if name == "drop_holder":  # Lock order, not grant order.
+                want = sorted(want, key=lambda lease: lease.lock)
+            assert got == want
+            assert table.leases() == reference.leases()
+            assert table.export() == reference.export()
+            for now in (0.0, 7.0, 14.0, 30.0):
+                assert table.active(now) == reference.active(now)
+                assert table.expired(now) == reference.expired(now)
+            for holder in HOLDERS:
+                assert table.mirrors(holder) == reference.mirrors(holder)
+            assert table.renewals == reference.renewals
