@@ -142,8 +142,9 @@ class SessionManager:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._sessions: Dict[str, Session] = {}
-        #: Best peer fanout any advertisement of each lock's lease ever
-        #: reached (``lock -> live peer count at heartbeat time``).  Rides
+        #: Best peer fanout any advertisement of each lock's current hold
+        #: reached (``lock -> live peer count at heartbeat time``; dropped
+        #: once no session holds the lock).  Rides
         #: the journal: after a crash-restart it tells the rejoin path
         #: whether the pre-crash advertisement reached a quorum, or only
         #: a minority that may itself be gone (see
@@ -180,13 +181,23 @@ class SessionManager:
 
     def note_release(self, lock: str, mode: str, now: float) -> None:
         self.default_session(now).note_release(lock, mode, now)
+        lock = str(lock)
+        if not any(
+            held == lock
+            for session in self._sessions.values()
+            for held, _mode in session.holds
+        ):
+            # The hold is over; the next hold's advertisements start
+            # from nothing.
+            self._advert_fanout.pop(lock, None)
 
     def note_advertised(self, locks, fanout: Optional[int] = None) -> bool:
         """Mark holds on *locks* lease-advertised; True if any changed.
 
         *fanout* is how many live peers the carrying heartbeat fanned out
-        to; the per-lock maximum is kept (and journaled) so a restart can
-        judge whether its pre-crash advertisement reached a quorum.
+        to; the maximum over the current hold of each lock is kept (and
+        journaled) so a restart can judge whether its pre-crash
+        advertisement reached a quorum.
         """
 
         changed = False
@@ -204,8 +215,8 @@ class SessionManager:
         return changed
 
     def advert_fanout(self, lock: str) -> Optional[int]:
-        """Best advertisement fanout recorded for *lock* (None if never
-        recorded — e.g. a pre-upgrade journal payload)."""
+        """Best advertisement fanout of the current hold of *lock* (None
+        if none recorded — e.g. a pre-upgrade journal payload)."""
 
         return self._advert_fanout.get(str(lock))
 
@@ -218,6 +229,7 @@ class SessionManager:
                 session.expire()
                 expired += 1
         self.expired_count += expired
+        self._advert_fanout.clear()  # No session holds anything now.
         return expired
 
     def gc(self, now: float, ttl: float) -> int:

@@ -128,6 +128,26 @@ class TestSessionManager:
         assert session.holds == {("L", "R"): 1}
         assert session.advertised == {("L", "R"): 1}
 
+    def test_advert_fanout_covers_only_the_current_hold(self):
+        # A quorum-wide advertisement of an earlier hold must not vouch
+        # for a later hold whose beats reached one peer: that reclaim
+        # must still be flagged as a partial fan-out.
+        manager = SessionManager(0)
+        manager.note_grant("L", "W", now=1.0)
+        manager.note_grant("M", "R", now=1.0)
+        manager.note_advertised(["L", "M"], fanout=39)
+        manager.note_release("L", "W", now=2.0)
+        assert manager.advert_fanout("L") is None
+        assert manager.advert_fanout("M") == 39  # Still held.
+        manager.note_grant("L", "W", now=3.0)
+        manager.note_advertised(["L"], fanout=1)
+        assert manager.advert_fanout("L") == 1
+        restored = SessionManager(0)
+        restored.restore(manager.export())
+        assert restored.advert_fanout("L") == 1
+        manager.expire_all()
+        assert manager.advert_fanout("M") is None
+
 
 class TestReclaimer:
     def _manager_with_holds(self, advertised: bool) -> SessionManager:
