@@ -136,10 +136,11 @@ class LeaseLayer:
         live peers the beat will reach.
         """
 
-        if not self.fenced:
-            for row in self.own.export():
-                self.own.renew(str(row[0]), self._kernel.node_id, now)
+        # A row carries no deadline, so renewing leaves the export as is.
         rows = self.own.export()
+        if not self.fenced:
+            for row in rows:
+                self.own.renew(str(row[0]), self._kernel.node_id, now)
         self.renewals_sent += len(rows)
         # Advertisement makes a hold reclaimable after a durable
         # restart (peers pin advertised leases until expiry), so the
