@@ -24,39 +24,40 @@ package supplies the missing subsystem in three layers:
   verification monitors attached and emits a JSON verdict.
 
 See ``docs/FAULTS.md`` for the fault model and the epoch argument.
+
+The exports below load their submodule on first access (PEP 562), so
+importing the recovery stack does not import the chaos harness or the
+threaded/TCP runtime.
 """
 
-from .chaos import ChaosVerdict, run_chaos
-from .detector import HeartbeatDetector
-from .plan import (
-    CrashEvent,
-    FaultDecision,
-    FaultInjector,
-    FaultPlan,
-    FaultRule,
-    Partition,
-    named_plan,
-    NAMED_PLANS,
-)
-from .recovery import RecoveryConfig, RecoveryManager
-from .runtime import FaultyTransport, ResilientThreadedCluster
-from .simcluster import ResilientSimCluster
+import importlib
 
-__all__ = [
-    "ChaosVerdict",
-    "CrashEvent",
-    "FaultDecision",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRule",
-    "FaultyTransport",
-    "HeartbeatDetector",
-    "NAMED_PLANS",
-    "Partition",
-    "RecoveryConfig",
-    "RecoveryManager",
-    "ResilientSimCluster",
-    "ResilientThreadedCluster",
-    "named_plan",
-    "run_chaos",
-]
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "ChaosVerdict": "chaos",
+    "CrashEvent": "plan",
+    "FaultDecision": "plan",
+    "FaultInjector": "plan",
+    "FaultPlan": "plan",
+    "FaultRule": "plan",
+    "FaultyTransport": "runtime",
+    "HeartbeatDetector": "detector",
+    "NAMED_PLANS": "plan",
+    "Partition": "plan",
+    "RecoveryConfig": "recovery",
+    "RecoveryManager": "recovery",
+    "ResilientSimCluster": "simcluster",
+    "ResilientThreadedCluster": "runtime",
+    "named_plan": "plan",
+    "run_chaos": "chaos",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -16,83 +16,63 @@ Layer map::
 Instrumented components hold an ``obs`` attribute that is ``None`` by
 default and guard every hook call with ``if self.obs is not None`` — the
 zero-cost contract that keeps benchmarks honest.
+
+The exports below load their submodule on first access (PEP 562), so
+importing one layer — the protocol core imports ``sink`` — does not
+import the HTTP server behind ``monitor``.
 """
 
-from .collect import RunObserver
-from .export import RunTrace, load_runs, load_runs_from_path, write_run
-from .live import (
-    AuditFinding,
-    AuditReport,
-    ClusterView,
-    LiveMonitor,
-    LockSnapshot,
-    NodeSnapshot,
-    QueueEntry,
-    RecoveryHealth,
-    audit_view,
-    snapshot_node,
-)
-from .monitor import MonitorServer, render_health_table, render_prometheus
-from .report import render_report, render_run
-from .series import DEFAULT_WINDOW, GaugeSeries, Histogram, WindowedCounter
-from .sink import (
-    ENQUEUED,
-    FROZEN,
-    GRANTED,
-    ISSUED,
-    NULL_SINK,
-    PHASES,
-    RELEASED,
-    ObsSink,
-    SpanKey,
-)
-from .spans import RequestSpan
-from .tracing import (
-    Hop,
-    MessageTracer,
-    TraceChain,
-    canonical_span_key,
-    critical_path,
-)
+import importlib
 
-__all__ = [
-    "DEFAULT_WINDOW",
-    "ENQUEUED",
-    "FROZEN",
-    "GRANTED",
-    "ISSUED",
-    "NULL_SINK",
-    "PHASES",
-    "RELEASED",
-    "AuditFinding",
-    "AuditReport",
-    "ClusterView",
-    "GaugeSeries",
-    "Histogram",
-    "Hop",
-    "LiveMonitor",
-    "LockSnapshot",
-    "MessageTracer",
-    "MonitorServer",
-    "NodeSnapshot",
-    "ObsSink",
-    "QueueEntry",
-    "RecoveryHealth",
-    "RequestSpan",
-    "RunObserver",
-    "RunTrace",
-    "SpanKey",
-    "TraceChain",
-    "WindowedCounter",
-    "audit_view",
-    "canonical_span_key",
-    "critical_path",
-    "load_runs",
-    "load_runs_from_path",
-    "render_health_table",
-    "render_prometheus",
-    "render_report",
-    "render_run",
-    "snapshot_node",
-    "write_run",
-]
+#: Exported name -> the submodule defining it.
+_EXPORTS = {
+    "DEFAULT_WINDOW": "series",
+    "ENQUEUED": "sink",
+    "FROZEN": "sink",
+    "GRANTED": "sink",
+    "ISSUED": "sink",
+    "NULL_SINK": "sink",
+    "PHASES": "sink",
+    "RELEASED": "sink",
+    "AuditFinding": "live",
+    "AuditReport": "live",
+    "ClusterView": "live",
+    "GaugeSeries": "series",
+    "Histogram": "series",
+    "Hop": "tracing",
+    "LiveMonitor": "live",
+    "LockSnapshot": "live",
+    "MessageTracer": "tracing",
+    "MonitorServer": "monitor",
+    "NodeSnapshot": "live",
+    "ObsSink": "sink",
+    "QueueEntry": "live",
+    "RecoveryHealth": "live",
+    "RequestSpan": "spans",
+    "RunObserver": "collect",
+    "RunTrace": "export",
+    "SpanKey": "sink",
+    "TraceChain": "tracing",
+    "WindowedCounter": "series",
+    "audit_view": "live",
+    "canonical_span_key": "tracing",
+    "critical_path": "tracing",
+    "load_runs": "export",
+    "load_runs_from_path": "export",
+    "render_health_table": "monitor",
+    "render_prometheus": "monitor",
+    "render_report": "report",
+    "render_run": "report",
+    "snapshot_node": "live",
+    "write_run": "export",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import repro
@@ -26,8 +30,10 @@ class TestPublicApi:
     def test_subpackage_alls_resolve(self):
         import repro.core
         import repro.experiments
+        import repro.faults
         import repro.metrics
         import repro.naimi
+        import repro.obs
         import repro.runtime
         import repro.services
         import repro.sim
@@ -35,14 +41,28 @@ class TestPublicApi:
         import repro.workload
 
         for module in (
-            repro.core, repro.experiments, repro.metrics, repro.naimi,
-            repro.runtime, repro.services, repro.sim, repro.verification,
-            repro.workload,
+            repro.core, repro.experiments, repro.faults, repro.metrics,
+            repro.naimi, repro.obs, repro.runtime, repro.services, repro.sim,
+            repro.verification, repro.workload,
         ):
             for name in module.__all__:
                 assert getattr(module, name, None) is not None, (
                     f"{module.__name__}.{name}"
                 )
+
+    def test_importing_the_core_starts_no_http_stack(self):
+        # A fresh interpreter: this one has imported everything already.
+        probe = (
+            "import sys, repro.core; print(sorted(m for m in ("
+            "'http.server', 'repro.obs.monitor', 'repro.faults.chaos'"
+            ") if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": os.path.dirname(repro.__path__[0])},
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestErrorHierarchy:
