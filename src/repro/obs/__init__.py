@@ -73,6 +73,7 @@ __all__ = list(_EXPORTS)
 def __getattr__(name: str) -> object:
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    module = importlib.import_module(f".{_EXPORTS[name]}", __name__)
+    value = getattr(module, name)
     globals()[name] = value
     return value

@@ -171,7 +171,7 @@ class TestExpiryAndRevocation:
 
 class ScanningTable(LeaseTable):
     """The reference: every per-holder question answered by scanning
-    every lease, as the table did before it indexed them by holder."""
+    every lease, with no holder index."""
 
     def mirrors(self, holder):
         return any(key[1] == holder for key in self._leases)
@@ -190,9 +190,12 @@ class ScanningTable(LeaseTable):
                 existing.token = max(existing.token, int(token))
                 self.renew(lock, holder, now)
             applied += 1
-        for key in [
-            key for key in self._leases if key[1] == holder and key[0] not in seen
-        ]:
+        stale = [
+            key
+            for key in self._leases
+            if key[1] == holder and key[0] not in seen
+        ]
+        for key in stale:
             del self._leases[key]
         return applied
 

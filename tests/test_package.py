@@ -57,10 +57,11 @@ class TestPublicApi:
             "'http.server', 'repro.obs.monitor', 'repro.faults.chaos'"
             ") if m in sys.modules))"
         )
+        src = os.path.dirname(repro.__path__[0])
         result = subprocess.run(
             [sys.executable, "-c", probe],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": os.path.dirname(repro.__path__[0])},
+            env={**os.environ, "PYTHONPATH": src},
         )
         assert result.stdout.strip() == "[]"
 
