@@ -186,12 +186,12 @@ def run(
         latency=Exponential(spec.latency_mean),
         seed=spec.seed,
         monitor=monitor,
-        metrics=metrics,
         obs=observer,
         **cluster_options,
     )
     bodies = protocol.clients(sim, cluster, spec, metrics)
     run_processes(sim, bodies, max_events=event_budget)
+    metrics.message_counts.update(cluster.network.messages_by_label)
     if monitor is not None:
         monitor.assert_all_released()
         cluster.assert_quiescent_invariants()

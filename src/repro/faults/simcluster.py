@@ -35,7 +35,7 @@ from ..sim.network import Network
 from ..sim.rng import Distribution, Exponential
 from ..verification.invariants import Monitor
 from .host import ResilientHost
-from .plan import FaultPlan, fault_label
+from .plan import FaultPlan
 from .recovery import RecoveryConfig, RecoveryManager
 from .scheduler import SimScheduler
 
@@ -90,19 +90,12 @@ class ResilientSimCluster(ResilientHost):
         if obs is not None:
             self.sim.tick_hook = obs.engine_tick
         self._latency = latency if latency is not None else Exponential(0.150)
-        observer = None
-        if obs is not None:
-            def observer(sender, dest, message):
-                # The label the bare clusters, the tracer and FaultRule
-                # use: what a session frame carries, not the frame.
-                obs.message(sender, dest, fault_label(message))
         self.network = Network(
             self.sim,
             latency=self._latency,
             rng=random.Random(seed ^ 0x5EED),
-            observer=observer,
             faults=plan,
-            tracer=getattr(obs, "tracer", None) if obs is not None else None,
+            obs=obs,
         )
         super().__init__(
             num_nodes,

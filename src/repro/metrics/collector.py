@@ -1,11 +1,12 @@
 """Measurement plumbing: message counters and latency records.
 
-The collector is deliberately protocol-agnostic: the network calls
-:meth:`MetricsCollector.count_message` for every envelope that crosses the
-wire, and workload clients call :meth:`MetricsCollector.record_request`
-once per application-level lock request (see DESIGN.md §6 for the exact
-definition of "lock request" per protocol — it is the denominator of every
-figure in the paper).
+The collector is deliberately protocol-agnostic: the network counts
+every envelope that crosses the wire, and a run copies those per-label
+counts into :attr:`MetricsCollector.message_counts` when it ends
+(:func:`repro.experiments.common.run`); workload clients call
+:meth:`MetricsCollector.record_request` once per application-level lock
+request (see DESIGN.md §6 for the exact definition of "lock request" per
+protocol — it is the denominator of every figure in the paper).
 """
 
 from __future__ import annotations
@@ -22,17 +23,13 @@ class MetricsCollector:
     """Accumulates message counts and request latencies for one run."""
 
     def __init__(self) -> None:
+        #: Wire messages by type label (``Network.messages_by_label``).
         self.message_counts: Counter = Counter()
         #: One granted :class:`~repro.obs.spans.RequestSpan` per request.
         self.requests: List[RequestSpan] = []
         self.operations = 0
 
     # -- message side ---------------------------------------------------
-
-    def count_message(self, label: str) -> None:
-        """Record one wire message of type *label*."""
-
-        self.message_counts[label] += 1
 
     @property
     def total_messages(self) -> int:

@@ -78,8 +78,8 @@ class RunTrace:
         """Wire messages by type over the whole run.
 
         Matches ``MetricsCollector.message_overhead_by_type`` numerators
-        because the observability hook sits at the same network-observer
-        point the metrics counter does.
+        because the network reports each send to the observer at the
+        point where it counts it.
         """
 
         counter = self.counters.get("messages")

@@ -273,8 +273,8 @@ class MessageTracer:
         """Record *envelope* leaving *sender*; return the stamped copy.
 
         Called by every transport at the instant a message is accepted
-        onto the wire (after fault-injector drops, mirroring the metrics
-        observer, so dropped sends never become hops).
+        onto the wire (after fault-injector drops, where the fabric counts
+        the send, so dropped sends never become hops).
         """
 
         message = envelope.message
@@ -314,26 +314,8 @@ class MessageTracer:
                         sent_at=now,
                     )
                     return envelope
-            trace_id, parent = self._resolve(
-                sender, envelope.dest, inner, ctx, now
-            )
-            kind = self._kinds.get((sender, threading.get_ident()), "send")
-            new_hop = self._append_hop(
-                trace_id,
-                parent=parent,
-                sender=sender,
-                dest=envelope.dest,
-                label=label,
-                kind=kind,
-                sent_at=now,
-            )
-            self._sent.add((trace_id, new_hop.hop))
-            stamped = TraceContext(
-                trace_id=trace_id,
-                hop=new_hop.hop,
-                parent=parent,
-                origin=self._chains[trace_id].origin,
-                kind=kind,
+            stamped = self._new_hop(
+                sender, envelope.dest, inner, ctx, label, now, sent_at=now
             )
         return Envelope(envelope.dest, self._stamp(message, inner, stamped))
 
@@ -355,24 +337,8 @@ class MessageTracer:
         now = self._clock()
         with self._mutex:
             ctx = getattr(payload, "trace", None)
-            trace_id, parent = self._resolve(sender, dest, payload, ctx, now)
-            kind = self._kinds.get((sender, threading.get_ident()), "send")
-            new_hop = self._append_hop(
-                trace_id,
-                parent=parent,
-                sender=sender,
-                dest=dest,
-                label=label,
-                kind=kind,
-                sent_at=None,
-            )
-            self._pending.add((trace_id, new_hop.hop))
-            stamped = TraceContext(
-                trace_id=trace_id,
-                hop=new_hop.hop,
-                parent=parent,
-                origin=self._chains[trace_id].origin,
-                kind=kind,
+            stamped = self._new_hop(
+                sender, dest, payload, ctx, label, now, sent_at=None
             )
         return dataclasses.replace(
             frame,
@@ -438,6 +404,29 @@ class MessageTracer:
         with self._mutex:
             self._scopes.pop((node, threading.get_ident()), None)
 
+    def deliver(
+        self,
+        node: NodeId,
+        message: object,
+        handler: Callable[[object], List[Envelope]],
+        send: Callable[[NodeId, List[Envelope]], None],
+    ) -> None:
+        """Run *handler* on *message* arriving at *node*, traced, and hand
+        its replies to the fabric's *send*.
+
+        The delivery scope stays open through the reply sends, so replies
+        without a parent hint still land on this message's causal chain.
+        """
+
+        self.delivered(node, message)
+        self.begin_delivery(node, message)
+        try:
+            replies = handler(message)
+            if replies:
+                send(node, replies)
+        finally:
+            self.end_delivery(node)
+
     @contextlib.contextmanager
     def annotated(self, node: NodeId, kind: str) -> Iterator[None]:
         """Mark sends from this (node, thread) with a hop *kind* —
@@ -462,6 +451,44 @@ class MessageTracer:
         self._chains[trace_id].hops.append(hop)
         self._hops[(trace_id, number)] = hop
         return hop
+
+    def _new_hop(
+        self,
+        sender: NodeId,
+        dest: NodeId,
+        inner,
+        ctx: Optional[TraceContext],
+        label: str,
+        now: float,
+        sent_at: Optional[float],
+    ) -> TraceContext:
+        """Attribute a fresh hop (mutex held) and return its context.
+
+        ``sent_at=None`` pre-stamps it: the hop is pending until
+        :meth:`outbound` sees it cross the wire.
+        """
+
+        trace_id, parent = self._resolve(sender, dest, inner, ctx, now)
+        kind = self._kinds.get((sender, threading.get_ident()), "send")
+        hop = self._append_hop(
+            trace_id,
+            parent=parent,
+            sender=sender,
+            dest=dest,
+            label=label,
+            kind=kind,
+            sent_at=sent_at,
+        )
+        (self._pending if sent_at is None else self._sent).add(
+            (trace_id, hop.hop)
+        )
+        return TraceContext(
+            trace_id=trace_id,
+            hop=hop.hop,
+            parent=parent,
+            origin=self._chains[trace_id].origin,
+            kind=kind,
+        )
 
     def _mint(
         self,

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.messages import Envelope, NodeId, fault_label
 from ..errors import SimulationError
 from ..obs.sink import ObsSink
-from .transport import MessageHandler, MessageObserver
+from .transport import MessageHandler
 
 _HEADER = struct.Struct(">I")
 
@@ -74,11 +74,9 @@ class TcpTransport:
     def __init__(
         self,
         host: str = "127.0.0.1",
-        observer: Optional[MessageObserver] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
         self._host = host
-        self._observer = observer
         #: Optional observability sink: frames are reported as ``message``
         #: plus ``wire_sent(frame bytes, serialize+send seconds)`` and
         #: ``wire_received(frame bytes)`` on the reader side.
@@ -201,8 +199,6 @@ class TcpTransport:
                 if replies:
                     self.send(dest, replies)
                 continue
-            if self._observer is not None:
-                self._observer(sender, dest, envelope.message)
             if self.tracer is not None:
                 envelope = self.tracer.outbound(sender, envelope)
             started = time.perf_counter()
@@ -341,11 +337,4 @@ class TcpTransport:
                 if replies:
                     self.send(node_id, replies)
                 continue
-            tracer.delivered(node_id, message)
-            tracer.begin_delivery(node_id, message)
-            try:
-                replies = handler(message)
-                if replies:
-                    self.send(node_id, replies)
-            finally:
-                tracer.end_delivery(node_id)
+            tracer.deliver(node_id, message, handler, self.send)

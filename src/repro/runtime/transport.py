@@ -2,9 +2,9 @@
 
 Each node owns an inbox (a :class:`queue.Queue`) drained by a dedicated
 dispatcher thread.  Handlers are the same transport-agnostic automata used
-by the simulator; the per-node mutex in :mod:`repro.runtime.node`
-serializes handler execution against application calls, so the automata
-never see concurrent access.
+by the simulator; the per-node mutex of the threaded cluster
+(:mod:`repro.runtime.cluster`) serializes handler execution against
+application calls, so the automata never see concurrent access.
 
 An optional delay distribution injects artificial latency (useful to shake
 out reordering bugs between *different* node pairs; per-pair FIFO is
@@ -28,9 +28,6 @@ from ..sim.rng import Distribution
 #: Handler signature, identical to the simulator's.
 MessageHandler = Callable[[object], List[Envelope]]
 
-#: Observer signature: ``(sender, dest, message)``.
-MessageObserver = Callable[[NodeId, NodeId, object], None]
-
 _STOP = object()
 
 
@@ -41,13 +38,11 @@ class ThreadedTransport:
         self,
         delay: Optional[Distribution] = None,
         seed: int = 0,
-        observer: Optional[MessageObserver] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
         self._delay = delay
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-        self._observer = observer
         #: Optional observability sink: cross-node traffic is reported as
         #: ``message`` plus ``wire_sent(nbytes=0, enqueue→dispatch latency)``.
         self.obs = obs
@@ -129,8 +124,6 @@ class ThreadedTransport:
             if envelope.dest != sender:
                 with self._count_lock:
                     self._messages_sent += 1
-                if self._observer is not None:
-                    self._observer(sender, envelope.dest, envelope.message)
                 if self.obs is not None:
                     self.obs.message(
                         sender, envelope.dest, fault_label(envelope.message)
@@ -202,14 +195,7 @@ class ThreadedTransport:
                     if replies:
                         self.send(node_id, replies)
                     continue
-                tracer.delivered(node_id, envelope.message)
-                tracer.begin_delivery(node_id, envelope.message)
-                try:
-                    replies = handler(envelope.message)
-                    if replies:
-                        self.send(node_id, replies)
-                finally:
-                    tracer.end_delivery(node_id)
+                tracer.deliver(node_id, envelope.message, handler, self.send)
             finally:
                 # Replies (if any) were enqueued above, so the counter
                 # cannot dip to zero while the cascade continues.

@@ -19,9 +19,9 @@ have to branch on its caller.
 Clients expose coroutine-friendly ``acquire`` (returns a
 :class:`~repro.sim.engine.SimEvent` to ``yield`` on), plus synchronous
 ``release``.  Grants and releases are reported to an optional
-:class:`~repro.verification.invariants.Monitor`, and every wire message to
-an optional :class:`~repro.metrics.MetricsCollector` — the measurement
-points for all reproduced figures.
+:class:`~repro.verification.invariants.Monitor`; the cluster's
+:class:`~repro.sim.network.Network` counts every wire message — the
+measurement points for all reproduced figures.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
-from ..core.messages import LockId, NodeId, message_type_label
+from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..errors import ConfigurationError
-from ..metrics import MetricsCollector
 from ..obs.sink import ObsSink
 from ..naimi.lockspace import NaimiLockSpace
 from ..raymond.lockspace import RaymondLockSpace
@@ -82,7 +81,6 @@ class _BaseCluster:
         latency: Optional[Distribution] = None,
         seed: int = 0,
         monitor: Optional[Monitor] = None,
-        metrics: Optional[MetricsCollector] = None,
         obs: Optional[ObsSink] = None,
         token_home: TokenHomeFn = default_token_home,
     ) -> None:
@@ -101,9 +99,8 @@ class _BaseCluster:
         self._ghosts: Dict[NodeId, object] = {}
         self.sim = sim if sim is not None else Simulator()
         self.monitor = monitor
-        self.metrics = metrics
-        #: Observability sink shared by every automaton, the network
-        #: observer and the engine tick hook (None = not collecting).
+        #: Observability sink shared by every automaton, the network and
+        #: the engine tick hook (None = not collecting).
         self.obs = obs
         if obs is not None:
             self.sim.tick_hook = obs.engine_tick
@@ -112,8 +109,7 @@ class _BaseCluster:
             self.sim,
             latency=self._latency,
             rng=random.Random(seed ^ 0x5EED),
-            observer=self._observe_message,
-            tracer=getattr(obs, "tracer", None) if obs is not None else None,
+            obs=obs,
         )
         self._base_token_home = token_home
         # Membership splices re-route token homes: per-lock pins for
@@ -195,15 +191,6 @@ class _BaseCluster:
         """Mean point-to-point latency (the Figure 6 normalizer)."""
 
         return self._latency.mean
-
-    def _observe_message(self, sender: NodeId, dest: NodeId, message) -> None:
-        if self.metrics is not None:
-            self.metrics.count_message(message_type_label(message))
-        if self.obs is not None:
-            # Same observation point and same label as the metrics
-            # counter, so per-type totals in traces match
-            # MetricsCollector.message_overhead_by_type exactly.
-            self.obs.message(sender, dest, message_type_label(message))
 
     def _record_request(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
         if self.monitor is not None:
@@ -391,14 +378,13 @@ class SimHierarchicalCluster(_BaseCluster):
         seed: int = 0,
         token_home: TokenHomeFn = default_token_home,
         monitor: Optional[Monitor] = None,
-        metrics: Optional[MetricsCollector] = None,
         options: ProtocolOptions = FULL_PROTOCOL,
         obs: Optional[ObsSink] = None,
     ) -> None:
         self._options = options
         super().__init__(
             num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs, token_home=token_home,
+            monitor=monitor, obs=obs, token_home=token_home,
         )
 
     def _new_lockspace(self, node_id: NodeId, listener) -> LockSpace:
@@ -567,12 +553,11 @@ class SimNaimiCluster(_ExclusiveCluster):
         seed: int = 0,
         token_home: TokenHomeFn = default_token_home,
         monitor: Optional[Monitor] = None,
-        metrics: Optional[MetricsCollector] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
         super().__init__(
             num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs, token_home=token_home,
+            monitor=monitor, obs=obs, token_home=token_home,
         )
 
     def _new_lockspace(self, node_id: NodeId, listener) -> NaimiLockSpace:
@@ -642,7 +627,6 @@ class SimRaymondCluster(_ExclusiveCluster):
         seed: int = 0,
         topology: Optional[Topology] = None,
         monitor: Optional[Monitor] = None,
-        metrics: Optional[MetricsCollector] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
         self.topology = (
@@ -651,7 +635,7 @@ class SimRaymondCluster(_ExclusiveCluster):
         validate(self.topology)
         super().__init__(
             num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, metrics=metrics, obs=obs,
+            monitor=monitor, obs=obs,
         )
 
     def _new_lockspace(self, node_id: NodeId, listener) -> RaymondLockSpace:

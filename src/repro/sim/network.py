@@ -26,9 +26,11 @@ one it needs where it gets its label
 A fabric that keeps every message in order (the threaded and TCP
 transports) implements both: FIFO is one legal schedule of unordered.
 
-The network is where *all* protocol messages cross, so it doubles as the
-measurement point: an optional observer is invoked for every send with the
-sender, destination and message, and the metrics collector plugs in there.
+The network is where *all* protocol messages cross, so it is the one
+place a wire message is accounted for: each send is counted once, by
+message type (:attr:`Network.messages_sent`, ``messages_by_plane`` and
+``messages_by_label`` are views of that count), reported once to an
+optional :class:`~repro.obs.sink.ObsSink` and stamped by its tracer.
 
 Fault injection is first-class: pass a
 :class:`~repro.faults.plan.FaultPlan` as ``faults`` and the network
@@ -46,16 +48,13 @@ import random
 from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from ..core.messages import Envelope, NodeId
+from ..core.messages import MESSAGE_TYPE_LABELS, Envelope, NodeId, fault_label
 from ..errors import SimulationError
 from .engine import Simulator
 from .rng import Distribution, Exponential
 
 #: Handler installed per node: takes a message, returns reply envelopes.
 MessageHandler = Callable[[object], List[Envelope]]
-
-#: Observer signature: ``(sender, dest, message)``.
-MessageObserver = Callable[[NodeId, NodeId, object], None]
 
 
 class Network:
@@ -66,19 +65,20 @@ class Network:
         sim: Simulator,
         latency: Optional[Distribution] = None,
         rng: Optional[random.Random] = None,
-        observer: Optional[MessageObserver] = None,
         faults: Optional["FaultPlan"] = None,
-        tracer: Optional["MessageTracer"] = None,
+        obs: Optional["ObsSink"] = None,
     ) -> None:
         self._sim = sim
         self._latency = latency if latency is not None else Exponential(0.150)
         self._rng = rng if rng is not None else random.Random(0)
-        self._observer = observer
-        #: Optional causal tracer (:mod:`repro.obs.tracing`).  Stamps a
-        #: trace context onto every envelope at the same point the
-        #: observer fires; draws no randomness and sends nothing, so
+        #: Optional observability sink: every counted send is reported as
+        #: one ``message(sender, dest, fault_label(message))``.
+        self.obs = obs
+        #: Optional causal tracer (:mod:`repro.obs.tracing`), adopted from
+        #: ``obs`` when it has one.  Stamps a trace context onto every
+        #: counted envelope; draws no randomness and sends nothing, so
         #: traced runs stay bit-identical to untraced ones.
-        self.tracer = tracer
+        self.tracer = getattr(obs, "tracer", None)
         self._injector = None
         if faults is not None and not faults.is_empty():
             from ..faults.plan import FaultInjector
@@ -87,7 +87,7 @@ class Network:
         self._handlers: Dict[NodeId, MessageHandler] = {}
         self._crashed: Set[NodeId] = set()
         self._last_arrival: Dict[Tuple[NodeId, NodeId], float] = {}
-        self._sent_by_plane: Dict[str, int] = collections.defaultdict(int)
+        self._sent_by_type: Dict[type, int] = collections.defaultdict(int)
         self._messages_dropped = 0
 
     @property
@@ -100,13 +100,26 @@ class Network:
     def messages_sent(self) -> int:
         """Total envelopes transmitted (excluding node-local deliveries)."""
 
-        return sum(self._sent_by_plane.values())
+        return sum(self._sent_by_type.values())
 
     @property
     def messages_by_plane(self) -> Dict[str, int]:
         """:attr:`messages_sent`, by the plane each type declared."""
 
-        return dict(sorted(self._sent_by_plane.items()))
+        return self._sent_by(lambda cls: cls.plane)
+
+    @property
+    def messages_by_label(self) -> Dict[str, int]:
+        """:attr:`messages_sent`, by the label each type declared (the
+        Figure 7 legend, ``MESSAGE_TYPE_LABELS``)."""
+
+        return self._sent_by(MESSAGE_TYPE_LABELS.__getitem__)
+
+    def _sent_by(self, key: Callable[[type], str]) -> Dict[str, int]:
+        counts: Dict[str, int] = collections.Counter()
+        for cls, sent in self._sent_by_type.items():
+            counts[key(cls)] += sent
+        return dict(sorted(counts.items()))
 
     @property
     def mean_latency(self) -> float:
@@ -165,12 +178,12 @@ class Network:
 
         sim = self._sim
         now, schedule, deliver = sim.now, sim.schedule, self._deliver
-        handlers, crashed, floors, by_plane = (
+        handlers, crashed, floors, by_type = (
             self._handlers, self._crashed, self._last_arrival,
-            self._sent_by_plane,
+            self._sent_by_type,
         )
         sender_down = sender in crashed
-        injector, observer, tracer = self._injector, self._observer, self.tracer
+        injector, obs, tracer = self._injector, self.obs, self.tracer
         sample, rng = self._latency.sample, self._rng
         for envelope in envelopes:
             dest = envelope.dest
@@ -193,9 +206,9 @@ class Network:
                 copies, extra, reorder = (
                     decision.copies, decision.extra_delay, decision.reorder
                 )
-            by_plane[message.plane] += 1
-            if observer is not None:
-                observer(sender, dest, message)
+            by_type[type(message)] += 1
+            if obs is not None:
+                obs.message(sender, dest, fault_label(message))
             if tracer is not None:
                 envelope = tracer.outbound(sender, envelope)
             key = (sender, dest)
@@ -226,13 +239,4 @@ class Network:
             if replies:
                 self.send(envelope.dest, replies)
             return
-        tracer.delivered(envelope.dest, envelope.message)
-        # Scope stays open through the reply sends so replies without a
-        # parent hint still land on this message's causal chain.
-        tracer.begin_delivery(envelope.dest, envelope.message)
-        try:
-            replies = handler(envelope.message)
-            if replies:
-                self.send(envelope.dest, replies)
-        finally:
-            tracer.end_delivery(envelope.dest)
+        tracer.deliver(envelope.dest, envelope.message, handler, self.send)

@@ -168,17 +168,14 @@ class TestRecordingIsBitIdentical:
         from repro.sim.cluster import SimHierarchicalCluster
         from repro.sim.engine import run_processes
 
-        from repro.metrics import MetricsCollector
         from repro.verification.invariants import FifoObserver
 
         def drive(record):
-            metrics = MetricsCollector()
             fifo = FifoObserver()
             cluster = SimHierarchicalCluster(
                 4,
                 seed=17,
                 monitor=fifo,
-                metrics=metrics,
                 options=ProtocolOptions(recovery=True),
             )
             if record:
@@ -201,6 +198,8 @@ class TestRecordingIsBitIdentical:
                 lock_id: [(e.node, str(e.mode)) for e in events]
                 for lock_id, events in fifo.grant_log.items()
             }
-            return dict(metrics.message_counts), grants, cluster.sim.now
+            return (
+                cluster.network.messages_by_label, grants, cluster.sim.now
+            )
 
         assert drive(record=False) == drive(record=True)

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 
 from repro.core.modes import LockMode
-from repro.metrics import MetricsCollector
 from repro.obs.live import (
     AuditReport,
     ClusterView,
@@ -374,11 +373,8 @@ class TestLiveMonitorAges:
 
 
 def _seeded_run(seed, monitored):
-    metrics = MetricsCollector()
     fifo = FifoObserver()
-    cluster = SimHierarchicalCluster(
-        4, seed=seed, monitor=fifo, metrics=metrics
-    )
+    cluster = SimHierarchicalCluster(4, seed=seed, monitor=fifo)
     sim = cluster.sim
     reports = []
     if monitored:
@@ -402,7 +398,7 @@ def _seeded_run(seed, monitored):
         lock_id: [(e.node, str(e.mode)) for e in events]
         for lock_id, events in fifo.grant_log.items()
     }
-    return dict(metrics.message_counts), grants, reports, cluster
+    return cluster.network.messages_by_label, grants, reports, cluster
 
 
 class TestMonitoringIsFree:

@@ -108,18 +108,29 @@ class TestTracerBasics:
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
         out = tracer.outbound(0, _request())
-        tracer.delivered(1, out.message)
-        tracer.begin_delivery(1, out.message)
-        try:
+        clock.now = 0.2
+        sent = []
+
+        def handler(message):
             # A message with no hint and no request identity, sent from
             # inside the handler, inherits the open scope.
-            reply = tracer.outbound(1, Envelope(2, ReleaseMessage(
+            return [Envelope(2, ReleaseMessage(
                 lock_id="L", sender=1, new_mode=LockMode.NONE,
-            )))
-        finally:
-            tracer.end_delivery(1)
+            ))]
+
+        def send(node, replies):
+            sent.extend(tracer.outbound(node, reply) for reply in replies)
+
+        tracer.deliver(1, out.message, handler, send)
+        (reply,) = sent
         assert reply.message.trace.trace_id == "0.1"
         assert reply.message.trace.parent == 1
+        assert tracer.chains()[0].hops[0].recv_at == 0.2
+        # The scope closed with the delivery.
+        later = tracer.outbound(1, Envelope(2, ReleaseMessage(
+            lock_id="L", sender=1, new_mode=LockMode.NONE,
+        )))
+        assert later.message.trace.trace_id != "0.1"
 
     def test_release_joins_last_granted_chain(self):
         clock = FakeClock()

@@ -9,6 +9,8 @@ import pytest
 from repro.core.messages import Envelope, ReleaseMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
+from repro.faults.messages import SessionMessage
+from repro.obs.sink import ObsSink
 from repro.runtime.cluster import ThreadedHierarchicalCluster
 from repro.runtime.tcp import TcpTransport
 from repro.verification.invariants import CompatibilityMonitor
@@ -18,6 +20,16 @@ TIMEOUT = 30.0
 
 def _release(sender=0):
     return ReleaseMessage(lock_id="L", sender=sender, new_mode=LockMode.NONE)
+
+
+class _Messages(ObsSink):
+    """Records every ``message`` call a fabric makes."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def message(self, sender, dest, label):
+        self.seen.append((sender, dest, label))
 
 
 class TestTcpTransport:
@@ -84,6 +96,30 @@ class TestTcpTransport:
         try:
             with pytest.raises(SimulationError):
                 transport.send(0, [Envelope(9, _release())])
+        finally:
+            transport.stop()
+
+    def test_each_counted_frame_is_observed_once(self):
+        """One ``obs.message`` per counted send, labelled by
+        ``fault_label``; a self-send is neither counted nor observed."""
+
+        sink = _Messages()
+        transport = TcpTransport(obs=sink)
+        received = threading.Semaphore(0)
+        transport.register(0, lambda msg: [])
+        transport.register(1, lambda msg: received.release() or [])
+        transport.start()
+        try:
+            transport.send(0, [
+                Envelope(1, _release()), Envelope(0, _release()),
+                Envelope(1, SessionMessage(
+                    lock_id="L", sender=0, seq=0, payload=_release()
+                )),
+            ])
+            for _ in range(2):
+                assert received.acquire(timeout=10.0)
+            assert sink.seen == [(0, 1, "release"), (0, 1, "release")]
+            assert transport.messages_sent == 2
         finally:
             transport.stop()
 

@@ -10,11 +10,23 @@ import pytest
 from repro.core.messages import Envelope, ReleaseMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
+from repro.faults.messages import SessionMessage
+from repro.obs.sink import ObsSink
 from repro.runtime.transport import ThreadedTransport
 
 
 def _release(sender=0):
     return ReleaseMessage(lock_id="L", sender=sender, new_mode=LockMode.NONE)
+
+
+class _Messages(ObsSink):
+    """Records every ``message`` call a fabric makes."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def message(self, sender, dest, label):
+        self.seen.append((sender, dest, label))
 
 
 class TestThreadedTransport:
@@ -172,16 +184,23 @@ class TestThreadedTransport:
             transport.stop()
 
     def test_observer_invoked_off_the_hot_path(self):
-        observed = []
-        transport = ThreadedTransport(
-            observer=lambda s, d, m: observed.append((s, d))
-        )
+        """One ``obs.message`` per counted send, labelled by
+        ``fault_label``; a self-send is neither counted nor observed."""
+
+        sink = _Messages()
+        transport = ThreadedTransport(obs=sink)
         transport.register(0, lambda msg: [])
         transport.register(1, lambda msg: [])
         transport.start()
         try:
-            transport.send(0, [Envelope(1, _release())])
+            transport.send(0, [
+                Envelope(1, _release()), Envelope(0, _release()),
+                Envelope(1, SessionMessage(
+                    lock_id="L", sender=0, seq=0, payload=_release()
+                )),
+            ])
             transport.drain()
-            assert observed == [(0, 1)]
+            assert sink.seen == [(0, 1, "release"), (0, 1, "release")]
+            assert transport.messages_sent == 2
         finally:
             transport.stop()

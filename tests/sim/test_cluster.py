@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.modes import LockMode
 from repro.errors import ConfigurationError, InvariantViolation
-from repro.metrics import MetricsCollector
 from repro.sim.cluster import SimHierarchicalCluster, SimNaimiCluster
 from repro.sim.engine import Simulator, Timeout, run_processes
 from repro.verification.invariants import (
@@ -85,8 +84,7 @@ class TestHierarchicalCluster:
 
     def test_metrics_count_wire_messages_by_type(self):
         sim = Simulator()
-        metrics = MetricsCollector()
-        cluster = SimHierarchicalCluster(3, sim=sim, metrics=metrics)
+        cluster = SimHierarchicalCluster(3, sim=sim)
 
         def body(node):
             client = cluster.client(node)
@@ -94,8 +92,9 @@ class TestHierarchicalCluster:
             client.release("t", LockMode.R)
 
         run_processes(sim, [body(n) for n in (1, 2)])
-        assert metrics.total_messages > 0
-        assert set(metrics.message_counts) <= {
+        counts = cluster.network.messages_by_label
+        assert sum(counts.values()) == cluster.network.messages_sent > 0
+        assert set(counts) <= {
             "request", "grant", "token", "release", "freeze"
         }
 
@@ -151,8 +150,7 @@ class TestNaimiCluster:
 
     def test_metrics_labels_are_naimi_types(self):
         sim = Simulator()
-        metrics = MetricsCollector()
-        cluster = SimNaimiCluster(3, sim=sim, metrics=metrics)
+        cluster = SimNaimiCluster(3, sim=sim)
 
         def body(node):
             client = cluster.client(node)
@@ -160,7 +158,7 @@ class TestNaimiCluster:
             client.release("g")
 
         run_processes(sim, [body(1), body(2)])
-        assert set(metrics.message_counts) <= {"request", "token"}
+        assert set(cluster.network.messages_by_label) <= {"request", "token"}
 
     def test_multiple_independent_locks(self):
         sim = Simulator()

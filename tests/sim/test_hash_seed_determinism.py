@@ -17,7 +17,6 @@ import subprocess
 import sys
 
 from repro.core.modes import LockMode
-from repro.metrics import MetricsCollector
 from repro.sim.cluster import SimHierarchicalCluster
 from repro.sim.engine import Simulator, Timeout, run_processes
 from repro.verification.invariants import Monitor
@@ -46,10 +45,7 @@ class _GrantLog(Monitor):
 def run_script(seed: int = 2003) -> dict:
     sim = Simulator()
     log = _GrantLog()
-    metrics = MetricsCollector()
-    cluster = SimHierarchicalCluster(
-        NODES, sim=sim, seed=seed, monitor=log, metrics=metrics
-    )
+    cluster = SimHierarchicalCluster(NODES, sim=sim, seed=seed, monitor=log)
     modes, weights = zip(*WRITE_MIX)
 
     def client(node: int):
@@ -69,8 +65,8 @@ def run_script(seed: int = 2003) -> dict:
     run_processes(sim, [client(node) for node in range(NODES)])
     cluster.assert_quiescent_invariants()
     return {
-        "messages": metrics.total_messages,
-        "by_type": dict(sorted(metrics.message_counts.items())),
+        "messages": cluster.network.messages_sent,
+        "by_type": cluster.network.messages_by_label,
         "grants": log.grants,
         "final_time": sim.now,
     }

@@ -8,7 +8,8 @@ from repro.core.messages import Envelope, ReleaseMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
 from repro.faults.messages import HeartbeatMessage, SessionAck, SessionMessage
-from repro.faults.plan import REORDER, FaultPlan, FaultRule
+from repro.faults.plan import DROP, REORDER, FaultPlan, FaultRule
+from repro.obs.sink import ObsSink
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import Distribution, Exponential, Fixed, derive_rng
@@ -220,22 +221,43 @@ class TestDeliveryClasses:
         assert network.messages_sent == 4
 
 
+class _Messages(ObsSink):
+    """Records every ``message`` call a fabric makes."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def message(self, sender, dest, label):
+        self.seen.append((sender, dest, label))
+
+
 class TestObservation:
     def test_observer_sees_every_wire_message(self):
+        """One ``obs.message`` per counted send, labelled by
+        ``fault_label``; a dropped send and a self-send are neither."""
+
         sim = Simulator()
-        observed = []
+        sink = _Messages()
+        drop_beats = FaultPlan(rules=(
+            FaultRule(action=DROP, message_types=frozenset({"heartbeat"})),
+        ))
         network = Network(
-            sim,
-            latency=Fixed(0.01),
-            observer=lambda s, d, m: observed.append((s, d)),
+            sim, latency=Fixed(0.01), faults=drop_beats, obs=sink
         )
         network.register(0, lambda msg: [])
         network.register(1, lambda msg: [])
-        network.send(0, [Envelope(1, _release()), Envelope(1, _release())])
+        network.send(0, [
+            Envelope(1, _release()), Envelope(1, _frame(0)),
+            Envelope(1, _beat()), Envelope(1, _release()),
+        ])
         network.send(0, [Envelope(0, _release())])  # local: not observed
         sim.run()
-        assert observed == [(0, 1), (0, 1)]
-        assert network.messages_sent == 2
+        assert sink.seen == [
+            (0, 1, "release"), (0, 1, "release"), (0, 1, "release"),
+        ]
+        assert network.messages_sent == 3
+        assert network.messages_dropped == 1
+        assert network.messages_by_label == {"release": 2, "session": 1}
 
     def test_mean_latency_exposed(self):
         network = Network(Simulator(), latency=Exponential(0.150))

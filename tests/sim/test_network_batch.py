@@ -7,7 +7,8 @@ both RNG streams, so that is what is compared here, against a reference
 that re-reads everything per envelope (``ParentNetwork._send_one``).
 The reference follows the fabric's contract, not its history: since
 issue 24 a datagram type (the script's heartbeats) skips the FIFO floor
-exactly as a fault-plan ``reorder`` does, and sends are counted by plane.
+exactly as a fault-plan ``reorder`` does, and sends are counted by type
+and reported once to the obs sink.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.core.messages import (
     Envelope,
     ReleaseMessage,
     RequestMessage,
+    fault_label,
     fresh_request_id,
 )
 from repro.core.modes import LockMode
@@ -35,6 +37,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultRule,
 )
+from repro.obs.sink import ObsSink
 from repro.obs.tracing import MessageTracer
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
@@ -70,9 +73,9 @@ class ParentNetwork(Network):
                 return
         else:
             decision = None
-        self._sent_by_plane[envelope.message.plane] += 1
-        if self._observer is not None:
-            self._observer(sender, dest, envelope.message)
+        self._sent_by_type[type(envelope.message)] += 1
+        if self.obs is not None:
+            self.obs.message(sender, dest, fault_label(envelope.message))
         if self.tracer is not None:
             envelope = self.tracer.outbound(sender, envelope)
         copies = 1 if decision is None else decision.copies
@@ -118,27 +121,35 @@ def _message(kind: int, sender: int, serial: int):
     )
 
 
+class _Sink(ObsSink):
+    """Records every ``message`` call; carries a tracer if given one."""
+
+    def __init__(self, tracer=None) -> None:
+        self.observed = []
+        self.tracer = tracer
+
+    def message(self, sender, dest, label):
+        self.observed.append((sender, dest, label))
+
+
 class _World:
     """A network of ``NODES`` sinks and everything a run can be told by."""
 
     def __init__(self, cls, seed: int, setting: str) -> None:
         self.sim = Simulator()
-        self.observed = []
         self.delivered = []
         self.rng = random.Random(seed)
+        self.obs = None
+        if setting == "observer":
+            self.obs = _Sink()
+        elif setting == "tracer":
+            self.obs = _Sink(MessageTracer(clock=lambda: self.sim.now))
         self.network = cls(
             self.sim,
             latency=Exponential(0.150),
             rng=self.rng,
-            observer=(
-                (lambda s, d, m: self.observed.append((s, d, m)))
-                if setting == "observer" else None
-            ),
             faults=_plan(seed) if setting == "plan" else None,
-            tracer=(
-                MessageTracer(clock=lambda: self.sim.now)
-                if setting == "tracer" else None
-            ),
+            obs=self.obs,
         )
         for node in range(NODES):
             self.network.register(node, self._sink(node))
@@ -157,11 +168,12 @@ class _World:
             sorted((time, seq) for time, seq, _fn in self.sim._heap),
             network.messages_sent,
             network.messages_by_plane,
+            network.messages_by_label,
             network.messages_dropped,
             dict(network._last_arrival),
             self.rng.getstate(),
             None if injector is None else injector._rng.getstate(),
-            self.observed,
+            None if self.obs is None else self.obs.observed,
         )
 
 

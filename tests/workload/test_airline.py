@@ -48,7 +48,7 @@ class TestHierarchicalClient:
         cluster = SimHierarchicalCluster(
             num_nodes, sim=sim,
             token_home=hashed_token_home(num_nodes),
-            monitor=monitor, metrics=metrics,
+            monitor=monitor,
         )
         bodies = [
             hierarchical_client(
@@ -111,7 +111,7 @@ class TestNaimiClients:
         cluster = SimNaimiCluster(
             num_nodes, sim=sim,
             token_home=hashed_token_home(num_nodes),
-            monitor=monitor, metrics=metrics,
+            monitor=monitor,
         )
         bodies = [
             client_factory(
@@ -121,6 +121,7 @@ class TestNaimiClients:
             for n in range(num_nodes)
         ]
         _run(sim, bodies)
+        metrics.message_counts.update(cluster.network.messages_by_label)
         return metrics, monitor, cluster
 
     def test_pure_uses_single_global_lock(self):
