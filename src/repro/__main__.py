@@ -120,6 +120,9 @@ def _chaos_main(argv: Sequence[str]) -> int:
     if args.reclaim and not args.durable:
         parser.error("--reclaim requires --durable (holds are reclaimed "
                      "from the journal)")
+    if args.wal_dir is not None and not args.durable:
+        parser.error("--wal-dir requires --durable (a volatile run writes "
+                     "no journal)")
     obs = (
         RunObserver(
             max_buckets=CHAOS_OBS_MAX_BUCKETS,

@@ -41,6 +41,18 @@ class TestChaosCli:
         with pytest.raises(SystemExit):
             main(["chaos", "--plan", "does-not-exist"])
 
+    def test_wal_dir_without_durable_rejected(self, tmp_path, capsys):
+        # A volatile run writes no journal: asking for one is an error,
+        # not a silently ignored flag.
+        with pytest.raises(SystemExit) as exited:
+            main([
+                "chaos", "--plan", "none", "--nodes", "3", "--duration",
+                "1", "--grace", "2", "--wal-dir", str(tmp_path / "wal"),
+            ])
+        assert exited.value.code == 2
+        assert "--wal-dir requires --durable" in capsys.readouterr().err
+        assert not (tmp_path / "wal").exists()
+
     def test_trace_out_writes_jsonl(self, tmp_path, capsys):
         trace = tmp_path / "chaos.jsonl"
         rc = main([
