@@ -264,6 +264,7 @@ def _replay_main(argv: Sequence[str]) -> int:
 
     from .obs.flightrec import (
         NodeReplayer,
+        _event_matches,
         bisect_timeline,
         build_timeline,
         load_dump,
@@ -383,7 +384,7 @@ def _replay_main(argv: Sequence[str]) -> int:
         shown = 0
         for event in replayer.events:
             seq = int(event.get("seq", 0))
-            if lo <= seq <= hi and _event_matches_cli(event, criteria):
+            if lo <= seq <= hi and _event_matches(event, criteria):
                 print(_json.dumps(event, sort_keys=True))
                 shown += 1
         print(f"{shown} event(s)", file=sys.stderr)
@@ -430,12 +431,6 @@ def _replay_main(argv: Sequence[str]) -> int:
         return 1
     print("replay clean: every checkpoint reproduced bit-for-bit")
     return 0
-
-
-def _event_matches_cli(event, criteria) -> bool:
-    from .obs.flightrec import _event_matches
-
-    return not criteria or _event_matches(event, criteria)
 
 
 def _monitor_main(argv: Sequence[str]) -> int:
@@ -754,12 +749,6 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _is_flight_dump(path: str) -> bool:
-    from .obs.flightrec import looks_like_flight_dump
-
-    return looks_like_flight_dump(path)
-
-
 def main(argv: Sequence[str] = ()) -> int:
     """Entry point; returns a process exit status."""
 
@@ -785,24 +774,16 @@ def main(argv: Sequence[str] = ()) -> int:
             print(f"error: cannot read {args.trace}: {exc}", file=sys.stderr)
             return 2
         except ValueError as exc:  # bad JSON, binary data, truncated line
-            if _is_flight_dump(args.trace):
-                print(
-                    f"error: {args.trace} looks like a flightrec dump — "
-                    "use `python -m repro replay`", file=sys.stderr,
-                )
-                return 2
-            print(f"error: {args.trace} is not a trace file: {exc}",
-                  file=sys.stderr)
-            return 2
+            runs, problem = [], f"is not a trace file: {exc}"
+        else:
+            problem = "contains no run sections (empty trace file?)"
         if not runs:
-            if _is_flight_dump(args.trace):
-                print(
-                    f"error: {args.trace} looks like a flightrec dump — "
-                    "use `python -m repro replay`", file=sys.stderr,
-                )
-                return 2
-            print(f"error: {args.trace} contains no run sections "
-                  "(empty trace file?)", file=sys.stderr)
+            from .obs.flightrec import looks_like_flight_dump
+
+            if looks_like_flight_dump(args.trace):
+                problem = ("looks like a flightrec dump — "
+                           "use `python -m repro replay`")
+            print(f"error: {args.trace} {problem}", file=sys.stderr)
             return 2
         if args.json:
             import json as _json
