@@ -67,10 +67,12 @@ def render_ascii_plot(
 
 def shape_checks(
     checks: List[Tuple[str, bool]],
+    heading: str = "Shape checks (paper claims):",
 ) -> str:
-    """Render pass/fail rows for the qualitative claims being reproduced."""
+    """Render pass/fail rows under *heading* — by default, the
+    qualitative claims being reproduced."""
 
-    lines = ["Shape checks (paper claims):"]
+    lines = [heading]
     for description, passed in checks:
         status = "PASS" if passed else "FAIL"
         lines.append(f"  [{status}] {description}")

@@ -23,6 +23,7 @@ from ..core.modes import (
     render_table_2b,
     should_queue,
 )
+from .report import shape_checks
 
 #: Table 1(a): rows/cols in (IR, R, U, IW, W) order, True = conflict.
 EXPECTED_TABLE_1A: Tuple[Tuple[bool, ...], ...] = (
@@ -138,8 +139,7 @@ def render_all() -> str:
         render_table_2a(),
         render_table_2b(),
     ]
-    status = "\n".join(
-        f"  [{'PASS' if ok else 'FAIL'}] {name}" for name, ok in verify_all()
-    )
-    parts.append("Verification against the reconstruction oracle:\n" + status)
+    parts.append(shape_checks(
+        verify_all(), "Verification against the reconstruction oracle:"
+    ))
     return "\n\n".join(parts)
