@@ -635,12 +635,19 @@ class AutomatonSpace:
 
     @property
     def lock_ids(self) -> List[LockId]:
-        """Ids of every lock this node has touched so far."""
+        """Ids of every lock this node has touched so far.  Reads such
+        as :meth:`existing` and the quiescent audit register none."""
 
         return list(self._automata)
 
     def _new_automaton(self, lock_id: LockId) -> LockAutomaton:
         raise NotImplementedError
+
+    def existing(self, lock_id: LockId) -> Optional[LockAutomaton]:
+        """The automaton for *lock_id*, or ``None`` if this node never
+        touched the lock (a pure read: nothing is created)."""
+
+        return self._automata.get(lock_id)
 
     def automaton(self, lock_id: LockId) -> LockAutomaton:
         """Return (creating on first use) the automaton for *lock_id*."""

@@ -293,16 +293,23 @@ class _BaseCluster:
     def assert_quiescent_invariants(self) -> None:
         """Verify every touched lock's structure after the network has
         drained: the protocol family's ``QUIESCENT`` check (see
-        :mod:`repro.verification.invariants`) over all nodes' automata."""
+        :mod:`repro.verification.invariants`) over every member's state
+        of the lock.
+
+        A pure read.  A member that never touched the lock is still in
+        its birth state, so it is checked as a throwaway birth instance
+        from its lockspace's factory, which is never registered: the
+        audit creates no automaton and records no birth.
+        """
 
         for lock_id in self._touched_locks(self.lockspaces):
-            self.QUIESCENT(
-                lock_id,
-                {
-                    node_id: space.automaton(lock_id)
-                    for node_id, space in self.lockspaces.items()
-                },
-            )
+            automata = {}
+            for node_id, space in self.lockspaces.items():
+                automaton = space.existing(lock_id)
+                if automaton is None:
+                    automaton = space._new_automaton(lock_id)
+                automata[node_id] = automaton
+            self.QUIESCENT(lock_id, automata)
 
 
 class _NodeClient:

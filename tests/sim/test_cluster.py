@@ -7,7 +7,8 @@ import pytest
 from repro.core.modes import LockMode
 from repro.errors import ConfigurationError, InvariantViolation
 from repro.sim.cluster import SimHierarchicalCluster, SimNaimiCluster
-from repro.sim.engine import Simulator, Timeout, run_processes
+from repro.sim.engine import Process, Simulator, Timeout, run_processes
+from repro.sim.rng import Fixed
 from repro.verification.invariants import (
     CompatibilityMonitor,
     FifoObserver,
@@ -100,17 +101,22 @@ class TestHierarchicalCluster:
 
     def test_quiescence_check_catches_leaked_hold(self):
         sim = Simulator()
-        cluster = SimHierarchicalCluster(2, sim=sim)
+        cluster = SimHierarchicalCluster(2, sim=sim, latency=Fixed(0.1))
         client = cluster.client(1)
 
         def body():
             yield client.acquire("t", LockMode.W)
             # never released
 
-        run_processes(sim, [body()])
-        # The tree is consistent, but a pending-free leaked hold is fine
-        # structurally; a *pending* request is not. Here we check the
-        # positive path instead: structure is consistent.
+        Process(sim, body())
+        # Stopped while the request is in flight, the leak is still a
+        # pending request, which is not quiescent.
+        sim.run(until=0.05)
+        with pytest.raises(InvariantViolation, match="still pending"):
+            cluster.assert_quiescent_invariants()
+        # Once granted, a leaked hold with nothing pending is
+        # structurally sound.
+        sim.run()
         cluster.assert_quiescent_invariants()
 
     def test_fifo_observer_sees_grant_order(self):
