@@ -139,10 +139,7 @@ class _BaseCluster:
         """*member*'s automaton for *lock_id*, or ``None`` if it never
         touched the lock (a splice must not instantiate it)."""
 
-        for automaton in self.lockspaces[member].automata():
-            if automaton.lock_id == lock_id:
-                return automaton
-        return None
+        return self.lockspaces[member].existing(lock_id)
 
     def _touched_locks(self, nodes) -> List[LockId]:
         """Every lock id any of *nodes* has touched, in splice order."""
