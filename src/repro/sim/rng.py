@@ -34,8 +34,8 @@ class Distribution:
     """A positive-valued distribution with a known mean."""
 
     def __init__(self, mean: float) -> None:
-        if mean < 0:
-            raise ValueError("mean must be non-negative")
+        if not 0 <= mean < float("inf"):
+            raise ValueError("mean must be finite and non-negative")
         self.mean = mean
 
     def sample(self, rng: random.Random) -> float:
@@ -57,8 +57,8 @@ class Uniform(Distribution):
     """Uniform on ``[low, high]``; mean is ``(low + high) / 2``."""
 
     def __init__(self, low: float, high: float) -> None:
-        if low < 0 or high < low:
-            raise ValueError("need 0 <= low <= high")
+        if not 0 <= low <= high < float("inf"):
+            raise ValueError("need 0 <= low <= high < inf")
         super().__init__((low + high) / 2.0)
         self.low = low
         self.high = high

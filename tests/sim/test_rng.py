@@ -65,6 +65,25 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Exponential(-0.1)
 
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_mean_rejected(self, mean):
+        # Accepted, NaN would fail only at the first send ("cannot
+        # schedule into the past (nan)") and infinity at the first draw.
+        with pytest.raises(ValueError, match="finite"):
+            Exponential(mean)
+        with pytest.raises(ValueError, match="finite"):
+            Fixed(mean)
+
+    @pytest.mark.parametrize("low, high", [
+        (0.0, float("nan")),
+        (float("nan"), 1.0),
+        (0.0, float("inf")),
+        (float("inf"), float("inf")),
+    ])
+    def test_uniform_non_finite_bounds_rejected(self, low, high):
+        with pytest.raises(ValueError):
+            Uniform(low, high)
+
 
 class TestWeightedChoice:
     def test_single_item(self):
