@@ -1,4 +1,5 @@
-"""Shared test utilities: a synchronous message pump for automata.
+"""Shared test utilities: a synchronous message pump for automata, and
+a sink that records what a message fabric reports.
 
 The pump drives a set of transport-agnostic automata with instant,
 per-pair-FIFO delivery — protocol unit tests exercise exact message
@@ -19,8 +20,19 @@ from repro.core.automaton import (
 from repro.core.clock import LamportClock
 from repro.core.messages import Envelope, NodeId
 from repro.core.modes import LockMode
+from repro.obs.sink import ObsSink
 
 LOCK = "L"
+
+
+class RecordingSink(ObsSink):
+    """Records every ``message`` call a fabric makes."""
+
+    def __init__(self) -> None:
+        self.seen = []
+
+    def message(self, sender, dest, label):
+        self.seen.append((sender, dest, label))
 
 
 class Pump:

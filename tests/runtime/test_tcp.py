@@ -10,26 +10,16 @@ from repro.core.messages import Envelope, ReleaseMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
 from repro.faults.messages import SessionMessage
-from repro.obs.sink import ObsSink
 from repro.runtime.cluster import ThreadedHierarchicalCluster
 from repro.runtime.tcp import TcpTransport
 from repro.verification.invariants import CompatibilityMonitor
+from tests.helpers import RecordingSink
 
 TIMEOUT = 30.0
 
 
 def _release(sender=0):
     return ReleaseMessage(lock_id="L", sender=sender, new_mode=LockMode.NONE)
-
-
-class _Messages(ObsSink):
-    """Records every ``message`` call a fabric makes."""
-
-    def __init__(self) -> None:
-        self.seen = []
-
-    def message(self, sender, dest, label):
-        self.seen.append((sender, dest, label))
 
 
 class TestTcpTransport:
@@ -103,7 +93,7 @@ class TestTcpTransport:
         """One ``obs.message`` per counted send, labelled by
         ``fault_label``; a self-send is neither counted nor observed."""
 
-        sink = _Messages()
+        sink = RecordingSink()
         transport = TcpTransport(obs=sink)
         received = threading.Semaphore(0)
         transport.register(0, lambda msg: [])

@@ -11,22 +11,12 @@ from repro.core.messages import Envelope, ReleaseMessage
 from repro.core.modes import LockMode
 from repro.errors import SimulationError
 from repro.faults.messages import SessionMessage
-from repro.obs.sink import ObsSink
 from repro.runtime.transport import ThreadedTransport
+from tests.helpers import RecordingSink
 
 
 def _release(sender=0):
     return ReleaseMessage(lock_id="L", sender=sender, new_mode=LockMode.NONE)
-
-
-class _Messages(ObsSink):
-    """Records every ``message`` call a fabric makes."""
-
-    def __init__(self) -> None:
-        self.seen = []
-
-    def message(self, sender, dest, label):
-        self.seen.append((sender, dest, label))
 
 
 class TestThreadedTransport:
@@ -187,7 +177,7 @@ class TestThreadedTransport:
         """One ``obs.message`` per counted send, labelled by
         ``fault_label``; a self-send is neither counted nor observed."""
 
-        sink = _Messages()
+        sink = RecordingSink()
         transport = ThreadedTransport(obs=sink)
         transport.register(0, lambda msg: [])
         transport.register(1, lambda msg: [])

@@ -9,10 +9,10 @@ from repro.core.modes import LockMode
 from repro.errors import SimulationError
 from repro.faults.messages import HeartbeatMessage, SessionAck, SessionMessage
 from repro.faults.plan import DROP, REORDER, FaultPlan, FaultRule
-from repro.obs.sink import ObsSink
 from repro.sim.engine import Simulator
 from repro.sim.network import Network
 from repro.sim.rng import Distribution, Exponential, Fixed, derive_rng
+from tests.helpers import RecordingSink
 
 
 def _release(lock_id="L", sender=0, mode=LockMode.NONE):
@@ -221,23 +221,13 @@ class TestDeliveryClasses:
         assert network.messages_sent == 4
 
 
-class _Messages(ObsSink):
-    """Records every ``message`` call a fabric makes."""
-
-    def __init__(self) -> None:
-        self.seen = []
-
-    def message(self, sender, dest, label):
-        self.seen.append((sender, dest, label))
-
-
 class TestObservation:
     def test_observer_sees_every_wire_message(self):
         """One ``obs.message`` per counted send, labelled by
         ``fault_label``; a dropped send and a self-send are neither."""
 
         sim = Simulator()
-        sink = _Messages()
+        sink = RecordingSink()
         drop_beats = FaultPlan(rules=(
             FaultRule(action=DROP, message_types=frozenset({"heartbeat"})),
         ))
