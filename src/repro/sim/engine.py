@@ -65,9 +65,12 @@ class Simulator:
         """Drain the event heap.
 
         Stops when the heap empties, when virtual time would pass *until*,
-        or after *max_events* callbacks — whichever comes first.
+        or after *max_events* callbacks — whichever comes first.  Virtual
+        time never goes back: an *until* before :attr:`now` is an error.
         """
 
+        if until is not None and not until >= self._now:
+            raise SimulationError(f"cannot run until the past ({until})")
         budget = max_events if max_events is not None else float("inf")
         while self._heap and budget > 0:
             time, _seq, callback = self._heap[0]

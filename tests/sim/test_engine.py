@@ -69,6 +69,36 @@ class TestSimulatorScheduling:
         sim.run()
         assert fired == [0.5, 1.0, 1.5] and sim.now == 1.5
 
+    def test_until_in_the_past_is_rejected(self):
+        # It used to rewind: ``now`` went back to 3.0, and an event
+        # scheduled 1 s later fired at 4.0, before the 5.0 one that had
+        # already run.
+        sim = Simulator()
+        fired = []
+        for at in (5.0, 10.0):
+            sim.schedule(at, lambda at=at: fired.append(at))
+        sim.run(until=7.0)
+        with pytest.raises(SimulationError, match="past"):
+            sim.run(until=3.0)
+        assert sim.now == 7.0
+        sim.schedule(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [5.0, 8.0, 10.0]
+
+    def test_nan_until_is_rejected(self):
+        # ``time > nan`` is false: the run used to drain everything.
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.run(until=float("nan"))
+        assert sim.pending_events == 1 and sim.now == 0.0
+
+    def test_until_now_is_allowed(self):
+        sim = Simulator()
+        sim.run(until=2.0)
+        sim.run(until=2.0)
+        assert sim.now == 2.0
+
     def test_now_advances_to_event_times(self):
         sim = Simulator()
         seen = []
