@@ -38,11 +38,15 @@ class HeartbeatDetector:
         self._suspected: Set[NodeId] = set()
 
     def beat(self, peer: NodeId, now: float) -> bool:
-        """Record life from *peer*; returns True iff it was un-suspected."""
+        """Record life from *peer* at *now*; returns True iff it was
+        un-suspected.  A later time already recorded stands: a kept
+        heartbeat may be folded after newer traffic was noted."""
 
-        if peer not in self._last_seen:
+        seen = self._last_seen.get(peer)
+        if seen is None:
             return False  # Not a tracked peer (e.g. ourselves).
-        self._last_seen[peer] = now
+        if now > seen:
+            self._last_seen[peer] = now
         if peer in self._suspected:
             self._suspected.discard(peer)
             return True

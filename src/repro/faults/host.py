@@ -195,6 +195,11 @@ class ResilientHost:
             self.journals[node_id] = journal
             manager.journal = journal
         self._wire_leases(manager, journal)
+        attach = getattr(self._fabric, "attach_absorber", None)
+        if attach is not None:
+            # A simulated fabric keeps quiet heartbeats off its heap.
+            manager.fabric = self._fabric
+            attach(node_id, manager.absorb)
         if fresh:
             # A restarted node's handler goes in with ``fabric.restart``.
             self._fabric.register(node_id, manager.handle)

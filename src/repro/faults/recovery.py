@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import heapq
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -206,6 +207,10 @@ class RecoveryManager:
         self._beats_sent = 0
         #: Newest heartbeat ``(boot, seq)`` applied per peer.
         self._newest_beat: Dict[NodeId, Tuple[int, int]] = {}
+        #: The simulated fabric keeping quiet beats (:meth:`absorb`), if any.
+        self.fabric = None
+        #: Heap of the beats kept: ``(time, seq, beat)``.
+        self._kept: List[Tuple[float, int, HeartbeatMessage]] = []
         #: How often each recovery event happened here (see :meth:`event`).
         self.events: "collections.Counter[str]" = collections.Counter()
         self.suspect_log: List[Tuple[float, NodeId]] = []
@@ -231,6 +236,7 @@ class RecoveryManager:
         """Stop all periodic activity (crash simulation / shutdown)."""
 
         with self.mutex:
+            self.release_beats()
             self.timers.running = False
             self.timers.clear()
             self.channel.stop()
@@ -312,6 +318,7 @@ class RecoveryManager:
     def forget_peer(self, peer: NodeId) -> None:
         """Stop tracking *peer*, tear its streams down (it left the view)."""
 
+        self.release_beats(peer)
         self.detector.forget(peer)
         self.channel.stop_peer(peer)
         self._peer_boots.pop(peer, None)
@@ -470,6 +477,57 @@ class RecoveryManager:
             handler(message)
         return []
 
+    def absorb(self, beat: Message, slot: Tuple[float, int]) -> bool:
+        """Keep *beat*, due in *slot*, off the fabric if its delivery could
+        only note life (docs/FAULTS.md); False hands it back."""
+
+        if type(beat) is not HeartbeatMessage or beat.ack >= 0 or beat.leases:
+            return False
+        sender, leases = beat.sender, self.leases
+        with self.mutex:
+            if not (
+                self.timers.running
+                and beat.view_epoch >= self.membership.view.epoch
+                and beat.boot == self._peer_boots.get(sender, 0)
+                and sender not in self.membership.departed
+                and not self.detector.is_suspected(sender)
+                and not leases.defers(sender)
+                and not leases.remote.mirrors(sender)
+            ):
+                return False
+            heapq.heappush(self._kept, (slot[0], slot[1], beat))
+            return True
+
+    def _fold(self) -> None:
+        """Apply each kept beat whose slot has passed, as its delivery would."""
+
+        kept = self._kept
+        while kept and kept[0] < self.fabric.cursor():
+            time, _seq, beat = heapq.heappop(kept)
+            self.detector.beat(beat.sender, time)
+            self._newer_beat(beat)
+
+    def release_beats(self, peer: Optional[NodeId] = None) -> None:
+        """Fold the kept beats that arrived, hand the rest (from *peer*, or
+        all) back into their slots: what made them quiet is to change."""
+
+        with self.mutex:
+            self._fold()
+            back = [k for k in self._kept if peer in (None, k[2].sender)]
+            self._kept = [k for k in self._kept if k not in back]
+            heapq.heapify(self._kept)
+            for time, seq, beat in back:
+                self.fabric.redeliver((time, seq), self.node_id, beat)
+
+    def _newer_beat(self, beat: HeartbeatMessage) -> bool:
+        """Whether *beat* is the newest yet from its sender (and note it)."""
+
+        stamp = (beat.boot, beat.seq)
+        if stamp > self._newest_beat.get(beat.sender, (-1, -1)):
+            self._newest_beat[beat.sender] = stamp
+            return True
+        return False
+
     def _on_heartbeat(self, beat: HeartbeatMessage) -> None:
         """Apply a beat's ack, and its content unless a newer one
         already was.
@@ -483,14 +541,13 @@ class RecoveryManager:
         suspicion, and re-sends a view the peer has since installed.
         """
 
+        self._fold()
         # The ack it carries for our stream first: cumulative and
         # boot-checked, it is harmless late or twice — but not from a
         # previous incarnation of the sender, whose streams are gone.
         if beat.ack >= 0 and beat.boot == self._peer_boots.get(beat.sender, 0):
             self.channel.on_ack(beat.sender, beat.ack, beat.ack_boot)
-        stamp = (beat.boot, beat.seq)
-        if stamp > self._newest_beat.get(beat.sender, (-1, -1)):
-            self._newest_beat[beat.sender] = stamp
+        if self._newer_beat(beat):
             self.leases.on_heartbeat(beat)
 
     def _deliver(self, peer: NodeId, payload: Message) -> None:
@@ -563,6 +620,7 @@ class RecoveryManager:
 
     def _failure_tick(self) -> None:
         now = self.now()
+        self._fold()
         fresh = self.detector.check(now)
         self.timers.arm(
             "failure-tick", self.config.heartbeat_interval, self._failure_tick
@@ -572,6 +630,7 @@ class RecoveryManager:
         self.leases.tick(now)
 
     def _on_suspect(self, peer: NodeId) -> None:
+        self.release_beats(peer)
         now = self.now()
         self.suspect_log.append((now, peer))
         self.event("suspect", peer)

@@ -174,6 +174,9 @@ class LeaseLayer:
                             message.sender
                         )
                     )
+        if message.leases and not self.remote.mirrors(message.sender):
+            # About to mirror: its quiet beats in flight would renew it.
+            kernel.release_beats(message.sender)
         # An empty beat from a holder with nothing mirrored changes
         # nothing: all-pairs beats are mostly that.
         if message.leases or self.remote.mirrors(message.sender):
@@ -186,6 +189,11 @@ class LeaseLayer:
             kernel.membership.catch_up(message.sender)
 
     # -- suspected and excised holders -------------------------------------
+
+    def defers(self, holder: NodeId) -> bool:
+        """Whether an eviction of *holder* waits on its next heartbeat."""
+
+        return holder in self._deferred
 
     def pins(self, lock_id: LockId, holder: NodeId, now: float) -> bool:
         """Whether suspect *holder*'s lease still pins it in *lock_id*'s

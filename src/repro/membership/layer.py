@@ -96,6 +96,7 @@ class MembershipLayer:
             view = MembershipView.from_payload(payload)
             if view.epoch < self.view.epoch:
                 return
+            kernel.release_beats()
             if not view.members:
                 view = MembershipView(view.epoch, self.view.members)
             self.view = view
@@ -130,6 +131,7 @@ class MembershipLayer:
         kernel = self._kernel
         if msg.epoch <= self.view.epoch:
             return
+        kernel.release_beats()
         old = set(self.view.members)
         view = self.view = MembershipView(msg.epoch, msg.members)
         joined = sorted((set(view.members) - old) | set(msg.joined))

@@ -27,6 +27,8 @@ class Simulator:
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._now = 0.0
+        #: ``seq`` of the running event (see :meth:`cursor`).
+        self._at = -1
         self._processed = 0
         #: Optional observability hook called as ``(now, events_processed)``
         #: after every callback; ``None`` keeps the loop untouched.
@@ -40,22 +42,41 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total number of callbacks executed so far."""
+        """Total number of callbacks executed so far (a datagram a node
+        kept off the heap, ``Network.attach_absorber``, is none)."""
 
         return self._processed
 
     @property
     def pending_events(self) -> int:
-        """Number of callbacks still scheduled."""
+        """Number of callbacks still scheduled (kept datagrams are not)."""
 
         return len(self._heap)
+
+    def reserve(self, delay: float) -> Tuple[float, int]:
+        """The ``(time, seq)`` slot of an event ``delay`` seconds from now
+        (``delay >= 0``), with nothing in it yet."""
+
+        if not delay >= 0:  # also catches NaN, which would unorder the heap
+            raise SimulationError(f"cannot schedule into the past ({delay})")
+        return self._now + delay, next(self._seq)
+
+    def put(self, slot: Tuple[float, int], callback: Callable[[], None]) -> None:
+        """Run *callback* in *slot*, reserved and not passed yet."""
+
+        heapq.heappush(self._heap, (slot[0], slot[1], callback))
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* ``delay`` seconds from now (``delay >= 0``)."""
 
-        if not delay >= 0:  # also catches NaN, which would unorder the heap
-            raise SimulationError(f"cannot schedule into the past ({delay})")
-        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
+        time, seq = self.reserve(delay)  # :meth:`put`, inlined: hot
+        heapq.heappush(self._heap, (time, seq, callback))
+
+    def cursor(self) -> Tuple[float, int]:
+        """The running event's slot; between runs, a slot after every one
+        reserved so far.  A reserved slot below it has passed."""
+
+        return self._now, self._at
 
     def run(
         self,
@@ -73,12 +94,11 @@ class Simulator:
             raise SimulationError(f"cannot run until the past ({until})")
         budget = max_events if max_events is not None else float("inf")
         while self._heap and budget > 0:
-            time, _seq, callback = self._heap[0]
+            time, seq, callback = self._heap[0]
             if until is not None and time > until:
-                self._now = until
-                return
+                break
             heapq.heappop(self._heap)
-            self._now = time
+            self._now, self._at = time, seq
             # Count the event as soon as it is dequeued so the counter
             # stays accurate even if the callback raises.
             self._processed += 1
@@ -93,6 +113,7 @@ class Simulator:
             )
         if until is not None and self._now < until:
             self._now = until
+        self._at = next(self._seq)
 
 
 class SimEvent:

@@ -39,6 +39,11 @@ partitioned pairs, and silences crashed nodes (:meth:`crash` /
 :meth:`restart`).  The injector draws from its own seeded RNG stream, so
 a run with ``faults=None`` (or an empty plan) is bit-identical to one on
 the pre-fault network — the latency RNG never sees a fault-layer draw.
+
+A node may keep datagrams off the event heap (:meth:`Network.
+attach_absorber`); each send still reserves its delivery's slot, where
+:meth:`Network.redeliver` puts one handed back.  A traced fabric keeps
+nothing: the tracer records every delivery.
 """
 
 from __future__ import annotations
@@ -85,6 +90,9 @@ class Network:
 
             self._injector = FaultInjector(faults)
         self._handlers: Dict[NodeId, MessageHandler] = {}
+        self._absorbers: Dict[NodeId, Callable] = {}
+        #: Whether a kept datagram's slot has passed (``Simulator.cursor``).
+        self.cursor = sim.cursor
         self._crashed: Set[NodeId] = set()
         self._last_arrival: Dict[Tuple[NodeId, NodeId], float] = {}
         self._sent_by_type: Dict[type, int] = collections.defaultdict(int)
@@ -140,6 +148,18 @@ class Network:
             raise SimulationError(f"node {node_id} registered twice")
         self._handlers[node_id] = handler
 
+    def attach_absorber(self, node_id: NodeId, absorb: Callable) -> None:
+        """Offer each datagram to *node_id* first to ``absorb(message,
+        slot)``, which returns whether it kept it."""
+
+        self._absorbers[node_id] = absorb
+
+    def redeliver(self, slot: Tuple[float, int], dest: NodeId, message) -> None:
+        """Deliver a datagram *dest* kept after all, in its own *slot*."""
+
+        envelope = Envelope(dest, message)
+        self._sim.put(slot, partial(self._deliver, message.sender, envelope))
+
     # -- crash / restart ---------------------------------------------------
 
     def crash(self, node_id: NodeId) -> None:
@@ -184,6 +204,7 @@ class Network:
         )
         sender_down = sender in crashed
         injector, obs, tracer = self._injector, self.obs, self.tracer
+        absorbers = self._absorbers if tracer is None else {}
         sample, rng = self._latency.sample, self._rng
         for envelope in envelopes:
             dest = envelope.dest
@@ -212,9 +233,11 @@ class Network:
             if tracer is not None:
                 envelope = tracer.outbound(sender, envelope)
             key = (sender, dest)
+            datagram = not message.ordered or reorder
+            absorb = absorbers.get(dest) if datagram else None
             for _ in range(copies):
                 arrival = now + (sample(rng) + extra)
-                if message.ordered and not reorder:
+                if not datagram:
                     # FIFO per ordered pair: never deliver before an earlier
                     # ordered message.  A datagram — an unordered type, or a
                     # fault-plan reorder — deliberately skips the floor (and
@@ -225,7 +248,12 @@ class Network:
                     floors[key] = arrival
                 # ``arrival - now`` then ``now + delay`` in the engine: the
                 # float round trip is part of every seeded trajectory.
-                schedule(arrival - now, partial(deliver, sender, envelope))
+                if absorb is None:
+                    schedule(arrival - now, partial(deliver, sender, envelope))
+                    continue
+                slot = sim.reserve(arrival - now)
+                if not absorb(message, slot):
+                    sim.put(slot, partial(deliver, sender, envelope))
 
     def _deliver(self, sender: NodeId, envelope: Envelope) -> None:
         if envelope.dest in self._crashed:

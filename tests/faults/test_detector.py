@@ -40,3 +40,12 @@ class TestHeartbeatDetector:
     def test_beat_while_live_returns_false(self):
         detector = HeartbeatDetector([1], timeout=1.0, now=0.0)
         assert detector.beat(1, 0.5) is False
+
+    def test_a_late_beat_does_not_move_last_seen_back(self):
+        # A kept heartbeat is folded at its arrival time, which may be
+        # before traffic already noted from the same peer.
+        detector = HeartbeatDetector([1], timeout=2.5)
+        detector.beat(1, 3.0)
+        assert detector.beat(1, 2.0) is False
+        assert detector.last_seen(1) == 3.0
+        assert detector.check(5.4) == []

@@ -99,6 +99,27 @@ class TestSimulatorScheduling:
         sim.run(until=2.0)
         assert sim.now == 2.0
 
+    def test_a_reserved_slot_keeps_its_place_in_the_order(self):
+        sim = Simulator()
+        fired = []
+        slot = sim.reserve(1.0)
+        sim.schedule(1.0, lambda: fired.append("after"))
+        sim.schedule(0.5, lambda: sim.put(slot, lambda: fired.append("slot")))
+        sim.run()
+        assert fired == ["slot", "after"]
+        assert sim.events_processed == 3
+
+    def test_cursor_is_the_running_events_slot(self):
+        sim = Simulator()
+        slots = []
+        first = sim.reserve(1.0)
+        sim.put(first, lambda: slots.append(sim.cursor()))
+        sim.run(until=1.5)
+        assert slots == [first]
+        # Between runs every slot reserved so far has passed, and no
+        # slot reserved from now on has.
+        assert first < sim.cursor() < sim.reserve(0.0)
+
     def test_now_advances_to_event_times(self):
         sim = Simulator()
         seen = []
