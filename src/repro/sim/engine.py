@@ -69,8 +69,10 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* ``delay`` seconds from now (``delay >= 0``)."""
 
-        time, seq = self.reserve(delay)  # :meth:`put`, inlined: hot
-        heapq.heappush(self._heap, (time, seq, callback))
+        # :meth:`reserve` then :meth:`put`, inlined: every message pays it.
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule into the past ({delay})")
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), callback))
 
     def cursor(self) -> Tuple[float, int]:
         """The running event's slot; between runs, a slot after every one
