@@ -508,8 +508,8 @@ class RecoveryManager:
             self._newer_beat(beat)
 
     def release_beats(self, peer: Optional[NodeId] = None) -> None:
-        """Fold the kept beats that arrived, hand the rest (from *peer*, or
-        all) back into their slots: what made them quiet is to change."""
+        """Fold the kept beats that arrived and hand the rest (from *peer*,
+        or all) back to their slots: what made them quiet is changing."""
 
         with self.mutex:
             self._fold()
