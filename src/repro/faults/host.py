@@ -7,8 +7,10 @@ fault-tolerant cluster that is not engine-specific — node boot (lock
 space + :class:`~repro.faults.recovery.RecoveryManager` + journal +
 flight recorder), crash/restart including WAL rejoin and session
 reclaim, join/drain/decommission bookkeeping, the crash / membership /
-durability logs, monitor plumbing, :meth:`~ResilientHost.cluster_view`
-and :meth:`~ResilientHost.recovery_stats` — written against three small
+durability logs, monitor plumbing, the clients' call path (admit,
+record, then the node's recovery manager) and grant listener,
+:meth:`~ResilientHost.cluster_view` and
+:meth:`~ResilientHost.recovery_stats` — written against three small
 vocabularies its engine binding supplies:
 
 * a **fabric** speaking ``register(node, handler)``, ``crash(node)``,
@@ -23,7 +25,13 @@ vocabularies its engine binding supplies:
 :class:`~repro.faults.simcluster.ResilientSimCluster` and
 :class:`~repro.faults.runtime.ResilientThreadedCluster` are the two
 bindings; a third engine (a schedule explorer, say) is a third binding,
-not a third copy of this file.
+not a third copy of this file.  Neither has a client class of its own:
+each hands out its engine's one hierarchical client, the bare family's
+:class:`~repro.sim.cluster.HierClient` /
+:class:`~repro.runtime.cluster.BlockingLockClient`, whose calls reach
+:meth:`~ResilientHost._submit_request` and
+:meth:`~ResilientHost._submit_release` (``upgrade``, ``attempt`` and
+``downgrade`` are bare-only: a resilient host has no method for them).
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..errors import ConfigurationError, SimulationError
 from ..obs.sink import ObsSink
+from ..sim.cluster import _GrantCtx
 from ..verification.invariants import Monitor
 from .plan import FaultPlan
 from .recovery import RecoveryConfig, RecoveryManager
@@ -114,12 +123,6 @@ class ResilientHost:
 
     # -- what a binding supplies -------------------------------------------
 
-    def _make_listener(self, node_id: NodeId):
-        """The grant listener of *node_id*: record the grant, wake the
-        binding's waiter context."""
-
-        raise NotImplementedError
-
     def _wait(self, predicate, then, what: str, **wait) -> None:
         """Run *then* (if any) once *predicate* holds, the engine's way.
 
@@ -136,6 +139,46 @@ class ResilientHost:
         The default does nothing: the manager runs in the leaseless
         mode :mod:`repro.leases.layer` documents.
         """
+
+    def _note_grant(
+        self, node_id: NodeId, lock_id: LockId, mode: LockMode
+    ) -> None:
+        """What the binding does with every grant beyond recording it
+        (nothing: leaseless)."""
+
+    # -- the client's call path (one host method per client call) ----------
+
+    def _submit_request(
+        self,
+        node_id: NodeId,
+        lock_id: LockId,
+        mode: LockMode,
+        ctx: _GrantCtx,
+        priority: int = 0,
+    ) -> None:
+        self._admit(node_id)
+        self._record_request(node_id, lock_id, mode)
+        self.managers[node_id].request(lock_id, mode, ctx, priority)
+
+    def _submit_release(
+        self, node_id: NodeId, lock_id: LockId, mode: LockMode
+    ) -> None:
+        if not self._admit(node_id, releasing=True):
+            return
+        self._record_release(node_id, lock_id, mode)
+        self.managers[node_id].release(lock_id, mode)
+
+    def _make_listener(self, node_id: NodeId):
+        """The grant listener of *node_id*: record the grant, let the
+        binding note it, wake the waiting client."""
+
+        def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
+            self._record_grant(node_id, lock_id, mode)
+            self._note_grant(node_id, lock_id, mode)
+            if isinstance(ctx, _GrantCtx):
+                ctx.event.trigger(mode)
+
+        return listener
 
     # -- node lifecycle ----------------------------------------------------
 

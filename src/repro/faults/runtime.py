@@ -15,8 +15,9 @@ the same four-call fabric vocabulary the simulator's
 :class:`~repro.faults.host.ResilientHost` (its simulator sibling is
 :class:`~repro.faults.simcluster.ResilientSimCluster`): the host's node
 stack over a :class:`FaultyTransport`, ticking on a
-:class:`~repro.faults.scheduler.WallScheduler`, with blocking clients
-and blocking membership changes.
+:class:`~repro.faults.scheduler.WallScheduler`, with the bare threaded
+cluster's :class:`~repro.runtime.cluster.BlockingLockClient` and
+blocking membership changes.
 
 Wall-clock runs are not bit-reproducible — thread interleaving is real —
 but the *injected fault stream* still follows the plan's private RNG, so
@@ -30,13 +31,11 @@ import time
 from typing import Dict, List, Optional, Set
 
 from ..core.lockspace import TokenHomeFn, default_token_home
-from ..core.messages import Envelope, LockId, NodeId
-from ..core.modes import LockMode
+from ..core.messages import Envelope, NodeId
 from ..errors import SimulationError
 from ..obs.sink import ObsSink
-from ..runtime.cluster import _Waiter
+from ..runtime.cluster import BlockingLockClient
 from ..runtime.transport import MessageHandler, ThreadedTransport
-from ..sim.cluster import _NodeClient
 from ..verification.invariants import Monitor
 from .host import ResilientHost
 from .plan import FaultInjector, FaultPlan
@@ -277,39 +276,10 @@ class FaultyTransport:
         return getattr(self.inner, name)
 
 
-class ResilientBlockingClient(_NodeClient):
-    """Blocking per-node client routed through the recovery manager."""
-
-    def acquire(
-        self, lock_id: LockId, mode: LockMode, timeout: Optional[float] = None
-    ) -> None:
-        """Acquire *lock_id* in *mode*, blocking until granted."""
-
-        cluster = self._cluster
-        cluster._admit(self._node_id)
-        cluster._record_request(self._node_id, lock_id, mode)
-        waiter = _Waiter()
-        cluster.managers[self._node_id].request(lock_id, mode, waiter)
-        if not waiter.event.wait(timeout):
-            raise TimeoutError(
-                f"node {self._node_id}: {mode} on {lock_id!r} not granted "
-                f"within {timeout}s"
-            )
-
-    def release(self, lock_id: LockId, mode: LockMode) -> None:
-        """Release one hold of *mode* on *lock_id*."""
-
-        cluster = self._cluster
-        if not cluster._admit(self._node_id, releasing=True):
-            return
-        cluster._record_release(self._node_id, lock_id, mode)
-        cluster.managers[self._node_id].release(lock_id, mode)
-
-
 class ResilientThreadedCluster(ResilientHost):
     """N real-thread nodes with recovery managers under a fault plan."""
 
-    CLIENT = ResilientBlockingClient
+    CLIENT = BlockingLockClient
 
     def __init__(
         self,
@@ -345,15 +315,6 @@ class ResilientThreadedCluster(ResilientHost):
         # first one goes out.
         for manager in self.managers.values():
             manager.start()
-
-    def _make_listener(self, node_id: NodeId):
-        def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
-            self._record_grant(node_id, lock_id, mode)
-            if isinstance(ctx, _Waiter):
-                ctx.mode = mode
-                ctx.event.set()
-
-        return listener
 
     def _wait(self, predicate, then, what: str, timeout: float = 30.0) -> None:
         """Blocking: sleep-poll every ``heartbeat_interval`` until

@@ -9,10 +9,12 @@ schedule is enacted against real node state (a crashed node's lock space
 is discarded; a restarted node rejoins blank under a bumped boot
 incarnation, or from its journal).  All of that is
 :class:`~repro.faults.host.ResilientHost`; this module only builds the
-discrete-event engine under it, says how a caller waits (it yields a
-:class:`~repro.sim.engine.SimEvent`; membership changes complete
-asynchronously, polled in virtual time) and opts every node into leases
-and sessions.
+discrete-event engine under it (:func:`~repro.sim.cluster.sim_engine`,
+the bare clusters' own), says how membership changes wait
+(asynchronously, polled in virtual time) and opts every node into leases
+and sessions.  Its client is the bare cluster's
+:class:`~repro.sim.cluster.HierClient`: ``acquire`` returns a
+:class:`~repro.sim.engine.SimEvent` to yield on.
 
 This lives in :mod:`repro.faults` rather than :mod:`repro.sim` on
 purpose: the plain cluster — the one all reproduced figures run on —
@@ -22,17 +24,15 @@ runs bit-identical to the pre-fault codebase.
 
 from __future__ import annotations
 
-import random
 from typing import Optional
 
 from ..core.lockspace import TokenHomeFn, default_token_home
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..obs.sink import ObsSink
-from ..sim.cluster import _GrantCtx, _NodeClient
-from ..sim.engine import SimEvent, Simulator
-from ..sim.network import Network
-from ..sim.rng import Distribution, Exponential
+from ..sim.cluster import HierClient, sim_engine
+from ..sim.engine import Simulator
+from ..sim.rng import Distribution
 from ..verification.invariants import Monitor
 from .host import ResilientHost
 from .plan import FaultPlan
@@ -40,36 +40,10 @@ from .recovery import RecoveryConfig, RecoveryManager
 from .scheduler import SimScheduler
 
 
-class ResilientClient(_NodeClient):
-    """Per-node client: like ``HierClient`` but requests through the
-    recovery manager so retransmission timers are armed."""
-
-    def acquire(self, lock_id: LockId, mode: LockMode) -> SimEvent:
-        """Request *lock_id* in *mode*; yield the returned event to wait."""
-
-        cluster = self._cluster
-        cluster._admit(self._node_id)
-        cluster._record_request(self._node_id, lock_id, mode)
-        event = SimEvent(cluster.sim)
-        cluster.managers[self._node_id].request(
-            lock_id, mode, _GrantCtx(event=event)
-        )
-        return event
-
-    def release(self, lock_id: LockId, mode: LockMode) -> None:
-        """Release one hold of *mode* on *lock_id*."""
-
-        cluster = self._cluster
-        if not cluster._admit(self._node_id, releasing=True):
-            return
-        cluster._record_release(self._node_id, lock_id, mode)
-        cluster.managers[self._node_id].release(lock_id, mode)
-
-
 class ResilientSimCluster(ResilientHost):
     """N simulated nodes with recovery managers under a fault plan."""
 
-    CLIENT = ResilientClient
+    CLIENT = HierClient
 
     def __init__(
         self,
@@ -86,17 +60,7 @@ class ResilientSimCluster(ResilientHost):
         reclaim: bool = False,
         flight=None,
     ) -> None:
-        self.sim = sim if sim is not None else Simulator()
-        if obs is not None:
-            self.sim.tick_hook = obs.engine_tick
-        self._latency = latency if latency is not None else Exponential(0.150)
-        self.network = Network(
-            self.sim,
-            latency=self._latency,
-            rng=random.Random(seed ^ 0x5EED),
-            faults=plan,
-            obs=obs,
-        )
+        self.sim, self.network = sim_engine(sim, latency, seed, obs, plan)
         super().__init__(
             num_nodes,
             fabric=self.network,
@@ -127,16 +91,12 @@ class ResilientSimCluster(ResilientHost):
                         lambda node=crash.node: self.restart(node),
                     )
 
-    def _make_listener(self, node_id: NodeId):
-        def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
-            self._record_grant(node_id, lock_id, mode)
-            # Every grant is leased: looked up at call time so the
-            # current incarnation's manager leases its own grants.
-            self.managers[node_id].leases.note_grant(lock_id, mode)
-            if isinstance(ctx, _GrantCtx):
-                ctx.event.trigger(mode)
-
-        return listener
+    def _note_grant(
+        self, node_id: NodeId, lock_id: LockId, mode: LockMode
+    ) -> None:
+        # Every grant is leased: looked up at call time so the current
+        # incarnation's manager leases its own grants.
+        self.managers[node_id].leases.note_grant(lock_id, mode)
 
     def _wait(self, predicate, then, what: str) -> None:
         """Asynchronous: poll every ``heartbeat_interval`` of virtual

@@ -1,24 +1,36 @@
-"""Simulated clusters: N nodes, a network, and per-node lock clients.
+"""The bare cluster family: one host, bound to the simulator here.
 
-The bare family: one implementation (:class:`_BaseCluster`), three
-protocols that each add only what is theirs — a lockspace factory, a
-grant listener, a ``remove_node`` splice and which family's quiescent
-invariants apply:
+:class:`_BaseCluster` is the whole bare host — membership, splice-aware
+token homes, monitor plumbing, :meth:`~_BaseCluster.cluster_view` and
+the quiescent audit — written against a **fabric** speaking
+``register(node, handler)`` and ``send(sender, envelopes)`` and a
+**clock** ``now()``, never against an engine.  Two protocol halves add
+only what is theirs — a lockspace factory, a grant listener, a
+``remove_node`` splice and which family's quiescent invariants apply:
 
-* :class:`SimHierarchicalCluster` — every node runs a
+* :class:`_HierarchicalCluster` — every node runs a
   :class:`~repro.core.lockspace.LockSpace` (the paper's protocol),
-* :class:`SimNaimiCluster` — every node runs a
-  :class:`~repro.naimi.lockspace.NaimiLockSpace` (the baseline),
-* :class:`SimRaymondCluster` — every node runs a
+* :class:`_ExclusiveCluster` — every node runs a
+  :class:`~repro.naimi.lockspace.NaimiLockSpace` (the baseline) or a
   :class:`~repro.raymond.lockspace.RaymondLockSpace` (static tree).
+
+An engine is a binding: it builds its fabric and clock, and says how a
+client call reaches a node (``_submit_request``, ``_submit_release``,
+``_submit_upgrade``).  :class:`SimHierarchicalCluster`,
+:class:`SimNaimiCluster` and :class:`SimRaymondCluster` run on the
+simulator and network :func:`sim_engine` builds;
+:class:`~repro.runtime.cluster.ThreadedHierarchicalCluster` is the
+hierarchical host's thread binding.
 
 No recovery manager sits under these nodes, which is why they are not
 folded into :class:`~repro.faults.host.ResilientHost`: that host would
 have to branch on its caller.
 
-Clients expose coroutine-friendly ``acquire`` (returns a
-:class:`~repro.sim.engine.SimEvent` to ``yield`` on), plus synchronous
-``release``.  Grants and releases are reported to an optional
+Each engine has one hierarchical client, whichever family hosts it:
+:class:`HierClient` here (``acquire`` returns a
+:class:`~repro.sim.engine.SimEvent` to ``yield`` on; ``release`` is
+synchronous), :class:`~repro.runtime.cluster.BlockingLockClient` on
+threads.  Grants and releases are reported to an optional
 :class:`~repro.verification.invariants.Monitor`; the cluster's
 :class:`~repro.sim.network.Network` counts every wire message — the
 measurement points for all reproduced figures.
@@ -26,10 +38,12 @@ measurement points for all reproduced figures.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
+import threading
 from functools import partial
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.automaton import FULL_PROTOCOL, ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn, default_token_home
@@ -47,24 +61,56 @@ from ..verification.invariants import (
 )
 from .engine import SimEvent, Simulator
 from .network import Network
-from .rng import Distribution, Exponential
+from .rng import Distribution
+
+#: What a read of one node's state holds where nothing runs concurrently.
+_UNLOCKED = contextlib.nullcontext()
+
+
+def sim_engine(
+    sim: Optional[Simulator],
+    latency: Optional[Distribution],
+    seed: int,
+    obs: Optional[ObsSink],
+    faults=None,
+) -> Tuple[Simulator, Network]:
+    """The simulator and network a simulated cluster runs on.
+
+    *sim* defaults to a fresh one, ticking into *obs*; the network's
+    latency stream (150 ms exponential by default) is seeded from *seed*
+    and it applies the fault plan *faults*, if any.
+    """
+
+    sim = sim if sim is not None else Simulator()
+    if obs is not None:
+        sim.tick_hook = obs.engine_tick
+    network = Network(
+        sim,
+        latency=latency,
+        rng=random.Random(seed ^ 0x5EED),
+        faults=faults,
+        obs=obs,
+    )
+    return sim, network
 
 
 @dataclasses.dataclass
 class _GrantCtx:
-    """Listener context: the waiter event plus bookkeeping flags."""
+    """Listener context: what wakes the waiting client — anything with
+    ``trigger(mode)`` — and whether the grant completes an upgrade."""
 
-    event: SimEvent
+    event: object
     is_upgrade: bool = False
 
 
 class _BaseCluster:
-    """Everything the three bare simulated clusters share.
+    """The bare host every bare cluster binds.
 
-    A subclass supplies only what is per-protocol: ``PROTOCOL`` and
-    ``CLIENT``, a lockspace factory (:meth:`_new_lockspace`), a grant
-    listener (:meth:`_make_listener`), its ``remove_node`` splice and its
-    family's ``QUIESCENT`` check.
+    A protocol half supplies ``PROTOCOL``, a lockspace factory
+    (:meth:`_new_lockspace`), a grant listener (:meth:`_make_listener`),
+    its ``remove_node`` splice and its family's ``QUIESCENT`` check; an
+    engine binding supplies the fabric and clock, ``CLIENT`` and the
+    ``_submit_*`` calls its client makes.
     """
 
     #: Protocol tag stamped into cluster views (set per subclass).
@@ -77,9 +123,8 @@ class _BaseCluster:
     def __init__(
         self,
         num_nodes: int,
-        sim: Optional[Simulator] = None,
-        latency: Optional[Distribution] = None,
-        seed: int = 0,
+        fabric,
+        now: Callable[[], float],
         monitor: Optional[Monitor] = None,
         obs: Optional[ObsSink] = None,
         token_home: TokenHomeFn = default_token_home,
@@ -89,28 +134,22 @@ class _BaseCluster:
         self.num_nodes = num_nodes
         #: Current membership (mutated by ``add_node``/``remove_node``).
         self.members = list(range(num_nodes))
-        #: Chronological record of membership changes (``at`` is sim time).
+        #: Chronological record of membership changes (``at`` is ``now()``).
         self.membership_log = []
         self._next_node_id = num_nodes
         self._departed: set = set()
         # Spliced-out lockspaces, kept referenced so their (still
-        # registered) network handlers stay valid: any stray message to a
+        # registered) fabric handlers stay valid: any stray message to a
         # ghost raises loudly instead of vanishing.
         self._ghosts: Dict[NodeId, object] = {}
-        self.sim = sim if sim is not None else Simulator()
+        self._fabric = fabric
+        self._now = now
         self.monitor = monitor
-        #: Observability sink shared by every automaton, the network and
-        #: the engine tick hook (None = not collecting).
+        # Monitors are not thread-safe; uncontended on the simulator.
+        self._monitor_lock = threading.Lock()
+        #: Observability sink shared by every automaton (None = not
+        #: collecting); the binding hands it to its engine.
         self.obs = obs
-        if obs is not None:
-            self.sim.tick_hook = obs.engine_tick
-        self._latency = latency if latency is not None else Exponential(0.150)
-        self.network = Network(
-            self.sim,
-            latency=self._latency,
-            rng=random.Random(seed ^ 0x5EED),
-            obs=obs,
-        )
         self._base_token_home = token_home
         # Membership splices re-route token homes: per-lock pins for
         # locks instantiated before a removal, per-node redirects for
@@ -175,50 +214,61 @@ class _BaseCluster:
         lockspace = self._new_lockspace(node_id, self._make_listener(node_id))
         lockspace.obs = self.obs
         self.lockspaces[node_id] = lockspace
-        self.network.register(node_id, lockspace.handle)
+        self._fabric.register(node_id, self._handler(node_id, lockspace))
         return lockspace
+
+    def _handler(self, node_id: NodeId, lockspace):
+        """The fabric handler of *node_id* (per engine binding)."""
+
+        return lockspace.handle
+
+    def _mutex(self, node_id: NodeId):
+        """What a read of *node_id*'s state holds (per engine binding)."""
+
+        return _UNLOCKED
 
     def client(self, node_id: NodeId):
         """Return the client object of *node_id*."""
 
         return self.clients[node_id]
 
-    @property
-    def mean_latency(self) -> float:
-        """Mean point-to-point latency (the Figure 6 normalizer)."""
-
-        return self._latency.mean
-
     def _record_request(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
         if self.monitor is not None:
-            self.monitor.on_request(self.sim.now, node, lock_id, mode)
+            with self._monitor_lock:
+                self.monitor.on_request(self._now(), node, lock_id, mode)
 
     def _record_grant(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
         if self.monitor is not None:
-            self.monitor.on_grant(self.sim.now, node, lock_id, mode)
+            with self._monitor_lock:
+                self.monitor.on_grant(self._now(), node, lock_id, mode)
 
     def _record_release(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
         if self.monitor is not None:
-            self.monitor.on_release(self.sim.now, node, lock_id, mode)
+            with self._monitor_lock:
+                self.monitor.on_release(self._now(), node, lock_id, mode)
 
     def cluster_view(self):
         """Capture a :class:`repro.obs.live.ClusterView` of all members.
 
-        A pure read over every member's lock state — the simulator is
-        single-threaded, so no locking is needed and the capture is an
-        exact instant in simulated time.  Spliced-out ghosts are
-        excluded.
+        A pure read over every member's lock state, each node under its
+        :meth:`_mutex`.  On the simulator that is an exact instant in
+        simulated time; on threads every
+        :class:`~repro.obs.live.NodeSnapshot` is internally consistent
+        but nodes are captured one after another, which is why the
+        online audit treats cross-node disagreements as warnings while
+        traffic is in flight.  Spliced-out ghosts are excluded.
         """
 
         from ..obs.live import ClusterView, snapshot_node
 
+        nodes = []
+        for node_id in sorted(self.members):
+            with self._mutex(node_id):
+                nodes.append(snapshot_node(node_id, self.lockspaces[node_id]))
         return ClusterView(
             protocol=self.PROTOCOL,
-            captured_at=self.sim.now,
-            nodes=tuple(
-                snapshot_node(node_id, self.lockspaces[node_id])
-                for node_id in sorted(self.members)
-            ),
+            captured_at=self._now(),
+            nodes=tuple(nodes),
         )
 
     # -- membership (splices are valid at quiescence only) ----------------
@@ -255,7 +305,7 @@ class _BaseCluster:
             )
 
     def _log_membership(self, event: str, node: NodeId, **extra) -> None:
-        entry = {"event": event, "node": node, "at": self.sim.now}
+        entry = {"event": event, "node": node, "at": self._now()}
         entry.update(extra)
         self.membership_log.append(entry)
         if self.obs is not None:
@@ -323,73 +373,13 @@ class _NodeClient:
         return self._node_id
 
 
-class HierClient(_NodeClient):
-    """Per-node client of the hierarchical protocol (coroutine style)."""
-
-    def acquire(
-        self, lock_id: LockId, mode: LockMode, priority: int = 0
-    ) -> SimEvent:
-        """Request *lock_id* in *mode*; yield the returned event to wait.
-
-        *priority* participates in arbitration only when the cluster runs
-        with ``ProtocolOptions.priority_scheduling``.
-        """
-
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        cluster._record_request(self._node_id, lock_id, mode)
-        event = SimEvent(cluster.sim)
-        ctx = _GrantCtx(event=event)
-        out = cluster.lockspaces[self._node_id].request(
-            lock_id, mode, ctx, priority
-        )
-        cluster.network.send(self._node_id, out)
-        return event
-
-    def release(self, lock_id: LockId, mode: LockMode) -> None:
-        """Release one hold of *mode* on *lock_id*."""
-
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        cluster._record_release(self._node_id, lock_id, mode)
-        out = cluster.lockspaces[self._node_id].release(lock_id, mode)
-        cluster.network.send(self._node_id, out)
-
-    def upgrade(self, lock_id: LockId) -> SimEvent:
-        """Upgrade a held ``U`` on *lock_id* to ``W``; yields like acquire."""
-
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        event = SimEvent(cluster.sim)
-        ctx = _GrantCtx(event=event, is_upgrade=True)
-        out = cluster.lockspaces[self._node_id].upgrade(lock_id, ctx)
-        cluster.network.send(self._node_id, out)
-        return event
-
-
-class SimHierarchicalCluster(_BaseCluster):
-    """A simulated cluster running the paper's hierarchical protocol."""
+class _HierarchicalCluster(_BaseCluster):
+    """The hierarchical half of the bare host, whatever engine binds it."""
 
     PROTOCOL = "hierarchical"
-    CLIENT = HierClient
     QUIESCENT = staticmethod(quiescent_hierarchical)
-
-    def __init__(
-        self,
-        num_nodes: int,
-        sim: Optional[Simulator] = None,
-        latency: Optional[Distribution] = None,
-        seed: int = 0,
-        token_home: TokenHomeFn = default_token_home,
-        monitor: Optional[Monitor] = None,
-        options: ProtocolOptions = FULL_PROTOCOL,
-        obs: Optional[ObsSink] = None,
-    ) -> None:
-        self._options = options
-        super().__init__(
-            num_nodes, sim=sim, latency=latency, seed=seed,
-            monitor=monitor, obs=obs, token_home=token_home,
-        )
+    #: The protocol switches every node runs with (set by the binding).
+    _options: ProtocolOptions
 
     def _new_lockspace(self, node_id: NodeId, listener) -> LockSpace:
         return LockSpace(
@@ -466,7 +456,7 @@ class SimHierarchicalCluster(_BaseCluster):
                     adopter.splice_adopt_child(
                         child, mode, leaver.child_attachment_seq(child)
                     )
-                self.network.send(parent, adopter.splice_drop_child(node_id))
+                self._fabric.send(parent, adopter.splice_drop_child(node_id))
                 replacement = parent
             else:
                 replacement = fallback
@@ -484,6 +474,94 @@ class SimHierarchicalCluster(_BaseCluster):
         self._retire_member(node_id)
         self._log_membership("removed", node_id, successor=fallback)
         return fallback
+
+
+class HierClient(_NodeClient):
+    """Per-node client of the hierarchical protocol on the simulator
+    (coroutine style), on a bare or a resilient host alike: each call is
+    one host method."""
+
+    def acquire(
+        self, lock_id: LockId, mode: LockMode, priority: int = 0
+    ) -> SimEvent:
+        """Request *lock_id* in *mode*; yield the returned event to wait.
+
+        *priority* participates in arbitration only when the cluster runs
+        with ``ProtocolOptions.priority_scheduling``.
+        """
+
+        event = SimEvent(self._cluster.sim)
+        self._cluster._submit_request(
+            self._node_id, lock_id, mode, _GrantCtx(event), priority
+        )
+        return event
+
+    def release(self, lock_id: LockId, mode: LockMode) -> None:
+        """Release one hold of *mode* on *lock_id*."""
+
+        self._cluster._submit_release(self._node_id, lock_id, mode)
+
+    def upgrade(self, lock_id: LockId) -> SimEvent:
+        """Upgrade a held ``U`` on *lock_id* to ``W``; yields like acquire
+        (bare hosts only)."""
+
+        event = SimEvent(self._cluster.sim)
+        self._cluster._submit_upgrade(
+            self._node_id, lock_id, _GrantCtx(event, is_upgrade=True)
+        )
+        return event
+
+
+class SimHierarchicalCluster(_HierarchicalCluster):
+    """A simulated cluster running the paper's hierarchical protocol."""
+
+    CLIENT = HierClient
+
+    def __init__(
+        self,
+        num_nodes: int,
+        sim: Optional[Simulator] = None,
+        latency: Optional[Distribution] = None,
+        seed: int = 0,
+        token_home: TokenHomeFn = default_token_home,
+        monitor: Optional[Monitor] = None,
+        options: ProtocolOptions = FULL_PROTOCOL,
+        obs: Optional[ObsSink] = None,
+    ) -> None:
+        self._options = options
+        self.sim, self.network = sim_engine(sim, latency, seed, obs)
+        super().__init__(
+            num_nodes, self.network, lambda: self.sim.now,
+            monitor=monitor, obs=obs, token_home=token_home,
+        )
+
+    def _submit_request(
+        self,
+        node_id: NodeId,
+        lock_id: LockId,
+        mode: LockMode,
+        ctx: _GrantCtx,
+        priority: int = 0,
+    ) -> None:
+        self._check_departed(node_id)
+        self._record_request(node_id, lock_id, mode)
+        out = self.lockspaces[node_id].request(lock_id, mode, ctx, priority)
+        self.network.send(node_id, out)
+
+    def _submit_release(
+        self, node_id: NodeId, lock_id: LockId, mode: LockMode
+    ) -> None:
+        self._check_departed(node_id)
+        self._record_release(node_id, lock_id, mode)
+        out = self.lockspaces[node_id].release(lock_id, mode)
+        self.network.send(node_id, out)
+
+    def _submit_upgrade(
+        self, node_id: NodeId, lock_id: LockId, ctx: _GrantCtx
+    ) -> None:
+        self._check_departed(node_id)
+        out = self.lockspaces[node_id].upgrade(lock_id, ctx)
+        self.network.send(node_id, out)
 
 
 class ExclusiveClient(_NodeClient):
@@ -559,8 +637,9 @@ class SimNaimiCluster(_ExclusiveCluster):
         monitor: Optional[Monitor] = None,
         obs: Optional[ObsSink] = None,
     ) -> None:
+        self.sim, self.network = sim_engine(sim, latency, seed, obs)
         super().__init__(
-            num_nodes, sim=sim, latency=latency, seed=seed,
+            num_nodes, self.network, lambda: self.sim.now,
             monitor=monitor, obs=obs, token_home=token_home,
         )
 
@@ -637,8 +716,9 @@ class SimRaymondCluster(_ExclusiveCluster):
             topology if topology is not None else balanced_binary_tree(num_nodes)
         )
         validate(self.topology)
+        self.sim, self.network = sim_engine(sim, latency, seed, obs)
         super().__init__(
-            num_nodes, sim=sim, latency=latency, seed=seed,
+            num_nodes, self.network, lambda: self.sim.now,
             monitor=monitor, obs=obs,
         )
 

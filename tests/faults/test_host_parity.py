@@ -4,7 +4,8 @@
 one :class:`~repro.faults.host.ResilientHost`.  This drives the same
 lifecycle — crash → durable restart, join, drain, decommission — through
 each binding and compares what the host records, so the shared code is
-tested once per engine instead of trusted twice.
+tested once per engine instead of trusted twice.  Each engine has one
+hierarchical client, whichever family's binding hands it out.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from repro.core.modes import LockMode
 from repro.faults.runtime import ResilientThreadedCluster
 from repro.faults.simcluster import ResilientSimCluster
 from repro.persist import MemoryPersistence
+from repro.runtime.cluster import (
+    BlockingLockClient,
+    ThreadedHierarchicalCluster,
+)
+from repro.sim.cluster import HierClient, SimHierarchicalCluster
 from repro.sim.engine import Process, Simulator
 
 NODES = 4
@@ -132,3 +138,29 @@ def test_host_lifecycle_is_engine_independent(run):
     if run is _run_threaded:
         assert lease_counters == (0, [])
     assert observed == EXPECTED
+
+
+@pytest.mark.parametrize(
+    "bare, resilient, client_class",
+    [
+        (SimHierarchicalCluster, ResilientSimCluster, HierClient),
+        (
+            ThreadedHierarchicalCluster,
+            ResilientThreadedCluster,
+            BlockingLockClient,
+        ),
+    ],
+    ids=["sim", "threaded"],
+)
+def test_one_client_class_per_engine(bare, resilient, client_class):
+    """Both families' bindings of one engine hand out the same client;
+    the bare-only calls raise ``AttributeError`` on a resilient host."""
+
+    clusters = [bare(2), resilient(2)]
+    try:
+        assert [type(c.client(1)) for c in clusters] == [client_class] * 2
+        with pytest.raises(AttributeError):
+            clusters[1].client(1).upgrade("x")
+    finally:
+        for cluster in clusters:
+            getattr(cluster, "shutdown", lambda: None)()

@@ -9,6 +9,7 @@ every grant is audited by the compatibility monitor.
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -89,6 +90,64 @@ class TestThreadedTransport:
             cluster.client(2).acquire("lock", LockMode.R, timeout=20.0)
             cluster.client(2).release("lock", LockMode.R)
             assert cluster.managers[2].boot == 1
+
+
+class TestClientGate:
+    def test_two_threads_of_one_node_take_turns_on_one_lock(self):
+        """The protocol allows one outstanding request per (node, lock):
+        a second thread of the node waits on the client's per-lock gate
+        instead of failing with ``LockUsageError``."""
+
+        monitor = CompatibilityMonitor()
+        with ResilientThreadedCluster(3, monitor=monitor) as cluster:
+            holder, waiter = cluster.client(0), cluster.client(1)
+            holder.acquire("x", LockMode.W, timeout=10.0)
+            granted: list = []
+            errors: list = []
+            first_may_release = threading.Event()
+
+            def take(name, release_when=None):
+                try:
+                    waiter.acquire("x", LockMode.W, timeout=20.0)
+                    granted.append(name)
+                    if release_when is not None:
+                        assert release_when.wait(timeout=20.0)
+                    waiter.release("x", LockMode.W)
+                except Exception as exc:  # surfaced to the main thread
+                    errors.append((name, exc))
+
+            first = threading.Thread(
+                target=take, args=("first", first_may_release), daemon=True
+            )
+            first.start()
+            deadline = time.monotonic() + 10.0
+            while cluster.lockspaces[1].existing("x") is None or (
+                cluster.lockspaces[1].existing("x").pending_mode
+                is not LockMode.W
+            ):
+                assert time.monotonic() < deadline, "request never issued"
+                time.sleep(0.01)
+            # The first request is pending behind node 0's W.
+            second = threading.Thread(
+                target=take, args=("second",), daemon=True
+            )
+            second.start()
+            time.sleep(0.2)
+            assert errors == []
+            assert second.is_alive()
+            holder.release("x", LockMode.W)
+            deadline = time.monotonic() + 20.0
+            while not granted and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.1)
+            assert granted == ["first"]  # the second waits its turn
+            first_may_release.set()
+            first.join(timeout=30.0)
+            second.join(timeout=30.0)
+            assert errors == []
+            assert granted == ["first", "second"]
+            cluster.transport.drain()
+            monitor.assert_all_released()
 
 
 class TestTcpTransport:

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.automaton import ProtocolOptions
-from repro.core.modes import LockMode
+from repro.core.modes import LockMode, intention_mode
 from repro.runtime.cluster import ThreadedHierarchicalCluster
 from repro.sim.rng import Fixed
 from repro.verification.invariants import CompatibilityMonitor
@@ -182,3 +182,50 @@ class TestBlockingClient:
             assert done.wait(timeout=TIMEOUT)
             writer.release("t", LockMode.R)
             thread.join(timeout=10)
+
+
+class TestBareHostOnThreads:
+    """The threaded cluster is the bare host's thread binding: the audit,
+    splice-aware token homes and membership splices come with it."""
+
+    @staticmethod
+    def _traffic(cluster, nodes):
+        def work(node):
+            client = cluster.client(node)
+            for step in range(6):
+                lock_id = f"db/{(node + step) % 3}"
+                mode = LockMode.W if (node + step) % 2 else LockMode.R
+                intent = intention_mode(mode)
+                client.acquire("db", intent, timeout=TIMEOUT)
+                client.acquire(lock_id, mode, timeout=TIMEOUT)
+                client.release(lock_id, mode)
+                client.release("db", intent)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in nodes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        cluster.transport.drain()
+
+    def test_quiescent_audit_across_join_and_removal(self):
+        monitor = CompatibilityMonitor()
+        with ThreadedHierarchicalCluster(4, monitor=monitor) as cluster:
+            self._traffic(cluster, range(4))
+            cluster.assert_quiescent_invariants()
+            joiner = cluster.add_node()
+            assert joiner == 4
+            cluster.transport.drain()
+            # Node 0 is every token's home: its custody moves away.
+            cluster.remove_node(0)
+            cluster.transport.drain()
+            assert cluster.members == [1, 2, 3, 4]
+            self._traffic(cluster, cluster.members)
+            cluster.assert_quiescent_invariants()
+            monitor.assert_all_released()
+            assert [e["event"] for e in cluster.membership_log] == [
+                "join", "removed",
+            ]
+            assert [n.node for n in cluster.cluster_view().nodes] == [
+                1, 2, 3, 4,
+            ]
