@@ -9,12 +9,14 @@ crash/restart gating: a crashed node neither sends nor receives, and a
 restarted node's handler goes in with ``restart(node, handler)`` without
 re-registering (which the underlying transports forbid after start) —
 the same four-call fabric vocabulary the simulator's
-:class:`~repro.sim.network.Network` speaks.
+:class:`~repro.sim.network.Network` speaks.  Delayed and held-back
+frames wait on one :class:`~repro.faults.scheduler.WallScheduler` the
+transport owns, whose clock the plan's windows are read against.
 
 :class:`ResilientThreadedCluster` is the real-thread binding of
 :class:`~repro.faults.host.ResilientHost` (its simulator sibling is
 :class:`~repro.faults.simcluster.ResilientSimCluster`): the host's node
-stack over a :class:`FaultyTransport`, ticking on a
+stack over a :class:`FaultyTransport`, ticking on a second
 :class:`~repro.faults.scheduler.WallScheduler`, with the bare threaded
 cluster's :class:`~repro.runtime.cluster.BlockingLockClient` and
 blocking membership changes.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Dict, List, Optional, Set
 
 from ..core.lockspace import TokenHomeFn, default_token_home
@@ -70,7 +73,10 @@ class FaultyTransport:
 
     def __init__(self, inner, plan: Optional[FaultPlan] = None) -> None:
         self.inner = inner
-        self._epoch = time.monotonic()
+        # Delayed and held-back frames wait here, and the plan's windows
+        # are read on its clock.  Not the cluster's wheel: recovery
+        # timers take node mutexes, and a frame must not wait behind one.
+        self._wheel = WallScheduler()
         self._injector: Optional[FaultInjector] = (
             FaultInjector(plan) if plan is not None and not plan.is_empty()
             else None
@@ -78,7 +84,6 @@ class FaultyTransport:
         self._handlers: Dict[NodeId, MessageHandler] = {}
         self._crashed: Set[NodeId] = set()
         self._state_lock = threading.Lock()
-        self._timers: List[threading.Timer] = []
         #: Reordered frames held back per (sender, dest) pair, waiting
         #: for a later frame on the pair to overtake them (see ``send``).
         self._held: Dict[tuple, List[Envelope]] = {}
@@ -91,9 +96,6 @@ class FaultyTransport:
         """The live decision engine (``None`` for an empty plan)."""
 
         return self._injector
-
-    def _now(self) -> float:
-        return time.monotonic() - self._epoch
 
     # -- transport surface -------------------------------------------------
 
@@ -120,14 +122,11 @@ class FaultyTransport:
         self.inner.start()
 
     def stop(self) -> None:
-        """Cancel in-flight delayed deliveries, then stop the inner."""
+        """Discard in-flight delayed deliveries, then stop the inner."""
 
         with self._state_lock:
             self._stopping = True
-            timers = list(self._timers)
-            self._timers.clear()
-        for timer in timers:
-            timer.cancel()
+        self._wheel.stop()
         self.inner.stop()
 
     def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
@@ -151,7 +150,8 @@ class FaultyTransport:
                     decision = None
                 else:
                     decision = injector.decide(
-                        self._now(), sender, envelope.dest, envelope.message
+                        self._wheel.now(), sender, envelope.dest,
+                        envelope.message,
                     )
             if decision is None:
                 self.inner.send(sender, [envelope])
@@ -182,14 +182,7 @@ class FaultyTransport:
                 return
             self._held.setdefault(key, []).append(envelope)
             self.messages_reordered += 1
-            timer = threading.Timer(
-                _REORDER_HOLD, lambda: self._flush_held(key)
-            )
-            timer.daemon = True
-            self._timers.append(timer)
-            if len(self._timers) > 64:  # Drop completed timers.
-                self._timers = [t for t in self._timers if t.is_alive()]
-        timer.start()
+        self._wheel.call_later(_REORDER_HOLD, partial(self._flush_held, key))
 
     def _flush_held(self, key: tuple) -> None:
         """Release held frames on *key*, after their overtaker shipped."""
@@ -228,15 +221,7 @@ class FaultyTransport:
             except SimulationError:
                 pass  # Destination died while the message was in flight.
 
-        with self._state_lock:
-            if self._stopping:
-                return
-            timer = threading.Timer(delay, fire)
-            timer.daemon = True
-            self._timers.append(timer)
-            if len(self._timers) > 64:  # Drop completed timers.
-                self._timers = [t for t in self._timers if t.is_alive()]
-        timer.start()
+        self._wheel.call_later(delay, fire)
 
     # -- crash gating ------------------------------------------------------
 
