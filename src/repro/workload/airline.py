@@ -27,13 +27,13 @@ whose latency spans the whole ordered multi-acquisition.
 from __future__ import annotations
 
 import random
-from typing import Generator, List, Optional
+from typing import Generator, List
 
 from ..core.modes import LockMode, intention_mode
 from ..metrics import MetricsCollector
 from ..sim.cluster import HierClient, NaimiClient
 from ..sim.engine import SimEvent, Simulator, Timeout
-from ..sim.rng import Distribution, Exponential
+from ..sim.rng import Exponential
 from .generator import draw_operation, entry_lock_id, table_lock_id
 from .spec import Operation, WorkloadSpec
 
@@ -43,7 +43,7 @@ GLOBAL_LOCK_ID = "global"
 
 def _acquire_and_record(
     sim: Simulator,
-    metrics: Optional[MetricsCollector],
+    metrics: MetricsCollector,
     node_id: int,
     kind: str,
     event_factory,
@@ -53,8 +53,7 @@ def _acquire_and_record(
 
     issued_at = sim.now
     yield event_factory()
-    if metrics is not None:
-        metrics.record_request(node_id, kind, issued_at, sim.now, lock=lock)
+    metrics.record_request(node_id, kind, issued_at, sim.now, lock=lock)
 
 
 def hierarchical_client(
@@ -63,24 +62,20 @@ def hierarchical_client(
     spec: WorkloadSpec,
     num_entries: int,
     rng: random.Random,
-    metrics: Optional[MetricsCollector] = None,
-    cs_dist: Optional[Distribution] = None,
-    idle_dist: Optional[Distribution] = None,
-    table: str = "db/tickets",
+    metrics: MetricsCollector,
 ) -> Generator[SimEvent, object, None]:
     """One node's client loop under the hierarchical protocol."""
 
-    cs = cs_dist if cs_dist is not None else Exponential(spec.cs_mean)
-    idle = idle_dist if idle_dist is not None else Exponential(spec.idle_mean)
+    cs, idle = Exponential(spec.cs_mean), Exponential(spec.idle_mean)
     node_id = client.node_id
-    table_lock = table_lock_id(table)
+    table_lock = table_lock_id()
     for _ in range(spec.ops_per_node):
         yield Timeout(sim, idle.sample(rng))
         op = draw_operation(rng, spec, node_id, num_entries)
         if op.is_entry_op:
             intent = intention_mode(op.mode)
             leaf = LockMode.R if op.mode is LockMode.IR else LockMode.W
-            entry_lock = entry_lock_id(op.entry, table)
+            entry_lock = entry_lock_id(op.entry)
             yield from _acquire_and_record(
                 sim, metrics, node_id, str(intent),
                 lambda: client.acquire(table_lock, intent),
@@ -116,8 +111,7 @@ def hierarchical_client(
             )
             yield Timeout(sim, cs.sample(rng))
             client.release(table_lock, op.mode)
-        if metrics is not None:
-            metrics.record_operation()
+        metrics.record_operation()
 
 
 def naimi_same_work_client(
@@ -126,21 +120,17 @@ def naimi_same_work_client(
     spec: WorkloadSpec,
     num_entries: int,
     rng: random.Random,
-    metrics: Optional[MetricsCollector] = None,
-    cs_dist: Optional[Distribution] = None,
-    idle_dist: Optional[Distribution] = None,
-    table: str = "db/tickets",
+    metrics: MetricsCollector,
 ) -> Generator[SimEvent, object, None]:
     """One node's client loop under Naimi *same work*."""
 
-    cs = cs_dist if cs_dist is not None else Exponential(spec.cs_mean)
-    idle = idle_dist if idle_dist is not None else Exponential(spec.idle_mean)
+    cs, idle = Exponential(spec.cs_mean), Exponential(spec.idle_mean)
     node_id = client.node_id
     for _ in range(spec.ops_per_node):
         yield Timeout(sim, idle.sample(rng))
         op = draw_operation(rng, spec, node_id, num_entries)
         if op.is_entry_op:
-            entry_lock = entry_lock_id(op.entry, table)
+            entry_lock = entry_lock_id(op.entry)
             yield from _acquire_and_record(
                 sim, metrics, node_id, "entry",
                 lambda: client.acquire(entry_lock),
@@ -153,18 +143,16 @@ def naimi_same_work_client(
             issued_at = sim.now
             held: List[str] = []
             for index in range(num_entries):
-                entry_lock = entry_lock_id(index, table)
+                entry_lock = entry_lock_id(index)
                 yield client.acquire(entry_lock)
                 held.append(entry_lock)
-            if metrics is not None:
-                metrics.record_request(
-                    node_id, "table", issued_at, sim.now, lock=table
-                )
+            metrics.record_request(
+                node_id, "table", issued_at, sim.now, lock=table_lock_id()
+            )
             yield Timeout(sim, cs.sample(rng))
             for entry_lock in reversed(held):
                 client.release(entry_lock)
-        if metrics is not None:
-            metrics.record_operation()
+        metrics.record_operation()
 
 
 def naimi_pure_client(
@@ -173,15 +161,11 @@ def naimi_pure_client(
     spec: WorkloadSpec,
     num_entries: int,
     rng: random.Random,
-    metrics: Optional[MetricsCollector] = None,
-    cs_dist: Optional[Distribution] = None,
-    idle_dist: Optional[Distribution] = None,
-    table: str = "db/tickets",
+    metrics: MetricsCollector,
 ) -> Generator[SimEvent, object, None]:
     """One node's client loop under Naimi *pure* (single global token)."""
 
-    cs = cs_dist if cs_dist is not None else Exponential(spec.cs_mean)
-    idle = idle_dist if idle_dist is not None else Exponential(spec.idle_mean)
+    cs, idle = Exponential(spec.cs_mean), Exponential(spec.idle_mean)
     node_id = client.node_id
     for _ in range(spec.ops_per_node):
         yield Timeout(sim, idle.sample(rng))
@@ -192,5 +176,4 @@ def naimi_pure_client(
         )
         yield Timeout(sim, cs.sample(rng))
         client.release(GLOBAL_LOCK_ID)
-        if metrics is not None:
-            metrics.record_operation()
+        metrics.record_operation()
