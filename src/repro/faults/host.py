@@ -25,13 +25,10 @@ vocabularies its engine binding supplies:
 :class:`~repro.faults.simcluster.ResilientSimCluster` and
 :class:`~repro.faults.runtime.ResilientThreadedCluster` are the two
 bindings; a third engine (a schedule explorer, say) is a third binding,
-not a third copy of this file.  Neither has a client class of its own:
-each hands out its engine's one hierarchical client, the bare family's
-:class:`~repro.sim.cluster.HierClient` /
-:class:`~repro.runtime.cluster.BlockingLockClient`, whose calls reach
-:meth:`~ResilientHost._submit_request` and
-:meth:`~ResilientHost._submit_release` (``upgrade``, ``attempt`` and
-``downgrade`` are bare-only: a resilient host has no method for them).
+not a third copy of this file.  Each hands out its engine's one
+hierarchical client (:class:`~repro.sim.cluster.HierClient`,
+:class:`~repro.runtime.cluster.BlockingLockClient`), the bare family's;
+its ``upgrade``, ``attempt`` and ``downgrade`` are bare-only.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ every grant is audited by the compatibility monitor.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.faults.runtime import (
     ResilientThreadedCluster,
 )
 from repro.obs.collect import RunObserver
+from repro.runtime.cluster import ThreadedHierarchicalCluster
 from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import ThreadedTransport
 from repro.verification.invariants import CompatibilityMonitor
@@ -148,6 +150,47 @@ class TestClientGate:
             assert granted == ["first", "second"]
             cluster.transport.drain()
             monitor.assert_all_released()
+
+
+    @pytest.mark.parametrize(
+        "cluster_class",
+        [ThreadedHierarchicalCluster, ResilientThreadedCluster],
+        ids=["bare", "resilient"],
+    )
+    def test_gate_under_thread_churn(self, cluster_class):
+        """More threads than cores on two nodes, one lock, a short switch
+        interval: every acquisition is granted, none overlaps a W."""
+
+        monitor = CompatibilityMonitor()
+        errors: list = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with cluster_class(3, monitor=monitor) as cluster:
+                def work(node):
+                    client = cluster.client(node)
+                    try:
+                        for _ in range(10):
+                            client.acquire("x", LockMode.W, timeout=20.0)
+                            client.release("x", LockMode.W)
+                    except Exception as exc:  # surfaced to the main thread
+                        errors.append((node, exc))
+
+                threads = [
+                    threading.Thread(target=work, args=(node,), daemon=True)
+                    for node in (1, 1, 1, 2, 2, 2)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads), "wedged"
+                cluster.transport.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert monitor.grants == 60
+        monitor.assert_all_released()
 
 
 class TestTcpTransport:
