@@ -132,7 +132,9 @@ class ThreadedHierarchicalCluster(_HierarchicalCluster):
 
     Membership splices (``add_node`` / ``remove_node``) and
     :meth:`assert_quiescent_invariants` are valid at quiescence only, as
-    on the simulator: ``transport.drain()`` first.
+    on the simulator: ``transport.drain()`` first.  ``add_node`` needs a
+    transport that registers nodes after ``start()``: the in-memory one
+    does, the TCP one refuses.
     """
 
     CLIENT = BlockingLockClient

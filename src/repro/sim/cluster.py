@@ -213,8 +213,9 @@ class _BaseCluster:
     def _add_lockspace(self, node_id: NodeId):
         lockspace = self._new_lockspace(node_id, self._make_listener(node_id))
         lockspace.obs = self.obs
-        self.lockspaces[node_id] = lockspace
+        # Register first: a fabric that refuses the node leaves no trace.
         self._fabric.register(node_id, self._handler(node_id, lockspace))
+        self.lockspaces[node_id] = lockspace
         return lockspace
 
     def _handler(self, node_id: NodeId, lockspace):

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.automaton import ProtocolOptions
 from repro.core.modes import LockMode, intention_mode
+from repro.errors import SimulationError
 from repro.runtime.cluster import ThreadedHierarchicalCluster
+from repro.runtime.tcp import TcpTransport
 from repro.sim.rng import Fixed
 from repro.verification.invariants import CompatibilityMonitor
 
@@ -229,3 +231,12 @@ class TestBareHostOnThreads:
             assert [n.node for n in cluster.cluster_view().nodes] == [
                 1, 2, 3, 4,
             ]
+
+    def test_refused_join_leaves_no_node_behind(self):
+        with ThreadedHierarchicalCluster(
+            2, transport=TcpTransport()
+        ) as cluster:
+            with pytest.raises(SimulationError, match="after start"):
+                cluster.add_node()
+            assert sorted(cluster.lockspaces) == cluster.members == [0, 1]
+            cluster.assert_quiescent_invariants()
