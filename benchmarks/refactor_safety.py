@@ -22,8 +22,9 @@ smoke --seed 0`` and of ``fig5 --quick``, and the ``/cluster`` payload
 and ``/metrics`` text of one seeded ``ResilientSimCluster`` with a
 journal, polled twice mid-run and once drained — then byte-compares
 them (59 outputs).
-On a difference it names every differing output, prints a unified diff
-of the first, and exits 1.
+On a difference it names every differing output, prints the first
+changed lines of each (old ``-``, new ``+``; a long line is cut to the
+stretch around its first change), and exits 1.
 
 Usage, from the root of the tree under test (≈ 40 s for both trees)::
 
@@ -49,7 +50,8 @@ messages went), ``channel_retransmits``, mean and p95 grant latency
 marked — then the outputs that are still byte-identical, which for
 a change to the fault-tolerant stack must include the explorer census,
 the Figure 5/6 series, ``repro all --quick`` and the bare ledger
-fingerprints.  Exits 0: it is a table to quote, not a gate.
+fingerprints, and the first changed lines of each that is not.  Exits
+0: it is a table to quote, not a gate.
 """
 
 from __future__ import annotations
@@ -375,6 +377,8 @@ def moved(here: str, other: str) -> int:
         print(f"{len(same)} of {len(names)} outputs byte-identical:")
         for name in same:
             print(f"  {name}")
+        if differing:
+            _print_differing(a, b, names, differing)
         return 0
 
 
@@ -389,25 +393,70 @@ def compare(here: str, other: str) -> int:
         if not differing:
             print(f"{len(names)} outputs byte-identical")
             return 0
-        print(f"{len(differing)} of {len(names)} outputs differ:")
-        for name in differing:
-            print(f"  {name}")
-        first = differing[0]
-        if first.endswith((".json", ".jsonl", ".txt")):
-            sides = []
-            for root in (a, b):
-                path = os.path.join(root, first)
-                sides.append(
-                    open(path).read().splitlines(keepends=True)
-                    if os.path.exists(path) else []
-                )
-            sys.stdout.writelines(
-                difflib.unified_diff(
-                    *sides, fromfile=f"{other}:{first}",
-                    tofile=f"{here}:{first}",
-                )
-            )
+        _print_differing(a, b, names, differing)
         return 1
+
+
+def _print_differing(a: str, b: str, names: List[str], differing: List[str]):
+    """Name each differing output, with its first changed lines."""
+
+    print(f"{len(differing)} of {len(names)} outputs differ:")
+    for name in differing:
+        print(f"  {name}")
+        for line in _changed_lines(os.path.join(a, name), os.path.join(b, name)):
+            print(f"    {line}")
+
+
+#: Changed lines shown per differing output, and the width of each.
+SHOWN_CHANGES = 5
+SHOWN_WIDTH = 120
+
+
+def _changed_lines(old: str, new: str) -> List[str]:
+    """The first :data:`SHOWN_CHANGES` changed lines of *old* → *new*, as
+    ``-`` / ``+`` rows, then how many more there are."""
+
+    if not old.endswith((".json", ".jsonl", ".txt")):
+        return ["(binary)"]
+    sides = [
+        open(path).read().splitlines() if os.path.exists(path) else []
+        for path in (old, new)
+    ]
+    rows, changes = [], 0
+    matcher = difflib.SequenceMatcher(None, *sides, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag == "equal":
+            continue
+        removed, added = sides[0][i1:i2], sides[1][j1:j2]
+        for index in range(max(len(removed), len(added))):
+            changes += 1
+            if changes > SHOWN_CHANGES:
+                continue
+            pair = [
+                side[index] if index < len(side) else None
+                for side in (removed, added)
+            ]
+            start = len(os.path.commonprefix([line or "" for line in pair]))
+            rows += [
+                f"{sign} {_window(line, start)}"
+                for sign, line in zip("-+", pair)
+                if line is not None
+            ]
+    if changes > SHOWN_CHANGES:
+        rows.append(f"... {changes - SHOWN_CHANGES} more changed lines")
+    return rows
+
+
+def _window(line: str, start: int) -> str:
+    """*line*, or the :data:`SHOWN_WIDTH` characters around *start*."""
+
+    if len(line) <= SHOWN_WIDTH:
+        return line
+    begin = max(0, min(start - SHOWN_WIDTH // 3, len(line) - SHOWN_WIDTH))
+    cut = line[begin:begin + SHOWN_WIDTH]
+    return ("..." if begin else "") + cut + (
+        "..." if begin + SHOWN_WIDTH < len(line) else ""
+    )
 
 
 def main(argv: List[str]) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import types
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
 
 from .modes import LockMode
 
@@ -217,9 +217,13 @@ class FreezeMessage(Message):
     frozen: FrozenSet[LockMode]
 
 
-@dataclasses.dataclass(frozen=True)
-class Envelope:
-    """A routed message: deliver ``message`` to node ``dest``."""
+class Envelope(NamedTuple):
+    """A routed message: deliver ``message`` to node ``dest``.
+
+    An immutable, hashable pair: a fabric unpacks it once
+    (``dest, message = envelope``), and a copy with one field changed is
+    ``envelope._replace(...)``.
+    """
 
     dest: NodeId
     message: Message

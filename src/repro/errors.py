@@ -45,3 +45,12 @@ class SimulationError(ReproError):
 
 class ConfigurationError(ReproError):
     """An experiment or cluster was configured with invalid parameters."""
+
+
+def unroutable(sender: object, dest: object) -> SimulationError:
+    """What a fabric raises for a send to an unregistered node or to the
+    sender's own node (no protocol talks to itself over the wire)."""
+
+    if dest == sender:
+        return SimulationError(f"node {sender} sent a message to itself")
+    return SimulationError(f"message to unregistered node {dest}")

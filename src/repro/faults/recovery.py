@@ -479,33 +479,46 @@ class RecoveryManager:
 
     def absorb(self, beat: Message, slot: Tuple[float, int]) -> bool:
         """Keep *beat*, due in *slot*, off the fabric if its delivery could
-        only note life (docs/FAULTS.md); False hands it back."""
+        only note life (docs/FAULTS.md); False hands it back.
+
+        Takes no mutex: only the simulator's fabric calls it
+        (:meth:`~repro.sim.network.Network.attach_absorber`), on the
+        engine's one thread, which every other entry of this node's
+        runs on too.
+        """
 
         if type(beat) is not HeartbeatMessage or beat.ack >= 0 or beat.leases:
             return False
         sender, leases = beat.sender, self.leases
-        with self.mutex:
-            if not (
-                self.timers.running
-                and beat.view_epoch >= self.membership.view.epoch
-                and beat.boot == self._peer_boots.get(sender, 0)
-                and sender not in self.membership.departed
-                and not self.detector.is_suspected(sender)
-                and not leases.defers(sender)
-                and not leases.remote.mirrors(sender)
-            ):
-                return False
-            heapq.heappush(self._kept, (slot[0], slot[1], beat))
-            return True
+        if not (
+            self.timers.running
+            and beat.view_epoch >= self.membership.view.epoch
+            and beat.boot == self._peer_boots.get(sender, 0)
+            and sender not in self.membership.departed
+            and not self.detector.is_suspected(sender)
+            and not leases.defers(sender)
+            and not leases.remote.mirrors(sender)
+        ):
+            return False
+        heapq.heappush(self._kept, (slot[0], slot[1], beat))
+        return True
 
     def _fold(self) -> None:
-        """Apply each kept beat whose slot has passed, as its delivery would."""
+        """Apply each kept beat whose slot has passed, as its delivery
+        would: one pass, noting life and the sender's newest beat."""
 
         kept = self._kept
-        while kept and kept[0] < self.fabric.cursor():
+        if not kept:
+            return
+        cursor = self.fabric.cursor()
+        beat_at, newest = self.detector.beat, self._newest_beat
+        while kept and kept[0] < cursor:
             time, _seq, beat = heapq.heappop(kept)
-            self.detector.beat(beat.sender, time)
-            self._newer_beat(beat)
+            sender = beat.sender
+            beat_at(sender, time)
+            stamp = (beat.boot, beat.seq)
+            if stamp > newest.get(sender, (-1, -1)):
+                newest[sender] = stamp
 
     def release_beats(self, peer: Optional[NodeId] = None) -> None:
         """Fold the kept beats that arrived and hand the rest (from *peer*,
@@ -513,9 +526,12 @@ class RecoveryManager:
 
         with self.mutex:
             self._fold()
-            back = [k for k in self._kept if peer in (None, k[2].sender)]
-            self._kept = [k for k in self._kept if k not in back]
-            heapq.heapify(self._kept)
+            keep: List[Tuple[float, int, HeartbeatMessage]] = []
+            back: List[Tuple[float, int, HeartbeatMessage]] = []
+            for kept in self._kept:
+                (back if peer in (None, kept[2].sender) else keep).append(kept)
+            heapq.heapify(keep)
+            self._kept = keep
             for time, seq, beat in back:
                 self.fabric.redeliver((time, seq), self.node_id, beat)
 

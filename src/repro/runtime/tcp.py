@@ -26,7 +26,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.messages import Envelope, NodeId, fault_label
-from ..errors import SimulationError
+from ..errors import SimulationError, unroutable
 from ..obs.sink import ObsSink
 from .transport import MessageHandler
 
@@ -186,19 +186,16 @@ class TcpTransport:
         self._stopping = False
 
     def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
-        """Serialize and transmit envelopes over per-pair connections."""
+        """Serialize and transmit envelopes over per-pair connections.
+
+        A destination that is not registered, or is *sender* itself, is
+        a :class:`SimulationError`: no protocol talks to its own node.
+        """
 
         for envelope in envelopes:
             dest = envelope.dest
-            if dest not in self._handlers:
-                raise SimulationError(f"message to unregistered node {dest}")
-            if dest == sender:
-                # The protocol never self-sends; handle defensively so a
-                # custom client cannot wedge the transport.
-                replies = self._handlers[dest](envelope.message)
-                if replies:
-                    self.send(dest, replies)
-                continue
+            if dest == sender or dest not in self._handlers:
+                raise unroutable(sender, dest)
             if self.tracer is not None:
                 envelope = self.tracer.outbound(sender, envelope)
             started = time.perf_counter()

@@ -21,7 +21,7 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from ..core.messages import Envelope, NodeId, fault_label
-from ..errors import SimulationError
+from ..errors import SimulationError, unroutable
 from ..obs.sink import ObsSink
 from ..sim.rng import Distribution
 
@@ -114,27 +114,25 @@ class ThreadedTransport:
         self._threads.clear()
 
     def send(self, sender: NodeId, envelopes: List[Envelope]) -> None:
-        """Enqueue *envelopes* for delivery."""
+        """Enqueue *envelopes* for delivery.
+
+        A destination that is not registered, or is *sender* itself, is
+        a :class:`SimulationError`: no protocol talks to its own node.
+        """
 
         for envelope in envelopes:
-            if envelope.dest not in self._inboxes:
-                raise SimulationError(
-                    f"message to unregistered node {envelope.dest}"
-                )
-            if envelope.dest != sender:
-                with self._count_lock:
-                    self._messages_sent += 1
-                if self.obs is not None:
-                    self.obs.message(
-                        sender, envelope.dest, fault_label(envelope.message)
-                    )
-                if self.tracer is not None:
-                    envelope = self.tracer.outbound(sender, envelope)
+            dest = envelope.dest
+            if dest == sender or dest not in self._inboxes:
+                raise unroutable(sender, dest)
+            with self._count_lock:
+                self._messages_sent += 1
+            if self.obs is not None:
+                self.obs.message(sender, dest, fault_label(envelope.message))
+            if self.tracer is not None:
+                envelope = self.tracer.outbound(sender, envelope)
             with self._inflight_lock:
                 self._inflight += 1
-            self._inboxes[envelope.dest].put(
-                (sender, envelope, time.perf_counter())
-            )
+            self._inboxes[dest].put((sender, envelope, time.perf_counter()))
 
     def _quiesced(self) -> bool:
         """True iff no envelope is enqueued or being handled right now."""
@@ -181,16 +179,16 @@ class ThreadedTransport:
                 return
             sender, envelope, enqueued_at = item
             try:
-                if self.obs is not None and sender != node_id:
+                if self.obs is not None:
                     self.obs.wire_sent(
                         sender, node_id, 0, time.perf_counter() - enqueued_at
                     )
-                if self._delay is not None and sender != node_id:
+                if self._delay is not None:
                     with self._rng_lock:
                         pause = self._delay.sample(self._rng)
                     time.sleep(pause)
                 tracer = self.tracer
-                if tracer is None or sender == node_id:
+                if tracer is None:
                     replies = handler(envelope.message)
                     if replies:
                         self.send(node_id, replies)

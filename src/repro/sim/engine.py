@@ -9,6 +9,11 @@ Determinism: events scheduled for the same instant fire in scheduling
 order (a monotonically increasing sequence number breaks ties), and all
 randomness comes from seeded :class:`random.Random` streams owned by the
 caller — two runs with the same seed produce identical traces.
+
+A :class:`Timeout` is one event: its waiters resume inside it, so at one
+instant a timeout's waiter runs at the timeout's own ``(time, seq)``, not
+after the events scheduled for that instant since it was created.  Any
+other :class:`SimEvent` wakes each waiter in a 0-delay event of its own.
 """
 
 from __future__ import annotations
@@ -162,11 +167,25 @@ class SimEvent:
 
 
 class Timeout(SimEvent):
-    """An event that self-triggers after a fixed virtual delay."""
+    """An event that self-triggers after a fixed virtual delay.
+
+    Its waiters resume in its own event, in the order they waited: a
+    process that yields *k* timeouts costs *k* events, not *2k*.
+    """
+
+    __slots__ = ()
 
     def __init__(self, sim: Simulator, delay: float) -> None:
         super().__init__(sim)
-        sim.schedule(delay, self.trigger)
+        sim.schedule(delay, self._due)
+
+    def _due(self) -> None:
+        if self._triggered:
+            raise SimulationError("SimEvent triggered twice")
+        self._triggered = True
+        callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback(None)
 
 
 class AllOf(SimEvent):

@@ -54,7 +54,7 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.messages import MESSAGE_TYPE_LABELS, Envelope, NodeId, fault_label
-from ..errors import SimulationError
+from ..errors import SimulationError, unroutable
 from .engine import Simulator
 from .rng import Distribution, Exponential
 
@@ -106,7 +106,7 @@ class Network:
 
     @property
     def messages_sent(self) -> int:
-        """Total envelopes transmitted (excluding node-local deliveries)."""
+        """Total envelopes transmitted."""
 
         return sum(self._sent_by_type.values())
 
@@ -193,11 +193,16 @@ class Network:
         its type declared: FIFO per destination pair, or a datagram.
 
         Producers batch (a heartbeat tick is one call): what cannot
-        change inside a call is read once, the rest per envelope.
+        change inside a call is read once, the rest per envelope.  A
+        destination that is not registered, or is *sender* itself, is a
+        :class:`SimulationError`: no protocol talks to its own node.
         """
 
         sim = self._sim
-        now, schedule, deliver = sim.now, sim.schedule, self._deliver
+        now, schedule, reserve, put = (
+            sim.now, sim.schedule, sim.reserve, sim.put,
+        )
+        deliver = self._deliver
         handlers, crashed, floors, by_type = (
             self._handlers, self._crashed, self._last_arrival,
             self._sent_by_type,
@@ -207,17 +212,12 @@ class Network:
         absorbers = self._absorbers if tracer is None else {}
         sample, rng = self._latency.sample, self._rng
         for envelope in envelopes:
-            dest = envelope.dest
-            if dest not in handlers:
-                raise SimulationError(f"message to unregistered node {dest}")
+            dest, message = envelope
+            if dest == sender or dest not in handlers:
+                raise unroutable(sender, dest)
             if sender_down or dest in crashed:
                 self._messages_dropped += 1
                 continue
-            if dest == sender:
-                # A node talking to itself does not cross the wire.
-                schedule(0.0, partial(deliver, sender, envelope))
-                continue
-            message = envelope.message
             copies, extra, reorder = 1, 0.0, False
             if injector is not None:
                 decision = injector.decide(now, sender, dest, message)
@@ -232,9 +232,21 @@ class Network:
                 obs.message(sender, dest, fault_label(message))
             if tracer is not None:
                 envelope = tracer.outbound(sender, envelope)
-            key = (sender, dest)
             datagram = not message.ordered or reorder
             absorb = absorbers.get(dest) if datagram else None
+            if datagram and copies == 1:
+                # The common datagram (a heartbeat): one draw, no floor.
+                # ``arrival - now`` then ``now + delay`` in the engine: the
+                # float round trip is part of every seeded trajectory.
+                arrival = now + (sample(rng) + extra)
+                if absorb is None:
+                    schedule(arrival - now, partial(deliver, sender, envelope))
+                else:
+                    slot = reserve(arrival - now)
+                    if not absorb(message, slot):
+                        put(slot, partial(deliver, sender, envelope))
+                continue
+            key = (sender, dest)
             for _ in range(copies):
                 arrival = now + (sample(rng) + extra)
                 if not datagram:
@@ -246,25 +258,24 @@ class Network:
                     if arrival < floor:
                         arrival = floor
                     floors[key] = arrival
-                # ``arrival - now`` then ``now + delay`` in the engine: the
-                # float round trip is part of every seeded trajectory.
                 if absorb is None:
                     schedule(arrival - now, partial(deliver, sender, envelope))
                     continue
-                slot = sim.reserve(arrival - now)
+                slot = reserve(arrival - now)
                 if not absorb(message, slot):
-                    sim.put(slot, partial(deliver, sender, envelope))
+                    put(slot, partial(deliver, sender, envelope))
 
     def _deliver(self, sender: NodeId, envelope: Envelope) -> None:
-        if envelope.dest in self._crashed:
+        dest, message = envelope
+        if dest in self._crashed:
             # Crashed while the message was in flight.
             self._messages_dropped += 1
             return
-        handler = self._handlers[envelope.dest]
+        handler = self._handlers[dest]
         tracer = self.tracer
         if tracer is None:
-            replies = handler(envelope.message)
+            replies = handler(message)
             if replies:
-                self.send(envelope.dest, replies)
+                self.send(dest, replies)
             return
-        tracer.deliver(envelope.dest, envelope.message, handler, self.send)
+        tracer.deliver(dest, message, handler, self.send)

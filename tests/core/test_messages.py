@@ -166,6 +166,23 @@ class TestMessageTypeLabels:
         assert envelope.dest == 4
         assert envelope.message is release
 
+    def test_envelope_is_an_immutable_hashable_pair(self):
+        release = ReleaseMessage(lock_id="L", sender=1, new_mode=LockMode.IR)
+        envelope = Envelope(4, release)
+        dest, message = envelope
+        assert (dest, message) == (4, release)
+        with pytest.raises(AttributeError):
+            envelope.dest = 5
+        twin = Envelope(dest=4, message=ReleaseMessage(
+            lock_id="L", sender=1, new_mode=LockMode.IR
+        ))
+        assert twin == envelope and hash(twin) == hash(envelope)
+        assert len({envelope, twin}) == 1
+        assert Envelope(5, release) != envelope
+        assert Envelope(4, dataclasses.replace(release, sender=2)) != envelope
+        moved = envelope._replace(dest=5)
+        assert moved == Envelope(5, release) and envelope.dest == 4
+
 
 def _import_the_tree():
     import importlib

@@ -91,17 +91,22 @@ class TestTcpTransport:
 
     def test_each_counted_frame_is_observed_once(self):
         """One ``obs.message`` per counted send, labelled by
-        ``fault_label``; a self-send is neither counted nor observed."""
+        ``fault_label``; a self-send is refused before it is either, and
+        node 0's handler never runs for it."""
 
         sink = RecordingSink()
         transport = TcpTransport(obs=sink)
         received = threading.Semaphore(0)
-        transport.register(0, lambda msg: [])
+        local = []
+        transport.register(0, lambda msg: local.append(msg) or [])
         transport.register(1, lambda msg: received.release() or [])
         transport.start()
         try:
+            with pytest.raises(SimulationError, match="node 0 .* to itself"):
+                transport.send(0, [Envelope(0, _release())])
+            assert local == [] and sink.seen == []
             transport.send(0, [
-                Envelope(1, _release()), Envelope(0, _release()),
+                Envelope(1, _release()),
                 Envelope(1, SessionMessage(
                     lock_id="L", sender=0, seq=0, payload=_release()
                 )),

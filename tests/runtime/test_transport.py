@@ -72,14 +72,24 @@ class TestThreadedTransport:
             transport.stop()
 
     def test_message_counter_excludes_self_sends(self):
+        """A self-send is refused where it is met, like a send to an
+        unregistered node: the envelopes before it went out, it and
+        those after it did not, and no handler ran for it."""
+
+        seen = {0: [], 1: []}
         transport = ThreadedTransport()
-        transport.register(0, lambda msg: [])
-        transport.register(1, lambda msg: [])
+        transport.register(0, lambda msg: seen[0].append(msg) or [])
+        transport.register(1, lambda msg: seen[1].append(msg) or [])
         transport.start()
         try:
-            transport.send(0, [Envelope(1, _release()), Envelope(0, _release())])
+            with pytest.raises(SimulationError, match="node 0 .* to itself"):
+                transport.send(0, [
+                    Envelope(1, _release()), Envelope(0, _release()),
+                    Envelope(1, _release()),
+                ])
             transport.drain()
             assert transport.messages_sent == 1
+            assert len(seen[1]) == 1 and seen[0] == []
         finally:
             transport.stop()
 
@@ -156,15 +166,19 @@ class TestThreadedTransport:
         transport = ThreadedTransport()
         hops = []
 
-        def chain(msg):
-            hops.append(msg.sender)
-            if len(hops) < 5:
-                time.sleep(0.02)
-                return [Envelope(1, _release(sender=len(hops)))]
-            return []
+        def chain(peer):
+            def handler(msg):
+                hops.append(msg.sender)
+                if len(hops) < 5:
+                    time.sleep(0.02)
+                    return [Envelope(peer, _release(sender=len(hops)))]
+                return []
 
-        transport.register(0, lambda msg: [])
-        transport.register(1, chain)
+            return handler
+
+        # The chain bounces between the two nodes (a self-send is refused).
+        transport.register(0, chain(1))
+        transport.register(1, chain(0))
         transport.start()
         try:
             transport.send(0, [Envelope(1, _release())])
@@ -175,7 +189,7 @@ class TestThreadedTransport:
 
     def test_observer_invoked_off_the_hot_path(self):
         """One ``obs.message`` per counted send, labelled by
-        ``fault_label``; a self-send is neither counted nor observed."""
+        ``fault_label``; a self-send is refused before it is either."""
 
         sink = RecordingSink()
         transport = ThreadedTransport(obs=sink)
@@ -183,8 +197,10 @@ class TestThreadedTransport:
         transport.register(1, lambda msg: [])
         transport.start()
         try:
+            with pytest.raises(SimulationError, match="to itself"):
+                transport.send(0, [Envelope(0, _release())])
             transport.send(0, [
-                Envelope(1, _release()), Envelope(0, _release()),
+                Envelope(1, _release()),
                 Envelope(1, SessionMessage(
                     lock_id="L", sender=0, seq=0, payload=_release()
                 )),

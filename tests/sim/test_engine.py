@@ -198,6 +198,40 @@ class TestSimEvent:
         assert timeout.triggered
         assert sim.now == pytest.approx(0.7)
 
+    def test_timeout_triggered_by_hand_still_raises_when_due(self):
+        sim = Simulator()
+        timeout = Timeout(sim, 0.4)
+        timeout.trigger("early")
+        with pytest.raises(SimulationError, match="triggered twice"):
+            sim.run()
+        assert sim.now == pytest.approx(0.4) and timeout.value == "early"
+
+    def test_timeout_wakes_its_waiters_in_its_own_event(self):
+        """At one instant a waiter runs at the timeout's ``(time, seq)``:
+        before an event scheduled for that instant after the timeout was
+        made, and with no 0-delay hop of its own."""
+
+        sim = Simulator()
+        order = []
+        timeout = Timeout(sim, 0.5)
+        timeout.add_callback(lambda _v: order.append(("first", sim.cursor())))
+        timeout.add_callback(lambda _v: order.append(("second", sim.cursor())))
+        sim.schedule(0.5, lambda: order.append(("later", sim.cursor())))
+        sim.run()
+        assert [name for name, _slot in order] == ["first", "second", "later"]
+        assert order[0][1] == order[1][1] < order[2][1]
+        assert sim.events_processed == 2
+
+    def test_a_late_waiter_of_a_timeout_still_gets_a_hop(self):
+        sim = Simulator()
+        timeout = Timeout(sim, 0.2)
+        sim.run()
+        values = []
+        timeout.add_callback(values.append)
+        assert values == [] and sim.pending_events == 1
+        sim.run()
+        assert values == [None] and sim.events_processed == 2
+
     def test_allof_waits_for_every_event(self):
         sim = Simulator()
         first, second = Timeout(sim, 0.1), Timeout(sim, 0.5)
@@ -256,6 +290,37 @@ class TestProcess:
 
         run_processes(sim, [worker("a", 0.1), worker("b", 0.15)])
         assert order == ["a", "b", "a", "b"]
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 7])
+    def test_a_process_yielding_k_timeouts_costs_k_plus_one_events(self, k):
+        """One event to start the body and one per timeout: the timeout
+        resumes the process itself."""
+
+        sim = Simulator()
+
+        def body():
+            for _ in range(k):
+                yield Timeout(sim, 0.1)
+
+        run_processes(sim, [body()])
+        assert sim.events_processed == k + 1
+        assert sim.now == pytest.approx(0.1 * k)
+
+    def test_timeouts_due_at_one_instant_resume_in_creation_order(self):
+        sim = Simulator()
+        order = []
+
+        def sleeper(name, delay):
+            yield Timeout(sim, delay)
+            order.append(name)
+
+        # Created in the order c, a, b (the processes start at t=0 in
+        # spawn order), all due at t=0.3.
+        run_processes(sim, [
+            sleeper("c", 0.3), sleeper("a", 0.3), sleeper("b", 0.3),
+        ])
+        assert order == ["c", "a", "b"]
+        assert sim.events_processed == 6
 
     def test_yielding_non_event_rejected(self):
         sim = Simulator()

@@ -58,15 +58,21 @@ class TestDelivery:
         with pytest.raises(SimulationError):
             network.register(0, lambda msg: [])
 
-    def test_self_messages_bypass_the_wire(self):
+    def test_self_messages_are_refused(self):
+        """No protocol talks to its own node: such a send is the same
+        error as one to an unregistered node, and nothing of it is
+        scheduled, counted or delivered."""
+
         sim = Simulator()
         network = Network(sim, latency=Fixed(5.0))
         received = []
         network.register(0, lambda msg: received.append(sim.now) or [])
-        network.send(0, [Envelope(0, _release())])
+        with pytest.raises(SimulationError, match="node 0 .* to itself"):
+            network.send(0, [Envelope(0, _release())])
+        assert sim.pending_events == 0
         sim.run()
-        assert received == [0.0]
-        assert network.messages_sent == 0
+        assert received == [] and sim.events_processed == 0
+        assert network.messages_sent == 0 and network.messages_dropped == 0
 
 
 class TestFifoPerPair:
@@ -224,7 +230,8 @@ class TestDeliveryClasses:
 class TestObservation:
     def test_observer_sees_every_wire_message(self):
         """One ``obs.message`` per counted send, labelled by
-        ``fault_label``; a dropped send and a self-send are neither."""
+        ``fault_label``; a dropped send is neither, and a self-send is
+        refused before it is either."""
 
         sim = Simulator()
         sink = RecordingSink()
@@ -240,7 +247,8 @@ class TestObservation:
             Envelope(1, _release()), Envelope(1, _frame(0)),
             Envelope(1, _beat()), Envelope(1, _release()),
         ])
-        network.send(0, [Envelope(0, _release())])  # local: not observed
+        with pytest.raises(SimulationError, match="to itself"):
+            network.send(0, [Envelope(0, _release())])
         sim.run()
         assert sink.seen == [
             (0, 1, "release"), (0, 1, "release"), (0, 1, "release"),

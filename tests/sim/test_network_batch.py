@@ -8,7 +8,11 @@ that re-reads everything per envelope (``ParentNetwork._send_one``).
 The reference follows the fabric's contract, not its history: since
 issue 24 a datagram type (the script's heartbeats) skips the FIFO floor
 exactly as a fault-plan ``reorder`` does, and sends are counted by type
-and reported once to the obs sink.
+and reported once to the obs sink.  A send to the sender's own node is
+refused like one to an unregistered node, and a datagram is offered to
+the destination's absorber in its reserved slot (the ``absorbing``
+setting; the fabric takes its one-copy datagrams down a branch of their
+own, which this reference does not have).
 """
 
 from __future__ import annotations
@@ -58,11 +62,10 @@ class ParentNetwork(Network):
         dest = envelope.dest
         if dest not in self._handlers:
             raise SimulationError(f"message to unregistered node {dest}")
+        if dest == sender:
+            raise SimulationError(f"node {sender} sent a message to itself")
         if sender in self._crashed or dest in self._crashed:
             self._messages_dropped += 1
-            return
-        if dest == sender:
-            self._sim.schedule(0.0, lambda: self._deliver(sender, envelope))
             return
         if self._injector is not None:
             decision = self._injector.decide(
@@ -92,6 +95,12 @@ class ParentNetwork(Network):
                 if arrival < floor:
                     arrival = floor
                 self._last_arrival[key] = arrival
+            absorb = self._absorbers.get(dest)
+            if reorder and absorb is not None and self.tracer is None:
+                slot = self._sim.reserve(arrival - self._sim.now)
+                if not absorb(envelope.message, slot):
+                    self._sim.put(slot, lambda: self._deliver(sender, envelope))
+                continue
             self._sim.schedule(
                 arrival - self._sim.now,
                 lambda: self._deliver(sender, envelope),
@@ -138,6 +147,7 @@ class _World:
     def __init__(self, cls, seed: int, setting: str) -> None:
         self.sim = Simulator()
         self.delivered = []
+        self.kept = []
         self.rng = random.Random(seed)
         self.obs = None
         if setting == "observer":
@@ -153,6 +163,8 @@ class _World:
         )
         for node in range(NODES):
             self.network.register(node, self._sink(node))
+            if setting == "absorbing":
+                self.network.attach_absorber(node, self._absorber(node))
 
     def _sink(self, node: int):
         def handler(message):
@@ -160,6 +172,18 @@ class _World:
             return []
 
         return handler
+
+    def _absorber(self, node: int):
+        """Keeps every heartbeat with an even ``boot``, as a receiver that
+        could fold it would, and notes the slot it was kept in."""
+
+        def absorb(message, slot):
+            keep = type(message) is HeartbeatMessage and message.boot % 2 == 0
+            if keep:
+                self.kept.append((node, slot, message))
+            return keep
+
+        return absorb
 
     def fingerprint(self):
         network = self.network
@@ -174,6 +198,7 @@ class _World:
             self.rng.getstate(),
             None if injector is None else injector._rng.getstate(),
             None if self.obs is None else self.obs.observed,
+            list(self.kept),
         )
 
 
@@ -195,7 +220,9 @@ batches = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**31),
-    setting=st.sampled_from(["plain", "plan", "observer", "tracer"]),
+    setting=st.sampled_from(
+        ["plain", "plan", "observer", "tracer", "absorbing"]
+    ),
     script=batches,
 )
 def test_one_batch_equals_the_parents_single_sends(seed, setting, script):
@@ -207,10 +234,19 @@ def test_one_batch_equals_the_parents_single_sends(seed, setting, script):
         for dest, kind in fanout:
             serial += 1
             envelopes.append(Envelope(dest, _message(kind, sender, serial)))
-        # The parent's producers: one one-element list per envelope.
-        for envelope in envelopes:
-            parent.network.send(sender, [envelope])
-        change.network.send(sender, envelopes)
+        # The parent's producers: one one-element list per envelope.  A
+        # self-send stops the loop there, and the batch at the same one.
+        refused = any(envelope.dest == sender for envelope in envelopes)
+        try:
+            for envelope in envelopes:
+                parent.network.send(sender, [envelope])
+        except SimulationError:
+            assert refused
+        if refused:
+            with pytest.raises(SimulationError, match="to itself"):
+                change.network.send(sender, envelopes)
+        else:
+            change.network.send(sender, envelopes)
         assert change.fingerprint() == parent.fingerprint()
         for world in (parent, change):
             world.sim.run(until=world.sim.now + run_for)

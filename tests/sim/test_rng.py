@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -47,6 +49,19 @@ class TestDistributions:
     def test_exponential_zero_mean_is_zero(self):
         dist = Exponential(0.0)
         assert dist.sample(derive_rng(3)) == 0.0
+
+    @pytest.mark.parametrize("mean", [1e-9, 0.001, 0.15, 0.5, 1.0, 3.0, 1e6])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2003, 2**31 - 1])
+    def test_exponential_draws_what_expovariate_draws(self, seed, mean):
+        """``Exponential.sample`` inlines ``random.expovariate``: the same
+        bits per draw, and the same stream afterwards."""
+
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        dist = Exponential(mean)
+        drawn = [dist.sample(ours) for _ in range(200)]
+        expected = [stdlib.expovariate(1.0 / mean) for _ in range(200)]
+        assert [x.hex() for x in drawn] == [x.hex() for x in expected]
+        assert ours.getstate() == stdlib.getstate()
 
     def test_uniform_bounds_and_mean(self):
         dist = Uniform(0.1, 0.3)
