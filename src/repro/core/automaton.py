@@ -582,7 +582,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._held[mode] -= 1
         if self.obs is not None:
             self.obs.phase(self._node_id, self._lock_id, None, RELEASED, mode)
-        self._persist("hold-released")
         return self._after_owned_maybe_changed(owned_before)
 
     @recorded()
@@ -618,7 +617,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             key = request.request_id
             self.obs.phase(self._node_id, self._lock_id, key, ENQUEUED, LockMode.W)
             self._obs_queue()
-        self._persist("upgrade-queued")
         return self._refresh_frozen()
 
     @recorded(held=MODE, to=MODE)
@@ -661,7 +659,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             key = ("L", self._node_id, self._local_serial)
             self.obs.phase(self._node_id, self._lock_id, key, ISSUED, to)
             self.obs.phase(self._node_id, self._lock_id, key, GRANTED, to)
-        self._persist("hold-downgraded")
         return self._after_owned_maybe_changed(owned_before)
 
     # ------------------------------------------------------------------
@@ -744,7 +741,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                     # it and re-assert our true owned mode, otherwise our
                     # future releases look stale and the copyset leaks.
                     self._attach_seq = msg.attachment_seq
-                    self._persist("attach-refreshed")
                     return [
                         self._release_to(msg.sender, self.owned_mode())
                     ]
@@ -790,7 +786,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 pending.mode,
             )
             self._obs_frozen()
-        self._persist("grant-attached")
         self._listener(self._lock_id, pending.mode, ctx)
         out.extend(self._drain_queue_nontoken())
         return out
@@ -875,7 +870,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             merged = unique
         self._queue = merged
         self._provisional_children.discard(msg.sender)
-        self._persist("token-acquired" if answered else "token-adopted")
         if self.obs is not None:
             if answered:
                 self.obs.phase(
@@ -925,7 +919,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # A live release re-confirms a restored (provisional) child entry.
         self._provisional_children.discard(msg.sender)
         self._obs_copyset()
-        self._persist("copyset-change")
         return self._after_owned_maybe_changed(owned_before)
 
     @handles(FreezeMessage)
@@ -938,7 +931,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         old = self._frozen
         self._frozen = msg.frozen
         self._obs_frozen()
-        self._persist("freeze-change")
         return self._propagate_freeze(old, msg.frozen)
 
     # ------------------------------------------------------------------
@@ -993,7 +985,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._recent_grants[msg.request_id] = (msg.mode, attachment_seq)
             while len(self._recent_grants) > RECENT_GRANT_MEMORY:
                 self._recent_grants.popitem(last=False)
-        self._persist("copyset-change")
         return self._grant_envelope(msg, msg.mode, attachment_seq)
 
     def _replay_grant(self, msg: RequestMessage) -> Envelope:
@@ -1041,10 +1032,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._has_token = False
         self._parent = msg.origin
         self._attach_seq = self._mint_serial()
-        # Journal before the token leaves: a crash between this record
-        # and the send is indistinguishable (to recovery) from a crash
-        # just after the send, and the probe/fence handshake covers both.
-        self._persist("token-handoff")
         token = TokenMessage(
             lock_id=self._lock_id,
             sender=self._node_id,
@@ -1076,7 +1063,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 key = ("L", self._node_id, self._local_serial)
                 self.obs.phase(self._node_id, self._lock_id, key, ISSUED, mode)
             self.obs.phase(self._node_id, self._lock_id, key, GRANTED, mode)
-        self._persist("hold-granted")
         self._listener(self._lock_id, mode, ctx)
 
     # ------------------------------------------------------------------
@@ -1112,7 +1098,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                     msg.origin, self._lock_id, msg.request_id, FROZEN, msg.mode
                 )
             self._obs_queue()
-        self._persist("queue-change")
 
     def _check_queue(self) -> List[Envelope]:
         """Serve the local queue head-first at the token node (Fig. 4).
@@ -1225,7 +1210,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         old = self._frozen
         self._frozen = new
         self._obs_frozen()
-        self._persist("freeze-change")
         return self._propagate_freeze(old, new)
 
     def _propagate_freeze(
@@ -1354,9 +1338,9 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._require_recovery()
-        return self._drop_child(node, "child-evicted")
+        return self._drop_child(node)
 
-    def _drop_child(self, node: NodeId, kind: str) -> List[Envelope]:
+    def _drop_child(self, node: NodeId) -> List[Envelope]:
         owned_before = self.owned_mode()
         self._children.pop(node, None)
         self._child_seqs.pop(node, None)
@@ -1366,7 +1350,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if len(self._queue) != before:
             self._obs_queue()
         self._obs_copyset()
-        self._persist(kind)
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
@@ -1406,7 +1389,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if self._pending is not None:
             out.append(self._forward(self._pending))
         out.extend(self._forward_queue())
-        self._persist("reattached")
         return out
 
     @recorded(epoch=INT)
@@ -1459,7 +1441,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         old_parent, old_seq = self._parent, self._attach_seq
         self._parent = None
         self._attach_seq = self._mint_serial()
-        self._persist("token-regenerated")
         if self._pending is not None and not any(
             q.request_id == self._pending.request_id for q in self._queue
         ):
@@ -1518,7 +1499,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._obs_queue()
         if self.obs is not None:
             self.obs.fault("lease-fence", self._node_id)
-        self._persist("lease-fenced")
         # Rule-1-safe release replayed up the hierarchy: the parent's
         # copyset weakens exactly as if the holds were released cleanly
         # (a fenced token node serves nothing from its queue).  Under a
@@ -1571,7 +1551,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         )
         self._token_epoch = epoch
         if not demote:
-            self._persist("epoch-raised")
             return []
         self._has_token = False
         self._reparent(token_holder)
@@ -1582,7 +1561,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # Upgrades never leave their origin; a demoted U holder is
         # already a broken state the epoch floor is repairing.
         out.extend(self._forward_queue(lambda msg: msg.upgrade))
-        self._persist("token-demoted")
         return out
 
     # ------------------------------------------------------------------
@@ -1657,7 +1635,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 "custody fencing applies only to a restored token holder"
             )
         self._custody_pending = True
-        self._persist("custody-pending")
 
     @recorded()
     def confirm_custody(self) -> List[Envelope]:
@@ -1670,7 +1647,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         out = self._expire_provisional()
         out.extend(self._check_queue())
         out.extend(self._refresh_frozen())
-        self._persist("custody-confirmed")
         return out
 
     @recorded(epoch=INT, holder=INT)
@@ -1704,7 +1680,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         node = self._node_id
         out.extend(self._forward_queue(lambda q: q.upgrade or q.origin == node))
         self._queue = []  # What was not forwarded is disowned.
-        self._persist("custody-fenced")
         return out
 
     @recorded()
@@ -1732,7 +1707,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         out: List[Envelope] = []
         if not self._has_token and self._parent is not None:
             out = self._forward_queue()
-        self._persist("pending-abandoned")
         return out
 
     @recorded()
@@ -1804,14 +1778,12 @@ class HierarchicalLockAutomaton(LockAutomaton):
         ):
             return []
         owned_before = self.owned_mode()
-        self._merge_child(node, mode, seq, "child-adopted")
+        self._merge_child(node, mode, seq)
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
 
-    def _merge_child(
-        self, node: NodeId, mode: LockMode, seq: int, kind: str
-    ) -> None:
+    def _merge_child(self, node: NodeId, mode: LockMode, seq: int) -> None:
         """Record *node* at *mode* or stronger, under epoch *seq* or newer."""
 
         known = self._children.get(node, LockMode.NONE)
@@ -1819,7 +1791,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if seq > self._child_seqs.get(node, 0):
             self._child_seqs[node] = seq
         self._obs_copyset()
-        self._persist(kind)
 
     # ------------------------------------------------------------------
     # God-view membership splices (see repro.sim.cluster).
@@ -1839,13 +1810,13 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         if node == self._node_id or mode is LockMode.NONE:
             return
-        self._merge_child(node, mode, seq, "splice")
+        self._merge_child(node, mode, seq)
 
     @recorded(node=INT)
     def splice_drop_child(self, node: NodeId) -> List[Envelope]:
         """Forget a departed child; may owe a weakened release upward."""
 
-        return self._drop_child(node, "splice")
+        return self._drop_child(node)
 
     @recorded(new_parent=INT)
     def splice_parent(self, new_parent: NodeId) -> None:
@@ -1854,7 +1825,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if self._has_token or new_parent == self._node_id:
             return
         self._reparent(new_parent)
-        self._persist("splice")
 
     @recorded(frozen=optional(MODES))
     def splice_token(self, frozen: Optional[FrozenSet[LockMode]] = None) -> None:
@@ -1866,7 +1836,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._custody_pending = False
         if frozen is not None:
             self._frozen = frozenset(frozen)
-        self._persist("splice")
 
     @recorded(forwarder=INT)
     def splice_retire(self, forwarder: NodeId) -> None:
@@ -1887,7 +1856,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if forwarder != self._node_id:
             self._parent = forwarder
             self._attach_seq = self._mint_serial()
-        self._persist("splice")
 
     def _expire_provisional(self) -> List[Envelope]:
         stale = sorted(
@@ -1901,7 +1869,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._children.pop(node, None)
             self._child_seqs.pop(node, None)
         self._obs_copyset()
-        self._persist("children-expired")
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out

@@ -319,11 +319,13 @@ def recorded(**codecs: Codec) -> Callable:
     While a flight recorder is attached, each call records the method's
     name and these arguments (bound from position, keyword or default;
     encoded, in table order) before the body runs; replay calls
-    ``getattr(automaton, name)(**decoded_args)``.  Argument names are the
-    method's own parameter names (the grant context, which does not
-    survive a recording, is never one of them); any other name is a
-    :class:`TypeError` as the class is created, so no dump can hold a
-    call the replayer could not re-apply.
+    ``getattr(automaton, name)(**decoded_args)``.  While a journal is
+    attached, each call that returns journals the durable state under
+    the method's name (see :meth:`LockAutomaton.handle`).  Argument
+    names are the method's own parameter names (the grant context,
+    which does not survive a recording, is never one of them); any other
+    name is a :class:`TypeError` as the class is created, so no dump can
+    hold a call the replayer could not re-apply.
     """
 
     def wrap(method: Callable) -> Callable:
@@ -352,7 +354,10 @@ def recorded(**codecs: Codec) -> Callable:
                         value = args[index]
                     encoded[key] = codec.encode(value)
                 self.flightrec.record_op(self._lock_id, op, encoded)
-            return method(self, *args, **kwargs)
+            result = method(self, *args, **kwargs)
+            if self.persist is not None:
+                self.persist.record(self, op)
+            return result
 
         operation.recorded_args = codecs
         return operation
@@ -451,17 +456,6 @@ class LockAutomaton:
 
     # -- hooks ----------------------------------------------------------
 
-    def _persist(self, kind: str) -> None:
-        """Journal the automaton's state after a *kind* transition.
-
-        Records are written before the triggering messages leave the node
-        (the caller dispatches envelopes only after the handler returns),
-        which is what makes the log write-ahead.
-        """
-
-        if self.persist is not None:
-            self.persist.record(self, kind)
-
     def _mint_serial(self) -> int:
         """Draw a request serial / attachment epoch.
 
@@ -497,12 +491,16 @@ class LockAutomaton:
         self._require_recovery()
         if token > self._fence_floor:
             self._fence_floor = int(token)
-            self._persist("fence-raised")
 
     # -- transport API --------------------------------------------------
 
     def handle(self, message) -> List[Envelope]:
-        """Process one incoming protocol message, returning replies."""
+        """Process one incoming protocol message, returning replies.
+
+        Once the handler returns, an attached journal records the durable
+        state under the message's type name, before the caller sends the
+        replies (write-ahead).  A stale-fenced drop records nothing.
+        """
 
         if message.lock_id != self._lock_id:
             raise ProtocolError(
@@ -523,7 +521,10 @@ class LockAutomaton:
         handler = self.HANDLERS.get(type(message))
         if handler is None:
             raise ProtocolError(f"unknown message type {type(message).__name__}")
-        return handler(self, message)
+        out = handler(self, message)
+        if self.persist is not None:
+            self.persist.record(self, type(message).__name__)
+        return out
 
     # -- birth ----------------------------------------------------------
 

@@ -176,11 +176,9 @@ class NaimiAutomaton(LockAutomaton):
             if not self._has_token:
                 raise ProtocolError("root without token cannot self-grant")
             self._enter()
-            self._persist("request")
             return []
         target = self._last
         self._last = None  # Path reversal: the requester becomes a root.
-        self._persist("request")
         return [
             Envelope(
                 target,
@@ -204,12 +202,10 @@ class NaimiAutomaton(LockAutomaton):
         if self.obs is not None:
             self.obs.phase(self._node_id, self._lock_id, None, RELEASED)
         if self._next is None:
-            self._persist("release")
             return []  # Keep the token until someone asks.
         successor = self._next
         self._next = None
         self._has_token = False
-        self._persist("release")
         return [
             Envelope(
                 successor,
@@ -269,7 +265,6 @@ class NaimiAutomaton(LockAutomaton):
             )
         # Path reversal: future requests will be routed to this requester.
         self._last = msg.origin
-        self._persist("handle")
         return out
 
     @handles(NaimiTokenMessage)
@@ -282,7 +277,6 @@ class NaimiAutomaton(LockAutomaton):
             )
         self._has_token = True
         self._enter()
-        self._persist("handle")
         return []
 
     def _enter(self) -> None:
@@ -314,7 +308,6 @@ class NaimiAutomaton(LockAutomaton):
         if new_last == self._node_id:
             raise ProtocolError("a node cannot be its own probable owner")
         self._last = new_last
-        self._persist("splice")
 
     @recorded()
     def splice_take_token(self) -> None:
@@ -322,7 +315,6 @@ class NaimiAutomaton(LockAutomaton):
 
         self._has_token = True
         self._last = None
-        self._persist("splice")
 
     @recorded(successor=INT)
     def splice_retire(self, successor: NodeId) -> None:
@@ -332,7 +324,6 @@ class NaimiAutomaton(LockAutomaton):
         self._next = None
         if successor != self._node_id:
             self._last = successor
-        self._persist("splice")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

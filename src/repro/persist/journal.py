@@ -2,13 +2,14 @@
 
 A :class:`NodeJournal` is the object a
 :class:`~repro.core.lockspace.LockSpace` exposes to its automata as the
-``persist`` hook.  Every state-changing protocol event calls
-``journal.record(automaton, kind)``; the journal writes the automaton's
-whole durable state (``persisted_state()``, the durable subset of the
-one state encoding flight-recorder checkpoints also use) into one WAL
-record.  Replay is therefore last-record-wins per lock — no
-event-by-event state machine to keep in sync with the protocol — and
-the journal knows nothing about any protocol's fields.
+``persist`` hook.  The contract (:mod:`repro.core.contract`) calls
+``journal.record(automaton, kind)`` once per automaton input, as the
+input returns; the journal writes the automaton's whole durable state
+(``persisted_state()``, the durable subset of the one state encoding
+flight-recorder checkpoints also use) into one WAL record.  Replay is
+therefore last-record-wins per lock — no event-by-event state machine
+to keep in sync with the protocol — and the journal knows nothing about
+any protocol's fields.
 
 Every ``compact_every`` appends the journal folds the whole lockspace
 into one snapshot and truncates the log, bounding both replay time and
@@ -85,7 +86,7 @@ class NodeJournal:
         for automaton in lockspace.automata():
             automaton.persist = self
 
-    # -- the hook the automata call ------------------------------------
+    # -- the hook the contract calls -----------------------------------
 
     def record(self, automaton, kind: str) -> None:
         """Append *automaton*'s current durable state under event *kind*."""

@@ -186,7 +186,7 @@ class RaymondAutomaton(LockAutomaton):
             self.obs.queue_depth(
                 self._node_id, self._lock_id, len(self._request_q)
             )
-        return self._serve("request")
+        return self._serve()
 
     @recorded()
     def release(self) -> List[Envelope]:
@@ -199,7 +199,7 @@ class RaymondAutomaton(LockAutomaton):
         self._using = False
         if self.obs is not None:
             self.obs.phase(self._node_id, self._lock_id, None, RELEASED)
-        return self._serve("release")
+        return self._serve()
 
     # ------------------------------------------------------------------
     # Message handlers (``handle()`` itself is the contract's).
@@ -212,7 +212,7 @@ class RaymondAutomaton(LockAutomaton):
             self.obs.queue_depth(
                 self._node_id, self._lock_id, len(self._request_q)
             )
-        return self._serve("handle")
+        return self._serve()
 
     @handles(RaymondPrivilegeMessage)
     def _handle_privilege(self, msg: RaymondPrivilegeMessage) -> List[Envelope]:
@@ -222,9 +222,9 @@ class RaymondAutomaton(LockAutomaton):
             )
         self._holder = None
         self._asked = False  # 'asked' is only meaningful toward a holder
-        return self._serve("handle")
+        return self._serve()
 
-    def _serve(self, kind: str) -> List[Envelope]:
+    def _serve(self) -> List[Envelope]:
         """The two classic procedures, which every event runs back to back.
 
         ASSIGN_PRIVILEGE hands an idle privilege to the queue head (this
@@ -275,7 +275,6 @@ class RaymondAutomaton(LockAutomaton):
                     ),
                 )
             )
-        self._persist(kind)
         return out
 
     # ------------------------------------------------------------------
@@ -297,7 +296,6 @@ class RaymondAutomaton(LockAutomaton):
             raise ProtocolError("a node cannot hold the privilege toward itself")
         self._holder = holder
         self._asked = False
-        self._persist("splice")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -10,12 +10,15 @@ recorders and journals attached.
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import os
+import pathlib
 from collections import deque
 
 import pytest
 
+import repro
 from repro.core.automaton import HierarchicalLockAutomaton
 from repro.core.clock import LamportClock
 from repro.core.contract import (
@@ -102,13 +105,11 @@ class ToyAutomaton(LockAutomaton):
     @recorded()
     def request(self, ctx=None):
         self._asking, self._ctx = True, ctx
-        self._persist("request")
         return [Envelope(self._server, Ask(self._lock_id, self._node_id))]
 
     @recorded()
     def release(self):
         self._holding = False
-        self._persist("release")
         return [Envelope(self._server, Done(self._lock_id, self._node_id))]
 
     @handles(Ask)
@@ -125,7 +126,6 @@ class ToyAutomaton(LockAutomaton):
     def _on_give(self, msg):
         self._asking, self._holding = False, True
         ctx, self._ctx = self._ctx, None
-        self._persist("granted")
         self._listener(self._lock_id, ctx)
         return []
 
@@ -134,7 +134,6 @@ class ToyAutomaton(LockAutomaton):
         if self._owner is None and self._waiting:
             self._owner = self._waiting.pop(0)
             out.append(Envelope(self._owner, Give(self._lock_id, self._node_id)))
-        self._persist("serve")
         return out
 
 
@@ -212,6 +211,25 @@ def test_toy_protocol_journal_round_trip_is_a_fixed_point():
             automaton = fresh.automaton(lock)
             automaton.adopt_persisted(payload)
             assert automaton.persisted_state() == payload
+
+
+def test_only_the_contract_decides_what_is_journaled():
+    """The journal is written at the contract boundary, once per input
+    (``recorded`` and ``LockAutomaton.handle``): no protocol reaches for
+    it, so a new protocol is durable without a line of its own."""
+
+    root = pathlib.Path(repro.__file__).parent
+    paths = [root / "core/automaton.py", root / "core/lockspace.py"]
+    paths += sorted((root / "naimi").glob("*.py"))
+    paths += sorted((root / "raymond").glob("*.py"))
+    offences = [
+        f"{path.relative_to(root)}:{node.lineno} {ast.unparse(node)}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("persist", "_persist")
+    ]
+    assert offences == []
 
 
 # -- what the contract promises every protocol --------------------------

@@ -9,12 +9,17 @@ with durability off must stay bit-identical run to run.
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.lockspace import LockSpace
 from repro.core.modes import LockMode
 from repro.faults.chaos import run_chaos
+from repro.faults.host import RESILIENT_OPTIONS
+from repro.faults.plan import CrashEvent, FaultPlan
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
 from repro.obs.live import BLANK_REJOIN_GAP
-from repro.persist import MemoryPersistence
+from repro.persist import MemoryPersistence, recover_node_state
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
 
@@ -68,6 +73,60 @@ class TestDurableChaosVerdicts:
         assert audit["findings"] == []
         assert audit["expected_findings"]
         assert audit["known_gaps"] == [BLANK_REJOIN_GAP]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_journal_is_write_ahead_of_every_input(seed):
+    """Every 50 ms of virtual time (so between two inputs), replaying a
+    live node's journal gives every automaton's live durable state:
+    nothing an input changed is still unwritten when the sends it caused
+    leave.  A lock the journal has no record of is in its birth state."""
+
+    cluster = ResilientSimCluster(
+        4,
+        plan=FaultPlan(crashes=(CrashEvent(node=0, at=4.0),), seed=seed),
+        seed=seed,
+        monitor=CompatibilityMonitor(),
+        config=FAST_SIM,
+        persistence=MemoryPersistence(),
+    )
+    sim = cluster.sim
+    stale = []
+
+    def client(node):
+        outer = LockMode.R if node % 2 else LockMode.W
+        for _ in range(6):
+            yield cluster.client(node).acquire("a", outer)
+            yield cluster.client(node).acquire("b", LockMode.W)
+            yield Timeout(sim, 0.1)
+            cluster.client(node).release("b", LockMode.W)
+            cluster.client(node).release("a", outer)
+            yield Timeout(sim, 0.05 * node)
+
+    def audit():
+        while True:
+            yield Timeout(sim, 0.05)
+            for node in cluster.live_nodes():
+                journaled, _report = recover_node_state(
+                    cluster.journals[node].store
+                )
+                birth = LockSpace(node, options=RESILIENT_OPTIONS)
+                for automaton in cluster.lockspaces[node].automata():
+                    lock = automaton.lock_id
+                    expected = journaled.get(lock)
+                    if expected is None:
+                        expected = birth.automaton(lock).persisted_state()
+                    live = automaton.persisted_state()
+                    if live != expected:
+                        keys = [k for k in live if live[k] != expected.get(k)]
+                        stale.append((round(sim.now, 2), node, lock, keys))
+
+    for node in (1, 2, 3):
+        Process(sim, client(node))
+    Process(sim, audit())
+    sim.run(until=12.0)
+    assert cluster.monitor.grants >= 3 * 6
+    assert stale == []
 
 
 class TestCustodyHandshake:

@@ -236,6 +236,14 @@ def test_observed_messages_carry_protocol_labels(make_transport):
         cluster.client(1).release("lock", LockMode.W)
         cluster.client(2).acquire("lock", LockMode.R, timeout=10.0)
         cluster.client(2).release("lock", LockMode.R)
+        # The duplicate's standalone ack may still be unsent when the
+        # last release returns; shutting down now would lose it.
+        deadline = time.monotonic() + 5.0
+        while (
+            "session-ack" not in observer.messages.totals()
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.01)
     totals = observer.messages.totals()
     assert {"request", "token", "heartbeat", "session-ack"} <= set(totals)
     assert "session" not in totals
