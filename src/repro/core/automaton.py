@@ -297,10 +297,11 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._recent_grants: "OrderedDict[object, Tuple[LockMode, int]]" = (
             OrderedDict()
         )
-        # Durable-rejoin state (only meaningful under ``options.recovery``
-        # with a journal attached): while ``_custody_pending`` a restored
-        # token holder answers probes but grants nothing — its token
-        # custody is unconfirmed until the fencing handshake settles.
+        # Custody and durable-rejoin state (only meaningful under
+        # ``options.recovery``): while ``_custody_pending`` a restored,
+        # regenerated or handed-off token holder answers probes but grants
+        # nothing — its custody is unconfirmed until the fencing
+        # handshake settles.
         # ``_provisional_children`` holds restored copyset entries not yet
         # re-confirmed by live child activity; they over-approximate the
         # owned mode (safe: blocks, never violates Rule 1) and are expired
@@ -497,8 +498,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def _grants_blocked(self) -> bool:
         """True while this automaton must not self-grant or serve grants.
 
-        Covers both fencing regimes — restored token custody awaiting its
-        probe handshake, and a lease self-fence after quorum loss — plus
+        Covers both fencing regimes — token custody awaiting its
+        members' answers, and a lease self-fence after quorum loss — plus
         a graceful departure in progress.
         """
 
@@ -718,7 +719,10 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def _handle_grant(self, msg: GrantMessage) -> List[Envelope]:
         """A granted copy arrives: attach below the granter, serve queue."""
 
-        if self._pending is None or self._pending.request_id != msg.request_id:
+        pending = self._pending
+        # A root (a regenerated token queues its request at home) is
+        # attached under no granter.
+        if self._has_token or pending is None or pending.request_id != msg.request_id:
             if self._options.recovery:
                 if (
                     self._parent == msg.sender
@@ -763,7 +767,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._parent = msg.sender
         self._frozen = msg.frozen
         self._attach_seq = msg.attachment_seq
-        pending, ctx = self._pending, self._ctx
+        ctx = self._ctx
         self._pending = None
         self._ctx = None
         if old_parent is not None and old_parent != msg.sender:
@@ -1393,49 +1397,26 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
     @recorded(epoch=INT)
     def regenerate_token(self, epoch: int) -> List[Envelope]:
-        """Become the token node under a fresh incarnation *epoch*.
+        """Become the token node under a fresh incarnation *epoch*, fenced.
 
-        Called by the regeneration coordinator once it has established
-        (probe + timeout) that no live node holds the token.  *epoch*
-        must exceed every epoch observed for this lock, so any stale
-        token still in flight from before the crash is discarded on
-        arrival (see :meth:`_handle_token`).
-        """
-
-        self._require_recovery()
-        return self._regenerate(epoch)
-
-    @recorded(epoch=INT)
-    def accept_handoff(self, epoch: int) -> List[Envelope]:
-        """Take token custody offered by a departing holder, fenced.
-
-        Identical to :meth:`regenerate_token` except custody starts
-        *fenced*: the handoff regeneration must not grant anything (not
-        even this node's own queued request) until the leaver's demotion
-        release and its children's migration announces have rebuilt the
-        copyset here — granting from the not-yet-merged copyset could
-        violate Rule 1.  The manager confirms custody through the same
-        rejoin settle handshake as a durable restart.  Idempotent: a
-        re-sent handoff to the now-root is a no-op.
+        For a token that died with its holder, or that a departing holder
+        hands over.  *epoch* must reach every epoch observed here, so a
+        stale token still in flight is discarded on arrival (see
+        :meth:`_handle_token`).  Nothing is granted (not even our own
+        queued request) until :meth:`confirm_custody`: the copyset may
+        still miss a survivor's hold (Rule 1).  Idempotent.
         """
 
         self._require_recovery()
         if self._has_token:
             return []
-        # Fence before the regeneration body runs its queue check.
-        self._custody_pending = True
-        return self._regenerate(epoch)
-
-    def _regenerate(self, epoch: int) -> List[Envelope]:
-        if self._has_token:
-            raise ProtocolError("cannot regenerate a token this node holds")
         if epoch < self._token_epoch:
             raise ProtocolError(
                 f"regeneration epoch {epoch} must reach the observed "
                 f"floor {self._token_epoch}"
             )
-        # Equality is legal: announcing the regeneration *claim* already
-        # raised this node's own floor to the claimed epoch.
+        # Fence before the regeneration body runs its queue check.
+        self._custody_pending = True
         self._token_epoch = epoch
         self._has_token = True
         old_parent, old_seq = self._parent, self._attach_seq
@@ -1570,7 +1551,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
     @property
     def custody_pending(self) -> bool:
-        """True while restored token custody awaits the fencing handshake."""
+        """True while restored, regenerated or handed-off token custody
+        awaits the fencing handshake."""
 
         return self._custody_pending
 
@@ -1596,14 +1578,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         Restored children become *provisional* (see ``__init__``), the
         grant memory is void, token custody is unconfirmed — a restored
-        token holder must go through :meth:`begin_custody_fence` before
-        it may grant again — and the serial counter is advanced past
-        every restored epoch.  The pending-request context is gone with
-        the old process, so the caller must follow up with
-        :meth:`abandon_pending`.
+        token holder is fenced until :meth:`confirm_custody` (it may have
+        been superseded by a regeneration while it was down) — and the
+        serial counter is advanced past every restored epoch.  The
+        pending-request context is gone with the old process, so the
+        caller must follow up with :meth:`abandon_pending`.
         """
 
-        self._custody_pending = False
+        self._custody_pending = self._has_token
         self._recent_grants.clear()
         self._provisional_children = set(self._children)
         floor = max(
@@ -1617,24 +1599,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._obs_queue()
         self._obs_copyset()
         self._obs_frozen()
-
-    @recorded()
-    def begin_custody_fence(self) -> None:
-        """Suspend granting until restored token custody is confirmed.
-
-        A durably-restarted token holder may have been superseded by an
-        epoch-fenced regeneration while it was down.  Until the rejoin
-        probe settles, the automaton queues incoming requests instead of
-        granting, so a later :meth:`fence_custody` can demote without ever
-        having issued a grant under contested custody.
-        """
-
-        self._require_recovery()
-        if not self._has_token:
-            raise ProtocolError(
-                "custody fencing applies only to a restored token holder"
-            )
-        self._custody_pending = True
 
     @recorded()
     def confirm_custody(self) -> List[Envelope]:
@@ -1653,11 +1617,12 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def fence_custody(self, epoch: int, holder: NodeId) -> List[Envelope]:
         """Custody lost: a token of *epoch* lives at *holder*; demote.
 
-        The restored copyset is discarded wholesale (the new holder's
-        view supersedes it), the owned mode is re-announced under the new
-        parent, and queued foreign requests are re-forwarded.  Own-origin
-        entries are dropped — their contexts died with the old process
-        and :meth:`abandon_pending` already disowned them.
+        The copyset is discarded wholesale (the new holder's fence lifts
+        only once every member has re-homed under it), the owned mode is
+        re-announced under the new parent, and queued foreign requests
+        are re-forwarded.  Own-origin entries are dropped: a restored
+        one's context died with the old process, and the caller re-sends
+        a live pending request.
         """
 
         self._require_recovery()

@@ -1,36 +1,45 @@
-"""Token custody after a durable restart or a handoff: fence, settle, resolve.
+"""Token custody: one fence for regenerated, restored and handed-off tokens.
 
-A node that restores a token from its journal (see :mod:`repro.persist`
-and docs/PERSISTENCE.md), or accepts one from a departing holder, cannot
-know whether its epoch is still current: a regeneration may have passed
-it by while it was down.  Until that is settled the automaton keeps the
-token *custody-fenced* (queueing instead of granting) while this layer
-probes every live peer.  A placement of at least the restored epoch
-surfacing elsewhere fences for good (the node demotes itself under it);
-``rejoin_settle`` of silence with a quorum visible confirms, and the
-settled placement is broadcast.
+A token that was regenerated, handed off or restored from the journal
+(docs/PERSISTENCE.md) is held *custody-fenced* — queueing, not granting —
+while its holder probes every member of the view.  A member answers
+after re-homing under the holder and re-asserting its owned mode, on the
+same session stream; a silent one is excused once suspected, if no
+suspected member holds an unexpired lease on the lock.  With a majority
+answered the fence lifts and the placement is broadcast; a placement
+above ours fences for good.  A restored token also confirms after
+``rejoin_settle`` of silence with a quorum visible.
 
-The layer owns the per-lock settle state and the rejoin report.
+The layer owns the per-lock fences and the rejoin report.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import dataclasses
+from typing import Callable, Dict, List, Optional, Set
 
 from ..core.contract import handles
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..membership.messages import HandoffMessage
+from .messages import CustodyAnswer, CustodyProbe
+
+
+@dataclasses.dataclass
+class _Fence:
+    epoch: int
+    note: str  # Of its grants in traces: "regen" if regenerated.
+    answered: Set[NodeId] = dataclasses.field(default_factory=set)
 
 
 class Custody:
-    """Durable rejoin and custody settle of one node (whose
+    """Durable rejoin and the custody fence of one node (whose
     :class:`~repro.faults.recovery.RecoveryManager` is *kernel*)."""
 
     def __init__(self, kernel) -> None:
         self._kernel = kernel
-        #: Restored epoch per lock whose custody awaits reconciliation.
-        self._pending: Dict[LockId, int] = {}
+        #: The fence of every lock whose custody awaits its answers.
+        self._pending: Dict[LockId, _Fence] = {}
         #: Report of the last :meth:`rejoin_from_journal` (``{}``: none).
         self.report: Dict[str, object] = {}
 
@@ -58,10 +67,10 @@ class Custody:
           cannot be decoded counts as a ``snapshot_mismatches`` entry,
           and an undecodable one leaves its lock to rejoin blank;
         * a restored **token holder** begins custody fencing: it queues
-          instead of granting until probes and replayed placement hints
-          settle whether its epoch is still current (confirmed after
-          ``config.rejoin_settle``, quorum-gated; fenced immediately when
-          a placement of at least its epoch surfaces elsewhere);
+          instead of granting until every member has answered its probe
+          (or ``config.rejoin_settle`` of silence passed with a quorum
+          visible), and is fenced for good when a placement above its
+          own surfaces elsewhere;
         * the pre-crash pending request is disowned (its waiter died with
           the old process) and restored holds are released — unless
           ``reclaim(lock, mode)`` claims one for the restarted
@@ -101,10 +110,9 @@ class Custody:
                 if not adopted:
                     continue
                 report["locks_restored"] += 1
-                if automaton.has_token:
-                    automaton.begin_custody_fence()
+                if automaton.has_token:  # Fenced by the rejoin policy.
                     report["custody"].append(lock_id)
-                    self.begin(lock_id, automaton.token_epoch)
+                    self.begin(lock_id, automaton.token_epoch, "replay")
                 kernel.dispatch(automaton.abandon_pending(), "replay")
                 for mode, count in sorted(
                     automaton.held_modes.items(), key=lambda hold: str(hold[0])
@@ -119,16 +127,12 @@ class Custody:
                             kernel.lockspace.release(lock_id, mode), "replay"
                         )
                         report["holds_released"] += 1
-                if not automaton.has_token:
+                restored = automaton.token_epoch if automaton.has_token else None
+                if restored is None:
                     out = automaton.reassert_owned()
                     report["reasserted"] += len(out)
                     kernel.dispatch(out, "replay")
-                    kernel.timers.arm(
-                        ("provisional", lock_id),
-                        kernel.config.rejoin_settle,
-                        self._provisional_expiry,
-                        lock_id,
-                    )
+                self._arm_expiry(lock_id, restored)
             self.report = report
             if report["locks_restored"]:
                 kernel.event("rejoin", kernel.node_id)
@@ -156,69 +160,113 @@ class Custody:
         kernel.event("reclaim-partial-fanout", kernel.node_id)
         return True
 
-    def _provisional_expiry(self, lock_id: LockId) -> None:
-        automaton = self._kernel.lockspace.automaton(lock_id)
-        if automaton.custody_pending:
-            return  # Custody resolution owns the expiry for this lock.
-        self._kernel.dispatch(
-            automaton.expire_provisional_children(), "replay"
+    def _arm_expiry(self, lock_id: LockId, restored: Optional[int]) -> None:
+        self._kernel.timers.arm(
+            ("provisional", lock_id),
+            self._kernel.config.rejoin_settle,
+            self._provisional_expiry,
+            lock_id,
+            restored,
         )
 
-    # -- the settle handshake ----------------------------------------------
+    def _provisional_expiry(
+        self, lock_id: LockId, restored: Optional[int]
+    ) -> None:
+        """Expire what no child re-confirmed; for a token restored at
+        epoch *restored* and still fenced, that confirms custody."""
 
-    def begin(self, lock_id: LockId, epoch: int) -> None:
-        """Start settling custody of *lock_id*, restored at *epoch*."""
+        kernel, fence = self._kernel, self._pending.get(lock_id)
+        automaton = kernel.lockspace.automaton(lock_id)
+        if fence is None and restored is None:
+            kernel.dispatch(automaton.expire_provisional_children(), "replay")
+        elif fence and fence.epoch == restored:
+            if kernel.has_quorum():
+                self._resolve(lock_id, confirmed=True)
+            else:
+                # A regenerated token may be serving across the cut:
+                # keep the fence up (and the probes going).
+                self._arm_expiry(lock_id, restored)
 
-        self._pending[lock_id] = epoch
+    # -- the fence ---------------------------------------------------------
+
+    def take(self, lock_id: LockId, epoch: int, note: str) -> None:
+        """Take *lock_id*'s token fenced at *epoch* — regenerated (*note*
+        ``"regen"``) or handed off (``"replay"``) — and claim it."""
+
+        kernel = self._kernel
+        automaton = kernel.lockspace.automaton(lock_id)
+        kernel.dispatch(automaton.regenerate_token(epoch), note)
+        self.begin(lock_id, epoch, note)
+        kernel.regeneration.announce(lock_id, kernel.node_id, epoch)
+
+    def begin(self, lock_id: LockId, epoch: int, note: str) -> None:
+        """Fence *lock_id*, held at *epoch*, until its answers are in."""
+
+        self._pending[lock_id] = _Fence(epoch, note)
         self._probe_fire(lock_id)
-        self._arm_deadline(lock_id)
 
     def _probe_fire(self, lock_id: LockId) -> None:
-        # Probes ride the raw fabric and may be lost; keep re-asking
-        # until custody is resolved either way.
-        self._kernel.regeneration.probe(lock_id)
-        self._kernel.resend_later(
+        # Probes ride the raw fabric and may be lost: keep asking.
+        if self._settle(lock_id):
+            return
+        kernel, fence = self._kernel, self._pending[lock_id]
+        probe = CustodyProbe(
+            lock_id=lock_id, sender=kernel.node_id, epoch=fence.epoch
+        )
+        kernel.broadcast(
+            [n for n in kernel.live_peers() if n not in fence.answered], probe
+        )
+        kernel.resend_later(
             ("rejoin-probe", lock_id), self._probe_fire, lock_id
         )
 
-    def _arm_deadline(self, lock_id: LockId) -> None:
-        self._kernel.timers.arm(
-            ("rejoin-deadline", lock_id),
-            self._kernel.config.rejoin_settle,
-            self._deadline,
-            lock_id,
-        )
+    def _settle(self, lock_id: LockId) -> bool:
+        """Lift *lock_id*'s fence if its answers are in; whether it did."""
 
-    def _deadline(self, lock_id: LockId) -> None:
-        if not self._kernel.has_quorum():
-            # No quorum: a regenerated token may be serving across
-            # the cut.  Confirming custody here could fork the lock
-            # space, so keep the fence up (and the probes going).
-            self._arm_deadline(lock_id)
-            return
-        # Settle window elapsed with quorum visibility and no
-        # contrary evidence: the restored epoch stands.
-        self._resolve(lock_id, confirmed=True)
-
-    def observe(self, lock_id: LockId, holder: NodeId, epoch: int) -> bool:
-        """A placement of *lock_id* surfaced (a ``TokenAck``, an announce).
-
-        False when custody of the lock is not being settled.  Otherwise
-        the evidence is consumed here — the caller must not act on it —
-        and a placement of at least the restored epoch naming someone
-        else fences at once (``>=`` also covers a handed-off token whose
-        transfer was journalled but raced the crash).  One naming *us* is
-        a peer replaying our own pre-crash placement; agreement still
-        waits for the settle deadline — a higher-epoch regeneration may
-        be one hop behind it.
-        """
-
-        restored = self._pending.get(lock_id)
-        if restored is None:
+        kernel, view = self._kernel, self._kernel.membership.view
+        heard = self._pending[lock_id].answered | {kernel.node_id}
+        silent = [n for n in view.members if n not in heard]
+        if len(view.members) - len(silent) < view.quorum() or (
+            silent
+            and (
+                not all(map(kernel.detector.is_suspected, silent))
+                or kernel.leases.suspect_leased(lock_id)
+            )
+        ):
             return False
-        if holder != self._kernel.node_id and epoch >= restored:
+        self._resolve(lock_id, confirmed=True)
+        return True
+
+    def observe(
+        self,
+        lock_id: LockId,
+        holder: NodeId,
+        epoch: int,
+        serving: bool = False,
+    ) -> bool:
+        """A placement of *lock_id* surfaced; False unless fenced here.
+
+        Otherwise it is consumed (the caller must not act on it) and one
+        above ours fences at once: claims rank by ``(epoch, holder)``, a
+        *serving* token above every claim of its epoch (transfers keep
+        the epoch)."""
+
+        fence, node = self._pending.get(lock_id), self._kernel.node_id
+        if fence is None:
+            return False
+        claim = (epoch, holder) > (fence.epoch, node)
+        if holder != node and (epoch >= fence.epoch if serving else claim):
             self._resolve(lock_id, confirmed=False, epoch=epoch, holder=holder)
         return True
+
+    @handles(CustodyAnswer)
+    def on_answer(self, msg: CustodyAnswer) -> None:
+        if not self.observe(msg.lock_id, msg.parent, msg.epoch, msg.serving):
+            return
+        fence, node = self._pending.get(msg.lock_id), self._kernel.node_id
+        if fence and (msg.parent, msg.epoch) == (node, fence.epoch):
+            fence.answered.add(msg.sender)
+            self._settle(msg.lock_id)
 
     def _resolve(
         self,
@@ -227,53 +275,63 @@ class Custody:
         epoch: int = 0,
         holder: Optional[NodeId] = None,
     ) -> None:
-        kernel = self._kernel
-        del self._pending[lock_id]
+        kernel, fence = self._kernel, self._pending.pop(lock_id)
         kernel.timers.cancel(("rejoin-probe", lock_id))
-        kernel.timers.cancel(("rejoin-deadline", lock_id))
         automaton = kernel.lockspace.automaton(lock_id)
         if confirmed:
             kernel.event("custody-confirmed", kernel.node_id)
-            kernel.dispatch(automaton.confirm_custody(), "replay")
+            kernel.dispatch(automaton.confirm_custody(), fence.note)
+            if fence.note == "regen":
+                kernel.regeneration.regenerations.append(
+                    {"lock": lock_id, "epoch": fence.epoch,
+                     "node": kernel.node_id}
+                )
             # Broadcast the settled placement so survivors re-home and
-            # any stale regeneration-in-progress stands down.
+            # any stale claim stands down.
             kernel.regeneration.announce(
                 lock_id, kernel.node_id, automaton.token_epoch
             )
         else:
             kernel.event("custody-fenced", kernel.node_id)
             kernel.regeneration.note_hint(lock_id, holder, epoch)
-            kernel.dispatch(automaton.fence_custody(epoch, holder), "replay")
+            kernel.dispatch(automaton.fence_custody(epoch, holder), fence.note)
             if automaton.pending_mode is not LockMode.NONE:
                 # A request issued during the fence window was queued
                 # locally; re-route it under the new parent.
-                kernel.dispatch(automaton.retransmit_pending(), "replay")
+                kernel.dispatch(automaton.retransmit_pending(), fence.note)
                 kernel.arm_retry(lock_id)
+
+    @handles(CustodyProbe)
+    def on_custody_probe(self, msg: CustodyProbe) -> None:
+        """The member side: answer, once re-homed, on the session stream."""
+
+        kernel = self._kernel
+        holder, epoch = kernel.regeneration.follow(
+            msg.lock_id, msg.sender, msg.epoch
+        )
+        automaton = kernel.lockspace.automaton(msg.lock_id)
+        kernel.channel.send(
+            msg.sender,
+            CustodyAnswer(
+                lock_id=msg.lock_id,
+                sender=kernel.node_id,
+                parent=holder,
+                epoch=epoch,
+                serving=automaton.has_token and not automaton.custody_pending,
+            ),
+        )
 
     # -- handoff from a departing holder -----------------------------------
 
     @handles(HandoffMessage)
     def on_handoff(self, msg: HandoffMessage) -> None:
         kernel = self._kernel
-        if kernel.membership.departing:
-            return  # Leaving ourselves; cannot take custody.
         automaton = kernel.lockspace.automaton(msg.lock_id)
-        if automaton.has_token:
-            if not automaton.custody_pending:
-                # Re-sent offer after we already took custody: re-announce
-                # so the leaver's demotion cannot be lost.
-                kernel.regeneration.announce(
-                    msg.lock_id, kernel.node_id, automaton.token_epoch
-                )
+        # Leaving ourselves, we cannot take custody; a re-sent offer finds
+        # the token here (the leaver answered our fence once demoted).
+        if kernel.membership.departing or automaton.has_token:
             return
-        if msg.lock_id in self._pending:
-            return  # Custody already being settled.
-        epoch = max(msg.epoch, automaton.token_epoch) + 1
-        kernel.dispatch(automaton.accept_handoff(epoch), "replay")
         kernel.event("handoff-accept", msg.sender)
-        # Same settle handshake as a durable custody restore: probe for
-        # contrary evidence, confirm after the window, then serve.  The
-        # broadcast announce is what demotes the departing holder and
-        # re-homes everyone's hints meanwhile.
-        self.begin(msg.lock_id, epoch)
-        kernel.regeneration.announce(msg.lock_id, kernel.node_id, epoch)
+        # The claim demotes the leaver; the answers rebuild the copyset.
+        epoch = max(msg.epoch, automaton.token_epoch) + 1
+        self.take(msg.lock_id, epoch, "replay")

@@ -12,10 +12,10 @@ groups:
   fresh stream is not mistaken for a replay of its previous life.  On a
   healthy stream the acks ride heartbeats; a :class:`SessionAck` of its
   own answers only a gap or a duplicate.
-* **Failure coordination** — heartbeats, orphan reports, token probes /
-  acks and reparent notices.  These are deliberately *not* sessioned:
-  they are idempotent, periodically re-sent by their originators, and
-  must keep flowing while streams to a dead peer are torn down.
+* **Failure coordination** — heartbeats, orphan reports, probes, acks
+  and reparent notices, deliberately *not* sessioned (a custody answer
+  aside): they are idempotent, re-sent by their originators, and must
+  keep flowing while streams to a dead peer are torn down.
 
 The table at the bottom also states each type's *delivery class* (see
 :func:`repro.core.messages.declare_messages`).  Two types are datagrams,
@@ -141,6 +141,24 @@ class TokenAck(Message):
 
 
 @dataclasses.dataclass(frozen=True)
+class CustodyProbe(TokenProbe):
+    """A custodian, holding the token fenced at ``epoch``, asking every
+    member to answer (:mod:`repro.faults.custody`)."""
+
+    epoch: int = 0
+
+
+@dataclasses.dataclass(frozen=True)
+class CustodyAnswer(Message):
+    """A member's best known placement, sent on the session stream behind
+    its re-assertion; ``serving``: its own token, not fenced."""
+
+    parent: NodeId
+    epoch: int = 0
+    serving: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
 class ReparentMessage(Message):
     """Directive/announcement: ``lock_id``'s token lives at ``parent``.
 
@@ -176,6 +194,8 @@ declare_messages(
         TokenProbe: "token-probe",
         TokenAck: "token-ack",
         ReparentMessage: "reparent",
+        CustodyProbe: "custody-probe",
+        CustodyAnswer: "custody-answer",
     },
     plane="recovery",
     ordered=True,

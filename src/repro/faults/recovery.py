@@ -89,17 +89,13 @@ class RecoveryConfig:
     channel_retry_cap: float = 2.0
     #: How long the coordinator waits for a TokenAck before regenerating.
     probe_timeout: float = 1.0
-    #: Pause between claiming a regeneration epoch and serving from the
-    #: regenerated token, during which survivors reattach and re-assert
-    #: their owned modes (the copyset of the dead root is rebuilt from
-    #: their releases; granting earlier could violate Rule 1).
-    regen_settle: float = 1.5
-    #: Orphans re-send their OrphanReport at this period until reparented.
+    #: Orphans re-send their OrphanReport at this period until reparented;
+    #: a custodian re-sends its probe to the silent members as often.
     orphan_interval: float = 0.5
-    #: How long a restored or handed-off token stays custody-fenced
-    #: (queueing instead of granting) while probes and replayed hints
-    #: settle whether its epoch is still current; quorum-gated, like
-    #: ``regen_settle`` (see :mod:`repro.faults.custody`).
+    #: How long restored copyset entries stay *provisional* after a
+    #: durable restart: unless a child re-confirms one, it expires after
+    #: this window (for a restored token still fenced, with a quorum
+    #: visible, that confirms its custody; see repro.faults.custody).
     rejoin_settle: float = 1.5
     #: :class:`~repro.leases.LeaseConfig` ``duration``: how long a hold's
     #: lease lives past its last renewal, and the quorum silence after
@@ -567,9 +563,14 @@ class RecoveryManager:
             self.leases.on_heartbeat(beat)
 
     def _deliver(self, peer: NodeId, payload: Message) -> None:
-        """In-order payload from the channel: run the automaton."""
+        """In-order payload from the channel: run the automaton (or the
+        layer of a control message riding a stream: a custody answer)."""
 
         with self.mutex:
+            route = self._handlers.get(type(payload))
+            if route is not None:
+                route[0](payload)
+                return
             self.dispatch(self.lockspace.handle(payload))
 
     def _note_life(self, peer: NodeId, boot: Optional[int]) -> None:

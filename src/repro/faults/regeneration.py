@@ -5,9 +5,9 @@ When a lock's parent is suspected (or excised from the view) the lock is
 to it until reparented, it probes every live peer for a surviving token
 and, if one answers, announces the holder to the reporters.  If none
 answers and a majority is visible it claims the next token epoch,
-broadcasts the claim so stale-epoch tokens are discarded wherever they
-resurface, and serves from the regenerated token only after a settle
-window in which survivors reattach and re-assert their owned modes (see
+broadcasting the claim so stale-epoch tokens are discarded wherever they
+resurface, and takes the token *fenced*: it serves once every member
+has re-homed under it and answered (:mod:`repro.faults.custody`; see
 docs/FAULTS.md for the safety argument and its limits).
 
 The layer owns the orphan table, the coordinator's open probes and the
@@ -75,16 +75,7 @@ class Regeneration:
     def rehome(self, lock_id: LockId, parent: NodeId) -> None:
         """:meth:`start_orphan`, unless the lock is already being re-homed."""
 
-        hint = self.hints.get(lock_id)
-        if (
-            lock_id not in self._orphans
-            and lock_id not in self._probes
-            # A hint naming ourselves is our own regeneration claim
-            # riding out its settle window; re-probing now would
-            # supersede it with a fresh epoch every beat and the
-            # token would never actually regenerate.
-            and (hint is None or hint[0] != self._kernel.node_id)
-        ):
+        if lock_id not in self._orphans and lock_id not in self._probes:
             self.start_orphan(lock_id, parent)
 
     def _orphan_fire(self, lock_id: LockId) -> None:
@@ -127,16 +118,13 @@ class Regeneration:
         kernel = self._kernel
         automaton = kernel.lockspace.automaton(lock_id)
         if automaton.has_token:
-            if automaton.custody_pending:
-                # Restored custody is still being confirmed; announcing
-                # ourselves now could spread a stale placement.  The
-                # reporter keeps re-sending until the rejoin resolves and
-                # broadcasts the settled placement.
-                return
-            # No mystery: the token is right here.  Tell the reporter.
-            self.announce(
-                lock_id, kernel.node_id, automaton.token_epoch, {reporter}
-            )
+            # No mystery: the token is right here.  Tell the reporter —
+            # unless it is fenced: our custody probe re-homes the
+            # reporter, and the placement is broadcast once it settles.
+            if not automaton.custody_pending:
+                self.announce(
+                    lock_id, kernel.node_id, automaton.token_epoch, {reporter}
+                )
             return
         probe = self._probes.get(lock_id)
         if probe is not None:
@@ -209,55 +197,11 @@ class Regeneration:
             self.probe(lock_id)
             self._arm_deadline(lock_id)
             return
-        # Nobody answered and a majority is visible: the token died
-        # with the crash.  Claim the next epoch (the automaton's
-        # floor may have moved past the probe's snapshot, so climb
-        # above both) and broadcast the claim — survivors reattach
-        # under us and re-assert their owned modes.  Only after the
-        # settle window do we actually serve from the regenerated
-        # token: granting from an empty copyset before the
-        # re-assertions land could violate Rule 1.
+        # Nobody answered and a majority is visible: the token died with
+        # the crash.  Claim the next epoch (the floor may have moved past
+        # the probe's snapshot, so climb above both), fenced.
         epoch = max(self._probes.pop(lock_id).epoch, automaton.token_epoch) + 1
-        self.announce(lock_id, kernel.node_id, epoch)
-        kernel.timers.arm(
-            ("regen", lock_id),
-            kernel.config.regen_settle,
-            self._regen_fire,
-            lock_id,
-            epoch,
-        )
-
-    def _regen_fire(self, lock_id: LockId, epoch: int) -> None:
-        kernel = self._kernel
-        if self.hints.get(lock_id) != (kernel.node_id, epoch):
-            return  # A higher claim (or a real token) won meanwhile.
-        automaton = kernel.lockspace.automaton(lock_id)
-        if automaton.has_token:
-            return  # The token surfaced after all (e.g. adopted).
-        horizon = kernel.leases.regen_horizon(lock_id)
-        if horizon is not None:
-            # A suspected holder still owns an unexpired lease on
-            # this lock: regenerating now could grant over its hold.
-            # Wait out the latest such lease (plus the revoke margin
-            # already folded into the horizon) and try again.
-            kernel.timers.arm(
-                ("regen", lock_id),
-                horizon - kernel.now() + 0.1,
-                self._regen_fire,
-                lock_id,
-                epoch,
-            )
-            return
-        out = automaton.regenerate_token(epoch)
-        self.regenerations.append(
-            {"lock": lock_id, "epoch": epoch, "node": kernel.node_id}
-        )
-        # Grants flowing from a regenerated token are annotated so
-        # traces show which hops recovery manufactured.
-        kernel.dispatch(out, "regen")
-        # Re-broadcast: anyone who missed the claim (or joined the
-        # quorum since) learns the final placement.
-        self.announce(lock_id, kernel.node_id, epoch)
+        kernel.custody.take(lock_id, epoch, "regen")
 
     # -- placements --------------------------------------------------------
 
@@ -339,14 +283,34 @@ class Regeneration:
 
     @handles(ReparentMessage)
     def on_reparent(self, msg: ReparentMessage) -> None:
-        self.note_hint(msg.lock_id, msg.parent, msg.epoch)
-        probe = self._probes.get(msg.lock_id)
-        if probe is not None and msg.epoch >= probe.epoch:
-            # Another coordinator resolved this lock while we probed.
-            self._close_probe(msg.lock_id)
+        self._learn(msg.lock_id, msg.parent, msg.epoch)
         self._apply_reparent(
             msg.lock_id, msg.parent, msg.epoch, sender=msg.sender
         )
+
+    def _learn(self, lock_id: LockId, holder: NodeId, epoch: int) -> None:
+        self.note_hint(lock_id, holder, epoch)
+        probe = self._probes.get(lock_id)
+        if probe is not None and epoch >= probe.epoch:
+            # Another coordinator resolved this lock while we probed.
+            self._close_probe(lock_id)
+
+    def follow(
+        self, lock_id: LockId, holder: NodeId, epoch: int
+    ) -> Tuple[NodeId, int]:
+        """*holder* claims *lock_id* at *epoch*: unless a placement above
+        it is known here, re-home under it (our parent, suspected or not,
+        may be the dead root) re-asserting the owned mode.  Returns the
+        best placement known."""
+
+        self._learn(lock_id, holder, epoch)
+        best = self.hints[lock_id]
+        if best == (holder, epoch):
+            self._apply_reparent(lock_id, holder, epoch, rehome=True)
+        automaton = self._kernel.lockspace.automaton(lock_id)
+        if automaton.has_token:  # Ours still: it outranks the claim.
+            return self._kernel.node_id, automaton.token_epoch
+        return best
 
     def _apply_reparent(
         self,
@@ -354,13 +318,14 @@ class Regeneration:
         holder: NodeId,
         epoch: int,
         sender: Optional[NodeId] = None,
+        rehome: bool = False,
     ) -> None:
         kernel = self._kernel
         if kernel.custody.observe(lock_id, holder, epoch):
             return
         automaton = kernel.lockspace.automaton(lock_id)
         kernel.dispatch(automaton.observe_epoch(epoch, holder))
-        needs_home = self._close_orphan(lock_id) or (
+        needs_home = self._close_orphan(lock_id) or rehome or (
             automaton.parent is not None
             and (
                 # A departed parent is as gone as a suspected one, but

@@ -57,7 +57,6 @@ FAST_RECOVERY = RecoveryConfig(
     channel_retry_cap=0.2,
     probe_timeout=0.15,
     orphan_interval=0.05,
-    regen_settle=0.2,
 )
 
 #: How long (seconds) a reordered frame is held back waiting for later

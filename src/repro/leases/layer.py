@@ -235,26 +235,18 @@ class LeaseLayer:
         kernel.event("lease-revoke", lease.holder)
         self.forced_release(lease.holder, lease.lock)
 
-    def regen_horizon(self, lock_id: LockId) -> Optional[float]:
-        """Earliest safe instant to regenerate *lock_id*'s token.
+    def suspect_leased(self, lock_id: LockId) -> bool:
+        """Whether a suspected holder's lease on *lock_id* is unexpired:
+        until its revocation instant (deadline + revoke margin) the
+        holder, if alive, may not have self-fenced yet."""
 
-        ``None`` when no suspected holder has an unexpired lease on the
-        lock; otherwise the latest such lease's revocation instant
-        (deadline + revoke margin) — by which the holder, if alive, has
-        self-fenced.
-        """
-
-        now = self._kernel.now()
-        horizon = None
-        for lease in self.remote.leases():
-            if lease.lock != lock_id:
-                continue
-            if not self._kernel.detector.is_suspected(lease.holder):
-                continue
-            until = lease.deadline + self.config.revoke_margin
-            if until > now and (horizon is None or until > horizon):
-                horizon = until
-        return horizon
+        now, suspected = self._kernel.now(), self._kernel.detector.is_suspected
+        return any(
+            lease.lock == lock_id
+            and suspected(lease.holder)
+            and lease.deadline + self.config.revoke_margin > now
+            for lease in self.remote.leases()
+        )
 
     # -- the periodic tick -------------------------------------------------
 

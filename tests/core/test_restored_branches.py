@@ -185,3 +185,28 @@ def test_custody_fence_drops_own_and_upgrade_entries():
     assert automaton.queued_requests == ()
     assert automaton.pending_mode is LockMode.NONE
     assert grants == []
+
+
+def test_a_regenerated_root_refuses_a_grant_of_the_old_tree():
+    # Node 0 waits for IW under node 4 when it regenerates the token;
+    # node 4's grant of that request then arrives from the old tree.
+    own = request(0, 11, LockMode.IW)
+    automaton, grants = restored(
+        token=False, parent=4, attach_seq=3, pending=own
+    )
+    automaton.regenerate_token(1)
+    assert automaton.custody_pending
+    assert automaton.queued_requests == (own,)
+    grant = GrantMessage(
+        lock_id="L",
+        sender=4,
+        mode=LockMode.IW,
+        request_id=own.request_id,
+        attachment_seq=9,
+    )
+    # The root stays a root: it erases the granter's entry for it, and
+    # its request waits in its own queue for the fence to lift.
+    assert automaton.handle(grant) == [release(4, LockMode.NONE, 9)]
+    assert automaton.has_token and automaton.parent is None
+    assert automaton.pending_mode is LockMode.IW
+    assert automaton.held_modes == {} and grants == []

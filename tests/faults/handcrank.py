@@ -90,14 +90,13 @@ class Fabric:
             if m.parent == node
         }
 
-    def _matching(self, kinds, only_to, only_from):
-        return [
-            entry
-            for entry in self.parked
-            if (not kinds or isinstance(entry[2], kinds))
+    @staticmethod
+    def _match(kinds, only_to, only_from):
+        return lambda entry: (
+            (not kinds or isinstance(entry[2], kinds))
             and (only_to is None or entry[1] == only_to)
             and (only_from is None or entry[0] == only_from)
-        ]
+        )
 
     def deliver(
         self,
@@ -108,9 +107,18 @@ class Fabric:
         """Deliver the parked messages that match until none is left,
         replies included; everything else stays parked."""
 
+        match = self._match(kinds, only_to, only_from)
+        return self.deliver_all(lambda entry: not match(entry))
+
+    def deliver_all(
+        self, hold: Callable[[Tuple[NodeId, NodeId, Message]], bool]
+    ) -> int:
+        """Deliver every parked ``(sender, dest, message)`` that *hold*
+        does not keep back, replies included."""
+
         delivered = 0
         while True:
-            batch = self._matching(kinds, only_to, only_from)
+            batch = [entry for entry in self.parked if not hold(entry)]
             if not batch:
                 return delivered
             for entry in batch:
@@ -127,8 +135,8 @@ class Fabric:
     ) -> None:
         """Lose the parked messages that match."""
 
-        for entry in self._matching(kinds, only_to, only_from):
-            self.parked.remove(entry)
+        match = self._match(kinds, only_to, only_from)
+        self.parked = [entry for entry in self.parked if not match(entry)]
 
 
 def build(

@@ -44,14 +44,18 @@ class TestFaultFreeAudit:
 
 class TestTokenCrashGap:
     def test_blank_rejoin_surfaces_as_named_expected_finding(self):
-        # Seed 1 is pinned empirically: the crashed token home restarts
+        # Seed 15 is pinned empirically: the crashed token home restarts
         # blank mid-run and its forgotten requests stay outstanding.
-        # Picked at the commit that moved session acks onto heartbeats,
-        # which moved every trajectory: of seeds 0-39, 1, 9 and 15 meet
-        # the gap in this 20 s run.  (18 before it, from the commit that
-        # made heartbeats and acks datagrams; 1 before that.)
+        # Since regenerated tokens serve on answers, of seeds 0-39, 5, 11
+        # and 15 meet the gap in this 20 s run without a Rule 1 violation
+        # (1, 9 and 15 before, when seed 1 was pinned; at seed 1 the
+        # blank restart now also resurrects a stale token home that
+        # grants beside the real one, the gap's other face, as at 21,
+        # 26, 31 and 35 before).  Seed 1 was picked at the commit that
+        # moved session acks onto heartbeats; 18 before it, from the
+        # commit that made heartbeats and acks datagrams; 1 before that.
         verdict = run_chaos(
-            plan="token-crash", seed=1, nodes=5, duration=20.0, locks=3
+            plan="token-crash", seed=15, nodes=5, duration=20.0, locks=3
         )
         audit = _audit(verdict)
         # The gap is real: requests the crashed token node forgot stay

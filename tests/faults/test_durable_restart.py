@@ -32,7 +32,6 @@ FAST_SIM = RecoveryConfig(
     channel_retry_cap=0.8,
     probe_timeout=0.5,
     orphan_interval=0.25,
-    regen_settle=0.6,
     # Comfortably above the fabric's latency tail: probe answers ride
     # FIFO links, so one slow draw delays every reply behind it, and a
     # settle window close to that tail confirms custody spuriously.

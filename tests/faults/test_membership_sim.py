@@ -49,7 +49,6 @@ FAST_SIM = RecoveryConfig(
     channel_retry_cap=0.8,
     probe_timeout=0.5,
     orphan_interval=0.25,
-    regen_settle=0.6,
 )
 
 LOCKS = ("db", "db.t1", "db.t2")

@@ -14,6 +14,8 @@ from repro.core.messages import RequestMessage, fresh_request_id
 from repro.core.modes import LockMode
 from repro.faults.channel import ReliableChannel
 from repro.faults.messages import (
+    CustodyAnswer,
+    CustodyProbe,
     HeartbeatMessage,
     OrphanReport,
     ReparentMessage,
@@ -68,7 +70,7 @@ def test_the_table_covers_every_type_the_stack_sends_to_itself():
     assert set(table) == {
         SessionMessage, SessionAck, HeartbeatMessage,
         OrphanReport, TokenProbe, TokenAck, ReparentMessage,
-        *MEMBERSHIP_TYPES,
+        CustodyProbe, CustodyAnswer, *MEMBERSHIP_TYPES,
     }
     # Only a frame and a heartbeat speak for their sender's incarnation.
     assert {kind for kind, (_h, boot) in table.items() if boot} == {

@@ -18,6 +18,8 @@ import pytest
 import repro
 from repro.core.modes import LockMode
 from repro.faults.messages import (
+    CustodyAnswer,
+    CustodyProbe,
     HeartbeatMessage,
     OrphanReport,
     ReparentMessage,
@@ -35,7 +37,7 @@ from repro.membership.messages import (
     ViewProposal,
 )
 
-from .handcrank import add_manager, build
+from .handcrank import Fabric, HandScheduler, add_manager, build
 
 LOCK = "L"
 #: Nobody is ever suspected: the test decides who is silent.
@@ -124,21 +126,31 @@ def test_an_answered_probe_is_announced_to_the_reporters_not_claimed():
     assert coordinator.regeneration.regenerations == []
 
 
-def test_an_unanswered_probe_claims_the_next_epoch_and_serves_after_settle():
-    scheduler, fabric = build(5, PATIENT)
+def test_an_unanswered_probe_claims_the_next_epoch_and_serves_after_the_last_answer():
+    grants = []
+    scheduler, fabric = build(5, PATIENT, grants)
     coordinator = fabric.managers[4]
-    config = coordinator.config
     coordinator.handle(
         OrphanReport(lock_id=LOCK, sender=1, suspect=0, epoch=6)
     )
     fabric.drop(TokenProbe)
-    scheduler.advance(config.probe_timeout)
+    scheduler.advance(coordinator.config.probe_timeout)
     assert fabric.claims(4) == {7}
+    # Claimed means held, fenced: even our own request only queues.
     automaton = coordinator.lockspace.automaton(LOCK)
-    scheduler.advance(config.probe_timeout + config.regen_settle - 0.01)
-    assert not automaton.has_token  # Claimed, not yet served from.
-    scheduler.advance(config.probe_timeout + config.regen_settle)
+    assert automaton.has_token and automaton.custody_pending
+    coordinator.request(LOCK, LockMode.R)
+    fabric.deliver(ReparentMessage, CustodyProbe)  # Every member re-homes.
+    assert fabric.dests(CustodyProbe) == [0, 1, 2, 3]
+    for member in (0, 1, 2):
+        fabric.deliver(SessionMessage, SessionAck, only_from=member)
+    scheduler.advance(60.0)  # No timer serves it: answers do.
+    assert automaton.custody_pending and grants == []
+    assert coordinator.regeneration.regenerations == []
+    fabric.deliver(SessionMessage, SessionAck, only_from=3)  # The last one.
     assert automaton.has_token and automaton.token_epoch == 7
+    assert not automaton.custody_pending
+    assert grants == [(4, LOCK, LockMode.R)]
     assert coordinator.regeneration.regenerations == [
         {"lock": LOCK, "epoch": 7, "node": 4}
     ]
@@ -162,6 +174,159 @@ def test_without_a_majority_the_coordinator_reprobes_and_never_claims():
     assert coordinator.has_quorum()
     scheduler.advance(6.0 + coordinator.config.probe_timeout)
     assert fabric.claims(4) == {1}
+
+
+# -- regeneration: the fence against the dead root's survivors ---------------
+
+#: Node 0 is suspected within two beats of its death.
+QUICK = RecoveryConfig(suspect_timeout=1.0)
+
+
+def _dead_root(configs=(QUICK, QUICK, QUICK)):
+    """Three nodes: node 1 holds R under root 0 (which holds R too, so
+    the token stays there), node 2 waits there for W; then node 0 dies.
+    Returns ``(scheduler, fabric, grants)``."""
+
+    scheduler, fabric, grants = HandScheduler(), Fabric(), []
+    for node, config in enumerate(configs):
+        add_manager(scheduler, fabric, node, [0, 1, 2], config, grants)
+    for node, mode in ((0, LockMode.R), (1, LockMode.R), (2, LockMode.W)):
+        fabric.managers[node].request(LOCK, mode)
+        fabric.deliver(SessionMessage, SessionAck)
+    assert grants == [(0, LOCK, LockMode.R), (1, LOCK, LockMode.R)]
+    assert fabric.managers[0].lockspace.automaton(LOCK).children == {
+        1: LockMode.R
+    }
+    del grants[0]
+    fabric.managers[0].stop()
+    return scheduler, fabric, grants
+
+
+def _run_until(scheduler, fabric, until, hold=lambda entry: False):
+    """Crank time to *until* a quarter second at a time, delivering all
+    but what *hold* keeps back."""
+
+    while scheduler.now() < until:
+        scheduler.advance(scheduler.now() + 0.25)
+        fabric.deliver_all(hold)
+
+
+def _run_to_claim(scheduler, fabric, hold):
+    """Crank until node 2 claims (well inside 10 s); the claim's time."""
+
+    while not fabric.claims(2):
+        assert scheduler.now() < 10.0, "node 2 never claimed"
+        _run_until(scheduler, fabric, scheduler.now() + 0.25, hold)
+    return scheduler.now()
+
+
+def _frames(fabric, sender, dest):
+    """What *sender*'s session stream to *dest* carried, in send order."""
+
+    return [
+        m.payload
+        for s, d, m in fabric.log
+        if isinstance(m, SessionMessage) and (s, d) == (sender, dest)
+    ]
+
+
+def _from_1_to_2(entry):
+    return entry[:2] == (1, 2) and isinstance(entry[2], SessionMessage)
+
+
+def test_a_parked_reassertion_keeps_the_regenerated_token_fenced():
+    scheduler, fabric, grants = _dead_root()
+    claimant = fabric.managers[2]
+    automaton = claimant.lockspace.automaton(LOCK)
+    # Node 1's stream to the claimant is parked from here on.
+    claimed = _run_to_claim(scheduler, fabric, _from_1_to_2)
+    # Where the settle timer (1.5 s by default) used to start serving,
+    # and well past it: nothing is granted.
+    _run_until(scheduler, fabric, claimed + 1.5 + 5.0, _from_1_to_2)
+    assert automaton.custody_pending and grants == [(1, LOCK, LockMode.R)]
+    assert CustodyAnswer in {type(p) for p in _frames(fabric, 1, 2)}
+    fabric.deliver_all(lambda entry: False)  # The frames land.
+    # Served — from a copyset that has node 1's R, so W still waits.
+    assert not automaton.custody_pending
+    assert automaton.children == {1: LockMode.R}
+    assert grants == [(1, LOCK, LockMode.R)]
+    fabric.managers[1].release(LOCK, LockMode.R)
+    fabric.deliver_all(lambda entry: False)
+    assert grants == [(1, LOCK, LockMode.R), (2, LOCK, LockMode.W)]
+
+
+def test_an_answer_that_overtakes_the_reassertion_does_not_lift_the_fence():
+    scheduler, fabric, grants = _dead_root()
+    claimant = fabric.managers[2]
+    automaton = claimant.lockspace.automaton(LOCK)
+    claimed = _run_to_claim(scheduler, fabric, _from_1_to_2)
+    _run_until(scheduler, fabric, claimed + 0.25, _from_1_to_2)
+    (answer, *_resent) = [
+        entry
+        for entry in fabric.parked
+        if _from_1_to_2(entry) and isinstance(entry[2].payload, CustodyAnswer)
+    ]
+    fabric.parked.remove(answer)
+    claimant.handle(answer[2])  # Ahead of node 1's re-assertion...
+    assert automaton.custody_pending  # ...so the stream holds it back.
+    assert 1 not in automaton.children
+    fabric.deliver_all(lambda entry: False)
+    assert not automaton.custody_pending
+    assert automaton.children == {1: LockMode.R}
+    assert grants == [(1, LOCK, LockMode.R)]
+
+
+def test_a_member_that_trusts_the_dead_root_answers_only_once_rehomed():
+    # Node 1 never suspects node 0: the claim finds it still attached.
+    scheduler, fabric, grants = _dead_root((QUICK, PATIENT, QUICK))
+    member = fabric.managers[1].lockspace.automaton(LOCK)
+    claimant = fabric.managers[2].lockspace.automaton(LOCK)
+    _run_to_claim(
+        scheduler, fabric, lambda entry: isinstance(entry[2], CustodyProbe)
+    )
+    # The claim alone moves node 1's floor, not its parent, and draws
+    # no answer.
+    fabric.deliver(ReparentMessage)
+    assert member.token_epoch == 1 and member.parent == 0
+    assert CustodyAnswer not in {type(p) for p in _frames(fabric, 1, 2)}
+    assert claimant.custody_pending
+    fabric.deliver(CustodyProbe, only_to=1)
+    # Re-homed first, re-asserting R; the answer rides behind it.
+    assert member.parent == 2
+    kinds = [
+        (type(p).__name__, getattr(p, "new_mode", None))
+        for p in _frames(fabric, 1, 2)
+    ]
+    assert kinds == [
+        ("ReleaseMessage", LockMode.R),
+        ("CustodyAnswer", None),
+    ]
+    assert claimant.custody_pending
+    fabric.deliver_all(lambda entry: False)
+    assert not claimant.custody_pending
+    assert claimant.children == {1: LockMode.R}
+    assert grants == [(1, LOCK, LockMode.R)]
+
+
+def test_of_two_claims_at_one_epoch_only_the_lower_holder_demotes():
+    grants = []
+    scheduler, fabric = build(3, PATIENT, grants)
+    for node in (1, 2):  # Two coordinators, each sure the token died.
+        fabric.managers[node].custody.take(LOCK, 1, "regen")
+    fabric.deliver_all(lambda entry: False)
+    tokens = {
+        node: manager.lockspace.automaton(LOCK)
+        for node, manager in fabric.managers.items()
+    }
+    assert [n for n, a in tokens.items() if a.has_token] == [2]
+    assert tokens[1].parent == 2 and tokens[0].parent == 2
+    assert not tokens[2].custody_pending  # Both others answered it.
+    assert fabric.managers[1].events["custody-fenced"] == 1
+    assert fabric.managers[2].events["custody-fenced"] == 0
+    assert fabric.managers[2].regeneration.regenerations == [
+        {"lock": LOCK, "epoch": 1, "node": 2}
+    ]
+    assert fabric.managers[1].regeneration.regenerations == []
 
 
 # -- leases ------------------------------------------------------------------
@@ -315,6 +480,26 @@ def test_silence_with_a_quorum_visible_confirms(restored):
     assert manager.events["custody-confirmed"] == 1
     assert automaton.has_token and not automaton.custody_pending
     assert fabric.claims(0) == {0}  # The settled placement, broadcast.
+
+
+def test_a_restored_token_serves_right_after_the_last_answer(restored):
+    scheduler, fabric, manager = restored()
+    automaton = manager.lockspace.automaton(LOCK)
+    assert fabric.dests(CustodyProbe) == [1, 2]
+    fabric.deliver(CustodyProbe, only_to=1)
+    fabric.deliver(SessionMessage, SessionAck, only_from=1)
+    assert manager.custody.pending() == [LOCK]  # Node 2 is still silent.
+    fabric.deliver(CustodyProbe, only_to=2)
+    fabric.deliver(SessionMessage, SessionAck, only_from=2)
+    assert scheduler.now() == 0.0  # Well inside the silence window.
+    assert manager.custody.pending() == []
+    assert manager.events["custody-confirmed"] == 1
+    assert automaton.has_token and not automaton.custody_pending
+    assert fabric.claims(0) == {0}
+    probes = len(fabric.sent(TokenProbe, sender=0))
+    scheduler.advance(10.0)  # Both timers went with the fence.
+    assert len(fabric.sent(TokenProbe, sender=0)) == probes
+    assert manager.events["custody-confirmed"] == 1
 
 
 def test_without_a_quorum_custody_stays_fenced_and_keeps_probing(restored):
