@@ -4,11 +4,12 @@ A token that was regenerated, handed off or restored from the journal
 (docs/PERSISTENCE.md) is held *custody-fenced* — queueing, not granting —
 while its holder probes every member of the view.  A member answers
 after re-homing under the holder and re-asserting its owned mode, on the
-same session stream; a silent one is excused once suspected, if no
-suspected member holds an unexpired lease on the lock.  With a majority
-answered the fence lifts and the placement is broadcast; a placement
-above ours fences for good.  A restored token also confirms after
-``rejoin_settle`` of silence with a quorum visible.
+same session stream.  The fence lifts once the answers are in — the
+rule a coordinator claims a lost token by
+(:meth:`~repro.faults.recovery.RecoveryManager.answers_in`: a majority
+answered, every silent member is suspected) — and no suspected member
+holds an unexpired lease on the lock; the placement is then broadcast.
+A placement above ours fences for good.  No timer lifts a fence.
 
 The layer owns the per-lock fences and the rejoin report.
 """
@@ -67,10 +68,8 @@ class Custody:
           cannot be decoded counts as a ``snapshot_mismatches`` entry,
           and an undecodable one leaves its lock to rejoin blank;
         * a restored **token holder** begins custody fencing: it queues
-          instead of granting until every member has answered its probe
-          (or ``config.rejoin_settle`` of silence passed with a quorum
-          visible), and is fenced for good when a placement above its
-          own surfaces elsewhere;
+          instead of granting until its answers are in, and is fenced
+          for good when a placement above its own surfaces elsewhere;
         * the pre-crash pending request is disowned (its waiter died with
           the old process) and restored holds are released — unless
           ``reclaim(lock, mode)`` claims one for the restarted
@@ -127,12 +126,16 @@ class Custody:
                             kernel.lockspace.release(lock_id, mode), "replay"
                         )
                         report["holds_released"] += 1
-                restored = automaton.token_epoch if automaton.has_token else None
-                if restored is None:
+                if not automaton.has_token:
                     out = automaton.reassert_owned()
                     report["reasserted"] += len(out)
                     kernel.dispatch(out, "replay")
-                self._arm_expiry(lock_id, restored)
+                    kernel.timers.arm(
+                        ("provisional", lock_id),
+                        kernel.config.rejoin_settle,
+                        self._provisional_expiry,
+                        lock_id,
+                    )
             self.report = report
             if report["locks_restored"]:
                 kernel.event("rejoin", kernel.node_id)
@@ -160,32 +163,15 @@ class Custody:
         kernel.event("reclaim-partial-fanout", kernel.node_id)
         return True
 
-    def _arm_expiry(self, lock_id: LockId, restored: Optional[int]) -> None:
-        self._kernel.timers.arm(
-            ("provisional", lock_id),
-            self._kernel.config.rejoin_settle,
-            self._provisional_expiry,
-            lock_id,
-            restored,
-        )
+    def _provisional_expiry(self, lock_id: LockId) -> None:
+        """Expire the restored copyset entries no child re-confirmed
+        (unless the lock took a token fenced since: its answers do)."""
 
-    def _provisional_expiry(
-        self, lock_id: LockId, restored: Optional[int]
-    ) -> None:
-        """Expire what no child re-confirmed; for a token restored at
-        epoch *restored* and still fenced, that confirms custody."""
-
-        kernel, fence = self._kernel, self._pending.get(lock_id)
-        automaton = kernel.lockspace.automaton(lock_id)
-        if fence is None and restored is None:
-            kernel.dispatch(automaton.expire_provisional_children(), "replay")
-        elif fence and fence.epoch == restored:
-            if kernel.has_quorum():
-                self._resolve(lock_id, confirmed=True)
-            else:
-                # A regenerated token may be serving across the cut:
-                # keep the fence up (and the probes going).
-                self._arm_expiry(lock_id, restored)
+        if lock_id not in self._pending:
+            automaton = self._kernel.lockspace.automaton(lock_id)
+            self._kernel.dispatch(
+                automaton.expire_provisional_children(), "replay"
+            )
 
     # -- the fence ---------------------------------------------------------
 
@@ -223,15 +209,9 @@ class Custody:
     def _settle(self, lock_id: LockId) -> bool:
         """Lift *lock_id*'s fence if its answers are in; whether it did."""
 
-        kernel, view = self._kernel, self._kernel.membership.view
-        heard = self._pending[lock_id].answered | {kernel.node_id}
-        silent = [n for n in view.members if n not in heard]
-        if len(view.members) - len(silent) < view.quorum() or (
-            silent
-            and (
-                not all(map(kernel.detector.is_suspected, silent))
-                or kernel.leases.suspect_leased(lock_id)
-            )
+        kernel, answered = self._kernel, self._pending[lock_id].answered
+        if not kernel.answers_in(answered) or (
+            kernel.silent(answered) and kernel.leases.suspect_leased(lock_id)
         ):
             return False
         self._resolve(lock_id, confirmed=True)

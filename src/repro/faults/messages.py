@@ -135,9 +135,11 @@ class TokenProbe(Message):
 
 @dataclasses.dataclass(frozen=True)
 class TokenAck(Message):
-    """A live token holder answering a probe with its current epoch."""
+    """A member answering a probe: whether it ``holds`` the token, and
+    its token epoch (the floor, if it does not)."""
 
     epoch: int = 0
+    holds: bool = False
 
 
 @dataclasses.dataclass(frozen=True)

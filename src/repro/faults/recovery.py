@@ -22,8 +22,9 @@ the calls between them).  The kernel:
 * the node's mutex, its :class:`~repro.faults.scheduler.Timers`, the
   raw fabric send (:meth:`~RecoveryManager.send` to one peer,
   :meth:`~RecoveryManager.broadcast` to many: one fabric call each), the
-  event funnel, and the one definition of "the members I do not
-  suspect" and of "a majority of them".
+  event funnel, the one definition of "the members I do not suspect"
+  and the one of "the answers are in" (:meth:`~RecoveryManager.answers_in`),
+  on which a coordinator claims a lost token and a custodian serves.
 
 The layers, each owning its state: **token regeneration**
 (:mod:`repro.faults.regeneration`), **custody** of a restored or
@@ -43,7 +44,7 @@ import collections
 import dataclasses
 import heapq
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.lockspace import LockSpace
 from ..core.messages import Envelope, LockId, Message, NodeId
@@ -87,15 +88,14 @@ class RecoveryConfig:
     #: timer could never wait for one.
     channel_retry_base: float = 0.25
     channel_retry_cap: float = 2.0
-    #: How long the coordinator waits for a TokenAck before regenerating.
-    probe_timeout: float = 1.0
     #: Orphans re-send their OrphanReport at this period until reparented;
-    #: a custodian re-sends its probe to the silent members as often.
+    #: a coordinator re-sends its token probe, and a custodian its
+    #: custody probe, to the silent members as often.
     orphan_interval: float = 0.5
     #: How long restored copyset entries stay *provisional* after a
     #: durable restart: unless a child re-confirms one, it expires after
-    #: this window (for a restored token still fenced, with a quorum
-    #: visible, that confirms its custody; see repro.faults.custody).
+    #: this window.  (A restored token serves on answers alone; see
+    #: repro.faults.custody.)
     rejoin_settle: float = 1.5
     #: :class:`~repro.leases.LeaseConfig` ``duration``: how long a hold's
     #: lease lives past its last renewal, and the quorum silence after
@@ -257,11 +257,21 @@ class RecoveryManager:
 
         return [n for n in self.live() if n != self.node_id]
 
-    def has_quorum(self) -> bool:
-        """Whether this node and the peers it does not suspect are a
-        majority of the installed view."""
+    def silent(self, answered: Set[NodeId]) -> List[NodeId]:
+        """The view's members, this node aside, not in *answered*."""
 
-        return len(self.live()) >= self.membership.view.quorum()
+        members = self.membership.view.members
+        return [n for n in members if n != self.node_id and n not in answered]
+
+    def answers_in(self, answered: Set[NodeId]) -> bool:
+        """Whether the answers are in: the members that *answered*, plus
+        this node, are a majority of the installed view, and every
+        member still silent is suspected."""
+
+        view, silent = self.membership.view, self.silent(answered)
+        return len(view.members) - len(silent) >= view.quorum() and all(
+            map(self.detector.is_suspected, silent)
+        )
 
     def send(self, dest: NodeId, message: Message) -> None:
         """Raw fabric send.  Recovery coordination rides it directly: it

@@ -2,13 +2,16 @@
 
 When a lock's parent is suspected (or excised from the view) the lock is
 *orphaned*.  The highest-id surviving member coordinates: orphans report
-to it until reparented, it probes every live peer for a surviving token
-and, if one answers, announces the holder to the reporters.  If none
-answers and a majority is visible it claims the next token epoch,
-broadcasting the claim so stale-epoch tokens are discarded wherever they
-resurface, and takes the token *fenced*: it serves once every member
-has re-homed under it and answered (:mod:`repro.faults.custody`; see
-docs/FAULTS.md for the safety argument and its limits).
+to it until reparented, and it asks every member of the view, suspects
+included, whether the token lives there; every member answers.  A
+holder's answer is announced to the reporters.  Once the answers are in
+(:meth:`~repro.faults.recovery.RecoveryManager.answers_in`: a majority
+answered, every silent member is suspected) and none holds the token,
+it claims the next token epoch, broadcasting the claim so stale-epoch
+tokens are discarded wherever they resurface, and takes the token
+*fenced*: it serves once every member has re-homed under it and
+answered (:mod:`repro.faults.custody`; see docs/FAULTS.md for the
+safety argument and its limits).  No timer decides either step.
 
 The layer owns the orphan table, the coordinator's open probes and the
 last announced token placement per lock (the *hints*).
@@ -33,6 +36,8 @@ class _Probe:
     epoch: int
     #: Who asked, i.e. who is told where the token turned out to be.
     reporters: Set[NodeId]
+    #: The members that answered without the token.
+    answered: Set[NodeId] = dataclasses.field(default_factory=set)
 
 
 class Regeneration:
@@ -103,15 +108,6 @@ class Regeneration:
 
     # -- coordinator side --------------------------------------------------
 
-    def probe(self, lock_id: LockId) -> None:
-        """Ask every live peer whether a token for *lock_id* lives there."""
-
-        kernel = self._kernel
-        kernel.broadcast(
-            kernel.live_peers(),
-            TokenProbe(lock_id=lock_id, sender=kernel.node_id),
-        )
-
     def _ensure_probe(
         self, lock_id: LockId, reporter: NodeId, epoch: int = 0
     ) -> None:
@@ -134,22 +130,51 @@ class Regeneration:
         self._probes[lock_id] = _Probe(
             max(epoch, automaton.token_epoch), {reporter}
         )
-        self.probe(lock_id)
-        self._arm_deadline(lock_id)
+        self._probe_fire(lock_id)
 
-    def _arm_deadline(self, lock_id: LockId) -> None:
-        self._kernel.timers.arm(
-            ("probe", lock_id),
-            self._kernel.config.probe_timeout,
-            self._probe_deadline,
-            lock_id,
+    def _probe_fire(self, lock_id: LockId) -> None:
+        # Probes ride the raw fabric and may be lost: keep asking every
+        # member still silent, suspects included (a suspect may be the
+        # live holder, and only its answer says so).
+        if self._decide(lock_id):
+            return
+        kernel = self._kernel
+        kernel.broadcast(
+            kernel.silent(self._probes[lock_id].answered),
+            TokenProbe(lock_id=lock_id, sender=kernel.node_id),
         )
+        kernel.resend_later(("probe", lock_id), self._probe_fire, lock_id)
 
-    def _close_probe(self, lock_id: LockId) -> Optional[_Probe]:
-        """End the probe of *lock_id*, deadline included; the probe."""
+    def _decide(self, lock_id: LockId) -> bool:
+        """Close *lock_id*'s probe if the token is here, or claim the next
+        epoch once the answers are in; whether the probe closed."""
+
+        kernel, probe = self._kernel, self._probes[lock_id]
+        automaton = kernel.lockspace.automaton(lock_id)
+        if automaton.has_token:
+            self._close_probe(lock_id)
+            self.announce(
+                lock_id, kernel.node_id, automaton.token_epoch, probe.reporters
+            )
+            return True
+        if not kernel.answers_in(probe.answered):
+            # Short of a majority we may be the minority side of a
+            # partition, with a healthy token across the cut; with a
+            # member silent but trusted, that member may hold it.
+            return False
+        # A majority answered without the token and the rest are
+        # suspected: the token died with the crash.  Claim the next
+        # epoch (above every floor reported or answered), fenced.
+        self._close_probe(lock_id)
+        epoch = max(probe.epoch, automaton.token_epoch) + 1
+        kernel.custody.take(lock_id, epoch, "regen")
+        return True
+
+    def _close_probe(self, lock_id: LockId) -> None:
+        """End the probe of *lock_id*, its re-send included."""
 
         self._kernel.timers.cancel(("probe", lock_id))
-        return self._probes.pop(lock_id, None)
+        self._probes.pop(lock_id, None)
 
     @handles(OrphanReport)
     def on_orphan_report(self, msg: OrphanReport) -> None:
@@ -159,49 +184,32 @@ class Regeneration:
     def on_token_probe(self, msg: TokenProbe) -> None:
         kernel = self._kernel
         automaton = kernel.lockspace.automaton(msg.lock_id)
-        if automaton.has_token:
-            kernel.send(
-                msg.sender,
-                TokenAck(
-                    lock_id=msg.lock_id,
-                    sender=kernel.node_id,
-                    epoch=automaton.token_epoch,
-                ),
-            )
+        kernel.send(
+            msg.sender,
+            TokenAck(
+                lock_id=msg.lock_id,
+                sender=kernel.node_id,
+                epoch=automaton.token_epoch,
+                holds=automaton.has_token,
+            ),
+        )
 
     @handles(TokenAck)
     def on_token_ack(self, msg: TokenAck) -> None:
-        if self._kernel.custody.observe(msg.lock_id, msg.sender, msg.epoch):
+        # A holder's answer goes to custody first: it may outrank a
+        # token fenced here, and is then consumed.
+        if msg.holds and self._kernel.custody.observe(
+            msg.lock_id, msg.sender, msg.epoch
+        ):
             return
-        probe = self._close_probe(msg.lock_id)
-        if probe is not None:
+        probe = self._probes.get(msg.lock_id)
+        if probe is not None and msg.holds:
+            self._close_probe(msg.lock_id)
             self.announce(msg.lock_id, msg.sender, msg.epoch, probe.reporters)
-
-    def _probe_deadline(self, lock_id: LockId) -> None:
-        kernel = self._kernel
-        automaton = kernel.lockspace.automaton(lock_id)
-        if automaton.has_token:
-            self.announce(
-                lock_id,
-                kernel.node_id,
-                automaton.token_epoch,
-                self._probes.pop(lock_id).reporters,
-            )
-            return
-        if not kernel.has_quorum():
-            # No quorum: we may be the minority side of a partition,
-            # with a perfectly healthy token across the cut.
-            # Regenerating here would fork the lock space, so keep
-            # probing instead — liveness resumes when the fabric
-            # heals (or enough members return).
-            self.probe(lock_id)
-            self._arm_deadline(lock_id)
-            return
-        # Nobody answered and a majority is visible: the token died with
-        # the crash.  Claim the next epoch (the floor may have moved past
-        # the probe's snapshot, so climb above both), fenced.
-        epoch = max(self._probes.pop(lock_id).epoch, automaton.token_epoch) + 1
-        kernel.custody.take(lock_id, epoch, "regen")
+        elif probe is not None:
+            probe.answered.add(msg.sender)
+            probe.epoch = max(probe.epoch, msg.epoch)
+            self._decide(msg.lock_id)
 
     # -- placements --------------------------------------------------------
 

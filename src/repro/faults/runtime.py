@@ -55,7 +55,6 @@ FAST_RECOVERY = RecoveryConfig(
     retry_cap=0.5,
     channel_retry_base=0.04,
     channel_retry_cap=0.2,
-    probe_timeout=0.15,
     orphan_interval=0.05,
 )
 

@@ -126,34 +126,116 @@ def test_an_answered_probe_is_announced_to_the_reporters_not_claimed():
     assert coordinator.regeneration.regenerations == []
 
 
+def _coordinated(*stopped):
+    """Five members; only the coordinator, node 4, suspects (within a
+    second of silence), and nodes *stopped* are down.  Returns
+    ``(scheduler, fabric, grants)``."""
+
+    scheduler, fabric, grants = HandScheduler(), Fabric(), []
+    for node in range(5):
+        config = QUICK if node == 4 else PATIENT
+        add_manager(scheduler, fabric, node, list(range(5)), config, grants)
+    for node in stopped:
+        fabric.managers[node].stop()
+    return scheduler, fabric, grants
+
+
+def _beats_to_4_from(*senders):
+    """A *hold* for :func:`_run_until` that delivers only the heartbeats
+    *senders* send node 4."""
+
+    return lambda entry: not (
+        isinstance(entry[2], HeartbeatMessage)
+        and entry[1] == 4
+        and entry[0] in senders
+    )
+
+
 def test_an_unanswered_probe_claims_the_next_epoch_and_serves_after_the_last_answer():
-    grants = []
-    scheduler, fabric = build(5, PATIENT, grants)
+    scheduler, fabric, grants = _coordinated(0)  # The token home died.
     coordinator = fabric.managers[4]
     coordinator.handle(
         OrphanReport(lock_id=LOCK, sender=1, suspect=0, epoch=6)
     )
-    fabric.drop(TokenProbe)
-    scheduler.advance(coordinator.config.probe_timeout)
-    assert fabric.claims(4) == {7}
+    # Every member is asked, node 0 too; the others answer, no token.
+    assert fabric.dests(TokenProbe) == [0, 1, 2, 3]
+    fabric.deliver(TokenProbe, TokenAck)
+    assert fabric.claims(4) == set()  # Node 0 is silent, but trusted.
+    beats = _beats_to_4_from(1, 2, 3)
+    _run_until(scheduler, fabric, 1.5, beats)
+    assert coordinator.detector.suspected == {0}
+    assert fabric.claims(4) == {7}  # Above the floor node 1 reported.
     # Claimed means held, fenced: even our own request only queues.
     automaton = coordinator.lockspace.automaton(LOCK)
     assert automaton.has_token and automaton.custody_pending
     coordinator.request(LOCK, LockMode.R)
     fabric.deliver(ReparentMessage, CustodyProbe)  # Every member re-homes.
-    assert fabric.dests(CustodyProbe) == [0, 1, 2, 3]
-    for member in (0, 1, 2):
+    assert sorted(set(fabric.dests(CustodyProbe))) == [1, 2, 3]
+    for member in (1, 2):
         fabric.deliver(SessionMessage, SessionAck, only_from=member)
-    scheduler.advance(60.0)  # No timer serves it: answers do.
+    _run_until(scheduler, fabric, 60.0, beats)  # No timer serves it...
     assert automaton.custody_pending and grants == []
     assert coordinator.regeneration.regenerations == []
-    fabric.deliver(SessionMessage, SessionAck, only_from=3)  # The last one.
+    fabric.deliver(SessionMessage, SessionAck, only_from=3)  # ...answers do.
     assert automaton.has_token and automaton.token_epoch == 7
     assert not automaton.custody_pending
     assert grants == [(4, LOCK, LockMode.R)]
     assert coordinator.regeneration.regenerations == [
         {"lock": LOCK, "epoch": 7, "node": 4}
     ]
+
+
+@pytest.mark.parametrize("excused_by", ["answer", "suspicion"])
+def test_a_majority_answered_waits_for_the_silent_member_it_trusts(excused_by):
+    """Nodes 1 and 2 answer (with node 4, three of five); node 3 is alive
+    to the coordinator but its probes are lost.  Time alone does not
+    claim: node 3's answer does, or its suspicion."""
+
+    scheduler, fabric, _grants = _coordinated(0)
+    coordinator = fabric.managers[4]
+    coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
+    fabric.deliver(TokenProbe, TokenAck, only_to=1)
+    fabric.deliver(TokenProbe, TokenAck, only_to=2)
+    fabric.deliver(TokenAck, only_to=4)
+    fabric.drop(TokenProbe, only_to=3)
+    _run_until(scheduler, fabric, 10.0, _beats_to_4_from(1, 2, 3))
+    assert coordinator.detector.suspected == {0}
+    assert fabric.claims(4) == set()
+    # Still asking the two silent members, and only them.
+    asked = [d for _s, d, m in fabric.parked if isinstance(m, TokenProbe)]
+    assert sorted(set(asked)) == [0, 3] and len(asked) >= 2 * 18
+    if excused_by == "answer":
+        fabric.deliver(TokenProbe, TokenAck, only_to=3)
+        fabric.deliver(TokenAck, only_to=4)
+        assert scheduler.now() == 10.0
+    else:
+        _run_until(scheduler, fabric, 11.5, _beats_to_4_from(1, 2))
+        assert coordinator.detector.suspected == {0, 3}
+    assert fabric.claims(4) == {1}
+
+
+def test_a_suspected_holder_that_answers_is_announced_not_claimed_over():
+    scheduler, fabric, _grants = _coordinated()
+    coordinator = fabric.managers[4]
+    # Node 0 holds the token, but its beats never reach the coordinator.
+    _run_until(scheduler, fabric, 1.5, _beats_to_4_from(1, 2, 3))
+    assert coordinator.detector.suspected == {0}
+    coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
+    assert fabric.dests(TokenProbe) == [0, 1, 2, 3]  # The suspect too.
+    fabric.deliver(TokenProbe)
+    fabric.deliver(TokenAck, only_from=0)  # The suspect's answer first.
+    assert coordinator.detector.suspected == set()
+    fabric.deliver(TokenAck)
+    _run_until(scheduler, fabric, 10.0, _beats_to_4_from(0, 1, 2, 3))
+    placements = [
+        (dest, m.parent)
+        for s, dest, m in fabric.log
+        if isinstance(m, ReparentMessage) and s == 4
+    ]
+    assert placements == [(1, 0)]
+    assert fabric.claims(4) == set()
+    assert coordinator.regeneration.regenerations == []
+    assert fabric.managers[0].lockspace.automaton(LOCK).has_token
 
 
 def test_without_a_majority_the_coordinator_reprobes_and_never_claims():
@@ -163,16 +245,22 @@ def test_without_a_majority_the_coordinator_reprobes_and_never_claims():
         scheduler.advance(tick * 0.5)
         fabric.deliver(HeartbeatMessage, only_to=4, only_from=1)
         if tick == 2:
-            assert coordinator.live() == [1, 4] and not coordinator.has_quorum()
+            assert coordinator.live() == [1, 4]
             coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
-    assert len(fabric.sent(TokenProbe, sender=4)) >= 5
-    assert fabric.dests(TokenProbe) == [1] * len(fabric.sent(TokenProbe))
+            # Node 1 answers: two of five.
+            fabric.deliver(TokenProbe, only_from=4, only_to=1)
+            fabric.deliver(TokenAck, only_to=4)
+    # Every round asks every silent member, suspects included.
+    asked = [
+        d for s, d, m in fabric.log if isinstance(m, TokenProbe) and s == 4
+    ]
+    assert len(asked) >= 4 + 3 * 10 and set(asked) == {0, 1, 2, 3}
     assert fabric.claims(4) == set()
-    # The cut heals: the next deadline finds a majority and claims.
-    fabric.drop(TokenProbe)
-    fabric.deliver(HeartbeatMessage, only_to=4)
-    assert coordinator.has_quorum()
-    scheduler.advance(6.0 + coordinator.config.probe_timeout)
+    # The cut heals for node 2: its answer makes three of five, and the
+    # rest are suspected.  No heartbeat was needed, nor a timer.
+    fabric.deliver(TokenProbe, only_from=4, only_to=2)
+    fabric.deliver(TokenAck, only_to=4, only_from=2)
+    assert coordinator.live() == [1, 2, 4]
     assert fabric.claims(4) == {1}
 
 
@@ -455,9 +543,11 @@ def restored():
 
 def test_a_token_ack_of_the_restored_epoch_from_elsewhere_fences(restored):
     scheduler, fabric, manager = restored()
-    manager.handle(TokenAck(lock_id=LOCK, sender=0, epoch=5))  # Its own echo.
-    assert manager.custody.pending() == [LOCK]
+    manager.handle(TokenAck(lock_id=LOCK, sender=0, epoch=5, holds=True))
+    assert manager.custody.pending() == [LOCK]  # Its own echo.
     manager.handle(TokenAck(lock_id=LOCK, sender=2, epoch=0))
+    assert manager.custody.pending() == [LOCK]  # Not a holder's answer.
+    manager.handle(TokenAck(lock_id=LOCK, sender=2, epoch=0, holds=True))
     automaton = manager.lockspace.automaton(LOCK)
     assert manager.custody.pending() == []
     assert manager.events["custody-fenced"] == 1
@@ -467,19 +557,6 @@ def test_a_token_ack_of_the_restored_epoch_from_elsewhere_fences(restored):
     scheduler.advance(10.0)  # Both settle timers went with the state.
     assert len(fabric.sent(TokenProbe, sender=0)) == probes
     assert manager.events["custody-confirmed"] == 0
-
-
-def test_silence_with_a_quorum_visible_confirms(restored):
-    scheduler, fabric, manager = restored()
-    settle = manager.config.rejoin_settle
-    scheduler.advance(settle - 0.01)
-    assert manager.custody.pending() == [LOCK]
-    assert len(fabric.sent(TokenProbe, sender=0)) == 2 * 3  # 0, 0.5, 1.0.
-    scheduler.advance(settle)
-    automaton = manager.lockspace.automaton(LOCK)
-    assert manager.events["custody-confirmed"] == 1
-    assert automaton.has_token and not automaton.custody_pending
-    assert fabric.claims(0) == {0}  # The settled placement, broadcast.
 
 
 def test_a_restored_token_serves_right_after_the_last_answer(restored):
@@ -516,8 +593,19 @@ def test_without_a_quorum_custody_stays_fenced_and_keeps_probing(restored):
     # deadline (which used to silence the chain: one round per deadline).
     rounds = [m for m in fabric.log if isinstance(m[2], TokenProbe) and m[1] == 1]
     assert len(rounds) == 1 + int(5.0 / interval)
-    fabric.deliver(HeartbeatMessage, only_to=0)  # The others are back.
-    scheduler.advance(5.0 + settle)
+    # Node 2 is back: beats alone, past the silence window, serve nothing.
+    for tick in range(11, 11 + int(2 * settle / 0.5)):
+        scheduler.advance(tick * 0.5)
+        fabric.deliver(HeartbeatMessage, only_to=0, only_from=1)
+        fabric.deliver(HeartbeatMessage, only_to=0, only_from=2)
+    assert manager.live() == [0, 1, 2]
+    assert manager.custody.pending() == [LOCK]
+    assert manager.events["custody-confirmed"] == 0
+    # Their answers: three of five, and nodes 3 and 4 are suspected.
+    for member in (1, 2):
+        fabric.deliver(CustodyProbe, only_to=member)
+        fabric.deliver(SessionMessage, SessionAck, only_from=member)
+    assert manager.custody.pending() == []
     assert manager.events["custody-confirmed"] == 1
 
 

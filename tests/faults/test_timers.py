@@ -18,15 +18,18 @@ import pytest
 from repro.core.modes import LockMode
 from repro.faults.chaos import run_chaos
 from repro.faults.messages import (
+    HeartbeatMessage,
     OrphanReport,
     ReparentMessage,
     SessionAck,
     SessionMessage,
+    TokenAck,
+    TokenProbe,
 )
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.scheduler import Timers, WallScheduler
 
-from .handcrank import HandScheduler, build
+from .handcrank import Fabric, HandScheduler, add_manager, build
 
 LOCK = "L"
 
@@ -134,25 +137,39 @@ def test_wall_scheduler_keeps_a_raising_callback_and_keeps_going():
 
 
 def test_a_reopened_probe_keeps_its_own_deadline():
-    """Resolve a probe by ``ReparentMessage``, open a new one inside
-    ``probe_timeout``: it closes ``probe_timeout`` after the *second*
-    opened.  (The first probe's deadline used to close it — 0.4 s after
-    it opened here — and go on to claim a regeneration epoch.)"""
+    """Three members answer a probe, a ``ReparentMessage`` closes it, and
+    the coordinator's own suspicion of node 0 opens a new one.  The
+    closed probe leaves nothing behind: no re-send, no answers, no timer
+    that claims — the new probe claims on answers of its own.  (The
+    first probe's deadline used to close a reopened one early; until
+    probes claimed on answers, the second probe's deadline claimed
+    without asking anyone.)"""
 
-    scheduler, fabric = build(5)
-    coordinator = fabric.managers[4]  # The highest live id coordinates.
-    timeout = coordinator.config.probe_timeout
+    scheduler, fabric = HandScheduler(), Fabric()
+    for node in range(5):  # Only the coordinator ever suspects.
+        config = RecoveryConfig(suspect_timeout=1.0 if node == 4 else 1e6)
+        add_manager(scheduler, fabric, node, list(range(5)), config)
+    fabric.managers[0].stop()  # The token home died.
+    coordinator = fabric.managers[4]
+
+    def crank(until):
+        while scheduler.now() < until:
+            scheduler.advance(scheduler.now() + 0.25)
+            fabric.deliver(HeartbeatMessage, only_to=4)
 
     coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
-    scheduler.advance(0.4)
+    fabric.deliver(TokenProbe, TokenAck)  # Nodes 1-3: no token here.
+    crank(0.5)
     coordinator.handle(
-        ReparentMessage(lock_id=LOCK, sender=0, parent=0, epoch=0)
+        ReparentMessage(lock_id=LOCK, sender=3, parent=0, epoch=0)
     )
-    scheduler.advance(0.6)
-    coordinator.handle(OrphanReport(lock_id=LOCK, sender=1, suspect=0))
-    scheduler.advance(0.6 + timeout - 0.01)
+    fabric.drop(TokenProbe)
+    crank(10.0)  # Node 0 is suspected at 1.0: a new probe opens.
+    assert coordinator.detector.suspected == {0}
     assert fabric.claims(4) == set()
-    scheduler.advance(0.6 + timeout + 0.01)
+    asked = [d for _s, d, m in fabric.parked if isinstance(m, TokenProbe)]
+    assert sorted(set(asked)) == [0, 1, 2, 3]
+    fabric.deliver(TokenProbe, TokenAck)
     assert fabric.claims(4) == {1}
 
 

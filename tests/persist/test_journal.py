@@ -30,7 +30,6 @@ FAST_SIM = RecoveryConfig(
     retry_cap=1.2,
     channel_retry_base=0.2,
     channel_retry_cap=0.8,
-    probe_timeout=0.5,
     orphan_interval=0.25,
 )
 
