@@ -252,7 +252,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             "_provisional_children",
             durable=False,
         ),
-        field("local_serial", INT, "_local_serial", durable=False),
         field("departing", BOOL, "_departing", durable=False),
     )
 
@@ -308,7 +307,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # at the end of the rejoin settle window to restore liveness.
         self._custody_pending = False
         self._provisional_children: set = set()
-        self._local_serial = 0
         # Lease fencing (recovery extension, see repro.leases): while
         # ``_lease_fenced`` (this node lost quorum contact past its lease
         # duration and force-released its holds) the automaton grants
@@ -581,8 +579,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
             raise LockUsageError("cannot release U while an upgrade is pending")
         owned_before = self.owned_mode()
         self._held[mode] -= 1
-        if self.obs is not None:
-            self.obs.phase(self._node_id, self._lock_id, None, RELEASED, mode)
+        self._report(RELEASED, mode=mode)
         return self._after_owned_maybe_changed(owned_before)
 
     @recorded()
@@ -614,10 +611,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # Upgrades take precedence over queued requests (§3.4): every
         # queued conflicting request is blocked on this node's U anyway.
         self._queue.insert(0, request)
-        if self.obs is not None:
-            key = request.request_id
-            self.obs.phase(self._node_id, self._lock_id, key, ENQUEUED, LockMode.W)
-            self._obs_queue()
+        self._report(ENQUEUED, request.request_id, LockMode.W)
+        self._obs_queue()
         return self._refresh_frozen()
 
     @recorded(held=MODE, to=MODE)
@@ -652,14 +647,10 @@ class HierarchicalLockAutomaton(LockAutomaton):
         owned_before = self.owned_mode()
         self._held[held] -= 1
         self._held[to] = self._held.get(to, 0) + 1
-        if self.obs is not None:
-            # The old hold's span closes; the weakened hold is a fresh
-            # locally-granted span so a later release() can match it.
-            self.obs.phase(self._node_id, self._lock_id, None, RELEASED, held)
-            self._local_serial += 1
-            key = ("L", self._node_id, self._local_serial)
-            self.obs.phase(self._node_id, self._lock_id, key, ISSUED, to)
-            self.obs.phase(self._node_id, self._lock_id, key, GRANTED, to)
+        # The old hold's span closes; the weakened hold is a fresh
+        # locally-granted span so a later release() can match it.
+        self._report(RELEASED, mode=held)
+        self._report(GRANTED, mode=to)
         return self._after_owned_maybe_changed(owned_before)
 
     # ------------------------------------------------------------------
@@ -781,16 +772,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
             # Defensive update so the new parent's copyset entry dominates
             # our actual owned mode (it normally already does).
             out.append(self._release_to(msg.sender, owned_now))
-        if self.obs is not None:
-            self.obs.phase(
-                self._node_id,
-                self._lock_id,
-                pending.request_id,
-                GRANTED,
-                pending.mode,
-            )
-            self._obs_frozen()
-        self._listener(self._lock_id, pending.mode, ctx)
+        self._obs_frozen()
+        self._grant(ctx, pending.request_id, pending.mode)
         out.extend(self._drain_queue_nontoken())
         return out
 
@@ -874,22 +857,13 @@ class HierarchicalLockAutomaton(LockAutomaton):
             merged = unique
         self._queue = merged
         self._provisional_children.discard(msg.sender)
-        if self.obs is not None:
-            if answered:
-                self.obs.phase(
-                    self._node_id,
-                    self._lock_id,
-                    pending.request_id,
-                    GRANTED,
-                    pending.mode,
-                )
-            else:
-                self.obs.fault("adopt-token", self._node_id)
-            self._obs_queue()
-            self._obs_copyset()
-            self._obs_frozen()
+        self._obs_queue()
+        self._obs_copyset()
+        self._obs_frozen()
         if answered:
-            self._listener(self._lock_id, pending.mode, ctx)
+            self._grant(ctx, pending.request_id, pending.mode)
+        else:
+            self._report("adopt-token")
         out.extend(self._check_queue())
         return out
 
@@ -972,8 +946,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """Rule 7's atomic conversion: the ``U`` hold becomes ``W``."""
 
         self._held[LockMode.U] -= 1
-        if self.obs is not None:
-            self.obs.phase(self._node_id, self._lock_id, None, RELEASED, LockMode.U)
+        self._report(RELEASED, mode=LockMode.U)
         self._acquire_locally(LockMode.W, ctx, key=key)
 
     def _grant_copy(self, msg: RequestMessage) -> Envelope:
@@ -1061,13 +1034,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
         """
 
         self._held[mode] = self._held.get(mode, 0) + 1
-        if self.obs is not None:
-            if key is None:
-                self._local_serial += 1
-                key = ("L", self._node_id, self._local_serial)
-                self.obs.phase(self._node_id, self._lock_id, key, ISSUED, mode)
-            self.obs.phase(self._node_id, self._lock_id, key, GRANTED, mode)
-        self._listener(self._lock_id, mode, ctx)
+        self._grant(ctx, key, mode)
 
     # ------------------------------------------------------------------
     # Queue management.
@@ -1093,15 +1060,10 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._queue.append(msg)
         if self._options.priority_scheduling:
             self._queue.sort(key=self._queue_sort_key)
-        if self.obs is not None:
-            self.obs.phase(
-                msg.origin, self._lock_id, msg.request_id, ENQUEUED, msg.mode
-            )
-            if msg.mode in self._frozen:
-                self.obs.phase(
-                    msg.origin, self._lock_id, msg.request_id, FROZEN, msg.mode
-                )
-            self._obs_queue()
+        self._report(ENQUEUED, msg.request_id, msg.mode, msg.origin)
+        if msg.mode in self._frozen:
+            self._report(FROZEN, msg.request_id, msg.mode, msg.origin)
+        self._obs_queue()
 
     def _check_queue(self) -> List[Envelope]:
         """Serve the local queue head-first at the token node (Fig. 4).
@@ -1265,10 +1227,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
         )
         self._pending = request
         self._ctx = ctx
-        if self.obs is not None:
-            self.obs.phase(
-                self._node_id, self._lock_id, request.request_id, ISSUED, mode
-            )
+        self._report(ISSUED, request.request_id, mode)
         return request
 
     def _forward(self, msg: RequestMessage) -> Envelope:
@@ -1426,8 +1385,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
             q.request_id == self._pending.request_id for q in self._queue
         ):
             self._enqueue(self._pending)
-        if self.obs is not None:
-            self.obs.fault("regenerate", self._node_id)
+        self._report("regenerate")
         out: List[Envelope] = []
         if old_parent is not None:
             # Mirror ``reattach``'s old-parent notice: any owned mode we
@@ -1468,18 +1426,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
         owned_before = self.owned_mode()
         for mode, count in released:
             self._held[mode] = 0
-            if self.obs is not None:
-                for _ in range(count):
-                    self.obs.phase(
-                        self._node_id, self._lock_id, None, RELEASED, mode
-                    )
+            for _ in range(count):
+                self._report(RELEASED, mode=mode)
         self._pending = None
         self._ctx = None
         if self._queue:
             self._queue = []
             self._obs_queue()
-        if self.obs is not None:
-            self.obs.fault("lease-fence", self._node_id)
+        self._report("lease-fence")
         # Rule-1-safe release replayed up the hierarchy: the parent's
         # copyset weakens exactly as if the holds were released cleanly
         # (a fenced token node serves nothing from its queue).  Under a
@@ -1499,15 +1453,9 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._require_recovery()
         if self._pending is None or self._has_token or self._parent is None:
             return []
-        if self.obs is not None:
-            self.obs.phase(
-                self._node_id,
-                self._lock_id,
-                self._pending.request_id,
-                RETRANSMITTED,
-                self._pending.mode,
-            )
-        return [self._forward(self._pending)]
+        pending = self._pending
+        self._report(RETRANSMITTED, pending.request_id, pending.mode)
+        return [self._forward(pending)]
 
     @recorded(epoch=INT, token_holder=OPT_NODE)
     def observe_epoch(

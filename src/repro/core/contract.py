@@ -44,6 +44,7 @@ from ..errors import ProtocolError
 from .clock import LamportClock
 from .messages import Envelope, LockId, NodeId, fresh_attachment_seq
 from .modes import LockMode
+from ..obs.sink import GRANTED, ISSUED, PHASE_ORDER
 
 # ---------------------------------------------------------------------------
 # Codec vocabulary.
@@ -470,6 +471,56 @@ class LockAutomaton:
 
     def _require_recovery(self) -> None:
         """Guard of the fault-tolerance hooks (always on by default)."""
+
+    # -- observation ----------------------------------------------------
+
+    #: Names the spans of zero-message local grants.  Observer state,
+    #: not protocol state: no ``STATE`` row, and a class default, so an
+    #: unobserved automaton never stores it.
+    _local_spans = 0
+
+    def _report(
+        self,
+        event: str,
+        key: object = None,
+        mode: Optional[LockMode] = None,
+        node: Optional[NodeId] = None,
+    ) -> None:
+        """Tell an attached observer that span *key* reached *event*.
+
+        *event* is a span phase (:data:`repro.obs.sink.PHASES`) of the
+        request *key* at *node* (default: this node), or else the kind of
+        a fault event at this node.  ``GRANTED`` without a *key* is a
+        zero-message local grant, whose span is minted and issued here.
+        """
+
+        obs = self.obs
+        if obs is None:
+            return
+        if event not in PHASE_ORDER:
+            obs.fault(event, self._node_id)
+            return
+        if key is None and event == GRANTED:
+            self._local_spans += 1
+            key = ("L", self._node_id, self._local_spans)
+            obs.phase(self._node_id, self._lock_id, key, ISSUED, mode)
+        if node is None:
+            node = self._node_id
+        obs.phase(node, self._lock_id, key, event, mode)
+
+    def _grant(
+        self, ctx: object, key: object = None, mode: Optional[LockMode] = None
+    ) -> None:
+        """Mark span *key* granted (see :meth:`_report`), then hand the
+        request's *ctx* to the listener — with the granted *mode* first,
+        for a protocol that grants modes."""
+
+        if self.obs is not None:
+            self._report(GRANTED, key, mode)
+        if mode is None:
+            self._listener(self._lock_id, ctx)
+        else:
+            self._listener(self._lock_id, mode, ctx)
 
     # -- lease fencing --------------------------------------------------
 

@@ -32,7 +32,7 @@ from ..core.contract import (
 )
 from ..core.messages import Envelope, LockId, NodeId
 from ..errors import LockUsageError, ProtocolError
-from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED
+from ..obs.sink import ENQUEUED, ISSUED, RELEASED
 from .messages import NaimiRequestMessage, NaimiTokenMessage
 
 register_message(
@@ -167,11 +167,7 @@ class NaimiAutomaton(LockAutomaton):
             )
         self._requesting = True
         self._ctx = ctx
-        if self.obs is not None:
-            self.obs.phase(
-                self._node_id, self._lock_id, (self._lock_id, self._node_id),
-                ISSUED,
-            )
+        self._report(ISSUED, (self._lock_id, self._node_id))
         if self._last is None:
             if not self._has_token:
                 raise ProtocolError("root without token cannot self-grant")
@@ -199,8 +195,7 @@ class NaimiAutomaton(LockAutomaton):
                 f"node {self._node_id} is not in the CS of {self._lock_id}"
             )
         self._in_cs = False
-        if self.obs is not None:
-            self.obs.phase(self._node_id, self._lock_id, None, RELEASED)
+        self._report(RELEASED)
         if self._next is None:
             return []  # Keep the token until someone asks.
         successor = self._next
@@ -230,15 +225,11 @@ class NaimiAutomaton(LockAutomaton):
                         f"node {self._node_id} already has a successor"
                     )
                 self._next = msg.origin
-                if self.obs is not None:
-                    # The requester just joined the distributed queue (it
-                    # became the token holder's successor).
-                    self.obs.phase(
-                        msg.origin,
-                        self._lock_id,
-                        (self._lock_id, msg.origin),
-                        ENQUEUED,
-                    )
+                # The requester just joined the distributed queue (it
+                # became the token holder's successor).
+                self._report(
+                    ENQUEUED, (self._lock_id, msg.origin), node=msg.origin
+                )
             else:
                 self._has_token = False
                 out.append(
@@ -284,13 +275,8 @@ class NaimiAutomaton(LockAutomaton):
 
         self._requesting = False
         self._in_cs = True
-        if self.obs is not None:
-            self.obs.phase(
-                self._node_id, self._lock_id, (self._lock_id, self._node_id),
-                GRANTED,
-            )
         ctx, self._ctx = self._ctx, None
-        self._listener(self._lock_id, ctx)
+        self._grant(ctx, (self._lock_id, self._node_id))
 
     # ------------------------------------------------------------------
     # God-view membership splices (see repro.sim.cluster).

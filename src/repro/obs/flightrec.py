@@ -80,9 +80,10 @@ from .live import (
 
 #: Dump format identity (first record of every dump file).  Version 2:
 #: ``op`` events carry their arguments under the methods' own parameter
-#: names, as the recorded-operation tables decode them.
+#: names, as the recorded-operation tables decode them.  Version 3:
+#: hierarchical checkpoints lost ``local_serial`` (observer state).
 DUMP_FORMAT = "flightrec"
-DUMP_VERSION = 2
+DUMP_VERSION = 3
 
 #: Default ring capacity (events retained per node).
 DEFAULT_CAPACITY = 4096

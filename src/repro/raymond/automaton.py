@@ -33,7 +33,7 @@ from ..core.contract import (
 )
 from ..core.messages import Envelope, LockId, NodeId, TraceContext
 from ..errors import LockUsageError, ProtocolError
-from ..obs.sink import ENQUEUED, GRANTED, ISSUED, RELEASED
+from ..obs.sink import ENQUEUED, ISSUED, RELEASED
 from .messages import RaymondPrivilegeMessage, RaymondRequestMessage
 
 #: Sentinel queued when this node itself wants the critical section.
@@ -179,10 +179,10 @@ class RaymondAutomaton(LockAutomaton):
             )
         self._ctx = ctx
         self._request_q.append((SELF, None))
+        key = (self._lock_id, self._node_id)
+        self._report(ISSUED, key)
+        self._report(ENQUEUED, key)
         if self.obs is not None:
-            key = (self._lock_id, self._node_id)
-            self.obs.phase(self._node_id, self._lock_id, key, ISSUED)
-            self.obs.phase(self._node_id, self._lock_id, key, ENQUEUED)
             self.obs.queue_depth(
                 self._node_id, self._lock_id, len(self._request_q)
             )
@@ -197,8 +197,7 @@ class RaymondAutomaton(LockAutomaton):
                 f"node {self._node_id} is not in the CS of {self._lock_id}"
             )
         self._using = False
-        if self.obs is not None:
-            self.obs.phase(self._node_id, self._lock_id, None, RELEASED)
+        self._report(RELEASED)
         return self._serve()
 
     # ------------------------------------------------------------------
@@ -241,15 +240,8 @@ class RaymondAutomaton(LockAutomaton):
                 )
             if head == SELF:
                 self._using = True
-                if self.obs is not None:
-                    self.obs.phase(
-                        self._node_id,
-                        self._lock_id,
-                        (self._lock_id, self._node_id),
-                        GRANTED,
-                    )
                 ctx, self._ctx = self._ctx, None
-                self._listener(self._lock_id, ctx)
+                self._grant(ctx, (self._lock_id, self._node_id))
             else:
                 self._holder = head
                 self._asked = False

@@ -23,6 +23,7 @@ from repro.core.clock import LamportClock
 from repro.core.contract import INT, LockAutomaton, recorded
 from repro.core.modes import LockMode
 from repro.naimi.automaton import NaimiAutomaton
+from repro.obs.collect import RunObserver
 from repro.obs.flightrec import (
     NodeReplayer,
     attach_recorders,
@@ -203,6 +204,33 @@ def test_request_with_its_default_priority_records_the_golden_event():
         '{"kind": "op", "lock": "L", "op": "request", '
         '"args": {"mode": "R", "priority": 0}, "seq": 3, "t": 0.0}]'
     )
+
+
+def test_an_observed_run_replays_clean(tmp_path):
+    """Observer state is not protocol state: a run recorded with an
+    observer attached replays, without one, to the same checkpoints.
+    (The counter naming local-grant spans once sat in the hierarchical
+    ``STATE`` table and advanced only while observed, so every
+    checkpoint after a local grant mismatched on replay.)"""
+
+    observer = RunObserver()
+    cluster = SimHierarchicalCluster(3, seed=9, obs=observer)
+    recorders = attach_recorders(cluster, checkpoint_every=4)
+
+    def body(node):
+        client = cluster.client(node)
+        for _ in range(6):
+            yield client.acquire("lock0", LockMode.R)
+            yield Timeout(cluster.sim, 0.002)
+            client.release("lock0", LockMode.R)
+            yield Timeout(cluster.sim, 0.001)
+
+    run_processes(cluster.sim, [body(node) for node in range(3)])
+    # The premise: local grants were observed, under minted span keys.
+    assert any(span.key.startswith("('L'") for span in observer.spans)
+    findings = _replay_findings(recorders, tmp_path)
+    assert sorted(findings) == [0, 1, 2]
+    assert findings == {0: [], 1: [], 2: []}
 
 
 # -- formats are checked, not assumed -----------------------------------
