@@ -254,6 +254,11 @@ class HierarchicalLockAutomaton(LockAutomaton):
         ),
         field("departing", BOOL, "_departing", durable=False),
     )
+    GAUGES = (
+        ("queue_depth", "_queue"),
+        ("copyset_size", "_children"),
+        ("freeze_size", "_frozen"),
+    )
 
     def __init__(
         self,
@@ -317,22 +322,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # forwards, drains and hands off, so the copyset around it can
         # be spliced without a Rule-1 window.
         self._departing = False
-
-    # -- observability gauges (no-ops while ``self.obs`` is None) ------
-
-    def _obs_queue(self) -> None:
-        if self.obs is not None:
-            self.obs.queue_depth(self._node_id, self._lock_id, len(self._queue))
-
-    def _obs_copyset(self) -> None:
-        if self.obs is not None:
-            self.obs.copyset_size(
-                self._node_id, self._lock_id, len(self._children)
-            )
-
-    def _obs_frozen(self) -> None:
-        if self.obs is not None:
-            self.obs.freeze_size(self._node_id, self._lock_id, len(self._frozen))
 
     # ------------------------------------------------------------------
     # Introspection (read-only views used by tests, monitors, metrics).
@@ -612,7 +601,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # queued conflicting request is blocked on this node's U anyway.
         self._queue.insert(0, request)
         self._report(ENQUEUED, request.request_id, LockMode.W)
-        self._obs_queue()
         return self._refresh_frozen()
 
     @recorded(held=MODE, to=MODE)
@@ -772,7 +760,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             # Defensive update so the new parent's copyset entry dominates
             # our actual owned mode (it normally already does).
             out.append(self._release_to(msg.sender, owned_now))
-        self._obs_frozen()
         self._grant(ctx, pending.request_id, pending.mode)
         out.extend(self._drain_queue_nontoken())
         return out
@@ -857,9 +844,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             merged = unique
         self._queue = merged
         self._provisional_children.discard(msg.sender)
-        self._obs_queue()
-        self._obs_copyset()
-        self._obs_frozen()
         if answered:
             self._grant(ctx, pending.request_id, pending.mode)
         else:
@@ -896,7 +880,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._children[msg.sender] = msg.new_mode
         # A live release re-confirms a restored (provisional) child entry.
         self._provisional_children.discard(msg.sender)
-        self._obs_copyset()
         return self._after_owned_maybe_changed(owned_before)
 
     @handles(FreezeMessage)
@@ -908,7 +891,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             return []
         old = self._frozen
         self._frozen = msg.frozen
-        self._obs_frozen()
         return self._propagate_freeze(old, msg.frozen)
 
     # ------------------------------------------------------------------
@@ -955,7 +937,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         recorded = self._children.get(msg.origin, LockMode.NONE)
         self._children[msg.origin] = max_mode((recorded, msg.mode))
         self._provisional_children.discard(msg.origin)
-        self._obs_copyset()
         attachment_seq = self._mint_serial()
         self._child_seqs[msg.origin] = attachment_seq
         if self._options.recovery:
@@ -999,13 +980,11 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         self._children.pop(msg.origin, None)
         self._provisional_children.discard(msg.origin)
-        self._obs_copyset()
         # Filter out releases the requester sent before becoming the root.
         self._child_seqs[msg.origin] = self._mint_serial()
         prev_owner_mode = self.owned_mode()
         queue = tuple(self._queue)
         self._queue = []
-        self._obs_queue()
         self._has_token = False
         self._parent = msg.origin
         self._attach_seq = self._mint_serial()
@@ -1030,7 +1009,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         *key* identifies the span of an already-issued request being
         served from the queue; ``None`` means a zero-message local grant,
-        whose span is minted here so it still appears in traces.
+        whose span ``_grant`` mints so it still appears in traces.
         """
 
         self._held[mode] = self._held.get(mode, 0) + 1
@@ -1063,7 +1042,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._report(ENQUEUED, msg.request_id, msg.mode, msg.origin)
         if msg.mode in self._frozen:
             self._report(FROZEN, msg.request_id, msg.mode, msg.origin)
-        self._obs_queue()
 
     def _check_queue(self) -> List[Envelope]:
         """Serve the local queue head-first at the token node (Fig. 4).
@@ -1094,7 +1072,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 out.extend(self._transfer_token(head))
                 return out  # The queue travelled with the token.
             out.append(self._grant_copy(head))
-        self._obs_queue()
         out.extend(self._refresh_frozen())
         return out
 
@@ -1103,8 +1080,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         out: List[Envelope] = []
         queued, self._queue = self._queue, []
-        if queued:
-            self._obs_queue()
         for msg in queued:
             owned = self.owned_mode()
             if (
@@ -1175,7 +1150,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             return []
         old = self._frozen
         self._frozen = new
-        self._obs_frozen()
         return self._propagate_freeze(old, new)
 
     def _propagate_freeze(
@@ -1248,8 +1222,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         selects stay queued."""
 
         queued, self._queue = self._queue, []
-        if queued:
-            self._obs_queue()
         out: List[Envelope] = []
         for msg in queued:
             if skip is not None and skip(msg):
@@ -1273,11 +1245,9 @@ class HierarchicalLockAutomaton(LockAutomaton):
 
         self._parent = new_parent
         self._attach_seq = self._mint_serial()
-        evicted = self._children.pop(new_parent, None)
+        self._children.pop(new_parent, None)
         self._child_seqs.pop(new_parent, None)
         self._provisional_children.discard(new_parent)
-        if evicted is not None:
-            self._obs_copyset()
 
     # ------------------------------------------------------------------
     # Recovery hooks (driven by repro.faults.recovery.RecoveryManager;
@@ -1308,11 +1278,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._children.pop(node, None)
         self._child_seqs.pop(node, None)
         self._provisional_children.discard(node)
-        before = len(self._queue)
         self._queue = [q for q in self._queue if q.origin != node]
-        if len(self._queue) != before:
-            self._obs_queue()
-        self._obs_copyset()
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out
@@ -1430,9 +1396,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 self._report(RELEASED, mode=mode)
         self._pending = None
         self._ctx = None
-        if self._queue:
-            self._queue = []
-            self._obs_queue()
+        self._queue = []
         self._report("lease-fence")
         # Rule-1-safe release replayed up the hierarchy: the parent's
         # copyset weakens exactly as if the holds were released cleanly
@@ -1544,9 +1508,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         if self._pending is not None:
             floor = max(floor, self._pending.request_id.serial)
         advance_serial_past(floor)
-        self._obs_queue()
-        self._obs_copyset()
-        self._obs_frozen()
 
     @recorded()
     def confirm_custody(self) -> List[Envelope]:
@@ -1585,7 +1546,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._child_seqs.clear()
         self._provisional_children.clear()
         self._recent_grants.clear()
-        self._obs_copyset()
         out: List[Envelope] = []
         owned = self.owned_mode()
         if owned is not LockMode.NONE:
@@ -1615,8 +1575,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         dropped = before - len(self._queue)
         if not had_pending and not dropped:
             return []
-        if dropped:
-            self._obs_queue()
         out: List[Envelope] = []
         if not self._has_token and self._parent is not None:
             out = self._forward_queue()
@@ -1703,7 +1661,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._children[node] = max_mode((known, mode))
         if seq > self._child_seqs.get(node, 0):
             self._child_seqs[node] = seq
-        self._obs_copyset()
 
     # ------------------------------------------------------------------
     # God-view membership splices (see repro.sim.cluster).
@@ -1781,7 +1738,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         for node in stale:
             self._children.pop(node, None)
             self._child_seqs.pop(node, None)
-        self._obs_copyset()
         out = self._after_owned_maybe_changed(owned_before)
         out.extend(self._refresh_frozen())
         return out

@@ -12,6 +12,7 @@ one) share a single definition of it:
   which the observability records (:mod:`repro.obs`) declare theirs
   (:func:`record`);
 * :class:`LockAutomaton` — hook slots, journalling, flight recording,
+  observation (span reports, grants, gauges sampled between inputs),
   lease fencing, the ``handle()`` preamble, the state encoder/decoder
   and durable adoption;
 * :class:`AutomatonSpace` — the per-node multiplexer (lazy creation,
@@ -322,11 +323,12 @@ def recorded(**codecs: Codec) -> Callable:
     encoded, in table order) before the body runs; replay calls
     ``getattr(automaton, name)(**decoded_args)``.  While a journal is
     attached, each call that returns journals the durable state under
-    the method's name (see :meth:`LockAutomaton.handle`).  Argument
-    names are the method's own parameter names (the grant context,
-    which does not survive a recording, is never one of them); any other
-    name is a :class:`TypeError` as the class is created, so no dump can
-    hold a call the replayer could not re-apply.
+    the method's name, and an attached observer samples the gauges (see
+    :meth:`LockAutomaton.handle`).  Argument names are the method's own
+    parameter names (the grant context, which does not survive a
+    recording, is never one of them); any other name is a
+    :class:`TypeError` as the class is created, so no dump can hold a
+    call the replayer could not re-apply.
     """
 
     def wrap(method: Callable) -> Callable:
@@ -358,6 +360,8 @@ def recorded(**codecs: Codec) -> Callable:
             result = method(self, *args, **kwargs)
             if self.persist is not None:
                 self.persist.record(self, op)
+            if self.obs is not None:
+                self._sample_gauges()
             return result
 
         operation.recorded_args = codecs
@@ -377,7 +381,8 @@ def handles(message_type: type) -> Callable:
 
 
 def _collect_tables(cls: Type["LockAutomaton"]) -> None:
-    """Build *cls*'s handler, operation and durable-field tables."""
+    """Build *cls*'s handler, operation and durable-field tables, and
+    its gauges' baseline."""
 
     cls.HANDLERS = dict(cls.HANDLERS)
     cls.OPS = dict(cls.OPS)
@@ -387,6 +392,8 @@ def _collect_tables(cls: Type["LockAutomaton"]) -> None:
         if hasattr(member, "recorded_args"):
             cls.OPS[name] = member.recorded_args
     cls._DURABLE = tuple(row for row in cls.STATE if row[-1])
+    # Every gauge of a newborn automaton reads 0 (see ``_sample_gauges``).
+    cls._gauged = (0,) * len(cls.GAUGES)
     if vars(cls).get("PROTOCOL"):  # only a class that names itself
         _PROTOCOLS[cls.PROTOCOL] = cls
 
@@ -404,6 +411,10 @@ class LockAutomaton:
     PROTOCOL = ""
     #: Every field of the automaton's state, in one table.
     STATE: Tuple[Field, ...] = ()
+    #: What an attached observer samples between inputs: rows of (sink
+    #: gauge method, attribute); each gauge reads ``len()`` of its
+    #: attribute (see :meth:`_sample_gauges`).
+    GAUGES: Tuple[Tuple[str, str], ...] = ()
     #: A legal :meth:`birth` for an automaton about to be restored over.
     BLANK: Mapping[str, object] = {}
     #: Durable keys :meth:`_rejoin_policy` resets (round-trip exceptions).
@@ -508,6 +519,24 @@ class LockAutomaton:
             node = self._node_id
         obs.phase(node, self._lock_id, key, event, mode)
 
+    def _sample_gauges(self) -> None:
+        """Report each ``GAUGES`` value that changed since the last sample.
+
+        Called once an input returns, so a gauge reads the state between
+        inputs, as checkpoints and journal records do.  The last values
+        reported are observer state, not protocol state: the class
+        default (all 0) until an observed input first moves one.
+        """
+
+        gauges, before = self.GAUGES, self._gauged
+        values = tuple(len(getattr(self, attr)) for _sink, attr in gauges)
+        if values == before:
+            return
+        for (sink, _attr), old, new in zip(gauges, before, values):
+            if new != old:
+                getattr(self.obs, sink)(self._node_id, self._lock_id, new)
+        self._gauged = values
+
     def _grant(
         self, ctx: object, key: object = None, mode: Optional[LockMode] = None
     ) -> None:
@@ -550,7 +579,8 @@ class LockAutomaton:
 
         Once the handler returns, an attached journal records the durable
         state under the message's type name, before the caller sends the
-        replies (write-ahead).  A stale-fenced drop records nothing.
+        replies (write-ahead), and an attached observer samples the
+        protocol's gauges.  A stale-fenced drop records nothing.
         """
 
         if message.lock_id != self._lock_id:
@@ -575,6 +605,8 @@ class LockAutomaton:
         out = handler(self, message)
         if self.persist is not None:
             self.persist.record(self, type(message).__name__)
+        if self.obs is not None:
+            self._sample_gauges()
         return out
 
     # -- birth ----------------------------------------------------------

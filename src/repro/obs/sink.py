@@ -1,6 +1,7 @@
 """Hook surface between the runtime layers and the observability layer.
 
-Every instrumented component — the protocol automata, the discrete-event
+Every instrumented component — the protocol automata (through the
+automaton contract, :mod:`repro.core.contract`), the discrete-event
 engine, the simulated network and the threaded/TCP transports — reports
 through an :class:`ObsSink`.  The base class implements every hook as a
 no-op, so it *is* the null sink: instrumentation sites either hold
@@ -77,15 +78,19 @@ class ObsSink:
         """
 
     # -- protocol gauges -------------------------------------------------
+    #
+    # Sampled by the automaton contract after each input, from the
+    # protocol's ``GAUGES`` table, and only when the value changed since
+    # the last input: each call reports a settled value between inputs.
 
     def queue_depth(self, node: NodeId, lock_id: LockId, depth: int) -> None:
-        """The local request queue of (*node*, *lock_id*) changed size."""
+        """The local request queue of (*node*, *lock_id*) now holds *depth*."""
 
     def copyset_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        """The copyset (children map) of (*node*, *lock_id*) changed size."""
+        """The copyset (children map) of (*node*, *lock_id*) now has *size*."""
 
     def freeze_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        """The frozen-mode set in force at (*node*, *lock_id*) changed."""
+        """The frozen-mode set in force at (*node*, *lock_id*) now has *size*."""
 
     # -- wire traffic ----------------------------------------------------
 

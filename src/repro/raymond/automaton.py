@@ -85,6 +85,7 @@ class RaymondAutomaton(LockAutomaton):
         field("queue", REQUEST_Q, "_request_q"),
         field("fence_floor", INT, "_fence_floor"),
     )
+    GAUGES = (("queue_depth", "_request_q"),)
 
     def __init__(
         self,
@@ -182,10 +183,6 @@ class RaymondAutomaton(LockAutomaton):
         key = (self._lock_id, self._node_id)
         self._report(ISSUED, key)
         self._report(ENQUEUED, key)
-        if self.obs is not None:
-            self.obs.queue_depth(
-                self._node_id, self._lock_id, len(self._request_q)
-            )
         return self._serve()
 
     @recorded()
@@ -207,10 +204,6 @@ class RaymondAutomaton(LockAutomaton):
     @handles(RaymondRequestMessage)
     def _handle_request(self, msg: RaymondRequestMessage) -> List[Envelope]:
         self._request_q.append((msg.sender, msg.trace))
-        if self.obs is not None:
-            self.obs.queue_depth(
-                self._node_id, self._lock_id, len(self._request_q)
-            )
         return self._serve()
 
     @handles(RaymondPrivilegeMessage)
@@ -234,10 +227,6 @@ class RaymondAutomaton(LockAutomaton):
         out: List[Envelope] = []
         if self._holder is None and not self._using and self._request_q:
             head, head_trace = self._request_q.popleft()
-            if self.obs is not None:
-                self.obs.queue_depth(
-                    self._node_id, self._lock_id, len(self._request_q)
-                )
             if head == SELF:
                 self._using = True
                 ctx, self._ctx = self._ctx, None

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 import os
 import pathlib
+import textwrap
 from collections import deque
 
 import pytest
@@ -42,6 +44,7 @@ from repro.obs.flightrec import (
     load_dump,
     write_dump,
 )
+from repro.obs.sink import GRANTED, ObsSink
 from repro.persist import MemoryNodeStore, NodeJournal, recover_node_state
 from repro.raymond.automaton import RaymondAutomaton
 
@@ -86,6 +89,7 @@ class ToyAutomaton(LockAutomaton):
         field("holding", BOOL, "_holding"),
         field("fence_floor", INT, "_fence_floor"),
     )
+    GAUGES = (("queue_depth", "_waiting"),)
 
     def __init__(self, node_id, lock_id, server, listener):
         LockAutomaton.__init__(self, node_id, lock_id, listener)
@@ -126,7 +130,7 @@ class ToyAutomaton(LockAutomaton):
     def _on_give(self, msg):
         self._asking, self._holding = False, True
         ctx, self._ctx = self._ctx, None
-        self._listener(self._lock_id, ctx)
+        self._grant(ctx, (self._lock_id, self._node_id))
         return []
 
     def _serve(self):
@@ -145,9 +149,10 @@ class ToySpace(AutomatonSpace):
 # -- the harness: three nodes, a FIFO pump, recorders and journals ------
 
 
-def _drive():
-    """Four rounds of everyone taking ``L`` and ``M`` in turn; returns
-    ``(spaces, recorders, journals)`` with the last round still held."""
+def _drive(obs=None):
+    """Four rounds of everyone taking ``L`` and ``M`` in turn, observed
+    by *obs* if given; returns ``(spaces, recorders, journals)`` with the
+    last round still held."""
 
     granted = deque()
     spaces, recorders, journals = {}, {}, {}
@@ -155,6 +160,7 @@ def _drive():
         spaces[node] = ToySpace(
             node, lambda lock, ctx, node=node: granted.append((node, lock))
         )
+        spaces[node].obs = obs
         recorders[node] = FlightRecorder(
             node, protocol=ToyAutomaton.PROTOCOL, checkpoint_every=4
         )
@@ -228,6 +234,67 @@ def test_only_the_contract_decides_what_is_journaled():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Attribute)
         and node.attr in ("persist", "_persist")
+    ]
+    assert offences == []
+
+
+class _GaugeLog(ObsSink):
+    """Records the toy's one gauge and its span phases."""
+
+    def __init__(self):
+        self.samples = []
+        self.phases = []
+
+    def queue_depth(self, node, lock_id, depth):
+        self.samples.append((node, lock_id, depth))
+
+    def phase(self, node, lock_id, key, phase, mode=None):
+        self.phases.append((phase, node, lock_id))
+
+
+def test_the_contract_samples_declared_gauges_between_inputs():
+    """One ``GAUGES`` row is all a protocol writes to be observed: the
+    contract samples it after each input, and only when it changed.
+    The server's queue briefly holds each first asker of a round inside
+    one input (queued, then served at once), which is never sampled."""
+
+    log = _GaugeLog()
+    _drive(obs=log)
+    round_trip = [1, 2, 1, 0]  # 2 waits, 0 waits, 2 served, 0 served
+    held = [1, 2, 1]  # the last round stays held
+    assert [s for s in log.samples if s[1] == "L"] == [
+        (SERVER, "L", depth) for depth in round_trip * 2
+    ]
+    assert [s for s in log.samples if s[1] == "M"] == [
+        (SERVER, "M", depth) for depth in round_trip + held
+    ]
+    # ``_grant`` marks each grant at its holder (the last round's second).
+    assert log.phases == [
+        (GRANTED, node, lock) for lock in "LMLM" for node in (1, 2, 0)
+    ][:-1]
+
+
+def test_only_the_contract_reports_to_the_observer():
+    """No protocol body names the observer: spans, faults and grants go
+    through the contract's ``_report`` / ``_grant``, gauges through the
+    ``GAUGES`` table."""
+
+    root = pathlib.Path(repro.__file__).parent
+    sources = {
+        str(path.relative_to(root)): path.read_text()
+        for path in (
+            root / "core/automaton.py",
+            root / "naimi/automaton.py",
+            root / "raymond/automaton.py",
+        )
+    }
+    sources["ToyAutomaton"] = textwrap.dedent(inspect.getsource(ToyAutomaton))
+    offences = [
+        f"{where}:{node.lineno} {ast.unparse(node)}"
+        for where, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "obs" or node.attr.startswith("_obs_"))
     ]
     assert offences == []
 

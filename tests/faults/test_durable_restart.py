@@ -9,6 +9,8 @@ with durability off must stay bit-identical run to run.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.lockspace import LockSpace
@@ -16,26 +18,18 @@ from repro.core.modes import LockMode
 from repro.faults.chaos import run_chaos
 from repro.faults.host import RESILIENT_OPTIONS
 from repro.faults.plan import CrashEvent, FaultPlan
-from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
 from repro.obs.live import BLANK_REJOIN_GAP
 from repro.persist import MemoryPersistence, recover_node_state
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
+from tests.helpers import FAST_SIM
 
-FAST_SIM = RecoveryConfig(
-    heartbeat_interval=0.2,
-    suspect_timeout=1.0,
-    retry_base=0.3,
-    retry_cap=1.2,
-    channel_retry_base=0.2,
-    channel_retry_cap=0.8,
-    orphan_interval=0.25,
-    # Comfortably above the fabric's latency tail: probe answers ride
-    # FIFO links, so one slow draw delays every reply behind it, and a
-    # settle window close to that tail confirms custody spuriously.
-    rejoin_settle=2.0,
-)
+#: The shared sim timing, with restored copyset entries kept provisional
+#: for longer: a live child re-confirms its entry by a release that rides
+#: a FIFO link, so one slow draw delays it, and an entry that expires
+#: first is dropped while the child may still hold a mode under it.
+FAST_SIM = dataclasses.replace(FAST_SIM, rejoin_settle=2.0)
 
 
 class TestDurableChaosVerdicts:

@@ -27,7 +27,6 @@ from repro.faults.plan import (
     MembershipEvent,
     Partition,
 )
-from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
 from repro.obs.live import (
     ClusterView,
@@ -39,16 +38,7 @@ from repro.obs.sink import ObsSink
 from repro.persist import MemoryPersistence
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
-
-FAST_SIM = RecoveryConfig(
-    heartbeat_interval=0.2,
-    suspect_timeout=1.0,
-    retry_base=0.3,
-    retry_cap=1.2,
-    channel_retry_base=0.2,
-    channel_retry_cap=0.8,
-    orphan_interval=0.25,
-)
+from tests.helpers import FAST_SIM
 
 LOCKS = ("db", "db.t1", "db.t2")
 

@@ -25,18 +25,7 @@ from repro.faults.simcluster import ResilientSimCluster
 from repro.obs.collect import RunObserver
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
-
-#: Sim-tuned recovery: everything fast enough that a 20-second scenario
-#: covers suspicion, probing, answers and regeneration comfortably.
-FAST_SIM = RecoveryConfig(
-    heartbeat_interval=0.2,
-    suspect_timeout=1.0,
-    retry_base=0.3,
-    retry_cap=1.2,
-    channel_retry_base=0.2,
-    channel_retry_cap=0.8,
-    orphan_interval=0.25,
-)
+from tests.helpers import FAST_SIM
 
 
 def test_two_nodes_minimum():

@@ -1,5 +1,6 @@
-"""Shared test utilities: a synchronous message pump for automata, and
-a sink that records what a message fabric reports.
+"""Shared test utilities: a synchronous message pump for automata, a
+sink that records what a message fabric reports, and the recovery
+timing of the simulated fault-tolerance tests.
 
 The pump drives a set of transport-agnostic automata with instant,
 per-pair-FIFO delivery — protocol unit tests exercise exact message
@@ -20,9 +21,22 @@ from repro.core.automaton import (
 from repro.core.clock import LamportClock
 from repro.core.messages import Envelope, NodeId
 from repro.core.modes import LockMode
+from repro.faults.recovery import RecoveryConfig
 from repro.obs.sink import ObsSink
 
 LOCK = "L"
+
+#: Sim-tuned recovery: everything fast enough that a 20-second scenario
+#: covers suspicion, probing, answers and regeneration comfortably.
+FAST_SIM = RecoveryConfig(
+    heartbeat_interval=0.2,
+    suspect_timeout=1.0,
+    retry_base=0.3,
+    retry_cap=1.2,
+    channel_retry_base=0.2,
+    channel_retry_cap=0.8,
+    orphan_interval=0.25,
+)
 
 
 class RecordingSink(ObsSink):

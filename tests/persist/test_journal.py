@@ -11,7 +11,6 @@ from __future__ import annotations
 from repro.core.automaton import HierarchicalLockAutomaton
 from repro.core.clock import LamportClock
 from repro.core.modes import LockMode
-from repro.faults.recovery import RecoveryConfig
 from repro.faults.simcluster import ResilientSimCluster
 from repro.persist import (
     FilePersistence,
@@ -22,16 +21,7 @@ from repro.persist import (
 from repro.services.sessions import SESSIONS_JOURNAL_KEY
 from repro.sim.engine import Process, Timeout
 from repro.verification.invariants import CompatibilityMonitor
-
-FAST_SIM = RecoveryConfig(
-    heartbeat_interval=0.2,
-    suspect_timeout=1.0,
-    retry_base=0.3,
-    retry_cap=1.2,
-    channel_retry_base=0.2,
-    channel_retry_cap=0.8,
-    orphan_interval=0.25,
-)
+from tests.helpers import FAST_SIM
 
 
 def _audit_view(lock_id, payload):
