@@ -209,15 +209,14 @@ def _chaos_main(argv: Sequence[str]) -> int:
             f"{len(rec['regenerations'])} regenerations, "
             f"{rec['app_retransmits']} request retransmits"
         )
-        leases = data.get("leases")
-        if leases is not None:
-            fenced = ",".join(str(n) for n in leases["fenced_nodes"])
-            print(
-                f"  leases: {leases['renewals_sent']} renewals, "
-                f"{leases['revoked']} revoked, "
-                f"fenced=[{fenced}], "
-                f"{leases['holds_reclaimed']} holds reclaimed"
-            )
+        leases = data["leases"]
+        fenced = ",".join(str(n) for n in leases["fenced_nodes"])
+        print(
+            f"  leases: {leases['renewals_sent']} renewals, "
+            f"{leases['revoked']} revoked, "
+            f"fenced=[{fenced}], "
+            f"{leases['holds_reclaimed']} holds reclaimed"
+        )
         durability = data.get("durability")
         if durability is not None:
             wal = durability["wal"]

@@ -24,10 +24,7 @@ from ..obs.export import write_run
 from ..sim.cluster import SimHierarchicalCluster, SimNaimiCluster
 from ..sim.engine import Simulator, run_processes
 from ..sim.rng import Exponential, derive_rng
-from ..verification.invariants import (
-    CompatibilityMonitor,
-    MutualExclusionMonitor,
-)
+from ..verification.invariants import CompatibilityMonitor
 from ..workload.airline import (
     hierarchical_client,
     naimi_pure_client,
@@ -103,8 +100,6 @@ class Protocol:
     #: Label of the runs (:attr:`RunResult.protocol`, the trace sections).
     name: str
     cluster: type
-    #: Safety monitor class attached to every grant and release.
-    monitor: type
     #: ``(sim, cluster, spec, metrics)`` → the client bodies to drive.
     clients: Callable
     #: Node count → initial token placement; ``None`` leaves the
@@ -142,15 +137,15 @@ PROTOCOLS: Dict[str, Protocol] = {
     row.name: row
     for row in (
         Protocol(
-            "hierarchical", SimHierarchicalCluster, CompatibilityMonitor,
+            "hierarchical", SimHierarchicalCluster,
             airline(hierarchical_client, "hier"),
         ),
         Protocol(
-            "naimi-pure", SimNaimiCluster, MutualExclusionMonitor,
+            "naimi-pure", SimNaimiCluster,
             airline(naimi_pure_client, "naimi-pure"),
         ),
         Protocol(
-            "naimi-same-work", SimNaimiCluster, MutualExclusionMonitor,
+            "naimi-same-work", SimNaimiCluster,
             airline(naimi_same_work_client, "naimi-same-work"),
         ),
     )
@@ -177,7 +172,7 @@ def run(
     sim = Simulator()
     metrics = MetricsCollector()
     observer = RunObserver(clock=lambda: sim.now) if observe else None
-    monitor = protocol.monitor() if check_invariants else None
+    monitor = CompatibilityMonitor() if check_invariants else None
     if protocol.token_home is not None:
         cluster_options["token_home"] = protocol.token_home(num_nodes)
     cluster = protocol.cluster(

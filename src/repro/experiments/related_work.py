@@ -29,7 +29,6 @@ from typing import List, Optional, Sequence
 from ..raymond.topology import Topology, balanced_binary_tree, chain
 from ..sim.cluster import SimNaimiCluster, SimRaymondCluster
 from ..sim.rng import derive_rng
-from ..verification.invariants import MutualExclusionMonitor
 from ..workload.airline import naimi_pure_client
 from ..workload.spec import WorkloadSpec
 from .common import DEFAULT_EVENT_BUDGET, Protocol, RunResult, airline, run
@@ -60,12 +59,10 @@ def sequential_probe(sim, cluster, spec, metrics) -> List:
 
 
 NAIMI_PROBE = Protocol(
-    "naimi", SimNaimiCluster, MutualExclusionMonitor, sequential_probe,
-    token_home=None,
+    "naimi", SimNaimiCluster, sequential_probe, token_home=None,
 )
 RAYMOND_PROBE = Protocol(
-    "raymond", SimRaymondCluster, MutualExclusionMonitor, sequential_probe,
-    token_home=None,
+    "raymond", SimRaymondCluster, sequential_probe, token_home=None,
 )
 #: Raymond under the single-token airline workload (Naimi *pure*'s).
 RAYMOND = dataclasses.replace(

@@ -8,7 +8,8 @@ space + :class:`~repro.faults.recovery.RecoveryManager` + journal +
 flight recorder), crash/restart including WAL rejoin and session
 reclaim, join/drain/decommission bookkeeping, the crash / membership /
 durability logs, monitor plumbing, the clients' call path (admit,
-record, then the node's recovery manager) and grant listener,
+record, then the node's recovery manager), the grant listener that
+leases every grant, the lease layer's forced-release report,
 :meth:`~ResilientHost.cluster_view` and
 :meth:`~ResilientHost.recovery_stats` — written against three small
 vocabularies its engine binding supplies:
@@ -24,8 +25,10 @@ vocabularies its engine binding supplies:
 
 :class:`~repro.faults.simcluster.ResilientSimCluster` and
 :class:`~repro.faults.runtime.ResilientThreadedCluster` are the two
-bindings; a third engine (a schedule explorer, say) is a third binding,
-not a third copy of this file.  Each hands out its engine's one
+bindings, and both run the same recovery stack, leases and sessions
+included: they differ only in engine, waiter, client and lifetime.  A
+third engine (a schedule explorer, say) is a third binding, not a third
+copy of this file.  Each hands out its engine's one
 hierarchical client (:class:`~repro.sim.cluster.HierClient`,
 :class:`~repro.runtime.cluster.BlockingLockClient`), the bare family's;
 its ``upgrade``, ``attempt`` and ``downgrade`` are bare-only.
@@ -96,12 +99,10 @@ class ResilientHost:
         #: holds (lease reclaim) instead of disowning them.
         self.reclaim = reclaim
         self.journals: Dict[NodeId, object] = {}
-        #: Per-node flight recorders (see :mod:`repro.obs.flightrec`):
-        #: pass a dict to share recorders with the harness, ``True`` to
-        #: create one per node, ``None`` (default) to record nothing.
-        self.flight = None
-        if flight is not None:
-            self.flight = flight if isinstance(flight, dict) else {}
+        #: Per-node flight recorders (see :mod:`repro.obs.flightrec`),
+        #: shared with the harness that passed the dict; a node without
+        #: one gets one at boot.  ``None`` (default) records nothing.
+        self.flight = flight
         #: One rejoin report per durable restart, in restart order.
         self.durability_log: List[Dict[str, object]] = []
         self._crashed: set = set()
@@ -130,19 +131,6 @@ class ResilientHost:
 
         raise NotImplementedError
 
-    def _wire_leases(self, manager: RecoveryManager, journal) -> None:
-        """Opt a freshly booted node into leases and sessions.
-
-        The default does nothing: the manager runs in the leaseless
-        mode :mod:`repro.leases.layer` documents.
-        """
-
-    def _note_grant(
-        self, node_id: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        """What the binding does with every grant beyond recording it
-        (nothing: leaseless)."""
-
     # -- the client's call path (one host method per client call) ----------
 
     def _submit_request(
@@ -166,12 +154,14 @@ class ResilientHost:
         self.managers[node_id].release(lock_id, mode)
 
     def _make_listener(self, node_id: NodeId):
-        """The grant listener of *node_id*: record the grant, let the
-        binding note it, wake the waiting client."""
+        """The grant listener of *node_id*: record the grant, lease it,
+        wake the waiting client."""
 
         def listener(lock_id: LockId, mode: LockMode, ctx: object) -> None:
             self._record_grant(node_id, lock_id, mode)
-            self._note_grant(node_id, lock_id, mode)
+            # Looked up at call time so the current incarnation's manager
+            # leases its own grants.
+            self.managers[node_id].leases.note_grant(lock_id, mode)
             if isinstance(ctx, _GrantCtx):
                 ctx.event.trigger(mode)
 
@@ -234,7 +224,8 @@ class ResilientHost:
             journal.view_source = manager.membership.journal_payload
             self.journals[node_id] = journal
             manager.journal = journal
-        self._wire_leases(manager, journal)
+            journal.session_source = manager.leases.sessions.export
+        manager.leases.forced_release = self._forced_release
         attach = getattr(self._fabric, "attach_absorber", None)
         if attach is not None:
             # A simulated fabric keeps quiet heartbeats off its heap.
@@ -301,9 +292,8 @@ class ResilientHost:
             view_payload = state.pop(VIEW_JOURNAL_KEY, None)
             if view_payload is not None:
                 manager.membership.adopt_view(view_payload)
-            # Sessions ride the same WAL under a reserved key (leased
-            # bindings only); they are not a lock and must never reach
-            # the per-lock rejoin.
+            # Sessions ride the same WAL under a reserved key; they are
+            # not a lock and must never reach the per-lock rejoin.
             sessions_payload = state.pop(SESSIONS_JOURNAL_KEY, None)
             if sessions_payload is not None:
                 manager.leases.sessions.restore(sessions_payload)
@@ -581,6 +571,15 @@ class ResilientHost:
             with self._monitor_lock:
                 self.monitor.on_release(
                     self.scheduler.now(), node, lock_id, mode
+                )
+
+    def _forced_release(self, holder: NodeId, lock_id: LockId) -> None:
+        """The lease layer revoked *holder*'s holds on *lock_id*."""
+
+        if self.monitor is not None:
+            with self._monitor_lock:
+                self.monitor.on_forced_release(
+                    self.scheduler.now(), holder, lock_id
                 )
 
     # -- aggregates --------------------------------------------------------

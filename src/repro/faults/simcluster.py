@@ -11,8 +11,8 @@ incarnation, or from its journal).  All of that is
 :class:`~repro.faults.host.ResilientHost`; this module only builds the
 discrete-event engine under it (:func:`~repro.sim.cluster.sim_engine`,
 the bare clusters' own), says how membership changes wait
-(asynchronously, polled in virtual time) and opts every node into leases
-and sessions.  Its client is the bare cluster's
+(asynchronously, polled in virtual time) and enacts the plan's crash
+schedule.  Its client is the bare cluster's
 :class:`~repro.sim.cluster.HierClient`: ``acquire`` returns a
 :class:`~repro.sim.engine.SimEvent` to yield on.
 
@@ -27,8 +27,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..core.lockspace import TokenHomeFn, default_token_home
-from ..core.messages import LockId, NodeId
-from ..core.modes import LockMode
 from ..obs.sink import ObsSink
 from ..sim.cluster import HierClient, sim_engine
 from ..sim.engine import Simulator
@@ -36,7 +34,7 @@ from ..sim.rng import Distribution
 from ..verification.invariants import Monitor
 from .host import ResilientHost
 from .plan import FaultPlan
-from .recovery import RecoveryConfig, RecoveryManager
+from .recovery import RecoveryConfig
 from .scheduler import SimScheduler
 
 
@@ -91,13 +89,6 @@ class ResilientSimCluster(ResilientHost):
                         lambda node=crash.node: self.restart(node),
                     )
 
-    def _note_grant(
-        self, node_id: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        # Every grant is leased: looked up at call time so the current
-        # incarnation's manager leases its own grants.
-        self.managers[node_id].leases.note_grant(lock_id, mode)
-
     def _wait(self, predicate, then, what: str) -> None:
         """Asynchronous: poll every ``heartbeat_interval`` of virtual
         time, then run *then*.  With nothing to run afterwards there is
@@ -112,14 +103,3 @@ class ResilientSimCluster(ResilientHost):
                 self.config.heartbeat_interval,
                 lambda: self._wait(predicate, then, what),
             )
-
-    def _wire_leases(self, manager: RecoveryManager, journal) -> None:
-        manager.leases.forced_release = self._forced_release
-        if journal is not None:
-            journal.session_source = manager.leases.sessions.export
-
-    def _forced_release(self, holder: NodeId, lock_id: LockId) -> None:
-        """Lease layer revoked *holder*'s holds on *lock_id*."""
-
-        if self.monitor is not None:
-            self.monitor.on_forced_release(self.sim.now, holder, lock_id)

@@ -11,9 +11,10 @@ itself, strictly before any peer revokes on its behalf.
 The layer owns both tables, the sessions that own this node's holds,
 the evictions deferred behind a lease, and the fence; it reaches the
 rest of the stack through the :class:`repro.faults.recovery.
-RecoveryManager` composing it.  A manager whose host never calls
-:meth:`LeaseLayer.note_grant` runs leaseless and keeps the pre-lease
-behaviour (immediate eviction on suspicion, no self-fence, no sessions).
+RecoveryManager` composing it; the host's grant listener calls
+:meth:`LeaseLayer.note_grant` for every grant.  Until the node has seen
+any lease traffic, own or mirrored, there is nothing to fence and it
+does not self-fence.
 """
 
 from __future__ import annotations
@@ -284,13 +285,11 @@ class LeaseLayer:
             self._journal_sessions()
 
     def _maybe_self_fence(self, now: float) -> None:
-        # Managers whose hosting cluster never mints or advertises
-        # leases (plain recovery deployments) keep the pre-lease
-        # behaviour — no self-fencing.  Any lease traffic, own or
-        # observed, opts the node in: a quorum-silent member of a leased
-        # cluster must fence even when it holds nothing, because its
-        # *pending* requests are stuck forever and must be abandoned for
-        # the verdict to account for them.
+        # A node that has seen no lease traffic yet, own or mirrored,
+        # does not self-fence.  Any lease traffic arms the fence: a
+        # quorum-silent member must fence even when it holds nothing,
+        # because its *pending* requests are stuck forever and must be
+        # abandoned for the verdict to account for them.
         in_use = (
             len(self.own)
             or len(self.remote)
@@ -354,18 +353,10 @@ class LeaseLayer:
 
     # -- introspection -----------------------------------------------------
 
-    def health(self) -> Optional[Dict[str, object]]:
-        """The ``leases`` section of the node's health snapshot
-        (``None`` while the layer has seen no lease at all)."""
+    def health(self) -> Dict[str, object]:
+        """The ``leases`` section of the node's health snapshot."""
 
         kernel = self._kernel
-        revoked = kernel.events["lease-revoke"]
-        reclaimed = kernel.custody.report.get("holds_reclaimed", 0)
-        if not (
-            len(self.own) or len(self.remote) or self.fenced or revoked
-            or reclaimed
-        ):
-            return None
         own, remote = (
             [[l.lock, l.mode, l.holder, l.token, l.deadline] for l in leases]
             for leases in (self.own.leases(), self.remote.leases())
@@ -376,8 +367,8 @@ class LeaseLayer:
             "remote": remote,
             "renewals_sent": self.renewals_sent,
             "renewals_received": self.renewals_received,
-            "revoked": revoked,
-            "reclaimed": reclaimed,
+            "revoked": kernel.events["lease-revoke"],
+            "reclaimed": kernel.custody.report.get("holds_reclaimed", 0),
             "sessions": len(self.sessions),
             "sessions_gced": self.sessions_gced,
         }

@@ -9,7 +9,9 @@ everything the hooks emit:
   to releases by (node, lock, mode) afterwards;
 * windowed **series** — messages by type, per-peer traffic, queue depth,
   copyset size, freeze occupancy, engine events/sec, bytes on wire — and
-  a send-latency histogram for real transports.
+  a send-latency histogram for real transports.  A protocol gauge is
+  reported per (node, lock) when it changes; its series samples the
+  cluster-wide total (a crashed node's entries read 0).
 
 One observer instance serves a whole cluster (every automaton, the
 network and the engine share it), which is what makes cross-layer
@@ -77,6 +79,19 @@ class RunObserver(ObsSink):
         self.queue_depth_series = GaugeSeries(window, max_buckets=max_buckets)
         self.copyset_series = GaugeSeries(window, max_buckets=max_buckets)
         self.freeze_series = GaugeSeries(window, max_buckets=max_buckets)
+        #: Per gauge series, each (node, lock)'s last reported value
+        #: (zeros left out) and their sum, the value the series samples.
+        self._gauged: Dict[GaugeSeries, Dict[Tuple[NodeId, LockId], int]] = {
+            series: {}
+            for series in (
+                self.queue_depth_series,
+                self.copyset_series,
+                self.freeze_series,
+            )
+        }
+        self._gauge_totals: Dict[GaugeSeries, int] = dict.fromkeys(
+            self._gauged, 0
+        )
         self.send_latency = Histogram()
         self.faults = WindowedCounter(window, max_buckets=max_buckets)
         self.persist_events = WindowedCounter(window, max_buckets=max_buckets)
@@ -142,19 +157,35 @@ class RunObserver(ObsSink):
     # -- protocol gauges --------------------------------------------------
 
     def queue_depth(self, node: NodeId, lock_id: LockId, depth: int) -> None:
-        now = self._clock()
-        with self._mutex:
-            self.queue_depth_series.sample(now, depth)
+        self._gauge(self.queue_depth_series, node, lock_id, depth)
 
     def copyset_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        now = self._clock()
-        with self._mutex:
-            self.copyset_series.sample(now, size)
+        self._gauge(self.copyset_series, node, lock_id, size)
 
     def freeze_size(self, node: NodeId, lock_id: LockId, size: int) -> None:
-        now = self._clock()
+        self._gauge(self.freeze_series, node, lock_id, size)
+
+    def _gauge(
+        self, series: GaugeSeries, node: NodeId, lock_id: LockId, value: int
+    ) -> None:
         with self._mutex:
-            self.freeze_series.sample(now, size)
+            values = self._gauged[series]
+            old = values.pop((node, lock_id), 0)
+            if value:
+                values[(node, lock_id)] = value
+            self._gauge_totals[series] += value - old
+            series.sample(self._clock(), self._gauge_totals[series])
+
+    def _zero_gauges(self, node: NodeId, now: float) -> None:
+        """Drop *node*'s gauge entries (its state died with it)."""
+
+        for series, values in self._gauged.items():
+            gone = [slot for slot in values if slot[0] == node]
+            if gone:
+                self._gauge_totals[series] -= sum(
+                    values.pop(slot) for slot in gone
+                )
+                series.sample(now, self._gauge_totals[series])
 
     # -- wire traffic -----------------------------------------------------
 
@@ -186,6 +217,8 @@ class RunObserver(ObsSink):
         now = self._clock()
         with self._mutex:
             self.faults.add(now, kind)
+            if kind == "crash":
+                self._zero_gauges(node, now)
 
     def peer_lost(self, node: NodeId, reason: str) -> None:
         now = self._clock()

@@ -280,7 +280,7 @@ class LockSnapshot:
         ),
         omit=None,
     ),
-    field("leases", optional(Codec(dict, dict)), omit=None),
+    field("leases", Codec(dict, dict), omit={}),
 )
 @dataclasses.dataclass(frozen=True)
 class RecoveryHealth:
@@ -310,9 +310,8 @@ class RecoveryHealth:
     durability: Optional[Mapping[str, int]] = None
     #: Lease-layer health (see :mod:`repro.leases`): ``fenced``, the
     #: ``own``/``remote`` lease tables as ``[lock, mode, holder, token,
-    #: deadline]`` rows, and renewal/revocation counters.  ``None`` when
-    #: the manager predates the lease layer or leases are unused.
-    leases: Optional[Mapping[str, object]] = None
+    #: deadline]`` rows, and renewal/revocation counters.
+    leases: Mapping[str, object] = dataclasses.field(default_factory=dict)
     #: Installed membership view epoch (0 = bootstrap view; see
     #: :mod:`repro.membership`) and its member list.
     view_epoch: int = 0
@@ -689,9 +688,8 @@ def _audit_leases(
 ) -> None:
     """Reconcile the lease layer's beliefs with the lock automata.
 
-    Two rules, both applicable only to nodes that expose lease health
-    (``RecoveryHealth.leases``); clusters without the lease layer are
-    untouched:
+    Two rules over every alive recovery node's lease health
+    (``RecoveryHealth.leases``):
 
     * ``expired-but-held`` — a node that lease-fenced itself (its leases
       expired while it was quorum-silent) must have force-released every
@@ -708,8 +706,6 @@ def _audit_leases(
         if not node.alive or node.recovery is None:
             continue
         info = node.recovery.leases
-        if info is None:
-            continue
         if info.get("fenced"):
             for snap in node.locks:
                 if snap.held:

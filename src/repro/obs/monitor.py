@@ -71,14 +71,6 @@ def _recovering(view: ClusterView) -> List[NodeSnapshot]:
     ]
 
 
-def _leased(view: ClusterView) -> List[NodeSnapshot]:
-    """Of those, the ones whose manager runs the lease layer."""
-
-    return [
-        node for node in _recovering(view) if node.recovery.leases is not None
-    ]
-
-
 def _by_node(node: NodeSnapshot, **labels: str) -> dict:
     return {"node": str(node.node), **labels}
 
@@ -117,13 +109,13 @@ _FAMILIES = (
          (len(node.recovery.leases.get(table, ())),
           _by_node(node, table=table))
          for table in ("own", "remote")
-         for node in _leased(view)
+         for node in _recovering(view)
      ]),
     ("repro_lease_fenced", "gauge",
      "1 iff the node lease-fenced itself (quorum-silent past expiry).",
      lambda view, report: [
          (1 if node.recovery.leases.get("fenced") else 0, _by_node(node))
-         for node in _leased(view)
+         for node in _recovering(view)
      ]),
     ("repro_view_epoch", "gauge",
      "Installed membership view epoch per node (skew = propagating "
@@ -190,13 +182,14 @@ def render_prometheus(
             emit(
                 f"repro_{gname}",
                 "gauge",
-                f"Latest windowed mean of {gname.replace('_', ' ')}.",
+                "Time-weighted mean of the cluster total "
+                f"{gname.replace('_', ' ')}, latest window.",
                 [(gauge.timeline()[-1][1], None)],
             )
             emit(
                 f"repro_{gname}_peak",
                 "gauge",
-                f"Largest {gname.replace('_', ' ')} sampled this run.",
+                f"Largest cluster total {gname.replace('_', ' ')} this run.",
                 [(gauge.peak(), None)],
             )
         for hname, histogram in observer.histograms().items():
@@ -290,17 +283,16 @@ def render_health_table(
                 )
                 recovery += f" fencing=[{pending}]"
             leases = node.recovery.leases
-            if leases is not None:
-                recovery += (
-                    f" leases={len(leases.get('own', ()))}o"
-                    f"/{len(leases.get('remote', ()))}r"
-                )
-                if leases.get("revoked"):
-                    recovery += f" revoked={leases['revoked']}"
-                if leases.get("reclaimed"):
-                    recovery += f" reclaimed={leases['reclaimed']}"
-                if leases.get("fenced"):
-                    recovery += " FENCED"
+            recovery += (
+                f" leases={len(leases.get('own', ()))}o"
+                f"/{len(leases.get('remote', ()))}r"
+            )
+            if leases.get("revoked"):
+                recovery += f" revoked={leases['revoked']}"
+            if leases.get("reclaimed"):
+                recovery += f" reclaimed={leases['reclaimed']}"
+            if leases.get("fenced"):
+                recovery += " FENCED"
         row = [
             str(node.node),
             "up",

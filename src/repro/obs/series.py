@@ -112,8 +112,13 @@ class WindowedCounter:
 
 
 class GaugeSeries:
-    """Windowed samples of an instantaneous gauge (queue depth, copyset
-    size, freeze occupancy): per window keeps count, sum and max."""
+    """Windowed time-weighted means of an instantaneous gauge (queue
+    depth, copyset size, freeze occupancy).
+
+    Each sampled value holds until the next sample and is credited, per
+    window, for the time it held: a window keeps the seconds credited,
+    the value-seconds credited and the largest value seen in it.
+    """
 
     def __init__(
         self,
@@ -128,37 +133,61 @@ class GaugeSeries:
         #: Ring-buffer cap on retained windows (``None`` = unbounded);
         #: :meth:`peak` stays whole-run exact, timeline rows age out.
         self.max_buckets = max_buckets
-        # bucket index → [sample_count, sample_sum, sample_max]
+        # bucket index → [seconds, value_seconds, max]
         self._buckets: Dict[int, List[float]] = {}
+        #: ``(time, value)`` of the latest sample, not yet credited.
+        self._last: Optional[Tuple[float, float]] = None
         self._evicted_peak = 0.0
         self.evicted_buckets = 0
 
     def sample(self, time: float, value: float) -> None:
-        """Record one observation of the gauge at *time*."""
+        """The gauge reads *value* from *time* on (a *time* before the
+        latest sample's counts as that sample's)."""
 
-        index = int(time // self.window)
+        if self._last is not None:
+            since, held = self._last
+            time = max(time, since)
+            first, last = int(since // self.window), int(time // self.window)
+            for index in range(first, last + 1):
+                start = max(since, index * self.window)
+                seconds = min(time, (index + 1) * self.window) - start
+                if seconds > 0:
+                    bucket = self._bucket(index, held)
+                    bucket[0] += seconds
+                    bucket[1] += held * seconds
+        self._last = (time, value)
+        self._bucket(int(time // self.window), value)
+
+    def _bucket(self, index: int, value: float) -> List[float]:
+        """Window *index*'s bucket, created if new, its max raised to
+        *value*."""
+
         bucket = self._buckets.get(index)
         if bucket is None:
-            self._buckets[index] = [1, value, value]
+            bucket = self._buckets[index] = [0.0, 0.0, value]
             if self.max_buckets is not None:
                 while len(self._buckets) > self.max_buckets:
-                    oldest = min(self._buckets)
-                    dropped = self._buckets.pop(oldest)
+                    dropped = self._buckets.pop(min(self._buckets))
                     if dropped[2] > self._evicted_peak:
                         self._evicted_peak = dropped[2]
                     self.evicted_buckets += 1
-        else:
-            bucket[0] += 1
-            bucket[1] += value
-            if value > bucket[2]:
-                bucket[2] = value
+        elif value > bucket[2]:
+            bucket[2] = value
+        return bucket
 
     def timeline(self) -> List[Tuple[float, float, float]]:
-        """``(window_start_time, mean, max)`` rows, time-ordered."""
+        """``(window_start_time, mean, max)`` rows, time-ordered; a
+        window with no time credited yet reads its latest value."""
 
         return [
-            (index * self.window, total / count, maximum)
-            for index, (count, total, maximum) in sorted(self._buckets.items())
+            (
+                index * self.window,
+                total / seconds if seconds else self._last[1],
+                maximum,
+            )
+            for index, (seconds, total, maximum) in sorted(
+                self._buckets.items()
+            )
         ]
 
     def peak(self) -> float:
@@ -173,7 +202,7 @@ class GaugeSeries:
     # -- serialization ---------------------------------------------------
 
     def to_payload(self) -> Dict[str, object]:
-        return {
+        payload: Dict[str, object] = {
             "type": "gauge",
             "window": self.window,
             "buckets": {
@@ -181,12 +210,17 @@ class GaugeSeries:
                 for index, bucket in sorted(self._buckets.items())
             },
         }
+        if self._last is not None:
+            payload["last"] = list(self._last)
+        return payload
 
     @staticmethod
     def from_payload(payload: Dict[str, object]) -> "GaugeSeries":
         series = GaugeSeries(window=payload["window"])
         for index, bucket in payload["buckets"].items():
             series._buckets[int(index)] = list(bucket)
+        if "last" in payload:
+            series._last = tuple(payload["last"])
         return series
 
 

@@ -15,7 +15,6 @@ from .invariants import (
     GrantEvent,
     Monitor,
     MonitorSet,
-    MutualExclusionMonitor,
 )
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "GrantEvent",
     "Monitor",
     "MonitorSet",
-    "MutualExclusionMonitor",
     "ProtocolWorld",
     "WaitForGraphMonitor",
     "analyze",

@@ -7,9 +7,9 @@ breaks — the ground truth behind the paper's correctness argument:
 
 * :class:`CompatibilityMonitor` — at every instant, the multiset of modes
   held across all nodes on one lock is pairwise compatible (the
-  generalized mutual exclusion property of Rule 1-4).
-* :class:`MutualExclusionMonitor` — classic single-holder exclusion for
-  the Naimi baseline.
+  generalized mutual exclusion property of Rule 1-4).  It also checks
+  the single-token baselines: their clusters report every grant as
+  ``W``, which conflicts with every hold, the same node's included.
 * :class:`FifoObserver` — records grant order vs. request order so tests
   can quantify FIFO fairness (and demonstrate starvation when freezing is
   disabled in the ablation).
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter, defaultdict
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode, compatible
@@ -132,54 +132,6 @@ class CompatibilityMonitor(Monitor):
                 raise InvariantViolation(
                     f"run ended with live holds on {lock_id!r}: {live}"
                 )
-
-
-class MutualExclusionMonitor(Monitor):
-    """At most one holder at a time per lock (Naimi baseline property)."""
-
-    def __init__(self) -> None:
-        self._holder: Dict[LockId, Optional[NodeId]] = {}
-        self.grants = 0
-
-    def on_grant(
-        self, time: float, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        holder = self._holder.get(lock_id)
-        if holder is not None:
-            raise InvariantViolation(
-                f"t={time:.3f}: node {node} entered the CS of {lock_id!r} "
-                f"while node {holder} is inside"
-            )
-        self._holder[lock_id] = node
-        self.grants += 1
-
-    def on_release(
-        self, time: float, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self._holder.get(lock_id) != node:
-            raise InvariantViolation(
-                f"t={time:.3f}: node {node} left a CS of {lock_id!r} it "
-                "does not hold"
-            )
-        self._holder[lock_id] = None
-
-    def on_crash(self, time: float, node: NodeId) -> None:
-        for lock_id, holder in self._holder.items():
-            if holder == node:
-                self._holder[lock_id] = None
-
-    def on_forced_release(
-        self, time: float, node: NodeId, lock_id: LockId
-    ) -> None:
-        if self._holder.get(lock_id) == node:
-            self._holder[lock_id] = None
-
-    def assert_all_released(self) -> None:
-        """Raise unless every critical section has been exited."""
-
-        live = {k: v for k, v in self._holder.items() if v is not None}
-        if live:
-            raise InvariantViolation(f"run ended inside critical sections: {live}")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,8 +3,9 @@
 ``ResilientSimCluster`` and ``ResilientThreadedCluster`` are bindings of
 one :class:`~repro.faults.host.ResilientHost`.  This drives the same
 lifecycle — crash → durable restart, join, drain, decommission — through
-each binding and compares what the host records, so the shared code is
-tested once per engine instead of trusted twice.  Each engine has one
+each binding and compares what the host records — lease counters and
+the journaled sessions included — so the shared code is tested once per
+engine instead of trusted twice.  Each engine has one
 hierarchical client, whichever family's binding hands it out.
 """
 
@@ -17,18 +18,19 @@ import pytest
 from repro.core.modes import LockMode
 from repro.faults.runtime import ResilientThreadedCluster
 from repro.faults.simcluster import ResilientSimCluster
-from repro.persist import MemoryPersistence
+from repro.persist import MemoryPersistence, recover_node_state
 from repro.runtime.cluster import (
     BlockingLockClient,
     ThreadedHierarchicalCluster,
 )
+from repro.services.sessions import SESSIONS_JOURNAL_KEY
 from repro.sim.cluster import HierClient, SimHierarchicalCluster
 from repro.sim.engine import Process, Simulator
 
 NODES = 4
 
 
-def _lifecycle(cluster, settle):
+def _lifecycle(cluster, settle, persistence):
     """The engine-neutral script; returns what the host recorded."""
 
     cluster.crash(2)
@@ -44,6 +46,7 @@ def _lifecycle(cluster, settle):
     cluster.decommission_node(2)
     settle()
     view = cluster.cluster_view()
+    state, _report = recover_node_state(persistence.store_for(2))
     return {
         "members": sorted(cluster.members),
         "joiner": joiner,
@@ -63,14 +66,15 @@ def _lifecycle(cluster, settle):
             (n.node, n.alive, n.recovery is not None) for n in view.nodes
         ],
         "journals": sorted(cluster.journals),
+        # Node 2's warm-up grant was leased, so its session is journaled.
+        "sessions_journaled": SESSIONS_JOURNAL_KEY in state,
     }
 
 
 def _run_sim():
     sim = Simulator()
-    cluster = ResilientSimCluster(
-        NODES, sim=sim, persistence=MemoryPersistence()
-    )
+    persistence = MemoryPersistence()
+    cluster = ResilientSimCluster(NODES, sim=sim, persistence=persistence)
 
     def warm():
         yield cluster.client(2).acquire("db", LockMode.R)
@@ -78,16 +82,17 @@ def _run_sim():
 
     Process(sim, warm())
     sim.run(until=5.0)
-    return _lifecycle(cluster, lambda: sim.run(until=sim.now + 20.0))
+    return _lifecycle(
+        cluster, lambda: sim.run(until=sim.now + 20.0), persistence
+    )
 
 
 def _run_threaded():
-    with ResilientThreadedCluster(
-        NODES, persistence=MemoryPersistence()
-    ) as cluster:
+    persistence = MemoryPersistence()
+    with ResilientThreadedCluster(NODES, persistence=persistence) as cluster:
         cluster.client(2).acquire("db", LockMode.R, timeout=10.0)
         cluster.client(2).release("db", LockMode.R)
-        return _lifecycle(cluster, lambda: time.sleep(0.6))
+        return _lifecycle(cluster, lambda: time.sleep(0.6), persistence)
 
 
 EXPECTED = {
@@ -124,6 +129,8 @@ EXPECTED = {
     "view_protocol": "hierarchical",
     "view_shape": [(0, True, True), (3, True, True), (4, True, True)],
     "journals": [0, 3, 4],
+    "lease_counters": (0, []),
+    "sessions_journaled": True,
 }
 
 
@@ -131,13 +138,7 @@ EXPECTED = {
     "run", [_run_sim, _run_threaded], ids=["sim", "threaded"]
 )
 def test_host_lifecycle_is_engine_independent(run):
-    observed = run()
-    # Leases are the sim binding's; the threaded one runs leaseless and
-    # reports the same keys reading zero.
-    lease_counters = observed.pop("lease_counters")
-    if run is _run_threaded:
-        assert lease_counters == (0, [])
-    assert observed == EXPECTED
+    assert run() == EXPECTED
 
 
 @pytest.mark.parametrize(

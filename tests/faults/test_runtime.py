@@ -94,6 +94,26 @@ class TestThreadedTransport:
             assert cluster.managers[2].boot == 1
 
 
+class TestLeases:
+    def test_a_grant_is_leased_and_mirrored_by_every_peer(self):
+        """The threaded binding leases every grant, as the simulator's
+        does: the holder's heartbeats advertise the lease and each peer
+        mirrors it."""
+
+        with ResilientThreadedCluster(
+            3, monitor=CompatibilityMonitor()
+        ) as cluster:
+            cluster.client(1).acquire("x", LockMode.W, timeout=10.0)
+            mirrors = [cluster.managers[n].leases.remote for n in (0, 2)]
+            deadline = time.monotonic() + 1.0
+            while any(table.get("x", 1) is None for table in mirrors):
+                assert time.monotonic() < deadline, "lease never mirrored"
+                time.sleep(0.01)
+            own = cluster.cluster_view().nodes[1].recovery.leases["own"]
+            assert [row[:3] for row in own] == [["x", "W", 1]]
+            cluster.client(1).release("x", LockMode.W)
+
+
 class TestClientGate:
     def test_two_threads_of_one_node_take_turns_on_one_lock(self):
         """The protocol allows one outstanding request per (node, lock):

@@ -6,6 +6,8 @@ import itertools
 import sys
 import threading
 
+import pytest
+
 from repro.obs.collect import RunObserver
 from repro.obs.sink import (
     ENQUEUED,
@@ -116,6 +118,21 @@ class TestSeriesCollection:
         assert gauges["copyset_size"].peak() == 2
         assert gauges["freeze_size"].peak() == 1
 
+    def test_gauges_sample_the_cluster_total(self):
+        observer, clock = _observer()
+        observer.queue_depth(0, "L", 2)
+        observer.queue_depth(1, "M", 3)
+        clock.now = 0.5
+        observer.queue_depth(0, "L", 1)
+        clock.now = 0.75
+        observer.fault("crash", 1)  # node 1's queue died with it
+        series = observer.queue_depth_series
+        # 5 for 0.5 s, then 4 for 0.25 s; the 1 left has no time yet.
+        assert series.timeline() == [(0.0, pytest.approx(3.5 / 0.75), 5)]
+        clock.now = 1.0
+        observer.queue_depth(0, "L", 0)
+        assert series.timeline()[0][1] == pytest.approx(3.75 / 1.0)
+
     def test_engine_tick_records_deltas(self):
         observer, _clock = _observer()
         observer.engine_tick(0.5, 10)
@@ -206,20 +223,24 @@ class TestThreadSafety:
     def test_concurrent_gauge_samples_are_all_counted(self):
         # Every sample opens a new window and evicts the oldest: without
         # the mutex two threads pick the same victim and one of them
-        # raises inside a protocol hook.
+        # raises inside a protocol hook.  Each thread's node ends at
+        # depth 0, so a lost update of the cluster total shows too.
         ticks = itertools.count()
         observer = RunObserver(clock=lambda: float(next(ticks)), max_buckets=2)
         per_thread, workers = 2000, 8
         errors = []
 
-        def hammer():
+        def hammer(node):
             try:
-                for _ in range(per_thread):
-                    observer.queue_depth(0, "L", 1)
+                for index in range(per_thread):
+                    observer.queue_depth(node, "L", (index + 1) % 2)
             except Exception as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=hammer) for _ in range(workers)]
+        threads = [
+            threading.Thread(target=hammer, args=(node,))
+            for node in range(workers)
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -234,3 +255,4 @@ class TestThreadSafety:
         series = observer.queue_depth_series
         assert len(series.timeline()) == 2
         assert series.evicted_buckets == per_thread * workers - 2
+        assert series.timeline()[-1][1] == 0

@@ -193,7 +193,7 @@ _healths = st.builds(
     custody_pending=_tuples(_locks),
     durability=st.none()
     | st.dictionaries(st.sampled_from(["appends", "compactions"]), _counts),
-    leases=st.none()
+    leases=st.just({})
     | st.fixed_dictionaries(
         {
             "fenced": st.booleans(),

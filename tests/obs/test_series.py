@@ -79,8 +79,37 @@ class TestGaugeSeries:
         gauge.sample(0.1, 1.0)
         gauge.sample(0.5, 3.0)
         gauge.sample(1.5, 2.0)
-        assert gauge.timeline() == [(0.0, 2.0, 3.0), (1.0, 2.0, 2.0)]
+        # Window 0: 1.0 for 0.4 s, then 3.0 for 0.5 s; window 1: the
+        # 3.0 held on for 0.5 s, then 2.0 with no time credited yet.
+        assert gauge.timeline() == [
+            (0.0, pytest.approx(1.9 / 0.9), 3.0),
+            (1.0, pytest.approx(3.0), 3.0),
+        ]
         assert gauge.peak() == 3.0
+
+    def test_mean_weighs_time_not_samples(self):
+        gauge = GaugeSeries(window=1.0)
+        gauge.sample(0.0, 1.0)
+        gauge.sample(0.9, 0.0)
+        gauge.sample(1.0, 0.0)
+        assert gauge.timeline()[0][1] == pytest.approx(0.9)
+
+    def test_window_without_credited_time_reads_latest_value(self):
+        gauge = GaugeSeries(window=1.0)
+        gauge.sample(0.2, 4.0)
+        gauge.sample(0.2, 2.0)
+        assert gauge.timeline() == [(0.0, 2.0, 4.0)]
+
+    def test_a_held_value_fills_the_windows_it_spans(self):
+        gauge = GaugeSeries(window=1.0)
+        gauge.sample(0.5, 2.0)
+        gauge.sample(3.5, 0.0)
+        assert gauge.timeline() == [
+            (0.0, 2.0, 2.0),
+            (1.0, 2.0, 2.0),
+            (2.0, 2.0, 2.0),
+            (3.0, 2.0, 2.0),
+        ]
 
     def test_empty_peak_is_zero(self):
         assert GaugeSeries().peak() == 0.0

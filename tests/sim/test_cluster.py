@@ -13,7 +13,6 @@ from repro.verification.invariants import (
     CompatibilityMonitor,
     FifoObserver,
     MonitorSet,
-    MutualExclusionMonitor,
 )
 
 
@@ -140,7 +139,7 @@ class TestHierarchicalCluster:
 class TestNaimiCluster:
     def test_mutual_exclusion_enforced(self):
         sim = Simulator()
-        monitor = MutualExclusionMonitor()
+        monitor = CompatibilityMonitor()
         cluster = SimNaimiCluster(4, sim=sim, monitor=monitor)
 
         def body(node):
@@ -168,7 +167,7 @@ class TestNaimiCluster:
 
     def test_multiple_independent_locks(self):
         sim = Simulator()
-        monitor = MutualExclusionMonitor()
+        monitor = CompatibilityMonitor()
         cluster = SimNaimiCluster(3, sim=sim, monitor=monitor)
 
         def body(node, lock):

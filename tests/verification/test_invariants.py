@@ -12,7 +12,6 @@ from repro.verification.invariants import (
     CompatibilityMonitor,
     FifoObserver,
     MonitorSet,
-    MutualExclusionMonitor,
     quiescent_exclusive,
     quiescent_hierarchical,
 )
@@ -72,29 +71,31 @@ class TestCompatibilityMonitor:
         monitor.on_grant(0.3, 2, "t", LockMode.IR)
         assert monitor.max_concurrency["t"] == 2
 
+    # The single-token baselines report every grant as W.
 
-class TestMutualExclusionMonitor:
-    def test_single_holder_ok(self):
-        monitor = MutualExclusionMonitor()
+    def test_exclusive_single_holder_ok(self):
+        monitor = CompatibilityMonitor()
         monitor.on_grant(0.0, 0, "g", LockMode.W)
         monitor.on_release(0.1, 0, "g", LockMode.W)
         monitor.on_grant(0.2, 1, "g", LockMode.W)
         assert monitor.grants == 2
 
-    def test_second_holder_raises(self):
-        monitor = MutualExclusionMonitor()
+    def test_exclusive_second_holder_raises(self):
+        monitor = CompatibilityMonitor()
         monitor.on_grant(0.0, 0, "g", LockMode.W)
         with pytest.raises(InvariantViolation):
             monitor.on_grant(0.1, 1, "g", LockMode.W)
+        with pytest.raises(InvariantViolation):
+            monitor.on_grant(0.2, 0, "g", LockMode.W)
 
-    def test_wrong_releaser_raises(self):
-        monitor = MutualExclusionMonitor()
+    def test_exclusive_wrong_releaser_raises(self):
+        monitor = CompatibilityMonitor()
         monitor.on_grant(0.0, 0, "g", LockMode.W)
         with pytest.raises(InvariantViolation):
             monitor.on_release(0.1, 1, "g", LockMode.W)
 
-    def test_assert_all_released(self):
-        monitor = MutualExclusionMonitor()
+    def test_exclusive_assert_all_released(self):
+        monitor = CompatibilityMonitor()
         monitor.on_grant(0.0, 0, "g", LockMode.W)
         with pytest.raises(InvariantViolation):
             monitor.assert_all_released()

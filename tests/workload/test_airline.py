@@ -10,10 +10,7 @@ from repro.metrics import MetricsCollector
 from repro.sim.cluster import SimHierarchicalCluster, SimNaimiCluster
 from repro.sim.engine import Process, Simulator
 from repro.sim.rng import derive_rng
-from repro.verification.invariants import (
-    CompatibilityMonitor,
-    MutualExclusionMonitor,
-)
+from repro.verification.invariants import CompatibilityMonitor
 from repro.workload.airline import (
     GLOBAL_LOCK_ID,
     hierarchical_client,
@@ -107,7 +104,7 @@ class TestNaimiClients:
     def _run_naimi(self, client_factory, num_nodes, spec):
         sim = Simulator()
         metrics = MetricsCollector()
-        monitor = MutualExclusionMonitor()
+        monitor = CompatibilityMonitor()
         cluster = SimNaimiCluster(
             num_nodes, sim=sim,
             token_home=hashed_token_home(num_nodes),
