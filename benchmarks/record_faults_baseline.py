@@ -39,9 +39,9 @@ DURATION = 20.0
 LOCKS = 3
 
 #: The durable crash-restart group: same workload, token-crash plan,
-#: WAL journaling on.  Every run must converge clean (durability makes
-#: blank-rejoin findings hard failures), so the baseline also gates the
-#: write-side cost of journaling (WAL appends per request).
+#: WAL journaling on.  Every run must converge clean (every audit
+#: finding fails a verdict, durable or not), so the baseline also gates
+#: the write-side cost of journaling (WAL appends per request).
 DURABLE_GROUP = "token-crash-durable"
 
 #: The lease-expiry group: minority-partition (the cut never heals), so

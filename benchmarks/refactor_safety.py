@@ -36,7 +36,7 @@ forks once per output: the global serial counter and every other piece
 of process state start equal for every run, so a verdict that a change
 legitimately moves cannot shift the ones after it.  Verdict JSON holds
 no wall-clock or temp-path field; the process exit code is part of the
-comparison (token-crash seeds exit 1).  ``--emit DIR`` is that per-tree
+comparison (a failing verdict exits 1).  ``--emit DIR`` is that per-tree
 half on its own (``PYTHONPATH=<tree>/src``), for keeping the outputs of
 a change that *does* move verdicts and quoting them old → new.
 
@@ -73,12 +73,11 @@ PLANS = (
 )
 CHURN_PLANS = ("rolling-join", "graceful-drain", "kill-and-replace")
 SEEDS = (0, 1, 2)
-#: Seeds whose volatile token-crash run meets the blank-rejoin gap, exits
-#: 1 and therefore dumps its rings.  Picked at the commit that made
-#: heartbeats and acks datagrams, which moved every trajectory: 0 and
-#: 1, the seeds until then, no longer met the gap.  Re-checked at the
-#: commit that moved session acks onto heartbeats, which moved them all
-#: again: both still meet it (as do 1, 4, 5, 11 and 15 of 0-20).
+#: Seeds of the volatile token-crash runs whose flight dumps are kept.
+#: ``--flight-dir`` dumps every run, so the seeds need not fail.  These
+#: two did, before a restarted home's tokens were re-born fenced (seed
+#: 7 granted W beside IR: the token was in flight between two survivors
+#: when the home re-created it); they are kept as that fix's witnesses.
 DUMP_SEEDS = (7, 9)
 
 

@@ -1329,12 +1329,11 @@ class HierarchicalLockAutomaton(LockAutomaton):
         stale token still in flight is discarded on arrival (see
         :meth:`_handle_token`).  Nothing is granted (not even our own
         queued request) until :meth:`confirm_custody`: the copyset may
-        still miss a survivor's hold (Rule 1).  Idempotent.
+        still miss a survivor's hold (Rule 1).  A token held here already
+        — one a restarted node was born with — is fenced where it is.
         """
 
         self._require_recovery()
-        if self._has_token:
-            return []
         if epoch < self._token_epoch:
             raise ProtocolError(
                 f"regeneration epoch {epoch} must reach the observed "
@@ -1343,6 +1342,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         # Fence before the regeneration body runs its queue check.
         self._custody_pending = True
         self._token_epoch = epoch
+        if self._has_token:
+            return []
         self._has_token = True
         old_parent, old_seq = self._parent, self._attach_seq
         self._parent = None

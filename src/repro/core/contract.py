@@ -704,6 +704,9 @@ class AutomatonSpace:
         self.obs = None
         self.persist = None
         self.flightrec = None
+        #: Called with each automaton this space creates, once it is
+        #: registered (None = nothing to do).
+        self.on_birth: Optional[Callable[[LockAutomaton], None]] = None
 
     @property
     def node_id(self) -> NodeId:
@@ -748,6 +751,8 @@ class AutomatonSpace:
             # event must not include the not-yet-born lock.
             self.flightrec.record_birth(lock_id, automaton.birth())
         self._automata[lock_id] = automaton
+        if self.on_birth is not None:
+            self.on_birth(automaton)
         return automaton
 
     def request(self, lock_id: LockId, *args, **kwargs) -> List[Envelope]:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Union
 from ..core.modes import LockMode
 from ..errors import InvariantViolation, SimulationError
 from ..obs.collect import RunObserver
-from ..obs.live import audit_view, classify_crash_findings
+from ..obs.live import audit_view
 from ..obs.sink import ObsSink
 from ..sim.engine import Process, Timeout
 from ..sim.rng import derive_rng
@@ -100,9 +100,9 @@ def run_chaos(
     With ``durable=True`` every node journals its protocol state through
     :mod:`repro.persist` (*persistence* supplies the backend; default an
     in-memory one) and restarted nodes replay snapshot + WAL instead of
-    rejoining blank.  Durability removes the blank-rejoin excuse: crash
-    findings that a volatile run classifies as the expected
-    :data:`~repro.obs.live.BLANK_REJOIN_GAP` become hard failures.
+    rejoining blank.  Either way every audit finding fails the verdict:
+    a blank restart re-creates its home tokens fenced, so it has nothing
+    to excuse (see :meth:`repro.faults.custody.Custody.born`).
 
     With ``reclaim=True`` (durable runs only) a restarted node's
     surviving application sessions re-assert their restored holds under
@@ -110,11 +110,10 @@ def run_chaos(
     :mod:`repro.services.sessions`.
 
     With *flight_dir* set, every node records its inputs into a
-    :class:`~repro.obs.flightrec.FlightRecorder` ring buffer; if the
-    verdict fails (``ok=false``) or the post-drain audit finds
-    violations, all ring buffers are dumped into that directory for
-    ``python -m repro replay`` (the verdict's ``"flight"`` section names
-    the file).
+    :class:`~repro.obs.flightrec.FlightRecorder` ring buffer, and all
+    ring buffers are dumped into that directory at the end of the run
+    for ``python -m repro replay`` (the verdict's ``"flight"`` section
+    names the file).
     """
 
     if isinstance(plan, str):
@@ -287,10 +286,7 @@ def run_chaos(
             sum(latencies) / len(latencies) if latencies else None
         ),
     )
-    crashed_any = bool(cluster.crash_log)
-    audit_findings, expected_findings = classify_crash_findings(
-        audit.findings, crashed_any, durable=durable
-    )
+    audit_findings = [finding.to_payload() for finding in audit.findings]
     audit_healthy = not any(
         f["severity"] == "violation" for f in audit_findings
     )
@@ -323,27 +319,24 @@ def run_chaos(
                 for n, rec in sorted(cluster.flight.items())
             },
         }
-        if not ok or audit_findings:
-            import os
+        import os
 
-            from ..obs.flightrec import write_dump
+        from ..obs.flightrec import write_dump
 
-            os.makedirs(flight_dir, exist_ok=True)
-            dump_path = os.path.join(
-                flight_dir, f"{plan.name}-seed{seed}.flight"
-            )
-            write_dump(
-                dump_path,
-                cluster.flight,
-                meta={
-                    "plan": plan.name,
-                    "seed": seed,
-                    "nodes": nodes,
-                    "durable": durable,
-                    "ok": ok,
-                },
-            )
-            flight_info["dump"] = dump_path
+        os.makedirs(flight_dir, exist_ok=True)
+        dump_path = os.path.join(flight_dir, f"{plan.name}-seed{seed}.flight")
+        write_dump(
+            dump_path,
+            cluster.flight,
+            meta={
+                "plan": plan.name,
+                "seed": seed,
+                "nodes": nodes,
+                "durable": durable,
+                "ok": ok,
+            },
+        )
+        flight_info["dump"] = dump_path
 
     injector = cluster.network.injector
     faults: Dict[str, object] = (
@@ -394,10 +387,6 @@ def run_chaos(
             "locks_checked": audit.locks_checked,
             "nodes_checked": audit.nodes_checked,
             "findings": audit_findings,
-            "expected_findings": expected_findings,
-            "known_gaps": sorted(
-                {str(f["expected"]) for f in expected_findings}
-            ),
         },
     }
     if plan.churn or cluster.membership_log:

@@ -1,8 +1,10 @@
-"""Token custody: one fence for regenerated, restored and handed-off tokens.
+"""Token custody: one fence for every new token.
 
 A token that was regenerated, handed off or restored from the journal
 (docs/PERSISTENCE.md) is held *custody-fenced* — queueing, not granting —
-while its holder probes every member of the view.  A member answers
+while its holder probes every member of the view.  (A token *re-born*
+on a restarted home is fenced too, but first asks where the lineage
+went: :meth:`Custody.born`.)  A member answers
 after re-homing under the holder and re-asserting its owned mode, on the
 same session stream.  The fence lifts once the answers are in — the
 rule a coordinator claims a lost token by
@@ -31,6 +33,9 @@ class _Fence:
     epoch: int
     note: str  # Of its grants in traces: "regen" if regenerated.
     answered: Set[NodeId] = dataclasses.field(default_factory=set)
+    #: Re-born (:meth:`Custody.born`): no claim yet, so it yields to any
+    #: other placement of its epoch or above.
+    reborn: bool = False
 
 
 class Custody:
@@ -66,7 +71,8 @@ class Custody:
           re-encoding it must reproduce the payload (fields the rejoin
           policy resets excepted); a record that does not round-trip or
           cannot be decoded counts as a ``snapshot_mismatches`` entry,
-          and an undecodable one leaves its lock to rejoin blank;
+          and an undecodable one leaves its lock to rejoin blank (a
+          token it is born with is re-born: :meth:`born`);
         * a restored **token holder** begins custody fencing: it queues
           instead of granting until its answers are in, and is fenced
           for good when a placement above its own surfaces elsewhere;
@@ -107,6 +113,7 @@ class Custody:
                     report["snapshot_mismatches"] += 1
                     kernel.event("persist-mismatch", kernel.node_id)
                 if not adopted:
+                    self.born(automaton)
                     continue
                 report["locks_restored"] += 1
                 if automaton.has_token:  # Fenced by the rejoin policy.
@@ -191,6 +198,40 @@ class Custody:
         self._pending[lock_id] = _Fence(epoch, note)
         self._probe_fire(lock_id)
 
+    def born(self, automaton) -> None:
+        """A restarted node created *automaton*: a token it was born with
+        (its static home is here) is re-born, and held fenced.
+
+        The lineage may have moved on while this node was down — to a
+        live holder, or in flight between two — so a re-born token is no
+        claim yet: it yields to any placement of its epoch or above (a
+        hint known here already, an answer, a later announcement), and
+        this node probes for the token as a coordinator does.  Once the
+        answers are in and none holds it, the node claims the next epoch
+        (:meth:`take`): above every floor answered, so a token still in
+        flight is stale on arrival, and served once every member has
+        re-homed under it and re-asserted what it owns."""
+
+        if not automaton.has_token:
+            return
+        kernel, lock_id = self._kernel, automaton.lock_id
+        with kernel.mutex:
+            epoch = automaton.token_epoch
+            kernel.dispatch(automaton.regenerate_token(epoch))
+            self._pending[lock_id] = _Fence(epoch, "replay", reborn=True)
+            hint = kernel.regeneration.hints.get(lock_id)
+            if hint is not None:
+                self.observe(lock_id, *hint)
+            if lock_id in self._pending:
+                kernel.regeneration.ensure_probe(lock_id, kernel.node_id)
+
+    def holds(self, automaton) -> bool:
+        """Whether *automaton*'s token is here: a re-born one is not
+        until it is claimed."""
+
+        fence = self._pending.get(automaton.lock_id)
+        return automaton.has_token and not (fence and fence.reborn)
+
     def _probe_fire(self, lock_id: LockId) -> None:
         # Probes ride the raw fabric and may be lost: keep asking.
         if self._settle(lock_id):
@@ -235,7 +276,9 @@ class Custody:
         if fence is None:
             return False
         claim = (epoch, holder) > (fence.epoch, node)
-        if holder != node and (epoch >= fence.epoch if serving else claim):
+        if holder != node and (
+            epoch >= fence.epoch if serving or fence.reborn else claim
+        ):
             self._resolve(lock_id, confirmed=False, epoch=epoch, holder=holder)
         return True
 
@@ -273,7 +316,7 @@ class Custody:
             )
         else:
             kernel.event("custody-fenced", kernel.node_id)
-            kernel.regeneration.note_hint(lock_id, holder, epoch)
+            kernel.regeneration.learn(lock_id, holder, epoch)
             kernel.dispatch(automaton.fence_custody(epoch, holder), fence.note)
             if automaton.pending_mode is not LockMode.NONE:
                 # A request issued during the fence window was queued
@@ -309,7 +352,7 @@ class Custody:
         automaton = kernel.lockspace.automaton(msg.lock_id)
         # Leaving ourselves, we cannot take custody; a re-sent offer finds
         # the token here (the leaver answered our fence once demoted).
-        if kernel.membership.departing or automaton.has_token:
+        if kernel.membership.departing or self.holds(automaton):
             return
         kernel.event("handoff-accept", msg.sender)
         # The claim demotes the leaver; the answers rebuild the copyset.

@@ -342,8 +342,8 @@ NAMED_PLANS: Dict[str, Callable[[int], FaultPlan]] = dict(
             # The hardest plan: crash the initial token home mid-run and
             # bring it back.  With durability the restarted node rejoins
             # with its pre-crash locks (and its token, iff the epoch is
-            # still current); without it the restart is blank and the
-            # audit surfaces the classified blank-rejoin gap.
+            # still current); without it the restart is blank and each
+            # home token it re-creates is re-born fenced.
             "token-crash",
             lambda seed: FaultPlan(
                 crashes=(CrashEvent(node=0, at=5.0, restart_at=12.0),),

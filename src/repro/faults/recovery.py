@@ -220,6 +220,10 @@ class RecoveryManager:
             if self.timers.running:
                 return
             self.timers.running = True
+            if self.boot:
+                # Journaled locks are rejoined by now; any other lock
+                # this incarnation creates may hold a re-born token.
+                self.lockspace.on_birth = self.custody.born
             self.channel.start()
             self._heartbeat_tick()
             self.timers.arm(

@@ -52,8 +52,8 @@ class Regeneration:
         #: Coordinator side: the open probe per lock.
         self._probes: Dict[LockId, _Probe] = {}
         #: Last announced token placement: lock_id -> (holder, epoch).
-        #: Replayed to restarted peers so a resurrected stale token home
-        #: demotes itself (see docs/FAULTS.md).
+        #: Replayed to restarted peers so a re-born token yields to the
+        #: lineage at once (see docs/FAULTS.md).
         self.hints: Dict[LockId, Tuple[NodeId, int]] = {}
         #: One ``{"lock", "epoch", "node"}`` per token regenerated here.
         self.regenerations: List[Dict[str, object]] = []
@@ -72,7 +72,7 @@ class Regeneration:
         """*lock_id*'s parent *suspect* is gone: find the token a home."""
 
         if self._coordinator() == self._kernel.node_id:
-            self._ensure_probe(lock_id, reporter=self._kernel.node_id)
+            self.ensure_probe(lock_id, reporter=self._kernel.node_id)
             return
         self._orphans[lock_id] = suspect
         self._orphan_fire(lock_id)
@@ -89,7 +89,7 @@ class Regeneration:
         if coordinator == kernel.node_id:
             # Everyone above us died; we are the coordinator now.
             self._close_orphan(lock_id)
-            self._ensure_probe(lock_id, reporter=kernel.node_id)
+            self.ensure_probe(lock_id, reporter=kernel.node_id)
             return
         report = OrphanReport(
             lock_id=lock_id,
@@ -108,12 +108,12 @@ class Regeneration:
 
     # -- coordinator side --------------------------------------------------
 
-    def _ensure_probe(
+    def ensure_probe(
         self, lock_id: LockId, reporter: NodeId, epoch: int = 0
     ) -> None:
         kernel = self._kernel
         automaton = kernel.lockspace.automaton(lock_id)
-        if automaton.has_token:
+        if kernel.custody.holds(automaton):
             # No mystery: the token is right here.  Tell the reporter —
             # unless it is fenced: our custody probe re-homes the
             # reporter, and the placement is broadcast once it settles.
@@ -151,7 +151,7 @@ class Regeneration:
 
         kernel, probe = self._kernel, self._probes[lock_id]
         automaton = kernel.lockspace.automaton(lock_id)
-        if automaton.has_token:
+        if kernel.custody.holds(automaton):
             self._close_probe(lock_id)
             self.announce(
                 lock_id, kernel.node_id, automaton.token_epoch, probe.reporters
@@ -178,7 +178,7 @@ class Regeneration:
 
     @handles(OrphanReport)
     def on_orphan_report(self, msg: OrphanReport) -> None:
-        self._ensure_probe(msg.lock_id, reporter=msg.sender, epoch=msg.epoch)
+        self.ensure_probe(msg.lock_id, reporter=msg.sender, epoch=msg.epoch)
 
     @handles(TokenProbe)
     def on_token_probe(self, msg: TokenProbe) -> None:
@@ -190,7 +190,7 @@ class Regeneration:
                 lock_id=msg.lock_id,
                 sender=kernel.node_id,
                 epoch=automaton.token_epoch,
-                holds=automaton.has_token,
+                holds=kernel.custody.holds(automaton),
             ),
         )
 
@@ -280,10 +280,11 @@ class Regeneration:
     def replay_hints(self, peer: NodeId) -> None:
         """Send *peer* every known placement.
 
-        A restarted peer rejoins blank; a revived one may sit on the
-        wrong side of a healed partition.  Replaying the placements makes
-        a stale token copy over there (a resurrected token home, or a
-        pre-partition root) demote itself immediately.
+        A revived peer may sit on the wrong side of a healed partition:
+        the placements make a stale root over there demote itself
+        immediately.  A restarted peer re-creates its home tokens fenced
+        and would find the lineage by its own probe; a placement it
+        holds already lets it yield at once, before any probe.
         """
 
         for lock_id, (holder, epoch) in self.hints.items():
@@ -291,12 +292,12 @@ class Regeneration:
 
     @handles(ReparentMessage)
     def on_reparent(self, msg: ReparentMessage) -> None:
-        self._learn(msg.lock_id, msg.parent, msg.epoch)
+        self.learn(msg.lock_id, msg.parent, msg.epoch)
         self._apply_reparent(
             msg.lock_id, msg.parent, msg.epoch, sender=msg.sender
         )
 
-    def _learn(self, lock_id: LockId, holder: NodeId, epoch: int) -> None:
+    def learn(self, lock_id: LockId, holder: NodeId, epoch: int) -> None:
         self.note_hint(lock_id, holder, epoch)
         probe = self._probes.get(lock_id)
         if probe is not None and epoch >= probe.epoch:
@@ -311,7 +312,7 @@ class Regeneration:
         may be the dead root) re-asserting the owned mode.  Returns the
         best placement known."""
 
-        self._learn(lock_id, holder, epoch)
+        self.learn(lock_id, holder, epoch)
         best = self.hints[lock_id]
         if best == (holder, epoch):
             self._apply_reparent(lock_id, holder, epoch, rehome=True)
@@ -329,9 +330,10 @@ class Regeneration:
         rehome: bool = False,
     ) -> None:
         kernel = self._kernel
+        # Created first: a lock born here may be born fenced.
+        automaton = kernel.lockspace.automaton(lock_id)
         if kernel.custody.observe(lock_id, holder, epoch):
             return
-        automaton = kernel.lockspace.automaton(lock_id)
         kernel.dispatch(automaton.observe_epoch(epoch, holder))
         needs_home = self._close_orphan(lock_id) or rehome or (
             automaton.parent is not None

@@ -90,63 +90,18 @@ AUDIT_RULES = (
     "deadlock",
 )
 
-#: Audit rules a *blank* (non-durable) crash-restart can legitimately
-#: produce: a node that rejoins without its journal has lost its
-#: pre-crash requests, queue entries and copyset edges — and, worse,
-#: re-creates each lock lazily from the static token home, so a
-#: restarted home *resurrects a stale token* and can grant against the
-#: regenerated lineage before the epoch announcements demote it.  The
-#: audit then sees token splits, copyset cycles and even conflicting
-#: grants that are gaps of the volatile configuration, not protocol
-#: bugs; durability (``repro.persist``) is the fix, and durable runs
-#: treat every one of these as a hard failure.
-BLANK_REJOIN_RULES = frozenset(
-    {
-        "token-missing",
-        "token-split",
-        "copyset-cycle",
-        "copyset-unrooted",
-        "stuck-request",
-        "dead-reference",
-        "rule1",
-    }
-)
-
-#: Name under which the expected blank-rejoin gap surfaces in verdicts.
-BLANK_REJOIN_GAP = "blank-rejoin-gap"
-
-
 def classify_crash_findings(
     findings: Sequence["AuditFinding"],
     crashed_any: bool,
     durable: bool = False,
 ) -> Tuple[List[Dict[str, object]], List[Dict[str, object]]]:
-    """Split audit *findings* into regressions and expected crash gaps.
+    """Every audit finding as a regression payload: ``(regressions, [])``.
 
-    When the run crashed nodes and durability is **off**, findings under
-    :data:`BLANK_REJOIN_RULES` are classified as the expected
-    :data:`BLANK_REJOIN_GAP` (tagged ``expected`` in their payload) —
-    volatile rejoin cannot do better.  With ``durable=True`` a restarted
-    node recovers its state from its journal (see :mod:`repro.persist`),
-    the gap must not occur, and **every** finding is a regression.
-
-    Returns ``(regressions, expected)``, both as payload dict lists.
+    A restart excuses no finding, durable or not.  The benchmark ledger
+    (``benchmarks/ledger/workloads.py``) is the only caller left.
     """
 
-    regressions: List[Dict[str, object]] = []
-    expected: List[Dict[str, object]] = []
-    for finding in findings:
-        payload = finding.to_payload()
-        if (
-            crashed_any
-            and not durable
-            and finding.rule in BLANK_REJOIN_RULES
-        ):
-            payload["expected"] = BLANK_REJOIN_GAP
-            expected.append(payload)
-        else:
-            regressions.append(payload)
-    return regressions, expected
+    return [finding.to_payload() for finding in findings], []
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +547,7 @@ def _audit_lock(
             snap = snaps.get(node)
             if snap is None:
                 # The chain leads to an alive node with no state for this
-                # lock — the signature of a blank rejoin after a crash.
+                # lock: a restarted node that has not re-created it yet.
                 flag(
                     "copyset-unrooted",
                     _transient(quiescent),

@@ -12,7 +12,8 @@ from repro.sim.engine import Process, Timeout
 
 
 class TestChaosFlightRecording:
-    def test_clean_run_records_but_does_not_dump(self, tmp_path):
+    def test_clean_run_dumps_and_replays_clean(self, tmp_path):
+        # The caller asked for the rings: a passing run dumps them too.
         verdict = run_chaos(
             plan="token-crash",
             seed=3,
@@ -24,8 +25,13 @@ class TestChaosFlightRecording:
         flight = verdict.data["flight"]
         assert flight["recorded"] is True
         assert all(int(seq) > 0 for seq in flight["last_seq"].values())
-        assert "dump" not in flight
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ["token-crash-seed3.flight"]
+        dump = load_dump(flight["dump"])
+        assert dump.meta["ok"] is True
+        findings = []
+        for node in dump.nodes():
+            findings.extend(NodeReplayer.from_dump(dump, node).verify())
+        assert findings == []
 
     def test_no_flight_dir_means_no_flight_section(self):
         verdict = run_chaos(plan="smoke", seed=1, nodes=3, duration=4.0)

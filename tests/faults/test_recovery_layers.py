@@ -609,6 +609,70 @@ def test_without_a_quorum_custody_stays_fenced_and_keeps_probing(restored):
     assert manager.events["custody-confirmed"] == 1
 
 
+@pytest.mark.parametrize("learns_by", ["hint", "answer"])
+def test_a_reborn_home_token_yields_to_the_lineage_and_never_grants(
+    learns_by,
+):
+    # Before the restart the lineage moved on: regenerated at epoch 1
+    # by node 2, then handed to node 1 with its R.
+    grants = []
+    scheduler, fabric = build(3, PATIENT, grants)
+    fabric.managers[2].custody.take(LOCK, 1, "regen")
+    fabric.deliver_all(lambda entry: False)
+    fabric.managers[1].request(LOCK, LockMode.R)
+    fabric.deliver_all(lambda entry: False)
+    assert grants == [(1, LOCK, LockMode.R)]
+    assert fabric.managers[1].lockspace.automaton(LOCK).has_token
+    fabric.managers[0].stop()
+    home = add_manager(
+        scheduler, fabric, 0, [0, 1, 2], PATIENT, grants, boot=1
+    )
+    # Blank: the first touch re-creates the lock with the home's token.
+    home.request(LOCK, LockMode.W)
+    automaton = home.lockspace.automaton(LOCK)
+    assert automaton.has_token and automaton.custody_pending
+    assert home.custody.pending() == [LOCK]
+    assert grants == [(1, LOCK, LockMode.R)]
+    if learns_by == "hint":  # A peer replays the placement it knows.
+        home.handle(
+            ReparentMessage(lock_id=LOCK, sender=2, parent=1, epoch=1)
+        )
+    else:  # The home's own probe: node 1 answers that it holds.
+        fabric.deliver(TokenProbe, only_to=1)
+        fabric.deliver(TokenAck, only_from=1)
+    assert not automaton.has_token and automaton.parent == 1
+    assert home.events["custody-fenced"] == 1 and home.custody.pending() == []
+    fabric.deliver_all(lambda entry: False)
+    _run_until(scheduler, fabric, 10.0)
+    assert grants == [(1, LOCK, LockMode.R)]  # W waits behind R at node 1.
+    assert fabric.claims(0) == set()
+    fabric.managers[1].release(LOCK, LockMode.R)
+    fabric.deliver_all(lambda entry: False)
+    assert grants == [(1, LOCK, LockMode.R), (0, LOCK, LockMode.W)]
+
+
+def test_a_never_used_reborn_home_lock_serves_once_the_answers_are_in():
+    grants = []
+    scheduler, fabric = build(3, PATIENT, grants)
+    fabric.managers[0].stop()  # The token home restarts blank.
+    home = add_manager(
+        scheduler, fabric, 0, [0, 1, 2], PATIENT, grants, boot=1
+    )
+    home.request(LOCK, LockMode.W)
+    assert grants == [] and home.custody.pending() == [LOCK]
+    assert fabric.dests(TokenProbe) == [1, 2]
+    fabric.deliver(TokenProbe, only_to=1)
+    fabric.deliver(TokenAck, only_from=1)
+    assert grants == [] and fabric.claims(0) == set()  # Node 2 is silent.
+    fabric.deliver_all(lambda entry: False)
+    # Nobody holds it: claimed at the next epoch, served on the answers.
+    automaton = home.lockspace.automaton(LOCK)
+    assert fabric.claims(0) == {1} and automaton.token_epoch == 1
+    assert not automaton.custody_pending and home.custody.pending() == []
+    assert grants == [(0, LOCK, LockMode.W)]
+    assert scheduler.now() == 0.0  # No timer decided it.
+
+
 # -- the rule that keeps them layers -------------------------------------------
 
 LAYERED = (
