@@ -340,6 +340,13 @@ class HierarchicalLockAutomaton(LockAutomaton):
         return self._parent
 
     @property
+    def attachment_seq(self) -> int:
+        """Epoch of the current attachment to the parent (a new one for
+        every re-attachment, a token transfer's included)."""
+
+        return self._attach_seq
+
+    @property
     def token_epoch(self) -> int:
         """Highest token incarnation observed (recovery extension)."""
 

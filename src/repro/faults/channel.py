@@ -38,7 +38,10 @@ once.
 Restarts are handled with ``boot`` incarnation numbers: a restarted node
 opens streams under a higher boot, which tells peers to reset their
 receive state instead of discarding the fresh stream's frames as replays
-of the previous life.
+of the previous life.  A node that abandons its stream to a peer it
+suspects (:meth:`ReliableChannel.abandon`) opens the next one under a
+higher ``stream`` number, for the same reason: the peer may never have
+suspected it, and still expects the old stream's next frame.
 
 The channel is deliberately oblivious to message *meaning* — recovery
 coordination traffic (heartbeats, probes) bypasses it, because those
@@ -67,12 +70,14 @@ class _OutStream:
 
     __slots__ = (
         "next_seq", "unacked", "sent_at", "rto", "srtt", "rttvar",
-        "fast_resent",
+        "fast_resent", "gen",
     )
 
     def __init__(
-        self, srtt: Optional[float], rttvar: float, rto: float
+        self, gen: int, srtt: Optional[float], rttvar: float, rto: float
     ) -> None:
+        #: Which of this incarnation's streams to the peer it is.
+        self.gen = gen
         self.next_seq = 0
         self.unacked: "OrderedDict[int, SessionMessage]" = OrderedDict()
         #: When each unacked frame was sent, for the frames sent only
@@ -91,12 +96,13 @@ class _OutStream:
 class _InStream:
     """Receiver-side state of one ordered pair."""
 
-    __slots__ = ("expected", "buffer", "boot")
+    __slots__ = ("expected", "buffer", "boot", "gen")
 
     def __init__(self) -> None:
         self.expected = 0
         self.buffer: Dict[int, Message] = {}
         self.boot = 0
+        self.gen = 0
 
 
 class ReliableChannel:
@@ -154,6 +160,8 @@ class ReliableChannel:
         self._timers = Timers(scheduler, self._mutex)
         self._out: Dict[NodeId, _OutStream] = {}
         self._in: Dict[NodeId, _InStream] = {}
+        #: Streams to each peer abandoned so far: the next one's number.
+        self._gens: Dict[NodeId, int] = {}
         #: ``(srtt, rttvar, rto)`` of the stream sampled last, which a new
         #: stream starts from (unlearned: the cap).
         self._estimate: Tuple[Optional[float], float, float] = (
@@ -183,13 +191,16 @@ class ReliableChannel:
         with self._mutex:
             stream = self._out.get(dest)
             if stream is None:
-                stream = self._out[dest] = _OutStream(*self._estimate)
+                stream = self._out[dest] = _OutStream(
+                    self._gens.get(dest, 0), *self._estimate
+                )
             frame = SessionMessage(
                 lock_id=payload.lock_id,
                 sender=self._node_id,
                 seq=stream.next_seq,
                 payload=payload,
                 boot=self.boot,
+                stream=stream.gen,
             )
             if self.tracer is not None:
                 frame = self.tracer.stamp_frame(self._node_id, dest, frame)
@@ -244,17 +255,18 @@ class ReliableChannel:
             stream = self._in.get(peer)
             if stream is None:
                 stream = self._in[peer] = _InStream()
-                stream.boot = frame.boot
-            if frame.boot > stream.boot:
-                # The peer restarted: its new incarnation starts a fresh
-                # stream at seq 0.  Anything buffered from the old life
-                # is gone for good (and so is the old peer's state).
-                stream.boot = frame.boot
+                stream.boot, stream.gen = frame.boot, frame.stream
+            opened = (frame.boot, frame.stream)
+            if opened > (stream.boot, stream.gen):
+                # The peer restarted, or abandoned its stream to us: the
+                # new one starts at seq 0.  Anything buffered from the
+                # old one is gone for good.
+                stream.boot, stream.gen = opened
                 stream.expected = 0
                 stream.buffer.clear()
-            elif frame.boot < stream.boot:
+            elif opened < (stream.boot, stream.gen):
                 self.duplicates_dropped += 1
-                return  # A ghost from a dead incarnation.
+                return  # A ghost from a dead incarnation or stream.
             seq = frame.seq
             if seq == stream.expected:
                 stream.expected += 1
@@ -287,37 +299,54 @@ class ReliableChannel:
             sender=self._node_id,
             ack=stream.expected - 1,
             boot=stream.boot,
+            stream=stream.gen,
         )
 
-    def take_acks(self) -> Dict[NodeId, Tuple[int, int]]:
-        """The acks owed, ``peer -> (ack, boot)``, handed to the host to
-        carry; from now on they count as sent.
+    def take_acks(self) -> Dict[NodeId, Tuple[int, int, int]]:
+        """The acks owed, ``peer -> (ack, boot, stream)``, handed to the
+        host to carry; from now on they count as sent.
 
-        ``ack`` is the cumulative ack of *peer*'s stream and ``boot`` the
-        incarnation of *peer* that opened it (what a
-        :class:`~repro.faults.messages.SessionAck` would carry).  An ack
-        the host cannot deliver is not lost for good: the sender's timer
-        resends, and the duplicate is acked at once.
+        ``ack`` is the cumulative ack of *peer*'s stream, ``boot`` the
+        incarnation of *peer* that opened it and ``stream`` its number
+        (what a :class:`~repro.faults.messages.SessionAck` would carry).
+        An ack the host cannot deliver is not lost for good: the sender's
+        timer resends, and the duplicate is acked at once.
         """
 
         with self._mutex:
             streams = self._in
             acks = {
-                peer: (streams[peer].expected - 1, streams[peer].boot)
+                peer: (
+                    streams[peer].expected - 1,
+                    streams[peer].boot,
+                    streams[peer].gen,
+                )
                 for peer in self._owed
             }
             self._owed.clear()
             return acks
 
-    def on_ack(self, peer: NodeId, ack: int, boot: int) -> None:
+    def on_ack(
+        self, peer: NodeId, ack: int, boot: int, stream: int = 0
+    ) -> None:
         """Apply a cumulative ack *peer* carried on another message."""
 
         with self._mutex:
-            self._trim(peer, ack, boot)
+            if self._current(peer, stream):
+                self._trim(peer, ack, boot)
+
+    def _current(self, peer: NodeId, gen: int) -> bool:
+        """Whether an ack of stream number *gen* is for the stream to
+        *peer* open now (not for one abandoned)."""
+
+        stream = self._out.get(peer)
+        return stream is not None and stream.gen == gen
 
     def _handle_ack(self, message: SessionAck) -> None:
         peer = message.sender
         with self._mutex:
+            if not self._current(peer, message.stream):
+                return
             stream = self._trim(peer, message.ack, message.boot)
             if stream is None or not stream.unacked:
                 return
@@ -400,7 +429,8 @@ class ReliableChannel:
             self._timers.clear()
 
     def stop_peer(self, peer: NodeId) -> None:
-        """Tear down both streams with *peer* (it is presumed dead).
+        """Tear down both streams with *peer* (it restarted, or left the
+        view).
 
         Unacknowledged frames are abandoned: retransmitting into a dead
         node is pure noise, and the recovery layer re-issues whatever
@@ -409,10 +439,20 @@ class ReliableChannel:
         """
 
         with self._mutex:
-            self._out.pop(peer, None)
-            self._timers.cancel(peer)
+            self.abandon(peer)
             self._in.pop(peer, None)
             self._owed.discard(peer)
+
+    def abandon(self, peer: NodeId) -> None:
+        """Give up the stream to *peer* (it is suspected): its unacked
+        frames are dropped, and the next frame opens a new stream, which
+        *peer* tells from the old one by its number.  What *peer* sends
+        us is left alone: it may not suspect us at all."""
+
+        with self._mutex:
+            if self._out.pop(peer, None) is not None:
+                self._gens[peer] = self._gens.get(peer, 0) + 1
+            self._timers.cancel(peer)
 
     def idle(self) -> bool:
         """True iff no frame is awaiting acknowledgement."""

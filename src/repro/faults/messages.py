@@ -44,19 +44,23 @@ class SessionMessage(Message):
 
     ``payload`` is the protocol message being carried; ``lock_id`` echoes
     the payload's for observability.  Streams are per ordered node pair;
-    ``boot`` identifies the sender incarnation that opened the stream.
+    ``boot`` identifies the sender incarnation that opened the stream, and
+    ``stream`` how many times that incarnation abandoned its stream to
+    this receiver before (each restart numbers frames from 0 again).
     """
 
     seq: int
     payload: Message
     boot: int = 0
+    stream: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
 class SessionAck(Message):
     """Cumulative ack: every frame up to ``ack`` arrived in order.
 
-    ``boot`` echoes the *sender incarnation of the acked stream* so a
+    ``boot`` and ``stream`` echo the acked stream's (the sender
+    incarnation that opened it, and which of its streams it is) so a
     stale ack cannot trim frames of a newer stream.  Sent on its own only
     for a gap or a duplicate, so it also asks the sender to resend the
     oldest frame it leaves unacked; other acks ride heartbeats
@@ -65,11 +69,14 @@ class SessionAck(Message):
 
     ack: int
     boot: int = 0
+    stream: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
 class HeartbeatMessage(Message):
-    """Liveness beacon, sent every heartbeat interval to every peer.
+    """Liveness beacon, sent each heartbeat interval to the peers the
+    sender depends on or that depend on it, and to a rotating slice of
+    the rest, so that every peer hears from it within a few intervals.
 
     ``boot`` lets peers notice a silent crash + restart (the incarnation
     jumps) even when no heartbeat was ever missed.  ``leases`` piggybacks
@@ -88,11 +95,20 @@ class HeartbeatMessage(Message):
     ``(boot, seq)`` is newer than the newest it applied.  Any beat, new
     or not, is evidence of life.
 
-    ``ack`` / ``ack_boot`` carry the cumulative ack the sender's session
-    channel owes the *receiver* (what a :class:`SessionAck` with those
-    fields would say), so they differ per destination; ``ack = -1`` acks
-    nothing.  Being cumulative and boot-checked, an ack is applied from
-    any beat of the sender's current incarnation, newest or not.
+    ``ack`` / ``ack_boot`` / ``ack_stream`` carry the cumulative ack the
+    sender's session channel owes the *receiver* (what a
+    :class:`SessionAck` with those fields would say), so they differ per
+    destination; ``ack = -1`` acks nothing.  Being cumulative and
+    boot-checked, an ack is applied from any beat of the sender's current
+    incarnation, newest or not.
+
+    ``want`` says that the sender depends on the receiver (it is the
+    parent of one of the sender's locks, or a copyset child), which asks
+    the receiver to beat the sender every interval.  ``gap`` is the
+    sender's promise: its next beat to this receiver leaves within
+    ``gap`` heartbeat intervals, so the receiver tolerates that much
+    more silence before suspecting it.  Both differ per destination and
+    are applied, like the lease rows, only from the newest beat.
     """
 
     boot: int = 0
@@ -101,17 +117,27 @@ class HeartbeatMessage(Message):
     seq: int = 0
     ack: int = -1
     ack_boot: int = 0
+    ack_stream: int = 0
+    want: bool = False
+    gap: int = 1
 
     def __getstate__(self) -> dict:
-        # Most beats ack nothing; those pickle without the pair (the
-        # class defaults stand in for it on the far side), so the ack
-        # costs wire bytes only on the beats that carry one.
-        if self.ack != -1 or self.ack_boot != 0:
-            return self.__dict__
-        state = dict(self.__dict__)
-        state.pop("ack", None)
-        state.pop("ack_boot", None)
-        return state
+        # Most beats ack nothing, want nothing or promise the next
+        # interval; those fields pickle only off their defaults (the
+        # class defaults stand in for them on the far side).
+        return {
+            key: value
+            for key, value in self.__dict__.items()
+            if _BEAT_DEFAULTS.get(key, _UNSET) != value
+        }
+
+
+#: The :class:`HeartbeatMessage` fields a beat leaves off the wire at
+#: these values.
+_BEAT_DEFAULTS = {
+    "ack": -1, "ack_boot": 0, "ack_stream": 0, "want": False, "gap": 1,
+}
+_UNSET = object()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,11 +193,14 @@ class ReparentMessage(Message):
     Sent by the coordinator to orphans (who re-attach under ``parent``)
     and broadcast to all live peers after a regeneration so everyone
     raises its epoch floor — the mechanism that discards stale-epoch
-    tokens still in flight from before the crash.
+    tokens still in flight from before the crash.  With ``migrate`` it is
+    a departing parent's directive to its child to attach under
+    ``parent`` instead (see :mod:`repro.membership`).
     """
 
     parent: NodeId
     epoch: int = 0
+    migrate: bool = False
 
 
 # Labels, planes and delivery classes (extends the Figure-7 table; these

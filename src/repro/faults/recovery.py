@@ -13,8 +13,15 @@ the calls between them).  The kernel:
   duplicates and reordering on the fabric are invisible to the automata.
 * **Failure detection** — periodic heartbeats feed a
   :class:`~repro.faults.detector.HeartbeatDetector`; any inbound traffic
-  counts as life.  The heartbeat to a peer also carries the ack the
-  channel owes that peer.
+  counts as life.  Each tick beats only the peers this node depends on
+  (the parent of each of its locks, its copyset children), the peers
+  whose newest beat said they depend on it, the peers its channel owes
+  an ack, and a rotating slice of the rest — every peer, when the beat
+  carries lease rows — so that every peer still hears from every peer
+  once per :attr:`~RecoveryManager.sweep` ticks.  Each beat declares
+  its gap (the ticks until the next beat to that peer), and the
+  detector waits that much longer before suspecting.  The heartbeat to
+  a peer also carries the ack the channel owes that peer.
 * **Request retransmission** — each of the node's own pending requests
   is re-forwarded on a capped exponential backoff until granted (the
   duplicates are idempotent at protocol level); this is what survives a
@@ -152,9 +159,34 @@ class RecoveryManager:
         #: session channel shares it so frames join request chains.
         self.tracer = getattr(obs, "tracer", None)
         self.membership = MembershipLayer(self, membership)
-        self.detector = HeartbeatDetector(
-            self._peers(), config.suspect_timeout, now=scheduler.now()
+        #: Every peer gets a beat at least once per this many ticks: the
+        #: suspect timeout keeps a peer's suspicion of this node within
+        #: ``sweep - 1`` intervals of a beat per tick, half a lease
+        #: duration keeps lease contact (``_quorum_heard``) with margin.
+        self.sweep = max(
+            1,
+            int(
+                min(config.suspect_timeout, config.lease_duration / 2)
+                / config.heartbeat_interval
+            ),
         )
+        self.detector = HeartbeatDetector(
+            self._peers(),
+            config.suspect_timeout,
+            now=scheduler.now(),
+            interval=config.heartbeat_interval,
+            gap=self.sweep,
+        )
+        #: Per peer that depends on this node (0), or stopped doing so or
+        #: restarted: the beats since that announced the longer gap, up
+        #: to :attr:`sweep`; only after the last of them may the beats
+        #: thin out to the peer's slice of the sweep.
+        self._calm: Dict[NodeId, int] = {}
+        #: Peers whose newest beat said they depend on this node.
+        self._wanters: Set[NodeId] = set()
+        #: Whether the last beat carried lease rows (the next one goes to
+        #: every peer too, so that every mirror drops them).
+        self._advertised = False
         self.channel = ReliableChannel(
             node_id,
             scheduler,
@@ -333,6 +365,8 @@ class RecoveryManager:
         self.channel.stop_peer(peer)
         self._peer_boots.pop(peer, None)
         self._newest_beat.pop(peer, None)
+        self._calm.pop(peer, None)
+        self._wanters.discard(peer)
 
     @property
     def app_retransmits(self) -> int:
@@ -435,6 +469,11 @@ class RecoveryManager:
         automaton = self.lockspace.automaton(lock_id)
         if automaton.pending_mode is LockMode.NONE:
             return  # Granted in the meantime; retries lazily cancel.
+        parent = automaton.parent
+        if parent is not None and self.detector.is_suspected(parent):
+            # A lock born under a parent suspected before its birth was
+            # never orphaned by the suspicion: find the token a home.
+            self.regeneration.rehome(lock_id, parent)
         out: List[Envelope] = []
         hint = self.regeneration.hints.get(lock_id)
         if (
@@ -501,7 +540,9 @@ class RecoveryManager:
             return False
         sender, leases = beat.sender, self.leases
         if not (
-            self.timers.running
+            beat.want is (sender in self._wanters)
+            and beat.gap == self.detector.gap(sender)
+            and self.timers.running
             and beat.view_epoch >= self.membership.view.epoch
             and beat.boot == self._peer_boots.get(sender, 0)
             and sender not in self.membership.departed
@@ -572,9 +613,28 @@ class RecoveryManager:
         # boot-checked, it is harmless late or twice — but not from a
         # previous incarnation of the sender, whose streams are gone.
         if beat.ack >= 0 and beat.boot == self._peer_boots.get(beat.sender, 0):
-            self.channel.on_ack(beat.sender, beat.ack, beat.ack_boot)
+            self.channel.on_ack(
+                beat.sender, beat.ack, beat.ack_boot, beat.ack_stream
+            )
         if self._newer_beat(beat):
+            self._heed(beat)
             self.leases.on_heartbeat(beat)
+
+    def _heed(self, beat: HeartbeatMessage) -> None:
+        """Adopt the newest beat's gap and whether its sender depends on
+        this node; the beats kept under the old values go back."""
+
+        sender = beat.sender
+        if beat.gap == self.detector.gap(sender) and beat.want is (
+            sender in self._wanters
+        ):
+            return
+        self.release_beats(sender)
+        self.detector.promise(sender, beat.gap)
+        if beat.want:
+            self._wanters.add(sender)
+        else:
+            self._wanters.discard(sender)
 
     def _deliver(self, peer: NodeId, payload: Message) -> None:
         """In-order payload from the channel: run the automaton (or the
@@ -603,6 +663,16 @@ class RecoveryManager:
             # without this the stale outbound stream would keep numbering
             # frames the new incarnation rejects.
             self.channel.stop_peer(peer)
+            # What the old incarnation promised or depended on is gone
+            # with it; the new one assumes the sweep's gap of us, and
+            # hears a beat per tick while we announce it.
+            self._calm[peer] = 0
+            self._wanters.discard(peer)
+            self.detector.promise(peer, self.sweep)
+            # The old incarnation's copyset entries go as a suspect's
+            # would: a hold it re-asserts, or a lease its next beat
+            # advertises, records it again.
+            self._evict(peer, only_children=True)
             # Re-assert our subtrees toward the restarted node: a durable
             # restart holds our copyset entry only *provisionally* until
             # a live announcement confirms it, and a blank restart must
@@ -617,37 +687,82 @@ class RecoveryManager:
 
     # -- the two periodic ticks --------------------------------------------
 
+    def dependencies(self) -> Set[NodeId]:
+        """The peers this node depends on: the parent of each of its
+        locks and every copyset child."""
+
+        deps: Set[NodeId] = set()
+        for automaton in self.lockspace.automata():
+            parent = automaton.parent
+            if parent is not None:
+                deps.add(parent)
+            deps.update(automaton.children)
+        deps.discard(self.node_id)
+        return deps
+
     def _heartbeat_tick(self) -> None:
         self.membership.sweep_departed()
         self._beats_sent += 1
+        seq, sweep = self._beats_sent, self.sweep
         peers = self._peers()
         fanout = len(peers) - len(self.detector.suspected.intersection(peers))
-        beat = self.control(
-            HeartbeatMessage,
-            boot=self.boot,
-            leases=self.leases.advertise(self.now(), fanout),
-            view_epoch=self.membership.view.epoch,
-            seq=self._beats_sent,
-        )
+        rows = self.leases.advertise(self.now(), fanout)
+        every, self._advertised = rows or self._advertised, bool(rows)
         self.timers.arm(
             "heartbeat-tick",
             self.config.heartbeat_interval,
             self._heartbeat_tick,
         )
-        # A peer our channel owes an ack gets it on its own copy of the
-        # beat; the rest share one.  One fabric call either way.
         acks = self.channel.take_acks()
-        self._transport_send(
-            [
-                Envelope(
-                    peer,
-                    beat if peer not in acks else dataclasses.replace(
-                        beat, ack=acks[peer][0], ack_boot=acks[peer][1]
-                    ),
+        deps, wanters, calm = self.dependencies(), self._wanters, self._calm
+        # A node just started beats everyone every tick for a sweep.
+        starting = seq <= sweep
+        self.detector.ask(deps, self.now())
+        # One beat per (want, gap) the tick declares; a peer our channel
+        # owes an ack gets its own copy.  One fabric call either way.
+        beats: Dict[Tuple[bool, int], HeartbeatMessage] = {}
+        envelopes: List[Envelope] = []
+        for peer in peers:
+            beaten = calm.get(peer)
+            if peer in wanters:
+                gap = 1
+                calm[peer] = 0
+            elif beaten is not None:
+                # Announcing the longer gap, one beat per tick: each
+                # promises the first slice of the sweep after the ones
+                # still due, so that any one arriving is a promise kept.
+                due = sweep - beaten - 1
+                gap = due + sweep - (seq + due + peer) % sweep
+                if due:
+                    calm[peer] = beaten + 1
+                else:
+                    del calm[peer]
+            elif (seq + peer) % sweep and not (
+                starting or every or peer in deps or peer in acks
+            ):
+                continue
+            else:
+                # Its slice of the sweep comes round within the gap.
+                gap = sweep
+            want = peer in deps
+            beat = beats.get((want, gap))
+            if beat is None:
+                beat = beats[want, gap] = self.control(
+                    HeartbeatMessage,
+                    boot=self.boot,
+                    leases=rows,
+                    view_epoch=self.membership.view.epoch,
+                    seq=seq,
+                    want=want,
+                    gap=gap,
                 )
-                for peer in peers
-            ]
-        )
+            if peer in acks:
+                ack, ack_boot, ack_stream = acks[peer]
+                beat = dataclasses.replace(
+                    beat, ack=ack, ack_boot=ack_boot, ack_stream=ack_stream
+                )
+            envelopes.append(Envelope(peer, beat))
+        self._transport_send(envelopes)
 
     def _failure_tick(self) -> None:
         now = self.now()
@@ -662,16 +777,30 @@ class RecoveryManager:
 
     def _on_suspect(self, peer: NodeId) -> None:
         self.release_beats(peer)
-        now = self.now()
-        self.suspect_log.append((now, peer))
+        self.suspect_log.append((self.now(), peer))
         self.event("suspect", peer)
         if self.obs is not None:
             # The heartbeat detector declared the peer dead: surface it
             # through the same hook real transports use for lost links.
             self.obs.peer_lost(peer, "heartbeat timeout")
-        self.channel.stop_peer(peer)
-        for automaton in list(self.lockspace.automata()):
-            if not self.leases.pins(automaton.lock_id, peer, now):
-                self.dispatch(automaton.evict_child(peer))
+        # Its stream to us stays: it may not suspect us, and keeps
+        # numbering where it was.
+        self.channel.abandon(peer)
+        for automaton in self._evict(peer):
             if automaton.parent == peer:
                 self.regeneration.start_orphan(automaton.lock_id, peer)
+
+    def _evict(self, peer: NodeId, only_children: bool = False) -> List:
+        """Evict *peer* from every lock's copyset — where
+        *only_children*, only where it is a child — unless its lease
+        pins it there (``leases.pins`` defers that eviction to its next
+        beat).  Returns the automata, in order."""
+
+        now = self.now()
+        automata = list(self.lockspace.automata())
+        for automaton in automata:
+            if only_children and peer not in automaton.children:
+                continue
+            if not self.leases.pins(automaton.lock_id, peer, now):
+                self.dispatch(automaton.evict_child(peer))
+        return automata

@@ -36,6 +36,11 @@ class _Probe:
     epoch: int
     #: Who asked, i.e. who is told where the token turned out to be.
     reporters: Set[NodeId]
+    #: The parents they lost.  Where the token turns out to live, the
+    #: coordinator's own lock re-homes too if its parent is one of them
+    #: (it may not suspect that parent yet); and a later report of the
+    #: same losses does not claim while that holder is trusted.
+    suspects: Set[NodeId]
     #: The members that answered without the token.
     answered: Set[NodeId] = dataclasses.field(default_factory=set)
 
@@ -47,10 +52,13 @@ class Regeneration:
     def __init__(self, kernel) -> None:
         self._kernel = kernel
         #: Locks whose parent is gone and that await a reparent:
-        #: lock_id -> the suspect.
-        self._orphans: Dict[LockId, NodeId] = {}
+        #: lock_id -> (the suspect, the attachment to it that was lost).
+        self._orphans: Dict[LockId, Tuple[NodeId, int]] = {}
         #: Coordinator side: the open probe per lock.
         self._probes: Dict[LockId, _Probe] = {}
+        #: Coordinator side: the last probe a holder's answer closed per
+        #: lock — the parents its reporters had lost, and the holder.
+        self._settled: Dict[LockId, Tuple[Set[NodeId], NodeId]] = {}
         #: Last announced token placement: lock_id -> (holder, epoch).
         #: Replayed to restarted peers so a re-born token yields to the
         #: lineage at once (see docs/FAULTS.md).
@@ -72,9 +80,10 @@ class Regeneration:
         """*lock_id*'s parent *suspect* is gone: find the token a home."""
 
         if self._coordinator() == self._kernel.node_id:
-            self.ensure_probe(lock_id, reporter=self._kernel.node_id)
+            self.ensure_probe(lock_id, self._kernel.node_id, suspect=suspect)
             return
-        self._orphans[lock_id] = suspect
+        automaton = self._kernel.lockspace.automaton(lock_id)
+        self._orphans[lock_id] = (suspect, automaton.attachment_seq)
         self._orphan_fire(lock_id)
 
     def rehome(self, lock_id: LockId, parent: NodeId) -> None:
@@ -85,31 +94,50 @@ class Regeneration:
 
     def _orphan_fire(self, lock_id: LockId) -> None:
         kernel = self._kernel
+        suspect = self._orphans[lock_id][0]
+        automaton = kernel.lockspace.automaton(lock_id)
+        if not self._lost(lock_id, automaton):
+            # Re-attached meanwhile (the token came by, say): not lost.
+            self._close_orphan(lock_id)
+            return
         coordinator = self._coordinator()
         if coordinator == kernel.node_id:
             # Everyone above us died; we are the coordinator now.
             self._close_orphan(lock_id)
-            self.ensure_probe(lock_id, reporter=kernel.node_id)
+            self.ensure_probe(lock_id, kernel.node_id, suspect=suspect)
             return
         report = OrphanReport(
             lock_id=lock_id,
             sender=kernel.node_id,
-            suspect=self._orphans[lock_id],
-            epoch=kernel.lockspace.automaton(lock_id).token_epoch,
+            suspect=suspect,
+            epoch=automaton.token_epoch,
         )
         kernel.resend_later(("orphan", lock_id), self._orphan_fire, lock_id)
         kernel.send(coordinator, report)
 
-    def _close_orphan(self, lock_id: LockId) -> bool:
-        """Stop reporting *lock_id* orphaned; whether it was."""
+    def _lost(self, lock_id: LockId, automaton) -> bool:
+        """Whether *lock_id* is an orphan still attached where it lost
+        its parent."""
+
+        return self._orphans.get(lock_id) == (
+            automaton.parent,
+            automaton.attachment_seq,
+        )
+
+    def _close_orphan(self, lock_id: LockId) -> None:
+        """Stop reporting *lock_id* orphaned."""
 
         self._kernel.timers.cancel(("orphan", lock_id))
-        return self._orphans.pop(lock_id, None) is not None
+        self._orphans.pop(lock_id, None)
 
     # -- coordinator side --------------------------------------------------
 
     def ensure_probe(
-        self, lock_id: LockId, reporter: NodeId, epoch: int = 0
+        self,
+        lock_id: LockId,
+        reporter: NodeId,
+        epoch: int = 0,
+        suspect: Optional[NodeId] = None,
     ) -> None:
         kernel = self._kernel
         automaton = kernel.lockspace.automaton(lock_id)
@@ -122,13 +150,15 @@ class Regeneration:
                     lock_id, kernel.node_id, automaton.token_epoch, {reporter}
                 )
             return
+        suspects = set() if suspect is None else {suspect}
         probe = self._probes.get(lock_id)
         if probe is not None:
             probe.reporters.add(reporter)
+            probe.suspects |= suspects
             probe.epoch = max(probe.epoch, epoch)
             return
         self._probes[lock_id] = _Probe(
-            max(epoch, automaton.token_epoch), {reporter}
+            max(epoch, automaton.token_epoch), {reporter}, suspects
         )
         self._probe_fire(lock_id)
 
@@ -162,6 +192,18 @@ class Regeneration:
             # partition, with a healthy token across the cut; with a
             # member silent but trusted, that member may hold it.
             return False
+        settled = self._settled.get(lock_id)
+        if (
+            settled is not None
+            and probe.suspects
+            and probe.suspects <= settled[0]
+            and not kernel.detector.is_suspected(settled[1])
+        ):
+            # Every loss reported here was answered before by a holder
+            # still trusted: the token is in flight between live
+            # members, not lost.  Ask everyone again.
+            probe.answered.clear()
+            return False
         # A majority answered without the token and the rest are
         # suspected: the token died with the crash.  Claim the next
         # epoch (above every floor reported or answered), fenced.
@@ -178,7 +220,7 @@ class Regeneration:
 
     @handles(OrphanReport)
     def on_orphan_report(self, msg: OrphanReport) -> None:
-        self.ensure_probe(msg.lock_id, reporter=msg.sender, epoch=msg.epoch)
+        self.ensure_probe(msg.lock_id, msg.sender, msg.epoch, msg.suspect)
 
     @handles(TokenProbe)
     def on_token_probe(self, msg: TokenProbe) -> None:
@@ -205,7 +247,15 @@ class Regeneration:
         probe = self._probes.get(msg.lock_id)
         if probe is not None and msg.holds:
             self._close_probe(msg.lock_id)
-            self.announce(msg.lock_id, msg.sender, msg.epoch, probe.reporters)
+            self._settled[msg.lock_id] = (probe.suspects, msg.sender)
+            parent = self._kernel.lockspace.automaton(msg.lock_id).parent
+            self.announce(
+                msg.lock_id,
+                msg.sender,
+                msg.epoch,
+                probe.reporters,
+                rehome=parent in probe.suspects,
+            )
         elif probe is not None:
             probe.answered.add(msg.sender)
             probe.epoch = max(probe.epoch, msg.epoch)
@@ -219,9 +269,11 @@ class Regeneration:
         holder: NodeId,
         epoch: int,
         reporters: Optional[Iterable[NodeId]] = None,
+        rehome: bool = False,
     ) -> None:
         """Tell *reporters* (by default — after a regeneration or a
-        custody change — every live peer) where the token now lives."""
+        custody change — every live peer) where the token now lives;
+        with *rehome*, re-home this node's lock under it too."""
 
         kernel = self._kernel
         self.note_hint(lock_id, holder, epoch)
@@ -231,13 +283,19 @@ class Regeneration:
         targets = kernel.live_peers() if reporters is None else sorted(reporters)
         kernel.broadcast([n for n in targets if n != kernel.node_id], message)
         # Apply locally too (the coordinator may itself be an orphan).
-        self._apply_reparent(lock_id, holder, epoch)
+        self._apply_reparent(lock_id, holder, epoch, rehome=rehome)
 
     def tell(
-        self, dest: NodeId, lock_id: LockId, holder: NodeId, epoch: int
+        self,
+        dest: NodeId,
+        lock_id: LockId,
+        holder: NodeId,
+        epoch: int,
+        migrate: bool = False,
     ) -> None:
-        """Send *dest* alone one placement (from its own parent: the
-        directive to attach under *holder* instead)."""
+        """Send *dest* alone one placement (with *migrate*, from its own
+        departing parent: the directive to attach under *holder*
+        instead)."""
 
         self._kernel.send(
             dest,
@@ -246,6 +304,7 @@ class Regeneration:
                 sender=self._kernel.node_id,
                 parent=holder,
                 epoch=epoch,
+                migrate=migrate,
             ),
         )
 
@@ -294,7 +353,10 @@ class Regeneration:
     def on_reparent(self, msg: ReparentMessage) -> None:
         self.learn(msg.lock_id, msg.parent, msg.epoch)
         self._apply_reparent(
-            msg.lock_id, msg.parent, msg.epoch, sender=msg.sender
+            msg.lock_id,
+            msg.parent,
+            msg.epoch,
+            sender=msg.sender if msg.migrate else None,
         )
 
     def learn(self, lock_id: LockId, holder: NodeId, epoch: int) -> None:
@@ -334,8 +396,12 @@ class Regeneration:
         automaton = kernel.lockspace.automaton(lock_id)
         if kernel.custody.observe(lock_id, holder, epoch):
             return
+        # An orphan re-attached since it lost its parent (the token came
+        # by, say) is lost no more: the placement may predate that.
+        lost = self._lost(lock_id, automaton)
+        self._close_orphan(lock_id)
         kernel.dispatch(automaton.observe_epoch(epoch, holder))
-        needs_home = self._close_orphan(lock_id) or rehome or (
+        needs_home = lost or rehome or (
             automaton.parent is not None
             and (
                 # A departed parent is as gone as a suspected one, but
@@ -353,13 +419,20 @@ class Regeneration:
             and sender == automaton.parent
             and holder != sender
         ):
-            # A parent-directed reparent: our own (live) parent tells us
-            # to attach elsewhere — the graceful-departure child
-            # migration (see repro.membership).  Authoritative because
-            # only the current parent may retract an attachment it
-            # accounts for, and it recorded us at *holder* first.
+            # A migration directive from our own (live) parent, which
+            # is departing: attach elsewhere (see repro.membership).
+            # Authoritative because only the current parent may retract
+            # an attachment it accounts for, and it recorded us at
+            # *holder* first.  (A placement from whoever became our
+            # parent after sending it is not one.)
             needs_home = True
         if needs_home and not automaton.has_token:
             kernel.dispatch(automaton.reattach(holder))
+            if sender is not None and automaton.owned_mode() is LockMode.NONE:
+                # *holder* adopted us at the mode our old parent had on
+                # record, which a release still in flight to it may have
+                # ended: say that we own nothing (``reattach`` announces
+                # only a mode owned).
+                kernel.dispatch(automaton.reassert_owned())
             if automaton.pending_mode is not LockMode.NONE:
                 kernel.arm_retry(lock_id)

@@ -531,7 +531,7 @@ class MembershipLayer:
                     ),
                 )
                 kernel.regeneration.tell(
-                    child, lock_id, parent, automaton.token_epoch
+                    child, lock_id, parent, automaton.token_epoch, migrate=True
                 )
         if self.departure_complete() and self._pending is None:
             self.propose(removed=(kernel.node_id,))

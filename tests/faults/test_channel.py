@@ -87,8 +87,10 @@ class _Pair:
         the other owes it."""
 
         for node, channel in ((0, self.a), (1, self.b)):
-            for peer, (ack, boot) in channel.take_acks().items():
-                (self.b if peer == 1 else self.a).on_ack(node, ack, boot)
+            for peer, (ack, boot, stream) in channel.take_acks().items():
+                (self.b if peer == 1 else self.a).on_ack(
+                    node, ack, boot, stream
+                )
 
 
 class TestDelivery:

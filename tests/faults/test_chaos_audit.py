@@ -7,6 +7,8 @@ converge to a healthy audit: no finding is excused.
 from __future__ import annotations
 
 from repro.faults.chaos import run_chaos
+from repro.faults.plan import CrashEvent, FaultPlan
+from repro.faults.recovery import RecoveryConfig
 
 
 def _audit(verdict):
@@ -54,3 +56,41 @@ class TestVolatileRestart:
             ):
                 failed.append(seed)
         assert failed == []
+
+    def test_a_restart_inside_the_suspect_timeout_leaves_no_ghost_entry(self):
+        # Node 0 is back a second after its crash, before anyone
+        # suspected it.  Seed 0: node 2 had granted node 0 IW as it
+        # crashed, and kept {0: IW} in its copyset — every later R
+        # waited behind that ghost until restart detection evicted the
+        # old incarnation's entries as a suspicion does.  (13 of seeds
+        # 0-99 wedged so; 0 since.)
+        plan = FaultPlan(
+            crashes=(CrashEvent(node=0, at=5.0, restart_at=6.0),),
+            seed=0,
+            name="fast-restart",
+        )
+        verdict = run_chaos(plan, seed=0)
+        assert verdict.ok, verdict.data
+        assert verdict.data["invariants"]["rule1_violations"] == 0
+        assert _audit(verdict)["findings"] == []
+
+    def test_a_fast_durable_restart_keeps_its_reclaimed_hold(self):
+        # The same one-second restart, journaled, with the application
+        # session re-asserting its hold: restart detection defers the
+        # eviction to the lease, which the new incarnation advertises.
+        # Seed 3 reclaims a hold (3, 10 and 21 of seeds 0-29 do).
+        plan = FaultPlan(
+            crashes=(CrashEvent(node=0, at=5.0, restart_at=6.0),),
+            seed=3,
+            name="fast-restart",
+        )
+        verdict = run_chaos(
+            plan,
+            seed=3,
+            durable=True,
+            reclaim=True,
+            config=RecoveryConfig(heartbeat_interval=0.1),
+        )
+        assert verdict.ok, verdict.data
+        assert verdict.data["leases"]["holds_reclaimed"] >= 1
+        assert _audit(verdict)["findings"] == []

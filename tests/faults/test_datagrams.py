@@ -27,12 +27,16 @@ PEER = 1
 PATIENT = RecoveryConfig(suspect_timeout=1e6)
 
 
-def _beat(seq: int, locks=(), view_epoch: int = 0, tokens=None):
+def _beat(
+    seq: int, locks=(), view_epoch: int = 0, tokens=None, gap=1, want=False
+):
     return HeartbeatMessage(
         lock_id="",
         sender=PEER,
         seq=seq,
         view_epoch=view_epoch,
+        gap=gap,
+        want=want,
         leases=tuple(
             (lock, "R", PEER, (tokens or {}).get(lock, 1))
             for lock in sorted(locks)
@@ -43,8 +47,9 @@ def _beat(seq: int, locks=(), view_epoch: int = 0, tokens=None):
 @st.composite
 def beat_streams(draw):
     """One incarnation's heartbeats, in send order: the held set changes
-    freely, a re-acquired hold carries a fresh (higher) fencing token and
-    the sender's installed view only ever advances."""
+    freely, a re-acquired hold carries a fresh (higher) fencing token,
+    the sender's installed view only ever advances, and its promised gap
+    and whether it depends on the receiver change freely."""
 
     count = draw(st.integers(2, 6))
     epochs = sorted(
@@ -56,7 +61,16 @@ def beat_streams(draw):
         for lock in now_held - held:
             tokens[lock] = index + 1
         held = now_held
-        beats.append(_beat(index + 1, held, epochs[index], dict(tokens)))
+        beats.append(
+            _beat(
+                index + 1,
+                held,
+                epochs[index],
+                dict(tokens),
+                gap=draw(st.integers(1, 6)),
+                want=draw(st.booleans()),
+            )
+        )
     return beats
 
 
@@ -101,6 +115,8 @@ class _Receiver:
             ),
             {peer: sorted(locks) for peer, locks in leases._deferred.items()},
             len(self.fabric.sent(ViewInstall, sender=0)),
+            self.kernel.detector.gap(PEER),
+            PEER in self.kernel._wanters,
         )
 
 
@@ -133,11 +149,13 @@ def test_any_heartbeat_schedule_ends_where_in_order_delivery_ends(
         assert shuffled.kernel.detector.last_seen(PEER) == shuffled.scheduler.now()
         if settled:
             # ...and nothing that arrives after the newest beat moves the
-            # mirror, the deferred evictions or the view catch-ups.
+            # mirror, the deferred evictions, the view catch-ups, the
+            # promised gap or whether the sender depends on us.
             assert shuffled.state() == before
         settled = settled or beat is newest
-    mirror, deferred, _catch_ups = shuffled.state()
+    mirror, deferred, _catch_ups, gap, wants = shuffled.state()
     assert (mirror, deferred) == in_order.state()[:2]
+    assert (gap, wants) == in_order.state()[3:] == (newest.gap, newest.want)
     assert mirror == sorted(
         (str(lock), mode, PEER, token) for lock, mode, _h, token in newest.leases
     )

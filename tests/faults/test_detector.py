@@ -1,8 +1,12 @@
-"""HeartbeatDetector: suspicion, grace, and revival."""
+"""HeartbeatDetector: suspicion, grace, revival and declared gaps."""
 
 from __future__ import annotations
 
 from repro.faults.detector import HeartbeatDetector
+from repro.faults.messages import HeartbeatMessage
+from repro.faults.recovery import RecoveryConfig
+
+from .handcrank import build
 
 
 class TestHeartbeatDetector:
@@ -49,3 +53,90 @@ class TestHeartbeatDetector:
         assert detector.beat(1, 2.0) is False
         assert detector.last_seen(1) == 3.0
         assert detector.check(5.4) == []
+
+
+class TestDeclaredGaps:
+    """A beat declares how many intervals until its sender's next one;
+    the detector waits that much longer before suspecting."""
+
+    def _detector(self, gap=1):
+        return HeartbeatDetector([1, 2], timeout=2.5, interval=0.5, gap=gap)
+
+    def test_a_declared_gap_extends_the_tolerance(self):
+        detector = self._detector()
+        detector.promise(1, 5)
+        assert detector.tolerance(1) == 2.5 + 4 * 0.5
+        assert detector.tolerance(2) == 2.5
+        assert detector.check(2.5) == [2]
+        assert detector.check(4.4) == []
+        assert detector.check(4.5) == [1]
+
+    def test_a_gap_of_one_restores_the_suspect_timeout(self):
+        detector = self._detector()
+        detector.promise(1, 5)
+        detector.promise(1, 1)
+        assert detector.check(2.5) == [1, 2]
+
+    def test_a_peer_not_yet_heard_from_is_assumed_on_the_sweep(self):
+        detector = self._detector(gap=5)
+        assert detector.gap(1) == 5
+        assert detector.check(4.4) == []
+        assert detector.check(4.5) == [1, 2]
+
+    def test_an_asked_peer_stops_counting_its_old_gap(self):
+        # Peer 1 promised the sweep's gap; at 1.0 we started to depend on
+        # it, so a live peer beats us every interval within two intervals.
+        detector = self._detector(gap=5)
+        detector.beat(1, 2.0)
+        detector.beat(2, 2.0)
+        detector.ask({1}, now=1.0)
+        assert detector.check(4.4) == []
+        assert detector.check(4.5) == [1]   # 1.0 + 2.5 + 2 intervals
+        assert detector.check(6.4) == []
+        assert detector.check(6.5) == [2]   # its own promise, unasked
+
+    def test_a_peer_left_out_of_the_asked_set_is_no_longer_asked(self):
+        detector = self._detector(gap=5)
+        detector.beat(1, 2.0)
+        detector.ask({1}, now=1.0)
+        detector.ask(set(), now=1.5)
+        assert detector.check(4.5) == [2]   # never heard from at all
+
+    def test_a_peer_already_beating_every_interval_is_not_asked(self):
+        detector = self._detector(gap=5)
+        detector.promise(1, 1)
+        detector.ask({1}, now=0.0)
+        detector.promise(1, 5)     # it lengthened its gap since
+        detector.beat(1, 2.0)
+        assert detector.check(4.5) == [2]   # never heard from at all
+
+    def test_forgetting_a_peer_drops_its_promise(self):
+        detector = self._detector()
+        detector.promise(1, 5)
+        detector.forget(1)
+        detector.add_peer(1, 0.0)
+        assert detector.gap(1) == 1
+
+
+def _beat(seq, gap, want=False, boot=0):
+    return HeartbeatMessage(
+        lock_id="", sender=1, boot=boot, seq=seq, gap=gap, want=want
+    )
+
+
+def test_only_the_newest_beats_gap_counts():
+    # Heartbeats are datagrams: the one sent first may arrive last.
+    _scheduler, fabric = build(2, RecoveryConfig(suspect_timeout=1e6))
+    receiver = fabric.managers[0]
+    receiver.handle(_beat(seq=11, gap=1, want=True))
+    receiver.handle(_beat(seq=10, gap=6))       # overtaken on the wire
+    assert receiver.detector.gap(1) == 1
+    assert 1 in receiver._wanters
+    receiver.handle(_beat(seq=12, gap=6))
+    assert receiver.detector.gap(1) == 6
+    assert 1 not in receiver._wanters
+    receiver.handle(_beat(seq=11, gap=1, want=True))  # a duplicate, late
+    assert receiver.detector.gap(1) == 6
+    # A restarted sender numbers its beats afresh: its first is newest.
+    receiver.handle(_beat(seq=1, gap=1, boot=1))
+    assert receiver.detector.gap(1) == 1

@@ -32,10 +32,11 @@ FAST_HEARTBEATS = RecoveryConfig(heartbeat_interval=0.1)
 
 class TestMinorityPartition:
     def test_minority_holder_is_expired_and_revoked(self):
-        # Seed 7: the minority node holds a lease at the cut.  (Seed 2
-        # until issue 24 moved every trajectory; 1, 7 and 9 qualify of
-        # seeds 0-15.)
-        verdict = run_chaos(plan="minority-partition", seed=7)
+        # Seed 6: the minority node holds a lease at the cut.  (Seed 7
+        # until dependency-scoped heartbeats moved every trajectory; 6,
+        # 11 and 15 qualify of seeds 0-15.  Seed 2 before heartbeats
+        # became datagrams.)
+        verdict = run_chaos(plan="minority-partition", seed=6)
         data = verdict.data
         assert verdict.ok, data
         leases = data["leases"]
@@ -63,12 +64,12 @@ class TestMinorityPartition:
 
 class TestDurableReclaim:
     # Seeds where the crashed node holds an advertised lease when it
-    # dies.  Picked at the commit that moved session acks onto
-    # heartbeats, which moved every trajectory: 13, 14, 21, 22, 23, 26,
-    # 33 and 35 qualify of seeds 0-39.  (10 and 22 before it, from the
-    # commit that made heartbeats and acks datagrams; 2 and 13 before
-    # that.)
-    @pytest.mark.parametrize("seed", [13, 22])
+    # dies.  Picked at the commit that scoped heartbeats to dependencies,
+    # which moved every trajectory: 3, 10, 21, 35 and 37 qualify of
+    # seeds 0-39.  (13 and 22 before it, from the commit that moved
+    # session acks onto heartbeats; 10 and 22 before that, from the one
+    # that made heartbeats and acks datagrams; 2 and 13 before that.)
+    @pytest.mark.parametrize("seed", [3, 10])
     def test_restarted_session_reowns_advertised_holds(self, seed):
         verdict = run_chaos(
             plan="token-crash",
@@ -91,7 +92,7 @@ class TestDurableReclaim:
     def test_without_reclaim_restored_holds_are_disowned(self):
         verdict = run_chaos(
             plan="token-crash",
-            seed=13,  # One of the seeds that reclaims above.
+            seed=3,  # One of the seeds that reclaims above.
             durable=True,
             reclaim=False,
             config=FAST_HEARTBEATS,

@@ -352,20 +352,22 @@ class TestReclaimFanoutWarning:
             # Acquire only after the failure detector has suspected the
             # unreachable majority: the advert fanout counts unsuspected
             # peers, so an earlier acquire would journal a full fanout.
-            yield Timeout(sim, 2.0)
+            # (The majority depends on nobody here, so its silence is
+            # suspected one sweep's gap after the suspect timeout.)
+            yield Timeout(sim, 3.0)
             yield cluster.client(0).acquire("db", LockMode.W)
             yield Timeout(sim, 50.0)
 
         Process(sim, minority_holder())
         # Enough heartbeats to advertise the lease — but only node 1 is
         # unsuspected, so the journaled fanout stays below quorum.
-        sim.run(until=3.5)
+        sim.run(until=4.5)
         fanout = cluster.managers[0].leases.sessions.advert_fanout("db")
         assert fanout is not None and (fanout + 1) * 2 <= 5, fanout
         cluster.crash(0)
-        sim.run(until=4.0)
-        cluster.restart(0)
         sim.run(until=5.0)
+        cluster.restart(0)
+        sim.run(until=6.0)
 
         report = cluster.managers[0].custody.report
         assert report is not None

@@ -183,13 +183,14 @@ def _both(mp, act, at, until, latency):
 
 
 def test_suspecting_the_sender_releases_its_beats(monkeypatch):
-    # Every beat takes 3 s, so each node suspects both peers at its 2.5 s
-    # failure tick while their first beats (kept at 0 s) are in flight;
+    # Every beat takes 5 s, so each node suspects both peers at its 4.5 s
+    # failure tick (the suspect timeout plus the gap a peer just met is
+    # promised) while their first beats (kept at 0 s) are in flight;
     # delivered, they un-suspect the peers.
     cluster, delivered, kept = _both(
-        monkeypatch, lambda cluster: None, 0.0, 7.0, Fixed(3.0)
+        monkeypatch, lambda cluster: None, 0.0, 12.0, Fixed(5.0)
     )
-    _assert_released(delivered, _in_flight(kept, 2.5, 0, sender=1), 0)
+    _assert_released(delivered, _in_flight(kept, 4.5, 0, sender=1), 0)
     assert cluster.managers[0].events["unsuspect"] == 2
 
 

@@ -167,15 +167,15 @@ def test_send_and_broadcast_are_one_fabric_call_each():
 
 def test_a_heartbeat_tick_is_one_network_send_per_node(monkeypatch):
     nodes = 8
-    beats = collections.Counter()    # sender -> calls made of heartbeats only
-    widths = set()
+    calls = collections.Counter()    # (sender, time) -> heartbeat calls
+    dests = collections.defaultdict(list)   # sender -> each call's dests
     original = Network.send
 
     def counting(self, sender, envelopes):
         kinds = {type(envelope.message) for envelope in envelopes}
         if kinds == {HeartbeatMessage}:
-            beats[sender] += 1
-            widths.add(len(envelopes))
+            calls[sender, self._sim.now] += 1
+            dests[sender].append([envelope.dest for envelope in envelopes])
         else:
             assert HeartbeatMessage not in kinds
         return original(self, sender, envelopes)
@@ -185,5 +185,13 @@ def test_a_heartbeat_tick_is_one_network_send_per_node(monkeypatch):
     cluster.sim.run(until=5.0)
     interval = cluster.config.heartbeat_interval
     ticks = int(5.0 / interval) + 1    # t = 0, 0.5, ..., 5.0
-    assert beats == {node: ticks for node in range(nodes)}
-    assert widths == {nodes - 1}       # one envelope per peer
+    assert set(calls.values()) == {1}  # one call per tick, at most
+    assert {sender for sender, _at in calls} == set(range(nodes))
+    for node, batches in dests.items():
+        assert len(batches) <= ticks
+        peers = set(range(nodes)) - {node}
+        for batch in batches:          # one envelope per peer beaten
+            assert len(set(batch)) == len(batch) and set(batch) <= peers
+        # Each peer is beaten at least once per sweep.
+        sweep = cluster.managers[node].sweep
+        assert set().union(*batches[:sweep]) == peers

@@ -151,6 +151,17 @@ def _beats_to_4_from(*senders):
     )
 
 
+def _beats_with_4(*peers):
+    """A *hold* that delivers only the heartbeats between node 4 and
+    *peers*, both ways."""
+
+    return lambda entry: not (
+        isinstance(entry[2], HeartbeatMessage)
+        and 4 in entry[:2]
+        and set(entry[:2]) - {4} <= set(peers)
+    )
+
+
 def test_an_unanswered_probe_claims_the_next_epoch_and_serves_after_the_last_answer():
     scheduler, fabric, grants = _coordinated(0)  # The token home died.
     coordinator = fabric.managers[4]
@@ -209,7 +220,10 @@ def test_a_majority_answered_waits_for_the_silent_member_it_trusts(excused_by):
         fabric.deliver(TokenAck, only_to=4)
         assert scheduler.now() == 10.0
     else:
-        _run_until(scheduler, fabric, 11.5, _beats_to_4_from(1, 2))
+        # Node 3 depends on nobody here, so its beats to node 4 promise
+        # the sweep's gap: it is suspected that much later.
+        horizon = 10.0 + coordinator.detector.tolerance(3) + 0.5
+        _run_until(scheduler, fabric, horizon, _beats_to_4_from(1, 2))
         assert coordinator.detector.suspected == {0, 3}
     assert fabric.claims(4) == {1}
 
@@ -226,7 +240,10 @@ def test_a_suspected_holder_that_answers_is_announced_not_claimed_over():
     fabric.deliver(TokenAck, only_from=0)  # The suspect's answer first.
     assert coordinator.detector.suspected == set()
     fabric.deliver(TokenAck)
-    _run_until(scheduler, fabric, 10.0, _beats_to_4_from(0, 1, 2, 3))
+    # The coordinator's beats reach node 0 now too: it learns that the
+    # coordinator depends on it (its lock's parent) and beats it every
+    # interval, as a live parent does.
+    _run_until(scheduler, fabric, 10.0, _beats_with_4(0, 1, 2, 3))
     placements = [
         (dest, m.parent)
         for s, dest, m in fabric.log
@@ -707,3 +724,47 @@ def test_no_layer_reaches_into_another_objects_private_state(module):
         )
     ]
     assert offences == []
+
+
+# -- a restart inside the suspect timeout ----------------------------------
+
+
+def _copy_held_by_1(leased):
+    """Node 1 holds a copy of R under node 0's token (node 0 holds R
+    too, so the token stays), mirrored there when *leased*.  Returns
+    node 0's manager."""
+
+    scheduler, fabric = build(3, PATIENT, leased=leased)
+    fabric.managers[0].request(LOCK, LockMode.R)
+    fabric.managers[1].request(LOCK, LockMode.R)
+    for tick in range(1, 5):
+        scheduler.advance(tick * 0.5)
+        fabric.deliver_all(lambda entry: False)
+    home = fabric.managers[0]
+    assert home.lockspace.automaton(LOCK).children == {1: LockMode.R}
+    assert bool(home.leases.remote.mirrors(1)) is leased
+    return home
+
+
+def _reborn(rows=()):
+    """The first beat of node 1's next incarnation."""
+
+    return HeartbeatMessage(lock_id="", sender=1, boot=1, seq=1, leases=rows)
+
+
+def test_a_restart_evicts_the_old_incarnations_copyset_entry():
+    home = _copy_held_by_1(leased=False)
+    home.handle(_reborn())
+    assert home.lockspace.automaton(LOCK).children == {}
+
+
+def test_a_leased_entry_waits_for_the_new_incarnations_advertisement():
+    home = _copy_held_by_1(leased=True)
+    rows = tuple(
+        tuple(row[:4]) for row in home.leases.remote.export() if row[2] == 1
+    )
+    home.handle(_reborn(rows))      # a durable restart that reclaimed it
+    assert home.lockspace.automaton(LOCK).children == {1: LockMode.R}
+    home = _copy_held_by_1(leased=True)
+    home.handle(_reborn())          # a blank one: nothing advertised
+    assert home.lockspace.automaton(LOCK).children == {}
