@@ -156,16 +156,21 @@ class OrphanReport(Message):
 
 @dataclasses.dataclass(frozen=True)
 class TokenProbe(Message):
-    """The coordinator asking: does anyone hold ``lock_id``'s token?"""
+    """The coordinator asking: does anyone hold ``lock_id``'s token?
+    ``round`` numbers the coordinator's rounds of asking."""
+
+    round: int = 0
 
 
 @dataclasses.dataclass(frozen=True)
 class TokenAck(Message):
     """A member answering a probe: whether it ``holds`` the token, and
-    its token epoch (the floor, if it does not)."""
+    its token epoch (the floor, if it does not); ``round`` echoes the
+    probe's."""
 
     epoch: int = 0
     holds: bool = False
+    round: int = 0
 
 
 @dataclasses.dataclass(frozen=True)

@@ -39,10 +39,14 @@ class _Probe:
     #: The parents they lost.  Where the token turns out to live, the
     #: coordinator's own lock re-homes too if its parent is one of them
     #: (it may not suspect that parent yet); and a later report of the
-    #: same losses does not claim while that holder is trusted.
+    #: same losses, while that holder is trusted, asks one more round
+    #: before it claims.
     suspects: Set[NodeId]
-    #: The members that answered without the token.
+    #: The members that answered this round without the token.
     answered: Set[NodeId] = dataclasses.field(default_factory=set)
+    #: Which round of asking this is: an answer counts only in the round
+    #: it answers.
+    round: int = 0
 
 
 class Regeneration:
@@ -58,6 +62,7 @@ class Regeneration:
         self._probes: Dict[LockId, _Probe] = {}
         #: Coordinator side: the last probe a holder's answer closed per
         #: lock — the parents its reporters had lost, and the holder.
+        #: Spent by the next probe that reaches a decision.
         self._settled: Dict[LockId, Tuple[Set[NodeId], NodeId]] = {}
         #: Last announced token placement: lock_id -> (holder, epoch).
         #: Replayed to restarted peers so a re-born token yields to the
@@ -168,10 +173,12 @@ class Regeneration:
         # live holder, and only its answer says so).
         if self._decide(lock_id):
             return
-        kernel = self._kernel
+        kernel, probe = self._kernel, self._probes[lock_id]
         kernel.broadcast(
-            kernel.silent(self._probes[lock_id].answered),
-            TokenProbe(lock_id=lock_id, sender=kernel.node_id),
+            kernel.silent(probe.answered),
+            TokenProbe(
+                lock_id=lock_id, sender=kernel.node_id, round=probe.round
+            ),
         )
         kernel.resend_later(("probe", lock_id), self._probe_fire, lock_id)
 
@@ -192,7 +199,7 @@ class Regeneration:
             # partition, with a healthy token across the cut; with a
             # member silent but trusted, that member may hold it.
             return False
-        settled = self._settled.get(lock_id)
+        settled = self._settled.pop(lock_id, None)
         if (
             settled is not None
             and probe.suspects
@@ -200,9 +207,12 @@ class Regeneration:
             and not kernel.detector.is_suspected(settled[1])
         ):
             # Every loss reported here was answered before by a holder
-            # still trusted: the token is in flight between live
-            # members, not lost.  Ask everyone again.
+            # still trusted: the token may be in flight between live
+            # members.  Ask everyone once more, counting only answers
+            # given after this round began; the entry is spent, so a
+            # token that since died with a suspect is claimed then.
             probe.answered.clear()
+            probe.round += 1
             return False
         # A majority answered without the token and the rest are
         # suspected: the token died with the crash.  Claim the next
@@ -233,6 +243,7 @@ class Regeneration:
                 sender=kernel.node_id,
                 epoch=automaton.token_epoch,
                 holds=kernel.custody.holds(automaton),
+                round=msg.round,
             ),
         )
 
@@ -257,9 +268,10 @@ class Regeneration:
                 rehome=parent in probe.suspects,
             )
         elif probe is not None:
-            probe.answered.add(msg.sender)
             probe.epoch = max(probe.epoch, msg.epoch)
-            self._decide(msg.lock_id)
+            if msg.round == probe.round:
+                probe.answered.add(msg.sender)
+                self._decide(msg.lock_id)
 
     # -- placements --------------------------------------------------------
 

@@ -175,23 +175,34 @@ def test_a_heartbeat_tick_is_one_network_send_per_node(monkeypatch):
         kinds = {type(envelope.message) for envelope in envelopes}
         if kinds == {HeartbeatMessage}:
             calls[sender, self._sim.now] += 1
-            dests[sender].append([envelope.dest for envelope in envelopes])
+            dests[sender].append(
+                (self._sim.now, [envelope.dest for envelope in envelopes])
+            )
         else:
             assert HeartbeatMessage not in kinds
         return original(self, sender, envelopes)
 
     monkeypatch.setattr(Network, "send", counting)
     cluster = ResilientSimCluster(nodes, seed=5)
-    cluster.sim.run(until=5.0)
+    cluster.sim.run(until=10.0)
     interval = cluster.config.heartbeat_interval
-    ticks = int(5.0 / interval) + 1    # t = 0, 0.5, ..., 5.0
+    ticks = int(10.0 / interval) + 1   # t = 0, 0.5, ..., 10.0
     assert set(calls.values()) == {1}  # one call per tick, at most
     assert {sender for sender, _at in calls} == set(range(nodes))
-    for node, batches in dests.items():
-        assert len(batches) <= ticks
+    for node, sent in dests.items():
+        assert len(sent) <= ticks
         peers = set(range(nodes)) - {node}
-        for batch in batches:          # one envelope per peer beaten
+        for _at, batch in sent:        # one envelope per peer beaten
             assert len(set(batch)) == len(batch) and set(batch) <= peers
-        # Each peer is beaten at least once per sweep.
+        # Past its first sweep (when a node beats everyone), each peer
+        # is still beaten within every run of sweep consecutive ticks
+        # (a tick that beats nobody sends nothing).
         sweep = cluster.managers[node].sweep
-        assert set().union(*batches[:sweep]) == peers
+        first = sent[0][0]
+        batches = [set() for _ in range(ticks)]
+        for at, batch in sent:
+            batches[round((at - first) / interval)] = set(batch)
+        later = batches[sweep:ticks - 1]
+        assert later and not all(batch == peers for batch in later)
+        for start in range(sweep, ticks - sweep):
+            assert set().union(*batches[start:start + sweep]) == peers

@@ -255,6 +255,43 @@ def test_a_suspected_holder_that_answers_is_announced_not_claimed_over():
     assert fabric.managers[0].lockspace.automaton(LOCK).has_token
 
 
+def test_a_settled_loss_that_recurs_is_claimed_after_one_more_round():
+    """Node 1 is suspected while node 0 holds the token, and node 0's
+    answer settles the probe.  The token then moves to node 1, which
+    dies with it.  The settled answer buys one more round of answers,
+    not every round: node 0 truthfully says "not here" and the
+    coordinator claims."""
+
+    scheduler, fabric, grants = _coordinated()
+    coordinator = fabric.managers[4]
+    cut = lambda entry: entry[:2] == (1, 4)  # Node 1 never reaches node 4.
+    _run_until(scheduler, fabric, 1.5, cut)
+    assert coordinator.detector.suspected == {1}
+    coordinator.handle(OrphanReport(lock_id=LOCK, sender=2, suspect=1))
+    fabric.deliver_all(cut)  # Node 0 answers that it holds the token.
+    assert coordinator.regeneration.regenerations == []
+    # The token moves to node 1, and node 1 crashes with it.
+    fabric.managers[1].request(LOCK, LockMode.W)
+    fabric.deliver_all(cut)
+    assert grants == [(1, LOCK, LockMode.W)]
+    assert fabric.managers[1].lockspace.automaton(LOCK).has_token
+    fabric.managers[1].stop()
+    sent = len(fabric.log)
+    coordinator.handle(OrphanReport(lock_id=LOCK, sender=2, suspect=1))
+    fabric.deliver_all(cut)
+    # Nodes 0, 2 and 3 answer "not here": that is the round the settled
+    # answer buys...
+    assert fabric.claims(4) == set()
+    # ...and the re-sent probe's answers claim the next epoch.
+    _run_until(scheduler, fabric, scheduler.now() + 2.0, cut)
+    assert fabric.claims(4) == {1}
+    asked = [d for _s, d, m in fabric.log[sent:] if type(m) is TokenProbe]
+    assert sorted(asked) == [0, 0, 1, 1, 2, 2, 3, 3]
+    assert coordinator.regeneration.regenerations == [
+        {"lock": LOCK, "epoch": 1, "node": 4}
+    ]
+
+
 def test_without_a_majority_the_coordinator_reprobes_and_never_claims():
     scheduler, fabric = build(5, RecoveryConfig(suspect_timeout=0.7))
     coordinator = fabric.managers[4]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.core.modes import LockMode
 from repro.faults.messages import HeartbeatMessage
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
@@ -137,6 +139,50 @@ def test_every_announcement_promises_past_the_ones_still_due():
     assert parent.sweep == SWEEP
 
 
+def test_a_stale_not_any_more_does_not_outrun_the_promise_it_breaks():
+    # Node 1 stops depending on node 0 and at once depends again.  The
+    # beat that said "not any more" is overtaken by two seconds, and the
+    # beats that say "again" are lost for 4.5 s.  Meanwhile node 1 trusts
+    # node 0's per-tick promise.  When "not any more" arrives, node 0
+    # announces the longer gap before it thins out, so node 1 never
+    # suspects it.  (A receiver that lengthened its own tolerance when it
+    # stopped depending, with senders that thin out at once, suspects
+    # node 0 here: nothing tells it the per-tick promise lapsed.)
+    scheduler, fabric = build(2, DEFAULTS)
+    child = fabric.managers[1]
+    _depend(child, {0})
+    for _ in _crank(scheduler, fabric, 3.0):
+        pass
+    _depend(child, set())
+    stale = sent = released = None
+    while scheduler.now() < 20.0:
+        if sent is not None and scheduler.now() == sent + 2.0:
+            fabric.parked.append(stale)
+            released = len(fabric.log)
+        scheduler.advance(scheduler.now() + 0.25)
+        for entry in [e for e in fabric.parked if e[0] == 1]:
+            beat = entry[2]
+            if not isinstance(beat, HeartbeatMessage):
+                continue
+            if sent is None and not beat.want:
+                stale, sent = entry, scheduler.now()
+                fabric.parked.remove(entry)
+                _depend(child, {0})
+            elif beat.want and sent is not None:
+                if scheduler.now() < sent + 4.5:
+                    fabric.parked.remove(entry)  # "again", lost
+        fabric.deliver_all(lambda entry: False)
+        assert child.suspect_log == [], scheduler.now()
+    # Node 0 did thin out, and beats node 1 every tick again once it
+    # hears "again".
+    gaps = [
+        message.gap
+        for origin, _dest, message in fabric.log[released:]
+        if origin == 0 and isinstance(message, HeartbeatMessage)
+    ]
+    assert max(gaps) > 1 and gaps[-1] == 1
+
+
 def test_a_coordinator_that_does_not_depend_on_a_member_still_suspects_it():
     scheduler, fabric = build(5, DEFAULTS)
     coordinator = fabric.managers[4]
@@ -225,8 +271,16 @@ def _run_forty(monkeypatch, until=20.0):
     return cluster, sends, ticks, grants
 
 
-def test_a_fault_free_forty_node_cluster_suspects_nobody(monkeypatch):
-    cluster, _sends, _ticks, grants = _run_forty(monkeypatch)
+@pytest.fixture(scope="module")
+def forty():
+    """One :func:`_run_forty` run, shared by the checks below."""
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        return _run_forty(monkeypatch)
+
+
+def test_a_fault_free_forty_node_cluster_suspects_nobody(forty):
+    cluster, _sends, _ticks, grants = forty
     assert len(grants) > 200
     assert {node for node, _lock, _mode in grants} == set(range(40))
     for manager in cluster.managers.values():
@@ -234,8 +288,8 @@ def test_a_fault_free_forty_node_cluster_suspects_nobody(monkeypatch):
         assert manager.suspect_log == []
 
 
-def test_every_node_hears_from_every_peer_once_per_sweep(monkeypatch):
-    cluster, sends, _ticks, _grants = _run_forty(monkeypatch)
+def test_every_node_hears_from_every_peer_once_per_sweep(forty):
+    cluster, sends, _ticks, _grants = forty
     interval = cluster.config.heartbeat_interval
     sweep = cluster.managers[0].sweep
     last = {}
@@ -247,9 +301,9 @@ def test_every_node_hears_from_every_peer_once_per_sweep(monkeypatch):
     assert widest <= sweep * interval + 1e-9
 
 
-def test_no_tick_beats_beyond_what_the_node_depends_on(monkeypatch):
+def test_no_tick_beats_beyond_what_the_node_depends_on(forty):
     # The guard against a silent return to all-pairs beating.
-    _cluster, _sends, ticks, _grants = _run_forty(monkeypatch)
+    _cluster, _sends, ticks, _grants = forty
     assert len(ticks) >= 40 * 40
     for node, allowed, beaten in ticks:
         assert set(beaten) <= allowed, node
