@@ -18,10 +18,12 @@ and granted, messages, engine events, every grant latency and table
 grant, at full precision), so the trajectories the ledger gates are
 compared like the chaos verdicts — and what ``repro.obs`` writes: the
 ``--trace-out`` JSONL (spans, series, causal chains) of ``chaos --plan
-smoke --seed 0`` and of ``fig5 --quick``, and the ``/cluster`` payload
-and ``/metrics`` text of one seeded ``ResilientSimCluster`` with a
-journal, polled twice mid-run and once drained — then byte-compares
-them (59 outputs).
+smoke --seed 0`` and of ``fig5 --quick``, the same JSONL of a traced
+Raymond run (the related-work protocol at 4, 8 and 15 nodes, whose
+messages name no request, so its chains are the tracer's queue mirror
+at work), and the ``/cluster`` payload and ``/metrics`` text of one
+seeded ``ResilientSimCluster`` with a journal, polled twice mid-run and
+once drained — then byte-compares them (60 outputs).
 On a difference it names every differing output, prints the first
 changed lines of each (old ``-``, new ``+``; a long line is cut to the
 stretch around its first change), and exits 1.
@@ -203,6 +205,16 @@ def _write_trace(out: str, name: str, argv: List[str]) -> None:
         handle.write(f"exit {code}\n")
 
 
+def _write_raymond_trace(out: str) -> None:
+    from repro.experiments.common import run, write_run_traces
+    from repro.experiments.related_work import RAYMOND
+    from repro.workload.spec import WorkloadSpec
+
+    spec = WorkloadSpec(ops_per_node=20, seed=3)
+    results = [run(RAYMOND, n, spec, observe=True) for n in (4, 8, 15)]
+    write_run_traces(os.path.join(out, "trace-raymond.jsonl"), results)
+
+
 def _write_live_view(out: str) -> None:
     # Three polls of one monitor: a queue entry seen at 2.5 s has an age
     # at 3.0 s, and after the drain the audit runs quiescent.
@@ -264,6 +276,7 @@ def emit(out: str) -> None:
     jobs += [
         (name, _write_trace, (out, name, argv)) for name, argv in TRACES
     ]
+    jobs.append(("trace-raymond", _write_raymond_trace, (out,)))
     jobs.append(("live-view", _write_live_view, (out,)))
     for name, job, args in jobs:
         pid = os.fork()

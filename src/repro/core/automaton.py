@@ -978,7 +978,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
                 request_id=msg.request_id,
                 frozen=self._frozen,
                 attachment_seq=attachment_seq,
-                trace=msg.trace,
             ),
         )
 
@@ -1005,7 +1004,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
             frozen=self._frozen,
             prev_owner_seq=self._attach_seq,
             epoch=self._token_epoch,
-            trace=msg.trace,
         )
         return [Envelope(msg.origin, token)]
 

@@ -244,8 +244,7 @@ def from_payload(cls, payload: Mapping[str, object]):
 
 
 # ---------------------------------------------------------------------------
-# Wire messages.  Trace contexts are deliberately not encoded: they are
-# excluded from message equality and never feed back into protocol state.
+# Wire messages.
 # ---------------------------------------------------------------------------
 
 _MESSAGES: Dict[str, Tuple[type, Tuple[Field, ...]]] = {}
@@ -263,7 +262,7 @@ def register_message(cls: type, *fields: Field) -> None:
     """
 
     declared = {f.name for f in dataclasses.fields(cls)}
-    declared -= {"lock_id", "sender", "trace"}
+    declared -= {"lock_id", "sender"}
     if declared != {attr for _key, attr, _codec, _durable in fields}:
         raise TypeError(
             f"{cls.__name__}: codec fields must cover exactly {sorted(declared)}"

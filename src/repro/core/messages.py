@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import types
-from typing import Dict, FrozenSet, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, NamedTuple, Tuple
 
 from .modes import LockMode
 
@@ -34,43 +34,11 @@ _request_serial = itertools.count()
 
 
 @dataclasses.dataclass(frozen=True)
-class TraceContext:
-    """Causal-tracing context riding piggyback on a protocol message.
-
-    Minted by the transport layer when a request first crosses the wire
-    and re-stamped (same ``trace_id``, fresh ``hop``, ``parent`` pointing
-    at the causally preceding hop) on every subsequent message of the
-    same causal chain.  Between the automaton that builds a reply and the
-    transport that sends it, the field holds the *triggering* message's
-    context — a parent hint the transport resolves into a fresh hop — so
-    the automata only ever copy the field and never talk to the tracer.
-
-    ``kind`` annotates non-primary hops: ``"send"`` for ordinary ones,
-    ``"retransmit"`` for session-channel or application-level re-sends,
-    ``"regen"`` for messages born from an epoch-fenced token
-    regeneration.  See docs/TRACING.md for the full hop model.
-    """
-
-    trace_id: str
-    hop: int
-    parent: int
-    origin: NodeId
-    kind: str = "send"
-
-
-@dataclasses.dataclass(frozen=True)
 class Message:
     """Base class for all protocol messages."""
 
     lock_id: LockId
     sender: NodeId
-    #: Optional causal-tracing context (see :class:`TraceContext`).  Kept
-    #: out of equality/repr so tracing never changes protocol semantics:
-    #: two messages that differ only in trace context still compare equal
-    #: (dedup, queues) and render identically in logs.
-    trace: Optional[TraceContext] = dataclasses.field(
-        default=None, kw_only=True, compare=False, repr=False
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -174,11 +174,6 @@ class ReliableChannel:
         self.retransmits = 0
         #: Frames dropped as duplicates or stale-incarnation traffic.
         self.duplicates_dropped = 0
-        #: Optional causal tracer (set by the recovery manager).  Frames
-        #: are stamped *before* entering ``unacked`` so a retransmission
-        #: re-sends the stamped object and the tracer recognizes it as an
-        #: annotated retransmit hop rather than a fresh message.
-        self.tracer = None
         #: Optional observability sink; retransmissions are reported as
         #: ``fault("channel-retransmit", node)`` events.
         self.obs = None
@@ -202,8 +197,6 @@ class ReliableChannel:
                 boot=self.boot,
                 stream=stream.gen,
             )
-            if self.tracer is not None:
-                frame = self.tracer.stamp_frame(self._node_id, dest, frame)
             stream.next_seq += 1
             was_idle = not stream.unacked
             stream.unacked[frame.seq] = frame

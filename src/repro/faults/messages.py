@@ -124,7 +124,10 @@ class HeartbeatMessage(Message):
     def __getstate__(self) -> dict:
         # Most beats ack nothing, want nothing or promise the next
         # interval; those fields pickle only off their defaults (the
-        # class defaults stand in for them on the far side).
+        # class defaults stand in for them on the far side).  The rest is
+        # the header, ``boot``, ``leases``, ``view_epoch`` and ``seq``;
+        # no message carries anything for the tracer (its hop id rides
+        # beside the message, see repro.obs.tracing).
         return {
             key: value
             for key, value in self.__dict__.items()

@@ -155,8 +155,8 @@ class RecoveryManager:
         #: Durability journal of this node, attached by the cluster
         #: wiring when persistence is enabled (see repro.persist).
         self.journal = None
-        #: Causal tracer, adopted from the obs sink when it has one; the
-        #: session channel shares it so frames join request chains.
+        #: Causal tracer, adopted from the obs sink when it has one:
+        #: :meth:`dispatch` marks recovery's re-sends on it.
         self.tracer = getattr(obs, "tracer", None)
         self.membership = MembershipLayer(self, membership)
         #: Every peer gets a beat at least once per this many ticks: the
@@ -197,7 +197,6 @@ class RecoveryManager:
             boot=boot,
             mutex=self.mutex,
         )
-        self.channel.tracer = self.tracer
         self.channel.obs = obs
         self.regeneration = Regeneration(self)
         self.custody = Custody(self)

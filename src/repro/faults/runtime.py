@@ -138,6 +138,9 @@ class FaultyTransport:
         bounds the wait when the pair goes quiet.
         """
 
+        tracer = getattr(self.inner, "tracer", None)
+        if tracer is not None:
+            tracer.handed(sender, envelopes)  # before any is dropped
         for envelope in envelopes:
             with self._state_lock:
                 if sender in self._crashed or envelope.dest in self._crashed:

@@ -142,7 +142,6 @@ class MembershipLayer:
             members=view.members,
             joined=tuple(joined),
             removed=tuple(removed),
-            trace=None,
         )
         now = kernel.now()
         self.installs.append((now, self._installed))

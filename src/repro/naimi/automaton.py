@@ -238,7 +238,6 @@ class NaimiAutomaton(LockAutomaton):
                         NaimiTokenMessage(
                             lock_id=self._lock_id,
                             sender=self._node_id,
-                            trace=msg.trace,
                         ),
                     )
                 )
@@ -250,7 +249,6 @@ class NaimiAutomaton(LockAutomaton):
                         lock_id=self._lock_id,
                         sender=self._node_id,
                         origin=msg.origin,
-                        trace=msg.trace,
                     ),
                 )
             )

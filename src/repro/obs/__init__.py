@@ -7,7 +7,8 @@ Layer map::
                 per-request record)
     series.py   WindowedCounter / GaugeSeries / Histogram primitives
     collect.py  RunObserver — the concrete collector
-    tracing.py  causal hop tracing and critical-path attribution
+    tracing.py  causal hop tracing (hop ids ride beside messages, never
+                in them) and critical-path attribution
     export.py   JSONL writer/loader for observed runs (``--trace-out``)
     report.py   text-table rendering for `python -m repro report`
     live.py     cluster snapshots + online invariant audit

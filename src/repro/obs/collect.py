@@ -58,8 +58,9 @@ class RunObserver(ObsSink):
             start = _time.monotonic()
             clock = lambda: _time.monotonic() - start  # noqa: E731
         self._clock = clock
-        #: Causal message tracer, sharing this observer's clock; the
-        #: transports pick it up via ``getattr(obs, "tracer", None)``.
+        #: Causal message tracer, sharing this observer's clock and fed
+        #: its span phases; the fabrics pick it up via
+        #: ``getattr(obs, "tracer", None)``.
         self.tracer = MessageTracer(clock=lambda: self._clock())
         self._mutex = threading.Lock()
         #: Every span ever opened, in issue order (complete or not).
@@ -118,6 +119,7 @@ class RunObserver(ObsSink):
         phase: str,
         mode: Optional[LockMode] = None,
     ) -> None:
+        self.tracer.phase(node, lock_id, phase)
         now = self._clock()
         with self._mutex:
             if phase == RELEASED:

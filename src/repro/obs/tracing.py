@@ -3,25 +3,26 @@
 The tracer reconstructs, per lock request, the *causal chain* of wire
 messages it triggered — request → forward hops → grant-by-copyset or
 token transfer → release — across all three protocols and every
-transport.  The mechanism is deliberately split in two:
+transport.  It stands beside the protocol, not in it: no message
+carries a trace field and no automaton knows the tracer exists.
 
-* **Automata** only copy the triggering message's
-  :class:`~repro.core.messages.TraceContext` onto causally dependent
-  replies (``trace=msg.trace``) — a *parent hint*, pure data plumbing
-  with no tracer dependency, zero cost when tracing is off.
-* **Transports** own the tracer.  At send time they resolve the hint (or
-  fall back to request identity, the current delivery scope, or a grant
-  ancestry map) into a fresh hop and stamp the outgoing copy; at delivery
-  time they record the arrival and open a *delivery scope* so replies
-  built inside the handler inherit causality even without a hint.
+* **Fabrics** call :meth:`MessageTracer.outbound` when a message crosses
+  the wire and carry the hop id it returns *beside* the message (the
+  simulator's scheduled delivery, the threaded inbox item, the TCP frame
+  tuple), then hand both to :meth:`MessageTracer.deliver`, which records
+  the arrival and opens a *delivery scope* around the handler.
+* **The tracer** attributes each outbound message from what it saw
+  delivered: the last delivered hop of the request a message names, a
+  mirror of each Raymond node's request queue, the open delivery scope,
+  or the grant that node last received.
 
-Stamping replaces envelopes (frozen dataclasses) rather than mutating
-them, draws no randomness and sends no messages of its own, so a traced
-run is bit-identical to an untraced one in every protocol-visible way.
+It draws no randomness, changes no message and sends nothing, so a
+traced run is bit-identical to an untraced one in every
+protocol-visible way.
 
 Hop kinds: ``"send"`` for ordinary hops, ``"retransmit"`` for
-session-channel / application-level re-sends of an already stamped
-message (recorded as an extra annotated hop sharing the original's
+session-channel / application-level re-sends (a channel re-send of the
+same frame object is an extra annotated hop sharing the original's
 parent), ``"regen"`` for messages born from an epoch-fenced token
 regeneration, ``"replay"`` for messages re-issued from a durable journal
 during a restarted node's rejoin (see :mod:`repro.persist`).
@@ -39,16 +40,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+import weakref
+from collections import defaultdict, deque
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 from ..core.contract import FLOAT, INT, RAW, STR, field, listing, record
-from ..core.messages import (
-    Envelope,
-    LockId,
-    NodeId,
-    TraceContext,
-    fault_label,
-)
+from ..core.messages import Envelope, LockId, NodeId, fault_label
+from .sink import GRANTED, ISSUED
 
 #: ``() -> float`` time source (shared with the owning RunObserver).
 Clock = Callable[[], float]
@@ -60,6 +58,13 @@ UNTRACED_LABELS = frozenset({"heartbeat", "session-ack"})
 _RECOVERY_LABELS = frozenset(
     {"orphan-report", "token-probe", "token-ack", "reparent"}
 )
+
+#: A hop's identity, ``(trace id, hop number)``: what a fabric carries
+#: beside the message it belongs to.
+HopId = Tuple[str, int]
+
+#: A node's own request in the mirror of a Raymond request queue.
+_SELF = "self"
 
 #: Critical-path segment names, in render order.
 PATH_SEGMENTS = ("transit", "queue", "freeze", "recovery")
@@ -109,7 +114,7 @@ class Hop:
     kind: str = "send"
     sent_at: Optional[float] = None
     recv_at: Optional[float] = None
-    #: Extra deliveries of the same stamped message (fault duplicates).
+    #: Extra deliveries of the same hop (fault duplicates).
     duplicates: int = 0
 
 
@@ -220,30 +225,39 @@ class MessageTracer:
     """Collects causal hop records for every traced message of a run.
 
     One instance serves a whole cluster; a mutex makes it safe for the
-    threaded transports (the simulator path never contends).  All public
-    entry points are called by transports only — never by automata.
+    threaded transports (the simulator path never contends).  Fabrics
+    call the send and receive sides; the owning observer feeds
+    :meth:`phase`; recovery marks its re-sends with :meth:`annotated`.
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
         self._clock: Clock = clock if clock is not None else (lambda: 0.0)
         self._mutex = threading.Lock()
         self._chains: Dict[str, TraceChain] = {}
-        self._hops: Dict[Tuple[str, int], Hop] = {}
+        self._hops: Dict[HopId, Hop] = {}
         self._next_hop: Dict[str, int] = {}
-        #: Active request identity → trace id (cleared at grant).
-        self._by_request: Dict[Tuple, str] = {}
-        #: Last delivered hop per trace (default parent for keyed sends).
-        self._last_hop: Dict[str, int] = {}
+        #: (lock, requester) → trace id of that node's request under
+        #: Naimi's algorithm, until its grant (the pair is reused).
+        self._naimi: Dict[Tuple[LockId, NodeId], str] = {}
+        #: Last delivered ``request`` hop per trace: the parent of the
+        #: forwards, grants and tokens that name the request.
+        self._last_request: Dict[str, int] = {}
         #: (node, lock) → (trace id, grant hop) of the latest grant
-        #: delivered there; attributes releases/freezes with no hint.
-        self._last_granted: Dict[Tuple[NodeId, LockId], Tuple[str, int]] = {}
-        #: Stamped upstream (session channel) but not yet on the wire.
-        self._pending: set = set()
-        #: Stamped hops that crossed the wire at least once.
-        self._sent: set = set()
+        #: delivered there; attributes releases/freezes.
+        self._last_granted: Dict[Tuple[NodeId, LockId], HopId] = {}
+        #: ``id`` of each live session frame a fabric was handed → (a
+        #: weak reference that forgets it, its hop): a second send of the
+        #: same object is the channel retransmitting it.
+        self._frames: Dict[int, Tuple[weakref.ref, HopId]] = {}
+        #: (node, lock) → the request queue that node keeps under
+        #: Raymond's algorithm, mirrored: the hop of each request
+        #: delivered there, :data:`_SELF` for the node's own.
+        self._queues: Dict[Tuple[NodeId, LockId], Deque] = defaultdict(
+            deque
+        )
         #: Open delivery scopes / recovery-kind annotations, keyed by
         #: (node, thread ident) so concurrent dispatchers never collide.
-        self._scopes: Dict[Tuple[NodeId, int], Tuple[str, int]] = {}
+        self._scopes: Dict[Tuple[NodeId, int], HopId] = {}
         self._kinds: Dict[Tuple[NodeId, int], str] = {}
         self._aux: Dict[Tuple, str] = {}
         self._root_serials: Dict[str, int] = {}
@@ -269,163 +283,155 @@ class MessageTracer:
 
     # -- send side --------------------------------------------------------
 
-    def outbound(self, sender: NodeId, envelope: Envelope) -> Envelope:
-        """Record *envelope* leaving *sender*; return the stamped copy.
+    def outbound(self, sender: NodeId, envelope: Envelope) -> Optional[HopId]:
+        """Record *envelope* crossing the wire from *sender*; return the
+        id of its hop, for the fabric to carry beside the message to
+        :meth:`deliver` (``None``: the message is not traced).
 
         Called by every transport at the instant a message is accepted
-        onto the wire (after fault-injector drops, where the fabric counts
-        the send, so dropped sends never become hops).
+        onto the wire (after fault-injector drops, where the fabric
+        counts the send, so a dropped send is no hop — unless it is a
+        session frame, see :meth:`handed`).
         """
 
         message = envelope.message
         inner = getattr(message, "payload", None) or message
         label = fault_label(inner)
         if label in UNTRACED_LABELS:
-            return envelope
+            return None
         now = self._clock()
         with self._mutex:
-            ctx = getattr(message, "trace", None)
-            if ctx is not None:
-                ident = (ctx.trace_id, ctx.hop)
-                if ident in self._pending:
-                    # Stamped upstream by the session channel; first
-                    # actual wire crossing.
-                    self._pending.discard(ident)
-                    self._sent.add(ident)
-                    self._hops[ident].sent_at = now
-                    return envelope
-                hop = self._hops.get(ident)
-                if (
-                    hop is not None
-                    and ident in self._sent
-                    and hop.sender == sender
-                    and hop.dest == envelope.dest
-                ):
-                    # Verbatim re-send of an already stamped message:
-                    # an annotated retransmit hop, sibling of the
-                    # original (same parent, no arrival expected).
-                    self._append_hop(
-                        ctx.trace_id,
-                        parent=hop.parent,
-                        sender=sender,
-                        dest=envelope.dest,
-                        label=label,
-                        kind="retransmit",
-                        sent_at=now,
-                    )
-                    return envelope
-            stamped = self._new_hop(
-                sender, envelope.dest, inner, ctx, label, now, sent_at=now
-            )
-        return Envelope(envelope.dest, self._stamp(message, inner, stamped))
+            known = None if inner is message else self._frames.get(id(message))
+            if known is None:
+                return self._new_hop(
+                    sender, envelope.dest, message, inner, label, now, now
+                )
+            ident = known[1]
+            hop = self._hops[ident]
+            if hop.sent_at is None:
+                # Handed earlier, dropped then: its first wire crossing.
+                hop.sent_at = now
+            else:
+                # The channel re-sent this very frame: an annotated
+                # retransmit hop, sibling of the original (same parent,
+                # no arrival of its own — its deliveries are the
+                # original hop's).
+                self._append_hop(
+                    ident[0],
+                    parent=hop.parent,
+                    sender=sender,
+                    dest=envelope.dest,
+                    label=label,
+                    kind="retransmit",
+                    sent_at=now,
+                )
+            return ident
 
-    def stamp_frame(self, sender: NodeId, dest: NodeId, frame):
-        """Pre-stamp a session frame before the channel stores it.
+    def handed(self, sender: NodeId, envelopes: List[Envelope]) -> None:
+        """Open the hop of each session frame in *envelopes* not seen
+        before; a fabric that may drop what it is handed calls this
+        before it decides.
 
-        The reliable channel keeps the very object it sends in its
-        ``unacked`` buffer, so stamping must happen *before* storage —
-        retransmissions then re-send the stamped frame and the tracer
-        recognizes them (same trace id and hop) as annotated retransmit
-        hops instead of minting fresh ones.  The hop's ``sent_at`` stays
-        unset until :meth:`outbound` sees it cross the wire.
+        A frame whose first send is dropped crosses the wire first on a
+        retransmit, outside the handler that sent it; opened here, in
+        that handler's scope, it keeps its chain and :meth:`outbound`
+        records its first crossing.
         """
 
-        payload = frame.payload
-        label = fault_label(payload)
-        if label in UNTRACED_LABELS:
-            return frame
-        now = self._clock()
-        with self._mutex:
-            ctx = getattr(payload, "trace", None)
-            stamped = self._new_hop(
-                sender, dest, payload, ctx, label, now, sent_at=None
-            )
-        return dataclasses.replace(
-            frame,
-            trace=stamped,
-            payload=dataclasses.replace(payload, trace=stamped),
-        )
+        for dest, message in envelopes:
+            inner = getattr(message, "payload", None)
+            if inner is None:
+                continue
+            label = fault_label(inner)
+            if label in UNTRACED_LABELS:
+                continue
+            now = self._clock()
+            with self._mutex:
+                if id(message) not in self._frames:
+                    self._new_hop(
+                        sender, dest, message, inner, label, now, None
+                    )
 
     # -- receive side -----------------------------------------------------
 
-    def delivered(self, node: NodeId, message: object) -> None:
-        """Record the arrival of *message* at *node*."""
+    def delivered(
+        self, node: NodeId, message: object, ident: Optional[HopId]
+    ) -> None:
+        """Record the arrival at *node* of *message*, whose hop is *ident*."""
 
-        ctx = getattr(message, "trace", None)
-        if ctx is None:
+        if ident is None:
             return
         inner = getattr(message, "payload", None) or message
         now = self._clock()
+        trace_id, number = ident
         with self._mutex:
-            hop = self._hops.get((ctx.trace_id, ctx.hop))
-            if hop is None or hop.dest != node:
-                # Stale parent hint on a locally delivered message, or a
-                # chain the tracer never opened — not an arrival.
-                return
+            hop = self._hops[ident]
             if hop.recv_at is None:
                 hop.recv_at = now
             else:
                 hop.duplicates += 1
-            self._last_hop[ctx.trace_id] = ctx.hop
-            chain = self._chains[ctx.trace_id]
+            if hop.label == "request":
+                self._last_request[trace_id] = number
+                if type(inner).__name__ == "RaymondRequestMessage":
+                    self._queues[(node, inner.lock_id)].append(ident)
+            chain = self._chains[trace_id]
             if (
                 chain.granted_hop is None
                 and chain.kind == "request"
                 and node == chain.origin
-                and fault_label(inner) in ("grant", "token")
+                and hop.label in ("grant", "token")
             ):
-                chain.granted_hop = ctx.hop
+                chain.granted_hop = number
                 chain.granted_at = hop.recv_at
-                self._last_granted[(node, chain.lock)] = (
-                    ctx.trace_id,
-                    ctx.hop,
-                )
-                for key, tid in list(self._by_request.items()):
-                    if tid == ctx.trace_id:
-                        del self._by_request[key]
-
-    def begin_delivery(self, node: NodeId, message: object) -> None:
-        """Open a delivery scope: replies the handler sends from this
-        thread inherit *message*'s chain when they carry no hint."""
-
-        ctx = getattr(message, "trace", None)
-        if ctx is None:
-            return
-        with self._mutex:
-            hop = self._hops.get((ctx.trace_id, ctx.hop))
-            if hop is None or hop.dest != node:
-                return
-            self._scopes[(node, threading.get_ident())] = (
-                ctx.trace_id,
-                ctx.hop,
-            )
-
-    def end_delivery(self, node: NodeId) -> None:
-        with self._mutex:
-            self._scopes.pop((node, threading.get_ident()), None)
+                self._last_granted[(node, chain.lock)] = ident
+                if self._naimi.get((chain.lock, node)) == trace_id:
+                    del self._naimi[(chain.lock, node)]
 
     def deliver(
         self,
         node: NodeId,
         message: object,
+        ident: Optional[HopId],
         handler: Callable[[object], List[Envelope]],
         send: Callable[[NodeId, List[Envelope]], None],
     ) -> None:
-        """Run *handler* on *message* arriving at *node*, traced, and hand
-        its replies to the fabric's *send*.
+        """Run *handler* on *message* (hop *ident*) arriving at *node*,
+        traced, and hand its replies to the fabric's *send*.
 
-        The delivery scope stays open through the reply sends, so replies
-        without a parent hint still land on this message's causal chain.
+        A delivery scope stays open through the reply sends: a reply the
+        tracer cannot attribute otherwise lands on this hop's chain.
         """
 
-        self.delivered(node, message)
-        self.begin_delivery(node, message)
+        self.delivered(node, message, ident)
+        scope = (node, threading.get_ident())
+        if ident is not None:
+            with self._mutex:
+                self._scopes[scope] = ident
         try:
             replies = handler(message)
             if replies:
                 send(node, replies)
         finally:
-            self.end_delivery(node)
+            if ident is not None:
+                with self._mutex:
+                    self._scopes.pop(scope, None)
+
+    def phase(self, node: NodeId, lock_id: LockId, phase: str) -> None:
+        """A request of *node* on *lock_id* reached span *phase*: mirror
+        the node's own entry of its Raymond queue (enqueued at issue,
+        taken at grant)."""
+
+        if phase not in (ISSUED, GRANTED):
+            return
+        with self._mutex:
+            if phase == ISSUED:
+                self._queues[(node, lock_id)].append(_SELF)
+                return
+            queue = self._queues.get((node, lock_id))
+            if queue is not None and _SELF in queue:
+                queue.remove(_SELF)
+                if not queue:
+                    del self._queues[(node, lock_id)]
 
     @contextlib.contextmanager
     def annotated(self, node: NodeId, kind: str) -> Iterator[None]:
@@ -456,19 +462,19 @@ class MessageTracer:
         self,
         sender: NodeId,
         dest: NodeId,
+        message,
         inner,
-        ctx: Optional[TraceContext],
         label: str,
         now: float,
         sent_at: Optional[float],
-    ) -> TraceContext:
-        """Attribute a fresh hop (mutex held) and return its context.
+    ) -> HopId:
+        """Attribute a fresh hop (mutex held) and return its id.
 
-        ``sent_at=None`` pre-stamps it: the hop is pending until
-        :meth:`outbound` sees it cross the wire.
+        A session frame's hop is remembered by the frame's identity;
+        ``sent_at=None`` leaves it to :meth:`outbound` to time.
         """
 
-        trace_id, parent = self._resolve(sender, dest, inner, ctx, now)
+        trace_id, parent = self._resolve(sender, dest, inner, now)
         kind = self._kinds.get((sender, threading.get_ident()), "send")
         hop = self._append_hop(
             trace_id,
@@ -479,16 +485,12 @@ class MessageTracer:
             kind=kind,
             sent_at=sent_at,
         )
-        (self._pending if sent_at is None else self._sent).add(
-            (trace_id, hop.hop)
-        )
-        return TraceContext(
-            trace_id=trace_id,
-            hop=hop.hop,
-            parent=parent,
-            origin=self._chains[trace_id].origin,
-            kind=kind,
-        )
+        ident = (trace_id, hop.hop)
+        if inner is not message:
+            key = id(message)
+            forget = lambda _ref: self._frames.pop(key, None)  # noqa: E731
+            self._frames[key] = (weakref.ref(message, forget), ident)
+        return ident
 
     def _mint(
         self,
@@ -513,60 +515,78 @@ class MessageTracer:
         self._root_serials[base] = n
         return n
 
-    def _request_key(self, inner, dest: NodeId) -> Optional[Tuple]:
-        """Active-request identity of *inner*, if it names one.
+    def _named(
+        self, inner, dest: NodeId
+    ) -> Tuple[Optional[str], Optional[Tuple[LockId, NodeId]]]:
+        """The trace id of the request *inner* names, and its Naimi key.
 
-        Hierarchical request/grant/token messages carry a RequestId; a
-        Naimi request is keyed by (lock, origin) and the Naimi token by
-        (lock, dest) — the destination *is* the requester it serves.
+        A hierarchical request, grant or token carries a RequestId, whose
+        ``"origin.serial"`` is the trace id.  A Naimi request is keyed by
+        (lock, origin) and the Naimi token by (lock, dest) — the
+        destination *is* the requester it serves.
         """
 
         rid = getattr(inner, "request_id", None)
         if rid is not None:
-            return ("rid", rid.origin, rid.serial)
+            return f"{rid.origin}.{rid.serial}", None
         name = type(inner).__name__
         if name == "NaimiRequestMessage":
-            return ("naimi", inner.lock_id, inner.origin)
-        if name == "NaimiTokenMessage":
-            return ("naimi", inner.lock_id, dest)
-        return None
+            key = (inner.lock_id, inner.origin)
+        elif name == "NaimiTokenMessage":
+            key = (inner.lock_id, dest)
+        else:
+            return None, None
+        return self._naimi.get(key), key
+
+    def _raymond(self, sender: NodeId, inner) -> Optional[HopId]:
+        """The request a Raymond message from *sender* serves: the head
+        of *sender*'s queue, which a privilege takes (``None``: the
+        node's own request, or none)."""
+
+        name = type(inner).__name__
+        if name not in ("RaymondRequestMessage", "RaymondPrivilegeMessage"):
+            return None
+        queue = self._queues.get((sender, inner.lock_id))
+        if not queue:
+            return None
+        if name == "RaymondPrivilegeMessage":
+            head = queue.popleft()
+            if not queue:
+                del self._queues[(sender, inner.lock_id)]
+        else:
+            head = queue[0]
+        return None if head == _SELF else head
 
     def _resolve(
-        self,
-        sender: NodeId,
-        dest: NodeId,
-        inner,
-        ctx: Optional[TraceContext],
-        now: float,
+        self, sender: NodeId, dest: NodeId, inner, now: float
     ) -> Tuple[str, int]:
-        """Pick (trace id, parent hop) for a message about to be stamped."""
+        """Pick (trace id, parent hop) for a message about to be sent."""
 
-        # 1. Parent hint: the automaton copied the triggering message's
-        #    context onto this one.
-        if ctx is not None and ctx.trace_id in self._chains:
-            return ctx.trace_id, ctx.hop
-        # 2. Request identity: the message names an in-flight request.
-        key = self._request_key(inner, dest)
-        if key is not None and key in self._by_request:
-            trace_id = self._by_request[key]
-            return trace_id, self._last_hop.get(trace_id, 0)
+        # 1. Raymond: the privilege, or the request passed up the tree,
+        #    serves the head of the sender's queue.
+        served = self._raymond(sender, inner)
+        if served is not None:
+            return served
+        # 2. Request identity: the message names a traced request, and
+        #    its parent is the request hop delivered last — a forward
+        #    continues it, a grant or token answers it.
+        label = fault_label(inner)
+        trace_id, key = self._named(inner, dest)
+        if trace_id in self._chains:
+            return trace_id, self._last_request.get(trace_id, 0)
         # 3. Delivery scope: built inside a traced message's handler.
         scope = self._scopes.get((sender, threading.get_ident()))
         if scope is not None:
             return scope
         # 4. A request leaving its origin: mint a root chain.
-        label = fault_label(inner)
         if label == "request":
             origin = getattr(inner, "origin", sender)
-            rid = getattr(inner, "request_id", None)
-            if rid is not None:
-                trace_id = f"{rid.origin}.{rid.serial}"
-            else:
+            if trace_id is None:
                 base = f"{inner.lock_id}:{origin}"
                 trace_id = f"{base}#{self._serial_for(base)}"
             self._mint(trace_id, origin, inner.lock_id, "request", now)
             if key is not None:
-                self._by_request[key] = trace_id
+                self._naimi[key] = trace_id
             return trace_id, 0
         # 5. Grant ancestry: releases / freezes / upgrade fallout from a
         #    node that was granted this lock earlier.
@@ -583,13 +603,3 @@ class MessageTracer:
             self._mint(trace_id, sender, inner.lock_id, kind, now)
             self._aux[aux_key] = trace_id
         return trace_id, 0
-
-    @staticmethod
-    def _stamp(message, inner, ctx: TraceContext):
-        if inner is not message:
-            return dataclasses.replace(
-                message,
-                trace=ctx,
-                payload=dataclasses.replace(inner, trace=ctx),
-            )
-        return dataclasses.replace(message, trace=ctx)

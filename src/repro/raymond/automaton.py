@@ -17,21 +17,22 @@ duplicate requests on one edge.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple, Union
+from typing import Callable, Deque, List, Optional, Union
 
 from ..core.contract import (
     BOOL,
     INT,
     OPT_NODE,
-    Codec,
+    RAW,
     LockAutomaton,
     field,
     handles,
+    listing,
     noop_listener,
     recorded,
     register_message,
 )
-from ..core.messages import Envelope, LockId, NodeId, TraceContext
+from ..core.messages import Envelope, LockId, NodeId
 from ..errors import LockUsageError, ProtocolError
 from ..obs.sink import ENQUEUED, ISSUED, RELEASED
 from .messages import RaymondPrivilegeMessage, RaymondRequestMessage
@@ -41,16 +42,6 @@ SELF = "self"
 
 register_message(RaymondRequestMessage, field("fencing_token", INT))
 register_message(RaymondPrivilegeMessage)
-
-#: The request queue as SELF-or-neighbour entries.  Trace contexts never
-#: feed back into protocol state (and a restored process has a fresh
-#: tracer), so they are not encoded and restore as ``None``.
-REQUEST_Q = Codec(
-    lambda queue: [entry for entry, _trace in queue],
-    lambda entries: deque(
-        (SELF if entry == SELF else int(entry), None) for entry in entries
-    ),
-)
 
 #: Signature of the grant listener: ``(lock_id, ctx)``.
 RaymondGrantListener = Callable[[LockId, object], None]
@@ -82,7 +73,7 @@ class RaymondAutomaton(LockAutomaton):
         field("holder", OPT_NODE, "_holder"),
         field("asked", BOOL, "_asked"),
         field("using", BOOL, "_using"),
-        field("queue", REQUEST_Q, "_request_q"),
+        field("queue", listing(RAW, deque), "_request_q"),
         field("fence_floor", INT, "_fence_floor"),
     )
     GAUGES = (("queue_depth", "_request_q"),)
@@ -96,14 +87,8 @@ class RaymondAutomaton(LockAutomaton):
     ) -> None:
         LockAutomaton.__init__(self, node_id, lock_id, listener)
         self._holder: Optional[NodeId] = holder  # None = privilege here
-        #: FIFO of (requester, trace context of its request).  The trace
-        #: context travels with the queue entry so the privilege (and any
-        #: request re-issued on the next edge) rejoins the causal chain of
-        #: the request it actually serves; ``None`` for SELF entries (the
-        #: transport mints a root chain for a request leaving its origin).
-        self._request_q: Deque[
-            Tuple[Union[str, NodeId], Optional[TraceContext]]
-        ] = deque()
+        #: FIFO of requesters: neighbours, or SELF.
+        self._request_q: Deque[Union[str, NodeId]] = deque()
         self._asked = False
         self._using = False
 
@@ -156,14 +141,14 @@ class RaymondAutomaton(LockAutomaton):
 
         from ..obs.live import LockSnapshot
 
-        entries = [entry for entry, _trace in self._request_q]
+        queue = self._request_q
         return LockSnapshot.exclusive(
             self._lock_id,
             self._holder is None,
             self._holder,
             self._using,
-            SELF in entries,
-            (self._node_id if entry == SELF else entry for entry in entries),
+            SELF in queue,
+            (self._node_id if entry == SELF else entry for entry in queue),
         )
 
     # ------------------------------------------------------------------
@@ -174,12 +159,12 @@ class RaymondAutomaton(LockAutomaton):
     def request(self, ctx: object = None) -> List[Envelope]:
         """Request the critical section; grant arrives via the listener."""
 
-        if self._using or any(entry == SELF for entry, _ in self._request_q):
+        if self._using or SELF in self._request_q:
             raise LockUsageError(
                 f"node {self._node_id} already requested {self._lock_id}"
             )
         self._ctx = ctx
-        self._request_q.append((SELF, None))
+        self._request_q.append(SELF)
         key = (self._lock_id, self._node_id)
         self._report(ISSUED, key)
         self._report(ENQUEUED, key)
@@ -203,7 +188,7 @@ class RaymondAutomaton(LockAutomaton):
 
     @handles(RaymondRequestMessage)
     def _handle_request(self, msg: RaymondRequestMessage) -> List[Envelope]:
-        self._request_q.append((msg.sender, msg.trace))
+        self._request_q.append(msg.sender)
         return self._serve()
 
     @handles(RaymondPrivilegeMessage)
@@ -226,7 +211,7 @@ class RaymondAutomaton(LockAutomaton):
 
         out: List[Envelope] = []
         if self._holder is None and not self._using and self._request_q:
-            head, head_trace = self._request_q.popleft()
+            head = self._request_q.popleft()
             if head == SELF:
                 self._using = True
                 ctx, self._ctx = self._ctx, None
@@ -238,9 +223,7 @@ class RaymondAutomaton(LockAutomaton):
                     Envelope(
                         head,
                         RaymondPrivilegeMessage(
-                            lock_id=self._lock_id,
-                            sender=self._node_id,
-                            trace=head_trace,
+                            lock_id=self._lock_id, sender=self._node_id
                         ),
                     )
                 )
@@ -250,9 +233,7 @@ class RaymondAutomaton(LockAutomaton):
                 Envelope(
                     self._holder,
                     RaymondRequestMessage(
-                        lock_id=self._lock_id,
-                        sender=self._node_id,
-                        trace=self._request_q[0][1],
+                        lock_id=self._lock_id, sender=self._node_id
                     ),
                 )
             )
@@ -282,6 +263,6 @@ class RaymondAutomaton(LockAutomaton):
         return (
             f"<RaymondAutomaton node={self._node_id} lock={self._lock_id!r} "
             f"privilege={self.has_privilege} using={self._using} "
-            f"holder={self._holder} q={[e for e, _ in self._request_q]} "
+            f"holder={self._holder} q={list(self._request_q)} "
             f"asked={self._asked}>"
         )

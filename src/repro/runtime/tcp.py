@@ -5,10 +5,12 @@ default), exercising everything a wire deployment implies: framing,
 per-connection FIFO (which the protocol's freeze propagation relies on —
 TCP provides it), lazy connection establishment and concurrent readers.
 
-Framing is 4-byte big-endian length + pickled message.  Pickle is only
-safe among trusting peers; this transport is meant for loopback test
-deployments and as the reference for a production codec, not for
-untrusted networks.
+Framing is 4-byte big-endian length + the pickled ``(sender, message)``
+tuple, or ``(sender, message, hop)`` when traced: the tracer's hop id
+rides beside the message, never in it.  Pickle is only safe among
+trusting peers; this transport is meant for loopback test deployments
+and as the reference for a production codec, not for untrusted
+networks.
 
 Use with the standard threaded cluster::
 
@@ -81,9 +83,8 @@ class TcpTransport:
         #: plus ``wire_sent(frame bytes, serialize+send seconds)`` and
         #: ``wire_received(frame bytes)`` on the reader side.
         self.obs = obs
-        #: Optional causal tracer, adopted from ``obs`` when it has one.
-        #: Trace contexts are ordinary dataclass fields, so they survive
-        #: the pickle frame codec with no extra wire format.
+        #: Optional causal tracer, adopted from ``obs`` when it has one;
+        #: a traced frame carries the hop id it records.
         self.tracer = getattr(obs, "tracer", None)
         self._handlers: Dict[NodeId, MessageHandler] = {}
         self._servers: Dict[NodeId, socket.socket] = {}
@@ -196,10 +197,11 @@ class TcpTransport:
             dest = envelope.dest
             if dest == sender or dest not in self._handlers:
                 raise unroutable(sender, dest)
+            frame = (sender, envelope.message)
             if self.tracer is not None:
-                envelope = self.tracer.outbound(sender, envelope)
+                frame += (self.tracer.outbound(sender, envelope),)
             started = time.perf_counter()
-            payload = pickle.dumps((sender, envelope.message))
+            payload = pickle.dumps(frame)
             sock = self._connection(sender, dest)
             try:
                 _send_frame(sock, payload)
@@ -320,7 +322,7 @@ class TcpTransport:
             if self.obs is not None:
                 self.obs.wire_received(node_id, _HEADER.size + len(payload))
             try:
-                sender, message = pickle.loads(payload)
+                sender, message, *hop = pickle.loads(payload)
             except Exception as exc:
                 # A corrupt frame poisons the whole stream (framing can
                 # no longer be trusted); drop the connection and let the
@@ -334,4 +336,6 @@ class TcpTransport:
                 if replies:
                     self.send(node_id, replies)
                 continue
-            tracer.deliver(node_id, message, handler, self.send)
+            tracer.deliver(
+                node_id, message, hop[0] if hop else None, handler, self.send
+            )

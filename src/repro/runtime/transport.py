@@ -47,7 +47,8 @@ class ThreadedTransport:
         #: ``message`` plus ``wire_sent(nbytes=0, enqueue→dispatch latency)``.
         self.obs = obs
         #: Optional causal tracer, adopted from ``obs`` when it has one
-        #: (see :mod:`repro.obs.tracing`).
+        #: (see :mod:`repro.obs.tracing`); the inbox item carries the hop
+        #: id it records beside the envelope.
         self.tracer = getattr(obs, "tracer", None)
         self._inboxes: Dict[NodeId, "queue.Queue"] = {}
         self._handlers: Dict[NodeId, MessageHandler] = {}
@@ -128,11 +129,14 @@ class ThreadedTransport:
                 self._messages_sent += 1
             if self.obs is not None:
                 self.obs.message(sender, dest, fault_label(envelope.message))
+            hop = None
             if self.tracer is not None:
-                envelope = self.tracer.outbound(sender, envelope)
+                hop = self.tracer.outbound(sender, envelope)
             with self._inflight_lock:
                 self._inflight += 1
-            self._inboxes[dest].put((sender, envelope, time.perf_counter()))
+            self._inboxes[dest].put(
+                (sender, envelope, time.perf_counter(), hop)
+            )
 
     def _quiesced(self) -> bool:
         """True iff no envelope is enqueued or being handled right now."""
@@ -177,7 +181,7 @@ class ThreadedTransport:
             item = inbox.get()
             if item is _STOP:
                 return
-            sender, envelope, enqueued_at = item
+            sender, envelope, enqueued_at, hop = item
             try:
                 if self.obs is not None:
                     self.obs.wire_sent(
@@ -193,7 +197,9 @@ class ThreadedTransport:
                     if replies:
                         self.send(node_id, replies)
                     continue
-                tracer.deliver(node_id, envelope.message, handler, self.send)
+                tracer.deliver(
+                    node_id, envelope.message, hop, handler, self.send
+                )
             finally:
                 # Replies (if any) were enqueued above, so the counter
                 # cannot dip to zero while the cascade continues.

@@ -30,7 +30,8 @@ The network is where *all* protocol messages cross, so it is the one
 place a wire message is accounted for: each send is counted once, by
 message type (:attr:`Network.messages_sent`, ``messages_by_plane`` and
 ``messages_by_label`` are views of that count), reported once to an
-optional :class:`~repro.obs.sink.ObsSink` and stamped by its tracer.
+optional :class:`~repro.obs.sink.ObsSink` and recorded by its tracer,
+whose hop id the scheduled delivery carries beside the message.
 
 Fault injection is first-class: pass a
 :class:`~repro.faults.plan.FaultPlan` as ``faults`` and the network
@@ -42,8 +43,9 @@ the pre-fault network — the latency RNG never sees a fault-layer draw.
 
 A node may keep datagrams off the event heap (:meth:`Network.
 attach_absorber`); each send still reserves its delivery's slot, where
-:meth:`Network.redeliver` puts one handed back.  A traced fabric keeps
-nothing: the tracer records every delivery.
+:meth:`Network.redeliver` puts one handed back.  Traced or not, the
+path is the same: the datagrams kept are heartbeats, which the tracer
+never records.
 """
 
 from __future__ import annotations
@@ -80,9 +82,9 @@ class Network:
         #: one ``message(sender, dest, fault_label(message))``.
         self.obs = obs
         #: Optional causal tracer (:mod:`repro.obs.tracing`), adopted from
-        #: ``obs`` when it has one.  Stamps a trace context onto every
-        #: counted envelope; draws no randomness and sends nothing, so
-        #: traced runs stay bit-identical to untraced ones.
+        #: ``obs`` when it has one.  Records every counted envelope as a
+        #: hop; draws no randomness and sends nothing, so traced runs
+        #: stay bit-identical to untraced ones.
         self.tracer = getattr(obs, "tracer", None)
         self._injector = None
         if faults is not None and not faults.is_empty():
@@ -203,14 +205,16 @@ class Network:
             sim.now, sim.schedule, sim.reserve, sim.put,
         )
         deliver = self._deliver
-        handlers, crashed, floors, by_type = (
+        handlers, crashed, floors, by_type, absorbers = (
             self._handlers, self._crashed, self._last_arrival,
-            self._sent_by_type,
+            self._sent_by_type, self._absorbers,
         )
         sender_down = sender in crashed
         injector, obs, tracer = self._injector, self.obs, self.tracer
-        absorbers = self._absorbers if tracer is None else {}
         sample, rng = self._latency.sample, self._rng
+        if tracer is not None:
+            tracer.handed(sender, envelopes)
+        hop = None
         for envelope in envelopes:
             dest, message = envelope
             if dest == sender or dest not in handlers:
@@ -231,7 +235,7 @@ class Network:
             if obs is not None:
                 obs.message(sender, dest, fault_label(message))
             if tracer is not None:
-                envelope = tracer.outbound(sender, envelope)
+                hop = tracer.outbound(sender, envelope)
             datagram = not message.ordered or reorder
             absorb = absorbers.get(dest) if datagram else None
             if datagram and copies == 1:
@@ -240,11 +244,13 @@ class Network:
                 # float round trip is part of every seeded trajectory.
                 arrival = now + (sample(rng) + extra)
                 if absorb is None:
-                    schedule(arrival - now, partial(deliver, sender, envelope))
+                    schedule(
+                        arrival - now, partial(deliver, sender, envelope, hop)
+                    )
                 else:
                     slot = reserve(arrival - now)
                     if not absorb(message, slot):
-                        put(slot, partial(deliver, sender, envelope))
+                        put(slot, partial(deliver, sender, envelope, hop))
                 continue
             key = (sender, dest)
             for _ in range(copies):
@@ -259,13 +265,20 @@ class Network:
                         arrival = floor
                     floors[key] = arrival
                 if absorb is None:
-                    schedule(arrival - now, partial(deliver, sender, envelope))
+                    schedule(
+                        arrival - now, partial(deliver, sender, envelope, hop)
+                    )
                     continue
                 slot = reserve(arrival - now)
                 if not absorb(message, slot):
-                    put(slot, partial(deliver, sender, envelope))
+                    put(slot, partial(deliver, sender, envelope, hop))
 
-    def _deliver(self, sender: NodeId, envelope: Envelope) -> None:
+    def _deliver(
+        self,
+        sender: NodeId,
+        envelope: Envelope,
+        hop: Optional[Tuple[str, int]] = None,
+    ) -> None:
         dest, message = envelope
         if dest in self._crashed:
             # Crashed while the message was in flight.
@@ -278,4 +291,4 @@ class Network:
             if replies:
                 self.send(dest, replies)
             return
-        tracer.deliver(dest, message, handler, self.send)
+        tracer.deliver(dest, message, hop, handler, self.send)

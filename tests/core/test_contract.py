@@ -36,7 +36,7 @@ from repro.core.contract import (
     recorded,
     register_message,
 )
-from repro.core.messages import Envelope
+from repro.core.messages import Envelope, Message
 from repro.naimi.automaton import NaimiAutomaton
 from repro.obs.flightrec import (
     FlightRecorder,
@@ -295,6 +295,30 @@ def test_only_the_contract_reports_to_the_observer():
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
         and (node.attr == "obs" or node.attr.startswith("_obs_"))
+    ]
+    assert offences == []
+
+
+def test_no_protocol_carries_anything_for_the_tracer():
+    """The tracer attributes hops from what the fabric delivers: no
+    message has a trace field, and no automaton, session channel or
+    membership layer copies a parent hint or names the tracer."""
+
+    assert "trace" not in {f.name for f in dataclasses.fields(Message)}
+    root = pathlib.Path(repro.__file__).parent
+    paths = [
+        root / "core/automaton.py",
+        root / "core/lockspace.py",
+        root / "faults/channel.py",
+    ]
+    for package in ("naimi", "raymond", "membership"):
+        paths += sorted((root / package).glob("*.py"))
+    offences = [
+        f"{path.relative_to(root)}:{node.lineno} {ast.unparse(node)}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("trace", "tracer"))
+        or (isinstance(node, ast.keyword) and node.arg == "trace")
     ]
     assert offences == []
 

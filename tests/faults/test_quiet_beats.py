@@ -111,10 +111,10 @@ def _run(mp, act, at, until, latency, keep=True):
     delivered, kept = [], []
     deliver, absorb = Network._deliver, RecoveryManager.absorb
 
-    def spy_deliver(self, sender, envelope) -> None:
+    def spy_deliver(self, sender, envelope, hop=None) -> None:
         if isinstance(envelope.message, HeartbeatMessage):
             delivered.append((self.cursor(), envelope.dest, envelope.message))
-        deliver(self, sender, envelope)
+        deliver(self, sender, envelope, hop)
 
     def spy_absorb(self, beat, slot) -> bool:
         if absorb(self, beat, slot):

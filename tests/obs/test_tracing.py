@@ -3,8 +3,6 @@ critical-path decomposition, payload round-trips."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.core.messages import (
@@ -13,15 +11,20 @@ from repro.core.messages import (
     ReleaseMessage,
     RequestId,
     RequestMessage,
-    TraceContext,
 )
 from repro.core.modes import LockMode
+from repro.faults.messages import SessionMessage
+from repro.obs.sink import GRANTED, ISSUED
 from repro.obs.tracing import (
     Hop,
     MessageTracer,
     TraceChain,
     canonical_span_key,
     critical_path,
+)
+from repro.raymond.messages import (
+    RaymondPrivilegeMessage,
+    RaymondRequestMessage,
 )
 
 
@@ -33,20 +36,38 @@ class FakeClock:
         return self.now
 
 
-def _request(origin=0, dest=1, serial=1, lock="L"):
+def _request(origin=0, dest=1, serial=1, lock="L", sender=None):
     rid = RequestId(timestamp=0, origin=origin, serial=serial)
     return Envelope(dest, RequestMessage(
-        lock_id=lock, sender=origin, origin=origin,
-        mode=LockMode.R, request_id=rid,
+        lock_id=lock, sender=origin if sender is None else sender,
+        origin=origin, mode=LockMode.R, request_id=rid,
     ))
 
 
-def _grant(trace, sender=1, dest=0, serial=1, lock="L"):
+def _grant(sender=1, dest=0, serial=1, lock="L"):
     rid = RequestId(timestamp=0, origin=dest, serial=serial)
     return Envelope(dest, GrantMessage(
-        lock_id=lock, sender=sender, mode=LockMode.R,
-        request_id=rid, trace=trace,
+        lock_id=lock, sender=sender, mode=LockMode.R, request_id=rid,
     ))
+
+
+def _release(sender, dest, lock="L"):
+    return Envelope(dest, ReleaseMessage(
+        lock_id=lock, sender=sender, new_mode=LockMode.NONE,
+    ))
+
+
+def _frame(envelope, sender=0, seq=0):
+    return Envelope(envelope.dest, SessionMessage(
+        lock_id=envelope.message.lock_id, sender=sender, seq=seq,
+        payload=envelope.message,
+    ))
+
+
+def _hop(tracer, ident) -> Hop:
+    trace_id, number = ident
+    (chain,) = [c for c in tracer.chains() if c.trace_id == trace_id]
+    return chain.hop_index()[number]
 
 
 class TestLabelsAndKeys:
@@ -73,19 +94,21 @@ class TestTracerBasics:
     def test_request_mints_chain_and_grant_finalizes(self):
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
-        out = tracer.outbound(0, _request())
-        ctx = out.message.trace
-        assert ctx is not None
-        assert ctx.trace_id == "0.1"
-        assert ctx.hop == 1 and ctx.parent == 0
+        request = _request()
+        ident = tracer.outbound(0, request)
+        assert ident == ("0.1", 1)
+        assert _hop(tracer, ident).parent == 0
 
         clock.now = 0.2
-        tracer.delivered(1, out.message)
-        # A grant carrying the request's hint joins the chain and, on
+        tracer.delivered(1, request.message, ident)
+        # The grant names the request, so it joins the chain and, on
         # delivery at the origin, finalizes it.
-        granted = tracer.outbound(1, _grant(out.message.trace))
+        grant = _grant()
+        granted = tracer.outbound(1, grant)
+        assert granted == ("0.1", 2)
+        assert _hop(tracer, granted).parent == 1
         clock.now = 0.5
-        tracer.delivered(0, granted.message)
+        tracer.delivered(0, grant.message, granted)
 
         (chain,) = tracer.chains()
         assert chain.kind == "request"
@@ -95,84 +118,115 @@ class TestTracerBasics:
         assert tracer.total_hops() == 2
 
     def test_request_key_attaches_hintless_grant(self):
-        # No hint copied (e.g. a replayed grant built from stored state):
-        # the RequestId still routes it to the in-flight chain.
+        # The grant carries nothing but its RequestId, which routes it to
+        # the chain; its parent is the request hop delivered last.
         tracer = MessageTracer(clock=FakeClock())
-        tracer.outbound(0, _request())
-        granted = tracer.outbound(1, _grant(None))
-        assert granted.message.trace.trace_id == "0.1"
+        first = _request()
+        tracer.delivered(1, first.message, tracer.outbound(0, first))
+        forward = _request(sender=1, dest=2)
+        forwarded = tracer.outbound(1, forward)
+        tracer.delivered(2, forward.message, forwarded)
+        granted = tracer.outbound(2, _grant(sender=2))
+        assert granted[0] == "0.1"
+        assert _hop(tracer, forwarded).parent == 1
+        assert _hop(tracer, granted).parent == forwarded[1]
         (chain,) = tracer.chains()
-        assert chain.hop_count == 2
+        assert chain.hop_count == 3
+
+    def test_grant_after_its_chain_granted_stays_on_it(self):
+        # A duplicate grant (a replay) still names its own request, even
+        # from inside another chain's delivery scope.
+        tracer = MessageTracer(clock=FakeClock())
+        request = _request()
+        tracer.delivered(1, request.message, tracer.outbound(0, request))
+        grant = _grant()
+        tracer.delivered(0, grant.message, tracer.outbound(1, grant))
+        other = _request(origin=2, dest=1, serial=7)
+        sent = []
+        tracer.deliver(
+            1, other.message, tracer.outbound(2, other),
+            lambda _message: [_grant()],
+            lambda node, replies: sent.extend(
+                tracer.outbound(node, reply) for reply in replies
+            ),
+        )
+        assert sent == [("0.1", 3)]
+        assert _hop(tracer, sent[0]).parent == 1
 
     def test_delivery_scope_adopts_hintless_replies(self):
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
-        out = tracer.outbound(0, _request())
+        request = _request()
+        ident = tracer.outbound(0, request)
         clock.now = 0.2
         sent = []
 
         def handler(message):
-            # A message with no hint and no request identity, sent from
-            # inside the handler, inherits the open scope.
-            return [Envelope(2, ReleaseMessage(
-                lock_id="L", sender=1, new_mode=LockMode.NONE,
-            ))]
+            # A message naming no request, sent from inside the handler,
+            # inherits the open scope.
+            return [_release(1, 2)]
 
         def send(node, replies):
             sent.extend(tracer.outbound(node, reply) for reply in replies)
 
-        tracer.deliver(1, out.message, handler, send)
+        tracer.deliver(1, request.message, ident, handler, send)
         (reply,) = sent
-        assert reply.message.trace.trace_id == "0.1"
-        assert reply.message.trace.parent == 1
+        assert reply[0] == "0.1"
+        assert _hop(tracer, reply).parent == 1
         assert tracer.chains()[0].hops[0].recv_at == 0.2
         # The scope closed with the delivery.
-        later = tracer.outbound(1, Envelope(2, ReleaseMessage(
-            lock_id="L", sender=1, new_mode=LockMode.NONE,
-        )))
-        assert later.message.trace.trace_id != "0.1"
+        later = tracer.outbound(1, _release(1, 2))
+        assert later[0] != "0.1"
 
     def test_release_joins_last_granted_chain(self):
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
-        out = tracer.outbound(0, _request())
-        granted = tracer.outbound(1, _grant(out.message.trace))
-        tracer.delivered(0, granted.message)
-        release = tracer.outbound(0, Envelope(1, ReleaseMessage(
-            lock_id="L", sender=0, new_mode=LockMode.NONE,
-        )))
-        assert release.message.trace.trace_id == "0.1"
-        assert release.message.trace.parent == granted.message.trace.hop
+        tracer.outbound(0, _request())
+        grant = _grant()
+        granted = tracer.outbound(1, grant)
+        tracer.delivered(0, grant.message, granted)
+        release = tracer.outbound(0, _release(0, 1))
+        assert release[0] == "0.1"
+        assert _hop(tracer, release).parent == granted[1]
 
     def test_heartbeats_are_untraced(self):
         from repro.faults.messages import HeartbeatMessage
 
         tracer = MessageTracer(clock=FakeClock())
         env = Envelope(1, HeartbeatMessage(lock_id="", sender=0))
-        assert tracer.outbound(0, env) is env
+        assert tracer.outbound(0, env) is None
+        tracer.handed(0, [env])
+        tracer.delivered(1, env.message, None)
         assert tracer.chains() == []
 
     def test_verbatim_resend_becomes_retransmit_hop(self):
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
-        out = tracer.outbound(0, _request())
+        frame = _frame(_request())
+        ident = tracer.outbound(0, frame)
         clock.now = 1.0
-        again = tracer.outbound(0, out)  # same stamped envelope re-sent
-        assert again.message.trace == out.message.trace  # not restamped
+        # The channel re-sends the very frame object: same hop id.
+        assert tracer.outbound(0, frame) == ident
         (chain,) = tracer.chains()
         assert [h.kind for h in chain.hops] == ["send", "retransmit"]
         retrans = chain.hops[1]
         assert retrans.parent == chain.hops[0].parent
         assert retrans.sent_at == 1.0
+        # An equal frame that is another object is another send.
+        twin = _frame(_request())
+        assert twin == frame
+        assert tracer.outbound(0, twin) != ident
+        assert [h.kind for h in chain.hops] == ["send", "retransmit", "send"]
 
     def test_duplicate_delivery_counts_not_new_hop(self):
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
-        out = tracer.outbound(0, _request())
+        request = _request()
+        ident = tracer.outbound(0, request)
         clock.now = 0.2
-        tracer.delivered(1, out.message)
+        tracer.delivered(1, request.message, ident)
         clock.now = 0.4
-        tracer.delivered(1, out.message)
+        tracer.delivered(1, request.message, ident)
         (chain,) = tracer.chains()
         assert chain.hop_count == 1
         assert chain.hops[0].recv_at == 0.2
@@ -181,10 +235,11 @@ class TestTracerBasics:
     def test_annotated_scope_sets_hop_kind(self):
         tracer = MessageTracer(clock=FakeClock())
         with tracer.annotated(0, "regen"):
-            out = tracer.outbound(0, _request())
-        (chain,) = tracer.chains()
+            tracer.outbound(0, _request())
+        tracer.outbound(0, _release(0, 1))
+        (chain, aux) = tracer.chains()
         assert chain.hops[0].kind == "regen"
-        assert out.message.trace.kind == "regen"
+        assert aux.hops[0].kind == "send"
 
     def test_aux_chain_for_recovery_labels(self):
         from repro.faults.messages import TokenProbe
@@ -198,32 +253,70 @@ class TestTracerBasics:
 
 class TestStampFrame:
     def test_channel_stamp_then_wire_crossing(self):
+        # A frame's hop opens when a fabric that may drop it is handed
+        # the frame — inside the scope of the handler that sent it — and
+        # is timed when the frame first crosses the wire.
         clock = FakeClock()
         tracer = MessageTracer(clock=clock)
+        request = _request()
+        scope = tracer.outbound(0, request)
+        frame = _frame(_release(1, 2), sender=1)
 
-        @dataclasses.dataclass(frozen=True)
-        class Frame:
-            seq: int
-            payload: object
-            trace: object = None
+        def handler(_message):
+            tracer.handed(1, [frame])  # ...and the fabric drops it.
+            return []
 
-        frame = Frame(seq=1, payload=_request().message)
-        stamped = tracer.stamp_frame(0, 1, frame)
-        assert stamped.trace is not None
-        assert stamped.payload.trace is stamped.trace
+        tracer.deliver(1, request.message, scope, handler, lambda *_: None)
         (chain,) = tracer.chains()
-        assert chain.hops[0].sent_at is None  # stamped, not yet on wire
+        assert chain.hops[1].sent_at is None  # opened, not yet on wire
+        assert chain.hops[1].parent == 1
 
-        clock.now = 0.3
-        first = tracer.outbound(0, Envelope(1, stamped))
-        assert first.message is stamped  # not restamped
-        assert chain.hops[0].sent_at == 0.3
-        assert chain.hop_count == 1
-
-        clock.now = 0.9  # channel retransmission of the same frame
-        tracer.outbound(0, Envelope(1, stamped))
+        clock.now = 0.3  # the channel's retransmit crosses: first send
+        tracer.handed(1, [frame])
+        first = tracer.outbound(1, frame)
+        assert first == ("0.1", 2)
+        assert chain.hops[1].sent_at == 0.3
         assert chain.hop_count == 2
-        assert chain.hops[1].kind == "retransmit"
+
+        clock.now = 0.9  # another retransmission of the same frame
+        assert tracer.outbound(1, frame) == first
+        assert chain.hop_count == 3
+        assert chain.hops[2].kind == "retransmit"
+
+
+class TestRaymondQueueMirror:
+    """A Raymond message names no request: the tracer mirrors each
+    node's request queue to learn which request it serves."""
+
+    def _deliver_request(self, tracer, sender, dest):
+        message = RaymondRequestMessage(lock_id="L", sender=sender)
+        ident = tracer.outbound(sender, Envelope(dest, message))
+        tracer.delivered(dest, message, ident)
+        return ident
+
+    def test_privilege_answers_head_and_request_carries_next(self):
+        tracer = MessageTracer(clock=FakeClock())
+        # Node 1 queues 2's request, then its own, then 3's.
+        from_two = self._deliver_request(tracer, 2, 1)
+        tracer.phase(1, "L", ISSUED)
+        from_three = self._deliver_request(tracer, 3, 1)
+        privilege = tracer.outbound(
+            1, Envelope(2, RaymondPrivilegeMessage(lock_id="L", sender=1))
+        )
+        assert privilege == (from_two[0], 2)
+        assert _hop(tracer, privilege).parent == from_two[1]
+        # Its own request is next: a request on its behalf mints a chain.
+        asked = tracer.outbound(
+            1, Envelope(2, RaymondRequestMessage(lock_id="L", sender=1))
+        )
+        assert asked == ("L:1#1", 1)
+        tracer.phase(1, "L", GRANTED)
+        # Then 3's: the next request passed up serves it.
+        again = tracer.outbound(
+            1, Envelope(2, RaymondRequestMessage(lock_id="L", sender=1))
+        )
+        assert again[0] == from_three[0]
+        assert _hop(tracer, again).parent == from_three[1]
 
 
 class TestCriticalPath:
@@ -299,13 +392,3 @@ class TestPayloadRoundTrip:
             granted_hop=1, granted_at=0.5,
         )
         assert TraceChain.from_payload(chain.to_payload()) == chain
-
-
-class TestContextPlumbing:
-    def test_trace_field_ignored_by_equality_and_repr(self):
-        plain = _request().message
-        traced = dataclasses.replace(plain, trace=TraceContext(
-            trace_id="0.1", hop=1, parent=0, origin=0,
-        ))
-        assert plain == traced
-        assert "trace" not in repr(traced)

@@ -1,6 +1,9 @@
 """Acceptance tests for causal tracing (docs/TRACING.md §1 invariants).
 
-Three end-to-end guarantees on a seeded Figure-5-style quick run:
+Three end-to-end guarantees on a seeded Figure-5-style quick run (the
+first also on Raymond's algorithm, whose messages name no request, with
+every chain granted and each privilege answering a request delivered
+at its sender):
 
 1. tracing adds no messages — total hops across all chains equals the
    metrics layer's message count, so mean chain length *is* Figure 5's
@@ -16,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import PROTOCOLS, run, run_hierarchical
+from repro.experiments.related_work import RAYMOND
 from repro.obs.sink import FROZEN
 from repro.obs.tracing import critical_path
 from repro.workload.spec import WorkloadSpec
@@ -99,3 +103,39 @@ class TestZeroPerturbation:
         assert traced.sim_time == plain.sim_time
         assert traced.observer.tracer.total_hops() == \
             plain.metrics.total_messages
+
+
+@pytest.fixture(scope="module")
+def raymond_runs():
+    spec = WorkloadSpec(ops_per_node=20, seed=3)
+    return [run(RAYMOND, n, spec, observe=True) for n in (4, 8, 15)]
+
+
+class TestRaymondChains:
+    def test_every_request_chain_is_granted(self, raymond_runs):
+        for result in raymond_runs:
+            chains = result.observer.tracer.chains()
+            assert chains
+            assert {c.kind for c in chains} == {"request"}
+            assert all(c.granted_hop is not None for c in chains)
+
+    def test_total_hops_equal_metrics_total(self, raymond_runs):
+        for result in raymond_runs:
+            assert result.observer.tracer.total_hops() == \
+                result.metrics.total_messages
+
+    def test_privilege_answers_a_request_delivered_at_its_sender(
+        self, raymond_runs
+    ):
+        privileges = 0
+        for result in raymond_runs:
+            for chain in result.observer.tracer.chains():
+                index = chain.hop_index()
+                for hop in chain.hops:
+                    if hop.label != "token":
+                        continue
+                    parent = index[hop.parent]
+                    assert parent.label == "request"
+                    assert parent.dest == hop.sender
+                    privileges += 1
+        assert privileges > 0

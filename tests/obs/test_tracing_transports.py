@@ -1,22 +1,21 @@
-"""Trace-context round trips through the real transports.
+"""Causal tracing through the real transports.
 
 Three guarantees the tracing layer makes beyond the simulated network:
 
-* the context survives the TCP transport's pickle codec verbatim;
-* the faults session channel stamps frames *before* buffering them, so
-  a delivered payload carries the context and a retransmission is
-  recognized as the same hop (annotated, not re-minted);
-* a sim run and a threaded run of the same sequential workload produce
-  identical causal chain shapes — same hops, same parents, same
-  endpoints — even though their clocks are unrelated.
+* over the faults session channel, a retransmission of a frame is
+  recognized as the same hop (annotated, not re-minted), and its
+  arrival lands on the original hop;
+* a sim run, a threaded run and a TCP run of the same sequential
+  workload produce identical causal chain shapes — same hops, same
+  parents, same endpoints — even though their clocks are unrelated;
+* the hop id rides beside the message (the threaded inbox item, the TCP
+  frame tuple), never in it.
 """
 
 from __future__ import annotations
 
-import pickle
+import time
 from typing import Callable, List, Tuple
-
-import pytest
 
 from repro.core.messages import (
     Envelope,
@@ -29,6 +28,7 @@ from repro.faults.messages import SessionMessage
 from repro.obs.collect import RunObserver
 from repro.obs.tracing import MessageTracer
 from repro.runtime.cluster import ThreadedHierarchicalCluster
+from repro.runtime.tcp import TcpTransport
 from repro.runtime.transport import ThreadedTransport
 from repro.sim.cluster import SimHierarchicalCluster
 from repro.sim.engine import Simulator, Timeout, run_processes
@@ -47,36 +47,10 @@ def _payload(n: int = 1, node: int = 0) -> RequestMessage:
     )
 
 
-class TestPickleCodec:
-    def test_stamped_message_survives_tcp_wire_format(self):
-        # The TCP transport frames `pickle.dumps((sender, message))`; the
-        # context is a plain field on the message dataclass, so it rides
-        # the codec with no special handling.
-        tracer = MessageTracer()
-        out = tracer.outbound(0, Envelope(1, _payload()))
-        ctx = out.message.trace
-        assert ctx is not None
-        blob = pickle.dumps((0, out.message))
-        sender, decoded = pickle.loads(blob)
-        assert sender == 0
-        assert decoded == out.message
-        assert decoded.trace == ctx
-
-    def test_stamped_session_frame_survives_pickle(self):
-        tracer = MessageTracer()
-        frame = SessionMessage(
-            lock_id="lock", sender=0, seq=1, payload=_payload(), boot=0
-        )
-        stamped = tracer.stamp_frame(0, 1, frame)
-        decoded = pickle.loads(pickle.dumps(stamped))
-        assert decoded.trace == stamped.trace
-        assert decoded.payload.trace == stamped.trace
-
-
 class _TracedPair:
     """Two reliable channels over a lossy fabric that runs the tracer at
-    the same points the real transports do (outbound at the wire,
-    delivered at the far end)."""
+    the same points the real transports do (outbound at the wire, the
+    hop id carried to the far end's delivery)."""
 
     def __init__(self) -> None:
         self.scheduler = ManualScheduler()
@@ -86,13 +60,12 @@ class _TracedPair:
 
         def fabric_for(src: int) -> Callable[[int, object], None]:
             def send(dest: int, frame) -> None:
-                self.tracer.outbound(src, Envelope(dest, frame))
+                hop = self.tracer.outbound(src, Envelope(dest, frame))
                 if self.drop_next > 0 and isinstance(frame, SessionMessage):
                     self.drop_next -= 1
                     return
                 target = self.b if dest == 1 else self.a
-                if isinstance(frame, SessionMessage):
-                    self.tracer.delivered(dest, frame)
+                self.tracer.delivered(dest, frame, hop)
                 target.handle(frame)
 
             return send
@@ -108,36 +81,22 @@ class _TracedPair:
             node_id=1, scheduler=self.scheduler, send=fabric_for(1),
             deliver=receiver, retry_base=0.1, retry_cap=0.4,
         )
-        self.a.tracer = self.tracer
-        self.b.tracer = self.tracer
 
 
 class TestSessionChannel:
-    def test_delivered_payload_carries_context(self):
-        pair = _TracedPair()
-        pair.a.send(1, _payload())
-        ((sender, payload),) = pair.delivered
-        assert sender == 0
-        ctx = payload.trace
-        assert ctx is not None
-        (chain,) = pair.tracer.chains()
-        assert chain.trace_id == ctx.trace_id
-        (hop,) = chain.hops
-        assert (hop.sender, hop.dest, hop.label) == (0, 1, "request")
-        assert hop.sent_at is not None and hop.recv_at is not None
-
     def test_retransmission_is_annotated_not_reminted(self):
         pair = _TracedPair()
         pair.drop_next = 1  # lose the first wire copy
-        pair.a.send(1, _payload())
+        sent = _payload()
+        pair.a.send(1, sent)
         assert pair.delivered == []
         pair.scheduler.advance(0.45)  # retry timer fires (unlearned: the cap)
-        ((_, payload),) = pair.delivered
+        assert pair.delivered == [(0, sent)]
         (chain,) = pair.tracer.chains()
         assert [h.kind for h in chain.hops] == ["send", "retransmit"]
-        # The delivered payload still carries the *original* hop's id.
-        assert payload.trace.hop == chain.hops[0].hop
+        # The arrival lands on the *original* hop.
         assert chain.hops[0].recv_at is not None
+        assert chain.hops[1].recv_at is None
 
     def test_acks_are_untraced(self):
         pair = _TracedPair()
@@ -208,9 +167,40 @@ def _threaded_shapes() -> List[Tuple]:
     return _chain_shapes(obs.tracer)
 
 
+def _settle(tracer, rounds: int = 3, poll: float = 0.01) -> None:
+    """Wait until every traced hop has arrived, *rounds* polls running
+    (the TCP transport has no in-flight counter to drain on)."""
+
+    deadline, quiet = time.monotonic() + TIMEOUT, 0
+    while quiet < rounds:
+        assert time.monotonic() < deadline, "TCP run never settled"
+        arrived = all(
+            hop.recv_at is not None
+            for chain in tracer.chains()
+            for hop in chain.hops
+        )
+        quiet = quiet + 1 if arrived else 0
+        time.sleep(poll)
+
+
+def _tcp_shapes() -> List[Tuple]:
+    obs = RunObserver()
+    transport = TcpTransport(obs=obs)
+    with ThreadedHierarchicalCluster(3, transport=transport) as cluster:
+        for node, lock in SEQUENCE:
+            client = cluster.client(node)
+            client.acquire(lock, LockMode.W, timeout=TIMEOUT)
+            client.release(lock, LockMode.W)
+            _settle(obs.tracer)
+    return _chain_shapes(obs.tracer)
+
+
 class TestSimVsThreaded:
     def test_same_workload_same_chain_shapes(self):
         sim_shapes = _sim_shapes()
         threaded_shapes = _threaded_shapes()
         assert sim_shapes, "sim run produced no chains"
         assert sim_shapes == threaded_shapes
+
+    def test_tcp_frames_carry_the_hop(self):
+        assert _tcp_shapes() == _sim_shapes()

@@ -79,8 +79,9 @@ class ParentNetwork(Network):
         self._sent_by_type[type(envelope.message)] += 1
         if self.obs is not None:
             self.obs.message(sender, dest, fault_label(envelope.message))
+        hop = None
         if self.tracer is not None:
-            envelope = self.tracer.outbound(sender, envelope)
+            hop = self.tracer.outbound(sender, envelope)
         copies = 1 if decision is None else decision.copies
         extra = 0.0 if decision is None else decision.extra_delay
         reorder = (
@@ -96,14 +97,16 @@ class ParentNetwork(Network):
                     arrival = floor
                 self._last_arrival[key] = arrival
             absorb = self._absorbers.get(dest)
-            if reorder and absorb is not None and self.tracer is None:
+            if reorder and absorb is not None:
                 slot = self._sim.reserve(arrival - self._sim.now)
                 if not absorb(envelope.message, slot):
-                    self._sim.put(slot, lambda: self._deliver(sender, envelope))
+                    self._sim.put(
+                        slot, lambda: self._deliver(sender, envelope, hop)
+                    )
                 continue
             self._sim.schedule(
                 arrival - self._sim.now,
-                lambda: self._deliver(sender, envelope),
+                lambda: self._deliver(sender, envelope, hop),
             )
 
 
