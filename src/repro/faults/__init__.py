@@ -14,9 +14,10 @@ package supplies the missing subsystem in three layers:
 * **Detection & recovery** (:mod:`repro.faults.recovery`): per-pair
   reliable sessions (sequence numbers, cumulative acks, retransmission
   with capped exponential backoff — :mod:`repro.faults.channel`),
-  heartbeat failure detection (:mod:`repro.faults.detector`), and an
-  epoch-numbered token-regeneration protocol so a crashed token node no
-  longer wedges the lock space.  The protocol-level idempotence hooks
+  heartbeat failure detection (:mod:`repro.faults.detector`), and one
+  token layer (:mod:`repro.faults.tokens`: per lock an orphan, a probe
+  or a fence) whose epoch-numbered regeneration keeps a crashed token
+  node from wedging the lock space.  The protocol-level idempotence hooks
   live in the automaton behind ``ProtocolOptions(recovery=True)``.
 
 * **Chaos harness** (:mod:`repro.faults.chaos`): ``python -m repro

@@ -48,7 +48,8 @@ from .simcluster import ResilientSimCluster
 WORKLOAD_MODES = (LockMode.IR, LockMode.R, LockMode.IW, LockMode.W)
 
 #: Extra simulated time after the issue window for recovery to converge
-#: (covers suspect timeout + probe timeout + several retry backoffs).
+#: (covers the suspect timeout, the rounds of asking until a probe's and
+#: a fence's answers are in, and several retry backoffs).
 DEFAULT_GRACE = 15.0
 
 #: Ring-buffer caps applied to the chaos harness's observer so nightly
@@ -102,7 +103,7 @@ def run_chaos(
     in-memory one) and restarted nodes replay snapshot + WAL instead of
     rejoining blank.  Either way every audit finding fails the verdict:
     a blank restart re-creates its home tokens fenced, so it has nothing
-    to excuse (see :meth:`repro.faults.custody.Custody.born`).
+    to excuse (see :meth:`repro.faults.tokens.TokenLayer.born`).
 
     With ``reclaim=True`` (durable runs only) a restarted node's
     surviving application sessions re-assert their restored holds under
@@ -496,7 +497,7 @@ def _lease_stats(
             str(n): round(t, 6) for n, t in sorted(fence_times.items())
         },
         "holds_reclaimed": sum(
-            m.custody.report.get("holds_reclaimed", 0) for m in managers
+            m.tokens.report.get("holds_reclaimed", 0) for m in managers
         ),
         "sessions_gced": sum(m.leases.sessions_gced for m in managers),
     }

@@ -266,7 +266,7 @@ class ResilientHost:
         Without persistence the node rejoins blank; with it, the node
         replays its snapshot + WAL and rejoins with its pre-crash locks
         (token custody fenced until the epoch handshake settles — see
-        :meth:`~repro.faults.custody.Custody.rejoin_from_journal`).
+        :meth:`~repro.faults.tokens.TokenLayer.rejoin_from_journal`).
         """
 
         if node_id not in self._crashed:
@@ -313,7 +313,7 @@ class ResilientHost:
                     reclaimed.append((lock_id, mode))
                     return True
 
-            rejoin_report = manager.custody.rejoin_from_journal(
+            rejoin_report = manager.tokens.rejoin_from_journal(
                 state, reclaim=reclaim_cb
             )
             self.durability_log.append(
@@ -634,7 +634,7 @@ class ResilientHost:
             "regenerations": [
                 regen
                 for manager in managers.values()
-                for regen in manager.regeneration.regenerations
+                for regen in manager.tokens.regenerations
             ],
             "app_retransmits": sum(
                 m.app_retransmits for m in managers.values()

@@ -2,7 +2,7 @@
 
 These ride the same transports as the protocol messages but are consumed
 by the :class:`~repro.faults.recovery.RecoveryManager` (its channel, its
-detector and its regeneration layer), never by the lock automata.  Two
+detector and its token layer), never by the lock automata.  Two
 groups:
 
 * **Session framing** — :class:`SessionMessage` / :class:`SessionAck`
@@ -179,7 +179,7 @@ class TokenAck(Message):
 @dataclasses.dataclass(frozen=True)
 class CustodyProbe(TokenProbe):
     """A custodian, holding the token fenced at ``epoch``, asking every
-    member to answer (:mod:`repro.faults.custody`)."""
+    member to answer (:mod:`repro.faults.tokens`)."""
 
     epoch: int = 0
 

@@ -29,15 +29,13 @@ the calls between them).  The kernel:
 * the node's mutex, its :class:`~repro.faults.scheduler.Timers`, the
   raw fabric send (:meth:`~RecoveryManager.send` to one peer,
   :meth:`~RecoveryManager.broadcast` to many: one fabric call each), the
-  event funnel, the one definition of "the members I do not suspect"
-  and the one of "the answers are in" (:meth:`~RecoveryManager.answers_in`),
-  on which a coordinator claims a lost token and a custodian serves.
+  event funnel and the one definition of "the members I do not
+  suspect".
 
-The layers, each owning its state: **token regeneration**
-(:mod:`repro.faults.regeneration`), **custody** of a restored or
-handed-off token (:mod:`repro.faults.custody`), **leases**
-(:mod:`repro.leases.layer`) and **membership**
-(:mod:`repro.membership.layer`).
+The layers, each owning its state: **tokens** — orphans, probes and
+fences, from a lost parent to a settled placement
+(:mod:`repro.faults.tokens`) — **leases** (:mod:`repro.leases.layer`)
+and **membership** (:mod:`repro.membership.layer`).
 
 The manager is transport-agnostic: it needs only a scheduler
 (``now``/``call_later``) and its fabric's ``send`` with this node bound
@@ -60,11 +58,10 @@ from ..leases.layer import LeaseLayer
 from ..membership.layer import MembershipLayer
 from ..obs.sink import ObsSink
 from .channel import ReliableChannel
-from .custody import Custody
 from .detector import HeartbeatDetector
 from .messages import HeartbeatMessage, SessionAck, SessionMessage
-from .regeneration import Regeneration
 from .scheduler import Timers
+from .tokens import TokenLayer
 
 #: The fabric's ``send`` with the sender bound: takes a batch of envelopes.
 TransportSend = Callable[[List[Envelope]], None]
@@ -96,13 +93,13 @@ class RecoveryConfig:
     channel_retry_base: float = 0.25
     channel_retry_cap: float = 2.0
     #: Orphans re-send their OrphanReport at this period until reparented;
-    #: a coordinator re-sends its token probe, and a custodian its
+    #: a coordinator re-sends its token probe, and a fenced holder its
     #: custody probe, to the silent members as often.
     orphan_interval: float = 0.5
     #: How long restored copyset entries stay *provisional* after a
     #: durable restart: unless a child re-confirms one, it expires after
     #: this window.  (A restored token serves on answers alone; see
-    #: repro.faults.custody.)
+    #: repro.faults.tokens.)
     rejoin_settle: float = 1.5
     #: :class:`~repro.leases.LeaseConfig` ``duration``: how long a hold's
     #: lease lives past its last renewal, and the quorum silence after
@@ -198,15 +195,14 @@ class RecoveryManager:
             mutex=self.mutex,
         )
         self.channel.obs = obs
-        self.regeneration = Regeneration(self)
-        self.custody = Custody(self)
+        self.tokens = TokenLayer(self)
         self.leases = LeaseLayer(self)
         #: Message type → (bound handler, whether ``message.boot`` is the
         #: sender's incarnation), from the layers' ``@handles`` methods.
         #: (The heartbeat goes through the kernel's newest-beat guard.)
         self._handlers: Dict[type, _Route] = {
             member.handled_type: (getattr(layer, name), False)
-            for layer in (self.regeneration, self.custody, self.membership)
+            for layer in (self.tokens, self.membership)
             for name, member in vars(type(layer)).items()
             if hasattr(member, "handled_type")
         }
@@ -254,7 +250,7 @@ class RecoveryManager:
             if self.boot:
                 # Journaled locks are rejoined by now; any other lock
                 # this incarnation creates may hold a re-born token.
-                self.lockspace.on_birth = self.custody.born
+                self.lockspace.on_birth = self.tokens.born
             self.channel.start()
             self._heartbeat_tick()
             self.timers.arm(
@@ -291,22 +287,6 @@ class RecoveryManager:
         """:meth:`live` without this node."""
 
         return [n for n in self.live() if n != self.node_id]
-
-    def silent(self, answered: Set[NodeId]) -> List[NodeId]:
-        """The view's members, this node aside, not in *answered*."""
-
-        members = self.membership.view.members
-        return [n for n in members if n != self.node_id and n not in answered]
-
-    def answers_in(self, answered: Set[NodeId]) -> bool:
-        """Whether the answers are in: the members that *answered*, plus
-        this node, are a majority of the installed view, and every
-        member still silent is suspected."""
-
-        view, silent = self.membership.view, self.silent(answered)
-        return len(view.members) - len(silent) >= view.quorum() and all(
-            map(self.detector.is_suspected, silent)
-        )
 
     def send(self, dest: NodeId, message: Message) -> None:
         """Raw fabric send.  Recovery coordination rides it directly: it
@@ -394,7 +374,7 @@ class RecoveryManager:
             durability = None
             if self.journal is not None:
                 stats = self.journal.stats()
-                report = self.custody.report
+                report = self.tokens.report
                 durability = {
                     "appends": int(stats.get("appends", 0)),
                     "compactions": int(stats.get("compactions", 0)),
@@ -411,8 +391,8 @@ class RecoveryManager:
                 channel_backlog=self.channel.backlog(),
                 channel_retransmits=self.channel.retransmits,
                 app_retransmits=self.app_retransmits,
-                token_hints=self.regeneration.placements(),
-                custody_pending=tuple(self.custody.pending()),
+                token_hints=self.tokens.placements(),
+                custody_pending=tuple(self.tokens.pending()),
                 durability=durability,
                 leases=self.leases.health(),
                 view_epoch=view.epoch,
@@ -472,9 +452,9 @@ class RecoveryManager:
         if parent is not None and self.detector.is_suspected(parent):
             # A lock born under a parent suspected before its birth was
             # never orphaned by the suspicion: find the token a home.
-            self.regeneration.rehome(lock_id, parent)
+            self.tokens.rehome(lock_id, parent)
         out: List[Envelope] = []
-        hint = self.regeneration.hints.get(lock_id)
+        hint = self.tokens.hints.get(lock_id)
         if (
             interval >= self.config.retry_cap
             and hint is not None
@@ -682,7 +662,7 @@ class RecoveryManager:
                     reassert.extend(automaton.reassert_owned())
             self.dispatch(reassert, "replay")
         if restarted or revived:
-            self.regeneration.replay_hints(peer)
+            self.tokens.replay_hints(peer)
 
     # -- the two periodic ticks --------------------------------------------
 
@@ -787,7 +767,7 @@ class RecoveryManager:
         self.channel.abandon(peer)
         for automaton in self._evict(peer):
             if automaton.parent == peer:
-                self.regeneration.start_orphan(automaton.lock_id, peer)
+                self.tokens.start_orphan(automaton.lock_id, peer)
 
     def _evict(self, peer: NodeId, only_children: bool = False) -> List:
         """Evict *peer* from every lock's copyset — where

@@ -368,7 +368,7 @@ class LeaseLayer:
             "renewals_sent": self.renewals_sent,
             "renewals_received": self.renewals_received,
             "revoked": kernel.events["lease-revoke"],
-            "reclaimed": kernel.custody.report.get("holds_reclaimed", 0),
+            "reclaimed": kernel.tokens.report.get("holds_reclaimed", 0),
             "sessions": len(self.sessions),
             "sessions_gced": self.sessions_gced,
         }

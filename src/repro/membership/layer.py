@@ -175,7 +175,7 @@ class MembershipLayer:
         self.departed.add(peer)
         kernel.forget_peer(peer)
         kernel.leases.excise(peer, forced)
-        kernel.regeneration.forget_holder(peer)
+        kernel.tokens.forget_holder(peer)
         for automaton in list(kernel.lockspace.automata()):
             kernel.dispatch(automaton.evict_child(peer))
             if automaton.parent == peer and not automaton.has_token:
@@ -193,7 +193,7 @@ class MembershipLayer:
                 # (each queues the other's request while requesting
                 # through it).  The probe finds the live holder, whose
                 # epoch-stamped announce is acyclic by construction.
-                kernel.regeneration.start_orphan(automaton.lock_id, peer)
+                kernel.tokens.start_orphan(automaton.lock_id, peer)
 
     def sweep_departed(self) -> None:
         """Evict any copyset/queue trace of a departed node (called from
@@ -232,7 +232,7 @@ class MembershipLayer:
             for peer in sorted(stale):
                 kernel.dispatch(automaton.evict_child(peer))
             if automaton.parent in self.departed and not automaton.has_token:
-                kernel.regeneration.rehome(automaton.lock_id, automaton.parent)
+                kernel.tokens.rehome(automaton.lock_id, automaton.parent)
 
     # -- the view change ---------------------------------------------------
 
@@ -358,7 +358,7 @@ class MembershipLayer:
         kernel = self._kernel
         hints = tuple(
             row
-            for row in kernel.regeneration.placements()
+            for row in kernel.tokens.placements()
             if row[1] not in self.departed
         )
         floors = tuple(
@@ -388,7 +388,7 @@ class MembershipLayer:
         )
         for lock_id, holder, epoch in msg.hints:
             if holder not in self.departed:
-                self._kernel.regeneration.note_hint(lock_id, holder, epoch)
+                self._kernel.tokens.note_hint(lock_id, holder, epoch)
         for lock_id, floor in msg.floors:
             self._kernel.lockspace.automaton(lock_id).raise_fence_floor(floor)
 
@@ -529,7 +529,7 @@ class MembershipLayer:
                         seq=automaton.child_attachment_seq(child),
                     ),
                 )
-                kernel.regeneration.tell(
+                kernel.tokens.tell(
                     child, lock_id, parent, automaton.token_epoch, migrate=True
                 )
         if self.departure_complete() and self._pending is None:

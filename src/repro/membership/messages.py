@@ -129,7 +129,7 @@ declare_messages(
 )
 
 #: The message types of this module (``HandoffMessage`` is consumed by
-#: the custody layer, the rest by the membership layer).
+#: the token layer, the rest by the membership layer).
 MEMBERSHIP_TYPES = (
     JoinRequest,
     StateTransfer,

@@ -7,7 +7,7 @@ This module supplies that identity layer for the reproduction: a
 :class:`SessionManager` per node records which session owns which holds,
 rides the durability journal across crashes (under the reserved
 ``"@sessions"`` journal key), and implements the ``reclaim`` callback of
-``Custody.rejoin_from_journal`` — a *surviving* session
+``TokenLayer.rejoin_from_journal`` — a *surviving* session
 re-asserts its holds under a fresh lease instead of being disowned,
 while an *expired* session's holds are released and the session is
 garbage-collected by the lease layer.
@@ -148,7 +148,7 @@ class SessionManager:
         #: the journal: after a crash-restart it tells the rejoin path
         #: whether the pre-crash advertisement reached a quorum, or only
         #: a minority that may itself be gone (see
-        #: ``Custody.rejoin_from_journal``, PROTOCOL.md §14).
+        #: ``TokenLayer.rejoin_from_journal``, PROTOCOL.md §14).
         self._advert_fanout: Dict[str, int] = {}
         self.gc_count = 0
         self.expired_count = 0

@@ -158,7 +158,7 @@ class TestCustodyHandshake:
         assert not automaton.custody_pending
         assert automaton.token_epoch == pre_epoch
         # The restored-but-disowned hold was released during rejoin.
-        assert manager.custody.report["holds_released"] == 1
+        assert manager.tokens.report["holds_released"] == 1
         # And the lock still works for everyone.
         granted = []
 
@@ -238,7 +238,7 @@ class TestCustodyHandshake:
         )
         sim.run(until=2.4)
         cluster.restart(0)
-        report = cluster.managers[0].custody.report
+        report = cluster.managers[0].tokens.report
         assert report["snapshot_mismatches"] == 1
         assert report["locks_restored"] == 1
         assert report["custody"] == ["lock-a"]

@@ -298,7 +298,7 @@ class TestDurableJoinerRestart:
         sim.run(until=20.0)
 
         manager = cluster.managers[joiner]
-        assert manager.custody.report["locks_restored"] >= 1
+        assert manager.tokens.report["locks_restored"] >= 1
         epoch, members = _assert_view_agreement(cluster)
         assert joiner in members
         # The restored-then-disowned hold must not strand later waiters.
@@ -369,7 +369,7 @@ class TestReclaimFanoutWarning:
         cluster.restart(0)
         sim.run(until=6.0)
 
-        report = cluster.managers[0].custody.report
+        report = cluster.managers[0].tokens.report
         assert report is not None
         assert report["holds_reclaimed"] >= 1, report
         assert report["reclaim_partial_fanout"] >= 1, report

@@ -149,7 +149,7 @@ class TestThreadedDurableJoiner:
             cluster.crash(joiner)
             cluster.restart(joiner)
             manager = cluster.managers[joiner]
-            assert manager.custody.report["locks_restored"] >= 1
+            assert manager.tokens.report["locks_restored"] >= 1
             # The restored-then-disowned hold must not strand waiters.
             cluster.client(0).acquire("db.t1", LockMode.W, timeout=30.0)
             cluster.client(0).release("db.t1", LockMode.W)
