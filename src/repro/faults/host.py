@@ -2,15 +2,15 @@
 
 The paper's protocol is one automaton per (node, lock) that does not
 care what delivers its messages; :class:`ResilientHost` is the code
-hosting it, and does not care either.  It owns everything about a
-fault-tolerant cluster that is not engine-specific — node boot (lock
-space + :class:`~repro.faults.recovery.RecoveryManager` + journal +
-flight recorder), crash/restart including WAL rejoin and session
-reclaim, join/drain/decommission bookkeeping, the crash / membership /
-durability logs, monitor plumbing, the clients' call path (admit,
-record, then the node's recovery manager), the grant listener that
-leases every grant, the lease layer's forced-release report,
-:meth:`~ResilientHost.cluster_view` and
+hosting it, and does not care either.  Beyond the host base both
+families share (:class:`~repro.sim.cluster._Host`) it owns everything
+about a fault-tolerant cluster that is not engine-specific — node
+boot (lock space + :class:`~repro.faults.recovery.RecoveryManager` +
+journal + flight recorder), crash/restart including WAL rejoin and
+session reclaim, join/drain/decommission, the crash and durability
+logs, the clients' call path (admit, record, then the node's recovery
+manager), the grant listener that leases every grant, the lease layer's
+forced-release report, a node's snapshot and
 :meth:`~ResilientHost.recovery_stats` — written against three small
 vocabularies its engine binding supplies:
 
@@ -31,14 +31,14 @@ third engine (a schedule explorer, say) is a third binding, not a third
 copy of this file.  Each hands out its engine's one
 hierarchical client (:class:`~repro.sim.cluster.HierClient`,
 :class:`~repro.runtime.cluster.BlockingLockClient`), the bare family's;
-its ``upgrade``, ``attempt`` and ``downgrade`` are bare-only.
+its ``upgrade``, ``attempt`` and ``downgrade`` are bare-only, and raise
+:class:`~repro.errors.ConfigurationError` naming the call.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.automaton import ProtocolOptions
 from ..core.lockspace import LockSpace, TokenHomeFn
@@ -46,7 +46,7 @@ from ..core.messages import LockId, NodeId
 from ..core.modes import LockMode
 from ..errors import ConfigurationError, SimulationError
 from ..obs.sink import ObsSink
-from ..sim.cluster import _GrantCtx
+from ..sim.cluster import _GrantCtx, _Host
 from ..verification.invariants import Monitor
 from .plan import FaultPlan
 from .recovery import RecoveryConfig, RecoveryManager
@@ -55,11 +55,20 @@ from .recovery import RecoveryConfig, RecoveryManager
 RESILIENT_OPTIONS = ProtocolOptions(recovery=True)
 
 
-class ResilientHost:
-    """N nodes with recovery managers over some fabric and scheduler."""
+def _bare_only(call: str):
+    """A bare host's client call, refused: a recovery manager takes
+    requests and releases only."""
 
-    #: Per-node client class of the binding (``CLIENT(cluster, node)``).
-    CLIENT: Callable[["ResilientHost", NodeId], object]
+    def refuse(self, node_id: NodeId, *args) -> None:
+        raise ConfigurationError(
+            f"{call}() is a bare-host call; node {node_id} is resilient"
+        )
+
+    return refuse
+
+
+class ResilientHost(_Host):
+    """N nodes with recovery managers over some fabric and scheduler."""
 
     def __init__(
         self,
@@ -80,17 +89,10 @@ class ResilientHost:
                 "a resilient cluster needs at least two nodes (someone "
                 "must survive to regenerate the token)"
             )
-        self.num_nodes = num_nodes
         self.plan = plan
         self.config = config
-        self.monitor = monitor
-        # Monitors are not thread-safe; uncontended on the simulator.
-        self._monitor_lock = threading.Lock()
-        self.obs = obs
         self._token_home = token_home
-        self._fabric = fabric
         self.scheduler = scheduler
-        self.lockspaces: Dict[NodeId, LockSpace] = {}
         self.managers: Dict[NodeId, RecoveryManager] = {}
         #: Per-node durability backend (see :mod:`repro.persist`);
         #: ``None`` keeps the cluster volatile.
@@ -107,17 +109,9 @@ class ResilientHost:
         self.durability_log: List[Dict[str, object]] = []
         self._crashed: set = set()
         self.crash_log: List[Dict[str, object]] = []
-        #: Current member node ids (the god-view mirror of the installed
-        #: membership view): grows on :meth:`join_node`, shrinks when a
-        #: drain or decommission completes.
-        self.members: List[NodeId] = list(range(num_nodes))
-        #: Nodes that have left for good (drained or decommissioned).
-        self._departed_nodes: set = set()
-        #: One entry per membership event (join / drain / decommission).
-        self.membership_log: List[Dict[str, object]] = []
-        for node_id in range(num_nodes):
-            self._boot_node(node_id, boot=0, fresh=True)
-        self.clients = [self.CLIENT(self, n) for n in range(num_nodes)]
+        # ``members`` mirrors the installed membership view; a node
+        # leaves it when its drain or decommission completes.
+        super().__init__(num_nodes, fabric, scheduler.now, monitor, obs)
 
     # -- what a binding supplies -------------------------------------------
 
@@ -153,6 +147,10 @@ class ResilientHost:
         self._record_release(node_id, lock_id, mode)
         self.managers[node_id].release(lock_id, mode)
 
+    _attempt_local = _bare_only("attempt")
+    _submit_upgrade = _bare_only("upgrade")
+    _submit_downgrade = _bare_only("downgrade")
+
     def _make_listener(self, node_id: NodeId):
         """The grant listener of *node_id*: record the grant, lease it,
         wake the waiting client."""
@@ -172,8 +170,8 @@ class ResilientHost:
     def _boot_node(
         self,
         node_id: NodeId,
-        boot: int,
-        fresh: bool,
+        boot: int = 0,
+        fresh: bool = True,
         membership: Optional[List[NodeId]] = None,
     ) -> None:
         lockspace = LockSpace(
@@ -191,7 +189,7 @@ class ResilientHost:
                 recorder = self.flight[node_id] = FlightRecorder(
                     node_id,
                     protocol="hierarchical",
-                    clock=self.scheduler.now,
+                    clock=self._now,
                 )
             if not fresh:
                 recorder.record_restart()
@@ -252,11 +250,11 @@ class ResilientHost:
         self._crashed.add(node_id)
         if self.flight is not None:
             self.flight[node_id].record_crash()
-        self.crash_log.append({"at": self.scheduler.now(), "node": node_id})
+        self.crash_log.append({"at": self._now(), "node": node_id})
         self._silence(node_id)
         if self.monitor is not None:
             with self._monitor_lock:
-                self.monitor.on_crash(self.scheduler.now(), node_id)
+                self.monitor.on_crash(self._now(), node_id)
         if self.obs is not None:
             self.obs.fault("crash", node_id)
 
@@ -271,7 +269,7 @@ class ResilientHost:
 
         if node_id not in self._crashed:
             return
-        if node_id in self._departed_nodes:
+        if node_id in self._departed:
             return  # Decommissioned while down: it no longer exists.
         self._crashed.discard(node_id)
         boot = self.managers[node_id].boot + 1
@@ -300,7 +298,7 @@ class ResilientHost:
             reclaim_cb = None
             if self.reclaim and sessions_payload is not None:
                 base, survivors = manager.leases.sessions.reclaimer(
-                    self.scheduler.now(), manager.leases.config.session_ttl
+                    self._now(), manager.leases.config.session_ttl
                 )
 
                 def reclaim_cb(lock_id, mode):
@@ -318,7 +316,7 @@ class ResilientHost:
             )
             self.durability_log.append(
                 {
-                    "at": round(self.scheduler.now(), 6),
+                    "at": round(self._now(), 6),
                     "node": node_id,
                     "boot": boot,
                     "recovered": recover_report,
@@ -367,7 +365,7 @@ class ResilientHost:
         if node_id in self._crashed:
             raise SimulationError(f"node {node_id} is crashed")
         manager = self.managers[node_id]
-        if node_id in self._departed_nodes or manager.membership.departing:
+        if node_id in self._departed or manager.membership.departing:
             state = "leaving the cluster"
         elif manager.leases.fenced:
             state = "lease-fenced"
@@ -377,27 +375,12 @@ class ResilientHost:
             return False
         raise SimulationError(f"node {node_id} is {state}")
 
-    def client(self, node_id: NodeId):
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
     def live_nodes(self) -> List[NodeId]:
         """Current members that are up, ascending."""
 
         return [n for n in self.members if n not in self._crashed]
 
     # -- dynamic membership (see repro.membership / docs/MEMBERSHIP.md) ----
-
-    def _log_membership(self, event: str, node_id: NodeId, **extra) -> None:
-        self.membership_log.append(
-            {
-                "at": round(self.scheduler.now(), 6),
-                "event": event,
-                "node": node_id,
-                **extra,
-            }
-        )
 
     def _view_converged(self, node_id: NodeId, member: bool) -> bool:
         """Whether every live member's view has (lost) *node_id*."""
@@ -439,8 +422,6 @@ class ResilientHost:
         manager.membership.request_join(sponsor)
         self.clients.append(self.CLIENT(self, node_id))
         self._log_membership("join", node_id, sponsor=sponsor)
-        if self.obs is not None:
-            self.obs.fault("join", node_id)
         # The bootstrap list (epoch 0) is not an installed view.
         self._wait(
             lambda: manager.membership.view.epoch > 0
@@ -470,7 +451,7 @@ class ResilientHost:
                 f"node {node_id} is crashed; decommission it instead"
             )
         if (
-            node_id in self._departed_nodes
+            node_id in self._departed
             or self.managers[node_id].membership.departing
         ):
             raise SimulationError(f"node {node_id} is already leaving")
@@ -511,7 +492,7 @@ class ResilientHost:
             raise SimulationError(
                 f"node {node_id} is alive; drain it instead"
             )
-        if node_id in self._departed_nodes:
+        if node_id in self._departed:
             raise SimulationError(f"node {node_id} already decommissioned")
         live = self.live_nodes()
         if not live:
@@ -530,9 +511,9 @@ class ResilientHost:
         return coordinator
 
     def _finalize_departure(self, node_id: NodeId, event: str) -> None:
-        if node_id in self._departed_nodes:
+        if node_id in self._departed:
             return
-        self._departed_nodes.add(node_id)
+        self._departed.add(node_id)
         if node_id in self.members:
             self.members.remove(node_id)
         if node_id not in self._crashed:
@@ -541,81 +522,34 @@ class ResilientHost:
             # anti-entropy to finish the spread without it.
             self._silence(node_id)
         self._log_membership(event, node_id)
-        if self.obs is not None:
-            self.obs.fault(event, node_id)
 
     # -- monitor plumbing --------------------------------------------------
-
-    def _record_request(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_request(
-                    self.scheduler.now(), node, lock_id, mode
-                )
-
-    def _record_grant(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_grant(
-                    self.scheduler.now(), node, lock_id, mode
-                )
-
-    def _record_release(
-        self, node: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_release(
-                    self.scheduler.now(), node, lock_id, mode
-                )
 
     def _forced_release(self, holder: NodeId, lock_id: LockId) -> None:
         """The lease layer revoked *holder*'s holds on *lock_id*."""
 
         if self.monitor is not None:
             with self._monitor_lock:
-                self.monitor.on_forced_release(
-                    self.scheduler.now(), holder, lock_id
-                )
+                self.monitor.on_forced_release(self._now(), holder, lock_id)
 
     # -- aggregates --------------------------------------------------------
 
-    def cluster_view(self):
-        """Capture a :class:`repro.obs.live.ClusterView` of all nodes.
+    def _snapshot(self, node_id: NodeId):
+        """Dead if *node_id* is crashed (its volatile state is gone),
+        else taken under its recovery manager's mutex, with the manager's
+        :class:`~repro.obs.live.RecoveryHealth`."""
 
-        Each live node is snapshotted under its recovery manager's mutex
-        (the lock every automaton access already takes), so per-node
-        state is internally consistent and carries the manager's
-        :class:`~repro.obs.live.RecoveryHealth`; crashed nodes appear as
-        dead snapshots with no lock state (their volatile state is
-        genuinely gone).
-        """
+        from ..obs.live import NodeSnapshot, snapshot_node
 
-        from ..obs.live import ClusterView, NodeSnapshot, snapshot_node
-
-        nodes = []
-        for node_id in sorted(self.members):
-            if node_id in self._crashed:
-                nodes.append(NodeSnapshot(node=node_id, alive=False))
-                continue
-            manager = self.managers[node_id]
-            with manager.mutex:
-                nodes.append(
-                    snapshot_node(
-                        node_id,
-                        self.lockspaces[node_id],
-                        recovery=manager.health_snapshot(),
-                    )
-                )
-        return ClusterView(
-            protocol="hierarchical",
-            captured_at=self.scheduler.now(),
-            nodes=tuple(nodes),
-        )
+        if node_id in self._crashed:
+            return NodeSnapshot(node=node_id, alive=False)
+        manager = self.managers[node_id]
+        with manager.mutex:
+            return snapshot_node(
+                node_id,
+                self.lockspaces[node_id],
+                recovery=manager.health_snapshot(),
+            )
 
     def recovery_stats(self) -> Dict[str, object]:
         """Aggregate recovery counters across managers."""

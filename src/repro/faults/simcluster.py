@@ -16,10 +16,9 @@ schedule.  Its client is the bare cluster's
 :class:`~repro.sim.cluster.HierClient`: ``acquire`` returns a
 :class:`~repro.sim.engine.SimEvent` to yield on.
 
-This lives in :mod:`repro.faults` rather than :mod:`repro.sim` on
-purpose: the plain cluster — the one all reproduced figures run on —
-stays byte-for-byte untouched, which is what keeps fault-free figure
-runs bit-identical to the pre-fault codebase.
+The bare simulated clusters share its host base
+(:class:`~repro.sim.cluster._Host`) and its engine, and none of its
+recovery code.
 """
 
 from __future__ import annotations

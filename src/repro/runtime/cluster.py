@@ -9,12 +9,14 @@ build on.
 :class:`ThreadedHierarchicalCluster` is the thread binding of the bare
 hierarchical host (:mod:`repro.sim.cluster`, whose simulator binding is
 :class:`~repro.sim.cluster.SimHierarchicalCluster`): the host's
-membership, splices, monitor plumbing, ``cluster_view`` and quiescent
-audit over a transport and the monotonic wall clock.  All it adds is a
-mutex per node serializing every access to its
-:class:`~repro.core.lockspace.LockSpace` against the transport's
-dispatcher threads, and a lifetime.  :class:`BlockingLockClient` blocks on
-a :class:`threading.Event` the grant listener sets; it is the threaded
+membership, splices, monitor plumbing, client call path,
+``cluster_view`` and quiescent audit over a transport and the monotonic
+wall clock.  All it adds is a mutex per node, held by each entry point
+of its :class:`~repro.core.lockspace.LockSpace` and by the host's reads,
+serializing every access against the transport's dispatcher threads;
+the two calls only its client makes (``attempt``, ``downgrade``); and a
+lifetime.  :class:`BlockingLockClient` blocks on a
+:class:`threading.Event` the grant listener sets; it is the threaded
 client of both families (the resilient one is
 :class:`~repro.faults.runtime.ResilientThreadedCluster`).
 """
@@ -127,6 +129,32 @@ class BlockingLockClient(_NodeClient):
         self._cluster._submit_downgrade(self._node_id, lock_id, held, to)
 
 
+class _GuardedLockSpace(LockSpace):
+    """A node's lockspace on threads: each entry point holds the node's
+    mutex, so client threads and the transport's dispatcher threads
+    serialize on it."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.mutex = threading.RLock()
+
+    def handle(self, message):
+        with self.mutex:
+            return super().handle(message)
+
+    def request(self, *args):
+        with self.mutex:
+            return super().request(*args)
+
+    def release(self, *args):
+        with self.mutex:
+            return super().release(*args)
+
+    def upgrade(self, *args):
+        with self.mutex:
+            return super().upgrade(*args)
+
+
 class ThreadedHierarchicalCluster(_HierarchicalCluster):
     """N threaded nodes running the hierarchical protocol.
 
@@ -138,6 +166,7 @@ class ThreadedHierarchicalCluster(_HierarchicalCluster):
     """
 
     CLIENT = BlockingLockClient
+    LOCKSPACE = _GuardedLockSpace
 
     def __init__(
         self,
@@ -150,7 +179,6 @@ class ThreadedHierarchicalCluster(_HierarchicalCluster):
         transport=None,
     ) -> None:
         self._options = options
-        self._locks: Dict[NodeId, threading.RLock] = {}
         # Any object with register/start/stop/send works as the fabric:
         # the in-memory queue transport (default) or the TCP transport.
         self.transport = (
@@ -176,43 +204,17 @@ class ThreadedHierarchicalCluster(_HierarchicalCluster):
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
 
-    # ------------------------------------------------------------------
-    # The binding: all lockspace access under the node mutex.
-    # ------------------------------------------------------------------
+    # -- the binding: all lockspace access under the node mutex ---------
 
-    def _handler(self, node_id: NodeId, lockspace: LockSpace):
-        lock = self._locks[node_id] = threading.RLock()
-
-        def handler(message):
-            with lock:
-                return lockspace.handle(message)
-
-        return handler
-
-    def _mutex(self, node_id: NodeId) -> threading.RLock:
-        return self._locks[node_id]
-
-    def _submit_request(
-        self,
-        node_id: NodeId,
-        lock_id: LockId,
-        mode: LockMode,
-        ctx: _GrantCtx,
-        priority: int = 0,
-    ) -> None:
-        self._check_departed(node_id)
-        self._record_request(node_id, lock_id, mode)
-        with self._locks[node_id]:
-            out = self.lockspaces[node_id].request(
-                lock_id, mode, ctx, priority
-            )
-        self.transport.send(node_id, out)
+    def _snapshot(self, node_id: NodeId):
+        with self.lockspaces[node_id].mutex:
+            return super()._snapshot(node_id)
 
     def _attempt_local(
         self, node_id: NodeId, lock_id: LockId, mode: LockMode
     ) -> bool:
         self._check_departed(node_id)
-        with self._locks[node_id]:
+        with self.lockspaces[node_id].mutex:
             automaton = self.lockspaces[node_id].automaton(lock_id)
             if not automaton.grantable_locally(mode):
                 return False
@@ -220,28 +222,11 @@ class ThreadedHierarchicalCluster(_HierarchicalCluster):
             automaton.request(mode)
         return True
 
-    def _submit_release(
-        self, node_id: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        self._check_departed(node_id)
-        self._record_release(node_id, lock_id, mode)
-        with self._locks[node_id]:
-            out = self.lockspaces[node_id].release(lock_id, mode)
-        self.transport.send(node_id, out)
-
-    def _submit_upgrade(
-        self, node_id: NodeId, lock_id: LockId, ctx: _GrantCtx
-    ) -> None:
-        self._check_departed(node_id)
-        with self._locks[node_id]:
-            out = self.lockspaces[node_id].upgrade(lock_id, ctx)
-        self.transport.send(node_id, out)
-
     def _submit_downgrade(
         self, node_id: NodeId, lock_id: LockId, held: LockMode, to: LockMode
     ) -> None:
         self._check_departed(node_id)
-        with self._locks[node_id]:
+        with self.lockspaces[node_id].mutex:
             automaton = self.lockspaces[node_id].automaton(lock_id)
             out = automaton.downgrade(held, to)
         self._record_release(node_id, lock_id, held)

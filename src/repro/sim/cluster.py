@@ -1,12 +1,19 @@
-"""The bare cluster family: one host, bound to the simulator here.
+"""The bare cluster family, and the host base both families share.
 
-:class:`_BaseCluster` is the whole bare host — membership, splice-aware
-token homes, monitor plumbing, :meth:`~_BaseCluster.cluster_view` and
-the quiescent audit — written against a **fabric** speaking
-``register(node, handler)`` and ``send(sender, envelopes)`` and a
-**clock** ``now()``, never against an engine.  Two protocol halves add
-only what is theirs — a lockspace factory, a grant listener, a
-``remove_node`` splice and which family's quiescent invariants apply:
+:class:`_Host` is what hosting one automaton per (node, lock) is in
+either family: node, member and client bookkeeping, monitor plumbing,
+the membership log and the :meth:`~_Host.cluster_view` loop.  A family
+says what one node is (``_boot_node``) and how it is read
+(``_snapshot``); :class:`~repro.faults.host.ResilientHost` is the other
+family's host.
+
+:class:`_BaseCluster` is the whole bare host — splice-aware token
+homes, membership splices and the quiescent audit — written against a
+**fabric** speaking ``register(node, handler)`` and ``send(sender,
+envelopes)`` and a **clock** ``now()``, never against an engine.  Two
+protocol halves add a lockspace factory, a grant listener, the client
+call path (check, record, the lockspace call, send), a ``remove_node``
+splice and their quiescent invariants:
 
 * :class:`_HierarchicalCluster` — every node runs a
   :class:`~repro.core.lockspace.LockSpace` (the paper's protocol),
@@ -14,17 +21,12 @@ only what is theirs — a lockspace factory, a grant listener, a
   :class:`~repro.naimi.lockspace.NaimiLockSpace` (the baseline) or a
   :class:`~repro.raymond.lockspace.RaymondLockSpace` (static tree).
 
-An engine is a binding: it builds its fabric and clock, and says how a
-client call reaches a node (``_submit_request``, ``_submit_release``,
-``_submit_upgrade``).  :class:`SimHierarchicalCluster`,
-:class:`SimNaimiCluster` and :class:`SimRaymondCluster` run on the
-simulator and network :func:`sim_engine` builds;
-:class:`~repro.runtime.cluster.ThreadedHierarchicalCluster` is the
-hierarchical host's thread binding.
-
-No recovery manager sits under these nodes, which is why they are not
-folded into :class:`~repro.faults.host.ResilientHost`: that host would
-have to branch on its caller.
+An engine is a binding: it builds its fabric and clock.
+:class:`SimHierarchicalCluster`, :class:`SimNaimiCluster` and
+:class:`SimRaymondCluster` run on the simulator and network
+:func:`sim_engine` builds; :class:`~repro.runtime.cluster.ThreadedHierarchicalCluster`
+is the hierarchical host's thread binding, whose lockspaces each hold a
+mutex.
 
 Each engine has one hierarchical client, whichever family hosts it:
 :class:`HierClient` here (``acquire`` returns a
@@ -38,7 +40,6 @@ measurement points for all reproduced figures.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import random
 import threading
@@ -62,10 +63,6 @@ from ..verification.invariants import (
 from .engine import SimEvent, Simulator
 from .network import Network
 from .rng import Distribution
-
-#: What a read of one node's state holds where nothing runs concurrently.
-_UNLOCKED = contextlib.nullcontext()
-
 
 def sim_engine(
     sim: Optional[Simulator],
@@ -103,20 +100,113 @@ class _GrantCtx:
     is_upgrade: bool = False
 
 
-class _BaseCluster:
+class _Host:
+    """What hosting one automaton per (node, lock) is, in either family.
+
+    The node, member and client bookkeeping, the monitor plumbing, the
+    membership log and the :meth:`cluster_view` loop.  A host supplies
+    :meth:`_boot_node` (what one node is) and :meth:`_snapshot` (how one
+    node is read), ``PROTOCOL`` and ``CLIENT``; its engine binding
+    supplies the fabric and the clock ``now()``.
+    """
+
+    #: Protocol tag stamped into cluster views.
+    PROTOCOL = "hierarchical"
+    #: Per-node client class (``CLIENT(cluster, node_id)``).
+    CLIENT: type
+
+    def __init__(
+        self,
+        num_nodes: int,
+        fabric,
+        now: Callable[[], float],
+        monitor: Optional[Monitor],
+        obs: Optional[ObsSink],
+    ) -> None:
+        self.num_nodes = num_nodes
+        #: Current member node ids: grows on a join, shrinks when a node
+        #: leaves for good.
+        self.members: List[NodeId] = list(range(num_nodes))
+        #: Nodes that have left for good.
+        self._departed: set = set()
+        #: One entry per membership event, in order.
+        self.membership_log: List[Dict[str, object]] = []
+        self._fabric = fabric
+        self._now = now
+        self.monitor = monitor
+        # Monitors are not thread-safe; uncontended on the simulator.
+        self._monitor_lock = threading.Lock()
+        #: Observability sink shared by every automaton (None = not
+        #: collecting); the binding hands it to its engine.
+        self.obs = obs
+        self.lockspaces: Dict[NodeId, object] = {}
+        for node_id in range(num_nodes):
+            self._boot_node(node_id)
+        self.clients = [self.CLIENT(self, n) for n in range(num_nodes)]
+
+    def _boot_node(self, node_id: NodeId) -> None:  # per host
+        raise NotImplementedError
+
+    def _snapshot(self, node_id: NodeId):  # per host: a NodeSnapshot
+        raise NotImplementedError
+
+    def client(self, node_id: NodeId):
+        """Return the client object of *node_id*."""
+
+        return self.clients[node_id]
+
+    def _record_request(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
+        if self.monitor is not None:
+            with self._monitor_lock:
+                self.monitor.on_request(self._now(), node, lock_id, mode)
+
+    def _record_grant(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
+        if self.monitor is not None:
+            with self._monitor_lock:
+                self.monitor.on_grant(self._now(), node, lock_id, mode)
+
+    def _record_release(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
+        if self.monitor is not None:
+            with self._monitor_lock:
+                self.monitor.on_release(self._now(), node, lock_id, mode)
+
+    def _log_membership(self, event: str, node: NodeId, **extra) -> None:
+        self.membership_log.append(
+            {"at": round(self._now(), 6), "event": event, "node": node, **extra}
+        )
+        if self.obs is not None:
+            self.obs.fault(event, node)
+
+    def cluster_view(self):
+        """Capture a :class:`repro.obs.live.ClusterView` of all members.
+
+        A pure read, one :meth:`_snapshot` per member.  On the simulator
+        that is an exact instant in simulated time; on threads every
+        :class:`~repro.obs.live.NodeSnapshot` is internally consistent
+        but nodes are captured one after another, which is why the
+        online audit treats cross-node disagreements as warnings while
+        traffic is in flight.
+        """
+
+        from ..obs.live import ClusterView
+
+        nodes = tuple(self._snapshot(node_id) for node_id in sorted(self.members))
+        return ClusterView(
+            protocol=self.PROTOCOL, captured_at=self._now(), nodes=nodes
+        )
+
+
+class _BaseCluster(_Host):
     """The bare host every bare cluster binds.
 
     A protocol half supplies ``PROTOCOL``, a lockspace factory
     (:meth:`_new_lockspace`), a grant listener (:meth:`_make_listener`),
-    its ``remove_node`` splice and its family's ``QUIESCENT`` check; an
-    engine binding supplies the fabric and clock, ``CLIENT`` and the
-    ``_submit_*`` calls its client makes.
+    the ``_submit_*`` calls its client makes, its ``remove_node`` splice
+    and its family's ``QUIESCENT`` check; an engine binding supplies the
+    fabric and clock, ``CLIENT`` and, where nodes run concurrently, a
+    guarded ``LOCKSPACE`` and :meth:`_snapshot`.
     """
 
-    #: Protocol tag stamped into cluster views (set per subclass).
-    PROTOCOL = "?"
-    #: Per-node client class (``CLIENT(cluster, node_id)``).
-    CLIENT: type
     #: The family's per-lock quiescent check, ``(lock_id, automata)``.
     QUIESCENT: Callable
 
@@ -131,35 +221,18 @@ class _BaseCluster:
     ) -> None:
         if num_nodes < 1:
             raise ConfigurationError("a cluster needs at least one node")
-        self.num_nodes = num_nodes
-        #: Current membership (mutated by ``add_node``/``remove_node``).
-        self.members = list(range(num_nodes))
-        #: Chronological record of membership changes (``at`` is ``now()``).
-        self.membership_log = []
         self._next_node_id = num_nodes
-        self._departed: set = set()
         # Spliced-out lockspaces, kept referenced so their (still
         # registered) fabric handlers stay valid: any stray message to a
         # ghost raises loudly instead of vanishing.
         self._ghosts: Dict[NodeId, object] = {}
-        self._fabric = fabric
-        self._now = now
-        self.monitor = monitor
-        # Monitors are not thread-safe; uncontended on the simulator.
-        self._monitor_lock = threading.Lock()
-        #: Observability sink shared by every automaton (None = not
-        #: collecting); the binding hands it to its engine.
-        self.obs = obs
         self._base_token_home = token_home
         # Membership splices re-route token homes: per-lock pins for
         # locks instantiated before a removal, per-node redirects for
         # locks whose home node left before anyone touched them.
         self._home_override: Dict[LockId, NodeId] = {}
         self._node_redirect: Dict[NodeId, NodeId] = {}
-        self.lockspaces: Dict[NodeId, object] = {}
-        for node_id in range(num_nodes):
-            self._add_lockspace(node_id)
-        self.clients = [self.CLIENT(self, n) for n in range(num_nodes)]
+        super().__init__(num_nodes, fabric, now, monitor, obs)
 
     def _resolve_home(self, lock_id: LockId) -> NodeId:
         """Token-home fn handed to every lockspace, splice-aware."""
@@ -210,67 +283,17 @@ class _BaseCluster:
     def _new_lockspace(self, node_id: NodeId, listener):  # per protocol
         raise NotImplementedError
 
-    def _add_lockspace(self, node_id: NodeId):
+    def _boot_node(self, node_id: NodeId) -> None:
         lockspace = self._new_lockspace(node_id, self._make_listener(node_id))
         lockspace.obs = self.obs
         # Register first: a fabric that refuses the node leaves no trace.
-        self._fabric.register(node_id, self._handler(node_id, lockspace))
+        self._fabric.register(node_id, lockspace.handle)
         self.lockspaces[node_id] = lockspace
-        return lockspace
 
-    def _handler(self, node_id: NodeId, lockspace):
-        """The fabric handler of *node_id* (per engine binding)."""
+    def _snapshot(self, node_id: NodeId):
+        from ..obs.live import snapshot_node
 
-        return lockspace.handle
-
-    def _mutex(self, node_id: NodeId):
-        """What a read of *node_id*'s state holds (per engine binding)."""
-
-        return _UNLOCKED
-
-    def client(self, node_id: NodeId):
-        """Return the client object of *node_id*."""
-
-        return self.clients[node_id]
-
-    def _record_request(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_request(self._now(), node, lock_id, mode)
-
-    def _record_grant(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_grant(self._now(), node, lock_id, mode)
-
-    def _record_release(self, node: NodeId, lock_id: LockId, mode: LockMode) -> None:
-        if self.monitor is not None:
-            with self._monitor_lock:
-                self.monitor.on_release(self._now(), node, lock_id, mode)
-
-    def cluster_view(self):
-        """Capture a :class:`repro.obs.live.ClusterView` of all members.
-
-        A pure read over every member's lock state, each node under its
-        :meth:`_mutex`.  On the simulator that is an exact instant in
-        simulated time; on threads every
-        :class:`~repro.obs.live.NodeSnapshot` is internally consistent
-        but nodes are captured one after another, which is why the
-        online audit treats cross-node disagreements as warnings while
-        traffic is in flight.  Spliced-out ghosts are excluded.
-        """
-
-        from ..obs.live import ClusterView, snapshot_node
-
-        nodes = []
-        for node_id in sorted(self.members):
-            with self._mutex(node_id):
-                nodes.append(snapshot_node(node_id, self.lockspaces[node_id]))
-        return ClusterView(
-            protocol=self.PROTOCOL,
-            captured_at=self._now(),
-            nodes=tuple(nodes),
-        )
+        return snapshot_node(node_id, self.lockspaces[node_id])
 
     # -- membership (splices are valid at quiescence only) ----------------
 
@@ -287,7 +310,7 @@ class _BaseCluster:
         node_id = self._next_node_id
         placed = self._place(node_id, **placement)
         self._next_node_id += 1
-        self._add_lockspace(node_id)
+        self._boot_node(node_id)
         self.members.append(node_id)
         self.clients.append(self.CLIENT(self, node_id))
         self._log_membership("join", node_id, **placed)
@@ -304,13 +327,6 @@ class _BaseCluster:
             raise ConfigurationError(
                 f"node {node_id} has left the cluster"
             )
-
-    def _log_membership(self, event: str, node: NodeId, **extra) -> None:
-        entry = {"event": event, "node": node, "at": self._now()}
-        entry.update(extra)
-        self.membership_log.append(entry)
-        if self.obs is not None:
-            self.obs.fault(event, node)
 
     def _pick_successor(
         self, leaving: NodeId, successor: Optional[NodeId]
@@ -377,13 +393,14 @@ class _NodeClient:
 class _HierarchicalCluster(_BaseCluster):
     """The hierarchical half of the bare host, whatever engine binds it."""
 
-    PROTOCOL = "hierarchical"
     QUIESCENT = staticmethod(quiescent_hierarchical)
+    #: The lockspace class every node runs (a binding may guard it).
+    LOCKSPACE = LockSpace
     #: The protocol switches every node runs with (set by the binding).
     _options: ProtocolOptions
 
     def _new_lockspace(self, node_id: NodeId, listener) -> LockSpace:
-        return LockSpace(
+        return self.LOCKSPACE(
             node_id=node_id,
             token_home=self._resolve_home,
             listener=listener,
@@ -401,6 +418,34 @@ class _HierarchicalCluster(_BaseCluster):
                 self._record_grant(node_id, lock_id, mode)
 
         return listener
+
+    def _submit_request(
+        self,
+        node_id: NodeId,
+        lock_id: LockId,
+        mode: LockMode,
+        ctx: _GrantCtx,
+        priority: int = 0,
+    ) -> None:
+        self._check_departed(node_id)
+        self._record_request(node_id, lock_id, mode)
+        out = self.lockspaces[node_id].request(lock_id, mode, ctx, priority)
+        self._fabric.send(node_id, out)
+
+    def _submit_release(
+        self, node_id: NodeId, lock_id: LockId, mode: LockMode
+    ) -> None:
+        self._check_departed(node_id)
+        self._record_release(node_id, lock_id, mode)
+        out = self.lockspaces[node_id].release(lock_id, mode)
+        self._fabric.send(node_id, out)
+
+    def _submit_upgrade(
+        self, node_id: NodeId, lock_id: LockId, ctx: _GrantCtx
+    ) -> None:
+        self._check_departed(node_id)
+        out = self.lockspaces[node_id].upgrade(lock_id, ctx)
+        self._fabric.send(node_id, out)
 
     def remove_node(
         self, node_id: NodeId, successor: Optional[NodeId] = None
@@ -536,34 +581,6 @@ class SimHierarchicalCluster(_HierarchicalCluster):
             monitor=monitor, obs=obs, token_home=token_home,
         )
 
-    def _submit_request(
-        self,
-        node_id: NodeId,
-        lock_id: LockId,
-        mode: LockMode,
-        ctx: _GrantCtx,
-        priority: int = 0,
-    ) -> None:
-        self._check_departed(node_id)
-        self._record_request(node_id, lock_id, mode)
-        out = self.lockspaces[node_id].request(lock_id, mode, ctx, priority)
-        self.network.send(node_id, out)
-
-    def _submit_release(
-        self, node_id: NodeId, lock_id: LockId, mode: LockMode
-    ) -> None:
-        self._check_departed(node_id)
-        self._record_release(node_id, lock_id, mode)
-        out = self.lockspaces[node_id].release(lock_id, mode)
-        self.network.send(node_id, out)
-
-    def _submit_upgrade(
-        self, node_id: NodeId, lock_id: LockId, ctx: _GrantCtx
-    ) -> None:
-        self._check_departed(node_id)
-        out = self.lockspaces[node_id].upgrade(lock_id, ctx)
-        self.network.send(node_id, out)
-
 
 class ExclusiveClient(_NodeClient):
     """Per-node client of an exclusive-lock baseline — Naimi-Tréhel or
@@ -572,22 +589,14 @@ class ExclusiveClient(_NodeClient):
     def acquire(self, lock_id: LockId) -> SimEvent:
         """Request the (exclusive) lock; yield the event to wait."""
 
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        cluster._record_request(self._node_id, lock_id, LockMode.W)
-        event = SimEvent(cluster.sim)
-        out = cluster.lockspaces[self._node_id].request(lock_id, event)
-        cluster.network.send(self._node_id, out)
+        event = SimEvent(self._cluster.sim)
+        self._cluster._submit_request(self._node_id, lock_id, event)
         return event
 
     def release(self, lock_id: LockId) -> None:
         """Leave the critical section of *lock_id*."""
 
-        cluster = self._cluster
-        cluster._check_departed(self._node_id)
-        cluster._record_release(self._node_id, lock_id, LockMode.W)
-        out = cluster.lockspaces[self._node_id].release(lock_id)
-        cluster.network.send(self._node_id, out)
+        self._cluster._submit_release(self._node_id, lock_id)
 
 
 #: The names the two baselines' clients are imported under.
@@ -608,6 +617,18 @@ class _ExclusiveCluster(_BaseCluster):
                 ctx.trigger(None)
 
         return listener
+
+    def _submit_request(self, node_id: NodeId, lock_id: LockId, ctx) -> None:
+        self._check_departed(node_id)
+        self._record_request(node_id, lock_id, LockMode.W)
+        out = self.lockspaces[node_id].request(lock_id, ctx)
+        self._fabric.send(node_id, out)
+
+    def _submit_release(self, node_id: NodeId, lock_id: LockId) -> None:
+        self._check_departed(node_id)
+        self._record_release(node_id, lock_id, LockMode.W)
+        out = self.lockspaces[node_id].release(lock_id)
+        self._fabric.send(node_id, out)
 
     def _begin_removal(self, node_id: NodeId):
         """Splice preamble: check the leaver is a member and idle;

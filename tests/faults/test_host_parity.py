@@ -6,7 +6,9 @@ lifecycle — crash → durable restart, join, drain, decommission — through
 each binding and compares what the host records — lease counters and
 the journaled sessions included — so the shared code is tested once per
 engine instead of trusted twice.  Each engine has one
-hierarchical client, whichever family's binding hands it out.
+hierarchical client, whichever family's binding hands it out; the
+bare-only calls are refused by name on a resilient host; and both
+families derive from one host base, each writing its client calls once.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import time
 import pytest
 
 from repro.core.modes import LockMode
+from repro.errors import ConfigurationError
 from repro.faults.runtime import ResilientThreadedCluster
 from repro.faults.simcluster import ResilientSimCluster
 from repro.persist import MemoryPersistence, recover_node_state
@@ -24,7 +27,12 @@ from repro.runtime.cluster import (
     ThreadedHierarchicalCluster,
 )
 from repro.services.sessions import SESSIONS_JOURNAL_KEY
-from repro.sim.cluster import HierClient, SimHierarchicalCluster
+from repro.sim.cluster import (
+    HierClient,
+    SimHierarchicalCluster,
+    SimNaimiCluster,
+    SimRaymondCluster,
+)
 from repro.sim.engine import Process, Simulator
 
 NODES = 4
@@ -141,6 +149,17 @@ def test_host_lifecycle_is_engine_independent(run):
     assert run() == EXPECTED
 
 
+#: Every public cluster class, bare and resilient, on both engines.
+PUBLIC_CLUSTERS = (
+    SimHierarchicalCluster,
+    SimNaimiCluster,
+    SimRaymondCluster,
+    ThreadedHierarchicalCluster,
+    ResilientSimCluster,
+    ResilientThreadedCluster,
+)
+
+
 @pytest.mark.parametrize(
     "bare, resilient, client_class",
     [
@@ -154,14 +173,73 @@ def test_host_lifecycle_is_engine_independent(run):
     ids=["sim", "threaded"],
 )
 def test_one_client_class_per_engine(bare, resilient, client_class):
-    """Both families' bindings of one engine hand out the same client;
-    the bare-only calls raise ``AttributeError`` on a resilient host."""
+    """Both families' bindings of one engine hand out the same client."""
 
     clusters = [bare(2), resilient(2)]
     try:
         assert [type(c.client(1)) for c in clusters] == [client_class] * 2
-        with pytest.raises(AttributeError):
-            clusters[1].client(1).upgrade("x")
     finally:
         for cluster in clusters:
             getattr(cluster, "shutdown", lambda: None)()
+
+
+@pytest.mark.parametrize(
+    "resilient, calls",
+    [
+        (ResilientSimCluster, {"upgrade": ("x",)}),
+        (
+            ResilientThreadedCluster,
+            {
+                "attempt": ("x", LockMode.R),
+                "upgrade": ("x",),
+                "downgrade": ("x", LockMode.W, LockMode.R),
+            },
+        ),
+    ],
+    ids=["sim", "threaded"],
+)
+def test_bare_only_calls_are_refused_by_name(resilient, calls):
+    """A bare-only client call on a resilient host raises a
+    :class:`ConfigurationError` naming the call, and touches no lock."""
+
+    cluster = resilient(2)
+    try:
+        for call, args in calls.items():
+            refused = rf"{call}\(\) is a bare-host call"
+            with pytest.raises(ConfigurationError, match=refused):
+                getattr(cluster.client(1), call)(*args)
+        assert not any(
+            space.existing("x") for space in cluster.lockspaces.values()
+        )
+    finally:
+        getattr(cluster, "shutdown", lambda: None)()
+
+
+def _definers(name):
+    return {
+        cls
+        for cluster in PUBLIC_CLUSTERS
+        for cls in cluster.__mro__
+        if name in vars(cls)
+    }
+
+
+def test_host_bookkeeping_and_client_calls_are_written_once():
+    """Both families share one host base, and each family writes its
+    client call path once, whatever engine binds it."""
+
+    for name in (
+        "client",
+        "_record_request",
+        "_record_grant",
+        "_record_release",
+        "_log_membership",
+        "cluster_view",
+    ):
+        assert [c.__name__ for c in _definers(name)] == ["_Host"], name
+    for name in ("_submit_request", "_submit_release"):
+        assert sorted(c.__name__ for c in _definers(name)) == [
+            "ResilientHost",
+            "_ExclusiveCluster",
+            "_HierarchicalCluster",
+        ], name

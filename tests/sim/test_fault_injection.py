@@ -36,7 +36,8 @@ def _cluster_with_loss(num_nodes: int, loss_filter) -> SimHierarchicalCluster:
     )
     for node_id, lockspace in cluster.lockspaces.items():
         lossy.register(node_id, lockspace.handle)
-    cluster.network = lossy
+    # The host sends through its fabric, which ``network`` names.
+    cluster.network = cluster._fabric = lossy
     return cluster
 
 
