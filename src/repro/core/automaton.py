@@ -718,14 +718,14 @@ class HierarchicalLockAutomaton(LockAutomaton):
                     return []
                 if self._parent == msg.sender:
                     if msg.attachment_seq < self._attach_seq:
-                        # A cached re-grant minted before our current
-                        # attachment (re-sent to cover grant loss) lost a
-                        # race with a fresher grant.  Attachment epochs
-                        # are globally monotonic, so adopting it would
-                        # roll the attachment backwards and every later
-                        # release would look stale at the parent, pinning
-                        # a ghost copyset entry there forever.
-                        return []
+                        # Minted before our current attachment (a cached
+                        # re-grant that lost a race, or a stale duplicate
+                        # granted after we re-homed here): adopting it
+                        # would roll the attachment back.  Our owned mode
+                        # under the current one erases what it recorded.
+                        return [
+                            self._release_to(msg.sender, self.owned_mode())
+                        ]
                     # The granter re-answered a stale queued duplicate and
                     # re-recorded us under a fresh attachment epoch; adopt
                     # it and re-assert our true owned mode, otherwise our
@@ -1288,8 +1288,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         out.extend(self._refresh_frozen())
         return out
 
-    @recorded(new_parent=INT, detach=BOOL)
-    def reattach(self, new_parent: NodeId, detach: bool = False) -> List[Envelope]:
+    @recorded(new_parent=INT)
+    def reattach(self, new_parent: NodeId) -> List[Envelope]:
         """Re-home an orphan under *new_parent* after its parent died.
 
         Announces the orphan's whole surviving subtree via a release (so
@@ -1305,8 +1305,6 @@ class HierarchicalLockAutomaton(LockAutomaton):
         the fault plan) its copyset entry for this node would otherwise
         stay pinned forever — we release to the new parent from now on
         — and the root would wait behind that ghost mode indefinitely.
-        (*detach* is kept for call-site documentation: ``True`` marks a
-        deliberate escape from a live but stale subtree.)
         """
 
         self._require_recovery()
@@ -1415,9 +1413,9 @@ class HierarchicalLockAutomaton(LockAutomaton):
     def retransmit_pending(self) -> List[Envelope]:
         """Re-send the node's own in-flight request, if any.
 
-        Driven by the recovery manager's per-request retry timer (capped
-        exponential backoff).  A token-holding node's pending request is
-        queued locally and needs no wire retry.
+        Driven by the recovery manager at the events after which the
+        request may have been lost.  A token-holding node's pending
+        request is queued locally and needs no wire retry.
         """
 
         self._require_recovery()

@@ -12,8 +12,8 @@ package supplies the missing subsystem in three layers:
   threaded/TCP transports (:class:`~repro.faults.runtime.FaultyTransport`).
 
 * **Detection & recovery** (:mod:`repro.faults.recovery`): per-pair
-  reliable sessions (sequence numbers, cumulative acks, retransmission
-  with capped exponential backoff — :mod:`repro.faults.channel`),
+  reliable sessions (sequence numbers, cumulative acks, an RTT-learning
+  retransmit timer — :mod:`repro.faults.channel`),
   heartbeat failure detection (:mod:`repro.faults.detector`), and one
   token layer (:mod:`repro.faults.tokens`: per lock an orphan, a probe
   or a fence) whose epoch-numbered regeneration keeps a crashed token

@@ -23,12 +23,12 @@ behind it is repaired in one round trip.
 
 The retransmit timer follows RFC 6298, per stream: a smoothed round trip
 and its mean deviation, sampled from frames sent exactly once (Karn's
-rule), give RTO = srtt + 4·rttvar within ``[retry_base, retry_cap]``,
+rule), give RTO = srtt + 4·rttvar within ``[rto_min, rto_max]``,
 doubled on every expiry.  The samples include the wait for a heartbeat,
 so the timer learns that delay instead of firing into it.  A new stream
 starts from the estimate of the stream sampled last (every peer sits
 behind the same fabric and heartbeat cadence — the sharing of RFC 2140);
-before the channel's first sample, at ``retry_cap``, RFC 6298's
+before the channel's first sample, at ``rto_max``, RFC 6298's
 conservative start (most streams carry only a few frames, so a guess
 below the round trip would resend nearly every first one).  A host that
 carries no acks (no heartbeats) still goes quiet: after one RTO the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.messages import Message, NodeId
 from .messages import SessionAck, SessionMessage
@@ -121,10 +121,10 @@ class ReliableChannel:
     deliver:
         Upcall for each payload, invoked exactly once per frame and in
         per-sender order.
-    retry_base / retry_cap:
+    rto_min / rto_max:
         Bounds of the retransmission timeout, which learns the round
-        trip in between, starts at ``retry_cap`` while nothing is
-        learned, and doubles on each silent expiry up to ``retry_cap``.
+        trip in between, starts at ``rto_max`` while nothing is
+        learned, and doubles on each silent expiry up to ``rto_max``.
     boot:
         This node's incarnation number (bumped on restart).
     mutex:
@@ -140,8 +140,8 @@ class ReliableChannel:
         scheduler,
         send: SendFn,
         deliver: DeliverFn,
-        retry_base: float = 0.25,
-        retry_cap: float = 2.0,
+        rto_min: float = 0.25,
+        rto_max: float = 2.0,
         boot: int = 0,
         mutex: Optional["threading.RLock"] = None,
     ) -> None:
@@ -149,8 +149,8 @@ class ReliableChannel:
         self._now = scheduler.now
         self._send = send
         self._deliver = deliver
-        self._retry_base = retry_base
-        self._retry_cap = retry_cap
+        self._rto_min = rto_min
+        self._rto_max = rto_max
         self.boot = boot
         self._mutex = mutex if mutex is not None else threading.RLock()
         #: One retransmit timer per peer with unacknowledged frames,
@@ -165,7 +165,7 @@ class ReliableChannel:
         #: ``(srtt, rttvar, rto)`` of the stream sampled last, which a new
         #: stream starts from (unlearned: the cap).
         self._estimate: Tuple[Optional[float], float, float] = (
-            None, 0.0, retry_cap,
+            None, 0.0, rto_max,
         )
         #: Peers whose in-stream advanced since its ack last went out.
         self._owed: Set[NodeId] = set()
@@ -211,7 +211,7 @@ class ReliableChannel:
     def _on_timer(self, dest: NodeId, stream: _OutStream) -> None:
         frames = list(stream.unacked.values())
         stream.sent_at.clear()  # A re-sent frame's ack is ambiguous.
-        stream.rto = min(stream.rto * 2, self._retry_cap)
+        stream.rto = min(stream.rto * 2, self._rto_max)
         self._arm_timer(dest, stream)
         self._count_retransmits(len(frames))
         for frame in frames:
@@ -393,8 +393,8 @@ class ReliableChannel:
             )
             stream.srtt = 0.875 * stream.srtt + 0.125 * rtt
         stream.rto = min(
-            max(stream.srtt + 4 * stream.rttvar, self._retry_base),
-            self._retry_cap,
+            max(stream.srtt + 4 * stream.rttvar, self._rto_min),
+            self._rto_max,
         )
         self._estimate = (stream.srtt, stream.rttvar, stream.rto)
 
@@ -421,31 +421,30 @@ class ReliableChannel:
             self._timers.running = False
             self._timers.clear()
 
-    def stop_peer(self, peer: NodeId) -> None:
+    def stop_peer(self, peer: NodeId) -> List[Message]:
         """Tear down both streams with *peer* (it restarted, or left the
-        view).
-
-        Unacknowledged frames are abandoned: retransmitting into a dead
-        node is pure noise, and the recovery layer re-issues whatever
-        still matters (pending requests, subtree announcements) when the
-        peer — or its replacement parent — comes back.
-        """
+        view); returns what :meth:`abandon` gave up, for the recovery
+        layer to re-issue.  Retransmitting into a dead node is noise."""
 
         with self._mutex:
-            self.abandon(peer)
             self._in.pop(peer, None)
             self._owed.discard(peer)
+            return self.abandon(peer)
 
-    def abandon(self, peer: NodeId) -> None:
-        """Give up the stream to *peer* (it is suspected): its unacked
-        frames are dropped, and the next frame opens a new stream, which
-        *peer* tells from the old one by its number.  What *peer* sends
-        us is left alone: it may not suspect us at all."""
+    def abandon(self, peer: NodeId) -> List[Message]:
+        """Give up the stream to *peer* (it is suspected), returning the
+        payloads of its unacked frames, which may never arrive: the next
+        frame opens a new stream, which *peer* tells from the old one by
+        its number.  What *peer* sends us is left alone: it may not
+        suspect us at all."""
 
         with self._mutex:
-            if self._out.pop(peer, None) is not None:
-                self._gens[peer] = self._gens.get(peer, 0) + 1
             self._timers.cancel(peer)
+            stream = self._out.pop(peer, None)
+            if stream is None:
+                return []
+            self._gens[peer] = self._gens.get(peer, 0) + 1
+            return [frame.payload for frame in stream.unacked.values()]
 
     def idle(self) -> bool:
         """True iff no frame is awaiting acknowledgement."""

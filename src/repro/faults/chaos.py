@@ -48,8 +48,8 @@ from .simcluster import ResilientSimCluster
 WORKLOAD_MODES = (LockMode.IR, LockMode.R, LockMode.IW, LockMode.W)
 
 #: Extra simulated time after the issue window for recovery to converge
-#: (covers the suspect timeout, the rounds of asking until a probe's and
-#: a fence's answers are in, and several retry backoffs).
+#: (covers the suspect timeout and the rounds of asking until a probe's
+#: and a fence's answers are in).
 DEFAULT_GRACE = 15.0
 
 #: Ring-buffer caps applied to the chaos harness's observer so nightly

@@ -51,8 +51,6 @@ from .scheduler import WallScheduler
 FAST_RECOVERY = RecoveryConfig(
     heartbeat_interval=0.05,
     suspect_timeout=0.4,
-    retry_base=0.08,
-    retry_cap=0.5,
     channel_retry_base=0.04,
     channel_retry_cap=0.2,
     orphan_interval=0.05,

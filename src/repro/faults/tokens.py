@@ -498,6 +498,7 @@ class TokenLayer:
         self._records[lock_id] = _Fence(epoch, note)
         self._ask(lock_id)
         self._announce(lock_id, kernel.node_id, epoch)
+        kernel.unpark()
 
     def born(self, automaton) -> None:
         """A restarted node created *automaton*: a token it was born with
@@ -598,7 +599,7 @@ class TokenLayer:
                 # A request issued during the fence window was queued
                 # locally; re-route it under the new parent.
                 kernel.dispatch(automaton.retransmit_pending(), note)
-                kernel.arm_retry(lock_id)
+        kernel.unpark()
 
     @handles(CustodyProbe)
     def on_custody_probe(self, msg: CustodyProbe) -> None:
@@ -770,18 +771,9 @@ class TokenLayer:
         if isinstance(self._records.get(lock_id), _Orphan):
             self._close(lock_id)
         kernel.dispatch(automaton.observe_epoch(epoch, holder))
-        needs_home = lost or rehome or (
-            automaton.parent is not None
-            and (
-                # A departed parent is as gone as a suspected one, but
-                # gracefully removed peers never trip the failure
-                # detector — without this, a node that coordinated its
-                # own orphan probe (no orphan entry) would keep its
-                # stale hint at the leaver forever.
-                kernel.detector.is_suspected(automaton.parent)
-                or automaton.parent in kernel.membership.departed
-            )
-        )
+        # A departed parent is as gone as a suspected one (a graceful
+        # leaver never trips the failure detector).
+        needs_home = lost or rehome or kernel.cut_off(automaton.parent)
         if (
             not needs_home
             and sender is not None
@@ -803,5 +795,4 @@ class TokenLayer:
                 # ended: say that we own nothing (``reattach`` announces
                 # only a mode owned).
                 kernel.dispatch(automaton.reassert_owned())
-            if automaton.pending_mode is not LockMode.NONE:
-                kernel.arm_retry(lock_id)
+        kernel.unpark()

@@ -168,13 +168,14 @@ class LeaseLayer:
         deferred = self._deferred.pop(message.sender, None)
         if deferred:
             advertised = {str(row[0]) for row in message.leases}
-            for lock_id in sorted(deferred):
-                if lock_id not in advertised:
-                    kernel.dispatch(
-                        kernel.lockspace.automaton(lock_id).evict_child(
-                            message.sender
-                        )
-                    )
+            for lock_id in sorted(deferred - advertised):
+                automaton = kernel.lockspace.automaton(lock_id)
+                queued = automaton.queued_requests
+                kernel.dispatch(automaton.evict_child(message.sender))
+                # The sender lives: its requests queued here stay.
+                for request in queued:
+                    if request.origin == message.sender:
+                        kernel.dispatch(kernel.lockspace.handle(request))
         if message.leases and not self.remote.mirrors(message.sender):
             # About to mirror: its quiet beats in flight would renew it.
             kernel.release_beats(message.sender)

@@ -207,16 +207,9 @@ class MembershipLayer:
         as a child whose release can never come, wedging the queue
         behind it forever — so sweep once per beat; eviction replays the
         clean-release path and unblocks anything queued behind the
-        ghost.
-
-        The sweep also heals stale *parent* pointers at departed peers.
-        View install rehomes the automata that exist at that moment, but
-        an automaton instantiated later (a node's first request for a
-        lock whose static token home has since left) starts with its
-        configured default parent — a dead letterbox: the request would
-        be sent into the void and strand forever.  Such parents go
-        through the orphan probe, whose announce reattaches the node to
-        the live holder and retries anything pending.
+        ghost.  (A stale *parent* at a departed peer, say the default of
+        a lock first used after its static token home left, re-homes at
+        the first request sent its way: ``RecoveryManager.park``.)
         """
 
         if not self.departed:
@@ -231,8 +224,6 @@ class MembershipLayer:
             )
             for peer in sorted(stale):
                 kernel.dispatch(automaton.evict_child(peer))
-            if automaton.parent in self.departed and not automaton.has_token:
-                kernel.tokens.rehome(automaton.lock_id, automaton.parent)
 
     # -- the view change ---------------------------------------------------
 

@@ -32,7 +32,7 @@ RELEASED = "released"
 #: All phases a request span can pass through, in lifecycle order.
 #: ``RETRANSMITTED`` is emitted by the recovery layer each time a still
 #: ungranted request is re-sent; it sits before ``GRANTED`` so spans stay
-#: monotonic (retries stop once the grant arrives).
+#: monotonic (a granted request is never re-sent).
 PHASES = (ISSUED, ENQUEUED, FROZEN, RETRANSMITTED, GRANTED, RELEASED)
 
 #: Canonical index of each phase (used by span monotonicity checks).

@@ -210,3 +210,24 @@ def test_a_regenerated_root_refuses_a_grant_of_the_old_tree():
     assert automaton.has_token and automaton.parent is None
     assert automaton.pending_mode is LockMode.IW
     assert automaton.held_modes == {} and grants == []
+
+
+def test_a_stale_grant_from_the_parent_is_answered_with_the_owned_mode():
+    # Node 0 re-homed under node 4 (attachment 12) holding R; node 4
+    # then granted a stale duplicate of an old request of node 0's and
+    # recorded it at attachment 9.  Adopting that grant would roll the
+    # attachment back; ignoring it left node 4's entry pinned forever.
+    old = request(0, 5, LockMode.W)
+    automaton, grants = restored(
+        token=False, parent=4, attach_seq=12, held={LockMode.R: 1}
+    )
+    grant = GrantMessage(
+        lock_id="L",
+        sender=4,
+        mode=LockMode.W,
+        request_id=old.request_id,
+        attachment_seq=9,
+    )
+    assert automaton.handle(grant) == [release(4, LockMode.R, 12)]
+    assert automaton.parent == 4 and automaton.attachment_seq == 12
+    assert automaton.held_modes == {LockMode.R: 1} and grants == []

@@ -70,16 +70,16 @@ class _Pair:
             scheduler=self.scheduler,
             send=fabric_for(0),
             deliver=lambda sender, payload: self.delivered.append(payload),
-            retry_base=0.1,
-            retry_cap=0.4,
+            rto_min=0.1,
+            rto_max=0.4,
         )
         self.b = ReliableChannel(
             node_id=1,
             scheduler=self.scheduler,
             send=fabric_for(1),
             deliver=lambda sender, payload: self.delivered.append(payload),
-            retry_base=0.1,
-            retry_cap=0.4,
+            rto_min=0.1,
+            rto_max=0.4,
         )
 
     def carry_acks(self) -> None:
@@ -118,7 +118,7 @@ class TestDelivery:
         message = _payload(0)
         pair.a.send(1, message)
         assert pair.delivered == []  # first copy lost
-        pair.scheduler.advance(0.41)  # one RTO: retry_cap, nothing learned
+        pair.scheduler.advance(0.41)  # one RTO: rto_max, nothing learned
         assert pair.delivered == [message]
         assert pair.a.retransmits == 1
         # The resend arrived first-time, so its ack is owed, not sent:
@@ -147,7 +147,7 @@ class TestDelivery:
         pair.a.send(1, _payload(0))
         pair.scheduler.advance(0.39)
         assert pair.a.retransmits == 0 and not pair.a.idle()
-        pair.scheduler.advance(0.02)  # past one RTO: retry_cap, unlearned
+        pair.scheduler.advance(0.02)  # past one RTO: rto_max, unlearned
         # The resend arrived as a duplicate, and a duplicate is acked at
         # once: frame, resend, ack, and nothing after.
         assert pair.a.retransmits == 1 and pair.a.idle()
@@ -159,7 +159,7 @@ class TestDelivery:
     def test_the_timeout_learns_the_round_trip_and_backs_off_to_the_cap(self):
         pair = _Pair()
         pair.a.send(1, _payload(0))
-        assert pair.a._out[1].rto == 0.4  # nothing learned: retry_cap
+        assert pair.a._out[1].rto == 0.4  # nothing learned: rto_max
         pair.scheduler.advance(0.05)
         pair.carry_acks()  # first sample: srtt 0.05, rttvar 0.025
         stream = pair.a._out[1]
@@ -222,7 +222,7 @@ class TestIncarnations:
     def test_a_stopped_channel_retransmits_nothing_until_started(self):
         pair = _Pair(drop_next=100)
         pair.a.send(1, _payload(0))
-        pair.scheduler.advance(0.41)  # one RTO: retry_cap, unlearned
+        pair.scheduler.advance(0.41)  # one RTO: rto_max, unlearned
         assert pair.a.retransmits == 1
         pair.a.stop()
         pair.scheduler.advance(5.0)

@@ -488,7 +488,7 @@ class TestLeaveConcurrentWithTokenTransfer:
     strict=True,
     reason="known gap (docs/MEMBERSHIP.md §8): a join and a leave proposed "
     "over one base view both reach quorum at the same epoch; input to the "
-    "schedule explorer of ROADMAP item 1(c)(v)",
+    "schedule explorer of ROADMAP item 1(d)(v)",
 )
 def test_known_gap_same_epoch_split_view():
     # Seed 7 shows the split.  (Seed 6 until issue 24 moved every

@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 import repro
+from repro.core.messages import GrantMessage, TokenMessage
 from repro.core.modes import LockMode, conflicts
 from repro.faults.messages import (
     CustodyAnswer,
@@ -519,6 +520,72 @@ def test_of_two_claims_at_one_epoch_only_the_lower_holder_demotes():
         {"lock": LOCK, "epoch": 1, "node": 2}
     ]
     assert fabric.managers[1].tokens.regenerations == []
+
+
+# -- requests re-sent when a path breaks -------------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP 1(d)(x): a re-home after a false suspicion re-forwards "
+    "a request its live old parent still queues, and both copies are "
+    "answered (two token transfers to node 2)",
+)
+def test_a_request_re_sent_at_a_false_suspicion_is_answered_once():
+    """Node 2's R waits at node 1, its parent, behind node 1's own W.
+    Node 2 falsely suspects node 1, re-homes under the token at node 0
+    and re-forwards the request there, where it is served.  Node 1 is
+    alive and still holds the first copy: once its W is done, it serves
+    that copy too."""
+
+    scheduler, fabric, grants = HandScheduler(), Fabric(), []
+    for node in range(4):
+        config = QUICK if node == 2 else PATIENT
+        add_manager(scheduler, fabric, node, list(range(4)), config, grants)
+    automata = [m.lockspace.automaton(LOCK) for m in fabric.managers.values()]
+
+    def step(node, call, mode, hold=lambda entry: False):
+        getattr(fabric.managers[node], call)(LOCK, mode)
+        fabric.deliver_all(
+            lambda e: hold(e) or not isinstance(e[2], (SessionMessage, SessionAck))
+        )
+
+    # The token passes 0 -> 2 -> 1 -> 0: node 2 ends under node 1, and
+    # node 1 under the holder, node 0, which keeps W.
+    for node, call in (
+        (2, "request"), (2, "release"), (1, "request"), (0, "request"),
+        (1, "release"),
+    ):
+        step(node, call, LockMode.W)
+    assert automata[2].parent == 1 and automata[0].has_token
+    to_0 = lambda entry: entry[:2] == (1, 0)  # noqa: E731
+    step(1, "request", LockMode.W, to_0)  # Still on its way to node 0.
+    step(2, "request", LockMode.R, to_0)  # Queued at node 1 (Rule 4.1).
+    step(0, "release", LockMode.W, to_0)
+    assert [q.origin for q in automata[1].queued_requests] == [2]
+    cut = lambda entry: to_0(entry) or entry[:2] == (1, 2)  # noqa: E731
+    _run_until(scheduler, fabric, 3.5, cut)
+    assert fabric.managers[2].detector.suspected == {1}
+    assert automata[2].has_token and grants[-1] == (2, LOCK, LockMode.R)
+    _run_until(scheduler, fabric, 5.0)  # The suspicion was false.
+    step(2, "release", LockMode.R)
+    step(1, "release", LockMode.W)
+    (request,) = {
+        m.payload.request_id
+        for s, _d, m in fabric.log
+        if s == 2
+        and isinstance(m, SessionMessage)
+        and getattr(m.payload, "mode", None) is LockMode.R
+        and not isinstance(m.payload, (GrantMessage, TokenMessage))
+    }
+    answers = [
+        (sender, type(m.payload).__name__)
+        for sender, _d, m in fabric.log
+        if isinstance(m, SessionMessage)
+        and isinstance(m.payload, (GrantMessage, TokenMessage))
+        and m.payload.request_id == request
+    ]
+    assert answers == [(0, "TokenMessage")]
 
 
 # -- leases ------------------------------------------------------------------

@@ -4,9 +4,9 @@ The recovery stack used to guard each ``call_later`` with a generation
 counter kept on the entry the timer served.  Entries are deleted and
 re-created, their counters restart, and a stale timer's generation then
 matches the *next* entry's: the stale deadline closes a fresh probe
-early, a stale retry chain runs beside the real one.  The stack-level
-tests below reproduce both (they fail on the hand-kept scheme); the
-facility tests pin the contract that rules the class out.
+early.  The stack-level test below reproduces it (it fails on the
+hand-kept scheme); the facility tests pin the contract that rules the
+class out.
 """
 
 from __future__ import annotations
@@ -15,21 +15,18 @@ import threading
 
 import pytest
 
-from repro.core.modes import LockMode
 from repro.faults.chaos import run_chaos
 from repro.faults.messages import (
     HeartbeatMessage,
     OrphanReport,
     ReparentMessage,
-    SessionAck,
-    SessionMessage,
     TokenAck,
     TokenProbe,
 )
 from repro.faults.recovery import RecoveryConfig
 from repro.faults.scheduler import Timers, WallScheduler
 
-from .handcrank import Fabric, HandScheduler, add_manager, build
+from .handcrank import Fabric, HandScheduler, add_manager
 
 LOCK = "L"
 
@@ -173,32 +170,6 @@ def test_a_reopened_probe_keeps_its_own_deadline():
     assert fabric.claims(4) == {1}
 
 
-def test_a_reissued_request_runs_one_retry_chain():
-    """A request granted, its retry state reaped, then re-issued while a
-    backed-off timer of the old chain is outstanding: one chain, not two."""
-
-    grants = []
-    scheduler, fabric = build(
-        3, RecoveryConfig(suspect_timeout=1e6), grants=grants
-    )
-    fabric.managers[0].request(LOCK, LockMode.R)  # Pins the token at 0.
-    node = fabric.managers[1]
-    node.request(LOCK, LockMode.R)
-    scheduler.advance(2.5)  # Retries at 0.75 and 2.25; the next is at 5.25.
-    # A parent-directed reparent restarts the chain beside that timer.
-    node.handle(ReparentMessage(lock_id=LOCK, sender=0, parent=2, epoch=0))
-    fabric.deliver(SessionMessage, SessionAck)
-    assert grants == [(0, LOCK, LockMode.R), (1, LOCK, LockMode.R)]
-    scheduler.advance(3.3)  # The restarted chain saw the grant at 3.25.
-    node.release(LOCK, LockMode.R)
-    fabric.deliver(SessionMessage, SessionAck)
-    node.request(LOCK, LockMode.W)
-    assert node.lockspace.automaton(LOCK).pending_mode is LockMode.W
-    before = node.app_retransmits
-    scheduler.advance(5.5)  # The new chain retries at 4.05; next at 5.55.
-    assert node.app_retransmits - before == 1
-
-
 #: Runs in which every timer kind, a token probe included, fires.  Smoke
 #: seed 2 was picked at the commit that moved session acks onto
 #: heartbeats (smoke 1 no longer probes; 2-4, 6-11, 14 and 16-19 of
@@ -232,4 +203,5 @@ def test_every_callback_runs_when_its_current_arm_says(
     monkeypatch.setattr(Timers, "arm", spied_arm)
     assert run_chaos(plan, seed=seed).ok
     kinds = {key[0] if isinstance(key, tuple) else key for key in ran}
-    assert {"retry", "probe", "heartbeat-tick", "failure-tick"} <= kinds
+    assert {"probe", "heartbeat-tick", "failure-tick"} <= kinds
+    assert "retry" not in kinds  # Requests are re-sent at loss events.

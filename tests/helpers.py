@@ -31,8 +31,6 @@ LOCK = "L"
 FAST_SIM = RecoveryConfig(
     heartbeat_interval=0.2,
     suspect_timeout=1.0,
-    retry_base=0.3,
-    retry_cap=1.2,
     channel_retry_base=0.2,
     channel_retry_cap=0.8,
     orphan_interval=0.25,

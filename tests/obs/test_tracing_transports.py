@@ -75,11 +75,11 @@ class _TracedPair:
 
         self.a = ReliableChannel(
             node_id=0, scheduler=self.scheduler, send=fabric_for(0),
-            deliver=receiver, retry_base=0.1, retry_cap=0.4,
+            deliver=receiver, rto_min=0.1, rto_max=0.4,
         )
         self.b = ReliableChannel(
             node_id=1, scheduler=self.scheduler, send=fabric_for(1),
-            deliver=receiver, retry_base=0.1, retry_cap=0.4,
+            deliver=receiver, rto_min=0.1, rto_max=0.4,
         )
 
 
