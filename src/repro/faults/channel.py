@@ -446,11 +446,11 @@ class ReliableChannel:
             self._gens[peer] = self._gens.get(peer, 0) + 1
             return [frame.payload for frame in stream.unacked.values()]
 
-    def idle(self) -> bool:
-        """True iff no frame is awaiting acknowledgement."""
+    def awaiting(self) -> Set[NodeId]:
+        """The peers with frames sent but not yet acknowledged."""
 
         with self._mutex:
-            return all(not s.unacked for s in self._out.values())
+            return {peer for peer, s in self._out.items() if s.unacked}
 
     def backlog(self) -> int:
         """Total frames sent but not yet acknowledged, across all peers."""

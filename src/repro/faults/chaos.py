@@ -214,6 +214,17 @@ def run_chaos(
         for p in processes
         if p.error is not None
     ]
+    if violation is None:
+        # A local grant is made inside its client's acquire, so a breach
+        # there stops that client's process, not the simulator.
+        violation = next(
+            (
+                str(p.error)
+                for p in processes
+                if isinstance(p.error, InvariantViolation)
+            ),
+            None,
+        )
 
     issued = len(records)
     granted = sum(1 for r in records if r["granted"])

@@ -103,8 +103,9 @@ class HeartbeatMessage(Message):
     incarnation, newest or not.
 
     ``want`` says that the sender depends on the receiver (it is the
-    parent of one of the sender's locks, or a copyset child), which asks
-    the receiver to beat the sender every interval.  ``gap`` is the
+    parent or a copyset child of a lock the sender holds, awaits or
+    queues a request on, or it owes the sender an ack), which asks the
+    receiver to beat the sender every interval.  ``gap`` is the
     sender's promise: its next beat to this receiver leaves within
     ``gap`` heartbeat intervals, so the receiver tolerates that much
     more silence before suspecting it.  Both differ per destination and

@@ -13,15 +13,20 @@ the calls between them).  The kernel:
   duplicates and reordering on the fabric are invisible to the automata.
 * **Failure detection** — periodic heartbeats feed a
   :class:`~repro.faults.detector.HeartbeatDetector`; any inbound traffic
-  counts as life.  Each tick beats only the peers this node depends on
-  (the parent of each of its locks, its copyset children), the peers
-  whose newest beat said they depend on it, the peers its channel owes
-  an ack, and a rotating slice of the rest — every peer, when the beat
-  carries lease rows — so that every peer still hears from every peer
-  once per :attr:`~RecoveryManager.sweep` ticks.  Each beat declares
-  its gap (the ticks until the next beat to that peer), and the
-  detector waits that much longer before suspecting.  The heartbeat to
-  a peer also carries the ack the channel owes that peer.
+  counts as life.  Each tick beats only the peers a live operation of
+  this node depends on (the parent and the copyset children of each
+  lock it holds, awaits or queues a request on, and the peers its
+  channel awaits an ack from), the peers whose newest beat said they
+  depend on it, the peers its channel owes an ack, and a rotating slice
+  of the rest — every peer, when the beat carries lease rows — so that
+  every peer still hears from every peer once per
+  :attr:`~RecoveryManager.sweep` ticks.  Each beat declares its gap
+  (the ticks until the next beat to that peer), and the detector waits
+  that much longer before suspecting: a crash on an idle path is
+  suspected after ``suspect_timeout + (sweep - 1) * heartbeat_interval``
+  (4.5 s at the defaults), a dependency's after ``suspect_timeout``.
+  The heartbeat to a peer also carries the ack the channel owes that
+  peer.
 * **Re-sending at loss events, never on a timer** — a request dies
   only with a peer or a stream to it: when a peer is suspected,
   restarts or leaves the view, the node re-sends its pending requests,
@@ -681,11 +686,19 @@ class RecoveryManager:
     # -- the two periodic ticks --------------------------------------------
 
     def dependencies(self) -> Set[NodeId]:
-        """The peers this node depends on: the parent of each of its
-        locks and every copyset child."""
+        """The peers a live operation of this node needs: the parent and
+        the copyset children of each lock it holds a mode of, awaits a
+        request on or queues one at, and every peer its channel awaits
+        an ack from.  An idle lock's path is heard through the sweep."""
 
-        deps: Set[NodeId] = set()
+        deps = self.channel.awaiting()
         for automaton in self.lockspace.automata():
+            if not (
+                automaton.held_modes
+                or automaton.queued_requests
+                or automaton.pending_mode is not LockMode.NONE
+            ):
+                continue
             parent = automaton.parent
             if parent is not None:
                 deps.add(parent)

@@ -559,7 +559,11 @@ class HierClient(_NodeClient):
 
 
 class SimHierarchicalCluster(_HierarchicalCluster):
-    """A simulated cluster running the paper's hierarchical protocol."""
+    """A simulated cluster running the paper's hierarchical protocol.
+
+    A fault *plan*'s rules and partitions act on its network; nothing
+    recovers from them (the plan's crashes need a resilient cluster).
+    """
 
     CLIENT = HierClient
 
@@ -573,9 +577,10 @@ class SimHierarchicalCluster(_HierarchicalCluster):
         monitor: Optional[Monitor] = None,
         options: ProtocolOptions = FULL_PROTOCOL,
         obs: Optional[ObsSink] = None,
+        plan=None,
     ) -> None:
         self._options = options
-        self.sim, self.network = sim_engine(sim, latency, seed, obs)
+        self.sim, self.network = sim_engine(sim, latency, seed, obs, plan)
         super().__init__(
             num_nodes, self.network, lambda: self.sim.now,
             monitor=monitor, obs=obs, token_home=token_home,

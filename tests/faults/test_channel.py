@@ -123,9 +123,9 @@ class TestDelivery:
         assert pair.a.retransmits == 1
         # The resend arrived first-time, so its ack is owed, not sent:
         # the next heartbeat carries it and the stream is done.
-        assert not pair.a.idle()
+        assert pair.a.awaiting()
         pair.carry_acks()
-        assert pair.a.idle()
+        assert not pair.a.awaiting()
         pair.scheduler.advance(5.0)
         assert pair.a.retransmits == 1
 
@@ -134,9 +134,9 @@ class TestDelivery:
         pair.a.send(1, _payload(0))
         # Delivered, but nothing crossed back: the ack waits for a carrier.
         assert [type(f) for _, f in pair.wire] == [SessionMessage]
-        assert not pair.a.idle()
+        assert pair.a.awaiting()
         pair.carry_acks()
-        assert pair.a.idle()
+        assert not pair.a.awaiting()
         assert pair.b.take_acks() == {}  # carried once, then owed no more
         before = pair.a.retransmits
         pair.scheduler.advance(5.0)
@@ -146,11 +146,11 @@ class TestDelivery:
         pair = _Pair()
         pair.a.send(1, _payload(0))
         pair.scheduler.advance(0.39)
-        assert pair.a.retransmits == 0 and not pair.a.idle()
+        assert pair.a.retransmits == 0 and pair.a.awaiting()
         pair.scheduler.advance(0.02)  # past one RTO: rto_max, unlearned
         # The resend arrived as a duplicate, and a duplicate is acked at
         # once: frame, resend, ack, and nothing after.
-        assert pair.a.retransmits == 1 and pair.a.idle()
+        assert pair.a.retransmits == 1 and not pair.a.awaiting()
         kinds = [type(f) for _, f in pair.wire]
         assert kinds == [SessionMessage, SessionMessage, SessionAck]
         pair.scheduler.advance(10.0)
@@ -174,7 +174,7 @@ class TestDelivery:
         # Karn: the ack of a re-sent frame teaches the timer nothing.
         srtt = stream.srtt
         pair.a.on_ack(1, 1, 0)  # (node 1 never saw frame 1: a forged ack)
-        assert pair.a.idle() and stream.srtt == srtt and stream.rto == 0.4
+        assert not pair.a.awaiting() and stream.srtt == srtt and stream.rto == 0.4
         # A new stream starts from the last estimate, not from scratch.
         pair.a.stop_peer(1)
         pair.a.send(1, _payload(2))
@@ -214,9 +214,9 @@ class TestIncarnations:
     def test_stop_peer_discards_outstanding_state(self):
         pair = _Pair(drop_next=100)
         pair.a.send(1, _payload(0))
-        assert not pair.a.idle()
+        assert pair.a.awaiting()
         pair.a.stop_peer(1)
-        assert pair.a.idle()
+        assert not pair.a.awaiting()
 
 
     def test_a_stopped_channel_retransmits_nothing_until_started(self):
@@ -247,4 +247,4 @@ class TestAcks:
         pair.a.handle(
             SessionAck(lock_id="lock", sender=1, ack=0, boot=99)
         )
-        assert not pair.a.idle()
+        assert pair.a.awaiting()

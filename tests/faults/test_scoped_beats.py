@@ -1,11 +1,13 @@
 """Heartbeats scoped to what a node depends on, with promised gaps.
 
-Each tick a node beats its dependencies (the parent of each of its locks,
-its copyset children), the peers whose newest beat said they depend on
-it, the peers its channel owes an ack, and a rotating slice of the rest
-— so that every peer hears from it once per ``sweep`` ticks.  Every
-beat declares the gap to the sender's next one, and a longer gap is
-announced on ``sweep`` consecutive beats before the beats thin out.
+Each tick a node beats its dependencies (the parent and the copyset
+children of each lock it holds, awaits or queues a request on, and the
+peers its channel awaits an ack from), the peers whose newest beat said
+they depend on it, the peers its channel owes an ack, and a rotating
+slice of the rest — so that every peer hears from it once per ``sweep``
+ticks.  Every beat declares the gap to the sender's next one, and a
+longer gap is announced on ``sweep`` consecutive beats before the beats
+thin out.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import random
 import pytest
 
 from repro.core.modes import LockMode
-from repro.faults.messages import HeartbeatMessage
+from repro.faults.chaos import run_chaos
+from repro.faults.messages import HeartbeatMessage, SessionMessage
 from repro.faults.recovery import RecoveryConfig, RecoveryManager
 from repro.faults.simcluster import ResilientSimCluster
 from repro.sim.engine import Process, Timeout
@@ -26,14 +29,18 @@ from .handcrank import build
 DEFAULTS = RecoveryConfig()
 
 
-def _crank(scheduler, fabric, until, step=0.25, lose=lambda entry: False):
+def _crank(
+    scheduler, fabric, until, step=0.25, lose=lambda entry: False,
+    hold=lambda entry: False,
+):
     """Advance to *until* a *step* at a time, delivering every parked
-    message but those *lose* drops; yields after each step."""
+    message but those *lose* drops and *hold* keeps back; yields after
+    each step."""
 
     while scheduler.now() < until:
         scheduler.advance(scheduler.now() + step)
         fabric.parked = [entry for entry in fabric.parked if not lose(entry)]
-        fabric.deliver_all(lambda entry: False)
+        fabric.deliver_all(hold)
         yield scheduler.now()
 
 
@@ -200,6 +207,114 @@ def test_a_coordinator_that_does_not_depend_on_a_member_still_suspects_it():
     # Polled once per interval: suspected at the first tick past it.
     assert bound <= now - heard <= bound + DEFAULTS.heartbeat_interval
     assert 4 in coordinator.live() and 2 not in coordinator.live()
+
+
+# -- which peers are dependencies -----------------------------------------
+
+
+LOCK = "L"
+
+
+def _beaten_each_tick(fabric, sender, dest, ticks=SWEEP):
+    """Whether *sender*'s last *ticks* ticks each beat *dest*."""
+
+    seqs = [
+        message.seq
+        for origin, to, message in fabric.log
+        if (origin, to) == (sender, dest)
+        and isinstance(message, HeartbeatMessage)
+    ]
+    last = fabric.managers[sender]._beats_sent
+    return seqs[-ticks:] == list(range(last - ticks + 1, last + 1))
+
+
+def _settle(scheduler, fabric, seconds=4.0, hold=lambda entry: False):
+    for _ in _crank(scheduler, fabric, scheduler.now() + seconds, hold=hold):
+        pass
+
+
+def test_an_idle_locks_parent_is_not_beaten_every_tick():
+    # Node 1 took the token and gave its hold up: node 0's parent
+    # pointer to it stays, but nothing node 0 does needs node 1.
+    scheduler, fabric = build(3, DEFAULTS)
+    home, taker = fabric.managers[0], fabric.managers[1]
+    taker.request(LOCK, LockMode.R)
+    _settle(scheduler, fabric)
+    taker.release(LOCK, LockMode.R)
+    _settle(scheduler, fabric, 2 * SWEEP * DEFAULTS.heartbeat_interval)
+    automaton = home.lockspace.automaton(LOCK)
+    assert automaton.parent == 1 and automaton.is_idle()
+    assert home.dependencies() == set()
+    assert not _beaten_each_tick(fabric, 0, 1)
+    assert not _beaten_each_tick(fabric, 1, 0)
+    assert home.detector.gap(1) == SWEEP and taker.detector.gap(0) == SWEEP
+
+
+def _copy_at_1(scheduler, fabric):
+    """Node 0 holds R at the token and node 1 an R copy under it."""
+
+    fabric.managers[0].request(LOCK, LockMode.R)
+    fabric.managers[1].request(LOCK, LockMode.R)
+    _settle(scheduler, fabric)
+    assert fabric.managers[1].lockspace.automaton(LOCK).parent == 0
+
+
+def test_the_path_of_a_held_pending_or_queueing_lock_is_beaten_every_tick():
+    scheduler, fabric = build(3, DEFAULTS)
+    root, reader, writer = (fabric.managers[n] for n in range(3))
+    _copy_at_1(scheduler, fabric)
+    # Held: the token holder depends on its copyset child, the child on
+    # its parent.
+    assert root.dependencies() == {1} and reader.dependencies() == {0}
+    assert writer.dependencies() == set()
+    assert _beaten_each_tick(fabric, 0, 1) and _beaten_each_tick(fabric, 1, 0)
+    assert not _beaten_each_tick(fabric, 2, 0)
+    # Pending: the writer waits on node 0.  Queueing: node 0 gives its
+    # own hold up but queues the W until its child releases.
+    writer.request(LOCK, LockMode.W)
+    root.release(LOCK, LockMode.R)
+    _settle(scheduler, fabric)
+    automaton = root.lockspace.automaton(LOCK)
+    assert not automaton.held_modes and automaton.queued_requests
+    assert writer.lockspace.automaton(LOCK).pending_mode is LockMode.W
+    assert root.dependencies() == {1} and writer.dependencies() == {0}
+    assert _beaten_each_tick(fabric, 0, 1) and _beaten_each_tick(fabric, 2, 0)
+    assert _beaten_each_tick(fabric, 0, 2)
+    assert root.detector.gap(1) == 1 and writer.detector.gap(0) == 1
+
+
+def test_a_peer_with_unacked_frames_is_beaten_every_tick():
+    # Node 1's release to node 0 is held back: node 1 is idle, yet it
+    # watches node 0 until the frame is acked.
+    scheduler, fabric = build(3, DEFAULTS)
+    child = fabric.managers[1]
+    _copy_at_1(scheduler, fabric)
+    child.release(LOCK, LockMode.R)
+
+    def held(entry) -> bool:
+        return entry[:2] == (1, 0) and isinstance(entry[2], SessionMessage)
+
+    _settle(scheduler, fabric, hold=held)
+    assert child.lockspace.automaton(LOCK).is_idle()
+    assert child.channel.awaiting() == {0}
+    assert child.dependencies() == {0}
+    assert _beaten_each_tick(fabric, 1, 0)
+    _settle(scheduler, fabric)
+    assert child.channel.awaiting() == set()
+    assert child.dependencies() == set()
+
+
+@pytest.mark.parametrize(
+    "plan, seed", [("smoke", 43), ("partition", 40), ("partition", 65),
+                   ("partition", 79)]
+)
+def test_a_relay_watches_the_hop_it_forwarded_into_until_acked(plan, seed):
+    # Without the channel's peers among the dependencies, a relay on an
+    # idle path heard its next hop only through the sweep: a request
+    # re-sent to it at its sender's suspicion of a crashed hop stayed
+    # forwarded into that hop, and each of these runs wedged.
+    verdict = run_chaos(plan=plan, seed=seed)
+    assert verdict.ok, verdict.data
 
 
 # -- a fault-free 40-node cluster ----------------------------------------

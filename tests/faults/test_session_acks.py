@@ -128,7 +128,7 @@ class _Link:
 
         for _ in range(40):
             self.fabric.deliver()
-            if all(k.channel.idle() for k in self.kernels.values()):
+            if all(not k.channel.awaiting() for k in self.kernels.values()):
                 return
             self.tick()
         raise AssertionError("the streams never went idle")
@@ -201,7 +201,7 @@ def test_any_loss_copy_and_reorder_pattern_delivers_once_in_order_and_quiesces(
         link.tick()
         link.fabric.deliver()
     assert link.session_traffic() == traffic
-    assert all(k.channel.idle() for k in link.kernels.values())
+    assert all(not k.channel.awaiting() for k in link.kernels.values())
 
 
 def test_a_gap_is_answered_by_one_ack_and_repaired_by_one_resend():
@@ -240,7 +240,7 @@ def test_an_ack_rides_only_the_beat_to_the_peer_it_is_owed():
     assert (beats[0].ack, beats[0].ack_boot) == (0, 0)
     assert beats[2].ack == -1
     link.fabric.deliver()
-    assert link.kernels[0].channel.idle()
+    assert not link.kernels[0].channel.awaiting()
     # Carried once: the next beat to node 0 owes nothing.
     link.scheduler.advance(2 * PATIENT.heartbeat_interval)
     assert [

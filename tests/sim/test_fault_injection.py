@@ -18,27 +18,14 @@ from repro.core.modes import LockMode
 from repro.errors import SimulationError
 from repro.faults.plan import DROP, FaultPlan, FaultRule
 from repro.sim.cluster import SimHierarchicalCluster
-from repro.sim.engine import Process, Simulator, Timeout, run_processes
-from repro.sim.network import Network
+from repro.sim.engine import Process, Timeout, run_processes
 from repro.sim.rng import Fixed
 
 
-def _cluster_with_loss(num_nodes: int, loss_filter) -> SimHierarchicalCluster:
-    sim = Simulator()
-    cluster = SimHierarchicalCluster(num_nodes, sim=sim, latency=Fixed(0.01))
-    # Swap in a lossy network wired to the same handlers.
-    lossy = Network(
-        sim,
-        latency=Fixed(0.01),
-        faults=FaultPlan(
-            rules=(FaultRule(action=DROP, predicate=loss_filter),)
-        ),
-    )
-    for node_id, lockspace in cluster.lockspaces.items():
-        lossy.register(node_id, lockspace.handle)
-    # The host sends through its fabric, which ``network`` names.
-    cluster.network = cluster._fabric = lossy
-    return cluster
+def _dropping(predicate) -> FaultPlan:
+    """A plan that drops every message *predicate* matches."""
+
+    return FaultPlan(rules=(FaultRule(action=DROP, predicate=predicate),))
 
 
 class TestMessageLoss:
@@ -51,7 +38,9 @@ class TestMessageLoss:
                 return True
             return False
 
-        cluster = _cluster_with_loss(3, drop_first_grant)
+        cluster = SimHierarchicalCluster(
+            3, latency=Fixed(0.01), plan=_dropping(drop_first_grant)
+        )
         sim = cluster.sim
         cluster.client(0).acquire("t", LockMode.R)  # anchor the token
 
@@ -67,7 +56,9 @@ class TestMessageLoss:
         def drop_tokens(sender, dest, message):
             return isinstance(message, TokenMessage)
 
-        cluster = _cluster_with_loss(2, drop_tokens)
+        cluster = SimHierarchicalCluster(
+            2, latency=Fixed(0.01), plan=_dropping(drop_tokens)
+        )
         sim = cluster.sim
 
         def writer():
@@ -90,7 +81,9 @@ class TestMessageLoss:
                 and message.lock_id == "t"
             )
 
-        cluster = _cluster_with_loss(3, drop_grants_for_t)
+        cluster = SimHierarchicalCluster(
+            3, latency=Fixed(0.01), plan=_dropping(drop_grants_for_t)
+        )
         sim = cluster.sim
         completed = []
 
@@ -109,7 +102,9 @@ class TestMessageLoss:
         assert completed == ["other"]
 
     def test_no_loss_filter_means_no_drops(self):
-        cluster = _cluster_with_loss(2, lambda s, d, m: False)
+        cluster = SimHierarchicalCluster(
+            2, latency=Fixed(0.01), plan=_dropping(lambda s, d, m: False)
+        )
 
         def writer():
             yield cluster.client(1).acquire("t", LockMode.W)
