@@ -51,7 +51,9 @@ DURABLE_GROUP = "token-crash-durable"
 #: actually holds leased modes at cut time — a seed where it holds
 #: nothing exercises nothing.  (Picked at the commit that beats only
 #: live dependencies, which moved every trajectory: 0, 4, 5, 10, 12,
-#: 16, 18, 19, 20, 21, 22 and 23 qualify of seeds 0-23.  1, 4 and 15
+#: 16, 18, 19, 20, 21, 22 and 23 qualify of seeds 0-23; since per-tick
+#: promises are acknowledged instead of announced, 0, 1, 4, 5, 6, 8,
+#: 14, 16 and 20 do.  1, 4 and 15
 #: before it, from the commit that re-sends requests at loss events
 #: instead of on a timer; 6, 11 and 15 before that, from the commit
 #: that scoped heartbeats to dependencies; 7, 9 and 11 before that,

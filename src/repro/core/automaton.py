@@ -286,9 +286,9 @@ class HierarchicalLockAutomaton(LockAutomaton):
         self._pending: Optional[RequestMessage] = None
         # Attachment epochs: ``_attach_seq`` is the epoch of this node's
         # current attachment at its parent; ``_child_seqs`` records, per
-        # child, the epoch of the newest attachment this node issued.
-        # Releases older than the recorded epoch are stale and ignored
-        # (see GrantMessage's docstring for the race this prevents).
+        # child, the newest attachment epoch this node issued or heard in
+        # a release.  Releases and migrations older than that are stale
+        # and ignored (see GrantMessage's docstring for the race).
         self._attach_seq = 0
         self._child_seqs: Dict[NodeId, int] = {}
         # Recovery state (only consulted under ``options.recovery``):
@@ -885,6 +885,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
             self._children.pop(msg.sender, None)
         else:
             self._children[msg.sender] = msg.new_mode
+        if recorded_seq is None or msg.attachment_seq > recorded_seq:
+            self._child_seqs[msg.sender] = msg.attachment_seq
         # A live release re-confirms a restored (provisional) child entry.
         self._provisional_children.discard(msg.sender)
         return self._after_owned_maybe_changed(owned_before)
@@ -1642,7 +1644,8 @@ class HierarchicalLockAutomaton(LockAutomaton):
         over-approximates until the child's own announce confirms it,
         which blocks conflicting grants but can never violate Rule 1.
         Merging is strengthen-only and idempotent, so re-sent migration
-        messages are harmless.
+        messages are harmless; one older than the child's attachment
+        here is ignored.
         """
 
         self._require_recovery()
@@ -1650,6 +1653,7 @@ class HierarchicalLockAutomaton(LockAutomaton):
             node == self._node_id
             or node == self._parent
             or mode is LockMode.NONE
+            or seq < self._child_seqs.get(node, 0)
         ):
             return []
         owned_before = self.owned_mode()

@@ -4,17 +4,17 @@ A node beats each peer at least once every few ``heartbeat_interval``
 ticks — every tick to a peer that depends on it — and each beat
 *declares its gap*: how many ticks until the sender's next beat to this
 receiver.  A peer silent for ``suspect_timeout`` plus ``gap - 1``
-intervals, the gap taken from its newest beat, becomes *suspected*, so
-every gap keeps the margin a beat per tick had.  The detector is
-timeout-based and therefore only eventually accurate: a slow or
-partitioned peer can be suspected while alive (the classic trade-off;
-see docs/FAULTS.md for what the recovery layer does — and refuses to
-do — about that).
+intervals, the gap the recovery manager holds it to, becomes
+*suspected*, so every gap keeps the margin a beat per tick had.  The
+detector is timeout-based and therefore only eventually accurate: a
+slow or partitioned peer can be suspected while alive (the classic
+trade-off; see docs/FAULTS.md for what the recovery layer does — and
+refuses to do — about that).
 
 The detector itself is a passive table: the recovery manager feeds it
 ``beat()`` on *any* inbound traffic from a peer (heartbeats merely
-guarantee a minimum rate), ``promise()`` with the gap of each peer's
-newest beat, and polls ``check()`` from its periodic timer.
+guarantee a minimum rate), ``promise()`` with the gap each peer is
+held to, and polls ``check()`` from its periodic timer.
 Suspicion is reversible — traffic from a suspected peer un-suspects it,
 which is what lets a falsely-accused node rejoin quietly.
 """
@@ -48,15 +48,10 @@ class HeartbeatDetector:
         self._timeout = timeout
         #: The beat period a declared gap counts in.
         self._interval = interval
-        #: The gap assumed of a peer until it declares one (a sender
-        #: announces this gap to a peer it has just met).
+        #: The gap assumed of a peer until it promises another.
         self._gap = gap
-        #: The gap each peer's newest beat declared, where not the one
-        #: assumed.
+        #: The gap each peer is held to, where not the one assumed.
         self._gaps: Dict[NodeId, int] = {}
-        #: Per peer asked to beat every interval while it still promises
-        #: a longer gap: when it was asked.
-        self._asked: Dict[NodeId, float] = {}
         self._suspected: Set[NodeId] = set()
 
     def beat(self, peer: NodeId, now: float) -> bool:
@@ -75,31 +70,16 @@ class HeartbeatDetector:
         return False
 
     def promise(self, peer: NodeId, gap: int) -> None:
-        """*peer*'s newest beat says its next one comes within *gap*
-        heartbeat intervals: tolerate that much more silence."""
+        """Hold *peer* to a next beat within *gap* heartbeat intervals:
+        tolerate that much more silence."""
 
         if gap == self._gap:
             self._gaps.pop(peer, None)
         else:
             self._gaps[peer] = gap
-        if gap == 1:
-            self._asked.pop(peer, None)
-
-    def ask(self, peers: Iterable[NodeId], now: float) -> None:
-        """This node depends on *peers* (and tells them so from *now*):
-        a live peer beats it every interval from its next tick, so an
-        older, longer promise stops counting ``2 * interval`` after it
-        was first asked.  A peer left out is no longer asked."""
-
-        asked, gaps, gap = self._asked, self._gaps, self._gap
-        for peer in [p for p in asked if p not in peers]:
-            del asked[peer]
-        for peer in peers:
-            if peer not in asked and gaps.get(peer, gap) != 1:
-                asked[peer] = now
 
     def gap(self, peer: NodeId) -> int:
-        """The gap *peer* last promised (the assumed one until then)."""
+        """The gap *peer* is held to (the assumed one until promised)."""
 
         return self._gaps.get(peer, self._gap)
 
@@ -123,23 +103,17 @@ class HeartbeatDetector:
 
         self._last_seen.pop(peer, None)
         self._gaps.pop(peer, None)
-        self._asked.pop(peer, None)
         self._suspected.discard(peer)
 
     def check(self, now: float) -> List[NodeId]:
         """Advance to *now*; returns peers that just became suspected."""
 
-        fresh: List[NodeId] = []
-        asked, timeout = self._asked, self._timeout
+        fresh, timeout = [], self._timeout
         for peer, seen in self._last_seen.items():
-            if peer in self._suspected or now - seen < timeout:
-                continue
-            if now - seen >= self.tolerance(peer) or (
-                peer in asked
-                and now - asked[peer] >= timeout + 2 * self._interval
-            ):
-                self._suspected.add(peer)
-                fresh.append(peer)
+            if now - seen >= timeout and peer not in self._suspected:
+                if now - seen >= self.tolerance(peer):
+                    fresh.append(peer)
+        self._suspected.update(fresh)
         return sorted(fresh)
 
     def is_suspected(self, peer: NodeId) -> bool:

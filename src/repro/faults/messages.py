@@ -108,8 +108,11 @@ class HeartbeatMessage(Message):
     receiver to beat the sender every interval.  ``gap`` is the
     sender's promise: its next beat to this receiver leaves within
     ``gap`` heartbeat intervals, so the receiver tolerates that much
-    more silence before suspecting it.  Both differ per destination and
-    are applied, like the lease rows, only from the newest beat.
+    more silence before suspecting it; a beat to a peer that wants it
+    promises one interval, and its ``echo`` (the newest ``(boot, seq)``
+    applied from that peer) must not predate that peer's dependency on
+    the sender for the promise to count.  All three differ per
+    destination and apply, like the lease rows, only from the newest beat.
     """
 
     boot: int = 0
@@ -121,6 +124,7 @@ class HeartbeatMessage(Message):
     ack_stream: int = 0
     want: bool = False
     gap: int = 1
+    echo: Tuple = ()
 
     def __getstate__(self) -> dict:
         # Most beats ack nothing, want nothing or promise the next
@@ -138,9 +142,9 @@ class HeartbeatMessage(Message):
 
 #: The :class:`HeartbeatMessage` fields a beat leaves off the wire at
 #: these values.
-_BEAT_DEFAULTS = {
-    "ack": -1, "ack_boot": 0, "ack_stream": 0, "want": False, "gap": 1,
-}
+_BEAT_DEFAULTS = dict(
+    ack=-1, ack_boot=0, ack_stream=0, want=False, gap=1, echo=()
+)
 _UNSET = object()
 
 

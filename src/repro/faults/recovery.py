@@ -24,9 +24,9 @@ the calls between them).  The kernel:
   (the ticks until the next beat to that peer), and the detector waits
   that much longer before suspecting: a crash on an idle path is
   suspected after ``suspect_timeout + (sweep - 1) * heartbeat_interval``
-  (4.5 s at the defaults), a dependency's after ``suspect_timeout``.
-  The heartbeat to a peer also carries the ack the channel owes that
-  peer.
+  (4.5 s at the defaults), a dependency's after ``suspect_timeout``
+  once acknowledged (:meth:`~RecoveryManager._promise`).  The heartbeat
+  to a peer also carries the ack the channel owes that peer.
 * **Re-sending at loss events, never on a timer** — a request dies
   only with a peer or a stream to it: when a peer is suspected,
   restarts or leaves the view, the node re-sends its pending requests,
@@ -181,11 +181,9 @@ class RecoveryManager:
             interval=config.heartbeat_interval,
             gap=self.sweep,
         )
-        #: Per peer that depends on this node (0), or stopped doing so or
-        #: restarted: the beats since that announced the longer gap, up
-        #: to :attr:`sweep`; only after the last of them may the beats
-        #: thin out to the peer's slice of the sweep.
-        self._calm: Dict[NodeId, int] = {}
+        #: Per peer this node depends on, the ``(boot, seq)`` of the beat
+        #: that opened the dependency (:meth:`_promise`).
+        self._opened: Dict[NodeId, Tuple[int, int]] = {}
         #: Peers whose newest beat said they depend on this node.
         self._wanters: Set[NodeId] = set()
         #: Whether the last beat carried lease rows (the next one goes to
@@ -357,7 +355,7 @@ class RecoveryManager:
         self.park(self.channel.stop_peer(peer), peer)
         self._peer_boots.pop(peer, None)
         self._newest_beat.pop(peer, None)
-        self._calm.pop(peer, None)
+        self._opened.pop(peer, None)
         self._wanters.discard(peer)
         self.resend_pending()
 
@@ -533,7 +531,7 @@ class RecoveryManager:
         sender, leases = beat.sender, self.leases
         if not (
             beat.want is (sender in self._wanters)
-            and beat.gap == self.detector.gap(sender)
+            and self._promise(beat) == self.detector.gap(sender)
             and self.timers.running
             and beat.view_epoch >= self.membership.view.epoch
             and beat.boot == self._peer_boots.get(sender, 0)
@@ -553,15 +551,11 @@ class RecoveryManager:
         kept = self._kept
         if not kept:
             return
-        cursor = self.fabric.cursor()
-        beat_at, newest = self.detector.beat, self._newest_beat
+        cursor, beat_at = self.fabric.cursor(), self.detector.beat
         while kept and kept[0] < cursor:
             time, _seq, beat = heapq.heappop(kept)
-            sender = beat.sender
-            beat_at(sender, time)
-            stamp = (beat.boot, beat.seq)
-            if stamp > newest.get(sender, (-1, -1)):
-                newest[sender] = stamp
+            beat_at(beat.sender, time)
+            self._newer_beat(beat)
 
     def release_beats(self, peer: Optional[NodeId] = None) -> None:
         """Fold the kept beats that arrived and hand the rest (from *peer*,
@@ -612,21 +606,28 @@ class RecoveryManager:
             self._heed(beat)
             self.leases.on_heartbeat(beat)
 
-    def _heed(self, beat: HeartbeatMessage) -> None:
-        """Adopt the newest beat's gap and whether its sender depends on
-        this node; the beats kept under the old values go back."""
+    def _promise(self, beat: HeartbeatMessage) -> int:
+        """The gap this node holds *beat*'s sender to: a per-tick promise
+        counts only while this node depends on the sender, and only if it
+        echoes the beat that opened the dependency or a later one."""
 
-        sender = beat.sender
-        if beat.gap == self.detector.gap(sender) and beat.want is (
+        opened = self._opened.get(beat.sender)
+        if beat.gap == 1 and (opened is None or beat.echo < opened):
+            return self.sweep
+        return beat.gap
+
+    def _heed(self, beat: HeartbeatMessage) -> None:
+        """Adopt the newest beat's promise and whether its sender depends
+        on this node; the beats kept under the old values go back."""
+
+        sender, gap = beat.sender, self._promise(beat)
+        if gap == self.detector.gap(sender) and beat.want is (
             sender in self._wanters
         ):
             return
         self.release_beats(sender)
-        self.detector.promise(sender, beat.gap)
-        if beat.want:
-            self._wanters.add(sender)
-        else:
-            self._wanters.discard(sender)
+        self.detector.promise(sender, gap)
+        (self._wanters.add if beat.want else self._wanters.discard)(sender)
 
     def _deliver(self, peer: NodeId, payload: Message) -> None:
         """In-order payload from the channel: run the automaton (or the
@@ -655,10 +656,7 @@ class RecoveryManager:
             # without this the stale outbound stream would keep numbering
             # frames the new incarnation rejects.
             self.park(self.channel.stop_peer(peer), peer)
-            # What the old incarnation promised or depended on is gone
-            # with it; the new one assumes the sweep's gap of us, and
-            # hears a beat per tick while we announce it.
-            self._calm[peer] = 0
+            # What the old incarnation promised or wanted died with it.
             self._wanters.discard(peer)
             self.detector.promise(peer, self.sweep)
             # The old incarnation's copyset entries go as a suspect's
@@ -720,32 +718,29 @@ class RecoveryManager:
             self._heartbeat_tick,
         )
         acks = self.channel.take_acks()
-        deps, wanters, calm = self.dependencies(), self._wanters, self._calm
-        # A node just started beats everyone every tick for a sweep.
-        starting = seq <= sweep
-        self.detector.ask(deps, self.now())
-        # One beat per (want, gap) the tick declares; a peer our channel
-        # owes an ack gets its own copy.  One fabric call either way.
+        deps, opened = self.dependencies(), self._opened
+        closed = [p for p in opened if p not in deps]
+        for peer in closed:
+            # Not any more: the promise stops counting, and this tick says so.
+            del opened[peer]
+            self.detector.promise(peer, sweep)
+        for peer in deps:
+            opened.setdefault(peer, (self.boot, seq))
+        # Off its slice of the sweep a peer is beaten if this node
+        # depends on it, just stopped or owes it an ack; every peer is,
+        # for a sweep after a start and while lease rows ride.
+        loud = set(peers) if seq <= sweep or every else deps.union(closed)
+        loud.update(acks)
+        # One beat per (want, gap) the tick declares; a peer that wants
+        # it (echoed) or is owed an ack gets its own copy.  One fabric
+        # call either way.
         beats: Dict[Tuple[bool, int], HeartbeatMessage] = {}
         envelopes: List[Envelope] = []
         for peer in peers:
-            beaten = calm.get(peer)
-            if peer in wanters:
-                gap = 1
-                calm[peer] = 0
-            elif beaten is not None:
-                # Announcing the longer gap, one beat per tick: each
-                # promises the first slice of the sweep after the ones
-                # still due, so that any one arriving is a promise kept.
-                due = sweep - beaten - 1
-                gap = due + sweep - (seq + due + peer) % sweep
-                if due:
-                    calm[peer] = beaten + 1
-                else:
-                    del calm[peer]
-            elif (seq + peer) % sweep and not (
-                starting or every or peer in deps or peer in acks
-            ):
+            own: Dict[str, object] = {}
+            if peer in self._wanters:
+                gap, own["echo"] = 1, self._newest_beat[peer]
+            elif (seq + peer) % sweep and peer not in loud:
                 continue
             else:
                 # Its slice of the sweep comes round within the gap.
@@ -763,10 +758,9 @@ class RecoveryManager:
                     gap=gap,
                 )
             if peer in acks:
-                ack, ack_boot, ack_stream = acks[peer]
-                beat = dataclasses.replace(
-                    beat, ack=ack, ack_boot=ack_boot, ack_stream=ack_stream
-                )
+                own["ack"], own["ack_boot"], own["ack_stream"] = acks[peer]
+            if own:
+                beat = dataclasses.replace(beat, **own)
             envelopes.append(Envelope(peer, beat))
         self._transport_send(envelopes)
 

@@ -55,7 +55,7 @@ class MembershipLayer:
         #: dropped wholesale and they are never re-suspected.
         self.departed: Set[NodeId] = set()
         self._pending: Optional[_Pending] = None
-        #: Highest ``(epoch, proposer)`` promised; later proposals win.
+        #: The ``(epoch, proposer)`` promised last (one per epoch).
         self._promised: Tuple[int, int] = (0, -1)
         #: The last install, as re-sent for anti-entropy (``None`` until
         #: a view beyond the bootstrap one is installed).
@@ -145,8 +145,9 @@ class MembershipLayer:
         )
         now = kernel.now()
         self.installs.append((now, self._installed))
+        # A proposal in flight goes: what it adds is proposed again below.
         pending = self._pending
-        if pending is not None and pending.proposal.epoch <= msg.epoch:
+        if pending is not None:
             self._drop_pending()
         for peer in joined:
             if peer != kernel.node_id:
@@ -159,6 +160,12 @@ class MembershipLayer:
         kernel.event("view-install", msg.epoch)
         if kernel.journal is not None:
             kernel.journal.record_view(self.journal_payload())
+        if pending is not None and kernel.node_id in view.members:
+            was, members = pending.proposal, view.members
+            joined = [n for n in was.joined if n not in members]
+            removed = [n for n in was.removed if n in members]
+            if joined or removed:
+                self.propose(joined, removed, was.forced)
 
     def _excise(self, peer: NodeId, forced: bool) -> None:
         """Purge every trace of a removed member.
@@ -239,44 +246,42 @@ class MembershipLayer:
         the token-regeneration pattern: the proposer acks itself, collects
         :class:`ViewAck` from a majority of current members, then installs
         and broadcasts.  The proposal is re-sent on the orphan interval
-        until installed or superseded by a higher-epoch install.
+        until installed; another install drops it and re-proposes the rest.
         """
 
         kernel = self._kernel
         with kernel.mutex:
             joined = tuple(sorted(set(joined)))
             removed = tuple(sorted(set(removed)))
-            epoch = self.view.epoch
+            # Above every epoch installed, proposed or promised here.
+            epoch = max(self.view.epoch, self._promised[0])
             if self._pending is not None:
                 epoch = max(epoch, self._pending.proposal.epoch)
             epoch += 1
-            pending = self._pending = _Pending(
-                kernel.control(
-                    ViewProposal,
-                    epoch=epoch,
-                    members=tuple(
-                        sorted(
-                            (set(self.view.members) | set(joined))
-                            - set(removed)
-                        )
-                    ),
-                    joined=joined,
-                    removed=removed,
-                    forced=forced,
+            proposal = kernel.control(
+                ViewProposal,
+                epoch=epoch,
+                members=tuple(
+                    sorted(
+                        (set(self.view.members) | set(joined))
+                        - set(removed)
+                    )
                 ),
-                base=self.view,
-                acks={kernel.node_id},
+                joined=joined,
+                removed=removed,
+                forced=forced,
+                base=self.view.epoch,
             )
-            self._promised = max(self._promised, (epoch, kernel.node_id))
+            self._pending = _Pending(proposal, base=self.view, acks=set())
             kernel.event("view-propose", epoch)
-            self._send_proposal()
-            self._maybe_install()
-            if self._pending is pending:
-                kernel.resend_later("view-propose", self._propose_fire)
+            self._propose_fire()
             return epoch
 
     def _send_proposal(self) -> None:
-        pending = self._pending
+        # The proposer acks itself by the rule every member applies.
+        pending, me = self._pending, self._kernel.node_id
+        if me not in pending.acks and self._promise(pending.proposal):
+            pending.acks.add(me)
         self._kernel.broadcast(
             [
                 peer
@@ -287,8 +292,27 @@ class MembershipLayer:
         )
 
     def _propose_fire(self) -> None:
+        pending = self._pending
         self._send_proposal()
-        self._kernel.resend_later("view-propose", self._propose_fire)
+        self._maybe_install()
+        if self._pending is pending:
+            self._kernel.resend_later("view-propose", self._propose_fire)
+
+    def _promise(self, msg: ViewProposal) -> bool:
+        """Promise *msg*'s epoch to its proposer unless another proposer
+        holds a promise of that epoch or a later one, or (unsuspected) of
+        one later than *msg*'s base, whose view may lack *msg*'s change."""
+
+        epoch, proposer = self._promised
+        if msg.sender == proposer:
+            promised = msg.epoch >= epoch
+        else:
+            promised = msg.epoch > epoch and (
+                msg.base >= epoch or self._kernel.cut_off(proposer)
+            )
+        if promised:
+            self._promised = (msg.epoch, msg.sender)
+        return promised
 
     def _drop_pending(self) -> None:
         self._pending = None
@@ -318,15 +342,12 @@ class MembershipLayer:
 
     @handles(ViewProposal)
     def on_view_proposal(self, msg: ViewProposal) -> None:
-        if msg.epoch <= self.view.epoch:
+        if msg.base < self.view.epoch:
             # Stale proposer (it missed an install): catch it up instead.
             self.catch_up(msg.sender)
-            return
-        if (msg.epoch, msg.sender) < self._promised:
-            return
-        self._promised = (msg.epoch, msg.sender)
-        kernel = self._kernel
-        kernel.send(msg.sender, kernel.control(ViewAck, epoch=msg.epoch))
+        elif self._promise(msg):
+            kernel = self._kernel
+            kernel.send(msg.sender, kernel.control(ViewAck, epoch=msg.epoch))
 
     @handles(ViewAck)
     def on_view_ack(self, msg: ViewAck) -> None:

@@ -54,8 +54,9 @@ class ViewProposal(Message):
     """Phase 1: propose installing view *epoch* with *members*.
 
     ``joined``/``removed`` are the delta against the proposer's current
-    view; ``forced`` marks a decommission (the removed node is dead and
-    its leases/copyset entries must be fenced out rather than drained).
+    view, whose epoch is ``base``; ``forced`` marks a decommission (the
+    removed node is dead and its leases/copyset entries must be fenced
+    out rather than drained).
     """
 
     epoch: int
@@ -63,6 +64,7 @@ class ViewProposal(Message):
     joined: Tuple[NodeId, ...] = ()
     removed: Tuple[NodeId, ...] = ()
     forced: bool = False
+    base: int = 0
 
 
 @dataclasses.dataclass(frozen=True)

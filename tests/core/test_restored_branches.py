@@ -231,3 +231,21 @@ def test_a_stale_grant_from_the_parent_is_answered_with_the_owned_mode():
     assert automaton.handle(grant) == [release(4, LockMode.R, 12)]
     assert automaton.parent == 4 and automaton.attachment_seq == 12
     assert automaton.held_modes == {LockMode.R: 1} and grants == []
+
+
+def test_a_migration_older_than_the_childs_release_here_is_ignored():
+    # The shape of `chaos --plan graceful-drain --seed 234`: node 3 moved
+    # under node 0 and released to NONE at attachment 129; the leaver's
+    # migration of node 3 at IR, attachment 110 from before the move,
+    # arrived after.  Adopting it left a phantom IR child that blocked
+    # every W at the token for good.
+    automaton, _grants = restored()
+    gone = ReleaseMessage(
+        lock_id="L", sender=3, new_mode=LockMode.NONE, attachment_seq=129
+    )
+    assert automaton.handle(gone) == []
+    assert automaton.adopt_child(3, LockMode.IR, 110) == []
+    assert automaton.children == {}
+    # A migration of a newer attachment is still adopted.
+    automaton.adopt_child(3, LockMode.IR, 130)
+    assert automaton.children == {3: LockMode.IR}

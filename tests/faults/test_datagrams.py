@@ -27,8 +27,13 @@ PEER = 1
 PATIENT = RecoveryConfig(suspect_timeout=1e6)
 
 
+#: The receiver's beat that opened its dependency on ``PEER``.
+OPENED = (0, 2)
+
+
 def _beat(
-    seq: int, locks=(), view_epoch: int = 0, tokens=None, gap=1, want=False
+    seq: int, locks=(), view_epoch: int = 0, tokens=None, gap=1, want=False,
+    echo=(),
 ):
     return HeartbeatMessage(
         lock_id="",
@@ -37,6 +42,7 @@ def _beat(
         view_epoch=view_epoch,
         gap=gap,
         want=want,
+        echo=echo,
         leases=tuple(
             (lock, "R", PEER, (tokens or {}).get(lock, 1))
             for lock in sorted(locks)
@@ -48,8 +54,9 @@ def _beat(
 def beat_streams(draw):
     """One incarnation's heartbeats, in send order: the held set changes
     freely, a re-acquired hold carries a fresh (higher) fencing token,
-    the sender's installed view only ever advances, and its promised gap
-    and whether it depends on the receiver change freely."""
+    the sender's installed view only ever advances, and its promised gap,
+    the receiver's beat it echoes and whether it depends on the receiver
+    change freely."""
 
     count = draw(st.integers(2, 6))
     epochs = sorted(
@@ -69,6 +76,7 @@ def beat_streams(draw):
                 dict(tokens),
                 gap=draw(st.integers(1, 6)),
                 want=draw(st.booleans()),
+                echo=draw(st.sampled_from([(), (0, 1), OPENED, (0, 3)])),
             )
         )
     return beats
@@ -85,11 +93,15 @@ def schedules(draw, stream=beat_streams()):
 
 
 class _Receiver:
-    """Node 0 of three, on view epoch 2, about to hear from ``PEER``."""
+    """Node 0 of three, on view epoch 2, depending on ``PEER`` since its
+    beat ``OPENED``, about to hear from it."""
 
     def __init__(self) -> None:
         self.scheduler, self.fabric = build(3, PATIENT)
         self.kernel = self.fabric.managers[0]
+        self.kernel.dependencies = lambda: {PEER}
+        self.scheduler.advance(PATIENT.heartbeat_interval)
+        assert self.kernel._opened == {PEER: OPENED}
         self.kernel.membership.install(
             self.kernel.control(ViewInstall, epoch=2, members=(0, 1, 2))
         )
@@ -155,7 +167,12 @@ def test_any_heartbeat_schedule_ends_where_in_order_delivery_ends(
         settled = settled or beat is newest
     mirror, deferred, _catch_ups, gap, wants = shuffled.state()
     assert (mirror, deferred) == in_order.state()[:2]
-    assert (gap, wants) == in_order.state()[3:] == (newest.gap, newest.want)
+    # A per-tick promise counts only if it echoes the dependency's
+    # opening beat or a later one; else the sender is on the sweep.
+    promised = newest.gap
+    if promised == 1 and newest.echo < OPENED:
+        promised = shuffled.kernel.sweep
+    assert (gap, wants) == in_order.state()[3:] == (promised, newest.want)
     assert mirror == sorted(
         (str(lock), mode, PEER, token) for lock, mode, _h, token in newest.leases
     )

@@ -83,33 +83,6 @@ class TestDeclaredGaps:
         assert detector.check(4.4) == []
         assert detector.check(4.5) == [1, 2]
 
-    def test_an_asked_peer_stops_counting_its_old_gap(self):
-        # Peer 1 promised the sweep's gap; at 1.0 we started to depend on
-        # it, so a live peer beats us every interval within two intervals.
-        detector = self._detector(gap=5)
-        detector.beat(1, 2.0)
-        detector.beat(2, 2.0)
-        detector.ask({1}, now=1.0)
-        assert detector.check(4.4) == []
-        assert detector.check(4.5) == [1]   # 1.0 + 2.5 + 2 intervals
-        assert detector.check(6.4) == []
-        assert detector.check(6.5) == [2]   # its own promise, unasked
-
-    def test_a_peer_left_out_of_the_asked_set_is_no_longer_asked(self):
-        detector = self._detector(gap=5)
-        detector.beat(1, 2.0)
-        detector.ask({1}, now=1.0)
-        detector.ask(set(), now=1.5)
-        assert detector.check(4.5) == [2]   # never heard from at all
-
-    def test_a_peer_already_beating_every_interval_is_not_asked(self):
-        detector = self._detector(gap=5)
-        detector.promise(1, 1)
-        detector.ask({1}, now=0.0)
-        detector.promise(1, 5)     # it lengthened its gap since
-        detector.beat(1, 2.0)
-        assert detector.check(4.5) == [2]   # never heard from at all
-
     def test_forgetting_a_peer_drops_its_promise(self):
         detector = self._detector()
         detector.promise(1, 5)
@@ -118,25 +91,44 @@ class TestDeclaredGaps:
         assert detector.gap(1) == 1
 
 
-def _beat(seq, gap, want=False, boot=0):
+def _beat(seq, gap, want=False, boot=0, echo=()):
     return HeartbeatMessage(
-        lock_id="", sender=1, boot=boot, seq=seq, gap=gap, want=want
+        lock_id="", sender=1, boot=boot, seq=seq, gap=gap, want=want,
+        echo=echo,
     )
 
 
 def test_only_the_newest_beats_gap_counts():
-    # Heartbeats are datagrams: the one sent first may arrive last.
-    _scheduler, fabric = build(2, RecoveryConfig(suspect_timeout=1e6))
+    # Heartbeats are datagrams: the one sent first may arrive last.  The
+    # receiver depends on node 1 from its beat 2 on, so a per-tick
+    # promise counts only if it echoes beat 2 or a later one.
+    scheduler, fabric = build(2, RecoveryConfig(suspect_timeout=1e6))
     receiver = fabric.managers[0]
-    receiver.handle(_beat(seq=11, gap=1, want=True))
+    sweep = receiver.sweep
+    receiver.dependencies = lambda: {1}
+    scheduler.advance(0.5)
+    assert receiver._opened == {1: (0, 2)}
+    receiver.handle(_beat(seq=11, gap=1, want=True, echo=(0, 2)))
     receiver.handle(_beat(seq=10, gap=6))       # overtaken on the wire
     assert receiver.detector.gap(1) == 1
     assert 1 in receiver._wanters
     receiver.handle(_beat(seq=12, gap=6))
     assert receiver.detector.gap(1) == 6
     assert 1 not in receiver._wanters
-    receiver.handle(_beat(seq=11, gap=1, want=True))  # a duplicate, late
+    # A duplicate, late.
+    receiver.handle(_beat(seq=11, gap=1, want=True, echo=(0, 2)))
     assert receiver.detector.gap(1) == 6
-    # A restarted sender numbers its beats afresh: its first is newest.
-    receiver.handle(_beat(seq=1, gap=1, boot=1))
+    # A promise made before node 1 heard beat 2 does not count.
+    receiver.handle(_beat(seq=13, gap=1, echo=(0, 1)))
+    assert receiver.detector.gap(1) == sweep
+    receiver.handle(_beat(seq=14, gap=1, echo=(0, 3)))
     assert receiver.detector.gap(1) == 1
+    # A restarted sender numbers its beats afresh: its first is newest.
+    receiver.handle(_beat(seq=1, gap=1, boot=1, echo=(0, 3)))
+    assert receiver.detector.gap(1) == 1
+    # Once the receiver stops depending on node 1, no promise counts.
+    receiver.dependencies = lambda: set()
+    scheduler.advance(1.0)
+    assert receiver.detector.gap(1) == sweep
+    receiver.handle(_beat(seq=2, gap=1, boot=1, echo=(0, 3)))
+    assert receiver.detector.gap(1) == sweep

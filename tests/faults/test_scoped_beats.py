@@ -5,9 +5,12 @@ children of each lock it holds, awaits or queues a request on, and the
 peers its channel awaits an ack from), the peers whose newest beat said
 they depend on it, the peers its channel owes an ack, and a rotating
 slice of the rest — so that every peer hears from it once per ``sweep``
-ticks.  Every beat declares the gap to the sender's next one, and a
-longer gap is announced on ``sweep`` consecutive beats before the beats
-thin out.
+ticks.  Every beat declares the gap to the sender's next one.  A beat
+to a peer that depends on the sender promises the next tick and echoes
+the newest beat the sender applied from that peer; the peer counts the
+promise only while it depends on the sender, and only if the echo names
+the beat that opened the dependency or a later one.  So a sender thins
+out the moment it hears "not any more".
 """
 
 from __future__ import annotations
@@ -50,100 +53,81 @@ def _depend(manager, peers):
     manager.dependencies = lambda: set(peers)
 
 
-def _announcements(dropped):
-    """A *lose* predicate dropping the last *dropped* of the beats node 0
-    sends node 1 to announce a longer gap (every beat after the first
-    that promises more than one interval, up to *dropped*); returns it
-    and the seqs it dropped."""
-
-    kept, lost = [], []
-
-    def lose(entry) -> bool:
-        sender, dest, message = entry
-        if not (
-            sender == 0
-            and dest == 1
-            and isinstance(message, HeartbeatMessage)
-            and message.gap > 1
-        ):
-            return False
-        if not kept:
-            kept.append(message.seq)
-            return False
-        if len(lost) < dropped:
-            lost.append(message.seq)
-            return True
-        return False
-
-    return lose, lost
-
-
 #: Ticks per sweep at the defaults: ``suspect_timeout / heartbeat_interval``.
 SWEEP = 5
 
 
-def _lengthen(dropped):
-    """Node 1 depends on node 0 for 3 s, then stops; node 0 announces the
-    sweep's gap, of which the first *dropped* beats are lost.  Returns
-    node 1's manager, the instants it suspected node 0 at and the seqs
-    lost."""
+def _from(sender, dest):
+    """A predicate matching the heartbeats *sender* sends *dest*."""
 
+    return lambda entry: entry[:2] == (sender, dest) and isinstance(
+        entry[2], HeartbeatMessage
+    )
+
+
+def test_a_per_tick_promise_that_predates_the_dependency_is_not_adopted():
+    # Node 1 depends on node 0, stops and depends again, and node 0
+    # hears neither change: it still beats node 1 every tick, echoing a
+    # beat from before the new dependency opened.  Node 1 holds it to
+    # its slice of the sweep until an echo names the new dependency.
     scheduler, fabric = build(2, DEFAULTS)
     child = fabric.managers[1]
-    assert fabric.managers[0].sweep == SWEEP
     _depend(child, {0})
-    for _ in _crank(scheduler, fabric, 3.0):
-        pass
-    assert child.detector.gap(0) == 1   # node 0 beats it every interval
+    _settle(scheduler, fabric, 3.0)
+    assert child.detector.gap(0) == 1
+    lose = _from(1, 0)
     _depend(child, set())
-    lose, lost = _announcements(dropped)
-    suspected = [
-        now
-        for now in _crank(scheduler, fabric, 20.0, lose=lose)
-        if child.detector.is_suspected(0)
-    ]
-    return child, suspected, lost
-
-
-def test_losing_all_but_one_announcement_of_a_longer_gap_suspects_nobody():
-    child, suspected, lost = _lengthen(dropped=SWEEP - 1)
-    assert len(lost) == SWEEP - 1
-    assert suspected == []
+    for _ in _crank(scheduler, fabric, 3.5, lose=lose):
+        pass
     assert child.detector.gap(0) == SWEEP
-    assert child.events["suspect"] == 0
-
-
-def test_every_announcement_promises_past_the_ones_still_due():
-    # So any one of them arriving is a promise kept, lost or not the
-    # ones after it.
-    scheduler, fabric = build(2, DEFAULTS)
-    child, parent = fabric.managers[1], fabric.managers[0]
     _depend(child, {0})
-    for _ in _crank(scheduler, fabric, 3.0):
-        pass
-    _depend(child, set())
     sent = len(fabric.log)
-    for _ in _crank(scheduler, fabric, 12.0):
-        pass
-    beats = [
-        (message.seq, message.gap)
-        for origin, dest, message in fabric.log[sent:]
-        if origin == 0 and dest == 1 and isinstance(message, HeartbeatMessage)
-    ]
-    announced = [(seq, gap) for seq, gap in beats if gap > 1]
-    # SWEEP announcements on consecutive ticks, then only its slice.
-    first = announced[0][0]
-    assert [seq for seq, _gap in announced[:SWEEP]] == list(
-        range(first, first + SWEEP)
-    )
-    after = [seq for seq, _gap in announced[SWEEP:]]
-    assert after and all(b - a == SWEEP for a, b in zip(after, after[1:]))
-    # Each announcement promises the first beat after the last of them;
-    # the beats after promise the sweep's gap.
-    for seq, gap in announced[:SWEEP]:
-        assert seq + gap == after[0]
-    assert all(gap == SWEEP for _seq, gap in announced[SWEEP:])
-    assert parent.sweep == SWEEP
+    for _ in _crank(scheduler, fabric, 6.0, lose=lose):
+        assert child.detector.gap(0) == SWEEP
+    opened = child._opened[0]
+    stale = [e[2] for e in fabric.log[sent:] if _from(0, 1)(e)]
+    assert stale and all(m.gap == 1 and m.echo < opened for m in stale)
+    # Node 0 hears "again": its next beat echoes it, and counts.
+    _settle(scheduler, fabric, 1.5)
+    assert child.detector.gap(0) == 1
+    assert fabric.sent(HeartbeatMessage, sender=0)[-1].echo >= opened
+    assert child.suspect_log == []
+
+
+@pytest.mark.parametrize("lost", ["alone", "and_after"])
+def test_losing_the_not_any_more_beat_suspects_nobody(lost):
+    # Node 1 depends on node 0 for 3 s, then stops and at once holds
+    # node 0 to its slice of the sweep.  The beat that says so is lost,
+    # alone or with every beat node 1 sends after it.  Node 0 keeps
+    # beating node 1 every tick until a later beat says so again (or
+    # for good), which costs beats but no suspicion.
+    scheduler, fabric = build(2, DEFAULTS)
+    child = fabric.managers[1]
+    _depend(child, {0})
+    _settle(scheduler, fabric, 3.0)
+    assert child.detector.gap(0) == 1
+    _depend(child, set())
+    dropped = []
+
+    def lose(entry) -> bool:
+        if not _from(1, 0)(entry) or (dropped and lost == "alone"):
+            return False
+        dropped.append(entry[2])
+        return True
+
+    for _ in _crank(scheduler, fabric, 20.0, lose=lose):
+        assert child.detector.gap(0) == (1 if child._opened else SWEEP)
+    assert not dropped[0].want
+    assert child.suspect_log == []
+    assert child.events["suspect"] == 0
+    if lost == "alone":
+        # Its next slice says "not any more" again, and node 0 thins out.
+        assert 1 not in fabric.managers[0]._wanters
+        assert fabric.managers[0].suspect_log == []
+        assert not _beaten_each_tick(fabric, 0, 1)
+    else:
+        assert 1 in fabric.managers[0]._wanters
+        assert _beaten_each_tick(fabric, 0, 1)
 
 
 def test_a_stale_not_any_more_does_not_outrun_the_promise_it_breaks():
@@ -335,19 +319,20 @@ def _run_forty(monkeypatch, until=20.0):
         return original_send(self, sender, envelopes)
 
     def spy_tick(self):
-        # What the tick may beat, read before it runs: its dependencies,
-        # its wanters, the peers owed an ack, its slice of the sweep and
-        # the peers still hearing a longer gap announced — or everyone,
+        # What the tick may beat, read before it runs: its dependencies
+        # and the peers it has just stopped depending on, its wanters,
+        # the peers owed an ack and its slice of the sweep — or everyone,
         # in its first sweep, or when the beat carries lease rows or
         # follows one that did.
         seq, sweep = self._beats_sent + 1, self.sweep
-        calm, wanters = set(self._calm), set(self._wanters)
+        wanters = set(self._wanters)
         every = (
             seq <= sweep
             or self._advertised
             or bool(self.leases.own.export())
         )
         deps, acks = self.dependencies(), self.channel.take_acks()
+        closed = set(self._opened) - deps
         beaten, send = [], self._transport_send
         self.channel.take_acks = lambda: acks
         self._transport_send = lambda envelopes: (
@@ -361,7 +346,7 @@ def _run_forty(monkeypatch, until=20.0):
         peers = set(self._peers())
         sliced = {p for p in peers if (seq + p) % sweep == 0}
         allowed = peers if every else (
-            (deps | wanters | set(acks) | sliced | calm) & peers
+            (deps | closed | wanters | set(acks) | sliced) & peers
         )
         ticks.append((self.node_id, allowed, beaten))
 
